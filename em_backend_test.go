@@ -1,13 +1,25 @@
 package em_test
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"em"
 )
+
+// shuffledRecords returns the keys 1..n in seeded random order.
+func shuffledRecords(seed int64, n int) []em.Record {
+	rng := rand.New(rand.NewSource(seed))
+	recs := make([]em.Record, n)
+	for i, k := range rng.Perm(n) {
+		recs[i] = em.Record{Key: uint64(k + 1), Val: rng.Uint64()}
+	}
+	return recs
+}
 
 // sortIndexWorkload drives the acceptance workload for the storage-backend
 // invariants — MergeSort, DistributionSort, and B-tree BulkLoad over the
@@ -17,14 +29,7 @@ import (
 func sortIndexWorkload(t *testing.T, vol *em.Volume, seed int64, n int, async bool) em.Stats {
 	t.Helper()
 	pool := em.PoolFor(vol)
-	rng := rand.New(rand.NewSource(seed))
-	recs := make([]em.Record, n)
-	for i := range recs {
-		recs[i] = em.Record{Key: uint64(i + 1), Val: rng.Uint64()}
-	}
-	rng.Shuffle(n, func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-
-	f, err := em.FromSlice(vol, pool, em.RecordCodec{}, recs)
+	f, err := em.FromSlice(vol, pool, em.RecordCodec{}, shuffledRecords(seed, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,5 +204,175 @@ func TestFileVolumeEndToEnd(t *testing.T) {
 	}
 	if pool.InUse() != 0 {
 		t.Fatalf("frame leak: %d", pool.InUse())
+	}
+}
+
+// gomaxprocsConfig is the device shape of the GOMAXPROCS tests: 128 records
+// per block and enough frames that a run buffer or a base case holds tens of
+// thousands of records, so the in-memory sort kernel really cuts it into one
+// chunk per CPU (a 16-record-block geometry never leaves its one-chunk path).
+var gomaxprocsConfig = em.Config{BlockBytes: 2048, MemBlocks: 200, Disks: 2}
+
+// recordSort is the signature em.MergeSort and em.DistributionSort share.
+type recordSort = func(*em.File[em.Record], *em.Pool, func(a, b em.Record) bool, *em.SortOptions) (*em.File[em.Record], error)
+
+// TestSortCountersIndependentOfGOMAXPROCS pins that the kernel's parallelism
+// cannot leak into the I/O schedule: MergeSort, DistributionSort and
+// SortIndex (sequential and pipelined) write identical output and charge
+// identical Stats at GOMAXPROCS 1 and 4, on both backends. n=20000 is a
+// single run and a single base case, sorted as four chunks; n=70000 takes
+// the multi-pass paths around them. In the pipelined build the two stages
+// allocate blocks concurrently, so which disk a block lands on and how
+// transfers group into steps depend on their interleaving (at one CPU
+// already); there the comparison stops at Reads and Writes.
+func TestSortCountersIndependentOfGOMAXPROCS(t *testing.T) {
+	type result struct {
+		name  string
+		out   []em.Record
+		stats em.Stats
+	}
+	run := func(t *testing.T, cfg em.Config, n int) []result {
+		vol := em.MustVolume(cfg)
+		defer vol.Close()
+		pool := em.PoolFor(vol)
+		f, err := em.FromSlice(vol, pool, em.RecordCodec{}, shuffledRecords(int64(n), n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortFile := func(sortFn recordSort) func() ([]em.Record, error) {
+			return func() ([]em.Record, error) {
+				sorted, err := sortFn(f, pool, em.Record.Less, &em.SortOptions{Width: 2, Async: true})
+				if err != nil {
+					return nil, err
+				}
+				defer sorted.Release()
+				return em.ToSlice(sorted, pool)
+			}
+		}
+		sortIndex := func(pipeline bool) func() ([]em.Record, error) {
+			return func() ([]em.Record, error) {
+				tr, err := em.SortIndex(f, pool, &em.SortIndexOptions{Width: 2, Async: true, WriteBehind: true, Pipeline: pipeline})
+				if err != nil {
+					return nil, err
+				}
+				var out []em.Record
+				err = tr.Range(0, ^uint64(0), func(k, v uint64) error {
+					out = append(out, em.Record{Key: k, Val: v})
+					return nil
+				})
+				if err != nil {
+					return nil, err
+				}
+				return out, tr.Close()
+			}
+		}
+		var results []result
+		for _, step := range []struct {
+			name string
+			fn   func() ([]em.Record, error)
+		}{
+			{"MergeSort", sortFile(em.MergeSort[em.Record])},
+			{"DistributionSort", sortFile(em.DistributionSort[em.Record])},
+			{"SortIndex", sortIndex(false)},
+			{"SortIndex/pipelined", sortIndex(true)},
+		} {
+			vol.Stats().Reset()
+			out, err := step.fn()
+			if err != nil {
+				t.Fatalf("%s: %v", step.name, err)
+			}
+			if len(out) != n {
+				t.Fatalf("%s: %d records out, want %d", step.name, len(out), n)
+			}
+			if pool.InUse() != 0 {
+				t.Fatalf("%s: leaked %d frames", step.name, pool.InUse())
+			}
+			st := vol.Stats().Snapshot()
+			if step.name == "SortIndex/pipelined" {
+				st = em.Stats{Reads: st.Reads, Writes: st.Writes}
+			}
+			results = append(results, result{step.name, out, st})
+		}
+		return results
+	}
+
+	for _, n := range []int{20000, 70000} {
+		var ref []result
+		for _, procs := range []int{1, 4} {
+			for name, cfg := range backendConfigs(t, gomaxprocsConfig) {
+				prev := runtime.GOMAXPROCS(procs)
+				got := run(t, cfg, n)
+				runtime.GOMAXPROCS(prev)
+				if ref == nil {
+					ref = got
+					continue
+				}
+				for i, r := range got {
+					if !reflect.DeepEqual(r.stats, ref[i].stats) {
+						t.Errorf("n=%d procs=%d %s %s: stats %+v, want %+v", n, procs, name, r.name, r.stats, ref[i].stats)
+					}
+					if !reflect.DeepEqual(r.out, ref[i].out) {
+						t.Errorf("n=%d procs=%d %s %s: output differs", n, procs, name, r.name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSortUnwindWhenSinkFailsMidEmit crashes the volume while the kernel is
+// merging four sorted chunks into the run writer (MergeSort) and the output
+// writer (DistributionSort): the emit error must unwind like any other, with
+// the pool and the volume's live blocks exactly restored.
+func TestSortUnwindWhenSinkFailsMidEmit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 20000
+	recs := shuffledRecords(n, n)
+	sorts := map[string]recordSort{
+		"MergeSort":        em.MergeSort[em.Record],
+		"DistributionSort": em.DistributionSort[em.Record],
+	}
+	sortOpts := &em.SortOptions{Width: 2}
+	for name, sortFn := range sorts {
+		t.Run(name, func(t *testing.T) {
+			// Fault-free twin: n fits one buffer, so the sort is every read
+			// followed by every write, and three quarters of the way
+			// through its transfers it is half way through emitting.
+			dry := em.MustVolume(gomaxprocsConfig)
+			defer dry.Close()
+			dryPool := em.PoolFor(dry)
+			f, err := em.FromSlice(dry, dryPool, em.RecordCodec{}, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputOps := int64(dry.Stats().Total())
+			if _, err := sortFn(f, dryPool, em.Record.Less, sortOpts); err != nil {
+				t.Fatal(err)
+			}
+			sortOps := int64(dry.Stats().Total()) - inputOps
+			if reads := int64(dry.Stats().Snapshot().Reads); reads != sortOps/2 {
+				t.Fatalf("sort made %d reads of %d transfers, want one read pass and one write pass", reads, sortOps)
+			}
+
+			cfg := gomaxprocsConfig
+			cfg.Fault = &em.FaultPlan{Seed: 1, FailAfter: inputOps + sortOps*3/4}
+			vol := em.MustVolume(cfg)
+			defer vol.Close()
+			pool := em.PoolFor(vol)
+			f, err = em.FromSlice(vol, pool, em.RecordCodec{}, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			freeBefore, liveBefore := pool.Free(), liveBlocks(vol)
+			if _, err := sortFn(f, pool, em.Record.Less, sortOpts); !errors.Is(err, em.ErrFaulted) {
+				t.Fatalf("err = %v, want em.ErrFaulted", err)
+			}
+			if got := pool.Free(); got != freeBefore {
+				t.Errorf("pool not restored: free %d, want %d", got, freeBefore)
+			}
+			if got := liveBlocks(vol); got != liveBefore {
+				t.Errorf("blocks leaked: live %d, want %d", got, liveBefore)
+			}
+		})
 	}
 }

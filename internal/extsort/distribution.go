@@ -3,7 +3,6 @@ package extsort
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"em/internal/pdm"
 	"em/internal/stream"
@@ -158,7 +157,8 @@ func (d *distSorter[T]) sortInto(f *stream.File[T], ow stream.Sink[T], owned boo
 
 // baseCase load-sorts a memory-sized file into ow. The record buffer is
 // charged to the pool for its block equivalent — as formRunsLoadSort charges
-// its run buffer — so the memory bound M stays enforced, not just computed.
+// its run buffer — so the memory bound M stays enforced, not just computed;
+// sortEmit sorts inside that buffer and needs no other.
 func (d *distSorter[T]) baseCase(f *stream.File[T], ow stream.Sink[T]) error {
 	bufFrames := int((f.Len() + int64(f.PerBlock()) - 1) / int64(f.PerBlock()))
 	reserve, err := d.pool.AllocN(bufFrames)
@@ -173,13 +173,7 @@ func (d *distSorter[T]) baseCase(f *stream.File[T], ow stream.Sink[T]) error {
 	}); err != nil {
 		return err
 	}
-	sort.SliceStable(buf, func(i, j int) bool { return d.less(buf[i], buf[j]) })
-	for _, v := range buf {
-		if err := ow.Append(v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sortEmit(buf, d.less, ow.Append)
 }
 
 // fallbackMerge handles pathological all-equal buckets with a merge sort,
@@ -215,7 +209,7 @@ func (d *distSorter[T]) sampleSplitters(f *stream.File[T], k int) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(sample, func(i, j int) bool { return d.less(sample[i], sample[j]) })
+	sortStable(sample, d.less)
 	splitters := make([]T, 0, k)
 	for i := 1; i <= k; i++ {
 		splitters = append(splitters, sample[i*len(sample)/(k+1)])
@@ -224,8 +218,8 @@ func (d *distSorter[T]) sampleSplitters(f *stream.File[T], k int) ([]T, error) {
 }
 
 // partition splits f into len(splitters)+1 bucket files in one pass. Bucket
-// i receives records v with splitters[i-1] <= v < splitters[i] (boundary
-// records with equal keys go to the leftmost eligible bucket).
+// i receives records v with splitters[i-1] <= v < splitters[i]: a record
+// equal to a splitter goes to the bucket on that splitter's right.
 func (d *distSorter[T]) partition(f *stream.File[T], splitters []T) ([]*stream.File[T], error) {
 	nb := len(splitters) + 1
 	buckets := make([]*stream.File[T], nb)
@@ -256,8 +250,16 @@ func (d *distSorter[T]) partition(f *stream.File[T], splitters []T) ([]*stream.F
 	}
 	err := forEach(f, d.pool, d.opts, func(v T) error {
 		// Binary search for the first splitter greater than v.
-		i := sort.Search(len(splitters), func(i int) bool { return d.less(v, splitters[i]) })
-		return writers[i].Append(v)
+		lo, hi := 0, len(splitters)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if d.less(v, splitters[mid]) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		return writers[lo].Append(v)
 	})
 	if err != nil {
 		return nil, fail(err)

@@ -8,12 +8,20 @@
 // then ⌈log_m(N/M)⌉ passes of (M/B)-way merging or splitting. All buffers
 // come from a pdm.Pool, so the memory bound M is enforced, and all I/O flows
 // through pdm counters, so the claimed pass structure is directly observable.
+//
+// The internal sort both paradigms bottom out in (a run of load-sort run
+// formation, a memory-sized bucket of the distribution sort) is one kernel,
+// sortEmit in memsort.go. Its memory is the caller's record buffer alone,
+// charged to the pool as that buffer's block equivalent (bufFrames): the
+// buffer is sorted in place, one chunk per CPU, and the chunks are merged
+// while their records are appended to the sink, so there is no scratch
+// buffer to charge. The sort is stable and its output does not depend on
+// the CPU count; neither do the reads and appends around it.
 package extsort
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"em/internal/pdm"
 	"em/internal/stream"
@@ -155,7 +163,9 @@ func FormRuns[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, 
 }
 
 // formRunsLoadSort fills memory, sorts, writes, repeats. Each run holds
-// exactly memRecords records except the last.
+// exactly memRecords records except the last. The run buffer is every frame
+// the reader and the run writer leave free, reserved from the pool for the
+// whole pass; sortEmit sorts a run inside it and needs no other.
 func formRunsLoadSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) ([]*stream.File[T], error) {
 	sf := opts.streamFrames()
 	// Reserve frames: reader (sf) + writer (sf); the rest hold the run buffer.
@@ -190,18 +200,15 @@ func formRunsLoadSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T
 		if len(buf) == 0 {
 			return nil
 		}
-		sort.SliceStable(buf, func(i, j int) bool { return less(buf[i], buf[j]) })
 		run := stream.NewFile[T](f.Vol(), f.Codec())
 		rw, err := openSink(run, pool, opts)
 		if err != nil {
 			return err
 		}
-		for _, v := range buf {
-			if err := rw.Append(v); err != nil {
-				rw.Close()
-				run.Release()
-				return err
-			}
+		if err := sortEmit(buf, less, rw.Append); err != nil {
+			rw.Close()
+			run.Release()
+			return err
 		}
 		if err := rw.Close(); err != nil {
 			run.Release()

@@ -1,0 +1,120 @@
+package extsort
+
+import (
+	"runtime"
+	"slices"
+	"sync"
+)
+
+// memSortChunk is the fewest records worth a chunk of their own: below two
+// chunks' worth a buffer is sorted on the calling goroutine, so the splitter
+// sample and short last runs never start one.
+const memSortChunk = 1 << 12
+
+// sortStable sorts buf in place by less, stably, with no scratch space
+// (slices.SortStableFunc is an in-place insertion sort plus SymMerge). The
+// comparator is derived once from less; being generic, it moves records with
+// typed assignments rather than through a reflection swapper.
+func sortStable[T any](buf []T, less func(a, b T) bool) {
+	slices.SortStableFunc(buf, func(a, b T) int {
+		if less(a, b) {
+			return -1
+		}
+		if less(b, a) {
+			return 1
+		}
+		return 0
+	})
+}
+
+// sortEmit passes the records of buf to emit in stable sorted order, stopping
+// at emit's first error. It is the in-memory sort of load-sort run formation
+// and of the distribution sort's base case, and it works inside the one
+// buffer its caller charged to the pool: buf is cut into
+// min(GOMAXPROCS, len/memSortChunk) contiguous chunks, each sorted in place
+// on its own goroutine, and once all of them have been joined the chunks are
+// merged while emitting — the final merge levels of an in-place sort are
+// never run and no second record buffer exists. Ties go to the lower chunk,
+// which holds the earlier records, so the emitted order is the one stable
+// order whatever the chunk count. Afterwards buf holds the same records,
+// each chunk sorted.
+func sortEmit[T any](buf []T, less func(a, b T) bool, emit func(T) error) error {
+	k := min(runtime.GOMAXPROCS(0), len(buf)/memSortChunk)
+	if k < 2 {
+		sortStable(buf, less)
+		return emitAll(buf, emit)
+	}
+	chunks := make([][]T, k)
+	var wg sync.WaitGroup
+	for i := range chunks {
+		chunks[i] = buf[i*len(buf)/k : (i+1)*len(buf)/k]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sortStable(chunks[i], less)
+		}()
+	}
+	wg.Wait()
+	if k == 2 {
+		return mergeEmit2(chunks[0], chunks[1], less, emit)
+	}
+	return mergeEmit(chunks, less, emit)
+}
+
+// mergeEmit2 merges two sorted chunks into emit; b's head goes first only
+// when it is strictly less than a's.
+func mergeEmit2[T any](a, b []T, less func(a, b T) bool, emit func(T) error) error {
+	for len(a) > 0 && len(b) > 0 {
+		var v T
+		if less(b[0], a[0]) {
+			v, b = b[0], b[1:]
+		} else {
+			v, a = a[0], a[1:]
+		}
+		if err := emit(v); err != nil {
+			return err
+		}
+	}
+	if err := emitAll(a, emit); err != nil {
+		return err
+	}
+	return emitAll(b, emit)
+}
+
+func emitAll[T any](vs []T, emit func(T) error) error {
+	for _, v := range vs {
+		if err := emit(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mergeEmit merges any number of sorted, non-empty chunks into emit through
+// the typed heap, equal keys ordered by chunk index.
+func mergeEmit[T any](chunks [][]T, less func(a, b T) bool, emit func(T) error) error {
+	h := &minHeap[mergeItem[T]]{less: func(a, b mergeItem[T]) bool {
+		if less(a.v, b.v) {
+			return true
+		}
+		return a.src < b.src && !less(b.v, a.v)
+	}}
+	for i, c := range chunks {
+		h.items = append(h.items, mergeItem[T]{v: c[0], src: i})
+		chunks[i] = c[1:]
+	}
+	h.Init()
+	for h.Len() > 0 {
+		it := h.Top()
+		if err := emit(it.v); err != nil {
+			return err
+		}
+		if c := chunks[it.src]; len(c) > 0 {
+			h.ReplaceTop(mergeItem[T]{v: c[0], src: it.src})
+			chunks[it.src] = c[1:]
+		} else {
+			h.Pop()
+		}
+	}
+	return nil
+}
