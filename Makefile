@@ -74,9 +74,12 @@ cover:
 # Engine and experiment benchmarks (wall-clock + counted I/Os). The full
 # suite — every experiment table plus the engine, async, and query-serving
 # benchmarks — runs, then extsort's in-memory sort kernel
-# (BenchmarkMemSort); -benchtime 3x keeps each at three iterations.
+# (BenchmarkMemSort) and the store's write-front overlay (BenchmarkStoreScan,
+# BenchmarkStoreFrontOps, BenchmarkOverlay: one iteration is a fixed batch,
+# the per-item cost its own column); -benchtime 3x keeps each at three
+# iterations.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort
+	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store
 
 # The repo benchmark (BENCHMARK.json, bench/) is a module of its own that
 # `go build ./...` does not reach; its smoke test runs every workload at

@@ -563,21 +563,64 @@ func TestShardSessionStarvedPool(t *testing.T) {
 	}
 }
 
-// TestShardedScannerClosed checks the stitched scanner's lifecycle edges:
-// Next after Close reports stream.ErrClosed and Close is idempotent.
+// TestShardedScannerClosed checks the index.Scanner lifecycle edges on
+// every implementation the sharded layer serves — the stitched scanner
+// over trees, a single store's, and the stitched scanner over stores: Next
+// after Close reports stream.ErrClosed and Close is idempotent.
 func TestShardedScannerClosed(t *testing.T) {
-	vols, pools := shardVolumes(t, 2, false)
 	recs := []record.Record{{Key: 1, Val: 1}, {Key: 600, Val: 2}}
-	sharded := buildShardedTree(t, vols, pools, []uint64{512}, recs)
-	sc, err := sharded.Scan(0, ^uint64(0))
-	if err != nil {
-		t.Fatal(err)
+	insertAll := func(ix interface{ Insert(k, v uint64) error }) {
+		t.Helper()
+		for _, r := range recs {
+			if err := ix.Insert(r.Key, r.Val); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if got := len(drainScanner(t, sc)); got != 2 {
-		t.Fatalf("scan returned %d records, want 2", got)
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) index.Index
+	}{
+		{"sharded tree", func(t *testing.T) index.Index {
+			vols, pools := shardVolumes(t, 2, false)
+			return buildShardedTree(t, vols, pools, []uint64{512}, recs)
+		}},
+		{"store", func(t *testing.T) index.Index {
+			vols, pools := shardVolumes(t, 1, false)
+			st, err := store.Open(vols[0], pools[0], storeConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			insertAll(st)
+			return st
+		}},
+		{"sharded store", func(t *testing.T) index.Index {
+			vols, pools := shardVolumes(t, 2, false)
+			st, err := OpenStore(vols, pools, &StoreOptions{Splits: []uint64{512}, Store: storeConfig()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			insertAll(st)
+			return st
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := tc.open(t).Scan(0, ^uint64(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(drainScanner(t, sc)); got != len(recs) {
+				t.Fatalf("scan returned %d records, want %d", got, len(recs))
+			}
+			if _, ok, err := sc.Next(); ok || !errors.Is(err, stream.ErrClosed) {
+				t.Fatalf("Next after Close: ok=%v err=%v", ok, err)
+			}
+			sc.Close() // idempotent
+			if _, ok, err := sc.Next(); ok || !errors.Is(err, stream.ErrClosed) {
+				t.Fatalf("Next after a second Close: ok=%v err=%v", ok, err)
+			}
+		})
 	}
-	if _, ok, err := sc.Next(); ok || !errors.Is(err, stream.ErrClosed) {
-		t.Fatalf("Next after Close: ok=%v err=%v", ok, err)
-	}
-	sc.Close() // idempotent
 }

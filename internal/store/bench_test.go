@@ -1,0 +1,232 @@
+package store
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"em/internal/buffertree"
+	"em/internal/pdm"
+)
+
+// The benchmarks run at the repo benchmark's store-file geometry: 4 KiB
+// blocks, two disks, a 32-frame cache, on the memory backend with no
+// latency. One iteration is a fixed batch of operations and the per-item
+// cost is reported as its own metric, so `make bench` (-benchtime 3x)
+// prints meaningful numbers.
+
+// openBench opens a store that never seals on its own — the benchmarks
+// decide what is buffered — and returns it with what closes it and its
+// volume.
+func openBench(b *testing.B) (*Store, func()) {
+	b.Helper()
+	vol := pdm.MustVolume(pdm.Config{BlockBytes: 4096, MemBlocks: 512, Disks: 2})
+	s, err := Open(vol, pdm.PoolFor(vol), Config{FrontOps: 1 << 40, CacheFrames: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, func() {
+		if err := s.Close(); err != nil {
+			b.Error(err)
+		}
+		vol.Close()
+	}
+}
+
+var benchSink uint64
+
+// BenchmarkStoreScan times a 256-key Scan of a drained generation of 2^18
+// keys (one store-file shard) under write fronts of 1 024, 8 192 and
+// 32 768 buffered ops spread over the key space. The number to look at is
+// ns/scan at 32 768 over ns/scan at 1 024: a scan that costs its range
+// keeps it near 1 (the larger front adds only its 31 more ops in range), a
+// scan that walks the front makes it the ratio of the fronts.
+func BenchmarkStoreScan(b *testing.B) {
+	const (
+		n        = 1 << 18 // preloaded keys 2, 4, .., 2n
+		scanKeys = 256
+		scans    = 256 // per iteration
+	)
+	for _, tc := range []struct {
+		name  string
+		front int
+	}{{"front=1024", 1024}, {"front=8192", 8192}, {"front=32768", 32768}} {
+		b.Run(tc.name, func(b *testing.B) {
+			s, done := openBench(b)
+			defer done()
+			rng := rand.New(rand.NewSource(1))
+			for _, j := range rng.Perm(n) {
+				if err := s.Insert(2*uint64(j+1), uint64(j)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := s.Drain(); err != nil {
+				b.Fatal(err)
+			}
+			for s.FrontOps() < int64(tc.front) {
+				if err := s.Insert(2*uint64(rng.Intn(n))+1, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < scans; j++ {
+					lo := 2 * uint64(rng.Intn(n-scanKeys)+1)
+					sc, err := s.Scan(lo, lo+2*(scanKeys-1))
+					if err != nil {
+						b.Fatal(err)
+					}
+					for {
+						r, ok, err := sc.Next()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+						benchSink += r.Val
+					}
+					sc.Close()
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			total := float64(b.N) * scans
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/scan")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/total, "allocs/scan")
+		})
+	}
+}
+
+// BenchmarkStoreFrontOps times the two point costs of the in-memory
+// overlays with a full front (32 768 ops) over a full sealed overlay, as
+// in the middle of a drain: Insert of a fresh key, which pays the
+// overlay's put, and Get of a key no buffered op mentions, which pays a
+// miss in both overlays before it reaches the (here one-leaf) generation.
+func BenchmarkStoreFrontOps(b *testing.B) {
+	const (
+		front = 32768
+		batch = front / 4 // per iteration
+	)
+	// fullFronts opens a store holding front ops in each overlay. The
+	// sealed one is installed by hand and stays — a drain that never
+	// finishes — so no background work runs beside the measurement.
+	fullFronts := func(b *testing.B, rng *rand.Rand) (*Store, func()) {
+		s, done := openBench(b)
+		for i := 0; i < 2*front; i++ {
+			if i == front {
+				s.mu.Lock()
+				s.sealedMem, s.frontMem = s.frontMem, &overlay{}
+				s.mu.Unlock()
+			}
+			if err := s.Insert(rng.Uint64(), 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return s, done
+	}
+	b.Run("insert-fresh", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(2))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s, done := fullFronts(b, rng) // a new one each time: the front must not grow
+			b.StartTimer()
+			for j := 0; j < batch; j++ {
+				if err := s.Insert(rng.Uint64(), 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			done()
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/insert")
+	})
+	b.Run("get-absent", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(3))
+		s, done := fullFronts(b, rng)
+		defer done()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < batch; j++ {
+				v, ok, err := s.Get(rng.Uint64())
+				if err != nil || ok {
+					b.Fatalf("Get of an absent key: (%d, %v, %v)", v, ok, err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/get")
+	})
+}
+
+// BenchmarkOverlay times the overlay alone at a full front — put of a fresh
+// random key, get of an absent key, and the same get through a finger over
+// sorted 32-key batches (one shard's half of a 64-key GetBatch): the
+// numbers chunkOps and the search loops were picked on.
+func BenchmarkOverlay(b *testing.B) {
+	const front = 32768
+	fill := func(rng *rand.Rand) *overlay {
+		o := &overlay{}
+		for i := 0; i < front; i++ {
+			o.put(buffertree.Op{Key: rng.Uint64(), Val: 1, Seq: uint64(i) << 1})
+		}
+		return o
+	}
+	b.Run("put-fresh", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(4))
+		for i := 0; i < b.N; i++ {
+			fill(rng)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/front, "ns/put")
+	})
+	b.Run("get-absent", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(5))
+		o := fill(rng)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < front; j++ {
+				if op, ok := o.get(rng.Uint64()); ok {
+					benchSink += op.Val
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/front, "ns/get")
+	})
+	// Sorted 32-key batches through a finger: keys spread over the whole
+	// front, and keys packed into the key space of about four chunks
+	// (3·chunkOps ops at three quarters full).
+	for _, tc := range []struct {
+		name   string
+		window uint64 // each batch's keys fall within this much key space
+	}{{"finger-sparse", math.MaxUint64}, {"finger-dense", math.MaxUint64 / front * 3 * chunkOps}} {
+		b.Run(tc.name, func(b *testing.B) {
+			const batch = 32
+			rng := rand.New(rand.NewSource(6))
+			o := fill(rng)
+			keys := make([]uint64, front)
+			for i := 0; i < front; i += batch {
+				at := rng.Uint64() % (math.MaxUint64 - tc.window + 1)
+				for j := i; j < i+batch; j++ {
+					keys[j] = at + rng.Uint64()%tc.window
+				}
+				slices.Sort(keys[i : i+batch])
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < front; j += batch {
+					f := finger{o: o}
+					for _, k := range keys[j : j+batch] {
+						if op, ok := f.get(k); ok {
+							benchSink += op.Val
+						}
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/front, "ns/get")
+		})
+	}
+}

@@ -3,21 +3,43 @@ package store
 import "em/internal/buffertree"
 
 // probeLocked looks key up in the buffered overlays, newest first: the
-// unsealed front's map, then the sealed front's. Caller holds mu (either
+// unsealed front's, then the sealed front's. Caller holds mu (either
 // mode). ok means some buffered operation mentions the key — possibly a
 // tombstone — and the generation need not be consulted. The probe is pure
-// memory: the disk-resident front buffers are the durable copy, the maps
-// the read path.
+// memory, two binary searches per overlay (chunk directory, then chunk):
+// the disk-resident front buffers are the durable copy, the overlays the
+// read path.
 func (s *Store) probeLocked(key uint64) (buffertree.Op, bool) {
-	if op, ok := s.frontMap[key]; ok {
+	if op, ok := s.frontMem.get(key); ok {
 		return op, true
 	}
-	if s.sealedMap != nil {
-		if op, ok := s.sealedMap[key]; ok {
-			return op, true
-		}
+	if s.sealedMem != nil {
+		return s.sealedMem.get(key)
 	}
 	return buffertree.Op{}, false
+}
+
+// probeBatchLocked answers the keys some buffered operation mentions into
+// vals and found and returns the indices of the rest, for the generation.
+// It is probeLocked per key, through one finger per overlay: on the sorted
+// sub-batches the sharded store hands down, each probe continues from the
+// last. Caller holds mu (either mode).
+func (s *Store) probeBatchLocked(keys, vals []uint64, found []bool) []int {
+	rest := make([]int, 0, len(keys))
+	front := finger{o: s.frontMem}
+	sealed := finger{o: s.sealedMem}
+	for i, k := range keys {
+		op, ok := front.get(k)
+		if !ok && sealed.o != nil {
+			op, ok = sealed.get(k)
+		}
+		if !ok {
+			rest = append(rest, i)
+		} else if !op.Deleted() {
+			vals[i], found[i] = op.Val, true
+		}
+	}
+	return rest
 }
 
 // Get returns the value for key. The read reflects every operation
@@ -73,16 +95,7 @@ func (s *Store) getBatch(keys []uint64) ([]uint64, []bool, error) {
 		s.mu.RUnlock()
 		return nil, nil, ErrClosed
 	}
-	rest := make([]int, 0, len(keys))
-	for i, k := range keys {
-		if op, ok := s.probeLocked(k); ok {
-			if !op.Deleted() {
-				vals[i], found[i] = op.Val, true
-			}
-			continue
-		}
-		rest = append(rest, i)
-	}
+	rest := s.probeBatchLocked(keys, vals, found)
 	gen := s.gen
 	gen.refs.Add(1)
 	s.mu.RUnlock()

@@ -1,27 +1,12 @@
 package store
 
 import (
-	"sort"
-
 	"em/internal/btree"
 	"em/internal/buffertree"
 	"em/internal/index"
 	"em/internal/record"
 	"em/internal/stream"
 )
-
-// collectRange gathers the overlay map's operations with keys in [lo, hi],
-// key-sorted — the in-memory equivalent of buffertree.CollectRange.
-func collectRange(m map[uint64]buffertree.Op, lo, hi uint64) []buffertree.Op {
-	var out []buffertree.Op
-	for k, op := range m {
-		if k >= lo && k <= hi {
-			out = append(out, op)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
 
 // mergeResolved merges two key-sorted resolved op slices, the higher Seq
 // winning on equal keys (a holds the newer front's ops, but the Seq
@@ -115,13 +100,18 @@ func (s *Store) scan(lo, hi uint64) (index.Scanner, error) {
 		s.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	mem := collectRange(s.frontMap, lo, hi)
-	if s.sealedMap != nil {
-		mem = mergeResolved(mem, collectRange(s.sealedMap, lo, hi))
+	// Only the operations in range are copied under the view lock — the
+	// overlays are in key order, so that is O(log F + k) for a front of F
+	// ops — and writers wait no longer than that.
+	mem := s.frontMem.appendRange(nil, lo, hi)
+	var older []buffertree.Op
+	if s.sealedMem != nil {
+		older = s.sealedMem.appendRange(nil, lo, hi)
 	}
 	gen := s.gen
 	gen.refs.Add(1)
 	s.mu.RUnlock()
+	mem = mergeResolved(mem, older)
 
 	gen.mu.Lock()
 	sess, err := gen.tree.NewSessionOn(s.pool, s.cfg.CacheFrames, s.cfg.Width)
@@ -144,10 +134,11 @@ func (s *Store) scan(lo, hi uint64) (index.Scanner, error) {
 	return &Scanner{s: s, patch: patch, sess: sess, gen: gen}, nil
 }
 
-// Next returns the next record in the range.
+// Next returns the next record in the range; after Close it reports
+// stream.ErrClosed, as every index.Scanner does.
 func (sc *Scanner) Next() (record.Record, bool, error) {
 	if sc.closed {
-		return record.Record{}, false, nil
+		return record.Record{}, false, stream.ErrClosed
 	}
 	return sc.patch.Next()
 }

@@ -141,16 +141,7 @@ func (ss *Session) read(key uint64, keys []uint64) (uint64, bool, *batchOut, err
 		}
 	} else {
 		out = &batchOut{vals: make([]uint64, len(keys)), found: make([]bool, len(keys))}
-		rest = make([]int, 0, len(keys))
-		for i, k := range keys {
-			if o, ok := s.probeLocked(k); ok {
-				if !o.Deleted() {
-					out.vals[i], out.found[i] = o.Val, true
-				}
-				continue
-			}
-			rest = append(rest, i)
-		}
+		rest = s.probeBatchLocked(keys, out.vals, out.found)
 	}
 	cur := s.gen
 	moved := cur != ss.gen

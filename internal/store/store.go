@@ -11,9 +11,12 @@
 // Reads stay consistent throughout: Get, GetBatch, and Scan consult the
 // unsealed front, the sealed front awaiting handover, and the current
 // generation, newest layer first — each key's newest operation wins, so a
-// drain is observationally a no-op. The two fronts' resolved operations
-// are mirrored in memory (bounded by the seal threshold), so the overlay
-// costs no I/O and read throughput holds through a drain.
+// drain is observationally a no-op. Each front's resolved operations are
+// also held in memory in key order (an overlay: sorted chunks under a
+// directory of first keys, bounded by the seal threshold), so a probe of
+// the buffered layers costs no I/O and O(log F) comparisons, a range
+// collection O(log F + k) for its k operations whatever the front's size
+// F, and read throughput holds through a drain.
 // Generations are reference-counted: in-flight Scanners and Sessions keep
 // their generation alive until they close, and a superseded generation's
 // blocks are reclaimed (btree.Tree.Release) when its last reader departs.
@@ -42,10 +45,12 @@ const opBytes = 24 // encoded size of one buffered operation
 type Config struct {
 	// FrontOps seals the write front after this many buffered operations.
 	// Zero picks FrontBytes/24 if FrontBytes is set, else 8192. Besides the
-	// front's on-disk buffers, the store mirrors the front's resolved
-	// operations in memory (24 bytes each, the buffer tree's root-mirror
-	// idea extended to the bounded front), so FrontOps also bounds that
-	// overlay: at most two fronts' worth while a drain is in flight.
+	// front's on-disk buffers, the store keeps the front's resolved
+	// operations in memory in key order (the buffer tree's root-mirror idea
+	// extended to the bounded front), so FrontOps also bounds that overlay:
+	// its chunks run between half and completely full, so at most 48 bytes
+	// per buffered operation, and two fronts' worth while a drain is in
+	// flight.
 	FrontOps int64
 	// FrontBytes seals the write front after this many buffered bytes
 	// (24 per operation). Zero defers to FrontOps.
@@ -110,16 +115,17 @@ type Store struct {
 	// mu guards the layered read view below. Readers hold RLock across
 	// their overlay probes; all view swaps (write-front seal, generation
 	// handover) happen under Lock, so a reader always sees one consistent
-	// layering. frontMap and sealedMap mirror the two fronts' resolved
-	// operations in memory — newest op per key — so overlay probes and
-	// range collections cost no I/O: the disk-resident buffers are the
-	// durable, write-optimal copy, the maps the bounded read path.
-	// sealedMap is non-nil exactly while a sealed front awaits handover.
+	// layering. frontMem and sealedMem hold the two fronts' resolved
+	// operations in memory — newest op per key, in key order — so overlay
+	// probes and range collections cost no I/O and a range costs only its
+	// own length: the disk-resident buffers are the durable, write-optimal
+	// copy, the overlays the bounded read path. sealedMem is non-nil
+	// exactly while a sealed front awaits handover.
 	mu        sync.RWMutex
 	front     *buffertree.Tree // unsealed write front
-	frontMap  map[uint64]buffertree.Op
+	frontMem  *overlay
 	sealed    *buffertree.Tree // frozen front, until its drain retires it
-	sealedMap map[uint64]buffertree.Op
+	sealedMem *overlay
 	gen       *generation // current B-tree generation
 	draining  bool
 	drainDone chan struct{} // closed when the in-flight drain finishes
@@ -199,7 +205,7 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s.front = front
-	s.frontMap = make(map[uint64]buffertree.Op)
+	s.frontMem = &overlay{}
 	return s, nil
 }
 
@@ -244,7 +250,7 @@ func (s *Store) update(key, val uint64, del bool) error {
 	if del {
 		op.Seq |= 1
 	}
-	s.frontMap[key] = op
+	s.frontMem.put(op)
 	s.maybeSealLocked()
 	return nil
 }
@@ -254,7 +260,7 @@ func (s *Store) overLocked() bool {
 }
 
 func (s *Store) maybeSealLocked() {
-	if s.draining || s.sealedMap != nil || !s.overLocked() {
+	if s.draining || s.sealedMem != nil || !s.overLocked() {
 		return
 	}
 	s.sealLocked()
@@ -276,8 +282,8 @@ func (s *Store) sealLocked() {
 	}
 	s.front = next
 	s.sealed = old
-	s.sealedMap = s.frontMap
-	s.frontMap = make(map[uint64]buffertree.Op)
+	s.sealedMem = s.frontMem
+	s.frontMem = &overlay{}
 	s.draining = true
 	done := make(chan struct{})
 	s.drainDone = done
@@ -306,16 +312,16 @@ func (s *Store) drain(front *buffertree.Tree, gen *generation, done chan struct{
 }
 
 // drainOnce is one front handover: seal the frozen front to a sorted run,
-// release the front's buffers (the in-memory sealedMap keeps serving its
+// release the front's buffers (the in-memory sealedMem keeps serving its
 // contents to readers throughout), rebuild the next generation from
 // run ⊕ current generation on the private drain budget, and swap readers
-// over, retiring the sealedMap in the same swap.
+// over, retiring the sealedMem in the same swap.
 func (s *Store) drainOnce(front *buffertree.Tree, gen *generation) error {
 	run, err := front.SealOps()
 	if err != nil {
 		// The frozen front keeps its buffers (SealOps failure is
 		// non-destructive); Close releases them. Reads stay correct off
-		// the sealedMap ⊕ generation; writes fail sticky.
+		// the sealedMem ⊕ generation; writes fail sticky.
 		return err
 	}
 	s.mu.Lock()
@@ -325,7 +331,7 @@ func (s *Store) drainOnce(front *buffertree.Tree, gen *generation) error {
 
 	tree, err := s.buildGen(gen, run)
 	if err != nil {
-		// Reads remain correct (frontMap ⊕ sealedMap ⊕ generation) even
+		// Reads remain correct (frontMem ⊕ sealedMem ⊕ generation) even
 		// though the store no longer accepts writes.
 		run.Release()
 		return err
@@ -336,7 +342,7 @@ func (s *Store) drainOnce(front *buffertree.Tree, gen *generation) error {
 	s.mu.Lock()
 	oldGen := s.gen
 	s.gen = next
-	s.sealedMap = nil
+	s.sealedMem = nil
 	s.drains++
 	s.mu.Unlock()
 	s.releaseGen(oldGen)
@@ -413,7 +419,7 @@ func (s *Store) StartDrain() bool {
 	if s.closed || s.drainErr != nil {
 		return false
 	}
-	if !s.draining && s.sealedMap == nil && s.front.Ops() > 0 {
+	if !s.draining && s.sealedMem == nil && s.front.Ops() > 0 {
 		s.sealLocked()
 	}
 	return s.draining
@@ -440,7 +446,7 @@ func (s *Store) Drain() error {
 			s.mu.Unlock()
 			return err
 		}
-		if !s.draining && s.sealedMap == nil {
+		if !s.draining && s.sealedMem == nil {
 			if s.front.Ops() == 0 {
 				s.mu.Unlock()
 				return nil
@@ -501,7 +507,7 @@ func (s *Store) Close() error {
 		s.sealed.ReleaseBuffers()
 		s.sealed = nil
 	}
-	s.frontMap, s.sealedMap = nil, nil
+	s.frontMem, s.sealedMem = nil, nil
 	gen := s.gen
 	s.gen = nil
 	err := s.drainErr

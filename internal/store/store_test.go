@@ -72,95 +72,170 @@ func scanAll(t *testing.T, s *Store) map[uint64]uint64 {
 	return got
 }
 
+// checkScan compares Scan(lo, hi) with the reference map: the same keys in
+// ascending order, the same values.
+func checkScan(t *testing.T, s *Store, ref map[uint64]uint64, lo, hi uint64) {
+	t.Helper()
+	var want []uint64
+	for k := range ref {
+		if k >= lo && k <= hi {
+			want = append(want, k)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	sc, err := s.Scan(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	for _, k := range want {
+		r, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || r.Key != k || r.Val != ref[k] {
+			t.Fatalf("Scan(%d, %d): got (%d,%d,%v), want (%d,%d)", lo, hi, r.Key, r.Val, ok, k, ref[k])
+		}
+	}
+	if r, ok, err := sc.Next(); err != nil || ok {
+		t.Fatalf("Scan(%d, %d): (%d,%d,%v,%v) after its %d records", lo, hi, r.Key, r.Val, ok, err, len(want))
+	}
+}
+
 // TestStoreQuickMatchesMap drives a random interleaving of inserts,
-// deletes, and drains against an in-memory reference map, checking point
-// reads along the way and the full scan at the end — on both backends.
+// deletes, drains and narrow range scans — some opened right after a seal,
+// while the sealed front still awaits its handover — against an in-memory
+// reference map, checking point reads along the way and the full scan at
+// the end, on both backends. The small shape drains every hundred ops over
+// 120 keys; the large one holds fronts of 4 096 ops over 20 000 keys, so
+// the in-memory overlays run to dozens of chunks and scans cut across
+// them.
 func TestStoreQuickMatchesMap(t *testing.T) {
-	forEachBackend(t, testConfig(), func(t *testing.T, vol *pdm.Volume, pool *pdm.Pool) {
-		s, err := Open(vol, pool, storeConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(42))
-		ref := map[uint64]uint64{}
-		const keySpace = 120
-		for i := 0; i < 2500; i++ {
-			k := uint64(rng.Intn(keySpace))
-			switch rng.Intn(4) {
-			case 0:
-				if err := s.Delete(k); err != nil {
-					t.Fatal(err)
-				}
-				delete(ref, k)
-			default:
-				v := uint64(rng.Intn(1 << 30))
-				if err := s.Insert(k, v); err != nil {
-					t.Fatal(err)
-				}
-				ref[k] = v
+	large := storeConfig()
+	large.FrontOps = 4096
+	for _, tc := range []struct {
+		name       string
+		vol        pdm.Config
+		store      Config
+		keySpace   int
+		ops        int
+		drainEvery int
+	}{
+		{"small", testConfig(), storeConfig(), 120, 2500, 200},
+		{"large", pdm.Config{BlockBytes: 2048, MemBlocks: 96, Disks: 2}, large, 20000, 30000, 7000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forEachBackend(t, tc.vol, func(t *testing.T, vol *pdm.Volume, pool *pdm.Pool) {
+				quickMatchesMap(t, vol, pool, tc.store, tc.keySpace, tc.ops, tc.drainEvery)
+			})
+		})
+	}
+}
+
+func quickMatchesMap(t *testing.T, vol *pdm.Volume, pool *pdm.Pool, cfg Config, keySpace, ops, drainEvery int) {
+	s, err := Open(vol, pool, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	ref := map[uint64]uint64{}
+	sealedScans := 0
+	for i := 0; i < ops; i++ {
+		k := uint64(rng.Intn(keySpace))
+		switch rng.Intn(4) {
+		case 0:
+			if err := s.Delete(k); err != nil {
+				t.Fatal(err)
 			}
-			if rng.Intn(200) == 0 {
-				if err := s.Drain(); err != nil {
-					t.Fatal(err)
-				}
+			delete(ref, k)
+		default:
+			v := uint64(rng.Intn(1 << 30))
+			if err := s.Insert(k, v); err != nil {
+				t.Fatal(err)
 			}
-			if rng.Intn(10) == 0 {
-				q := uint64(rng.Intn(keySpace))
-				v, ok, err := s.Get(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, wok := ref[q]
-				if ok != wok || (ok && v != want) {
-					t.Fatalf("op %d: Get(%d) = (%d,%v), want (%d,%v)", i, q, v, ok, want, wok)
-				}
-			}
+			ref[k] = v
 		}
-		// Batched lookups over the whole key space.
-		keys := make([]uint64, keySpace)
-		for i := range keys {
-			keys[i] = uint64(i)
-		}
-		vals, found, err := s.GetBatch(keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, k := range keys {
-			want, wok := ref[k]
-			if found[i] != wok || (wok && vals[i] != want) {
-				t.Fatalf("GetBatch(%d) = (%d,%v), want (%d,%v)", k, vals[i], found[i], want, wok)
+		if rng.Intn(drainEvery) == 0 {
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
 			}
 		}
-		// Scan before quiescing (layers still populated), then after.
-		for pass := 0; pass < 2; pass++ {
-			got := scanAll(t, s)
-			if len(got) != len(ref) {
-				t.Fatalf("pass %d: scan found %d keys, want %d", pass, len(got), len(ref))
+		if rng.Intn(10) == 0 {
+			q := uint64(rng.Intn(keySpace))
+			v, ok, err := s.Get(q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for k, v := range ref {
-				if got[k] != v {
-					t.Fatalf("pass %d: scan[%d] = %d, want %d", pass, k, got[k], v)
+			want, wok := ref[q]
+			if ok != wok || (ok && v != want) {
+				t.Fatalf("op %d: Get(%d) = (%d,%v), want (%d,%v)", i, q, v, ok, want, wok)
+			}
+		}
+		if rng.Intn(40) == 0 {
+			// A narrow scan: a single key, or up to a sixteenth of the keys.
+			lo := uint64(rng.Intn(keySpace))
+			hi := lo
+			if rng.Intn(4) > 0 {
+				hi += uint64(rng.Intn(keySpace/16 + 1))
+			}
+			if rng.Intn(3) == 0 {
+				s.StartDrain()
+				s.mu.RLock()
+				if s.sealedMem != nil {
+					sealedScans++
 				}
+				s.mu.RUnlock()
 			}
-			if pass == 0 {
-				if err := s.Drain(); err != nil {
-					t.Fatal(err)
-				}
+			checkScan(t, s, ref, lo, hi)
+		}
+	}
+	if sealedScans == 0 {
+		t.Fatal("no scan ever ran against a sealed overlay")
+	}
+	// Batched lookups over the whole key space.
+	keys := make([]uint64, keySpace)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	vals, found, err := s.GetBatch(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		want, wok := ref[k]
+		if found[i] != wok || (wok && vals[i] != want) {
+			t.Fatalf("GetBatch(%d) = (%d,%v), want (%d,%v)", k, vals[i], found[i], want, wok)
+		}
+	}
+	// Scan before quiescing (layers still populated), then after.
+	for pass := 0; pass < 2; pass++ {
+		got := scanAll(t, s)
+		if len(got) != len(ref) {
+			t.Fatalf("pass %d: scan found %d keys, want %d", pass, len(got), len(ref))
+		}
+		for k, v := range ref {
+			if got[k] != v {
+				t.Fatalf("pass %d: scan[%d] = %d, want %d", pass, k, got[k], v)
 			}
 		}
-		if s.Drains() == 0 {
-			t.Fatal("no drain ever ran; thresholds too loose for the test to mean anything")
+		if pass == 0 {
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := pool.InUse(); got != 0 {
-			t.Fatalf("pool leak: %d frames in use after close", got)
-		}
-		if live := vol.Allocated() - vol.FreeBlocks(); live != 0 {
-			t.Fatalf("block leak: %d live blocks after close", live)
-		}
-	})
+	}
+	if s.Drains() == 0 {
+		t.Fatal("no drain ever ran; thresholds too loose for the test to mean anything")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.InUse(); got != 0 {
+		t.Fatalf("pool leak: %d frames in use after close", got)
+	}
+	if live := vol.Allocated() - vol.FreeBlocks(); live != 0 {
+		t.Fatalf("block leak: %d live blocks after close", live)
+	}
 }
 
 // TestStoreDeleteEverything checks tombstone cancellation end to end: a
@@ -236,6 +311,14 @@ func TestStoreScannerSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A narrow snapshot too, over buffered tombstones (30..49) and
+		// drained records: what is written inside [30, 120] from here on
+		// — the deleted keys come back, the rest change value — must not
+		// show in it.
+		narrow, err := s.Scan(30, 120)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Mutate heavily after the snapshot, forcing drains and a
 		// generation handover while the scanner is mid-flight.
 		for k := uint64(0); k < 400; k++ {
@@ -264,6 +347,19 @@ func TestStoreScannerSnapshot(t *testing.T) {
 			t.Fatalf("snapshot scan should be exhausted, ok=%v err=%v", ok, err)
 		}
 		sc.Close()
+		for k := uint64(50); k <= 120; k++ {
+			r, ok, err := narrow.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok || r.Key != k || r.Val != ref[k] {
+				t.Fatalf("narrow snapshot scan: got (%d,%d,%v), want (%d,%d)", r.Key, r.Val, ok, k, ref[k])
+			}
+		}
+		if _, ok, err := narrow.Next(); err != nil || ok {
+			t.Fatalf("narrow snapshot scan should be exhausted, ok=%v err=%v", ok, err)
+		}
+		narrow.Close()
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
