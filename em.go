@@ -219,7 +219,7 @@
 //     AllocN) reaches Release or ReleaseAll on every path to return —
 //     including error unwinds — so the memory budget M stays exact and
 //     pool exhaustion is a caller bug, never a leak.
-//   - Pin pairing: every page pinned by a buffer manager (Get, GetNew,
+//   - Pin pairing: every page pinned by a buffer manager (Get, Pin, GetNew,
 //     Peek, GetBatchAsync) is unpinned on every path; a page whose pin
 //     count never returns to zero can never be evicted, which silently
 //     shrinks the cache until admission fails.

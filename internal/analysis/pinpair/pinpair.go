@@ -1,5 +1,5 @@
 // Package pinpair enforces the buffer-cache pin discipline: every
-// *cache.Page (or []*cache.Page batch) pinned by a call — Cache.Get,
+// *cache.Page (or []*cache.Page batch) pinned by a call — Cache.Get, Pin,
 // GetNew, Peek, GetBatchAsync, or any helper returning pages — is unpinned
 // on every path to return, unless the page escapes into a structure that
 // owns the pin or the acquisition is annotated //emlint:owns. A page whose

@@ -14,10 +14,14 @@ type Cache struct{}
 
 func (c *Cache) Get(addr int64) (*Page, error)    { return &Page{Addr: addr}, nil }
 func (c *Cache) GetNew(addr int64) (*Page, error) { return &Page{Addr: addr}, nil }
-func (c *Cache) Peek(addr int64) *Page            { return nil }
+
+// Pin is Get with the page's class stated at the pin: a retained page holds
+// a pin exactly like an ordinary one.
+func (c *Cache) Pin(addr int64, retain bool) (*Page, error) { return &Page{Addr: addr}, nil }
+func (c *Cache) Peek(addr int64, retain bool) *Page         { return nil }
 
 // GetBatchAsync pins every page up front and returns a join for the misses.
-func (c *Cache) GetBatchAsync(addrs []int64) ([]*Page, func() error, error) {
+func (c *Cache) GetBatchAsync(addrs []int64, retain bool) ([]*Page, func() error, error) {
 	return nil, func() error { return nil }, nil
 }
 

@@ -21,7 +21,7 @@ func leakOnErrorReturn(c *cache.Cache, addr int64) error {
 
 // leakPeekNeverUnpinned holds a peeked page's pin forever.
 func leakPeekNeverUnpinned(c *cache.Cache, addr int64) []byte {
-	pg := c.Peek(addr) // want `pinned page "pg" \(from Peek\) is not released`
+	pg := c.Peek(addr, false) // want `pinned page "pg" \(from Peek\) is not released`
 	if pg == nil {
 		return nil
 	}
@@ -30,7 +30,7 @@ func leakPeekNeverUnpinned(c *cache.Cache, addr int64) []byte {
 
 // leakBatchOnJoinError keeps the whole batch pinned when the join fails.
 func leakBatchOnJoinError(c *cache.Cache, addrs []int64) error {
-	pages, join, err := c.GetBatchAsync(addrs) // want `pinned page "pages" \(from GetBatchAsync\) is not released`
+	pages, join, err := c.GetBatchAsync(addrs, false) // want `pinned page "pages" \(from GetBatchAsync\) is not released`
 	if err != nil {
 		return err
 	}
@@ -43,9 +43,28 @@ func leakBatchOnJoinError(c *cache.Cache, addrs []int64) error {
 	return nil
 }
 
+// leakRetainedPin states the class at the pin and then forgets the pin: the
+// class is an argument of the acquiring call, not a handoff of the page.
+func leakRetainedPin(c *cache.Cache, addr int64) error {
+	pg, err := c.Pin(addr, true) // want `pinned page "pg" \(from Pin\) is not released`
+	if err != nil {
+		return err
+	}
+	return cache.Checksum(pg.Data) // leak: retained or not, pg is still pinned
+}
+
+// leakRetainedPeek holds a parent found resident, pinned as retained.
+func leakRetainedPeek(c *cache.Cache, addr int64) int {
+	pg := c.Peek(addr, true) // want `pinned page "pg" \(from Peek\) is not released`
+	if pg == nil {
+		return 0
+	}
+	return len(pg.Data)
+}
+
 // leakDiscarded drops the pinned page on the floor outright.
 func leakDiscarded(c *cache.Cache, addr int64) {
-	_ = c.Peek(addr) // want `pinned page result of Peek is discarded`
+	_ = c.Peek(addr, false) // want `pinned page result of Peek is discarded`
 }
 
 // okErrorCheckedThenUnpinned is the canonical correct shape.
@@ -62,6 +81,22 @@ func okErrorCheckedThenUnpinned(c *cache.Cache, addr int64) error {
 	return nil
 }
 
+// okRetainedPinUnpinned is a descent step: pin the node as retained, read
+// the child pointer, unpin on every path.
+func okRetainedPinUnpinned(c *cache.Cache, addr int64) (int64, error) {
+	pg, err := c.Pin(addr, true)
+	if err != nil {
+		return 0, err
+	}
+	if err := cache.Checksum(pg.Data); err != nil {
+		c.Unpin(pg)
+		return 0, err
+	}
+	child := pg.Addr + 1
+	c.Unpin(pg)
+	return child, nil
+}
+
 // okDeferredUnpin covers every path with a defer.
 func okDeferredUnpin(c *cache.Cache, addr int64) error {
 	pg, err := c.GetNew(addr)
@@ -74,7 +109,7 @@ func okDeferredUnpin(c *cache.Cache, addr int64) error {
 
 // okPeekGuarded unpins the peeked page on the hit path.
 func okPeekGuarded(c *cache.Cache, addr int64) []byte {
-	pg := c.Peek(addr)
+	pg := c.Peek(addr, false)
 	if pg == nil {
 		return nil
 	}
@@ -85,7 +120,7 @@ func okPeekGuarded(c *cache.Cache, addr int64) []byte {
 
 // okBatchUnpinnedOnBothPaths unpins the batch on the join failure too.
 func okBatchUnpinnedOnBothPaths(c *cache.Cache, addrs []int64) error {
-	pages, join, err := c.GetBatchAsync(addrs)
+	pages, join, err := c.GetBatchAsync(addrs, false)
 	if err != nil {
 		return err
 	}

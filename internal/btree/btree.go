@@ -5,8 +5,13 @@
 //
 // Keys and values are uint64; the key space is treated as a map (Insert
 // overwrites). Nodes occupy exactly one block. Blocks move through a small
-// pinning cache so that repeated root/branch accesses hit memory, exactly as
-// a database buffer manager would serve them.
+// pinning cache, and the tree tells it at every pin whether the node sits
+// above the leaf level: those nodes are pinned as retained, which the cache
+// evicts only when it holds no unpinned leaf, so the upper levels stay in
+// memory for as long as they fit and a search costs about one I/O — the
+// survey's "top levels in internal memory". Leaves are ordinary pages and
+// wash through LRU; a cache smaller than the internal levels keeps the most
+// recently used of them.
 //
 // BulkLoad's input can be striped over the disks and driven by a
 // forecasting prefetch reader (see BulkLoadOptions): the sorted run is
@@ -47,6 +52,11 @@ const (
 
 	flagLeaf = 1
 )
+
+// internal is the buffer-manager class of a node above the leaf level
+// (level > 1): pinned as retained, so leaf traffic cannot evict it. Leaves
+// are pinned as ordinary pages.
+const internal = true
 
 // Tree is an external B+-tree over (uint64 key → uint64 value).
 type Tree struct {
@@ -328,7 +338,7 @@ func (t *Tree) Get(key uint64) (uint64, bool, error) {
 func (t *Tree) getWith(c *cache.Cache, key uint64) (uint64, bool, error) {
 	addr := t.root
 	for level := t.height; level > 1; level-- {
-		p, err := c.Get(addr)
+		p, err := c.Pin(addr, internal)
 		if err != nil {
 			return 0, false, err
 		}
@@ -384,7 +394,7 @@ func (t *Tree) Insert(key, val uint64) (bool, error) {
 // occasional extra read when the parent was evicted mid-descent — exactly
 // the trade a real buffer manager makes.
 func (t *Tree) insertAt(addr int64, level int, key, val uint64) (promoKey uint64, promoAddr int64, added bool, err error) {
-	p, err := t.cache.Get(addr)
+	p, err := t.cache.Pin(addr, level > 1)
 	if err != nil {
 		return 0, -1, false, err
 	}
@@ -421,7 +431,7 @@ func (t *Tree) insertAt(addr int64, level int, key, val uint64) (promoKey uint64
 		return 0, -1, added, nil
 	}
 	// The child split: re-pin the parent and install the new separator.
-	p, err = t.cache.Get(addr)
+	p, err = t.cache.Pin(addr, internal)
 	if err != nil {
 		return 0, -1, false, err
 	}
@@ -489,7 +499,7 @@ func (t *Tree) splitInternal(p *cache.Page) (uint64, int64, bool, error) {
 func (t *Tree) Range(lo, hi uint64, fn func(k, v uint64) error) error {
 	addr := t.root
 	for level := t.height; level > 1; level-- {
-		p, err := t.cache.Get(addr)
+		p, err := t.cache.Pin(addr, internal)
 		if err != nil {
 			return err
 		}
@@ -527,7 +537,7 @@ func (t *Tree) Min() (uint64, uint64, bool, error) {
 	}
 	addr := t.root
 	for level := t.height; level > 1; level-- {
-		p, err := t.cache.Get(addr)
+		p, err := t.cache.Pin(addr, internal)
 		if err != nil {
 			return 0, 0, false, err
 		}
@@ -554,7 +564,7 @@ func (t *Tree) Max() (uint64, uint64, bool, error) {
 	}
 	addr := t.root
 	for level := t.height; level > 1; level-- {
-		p, err := t.cache.Get(addr)
+		p, err := t.cache.Pin(addr, internal)
 		if err != nil {
 			return 0, 0, false, err
 		}

@@ -24,7 +24,7 @@ func (t *Tree) Delete(key uint64) (bool, error) {
 	}
 	// Collapse internal roots left with a single child.
 	for t.height > 1 {
-		p, err := t.cache.Get(t.root)
+		p, err := t.cache.Pin(t.root, internal)
 		if err != nil {
 			return removed, err
 		}
@@ -46,7 +46,7 @@ func (t *Tree) Delete(key uint64) (bool, error) {
 // reports whether the node at addr dropped below its minimum and needs the
 // parent to rebalance it.
 func (t *Tree) deleteAt(addr int64, level int, key uint64) (removed, underflow bool, err error) {
-	p, err := t.cache.Get(addr)
+	p, err := t.cache.Pin(addr, level > 1)
 	if err != nil {
 		return false, false, err
 	}
@@ -77,7 +77,7 @@ func (t *Tree) deleteAt(addr int64, level int, key uint64) (removed, underflow b
 	if !childUnder {
 		return removed, false, nil
 	}
-	p, err = t.cache.Get(addr)
+	p, err = t.cache.Pin(addr, internal)
 	if err != nil {
 		return false, false, err
 	}
@@ -100,11 +100,11 @@ func (t *Tree) deleteAt(addr int64, level int, key uint64) (removed, underflow b
 // leaves.
 func (t *Tree) fixPair(p *cache.Page, li, childLevel int) error {
 	ri := li + 1
-	left, err := t.cache.Get(t.child(p, li))
+	left, err := t.cache.Pin(t.child(p, li), childLevel > 1)
 	if err != nil {
 		return err
 	}
-	right, err := t.cache.Get(t.child(p, ri))
+	right, err := t.cache.Pin(t.child(p, ri), childLevel > 1)
 	if err != nil {
 		t.cache.Unpin(left)
 		return err

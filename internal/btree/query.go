@@ -102,7 +102,7 @@ func (t *Tree) getBatch(c *cache.Cache, keys []uint64) ([]uint64, []bool, error)
 			spans = append(spans, span{addr: addrs[k], lo: k, hi: j})
 			k = j
 		}
-		if err := t.forEachSpan(c, gw, spans, func(sp span, p *cache.Page) {
+		if err := t.forEachSpan(c, gw, spans, level > 1, func(sp span, p *cache.Page) {
 			if level == 1 {
 				for k := sp.lo; k < sp.hi; k++ {
 					key := keys[order[k]]
@@ -126,16 +126,17 @@ func (t *Tree) getBatch(c *cache.Cache, keys []uint64) ([]uint64, []bool, error)
 
 // forEachSpan streams the spans' nodes through the cache in groups of gw,
 // always dispatching the next group's batched read before searching the
-// current one, and calls fn with each span's pinned page. On any error the
+// current one, and calls fn with each span's pinned page; retain is the
+// class of the spans' level (above the leaves or not). On any error the
 // cache has already dropped the failed group's unread pages; forEachSpan
 // drains whatever else it put in flight before returning.
-func (t *Tree) forEachSpan(c *cache.Cache, gw int, spans []span, fn func(span, *cache.Page)) error {
+func (t *Tree) forEachSpan(c *cache.Cache, gw int, spans []span, retain bool, fn func(span, *cache.Page)) error {
 	fetch := func(gs []span) (*fetchGroup, error) {
 		ga := make([]int64, len(gs))
 		for i, s := range gs {
 			ga[i] = s.addr
 		}
-		pages, join, err := c.GetBatchAsync(ga)
+		pages, join, err := c.GetBatchAsync(ga, retain)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +195,9 @@ func (t *Tree) forEachSpan(c *cache.Cache, gw int, spans []span, fn func(span, *
 // memory hits and scan forecasting sees resident parents — the classical
 // serving assumption that an index's fan-out levels, Θ(N/B²) blocks, live
 // in RAM while the Θ(N/B) leaves stay on disk. It costs at most one read
-// per internal node; nodes beyond the cache capacity simply wash through.
+// per internal node, and the nodes stay warm: they are pinned as retained,
+// so leaf traffic never evicts one, and only internal nodes beyond the
+// cache capacity displace each other (LRU among themselves).
 func (t *Tree) Warm() error {
 	return t.warmWith(t.cache)
 }
@@ -212,7 +215,7 @@ func (t *Tree) warmWith(c *cache.Cache) error {
 		for i, a := range level {
 			spans[i] = span{addr: a}
 		}
-		if err := t.forEachSpan(c, gw, spans, func(sp span, p *cache.Page) {
+		if err := t.forEachSpan(c, gw, spans, internal, func(sp span, p *cache.Page) {
 			if depth > 2 {
 				for j := 0; j <= count(p); j++ {
 					next = append(next, t.child(p, j))

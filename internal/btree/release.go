@@ -15,7 +15,7 @@ func (t *Tree) Release() error {
 	for depth := t.height; depth > 1; depth-- {
 		next := make([]int64, 0, len(level)*(t.keyCap+1))
 		for _, a := range level {
-			p, err := t.cache.Get(a)
+			p, err := t.cache.Pin(a, internal)
 			if err != nil {
 				walkErr = err
 				break

@@ -160,7 +160,7 @@ func (s *Scanner) descend() error {
 	}
 	addr := t.root
 	for level := t.height; level > 1; level-- {
-		p, err := s.c.Get(addr)
+		p, err := s.c.Pin(addr, internal)
 		if err != nil {
 			return err
 		}
@@ -208,7 +208,7 @@ func (s *Scanner) refill() {
 		s.fcDone = true
 		return
 	}
-	p := s.c.Peek(s.path[j].addr)
+	p := s.c.Peek(s.path[j].addr, internal)
 	if p == nil {
 		s.forecast = false
 		return
@@ -224,7 +224,7 @@ func (s *Scanner) refill() {
 	s.c.Unpin(p)
 	// Walk the leftmost path of the new subtree down to its leaf parent.
 	for k := j + 1; k < len(s.path); k++ {
-		p := s.c.Peek(addr)
+		p := s.c.Peek(addr, internal)
 		if p == nil {
 			s.forecast = false
 			return
@@ -271,7 +271,7 @@ func (s *Scanner) dispatch(g *leafGroup) error {
 	var rAddrs []int64
 	var rBufs [][]byte
 	for i, a := range g.addrs {
-		if p := s.c.Peek(a); p != nil {
+		if p := s.c.Peek(a, !internal); p != nil {
 			g.pages[i] = p
 			continue
 		}

@@ -3,14 +3,19 @@
 // Belady's MIN) for the survey's caching and prefetching discussion.
 //
 // The live Cache is the buffer manager used by the online index structures
-// (B-tree, extendible hashing): it keeps hot blocks pinned in pool frames,
-// evicts with LRU among unpinned pages, and writes dirty pages back on
-// eviction or Flush. The policy simulators replay reference strings without
-// touching a volume and are the engine behind experiment F6.
+// (B-tree, extendible hashing): it keeps hot blocks pinned in pool frames
+// and writes dirty pages back on eviction or Flush. Replacement is LRU over
+// two classes of unpinned pages. Every pin states its page's class — the
+// cache never looks inside a block — and a retained page is evicted only
+// when no ordinary unpinned page exists, so what a caller pins as retained
+// (the B-tree's nodes above the leaf level) stays resident while ordinary
+// pages (its leaves, all of extendible hashing) wash through. A cache too
+// small for its retained pages falls back to LRU among them. The policy
+// simulators replay reference strings without touching a volume and are the
+// engine behind experiment F6.
 package cache
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 
@@ -29,8 +34,10 @@ type Page struct {
 	addr  int64
 	pins  int
 	dirty bool
-	frame *pdm.Frame
-	elem  *list.Element
+	frame *pdm.Frame // nil while the table slot is free
+	// prev and next link the page into the recency chain of its class — the
+	// one its latest pin stated; a free slot uses next alone.
+	prev, next *Page
 }
 
 // Addr returns the page's block address.
@@ -40,6 +47,8 @@ func (p *Page) Addr() int64 { return p.addr }
 // back before the frame is reused.
 func (p *Page) MarkDirty() { p.dirty = true }
 
+func (p *Page) unlink() { p.prev.next, p.next.prev = p.next, p.prev }
+
 // CacheStats counts cache effectiveness.
 type CacheStats struct {
 	Hits      uint64
@@ -48,14 +57,20 @@ type CacheStats struct {
 	WriteBack uint64
 }
 
-// Cache is a fixed-capacity pinning block cache with LRU replacement.
+// Cache is a fixed-capacity pinning block cache with two-class LRU
+// replacement.
 type Cache struct {
-	vol      *pdm.Volume
-	pool     *pdm.Pool
-	capacity int
-	pages    map[int64]*Page
-	lru      *list.List // front = most recently used; holds unpinned and pinned pages
-	stats    CacheStats
+	vol   *pdm.Volume
+	pool  *pdm.Pool
+	pages map[int64]*Page
+	// table holds every Page the cache hands out; it never grows, so a
+	// *Page stays valid while pinned. Frames are drawn per resident page.
+	table []Page
+	free  *Page // unused table slots
+	// chains are the sentinels of the two circular recency chains, ordinary
+	// then retained: next is the most recently used page, prev the least.
+	chains [2]Page
+	stats  CacheStats
 }
 
 // New creates a cache of at most capacity pages, drawing frames from pool.
@@ -63,13 +78,21 @@ func New(vol *pdm.Volume, pool *pdm.Pool, capacity int) (*Cache, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("cache: capacity must be >= 1, got %d", capacity)
 	}
-	return &Cache{
-		vol:      vol,
-		pool:     pool,
-		capacity: capacity,
-		pages:    make(map[int64]*Page, capacity),
-		lru:      list.New(),
-	}, nil
+	c := &Cache{
+		vol:   vol,
+		pool:  pool,
+		pages: make(map[int64]*Page, capacity),
+		table: make([]Page, capacity),
+	}
+	for i := range c.chains {
+		s := &c.chains[i]
+		s.prev, s.next = s, s
+	}
+	for i := capacity - 1; i >= 0; i-- {
+		c.table[i].next = c.free
+		c.free = &c.table[i]
+	}
+	return c, nil
 }
 
 // Stats returns a copy of the hit/miss counters.
@@ -79,25 +102,41 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 func (c *Cache) Len() int { return len(c.pages) }
 
 // Capacity returns the frame budget the cache was created with.
-func (c *Cache) Capacity() int { return c.capacity }
+func (c *Cache) Capacity() int { return len(c.table) }
 
-// hit records a cache hit on p and pins it — the shared bookkeeping of
-// every path that finds a resident page.
-func (c *Cache) hit(p *Page) {
-	c.stats.Hits++
-	p.pins++
-	c.lru.MoveToFront(p.elem)
+// touch makes p the most recently used page of the class its pin states.
+func (c *Cache) touch(p *Page, retain bool) {
+	s := &c.chains[0]
+	if retain {
+		s = &c.chains[1]
+	}
+	p.prev, p.next = s, s.next
+	s.next.prev = p
+	s.next = p
 }
 
-// Get pins block addr, reading it from the volume on a miss. Every Get must
-// be paired with an Unpin.
-func (c *Cache) Get(addr int64) (*Page, error) {
+// hit records a cache hit on p and pins it — the shared bookkeeping of
+// every path that finds a resident page. The class follows the latest pin.
+func (c *Cache) hit(p *Page, retain bool) {
+	c.stats.Hits++
+	p.pins++
+	p.unlink()
+	c.touch(p, retain)
+}
+
+// Get pins block addr as an ordinary page: Pin(addr, false).
+func (c *Cache) Get(addr int64) (*Page, error) { return c.Pin(addr, false) }
+
+// Pin pins block addr, reading it from the volume on a miss, and states its
+// class: a retained page outlives every ordinary unpinned page. Every Pin
+// must be paired with an Unpin.
+func (c *Cache) Pin(addr int64, retain bool) (*Page, error) {
 	if p, ok := c.pages[addr]; ok {
-		c.hit(p)
+		c.hit(p, retain)
 		return p, nil
 	}
 	c.stats.Misses++
-	p, err := c.admit(addr)
+	p, err := c.admit(addr, retain)
 	if err != nil {
 		return nil, err
 	}
@@ -109,16 +148,17 @@ func (c *Cache) Get(addr int64) (*Page, error) {
 }
 
 // GetNew pins block addr without reading it, for freshly allocated blocks
-// whose on-disk contents are irrelevant. The page starts zeroed and dirty.
+// whose on-disk contents are irrelevant. The page starts zeroed, dirty and
+// ordinary.
 func (c *Cache) GetNew(addr int64) (*Page, error) {
 	if p, ok := c.pages[addr]; ok {
-		c.hit(p)
+		c.hit(p, false)
 		p.dirty = true
 		clear(p.Buf)
 		return p, nil
 	}
 	c.stats.Misses++
-	p, err := c.admit(addr)
+	p, err := c.admit(addr, false)
 	if err != nil {
 		return nil, err
 	}
@@ -127,44 +167,45 @@ func (c *Cache) GetNew(addr int64) (*Page, error) {
 	return p, nil
 }
 
-// Peek pins block addr if it is resident and returns nil — performing no
-// I/O and admitting nothing — when it is not. It is the cache-residency
-// probe behind the B-tree scanner's forecasting: upcoming leaf addresses are
-// taken from parent nodes only while those parents are actually in memory,
-// so forecasting never charges a block read the synchronous path would not.
-func (c *Cache) Peek(addr int64) *Page {
+// Peek pins block addr, in the stated class, if it is resident and returns
+// nil — performing no I/O and admitting nothing — when it is not. It is the
+// cache-residency probe behind the B-tree scanner's forecasting: upcoming
+// leaf addresses are taken from parent nodes only while those parents are
+// actually in memory, so forecasting never charges a block read the
+// synchronous path would not.
+func (c *Cache) Peek(addr int64, retain bool) *Page {
 	p, ok := c.pages[addr]
 	if !ok {
 		return nil
 	}
-	c.hit(p)
+	c.hit(p, retain)
 	return p
 }
 
-// GetBatchAsync pins every block of addrs — cache hits immediately, misses
-// through one batched read dispatched on the volume's async engine — and
-// returns the pinned pages aligned with addrs plus the batch's join. Hit
-// pages are valid at once; miss pages hold their block's bytes only after
-// join returns nil. This is read-only admission: no page is marked dirty,
-// and making room evicts only unpinned pages (as always), so a concurrent
-// writer's pinned working set is never disturbed. The caller must Unpin
-// every page after a nil join; if the dispatch or the join fails, the cache
-// has already unpinned everything and dropped the unfilled pages — the
+// GetBatchAsync pins every block of addrs in the stated class — cache hits
+// immediately, misses through one batched read dispatched on the volume's
+// async engine — and returns the pinned pages aligned with addrs plus the
+// batch's join. Hit pages are valid at once; miss pages hold their block's
+// bytes only after join returns nil. This is read-only admission: no page is
+// marked dirty, and making room evicts only unpinned pages (as always), so a
+// concurrent writer's pinned working set is never disturbed. The caller must
+// Unpin every page after a nil join; if the dispatch or the join fails, the
+// cache has already unpinned everything and dropped the unfilled pages — the
 // returned pages must not be used.
 //
 // The caller must keep len(addrs) below the cache capacity (the batch is
 // pinned as a whole); duplicate addresses are allowed and share one page.
-func (c *Cache) GetBatchAsync(addrs []int64) ([]*Page, func() error, error) {
+func (c *Cache) GetBatchAsync(addrs []int64, retain bool) ([]*Page, func() error, error) {
 	pages := make([]*Page, len(addrs))
 	var miss []int
 	for i, a := range addrs {
 		if p, ok := c.pages[a]; ok {
-			c.hit(p)
+			c.hit(p, retain)
 			pages[i] = p
 			continue
 		}
 		c.stats.Misses++
-		p, err := c.admit(a)
+		p, err := c.admit(a, retain)
 		if err != nil {
 			c.failBatch(pages[:i], miss)
 			return nil, nil, err
@@ -207,15 +248,15 @@ func (c *Cache) failBatch(pages []*Page, miss []int) {
 			break
 		}
 		if p := pages[i]; p.pins == 0 {
-			p.dirty = false
 			c.discard(p)
 		}
 	}
 }
 
-// admit makes room if needed and installs a pinned page for addr.
-func (c *Cache) admit(addr int64) (*Page, error) {
-	if len(c.pages) >= c.capacity {
+// admit makes room if needed and installs a pinned page for addr in a free
+// table slot.
+func (c *Cache) admit(addr int64, retain bool) (*Page, error) {
+	if c.free == nil {
 		if err := c.evictOne(); err != nil {
 			return nil, err
 		}
@@ -224,39 +265,45 @@ func (c *Cache) admit(addr int64) (*Page, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Page{Buf: frame.Buf, addr: addr, pins: 1, frame: frame}
-	p.elem = c.lru.PushFront(p)
+	p := c.free
+	c.free = p.next
+	*p = Page{Buf: frame.Buf, addr: addr, pins: 1, frame: frame}
+	c.touch(p, retain)
 	c.pages[addr] = p
 	return p, nil
 }
 
-// evictOne removes the least recently used unpinned page, writing it back if
-// dirty.
+// evictOne removes the least recently used unpinned page — an ordinary one
+// if there is any, a retained one otherwise — writing it back if dirty.
 func (c *Cache) evictOne() error {
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
-		p := e.Value.(*Page)
-		if p.pins > 0 {
-			continue
-		}
-		if p.dirty {
-			if err := c.vol.WriteBlock(p.addr, p.Buf); err != nil {
-				return err
+	for i := range c.chains {
+		s := &c.chains[i]
+		for p := s.prev; p != s; p = p.prev {
+			if p.pins > 0 {
+				continue
 			}
-			c.stats.WriteBack++
+			if p.dirty {
+				if err := c.vol.WriteBlock(p.addr, p.Buf); err != nil {
+					return err
+				}
+				c.stats.WriteBack++
+			}
+			c.stats.Evictions++
+			c.discard(p)
+			return nil
 		}
-		c.stats.Evictions++
-		c.discard(p)
-		return nil
 	}
 	return ErrAllPinned
 }
 
-// discard removes a page from all cache bookkeeping and returns its frame.
+// discard removes a page from all cache bookkeeping, returns its frame and
+// frees its table slot, forgetting the page's class and dirty bit.
 func (c *Cache) discard(p *Page) {
-	c.lru.Remove(p.elem)
+	p.unlink()
 	delete(c.pages, p.addr)
 	p.frame.Release()
-	p.frame = nil
+	*p = Page{next: c.free}
+	c.free = p
 }
 
 // Unpin releases one pin on p. Unpinning an unpinned page panics: it means
@@ -269,8 +316,11 @@ func (c *Cache) Unpin(p *Page) {
 }
 
 // Flush writes every dirty page back to the volume, keeping pages resident.
+// Pages go out in table-slot order, which depends only on the sequence of
+// operations that filled the cache, so equal histories flush identically.
 func (c *Cache) Flush() error {
-	for _, p := range c.pages {
+	for i := range c.table {
+		p := &c.table[i]
 		if p.dirty {
 			if err := c.vol.WriteBlock(p.addr, p.Buf); err != nil {
 				return err
@@ -285,16 +335,18 @@ func (c *Cache) Flush() error {
 // Close flushes and drops every page, returning all frames to the pool.
 // The cache must have no pinned pages.
 func (c *Cache) Close() error {
-	for _, p := range c.pages {
-		if p.pins > 0 {
+	for i := range c.table {
+		if p := &c.table[i]; p.pins > 0 {
 			return fmt.Errorf("cache: close with page %d still pinned", p.addr)
 		}
 	}
 	if err := c.Flush(); err != nil {
 		return err
 	}
-	for _, p := range c.pages {
-		c.discard(p)
+	for i := range c.table {
+		if p := &c.table[i]; p.frame != nil {
+			c.discard(p)
+		}
 	}
 	return nil
 }

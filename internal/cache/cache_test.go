@@ -333,7 +333,7 @@ func TestGetBatchAsyncHitsMissesAndDuplicates(t *testing.T) {
 	c.Unpin(p)
 	vol.Stats().Reset()
 
-	pages, join, err := c.GetBatchAsync([]int64{addr, addr + 1, addr + 3, addr})
+	pages, join, err := c.GetBatchAsync([]int64{addr, addr + 1, addr + 3, addr}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestGetBatchAsyncRespectsPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.MarkDirty()
-	pages, join, err := c.GetBatchAsync([]int64{addr, addr + 1})
+	pages, join, err := c.GetBatchAsync([]int64{addr, addr + 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestGetBatchAsyncRespectsPins(t *testing.T) {
 	}
 	// ...and a batch that cannot make room without evicting it must fail
 	// cleanly rather than touch it.
-	if _, _, err := c.GetBatchAsync([]int64{addr + 2, addr + 3, addr + 4}); err == nil {
+	if _, _, err := c.GetBatchAsync([]int64{addr + 2, addr + 3, addr + 4}, false); err == nil {
 		t.Fatal("over-capacity batch against a pinned page succeeded")
 	}
 	c.Unpin(w)
@@ -425,7 +425,7 @@ func TestPeekPinsResidentOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	vol.Stats().Reset()
-	if p := c.Peek(addr); p != nil {
+	if p := c.Peek(addr, false); p != nil {
 		t.Fatal("peek of absent block returned a page")
 	}
 	if reads := vol.Stats().Snapshot().Reads; reads != 0 {
@@ -436,7 +436,7 @@ func TestPeekPinsResidentOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Unpin(p)
-	q := c.Peek(addr)
+	q := c.Peek(addr, false)
 	if q == nil {
 		t.Fatal("peek of resident block returned nil")
 	}

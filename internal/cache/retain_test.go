@@ -1,0 +1,339 @@
+package cache
+
+import (
+	"slices"
+	"testing"
+
+	"em/internal/pdm"
+)
+
+// retainEnv is a volume of n blocks under a cache of capacity pages. Block i
+// holds byte i, except under a fault plan, whose transfer budget the writes
+// would spend: there the blocks stay unwritten and read as zeros.
+func retainEnv(t testing.TB, n, capacity int, fault *pdm.FaultPlan) (*Cache, *pdm.Pool, int64) {
+	t.Helper()
+	vol := pdm.MustVolume(pdm.Config{BlockBytes: 32, MemBlocks: 16, Disks: 2, Fault: fault})
+	pool := pdm.PoolFor(vol)
+	base := vol.Alloc(n)
+	if fault == nil {
+		buf := make([]byte, 32)
+		for i := 0; i < n; i++ {
+			buf[0] = byte(i)
+			if err := vol.WriteBlock(base+int64(i), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c, err := New(vol, pool, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, pool, base
+}
+
+// touch pins and unpins addr in the given class.
+func touch(t testing.TB, c *Cache, addr int64, retain bool) {
+	t.Helper()
+	p, err := c.Pin(addr, retain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Unpin(p)
+}
+
+func resident(c *Cache, addr int64) bool { _, ok := c.pages[addr]; return ok }
+
+func TestRetainedPassedOverWhileOrdinaryExists(t *testing.T) {
+	c, pool, base := retainEnv(t, 8, 3, nil)
+	free := pool.Free()
+	touch(t, c, base, true) // the oldest page, and the only retained one
+	touch(t, c, base+1, false)
+	touch(t, c, base+2, false)
+	// Plain LRU would evict base; the two-class rule takes the ordinary LRU.
+	touch(t, c, base+3, false)
+	if !resident(c, base) || resident(c, base+1) {
+		t.Fatal("retained page evicted while an ordinary unpinned page existed")
+	}
+	// With every ordinary page pinned the retained one is all that is left.
+	p2, _ := c.Get(base + 2)
+	p3, _ := c.Get(base + 3)
+	touch(t, c, base+4, false)
+	if resident(c, base) {
+		t.Fatal("retained page not taken when no ordinary unpinned page existed")
+	}
+	c.Unpin(p2)
+	c.Unpin(p3)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pool.Free() != free {
+		t.Fatalf("pool free %d after close, want %d", pool.Free(), free)
+	}
+}
+
+func TestClassFollowsLatestPin(t *testing.T) {
+	c, _, base := retainEnv(t, 8, 2, nil)
+	touch(t, c, base, false)
+	touch(t, c, base+1, false)
+	// Promotion on a hit, through each pinning entry point.
+	if p := c.Peek(base, true); p == nil {
+		t.Fatal("resident page not peeked")
+	} else {
+		c.Unpin(p)
+	}
+	touch(t, c, base+2, false) // evicts base+1 although base is older
+	if !resident(c, base) || resident(c, base+1) {
+		t.Fatal("page pinned as retained on a hit was not promoted")
+	}
+	pages, join, err := c.GetBatchAsync([]int64{base + 2}, true)
+	if err != nil || join() != nil {
+		t.Fatal(err)
+	}
+	c.Unpin(pages[0])
+	// Both retained and unpinned: the fallback is LRU among the retained.
+	touch(t, c, base+3, false)
+	if resident(c, base) || !resident(c, base+2) {
+		t.Fatal("all-retained cache did not evict its least recently used page")
+	}
+	// An ordinary pin demotes: base+2 is now the first to go again.
+	touch(t, c, base+2, false)
+	touch(t, c, base+3, true)
+	touch(t, c, base+4, false)
+	if resident(c, base+2) || !resident(c, base+3) {
+		t.Fatal("page pinned as ordinary on a hit kept its retained class")
+	}
+	// Drop forgets the class along with the page.
+	c.Drop(base + 3)
+	touch(t, c, base+3, false)
+	touch(t, c, base+5, false)
+	if resident(c, base+4) || !resident(c, base+3) {
+		t.Fatal("class survived Drop")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestDirtyRetainedWrittenBackOnce(t *testing.T) {
+	c, _, base := retainEnv(t, 8, 2, nil)
+	p, err := c.Pin(base, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Buf[1] = 0xCD
+	p.MarkDirty()
+	c.Unpin(p)
+	for i := int64(1); i <= 4; i++ {
+		touch(t, c, base+i, false) // ordinary traffic washes past it
+	}
+	if w := c.Stats().WriteBack; w != 0 {
+		t.Fatalf("%d write-backs while the dirty retained page was resident", w)
+	}
+	touch(t, c, base+5, true)
+	touch(t, c, base+6, true) // only retained pages left: base goes, dirty
+	if resident(c, base) {
+		t.Fatal("retained page still resident")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w := c.Stats().WriteBack; w != 1 {
+		t.Fatalf("dirty retained page written back %d times, want 1", w)
+	}
+	got := make([]byte, 32)
+	if err := c.vol.ReadBlock(base, got); err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 0 || got[1] != 0xCD {
+		t.Fatalf("block image after write-back = % x", got[:2])
+	}
+}
+
+func TestGetBatchAsyncOverRetainedFrames(t *testing.T) {
+	c, pool, base := retainEnv(t, 12, 4, nil)
+	free := pool.Free()
+	for i := int64(0); i < 4; i++ {
+		touch(t, c, base+i, true)
+	}
+	// Every frame is retained and unpinned: a batch still finds room.
+	pages, join, err := c.GetBatchAsync([]int64{base + 4, base + 5, base + 6}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := join(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pages {
+		if p.Buf[0] != byte(4+i) {
+			t.Fatalf("page %d holds block %d", i, p.Buf[0])
+		}
+		c.Unpin(p)
+	}
+	if c.Len() != 4 || pool.Free() != free-4 {
+		t.Fatalf("len %d, pool free %d (of %d)", c.Len(), pool.Free(), free)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pool.Free() != free {
+		t.Fatalf("pool free %d after close, want %d", pool.Free(), free)
+	}
+}
+
+func TestFailedBatchOverRetainedFramesRestoresPool(t *testing.T) {
+	// The disk dies after the four transfers that fill the cache.
+	c, pool, base := retainEnv(t, 12, 4, &pdm.FaultPlan{FailAfter: 4})
+	free := pool.Free()
+	for i := int64(0); i < 4; i++ {
+		touch(t, c, base+i, true)
+	}
+	_, join, err := c.GetBatchAsync([]int64{base + 4, base + 3, base + 5}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := join(); err == nil {
+		t.Fatal("join succeeded on a dead disk")
+	}
+	// The two unread pages are gone and their frames returned; base+3, a
+	// hit, stays resident and unpinned.
+	if resident(c, base+4) || resident(c, base+5) || !resident(c, base+3) {
+		t.Fatal("failed batch left the wrong pages resident")
+	}
+	if pool.Free()+c.Len() != free {
+		t.Fatalf("pool free %d + resident %d != %d", pool.Free(), c.Len(), free)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pool.Free() != free {
+		t.Fatalf("pool free %d after close, want %d", pool.Free(), free)
+	}
+}
+
+// flushOrder dirties k pages through a fixed history of admissions, drops
+// and hits, then reports the order Flush writes them in: run j lets j writes
+// through before the disk dies, and the page that is clean after run j but
+// was dirty after run j-1 is the j-th written.
+func flushOrder(t *testing.T, k int) []int64 {
+	var order []int64
+	clean := map[int64]bool{}
+	for j := 1; j <= k; j++ {
+		c, _, base := retainEnv(t, 2*k, k, &pdm.FaultPlan{FailAfter: int64(j)})
+		fresh := func(a int) {
+			p, err := c.GetNew(base + int64(a))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Unpin(p)
+		}
+		for i := 0; i < k; i++ {
+			fresh(i * 5 % k)
+		}
+		for _, a := range []int{1, 4, 6} {
+			c.Drop(base + int64(a)) // holes, refilled out of address order
+		}
+		for _, a := range []int{k + 2, k, k + 1} {
+			fresh(a)
+		}
+		for _, a := range []int{0, 3, 7} {
+			touch(t, c, base+int64(a), true) // hits: no I/O, recency and class change
+		}
+		if err := c.Flush(); (err == nil) != (j == k) {
+			t.Fatalf("flush of %d dirty pages with %d writes allowed: %v", k, j, err)
+		}
+		for i := range c.table {
+			if p := &c.table[i]; p.frame != nil && !p.dirty && !clean[p.addr-base] {
+				clean[p.addr-base] = true
+				order = append(order, p.addr-base)
+			}
+		}
+	}
+	return order
+}
+
+func TestFlushOrderIsDeterministic(t *testing.T) {
+	const k = 8
+	a, b := flushOrder(t, k), flushOrder(t, k)
+	if len(a) != k {
+		t.Fatalf("%d of %d pages flushed: %v", len(a), k, a)
+	}
+	if !slices.Equal(a, b) {
+		t.Fatalf("equal states flushed in different orders:\n%v\n%v", a, b)
+	}
+}
+
+func TestGetAllocatesNothing(t *testing.T) {
+	c, _, base := retainEnv(t, 16, 4, nil)
+	touch(t, c, base, true)
+	if n := testing.AllocsPerRun(100, func() { touch(t, c, base, true) }); n != 0 {
+		t.Errorf("Get+Unpin on a hit allocates %v times", n)
+	}
+	next := int64(0)
+	miss := func() {
+		next++
+		touch(t, c, base+next%16, next%3 == 0)
+	}
+	for i := 0; i < 16; i++ {
+		miss() // fill the cache so every further miss evicts
+	}
+	misses := c.Stats().Misses
+	if n := testing.AllocsPerRun(100, miss); n != 0 {
+		t.Errorf("Get+Unpin on an evicting miss allocates %v times", n)
+	}
+	if got := c.Stats().Misses - misses; got < 100 {
+		t.Fatalf("only %d of the timed gets missed", got)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkCacheGet times Get+Unpin on a hit, on a miss that evicts an
+// ordinary page, and on a miss into a cache full of retained pages (the
+// eviction falls through the empty ordinary chain). One iteration is a fixed
+// batch of gets, so make bench's -benchtime 3x still measures something;
+// the per-get cost is the ns/get column, and allocs/op counts a whole batch.
+func BenchmarkCacheGet(b *testing.B) {
+	const capacity, blocks, batch = 48, 4096, 1 << 16
+	for _, tc := range []struct {
+		name   string
+		span   int64
+		retain bool
+	}{
+		{"hit", capacity / 2, false},
+		{"miss", blocks, false},
+		{"miss-retained-full", blocks, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			vol := pdm.MustVolume(pdm.Config{BlockBytes: 4096, MemBlocks: 64, Disks: 1})
+			base := vol.Alloc(blocks)
+			c, err := New(vol, pdm.PoolFor(vol), capacity)
+			if err != nil {
+				b.Fatal(err)
+			}
+			get := func(i int) { // touch without t.Helper, which costs ten hits
+				p, err := c.Pin(base+int64(i)%tc.span, tc.retain)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Unpin(p)
+			}
+			for i := 0; i < capacity; i++ {
+				get(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N*batch; i++ {
+				get(capacity + i)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/get")
+			if s := c.Stats(); tc.span > capacity && s.Hits != 0 {
+				b.Fatalf("miss benchmark hit %d times", s.Hits)
+			}
+			if err := c.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
