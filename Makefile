@@ -74,12 +74,14 @@ cover:
 # Engine and experiment benchmarks (wall-clock + counted I/Os). The full
 # suite — every experiment table plus the engine, async, and query-serving
 # benchmarks — runs, then extsort's in-memory sort kernel
-# (BenchmarkMemSort) and the store's write-front overlay (BenchmarkStoreScan,
-# BenchmarkStoreFrontOps, BenchmarkOverlay: one iteration is a fixed batch,
-# the per-item cost its own column); -benchtime 3x keeps each at three
-# iterations.
+# (BenchmarkMemSort), the store's write-front overlay (BenchmarkStoreScan,
+# BenchmarkStoreFrontOps, BenchmarkOverlay), the buffer manager
+# (BenchmarkCacheGet) and the B-tree's batched fetch
+# (BenchmarkGetBatchGroups: steps/key and allocs/key at a roomy and a
+# saturated cache) — in those one iteration is a fixed batch, the per-item
+# cost its own column; -benchtime 3x keeps each at three iterations.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache
+	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache ./internal/btree
 
 # The repo benchmark (BENCHMARK.json, bench/) is a module of its own that
 # `go build ./...` does not reach; its smoke test runs every workload at

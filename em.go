@@ -88,10 +88,13 @@
 // Batched point lookups. BTree.GetBatch answers a batch of keys level by
 // level: the batch is sorted, so consecutive keys share their upper-level
 // nodes, and each level's distinct nodes are read exactly once — the root
-// costs one read per batch, not one per key — in disk-count groups through
-// the async engine, with the next group in flight while the current one is
-// searched. Counted reads never exceed a loop of Gets from the same cache
-// state, and with shared internals are strictly below it.
+// costs one read per batch, not one per key — through the async engine in
+// groups as wide as the buffer manager can pin beside the internal nodes it
+// retains (half its other frames), so a level's misses leave as one or two
+// large parallel reads whose per-disk imbalance averages out, with the next
+// group in flight while the current one is searched. Counted reads never
+// exceed a loop of Gets from the same cache state, and with shared
+// internals are strictly below it.
 //
 // Prefetched range scans. BTree.NewScanner (and RangePrefetch) streams a
 // key range with up to Width leaf reads in flight: upcoming leaf addresses

@@ -68,7 +68,9 @@ type Tree struct {
 	n       int64
 	leafCap int
 	keyCap  int // max keys in an internal node
-	width   int // default scan/batch striping, usually the disk count
+	// width is the default striping of Scan and NewSession, usually the disk
+	// count. Batched lookups size their own groups (groupWidth).
+	width int
 
 	// Admission control over the serving entry points; nil means off
 	// (starvation surfaces immediately as pdm.ErrNoFrames).

@@ -1,7 +1,9 @@
 package btree
 
 import (
-	"sort"
+	"cmp"
+	"errors"
+	"slices"
 
 	"em/internal/cache"
 )
@@ -10,38 +12,39 @@ import (
 // of its upper-level node reads: sorted by key, consecutive queries descend
 // through the same internal nodes, so each level of the tree touches each
 // distinct node exactly once no matter how many keys route through it. The
-// distinct nodes of a level are then fetched through the buffer manager in
-// disk-count groups on the volume's async engine — the batched filtering of
-// the survey's batched problems applied to the search structure — so a
-// level's reads cost parallel steps, not serialized block times, and the
-// group after the one being searched is always in flight.
+// distinct nodes of a level are then fetched through the buffer manager on
+// the volume's async engine in groups as wide as the buffer manager can pin
+// — the batched filtering of the survey's batched problems applied to the
+// search structure. On independent disks k random blocks cost their
+// per-disk maximum in parallel steps, which approaches k/D only as k grows,
+// so a level's misses leave as one or two large parallel reads rather than
+// ⌈k/D⌉ reads of D blocks each, and the group after the one being searched
+// is always in flight.
 
-// groupWidth bounds a batched fetch so that two groups — the one being
-// searched and the one in flight — fit pinned in the buffer manager with at
-// least one evictable page to spare.
+// groupWidth bounds a batched fetch: half of the frames that hold no
+// retained page, less one, so that two groups — the one being searched and
+// the one in flight — fit pinned with an evictable page to spare, and a wide
+// group of leaves never evicts the internal nodes the cache keeps resident.
+// It is never below min(disks, (capacity-1)/2), the disk-count width that a
+// cache saturated by its retained pages falls back to: there a group
+// displaces retained pages, LRU among themselves, as single reads would.
+// Pins held by anyone else (an open Scanner's resident leaves) are not
+// counted; forEachSpan narrows its groups when they get in the way.
 func groupWidth(c *cache.Cache, disks int) int {
-	w := disks
-	if w < 1 {
-		w = 1
-	}
-	if maxW := (c.Capacity() - 1) / 2; w > maxW {
-		w = maxW
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	w := (c.Capacity() - c.Retained() - 1) / 2
+	return max(w, min(disks, (c.Capacity()-1)/2), 1)
 }
 
 // GetBatch answers a batch of point lookups, returning values and presence
 // flags aligned with keys. The batch is processed level by level: keys are
 // sorted, each level's distinct nodes are read once (shared internal nodes
 // are deduplicated — the root costs one read per batch, not one per key) in
-// groups of the volume's disk count through the async engine, with the next
-// group dispatched while the current one is searched. Counted reads never
-// exceed — and with shared internals are strictly below — a loop of Get
-// calls over the same keys from the same cache state; results are
-// identical. Duplicate keys are answered from a single descent.
+// key order, in groups sized by the buffer manager's unretained frames
+// (groupWidth) through the async engine, with the next group dispatched
+// while the current one is searched. Counted reads never exceed — and with
+// shared internals are strictly below — a loop of Get calls over the same
+// keys from the same cache state; results are identical. Duplicate keys are
+// answered from a single descent.
 func (t *Tree) GetBatch(keys []uint64) ([]uint64, []bool, error) {
 	var vals []uint64
 	var found []bool
@@ -55,9 +58,12 @@ func (t *Tree) GetBatch(keys []uint64) ([]uint64, []bool, error) {
 	return vals, found, nil
 }
 
-// fetchGroup is one in-flight slice of a level's distinct nodes.
+// fetchGroup is one in-flight slice of a level's distinct nodes. A batch
+// owns two and reuses them, address slice included, for every group of
+// every level.
 type fetchGroup struct {
 	spans []span
+	addrs []int64
 	pages []*cache.Page
 	join  func() error
 }
@@ -81,19 +87,20 @@ func (t *Tree) getBatch(c *cache.Cache, keys []uint64) ([]uint64, []bool, error)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
 	// addrs[k] is the node the k-th smallest key visits on the current level.
 	addrs := make([]int64, len(keys))
 	for i := range addrs {
 		addrs[i] = t.root
 	}
-	gw := groupWidth(c, t.vol.Disks())
 
+	var groups [2]fetchGroup
+	var spans []span
 	for level := t.height; level >= 1; level-- {
 		// The level's distinct nodes: keys are sorted and child slots are
 		// monotone in the key, so equal addresses are consecutive and one
 		// pass yields the spans in key order.
-		var spans []span
+		spans = spans[:0]
 		for k := 0; k < len(order); {
 			j := k + 1
 			for j < len(order) && addrs[j] == addrs[k] {
@@ -102,7 +109,7 @@ func (t *Tree) getBatch(c *cache.Cache, keys []uint64) ([]uint64, []bool, error)
 			spans = append(spans, span{addr: addrs[k], lo: k, hi: j})
 			k = j
 		}
-		if err := t.forEachSpan(c, gw, spans, level > 1, func(sp span, p *cache.Page) {
+		if err := t.forEachSpan(c, &groups, spans, level > 1, func(sp span, p *cache.Page) {
 			if level == 1 {
 				for k := sp.lo; k < sp.hi; k++ {
 					key := keys[order[k]]
@@ -124,31 +131,42 @@ func (t *Tree) getBatch(c *cache.Cache, keys []uint64) ([]uint64, []bool, error)
 	return vals, found, nil
 }
 
-// forEachSpan streams the spans' nodes through the cache in groups of gw,
-// always dispatching the next group's batched read before searching the
+// forEachSpan streams one level's spans through the cache, in the order
+// given, in groups of the width the buffer manager affords when the level
+// starts — taken per level, because the levels above it were just loaded as
+// retained pages and a width from before that would evict them again. It
+// always dispatches the next group's batched read before searching the
 // current one, and calls fn with each span's pinned page; retain is the
-// class of the spans' level (above the leaves or not). On any error the
-// cache has already dropped the failed group's unread pages; forEachSpan
-// drains whatever else it put in flight before returning.
-func (t *Tree) forEachSpan(c *cache.Cache, gw int, spans []span, retain bool, fn func(span, *cache.Page)) error {
-	fetch := func(gs []span) (*fetchGroup, error) {
-		ga := make([]int64, len(gs))
-		for i, s := range gs {
-			ga[i] = s.addr
+// class of the spans' level (above the leaves or not); groups is the
+// caller's scratch. On any error the cache has already dropped the failed
+// group's unread pages; forEachSpan drains whatever else it put in flight
+// before returning.
+func (t *Tree) forEachSpan(c *cache.Cache, groups *[2]fetchGroup, spans []span, retain bool, fn func(span, *cache.Page)) error {
+	gw := groupWidth(c, t.vol.Disks())
+	// fetch cuts the next group off spans into g and dispatches its read.
+	fetch := func(g *fetchGroup) (err error) {
+		for {
+			take := min(gw, len(spans))
+			g.addrs = g.addrs[:0]
+			for _, s := range spans[:take] {
+				g.addrs = append(g.addrs, s.addr)
+			}
+			g.pages, g.join, err = c.GetBatchAsync(g.addrs, retain)
+			if take > 1 && errors.Is(err, cache.ErrAllPinned) {
+				// Someone else holds pins the width did not count (an open
+				// Scanner keeps its resident leaves pinned): the cache has
+				// unwound the attempt, so halve the level's groups.
+				gw = take / 2
+				continue
+			}
+			g.spans, spans = spans[:take], spans[take:]
+			return err
 		}
-		pages, join, err := c.GetBatchAsync(ga, retain)
-		if err != nil {
-			return nil, err
-		}
-		return &fetchGroup{spans: gs, pages: pages, join: join}, nil
 	}
-	// drain disposes of a group when unwinding: join the read (the engine
-	// writes into cache frames until it completes) and unpin on success —
-	// on failure the cache has already cleaned up.
+	// drain disposes of a dispatched group when unwinding: join the read
+	// (the engine writes into cache frames until it completes) and unpin on
+	// success — on failure the cache has already cleaned up.
 	drain := func(g *fetchGroup) {
-		if g == nil {
-			return
-		}
 		if g.join() == nil {
 			for _, p := range g.pages {
 				c.Unpin(p)
@@ -156,26 +174,22 @@ func (t *Tree) forEachSpan(c *cache.Cache, gw int, spans []span, retain bool, fn
 		}
 	}
 
-	pending := spans
-	take := min(gw, len(pending))
-	cur, err := fetch(pending[:take])
-	if err != nil {
+	cur, next := &groups[0], &groups[1]
+	if err := fetch(cur); err != nil {
 		return err
 	}
-	pending = pending[take:]
-	for cur != nil {
-		var next *fetchGroup
-		if len(pending) > 0 {
-			take := min(gw, len(pending))
-			next, err = fetch(pending[:take])
-			if err != nil {
+	for {
+		more := len(spans) > 0
+		if more {
+			if err := fetch(next); err != nil {
 				drain(cur)
 				return err
 			}
-			pending = pending[take:]
 		}
 		if err := cur.join(); err != nil {
-			drain(next)
+			if more {
+				drain(next)
+			}
 			return err
 		}
 		for i, sp := range cur.spans {
@@ -184,13 +198,15 @@ func (t *Tree) forEachSpan(c *cache.Cache, gw int, spans []span, retain bool, fn
 		for _, p := range cur.pages {
 			c.Unpin(p)
 		}
-		cur = next
+		if !more {
+			return nil
+		}
+		cur, next = next, cur
 	}
-	return nil
 }
 
 // Warm loads every internal node of the tree into the buffer manager, level
-// by level in disk-count batches, without touching a single leaf. A query
+// by level in groupWidth batches, without touching a single leaf. A query
 // server calls it once after loading (or restart) so that descents are
 // memory hits and scan forecasting sees resident parents — the classical
 // serving assumption that an index's fan-out levels, Θ(N/B²) blocks, live
@@ -207,7 +223,7 @@ func (t *Tree) warmWith(c *cache.Cache) error {
 	if t.height < 2 {
 		return nil
 	}
-	gw := groupWidth(c, t.vol.Disks())
+	var groups [2]fetchGroup
 	level := []int64{t.root}
 	for depth := t.height; depth > 1; depth-- {
 		var next []int64
@@ -215,7 +231,7 @@ func (t *Tree) warmWith(c *cache.Cache) error {
 		for i, a := range level {
 			spans[i] = span{addr: a}
 		}
-		if err := t.forEachSpan(c, gw, spans, internal, func(sp span, p *cache.Page) {
+		if err := t.forEachSpan(c, &groups, spans, internal, func(sp span, p *cache.Page) {
 			if depth > 2 {
 				for j := 0; j <= count(p); j++ {
 					next = append(next, t.child(p, j))

@@ -10,7 +10,10 @@
 // when no ordinary unpinned page exists, so what a caller pins as retained
 // (the B-tree's nodes above the leaf level) stays resident while ordinary
 // pages (its leaves, all of extendible hashing) wash through. A cache too
-// small for its retained pages falls back to LRU among them. The policy
+// small for its retained pages falls back to LRU among them. Retained
+// reports how many resident pages are of that class, so a reader that pins
+// many pages at once — the B-tree's batched fetch — can size itself by the
+// frames that are left instead of pushing the retained pages out. The policy
 // simulators replay reference strings without touching a volume and are the
 // engine behind experiment F6.
 package cache
@@ -34,7 +37,9 @@ type Page struct {
 	addr  int64
 	pins  int
 	dirty bool
-	frame *pdm.Frame // nil while the table slot is free
+	// retain is the page's class: which recency chain it is linked into.
+	retain bool
+	frame  *pdm.Frame // nil while the table slot is free
 	// prev and next link the page into the recency chain of its class — the
 	// one its latest pin stated; a free slot uses next alone.
 	prev, next *Page
@@ -46,8 +51,6 @@ func (p *Page) Addr() int64 { return p.addr }
 // MarkDirty records that the page's contents changed and must be written
 // back before the frame is reused.
 func (p *Page) MarkDirty() { p.dirty = true }
-
-func (p *Page) unlink() { p.prev.next, p.next.prev = p.next, p.prev }
 
 // CacheStats counts cache effectiveness.
 type CacheStats struct {
@@ -69,8 +72,9 @@ type Cache struct {
 	free  *Page // unused table slots
 	// chains are the sentinels of the two circular recency chains, ordinary
 	// then retained: next is the most recently used page, prev the least.
-	chains [2]Page
-	stats  CacheStats
+	chains   [2]Page
+	retained int // pages linked into the retained chain
+	stats    CacheStats
 }
 
 // New creates a cache of at most capacity pages, drawing frames from pool.
@@ -104,15 +108,30 @@ func (c *Cache) Len() int { return len(c.pages) }
 // Capacity returns the frame budget the cache was created with.
 func (c *Cache) Capacity() int { return len(c.table) }
 
+// Retained returns the number of resident pages whose latest pin stated the
+// retained class — the frames ordinary traffic cannot claim. A batched
+// reader sizes its pinned groups by what is left (see btree's groupWidth).
+func (c *Cache) Retained() int { return c.retained }
+
 // touch makes p the most recently used page of the class its pin states.
 func (c *Cache) touch(p *Page, retain bool) {
 	s := &c.chains[0]
 	if retain {
 		s = &c.chains[1]
+		c.retained++
 	}
+	p.retain = retain
 	p.prev, p.next = s, s.next
 	s.next.prev = p
 	s.next = p
+}
+
+// unlink takes p out of its recency chain.
+func (c *Cache) unlink(p *Page) {
+	if p.retain {
+		c.retained--
+	}
+	p.prev.next, p.next.prev = p.next, p.prev
 }
 
 // hit records a cache hit on p and pins it — the shared bookkeeping of
@@ -120,7 +139,7 @@ func (c *Cache) touch(p *Page, retain bool) {
 func (c *Cache) hit(p *Page, retain bool) {
 	c.stats.Hits++
 	p.pins++
-	p.unlink()
+	c.unlink(p)
 	c.touch(p, retain)
 }
 
@@ -299,7 +318,7 @@ func (c *Cache) evictOne() error {
 // discard removes a page from all cache bookkeeping, returns its frame and
 // frees its table slot, forgetting the page's class and dirty bit.
 func (c *Cache) discard(p *Page) {
-	p.unlink()
+	c.unlink(p)
 	delete(c.pages, p.addr)
 	p.frame.Release()
 	*p = Page{next: c.free}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // would spend: there the blocks stay unwritten and read as zeros.
 func retainEnv(t testing.TB, n, capacity int, fault *pdm.FaultPlan) (*Cache, *pdm.Pool, int64) {
 	t.Helper()
-	vol := pdm.MustVolume(pdm.Config{BlockBytes: 32, MemBlocks: 16, Disks: 2, Fault: fault})
+	vol := pdm.MustVolume(pdm.Config{BlockBytes: 32, MemBlocks: max(16, capacity), Disks: 2, Fault: fault})
 	pool := pdm.PoolFor(vol)
 	base := vol.Alloc(n)
 	if fault == nil {
@@ -207,6 +208,100 @@ func TestFailedBatchOverRetainedFramesRestoresPool(t *testing.T) {
 	}
 	if pool.Free() != free {
 		t.Fatalf("pool free %d after close, want %d", pool.Free(), free)
+	}
+}
+
+// retainedWalk counts the retained chain link by link.
+func retainedWalk(c *Cache) int {
+	n := 0
+	for s, p := &c.chains[1], c.chains[1].next; p != s; p = p.next {
+		n++
+	}
+	return n
+}
+
+// TestRetainedCountsTheRetainedChain drives every operation that links or
+// unlinks a page — both classes of Pin, GetNew, Peek, batches that succeed,
+// batches refused for lack of evictable pages, batches whose read fails on a
+// dead disk, Drop, eviction, Close — through caches of 3 to 64 pages, and
+// after each one Retained() is the length of the retained chain.
+func TestRetainedCountsTheRetainedChain(t *testing.T) {
+	const blocks = 96
+	for capacity := 3; capacity <= 64; capacity++ {
+		// Every fourth cache loses its disk partway through.
+		var fault *pdm.FaultPlan
+		if capacity%4 == 0 {
+			fault = &pdm.FaultPlan{FailAfter: int64(20 * capacity)}
+		}
+		c, pool, base := retainEnv(t, blocks, capacity, fault)
+		free := pool.Free()
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		var held []*Page
+		check := func(op string) {
+			t.Helper()
+			if got, want := c.Retained(), retainedWalk(c); got != want {
+				t.Fatalf("capacity %d after %s: Retained() %d, chain holds %d", capacity, op, got, want)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			addr, retain := base+int64(rng.Intn(blocks)), rng.Intn(2) == 0
+			switch rng.Intn(8) { // 7: only unpin
+			case 0, 1, 2:
+				if p, err := c.Pin(addr, retain); err == nil {
+					held = append(held, p)
+				}
+				check("Pin")
+			case 3:
+				if p, err := c.GetNew(addr); err == nil {
+					held = append(held, p)
+				}
+				check("GetNew")
+			case 4:
+				if p := c.Peek(addr, retain); p != nil {
+					held = append(held, p)
+				}
+				check("Peek")
+			case 5:
+				// Up to the whole capacity: with pages held elsewhere the
+				// dispatch is refused; on a dead disk the join fails.
+				addrs := make([]int64, 1+rng.Intn(capacity))
+				for j := range addrs {
+					addrs[j] = base + int64(rng.Intn(blocks))
+				}
+				pages, join, err := c.GetBatchAsync(addrs, retain)
+				if err == nil && join() == nil {
+					held = append(held, pages...)
+				}
+				check("GetBatchAsync")
+			case 6:
+				c.Drop(addr)
+				check("Drop")
+			}
+			// Keep most of the cache evictable.
+			for len(held) > capacity/2 || (len(held) > 0 && rng.Intn(3) == 0) {
+				j := rng.Intn(len(held))
+				c.Unpin(held[j])
+				held[j] = held[len(held)-1]
+				held = held[:len(held)-1]
+			}
+		}
+		for _, p := range held {
+			c.Unpin(p)
+		}
+		// A dead disk cannot take the dirty pages back: drop them instead.
+		if fault != nil {
+			for a := int64(0); a < blocks; a++ {
+				c.Drop(base + a)
+			}
+			check("Drop of everything")
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check("Close")
+		if c.Retained() != 0 || pool.Free() != free {
+			t.Fatalf("capacity %d closed: %d retained, pool free %d of %d", capacity, c.Retained(), pool.Free(), free)
+		}
 	}
 }
 
