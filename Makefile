@@ -75,7 +75,8 @@ cover:
 # suite — every experiment table plus the engine, async, and query-serving
 # benchmarks — runs, then extsort's in-memory sort kernel
 # (BenchmarkMemSort), the store's write-front overlay (BenchmarkStoreScan,
-# BenchmarkStoreFrontOps, BenchmarkOverlay), the buffer manager
+# BenchmarkStoreFrontOps, BenchmarkOverlay) and its drain
+# (BenchmarkStoreDrain: writes/op and ns/op per buffered op), the buffer manager
 # (BenchmarkCacheGet) and the B-tree's batched fetch
 # (BenchmarkGetBatchGroups: steps/key and allocs/key at a roomy and a
 # saturated cache) — in those one iteration is a fixed batch, the per-item

@@ -207,7 +207,7 @@ var catalogue = []experiment{
 		}
 		return experiments.F12QueryServing(1<<13, []int{1, 2, 4, 8}, 2*time.Millisecond)
 	}},
-	{"F13", "online store: buffer-tree front absorbs updates cheaper than per-key inserts; reads stay live through handover", func(q bool) (*experiments.Table, error) {
+	{"F13", "online store: in-memory write front absorbs updates cheaper than per-key inserts; reads stay live through handover", func(q bool) (*experiments.Table, error) {
 		if q {
 			return experiments.F13StoreOnline(1<<12, []int{1, 4}, 2*time.Millisecond)
 		}

@@ -125,21 +125,24 @@
 //
 // Store closes the loop between the write-optimal and read-optimal halves:
 // an online key-value index that serves Get/GetBatch/Scan while absorbing
-// Insert/Delete, with neither side giving up its bound. Updates land in a
-// buffer-tree write front at the amortised O((1/B)·log_m n) cost above;
-// when the front crosses a configurable threshold (StoreConfig.FrontOps)
-// it is sealed and a background drain merge-applies its resolved
-// operations — delete tombstones included, last writer wins by sequence
-// number — into a scan of the current B-tree generation, streaming the
-// result through the write-behind bulk loader into a fresh generation at
-// Θ(n/B) I/Os. Readers swap over atomically: generations are
+// Insert/Delete, with neither side giving up its bound. Updates land in
+// an in-memory write front, sequenced and kept in key order at no I/O —
+// the pending updates fit in memory, so the buffer tree's cascade has
+// nothing to amortise; when the front crosses a configurable threshold
+// (StoreConfig.FrontOps) it is sealed and a background drain merge-applies
+// its resolved operations — delete tombstones included, last writer wins
+// by sequence number — into a scan of the current B-tree generation,
+// streaming the result through the write-behind bulk loader into a fresh
+// generation at Θ(n/B) I/Os. Readers swap over atomically: generations are
 // reference-counted, so in-flight StoreScanners and StoreSessions keep
 // their generation (and its blocks) until they close, and a superseded
 // generation is reclaimed when its last reader departs. The drain runs on
-// a budget reserved at Open at half-width striping, and the two fronts'
-// resolved operations are mirrored in bounded memory, so read throughput
-// holds while the rebuild runs — experiment F13 gates the write
-// amortisation and the in-drain read QPS. See examples/kvstore.
+// a budget reserved at Open at half-width striping, and reads probe the
+// two fronts in memory, so read throughput holds while the rebuild runs —
+// experiment F13 gates the write amortisation and the in-drain read QPS.
+// Buffered updates are not durable: until a drain writes them into a
+// generation they exist only in memory, and OpenStore always starts
+// empty. See examples/kvstore.
 //
 // # Sharded serving
 //
@@ -161,8 +164,8 @@
 // disks; Scan stitches per-shard scanners in shard order — which range
 // partitioning makes key order — behind one Scanner; NewSession composes
 // per-shard sessions, each with its reserved budget on its shard's pool;
-// ShardedStore routes Insert/Delete to the owning shard's buffer-tree
-// front, and the shards seal and drain independently, so one shard's
+// ShardedStore routes Insert/Delete to the owning shard's write front,
+// and the shards seal and drain independently, so one shard's
 // rebuild never stalls another's reads. Aggregated Stats sum the counters
 // and concatenate the per-disk breakdowns in shard order, extending the
 // sim==file byte-identity invariant verbatim; every error a shard
@@ -273,7 +276,7 @@
 //   - matrices: Matrix, Transpose, TransposeNaive, MatMul
 //   - online dictionaries: BTree (with BulkLoadBTree and SortIndex), HashTable
 //   - batched updates: BufferTree
-//   - updatable store: Store (buffer-tree front + generational B-tree)
+//   - updatable store: Store (in-memory write front + generational B-tree)
 //   - priority queues: PQ
 //   - graph algorithms: Graph, BFS, BFSUndirected, ConnectedComponents
 //   - list ranking: RankList, RankListNaive
@@ -779,14 +782,15 @@ func NewBufferTree(vol *Volume, pool *Pool, cfg BufferTreeConfig) (*BufferTree, 
 	return buffertree.New(vol, pool, cfg)
 }
 
-// Store is the online updatable key-value index: a buffer-tree write front
+// Store is the online updatable key-value index: an in-memory write front
 // over reference-counted B-tree generations, drained in the background.
-// Inserts and deletes cost the buffer tree's amortised bound; reads see
-// every operation accepted before them, through drains included.
+// Inserts and deletes cost no I/O until the drain, which pays Θ(n/B) for
+// a whole front; reads see every operation accepted before them, through
+// drains included. Buffered operations are not durable.
 type Store = store.Store
 
 // StoreConfig tunes the store's seal threshold, cache and striping widths,
-// and its write front's shape.
+// and admission control.
 type StoreConfig = store.Config
 
 // StoreScanner is a consistent snapshot range scan over a Store.
@@ -822,7 +826,7 @@ type ShardedTreeOptions = shard.TreeOptions
 
 // ShardedStore is the updatable sharded index: one Store per shard, each
 // on its own volume with its own background drain. Writes route to the
-// owning shard's buffer-tree front; reads serve the Index surface.
+// owning shard's write front; reads serve the Index surface.
 type ShardedStore = shard.Store
 
 // ShardedStoreOptions configures OpenShardedStore: the partition

@@ -1,10 +1,10 @@
 // Kvstore: run a mixed read/write workload against the online updatable
 // store — the LSM-shaped composition of the module's two optimal halves.
-// Writes are absorbed by a buffer-tree front at amortised O((1/B)·log_m n)
-// I/Os per operation; when the front crosses its threshold it is sealed
-// and a background drain merges it (tombstones applied, last writer wins)
-// with the current B-tree generation through the write-behind bulk loader
-// into the next generation, while reads keep being served:
+// Writes are absorbed by an in-memory front at no I/O; when the front
+// crosses its threshold it is sealed and a background drain merges it
+// (tombstones applied, last writer wins) with the current B-tree
+// generation through the write-behind bulk loader into the next
+// generation at Θ(n/B) I/Os, while reads keep being served:
 //
 //  1. load phase        n inserts through the front vs per-key B-tree cost
 //  2. mixed phase       inserts, deletes, overwrites with drains in flight
@@ -51,9 +51,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Load: n random-order inserts. The front batches ~B ops per buffer
-	// block and the background drains rebuild generations at Θ(n/B), so
-	// total I/O stays far below n·log_B n per-key inserts.
+	// Load: n random-order inserts. The front holds them in memory and the
+	// background drains rebuild generations at Θ(n/B), so total I/O stays
+	// far below n·log_B n per-key inserts.
 	rng := rand.New(rand.NewSource(1))
 	vol.Stats().Reset()
 	start := time.Now()

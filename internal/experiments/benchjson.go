@@ -101,7 +101,7 @@ func BenchTrajectory(quick bool) ([]BenchResult, error) {
 
 // storeBenchPoint measures the online store's trajectory points at one
 // disk count (the F13 surface): absorbing a random update mix through the
-// buffer-tree front versus per-key B-tree inserts, and point-read serving
+// in-memory write front versus per-key B-tree inserts, and point-read serving
 // quiesced versus with a generation handover in flight.
 func storeBenchPoint(n, d int, latency time.Duration) ([]BenchResult, error) {
 	cfg := pdm.Config{BlockBytes: 1024, MemBlocks: 256, Disks: d, DiskLatency: latency}

@@ -11,16 +11,16 @@ import (
 	"em/internal/store"
 )
 
-// F13StoreOnline measures the online updatable store — the buffer-tree
+// F13StoreOnline measures the online updatable store — the in-memory
 // write front with generational B-tree handover — on the worker engine,
 // swept over disk counts with every point taken on both storage backends:
 //
 //   - buffered write absorption: n random inserts through store.Insert
 //     (including the background drains they trigger and a final Drain to
 //     quiescence) against the same n keys driven one at a time into a
-//     B-tree via Tree.Insert — the front batches ~B operations per buffer
-//     block, so both wall clock and counted I/Os drop by the buffer-tree
-//     amortisation factor;
+//     B-tree via Tree.Insert — the front costs no I/O and each drain
+//     rebuilds a generation at Θ(n/B), so both wall clock and counted I/Os
+//     drop far below the per-key inserts' O(log_B n) each;
 //   - serving during handover: point-read throughput while a sealed front
 //     is being merge-drained into the next generation, against the same
 //     reads on the quiesced store — the drain runs on a private reserved

@@ -15,8 +15,8 @@
 // concatenate per-shard scanners in shard order, which is key order,
 // behind one stream.Source. Sessions compose per-shard sessions, each with
 // its reserved budget on its own shard's pool. Writes (shard.Store) route
-// to the owning shard's buffer-tree front, and background drains proceed
-// per shard.
+// to the owning shard's write front, and background drains proceed per
+// shard.
 //
 // Aggregated Stats sum the per-shard counters and concatenate the
 // per-disk breakdowns in shard order, so the module's counter invariants —

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"em/internal/btree"
-	"em/internal/buffertree"
 	"em/internal/index"
 	"em/internal/pdm"
 	"em/internal/record"
@@ -27,7 +26,6 @@ func storeConfig() store.Config {
 		FrontOps:    100,
 		CacheFrames: 4,
 		Width:       2,
-		Front:       buffertree.Config{Fanout: 4, BufferRecords: 32},
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 	"em/internal/store"
 )
 
-// Store is the updatable sharded index: one buffer-tree-fronted store per
-// shard, each on its own volume with its own background drain, behind the
-// same index.Index surface as the sharded Tree plus the write and drain
+// Store is the updatable sharded index: one store.Store per shard, each on
+// its own volume with its own background drain, behind the same
+// index.Index surface as the sharded Tree plus the write and drain
 // controls. Writes route to the owning shard's front; the shards seal and
 // drain independently, so a drain on one shard never stalls reads or
 // writes on another. Reads are safe for concurrent use, as the per-shard
@@ -69,7 +69,7 @@ func (s *Store) Shard(i int) *store.Store { return s.shards[i] }
 // Owner returns the index of the shard owning key.
 func (s *Store) Owner(key uint64) int { return ownerOf(s.splits, key) }
 
-// Insert routes an upsert to the owning shard's buffer-tree front.
+// Insert routes an upsert to the owning shard's write front.
 func (s *Store) Insert(key, val uint64) error {
 	sh := ownerOf(s.splits, key)
 	if err := s.shards[sh].Insert(key, val); err != nil {

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"em/internal/buffertree"
 	"em/internal/pdm"
 )
 
@@ -102,6 +101,49 @@ func BenchmarkStoreScan(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreDrain times one drain of a 32 768-op front over a
+// generation of 2^18 keys (one store-file shard) and reports it per
+// buffered operation: writes/op counts the drain's block writes and ns/op
+// (in place of the framework's per-iteration column) its wall clock. The
+// front updates random preloaded keys, so the generation keeps its size
+// from one iteration to the next.
+func BenchmarkStoreDrain(b *testing.B) {
+	const (
+		n     = 1 << 18 // preloaded keys 2, 4, .., 2n
+		front = 32768
+	)
+	s, done := openBench(b)
+	defer done()
+	rng := rand.New(rand.NewSource(7))
+	for _, j := range rng.Perm(n) {
+		if err := s.Insert(2*uint64(j+1), uint64(j)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Drain(); err != nil {
+		b.Fatal(err)
+	}
+	var writes uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < front; j++ {
+			if err := s.Insert(2*uint64(rng.Intn(n)+1), uint64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		w0 := s.Stats().Writes
+		b.StartTimer()
+		if err := s.Drain(); err != nil {
+			b.Fatal(err)
+		}
+		writes += s.Stats().Writes - w0
+	}
+	ops := float64(b.N) * front
+	b.ReportMetric(float64(writes)/ops, "writes/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ops, "ns/op")
+}
+
 // BenchmarkStoreFrontOps times the two point costs of the in-memory
 // overlays with a full front (32 768 ops) over a full sealed overlay, as
 // in the middle of a drain: Insert of a fresh key, which pays the
@@ -172,7 +214,7 @@ func BenchmarkOverlay(b *testing.B) {
 	fill := func(rng *rand.Rand) *overlay {
 		o := &overlay{}
 		for i := 0; i < front; i++ {
-			o.put(buffertree.Op{Key: rng.Uint64(), Val: 1, Seq: uint64(i) << 1})
+			o.put(Op{Key: rng.Uint64(), Val: 1, Seq: uint64(i) << 1})
 		}
 		return o
 	}

@@ -3,9 +3,19 @@ package store
 import (
 	"math/bits"
 	"slices"
-
-	"em/internal/buffertree"
 )
+
+// Op is one buffered operation, 24 bytes: a key, its value, and the
+// store-wide sequence number encoded (seq << 1) | delete-bit, so of two
+// operations on one key the one with the larger Seq is the newer.
+type Op struct {
+	Key uint64
+	Val uint64
+	Seq uint64
+}
+
+// Deleted reports whether the operation is a delete tombstone.
+func (o Op) Deleted() bool { return o.Seq&1 == 1 }
 
 // chunkOps is the capacity of one overlay chunk, picked by measurement
 // (BenchmarkOverlay at a 32 768-op front, chunks of 32, 64, 128 and 256):
@@ -23,10 +33,11 @@ const chunkOps = 64
 // full (24 to 48 bytes per op). put and get cost O(log F) for a front of
 // F ops, appendRange O(log F + k) for k results.
 //
-// An overlay is not safe for concurrent use; the store guards it with mu.
+// An overlay is not safe for concurrent use; the store guards it with mu
+// until it is sealed, and never writes it after that.
 type overlay struct {
-	first  []uint64          // first[c] == chunks[c][0].Key
-	chunks [][]buffertree.Op // each key-sorted and non-empty
+	first  []uint64 // first[c] == chunks[c][0].Key
+	chunks [][]Op   // each key-sorted and non-empty
 }
 
 // The two binary searches below take each comparison as a number — the
@@ -51,7 +62,7 @@ func chunkOf(first []uint64, key uint64) int {
 }
 
 // lowerBound returns the first index of ch whose key is at least key.
-func lowerBound(ch []buffertree.Op, key uint64) int {
+func lowerBound(ch []Op, key uint64) int {
 	base, n := 0, len(ch)
 	for n > 1 {
 		half := n >> 1
@@ -66,9 +77,9 @@ func lowerBound(ch []buffertree.Op, key uint64) int {
 }
 
 // put records op as the newest operation on its key.
-func (o *overlay) put(op buffertree.Op) {
+func (o *overlay) put(op Op) {
 	if len(o.chunks) == 0 {
-		ch := make([]buffertree.Op, 1, chunkOps)
+		ch := make([]Op, 1, chunkOps)
 		ch[0] = op
 		o.first = append(o.first, op.Key)
 		o.chunks = append(o.chunks, ch)
@@ -83,7 +94,7 @@ func (o *overlay) put(op buffertree.Op) {
 	}
 	if len(ch) == chunkOps {
 		const half = chunkOps / 2
-		right := make([]buffertree.Op, half, chunkOps)
+		right := make([]Op, half, chunkOps)
 		copy(right, ch[half:])
 		o.chunks[c] = ch[:half]
 		o.first = slices.Insert(o.first, c+1, right[0].Key)
@@ -103,20 +114,20 @@ func (o *overlay) put(op buffertree.Op) {
 }
 
 // get returns the newest operation on key, if the overlay holds one.
-func (o *overlay) get(key uint64) (buffertree.Op, bool) {
+func (o *overlay) get(key uint64) (Op, bool) {
 	if len(o.first) == 0 || key < o.first[0] {
-		return buffertree.Op{}, false
+		return Op{}, false
 	}
 	ch := o.chunks[chunkOf(o.first, key)]
 	if i := lowerBound(ch, key); i < len(ch) && ch[i].Key == key {
 		return ch[i], true
 	}
-	return buffertree.Op{}, false
+	return Op{}, false
 }
 
 // appendRange appends the operations with keys in [lo, hi] to dst in key
 // order.
-func (o *overlay) appendRange(dst []buffertree.Op, lo, hi uint64) []buffertree.Op {
+func (o *overlay) appendRange(dst []Op, lo, hi uint64) []Op {
 	if len(o.first) == 0 || lo > hi {
 		return dst
 	}
@@ -149,10 +160,10 @@ type finger struct {
 }
 
 // get is overlay.get from the finger's position.
-func (f *finger) get(key uint64) (buffertree.Op, bool) {
+func (f *finger) get(key uint64) (Op, bool) {
 	first := f.o.first
 	if len(first) == 0 || key < first[0] {
-		return buffertree.Op{}, false // the position stands: it is still that of last
+		return Op{}, false // the position stands: it is still that of last
 	}
 	c, i := 0, 0
 	if key >= f.last {
@@ -175,5 +186,5 @@ func (f *finger) get(key uint64) (buffertree.Op, bool) {
 	if i < len(ch) && ch[i].Key == key {
 		return ch[i], true
 	}
-	return buffertree.Op{}, false
+	return Op{}, false
 }

@@ -7,29 +7,27 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"em/internal/buffertree"
 )
 
 // refOverlay is the overlay's obvious reference: a hash map, sorted on
 // demand.
-type refOverlay map[uint64]buffertree.Op
+type refOverlay map[uint64]Op
 
-func (r refOverlay) sorted() []buffertree.Op {
-	out := make([]buffertree.Op, 0, len(r))
+func (r refOverlay) sorted() []Op {
+	out := make([]Op, 0, len(r))
 	for _, op := range r {
 		out = append(out, op)
 	}
-	slices.SortFunc(out, func(a, b buffertree.Op) int { return cmp.Compare(a.Key, b.Key) })
+	slices.SortFunc(out, func(a, b Op) int { return cmp.Compare(a.Key, b.Key) })
 	return out
 }
 
 // rangeOf cuts [lo, hi] out of a sorted() snapshot.
-func rangeOf(all []buffertree.Op, lo, hi uint64) []buffertree.Op {
+func rangeOf(all []Op, lo, hi uint64) []Op {
 	if lo > hi {
 		return nil
 	}
-	byKey := func(op buffertree.Op, k uint64) int { return cmp.Compare(op.Key, k) }
+	byKey := func(op Op, k uint64) int { return cmp.Compare(op.Key, k) }
 	a, _ := slices.BinarySearchFunc(all, lo, byKey)
 	b, found := slices.BinarySearchFunc(all, hi, byKey)
 	if found {
@@ -105,8 +103,8 @@ func checkAgainst(t *testing.T, o *overlay, ref refOverlay, rng *rand.Rand, prob
 	}
 	checkRange := func(lo, hi uint64) {
 		// A non-empty dst checks that appendRange appends.
-		sentinel := buffertree.Op{Key: 42, Val: 42, Seq: 42}
-		got := o.appendRange([]buffertree.Op{sentinel}, lo, hi)
+		sentinel := Op{Key: 42, Val: 42, Seq: 42}
+		got := o.appendRange([]Op{sentinel}, lo, hi)
 		if got[0] != sentinel {
 			t.Fatalf("appendRange(%d, %d) overwrote dst", lo, hi)
 		}
@@ -196,7 +194,7 @@ func TestOverlayMatchesMap(t *testing.T) {
 				var seq uint64
 				put := func(k uint64) {
 					seq++
-					op := buffertree.Op{Key: k, Val: rng.Uint64(), Seq: seq << 1}
+					op := Op{Key: k, Val: rng.Uint64(), Seq: seq << 1}
 					if rng.Intn(4) == 0 {
 						op.Val, op.Seq = 0, op.Seq|1
 					}
@@ -262,7 +260,7 @@ func TestOverlayEmpty(t *testing.T) {
 func TestFingerBelowFirst(t *testing.T) {
 	o := &overlay{}
 	for k := uint64(1000); k < 1000+3*chunkOps; k++ {
-		o.put(buffertree.Op{Key: k, Val: k, Seq: k << 1})
+		o.put(Op{Key: k, Val: k, Seq: k << 1})
 	}
 	last := uint64(1000 + 3*chunkOps - 1)
 	checkFinger(t, o, []uint64{5, 1000, 7, last, 999, 1000 + chunkOps, 8, 8, 1001, last + 1, 0}, "below-first")

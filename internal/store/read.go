@@ -1,22 +1,18 @@
 package store
 
-import "em/internal/buffertree"
-
 // probeLocked looks key up in the buffered overlays, newest first: the
 // unsealed front's, then the sealed front's. Caller holds mu (either
 // mode). ok means some buffered operation mentions the key — possibly a
 // tombstone — and the generation need not be consulted. The probe is pure
-// memory, two binary searches per overlay (chunk directory, then chunk):
-// the disk-resident front buffers are the durable copy, the overlays the
-// read path.
-func (s *Store) probeLocked(key uint64) (buffertree.Op, bool) {
+// memory, two binary searches per overlay (chunk directory, then chunk).
+func (s *Store) probeLocked(key uint64) (Op, bool) {
 	if op, ok := s.frontMem.get(key); ok {
 		return op, true
 	}
 	if s.sealedMem != nil {
 		return s.sealedMem.get(key)
 	}
-	return buffertree.Op{}, false
+	return Op{}, false
 }
 
 // probeBatchLocked answers the keys some buffered operation mentions into

@@ -2,7 +2,6 @@ package store
 
 import (
 	"em/internal/btree"
-	"em/internal/buffertree"
 	"em/internal/index"
 	"em/internal/record"
 	"em/internal/stream"
@@ -11,14 +10,14 @@ import (
 // mergeResolved merges two key-sorted resolved op slices, the higher Seq
 // winning on equal keys (a holds the newer front's ops, but the Seq
 // comparison keeps it correct regardless).
-func mergeResolved(a, b []buffertree.Op) []buffertree.Op {
+func mergeResolved(a, b []Op) []Op {
 	if len(a) == 0 {
 		return b
 	}
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]buffertree.Op, 0, len(a)+len(b))
+	out := make([]Op, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -43,23 +42,38 @@ func mergeResolved(a, b []buffertree.Op) []buffertree.Op {
 	return out
 }
 
-// opsDelta adapts a resolved, key-sorted op slice to a stream.Source so it
-// can feed a Scanner's stream.Patch.
-type opsDelta struct {
-	mem []buffertree.Op
-	i   int
+// opSource streams resolved ops in key order as a stream.Source: runs, each
+// key-sorted, that follow one another in key order — a Scan's collected
+// range (one run) or a sealed front's chunks. It reads the runs in place,
+// so nothing may write them while it is open.
+type opSource struct {
+	runs [][]Op
+	i    int // next op of runs[0]
 }
 
-func (d *opsDelta) Next() (buffertree.Op, bool, error) {
-	if d.i >= len(d.mem) {
-		return buffertree.Op{}, false, nil
+func (d *opSource) Next() (Op, bool, error) {
+	for len(d.runs) > 0 {
+		if r := d.runs[0]; d.i < len(r) {
+			d.i++
+			return r[d.i-1], true, nil
+		}
+		d.runs, d.i = d.runs[1:], 0
 	}
-	o := d.mem[d.i]
-	d.i++
-	return o, true, nil
+	return Op{}, false, nil
 }
 
-func (d *opsDelta) Close() {}
+func (d *opSource) Close() {}
+
+// patchOps lays resolved ops, read as opSource reads them, over base: each
+// op replaces or deletes base's record on its key. It is what a Scan
+// serves and what a drain bulk-loads.
+func patchOps(base stream.Source[record.Record], runs ...[]Op) *stream.Patch[Op] {
+	return stream.NewPatch[Op](base, &opSource{runs: runs},
+		func(o Op) uint64 { return o.Key },
+		func(o Op) (record.Record, bool) {
+			return record.Record{Key: o.Key, Val: o.Val}, !o.Deleted()
+		})
+}
 
 // Scanner streams the records with keys in [lo, hi] in key order, as of
 // the moment Scan was called: a consistent snapshot — the buffered
@@ -68,7 +82,7 @@ func (d *opsDelta) Close() {}
 // stream.Source[record.Record].
 type Scanner struct {
 	s      *Store
-	patch  *stream.Patch[buffertree.Op]
+	patch  *stream.Patch[Op]
 	sess   *btree.Session
 	gen    *generation
 	closed bool
@@ -104,7 +118,7 @@ func (s *Store) scan(lo, hi uint64) (index.Scanner, error) {
 	// overlays are in key order, so that is O(log F + k) for a front of F
 	// ops — and writers wait no longer than that.
 	mem := s.frontMem.appendRange(nil, lo, hi)
-	var older []buffertree.Op
+	var older []Op
 	if s.sealedMem != nil {
 		older = s.sealedMem.appendRange(nil, lo, hi)
 	}
@@ -126,12 +140,7 @@ func (s *Store) scan(lo, hi uint64) (index.Scanner, error) {
 		s.releaseGen(gen)
 		return nil, err
 	}
-	patch := stream.NewPatch[buffertree.Op](base, &opsDelta{mem: mem},
-		func(o buffertree.Op) uint64 { return o.Key },
-		func(o buffertree.Op) (record.Record, bool) {
-			return record.Record{Key: o.Key, Val: o.Val}, !o.Deleted()
-		})
-	return &Scanner{s: s, patch: patch, sess: sess, gen: gen}, nil
+	return &Scanner{s: s, patch: patchOps(base, mem), sess: sess, gen: gen}, nil
 }
 
 // Next returns the next record in the range; after Close it reports

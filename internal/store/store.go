@@ -1,22 +1,26 @@
 // Package store composes the module's write-optimal and read-optimal
 // halves into an online updatable key-value index — the LSM shape the
-// survey's buffer-tree section points at. Inserts and deletes are absorbed
-// by a buffer-tree write front at amortised O((1/B)·log_m n) I/Os per
-// operation; when the front crosses a configurable threshold it is frozen
-// and drained in the background: the front's resolved, tombstone-carrying
-// run (buffertree.SealOps) merges with a scan of the current B-tree
+// survey's buffer-tree section points at, in the regime where the pending
+// updates fit in memory. Inserts and deletes are sequenced into an
+// in-memory write front at no I/O: an overlay holding the newest
+// operation per key in key order (sorted chunks under a directory of
+// first keys), bounded by the seal threshold. When the front crosses that
+// threshold it is sealed and drained in the background: its resolved,
+// tombstone-carrying operations merge with a scan of the current B-tree
 // generation (stream.Patch) through the write-behind bulk loader into a
 // fresh generation at Θ(n/B) I/Os, and readers swap over atomically.
 //
 // Reads stay consistent throughout: Get, GetBatch, and Scan consult the
 // unsealed front, the sealed front awaiting handover, and the current
 // generation, newest layer first — each key's newest operation wins, so a
-// drain is observationally a no-op. Each front's resolved operations are
-// also held in memory in key order (an overlay: sorted chunks under a
-// directory of first keys, bounded by the seal threshold), so a probe of
-// the buffered layers costs no I/O and O(log F) comparisons, a range
-// collection O(log F + k) for its k operations whatever the front's size
-// F, and read throughput holds through a drain.
+// drain is observationally a no-op. A probe of the buffered layers costs
+// no I/O and O(log F) comparisons, a range collection O(log F + k) for its
+// k operations whatever the front's size F, and read throughput holds
+// through a drain.
+//
+// Buffered operations are not durable: they exist only in memory until a
+// drain writes them into a generation, and Open always starts empty.
+//
 // Generations are reference-counted: in-flight Scanners and Sessions keep
 // their generation alive until they close, and a superseded generation's
 // blocks are reclaimed (btree.Tree.Release) when its last reader departs.
@@ -29,28 +33,24 @@ import (
 	"time"
 
 	"em/internal/btree"
-	"em/internal/buffertree"
 	"em/internal/index"
 	"em/internal/pdm"
-	"em/internal/record"
-	"em/internal/stream"
 )
 
 // ErrClosed reports an operation on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-const opBytes = 24 // encoded size of one buffered operation
+const opBytes = 24 // size of one buffered Op
 
 // Config tunes the store.
 type Config struct {
-	// FrontOps seals the write front after this many buffered operations.
-	// Zero picks FrontBytes/24 if FrontBytes is set, else 8192. Besides the
-	// front's on-disk buffers, the store keeps the front's resolved
-	// operations in memory in key order (the buffer tree's root-mirror idea
-	// extended to the bounded front), so FrontOps also bounds that overlay:
-	// its chunks run between half and completely full, so at most 48 bytes
-	// per buffered operation, and two fronts' worth while a drain is in
-	// flight.
+	// FrontOps seals the write front after this many accepted operations,
+	// repeated keys included. Zero picks FrontBytes/24 if FrontBytes is
+	// set, else 8192. The front lives only in memory — an overlay whose
+	// chunks run between half and completely full, so at most 48 bytes per
+	// buffered operation — so FrontOps bounds the memory the store holds
+	// beyond its pool (two fronts' worth while a drain is in flight) and
+	// the operations no block on the volume holds yet.
 	FrontOps int64
 	// FrontBytes seals the write front after this many buffered bytes
 	// (24 per operation). Zero defers to FrontOps.
@@ -62,15 +62,11 @@ type Config struct {
 	// zero picks the volume's disk count.
 	Width int
 	// DrainWidth is the stripe width of the background drain's streams
-	// (the generation scan, the run reader, and the write-behind loader).
-	// Zero picks half of Width, minimum 1: a handover that kept Width
-	// reads in flight would queue foreground lookups behind the rebuild
-	// on every disk, and serving during the drain is the point.
+	// (the generation scan and the write-behind loader). Zero picks half
+	// of Width, minimum 1: a handover that kept Width reads in flight
+	// would queue foreground lookups behind the rebuild on every disk, and
+	// serving during the drain is the point.
 	DrainWidth int
-	// Front shapes the buffer tree (fanout, per-node buffer). Zero-valued
-	// fields default to fanout 8 and a four-block buffer; StartSeq is
-	// managed by the store.
-	Front buffertree.Config
 	// AdmitQueue and AdmitWait enable admission control on the serving
 	// entry points (GetBatch, Scan, NewSession): a request that finds the
 	// pool starved joins a bounded FIFO of at most AdmitQueue waiters and
@@ -113,18 +109,16 @@ type Store struct {
 	reserve   []*pdm.Frame
 
 	// mu guards the layered read view below. Readers hold RLock across
-	// their overlay probes; all view swaps (write-front seal, generation
+	// their overlay probes; writes and all view swaps (seal, generation
 	// handover) happen under Lock, so a reader always sees one consistent
-	// layering. frontMem and sealedMem hold the two fronts' resolved
-	// operations in memory — newest op per key, in key order — so overlay
-	// probes and range collections cost no I/O and a range costs only its
-	// own length: the disk-resident buffers are the durable, write-optimal
-	// copy, the overlays the bounded read path. sealedMem is non-nil
-	// exactly while a sealed front awaits handover.
+	// layering. frontMem and sealedMem are the two fronts — newest op per
+	// key, in key order — so overlay probes and range collections cost no
+	// I/O and a range costs only its own length. sealedMem is non-nil
+	// exactly while a sealed front awaits handover, and nothing writes it.
 	mu        sync.RWMutex
-	front     *buffertree.Tree // unsealed write front
+	seq       uint64 // last sequence number issued; continues across seals
+	frontOps  int64  // operations accepted into frontMem, repeated keys included
 	frontMem  *overlay
-	sealed    *buffertree.Tree // frozen front, until its drain retires it
 	sealedMem *overlay
 	gen       *generation // current B-tree generation
 	draining  bool
@@ -139,11 +133,11 @@ type Store struct {
 	bgErr error // background release errors, surfaced by Close
 }
 
-// Open creates a store on vol whose steady-state frames are drawn from
-// pool. The drain budget (2·CacheFrames + 6·Width + 2 frames) is reserved
-// from pool immediately and held until Close; the pool additionally
-// serves each generation's cache, the front's buffers, and per-reader
-// frames, so size it with headroom beyond the reservation.
+// Open creates an empty store on vol whose steady-state frames are drawn
+// from pool. The drain budget (2·CacheFrames + 6·Width − 2·DrainWidth + 2
+// frames) is reserved from pool immediately and held until Close; the pool
+// additionally serves each generation's cache and per-reader frames, so
+// size it with headroom beyond the reservation.
 func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 	if cfg.CacheFrames == 0 {
 		cfg.CacheFrames = 8
@@ -160,12 +154,6 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 			cfg.DrainWidth = 1
 		}
 	}
-	if cfg.Front.Fanout == 0 {
-		cfg.Front.Fanout = 8
-	}
-	if cfg.Front.BufferRecords == 0 {
-		cfg.Front.BufferRecords = 4 * (vol.BlockBytes() / opBytes)
-	}
 	sealOps := cfg.FrontOps
 	if sealOps <= 0 {
 		if cfg.FrontBytes > 0 {
@@ -177,7 +165,7 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 	if sealOps < 1 {
 		sealOps = 1
 	}
-	drainFrames := 2*cfg.CacheFrames + 6*cfg.Width + 2
+	drainFrames := 2*cfg.CacheFrames + 6*cfg.Width - 2*cfg.DrainWidth + 2
 	reserve, err := pool.AllocN(drainFrames)
 	if err != nil {
 		return nil, err
@@ -198,21 +186,8 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 	}
 	s.gen = &generation{tree: tree, epoch: 1}
 	s.gen.refs.Store(1)
-	front, err := s.newFront(0)
-	if err != nil {
-		tree.Release()
-		pdm.ReleaseAll(reserve)
-		return nil, err
-	}
-	s.front = front
 	s.frontMem = &overlay{}
 	return s, nil
-}
-
-func (s *Store) newFront(startSeq uint64) (*buffertree.Tree, error) {
-	fc := s.cfg.Front
-	fc.StartSeq = startSeq
-	return buffertree.New(s.vol, s.pool, fc)
 }
 
 // Insert buffers an insertion of (key, val); later operations on the same
@@ -235,28 +210,19 @@ func (s *Store) update(key, val uint64, del bool) error {
 	if s.drainErr != nil {
 		return s.drainErr
 	}
-	var err error
-	if del {
-		err = s.front.Delete(key)
-	} else {
-		err = s.front.Insert(key, val)
-	}
-	if err != nil {
-		return err
-	}
-	// Mirror the operation the front just accepted: its sequence number is
-	// the front's newest, encoded as the buffer tree does.
-	op := buffertree.Op{Key: key, Val: val, Seq: s.front.LastSeq() << 1}
+	s.seq++
+	op := Op{Key: key, Val: val, Seq: s.seq << 1}
 	if del {
 		op.Seq |= 1
 	}
 	s.frontMem.put(op)
+	s.frontOps++
 	s.maybeSealLocked()
 	return nil
 }
 
 func (s *Store) overLocked() bool {
-	return s.front.Ops() >= s.sealOps
+	return s.frontOps >= s.sealOps
 }
 
 func (s *Store) maybeSealLocked() {
@@ -266,38 +232,25 @@ func (s *Store) maybeSealLocked() {
 	s.sealLocked()
 }
 
-// sealLocked freezes the current front, swaps in a fresh one continuing
-// the sequence numbering, and starts the background drain. Caller holds
-// mu exclusively.
+// sealLocked seals the current front, swaps in an empty one, and starts
+// the background drain. Caller holds mu exclusively.
 func (s *Store) sealLocked() {
-	old := s.front
-	if err := old.Freeze(); err != nil {
-		s.drainErr = err
-		return
-	}
-	next, err := s.newFront(old.LastSeq())
-	if err != nil {
-		s.drainErr = err
-		return
-	}
-	s.front = next
-	s.sealed = old
-	s.sealedMem = s.frontMem
-	s.frontMem = &overlay{}
+	sealed := s.frontMem
+	s.sealedMem, s.frontMem, s.frontOps = sealed, &overlay{}, 0
 	s.draining = true
 	done := make(chan struct{})
 	s.drainDone = done
 	gen := s.gen
 	gen.refs.Add(1)
 	s.wg.Add(1)
-	go s.drain(old, gen, done)
+	go s.drain(sealed, gen, done)
 }
 
 // drain runs one background drain to completion, then retriggers if the
 // new front already crossed the threshold while the drain ran.
-func (s *Store) drain(front *buffertree.Tree, gen *generation, done chan struct{}) {
+func (s *Store) drain(sealed *overlay, gen *generation, done chan struct{}) {
 	defer s.wg.Done()
-	err := s.drainOnce(front, gen)
+	err := s.drainOnce(sealed, gen)
 	s.mu.Lock()
 	s.draining = false
 	if err != nil && s.drainErr == nil {
@@ -311,32 +264,16 @@ func (s *Store) drain(front *buffertree.Tree, gen *generation, done chan struct{
 	close(done)
 }
 
-// drainOnce is one front handover: seal the frozen front to a sorted run,
-// release the front's buffers (the in-memory sealedMem keeps serving its
-// contents to readers throughout), rebuild the next generation from
-// run ⊕ current generation on the private drain budget, and swap readers
-// over, retiring the sealedMem in the same swap.
-func (s *Store) drainOnce(front *buffertree.Tree, gen *generation) error {
-	run, err := front.SealOps()
-	if err != nil {
-		// The frozen front keeps its buffers (SealOps failure is
-		// non-destructive); Close releases them. Reads stay correct off
-		// the sealedMem ⊕ generation; writes fail sticky.
-		return err
-	}
-	s.mu.Lock()
-	s.sealed = nil
-	s.mu.Unlock()
-	front.ReleaseBuffers()
-
-	tree, err := s.buildGen(gen, run)
+// drainOnce is one front handover: rebuild the next generation from the
+// sealed front ⊕ current generation on the private drain budget, and swap
+// readers over, retiring the sealed front in the same swap.
+func (s *Store) drainOnce(sealed *overlay, gen *generation) error {
+	tree, err := s.buildGen(gen, sealed)
 	if err != nil {
 		// Reads remain correct (frontMem ⊕ sealedMem ⊕ generation) even
 		// though the store no longer accepts writes.
-		run.Release()
 		return err
 	}
-	run.Release()
 	next := &generation{tree: tree, epoch: gen.epoch + 1}
 	next.refs.Store(1)
 	s.mu.Lock()
@@ -349,12 +286,12 @@ func (s *Store) drainOnce(front *buffertree.Tree, gen *generation) error {
 	return nil
 }
 
-// buildGen merges the sealed run into a scan of the current generation and
-// bulk-loads the result into a fresh tree, entirely on the drain budget
-// and at DrainWidth striping so foreground lookups keep disk headroom;
-// the finished tree is rehomed onto the store's pool and warmed so
-// descents after the swap are memory hits.
-func (s *Store) buildGen(gen *generation, run *buffertree.Run) (*btree.Tree, error) {
+// buildGen merges the sealed front into a scan of the current generation
+// and bulk-loads the result into a fresh tree, entirely on the drain
+// budget and at DrainWidth striping so foreground lookups keep disk
+// headroom; the finished tree is rehomed onto the store's pool and warmed
+// so descents after the swap are memory hits.
+func (s *Store) buildGen(gen *generation, sealed *overlay) (*btree.Tree, error) {
 	w := s.cfg.DrainWidth
 	gen.mu.Lock()
 	sess, err := gen.tree.NewSessionOn(s.drainPool, s.cfg.CacheFrames, w)
@@ -367,16 +304,10 @@ func (s *Store) buildGen(gen *generation, run *buffertree.Run) (*btree.Tree, err
 	if err != nil {
 		return nil, err
 	}
-	delta, err := stream.OpenSource(run.File(), s.drainPool, w, true)
-	if err != nil {
-		base.Close()
-		return nil, err
-	}
-	patch := stream.NewPatch(base, delta,
-		func(o buffertree.Op) uint64 { return o.Key },
-		func(o buffertree.Op) (record.Record, bool) {
-			return record.Record{Key: o.Key, Val: o.Val}, !o.Deleted()
-		})
+	// The sealed front is read here without mu. That is safe because it is
+	// immutable: sealLocked was its last write, and the handover drops it
+	// from the view by swapping the pointer, not by changing the overlay.
+	patch := patchOps(base, sealed.chunks...)
 	tree, err := btree.BulkLoadFrom(s.vol, s.drainPool, s.cfg.CacheFrames, patch,
 		&btree.BulkLoadOptions{Width: w, Async: true, WriteBehind: true})
 	patch.Close()
@@ -419,7 +350,7 @@ func (s *Store) StartDrain() bool {
 	if s.closed || s.drainErr != nil {
 		return false
 	}
-	if !s.draining && s.sealedMem == nil && s.front.Ops() > 0 {
+	if !s.draining && s.sealedMem == nil && s.frontOps > 0 {
 		s.sealLocked()
 	}
 	return s.draining
@@ -447,7 +378,7 @@ func (s *Store) Drain() error {
 			return err
 		}
 		if !s.draining && s.sealedMem == nil {
-			if s.front.Ops() == 0 {
+			if s.frontOps == 0 {
 				s.mu.Unlock()
 				return nil
 			}
@@ -479,12 +410,12 @@ func (s *Store) Drains() int64 {
 	return s.drains
 }
 
-// FrontOps returns the number of operations buffered in the unsealed
-// front.
+// FrontOps returns the number of operations the unsealed front has
+// accepted, repeated keys included.
 func (s *Store) FrontOps() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.front.Ops()
+	return s.frontOps
 }
 
 // Close waits for any in-flight drain, releases every layer of the view,
@@ -502,11 +433,6 @@ func (s *Store) Close() error {
 	s.wg.Wait()
 
 	s.mu.Lock()
-	s.front.ReleaseBuffers()
-	if s.sealed != nil {
-		s.sealed.ReleaseBuffers()
-		s.sealed = nil
-	}
 	s.frontMem, s.sealedMem = nil, nil
 	gen := s.gen
 	s.gen = nil

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"em/internal/buffertree"
 	"em/internal/pdm"
 )
 
@@ -20,7 +19,6 @@ func storeConfig() Config {
 		FrontOps:    100,
 		CacheFrames: 4,
 		Width:       2,
-		Front:       buffertree.Config{Fanout: 4, BufferRecords: 32},
 	}
 }
 
@@ -109,7 +107,8 @@ func checkScan(t *testing.T, s *Store, ref map[uint64]uint64, lo, hi uint64) {
 // the end, on both backends. The small shape drains every hundred ops over
 // 120 keys; the large one holds fronts of 4 096 ops over 20 000 keys, so
 // the in-memory overlays run to dozens of chunks and scans cut across
-// them.
+// them. Close comes with a drain just started, and must still hand back
+// every pool frame and volume block.
 func TestStoreQuickMatchesMap(t *testing.T) {
 	large := storeConfig()
 	large.FrontOps = 4096
@@ -133,6 +132,7 @@ func TestStoreQuickMatchesMap(t *testing.T) {
 }
 
 func quickMatchesMap(t *testing.T, vol *pdm.Volume, pool *pdm.Pool, cfg Config, keySpace, ops, drainEvery int) {
+	free0 := pool.Free()
 	s, err := Open(vol, pool, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -227,14 +227,24 @@ func quickMatchesMap(t *testing.T, vol *pdm.Volume, pool *pdm.Pool, cfg Config, 
 	if s.Drains() == 0 {
 		t.Fatal("no drain ever ran; thresholds too loose for the test to mean anything")
 	}
+	// Close with a drain in flight: it waits for the drain, which retires
+	// the old generation, then releases the one the drain installed.
+	for k := 0; k < keySpace; k += 3 {
+		if err := s.Insert(uint64(k), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.StartDrain() {
+		t.Fatal("StartDrain over a non-empty front started nothing")
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := pool.InUse(); got != 0 {
-		t.Fatalf("pool leak: %d frames in use after close", got)
+	if got := pool.Free(); got != free0 {
+		t.Fatalf("pool leak: %d frames free after close, %d before open", got, free0)
 	}
-	if live := vol.Allocated() - vol.FreeBlocks(); live != 0 {
-		t.Fatalf("block leak: %d live blocks after close", live)
+	if free, alloc := vol.FreeBlocks(), vol.Allocated(); free != alloc {
+		t.Fatalf("block leak: %d of %d allocated blocks free after close", free, alloc)
 	}
 }
 
