@@ -77,12 +77,14 @@ cover:
 # (BenchmarkMemSort), the store's write-front overlay (BenchmarkStoreScan,
 # BenchmarkStoreFrontOps, BenchmarkOverlay) and its drain
 # (BenchmarkStoreDrain: writes/op and ns/op per buffered op), the buffer manager
-# (BenchmarkCacheGet) and the B-tree's batched fetch
+# (BenchmarkCacheGet), the B-tree's batched fetch
 # (BenchmarkGetBatchGroups: steps/key and allocs/key at a roomy and a
-# saturated cache) — in those one iteration is a fixed batch, the per-item
+# saturated cache) and the stream round trip at both depths
+# (BenchmarkStreams: ns/record and allocs/record, on demand and
+# ahead/behind) — in those one iteration is a fixed batch, the per-item
 # cost its own column; -benchtime 3x keeps each at three iterations.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache ./internal/btree
+	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache ./internal/btree ./internal/stream
 
 # The repo benchmark (BENCHMARK.json, bench/) is a module of its own that
 # `go build ./...` does not reach; its smoke test runs every workload at

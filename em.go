@@ -38,14 +38,15 @@
 //
 // On top of the engine, AsyncScan, the SortOptions.Async flag (honoured by
 // both MergeSort and DistributionSort), and BulkLoadBTreeWith enable
-// forecast-driven overlap: prefetching readers keep their next block group
-// in flight (read-ahead — for a sequentially consumed file, the block the
-// survey's forecast selects is exactly the next sequential one) and
-// write-behind writers flush the previous group while the caller fills the
-// next. Asynchronous streams hold double buffers charged to the same Pool,
-// so the memory budget M still binds, and they issue the same batches as
-// their synchronous counterparts, so counted I/Os are unchanged at equal
-// fan-in (merge) or fan-out (distribution).
+// forecast-driven overlap by opening the one Reader and Writer one group
+// deeper: a reader opened ahead keeps its next block group in flight
+// (read-ahead — for a sequentially consumed file, the block the survey's
+// forecast selects is exactly the next sequential one) and a writer opened
+// behind flushes the previous group while the caller fills the next. The
+// second group is charged to the same Pool, so the memory budget M still
+// binds, and depth changes only when a batch is issued, never which, so
+// counted I/Os are unchanged at equal fan-in (merge) or fan-out
+// (distribution).
 //
 // # Write-optimal index construction
 //
@@ -464,10 +465,12 @@ type F64Codec = record.F64Codec
 // volume.
 type File[T any] = stream.File[T]
 
-// Reader iterates a File in order, block by block.
+// Reader iterates a File in order, block by block, fetching on demand or,
+// opened by NewPrefetchReader, ahead.
 type Reader[T any] = stream.Reader[T]
 
-// Writer appends records to a File, block by block.
+// Writer appends records to a File, block by block, flushing on demand or,
+// opened by NewAsyncWriter, behind.
 type Writer[T any] = stream.Writer[T]
 
 // NewFile creates an empty file on vol.
@@ -499,29 +502,22 @@ func ForEach[T any](f *File[T], pool *Pool, fn func(T) error) error {
 }
 
 // ---------------------------------------------------------------------------
-// Asynchronous streams (forecasting read-ahead and write-behind)
+// Streams opened ahead or behind (forecasting read-ahead and write-behind)
 // ---------------------------------------------------------------------------
 
-// PrefetchReader iterates a File like Reader while keeping its next block
-// group in flight on a background goroutine — the survey's forecasting
-// read-ahead for sequential consumers. It holds 2×width pool frames and
-// charges the same I/O counts as a synchronous width-w reader.
-type PrefetchReader[T any] = stream.PrefetchReader[T]
-
-// AsyncWriter appends records like Writer while flushing each full block
-// group behind the caller — double-buffered write-behind at identical I/O
-// counts.
-type AsyncWriter[T any] = stream.AsyncWriter[T]
-
-// NewPrefetchReader creates an asynchronous reader over f fetching width
-// blocks per parallel batch, with the following batch always in flight.
-func NewPrefetchReader[T any](f *File[T], pool *Pool, width int) (*PrefetchReader[T], error) {
+// NewPrefetchReader opens a Reader over f ahead: it fetches width blocks per
+// parallel batch and keeps the following batch always in flight — the
+// survey's forecasting read-ahead for sequential consumers. It holds
+// 2×width pool frames and charges the same I/O counts as NewReader's
+// on-demand form at the same width.
+func NewPrefetchReader[T any](f *File[T], pool *Pool, width int) (*Reader[T], error) {
 	return stream.NewPrefetchReader(f, pool, width)
 }
 
-// NewAsyncWriter creates a write-behind writer appending to f in batches of
-// width blocks.
-func NewAsyncWriter[T any](f *File[T], pool *Pool, width int) (*AsyncWriter[T], error) {
+// NewAsyncWriter opens a Writer appending to f behind: each full group of
+// width blocks is flushed while the caller fills the next — double-buffered
+// write-behind at identical I/O counts and file layout.
+func NewAsyncWriter[T any](f *File[T], pool *Pool, width int) (*Writer[T], error) {
 	return stream.NewAsyncWriter(f, pool, width)
 }
 

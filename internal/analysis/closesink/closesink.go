@@ -1,14 +1,13 @@
 // Package closesink enforces the stream lifecycle discipline: opened
-// stream Sources and Sinks (Reader, Writer, PrefetchReader, AsyncWriter,
-// TailSource, and the Source/Sink interfaces), B-tree Scanners and
-// Sessions, store Scanners and Sessions, sharded Scanners and Sessions,
-// sessions behind the unified index.Session interface, and Caches are
-// closed on every path to return, unless they escape into a struct or
-// caller that owns them or the acquisition is annotated //emlint:owns.
-// These types hold pool frames and pinned pages; a Source dropped on an
-// error unwind leaks its frames, an unclosed AsyncWriter abandons its
-// in-flight write-behind batch, and a dropped sharded handle leaks
-// per-shard frames on every volume it spans.
+// stream Sources and Sinks (Reader and Writer at either depth, TailSource,
+// and the Source/Sink interfaces), B-tree Scanners and Sessions, store
+// Scanners and Sessions, sharded Scanners and Sessions, sessions behind
+// the unified index.Session interface, and Caches are closed on every path
+// to return, unless they escape into a struct or caller that owns them or
+// the acquisition is annotated //emlint:owns. These types hold pool frames
+// and pinned pages; a Source dropped on an error unwind leaks its frames, an
+// unclosed Writer opened behind abandons its in-flight batch, and a dropped
+// sharded handle leaks per-shard frames on every volume it spans.
 package closesink
 
 import (
@@ -31,8 +30,6 @@ var Analyzer = &analysis.Analyzer{
 var closeable = [...][2]string{
 	{"stream", "Reader"},
 	{"stream", "Writer"},
-	{"stream", "PrefetchReader"},
-	{"stream", "AsyncWriter"},
 	{"stream", "TailSource"},
 	{"stream", "Source"},
 	{"stream", "Sink"},

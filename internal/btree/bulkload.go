@@ -19,11 +19,11 @@ type BulkLoadOptions struct {
 	// write-behind leaf batches; set it to the volume's disk count D to move
 	// D blocks per parallel batch. Zero means 1.
 	Width int
-	// Async drives a file input through a forecasting PrefetchReader: the
+	// Async opens a file input's reader ahead (forecasting read-ahead): the
 	// next block group of the sorted run stays in flight while the loader
 	// packs leaves and writes nodes back — the survey's read-ahead applied
 	// to index construction. The reader then holds 2×Width pool frames
-	// instead of Width; counted I/Os are identical to the synchronous
+	// instead of Width; counted I/Os are identical to the on-demand
 	// reader's at equal width. It has no effect on BulkLoadFrom, whose
 	// caller owns the input stream.
 	Async bool

@@ -12,10 +12,10 @@ import (
 // survey's full D-disk write parallelism applied to index construction.
 //
 // The batch holds 2×width pool frames (one group being packed, one in
-// flight, the same double-buffer charge stream.AsyncWriter levies). Each
-// leaf still costs exactly one block write, so counted write I/Os are
-// identical to the cache path's; only the batching — and therefore the
-// parallel-step count and the wall clock — changes.
+// flight, the same double-buffer charge a stream.Writer opened behind
+// levies). Each leaf still costs exactly one block write, so counted write
+// I/Os are identical to the cache path's; only the batching — and therefore
+// the parallel-step count and the wall clock — changes.
 type leafBatch struct {
 	vol      *pdm.Volume
 	frames   []*pdm.Frame // 2*width; nil after close/abort

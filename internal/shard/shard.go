@@ -36,6 +36,7 @@ import (
 	"sort"
 	"sync"
 
+	"em/internal/index"
 	"em/internal/pdm"
 )
 
@@ -214,4 +215,79 @@ func addStats(agg *pdm.Stats, s pdm.Stats) {
 	agg.Retries += s.Retries
 	agg.PerDiskReads = append(agg.PerDiskReads, s.PerDiskReads...)
 	agg.PerDiskWrites = append(agg.PerDiskWrites, s.PerDiskWrites...)
+}
+
+// set is the routing core both sharded indexes share: the per-shard
+// indexes and the split keys between them. Tree and Store embed it, so
+// routing, fan-out, sessions, Stats and Close are written once.
+type set[S index.Index] struct {
+	shards []S
+	splits []uint64
+}
+
+func newSet[S index.Index](shards []S, splits []uint64) set[S] {
+	return set[S]{shards: shards, splits: append([]uint64(nil), splits...)}
+}
+
+// Shards returns the number of shards.
+func (s *set[S]) Shards() int { return len(s.shards) }
+
+// Shard returns shard i's index, for per-shard setup (such as a tree's
+// Warm) or inspection.
+func (s *set[S]) Shard(i int) S { return s.shards[i] }
+
+// Owner returns the index of the shard owning key.
+func (s *set[S]) Owner(key uint64) int { return ownerOf(s.splits, key) }
+
+// Get routes a point lookup to the owning shard.
+func (s *set[S]) Get(key uint64) (uint64, bool, error) {
+	sh := ownerOf(s.splits, key)
+	v, ok, err := s.shards[sh].Get(key)
+	if err != nil {
+		return 0, false, wrapShard(sh, err)
+	}
+	return v, ok, nil
+}
+
+// GetBatch answers an aligned batch by cutting its sorted view at the
+// partition boundaries and fanning the per-shard sub-batches out
+// concurrently — each shard dedupes and stripes its own piece over its own
+// disks.
+func (s *set[S]) GetBatch(keys []uint64) ([]uint64, []bool, error) {
+	return fanOutBatch(s.splits, keys, func(sh int, sub []uint64) ([]uint64, []bool, error) {
+		return s.shards[sh].GetBatch(sub)
+	})
+}
+
+// NewSession opens a composed read session: one session per shard (a
+// store's pins its shard's generation), each with its own reserved budget
+// on its shard's pool. Zero (or out-of-range) arguments take each shard's
+// configured defaults.
+func (s *set[S]) NewSession(cacheFrames, width int) (index.Session, error) {
+	return newSession(s.splits, len(s.shards), func(i int) (index.Session, error) {
+		return s.shards[i].NewSession(cacheFrames, width)
+	})
+}
+
+// Stats aggregates the per-shard volume snapshots: counters summed,
+// per-disk breakdowns concatenated in shard order.
+func (s *set[S]) Stats() pdm.Stats {
+	var agg pdm.Stats
+	for _, sh := range s.shards {
+		addStats(&agg, sh.Stats())
+	}
+	return agg
+}
+
+// Close closes every shard — a tree flushes its cache, a store drains
+// first — reporting the first failure with its shard index but closing the
+// rest regardless.
+func (s *set[S]) Close() error {
+	var first error
+	for i, sh := range s.shards {
+		if err := sh.Close(); err != nil && first == nil {
+			first = wrapShard(i, err)
+		}
+	}
+	return first
 }

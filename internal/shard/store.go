@@ -17,8 +17,7 @@ import (
 // writes on another. Reads are safe for concurrent use, as the per-shard
 // stores are.
 type Store struct {
-	shards []*store.Store
-	splits []uint64
+	set[*store.Store]
 }
 
 // StoreOptions configures a sharded store.
@@ -57,17 +56,8 @@ func OpenStore(vols []*pdm.Volume, pools []*pdm.Pool, opts *StoreOptions) (*Stor
 		}
 		shards[i] = st
 	}
-	return &Store{shards: shards, splits: append([]uint64(nil), o.Splits...)}, nil
+	return &Store{newSet(shards, o.Splits)}, nil
 }
-
-// Shards returns the number of shards.
-func (s *Store) Shards() int { return len(s.shards) }
-
-// Shard returns shard i's store, for per-shard inspection.
-func (s *Store) Shard(i int) *store.Store { return s.shards[i] }
-
-// Owner returns the index of the shard owning key.
-func (s *Store) Owner(key uint64) int { return ownerOf(s.splits, key) }
 
 // Insert routes an upsert to the owning shard's write front.
 func (s *Store) Insert(key, val uint64) error {
@@ -85,26 +75,6 @@ func (s *Store) Delete(key uint64) error {
 		return wrapShard(sh, err)
 	}
 	return nil
-}
-
-// Get routes a point lookup to the owning shard (front and sealed
-// overlays first, then its current base tree).
-func (s *Store) Get(key uint64) (uint64, bool, error) {
-	sh := ownerOf(s.splits, key)
-	v, ok, err := s.shards[sh].Get(key)
-	if err != nil {
-		return 0, false, wrapShard(sh, err)
-	}
-	return v, ok, nil
-}
-
-// GetBatch answers an aligned batch by cutting its sorted view at the
-// partition boundaries and fanning the per-shard sub-batches out
-// concurrently.
-func (s *Store) GetBatch(keys []uint64) ([]uint64, []bool, error) {
-	return fanOutBatch(s.splits, keys, func(sh int, sub []uint64) ([]uint64, []bool, error) {
-		return s.shards[sh].GetBatch(sub)
-	})
 }
 
 // Scan streams the records with keys in [lo, hi] in key order across
@@ -126,15 +96,6 @@ func (s *Store) Scan(lo, hi uint64) (index.Scanner, error) {
 		segs = append(segs, scanSeg{shard: i, src: src})
 	}
 	return &Scanner{segs: segs}, nil
-}
-
-// NewSession opens a composed read session: one snapshot session per
-// shard, each pinning its shard's generation and reserving its budget on
-// its shard's pool.
-func (s *Store) NewSession(cacheFrames, width int) (index.Session, error) {
-	return newSession(s.splits, len(s.shards), func(i int) (index.Session, error) {
-		return s.shards[i].NewSession(cacheFrames, width)
-	})
 }
 
 // StartDrain kicks a background drain on every shard whose front has
@@ -201,26 +162,4 @@ func (s *Store) FrontOps() int64 {
 		n += sh.FrontOps()
 	}
 	return n
-}
-
-// Stats aggregates the per-shard volume snapshots: counters summed,
-// per-disk breakdowns concatenated in shard order.
-func (s *Store) Stats() pdm.Stats {
-	var agg pdm.Stats
-	for _, sh := range s.shards {
-		addStats(&agg, sh.Stats())
-	}
-	return agg
-}
-
-// Close drains and closes every shard, reporting the first failure with
-// its shard index but closing the rest regardless.
-func (s *Store) Close() error {
-	var first error
-	for i, sh := range s.shards {
-		if err := sh.Close(); err != nil && first == nil {
-			first = wrapShard(i, err)
-		}
-	}
-	return first
 }

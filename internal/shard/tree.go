@@ -3,7 +3,6 @@ package shard
 import (
 	"em/internal/btree"
 	"em/internal/index"
-	"em/internal/pdm"
 )
 
 // Tree is a read-only sharded index: S independent B+-trees, each on its
@@ -13,8 +12,7 @@ import (
 // single-volume Tree, the top-level methods are for one goroutine at a
 // time — concurrency comes from sessions.
 type Tree struct {
-	shards []*btree.Tree
-	splits []uint64
+	set[*btree.Tree]
 }
 
 var (
@@ -45,17 +43,8 @@ func NewTree(shards []*btree.Tree, opts *TreeOptions) (*Tree, error) {
 	if err := validateSplits(len(shards), o.Splits); err != nil {
 		return nil, err
 	}
-	return &Tree{shards: shards, splits: append([]uint64(nil), o.Splits...)}, nil
+	return &Tree{newSet(shards, o.Splits)}, nil
 }
-
-// Shards returns the number of shards.
-func (t *Tree) Shards() int { return len(t.shards) }
-
-// Shard returns shard i's tree, for per-shard setup such as Warm.
-func (t *Tree) Shard(i int) *btree.Tree { return t.shards[i] }
-
-// Owner returns the index of the shard owning key.
-func (t *Tree) Owner(key uint64) int { return ownerOf(t.splits, key) }
 
 // Warm makes every shard's internal levels resident — the sharded serving
 // posture.
@@ -66,26 +55,6 @@ func (t *Tree) Warm() error {
 		}
 	}
 	return nil
-}
-
-// Get routes a point lookup to the owning shard.
-func (t *Tree) Get(key uint64) (uint64, bool, error) {
-	sh := ownerOf(t.splits, key)
-	v, ok, err := t.shards[sh].Get(key)
-	if err != nil {
-		return 0, false, wrapShard(sh, err)
-	}
-	return v, ok, nil
-}
-
-// GetBatch answers an aligned batch by cutting its sorted view at the
-// partition boundaries and fanning the per-shard sub-batches out
-// concurrently — each shard dedupes and stripes its own piece over its own
-// disks.
-func (t *Tree) GetBatch(keys []uint64) ([]uint64, []bool, error) {
-	return fanOutBatch(t.splits, keys, func(sh int, sub []uint64) ([]uint64, []bool, error) {
-		return t.shards[sh].GetBatch(sub)
-	})
 }
 
 // Scan streams the records with keys in [lo, hi] in key order across
@@ -100,35 +69,4 @@ func (t *Tree) Scan(lo, hi uint64) (index.Scanner, error) {
 		}})
 	}
 	return &Scanner{segs: segs}, nil
-}
-
-// NewSession opens a composed read session: one per-shard session each
-// with its own reserved budget on its shard's pool. Zero (or out-of-range)
-// arguments take each shard's configured defaults.
-func (t *Tree) NewSession(cacheFrames, width int) (index.Session, error) {
-	return newSession(t.splits, len(t.shards), func(i int) (index.Session, error) {
-		return t.shards[i].NewSession(cacheFrames, width)
-	})
-}
-
-// Stats aggregates the per-shard volume snapshots: counters summed,
-// per-disk breakdowns concatenated in shard order.
-func (t *Tree) Stats() pdm.Stats {
-	var agg pdm.Stats
-	for _, sh := range t.shards {
-		addStats(&agg, sh.Stats())
-	}
-	return agg
-}
-
-// Close closes every shard's tree (flushing its cache), reporting the
-// first failure with its shard index but closing the rest regardless.
-func (t *Tree) Close() error {
-	var first error
-	for i, sh := range t.shards {
-		if err := sh.Close(); err != nil && first == nil {
-			first = wrapShard(i, err)
-		}
-	}
-	return first
 }

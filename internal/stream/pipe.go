@@ -108,9 +108,9 @@ func (p *TailPipe) closeRecv() { p.doneOnce.Do(func() { close(p.done) }) }
 // writer's width would issue over the finished file, so counted I/Os are
 // identical to reading after the fact. With async read-ahead it keeps the
 // next already-announced chunk in flight behind the one being consumed
-// (2×width frames, the PrefetchReader trade); it never blocks waiting for a
-// chunk just to prefetch it, so read-ahead rides exactly as far ahead as
-// the producer has durably written.
+// (2×width frames, the trade a Reader opened ahead makes); it never blocks
+// waiting for a chunk just to prefetch it, so read-ahead rides exactly as
+// far ahead as the producer has durably written.
 type TailSource[T any] struct {
 	vol   *pdm.Volume
 	codec record.Codec[T]

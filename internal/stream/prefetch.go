@@ -1,290 +1,47 @@
-// Asynchronous prefetching and write-behind over pdm volumes.
+// Forecasting read-ahead and write-behind: the second depth of a stream.
 //
 // The survey's D-disk merging bound rests on forecasting: because a sorted
 // run is consumed strictly in order, the next block a reader will need is
 // known in advance, so it can be fetched while the CPU (and the other disks)
-// are busy. PrefetchReader realises exactly that read-ahead: it keeps its
-// next block group permanently in flight on a background goroutine, double
-// buffering against the group being consumed. AsyncWriter is the write-side
-// dual — write-behind — flushing the previous block group while the caller
-// fills the next.
+// are busy. A Reader opened ahead realises exactly that: it keeps its next
+// block group permanently in flight, double buffering against the group
+// being consumed. A Writer opened behind is the write-side dual, flushing
+// the previous block group while the caller fills the next.
 //
-// Both draw every buffer from the caller's pdm.Pool (a width-w asynchronous
-// stream holds 2w frames instead of w), so the memory budget M still holds,
-// and both issue exactly the same BatchRead/BatchWrite calls as their
-// synchronous counterparts, so all I/O counters are identical — only the
-// wall-clock overlap changes.
-//
-// Consumers are written against the Source/Sink interfaces (see stream.go),
-// so every sequential pass in the sort/index stack — merge sort's run readers
-// and writers, distribution sort's splitter sampling and bucket writers, and
-// the B-tree bulk loader's input — can switch between the synchronous and
-// forecasting implementations with an option rather than a rewrite.
+// Depth changes only when a batch is issued, not which batches are issued:
+// the one Reader and the one Writer make the same BatchRead/BatchWrite calls
+// at either depth, so every I/O counter is identical and only the wall-clock
+// overlap changes. The second group is drawn from the caller's pdm.Pool (a
+// width-w stream holds 2w frames instead of w), so the memory budget M still
+// holds. Consumers open streams through OpenSource/OpenSink, so every
+// sequential pass in the sort/index stack picks its depth with an option.
 package stream
 
-import (
-	"fmt"
+import "em/internal/pdm"
 
-	"em/internal/pdm"
-)
-
-// The four stream implementations are interchangeable behind Source/Sink.
+// Readers and writers at both depths are Sources and Sinks.
 var (
 	_ Source[int] = (*Reader[int])(nil)
-	_ Source[int] = (*PrefetchReader[int])(nil)
 	_ Sink[int]   = (*Writer[int])(nil)
-	_ Sink[int]   = (*AsyncWriter[int])(nil)
 )
 
-// PrefetchReader iterates a File's records in order like Reader, but always
-// keeps the next group of width blocks in flight via Volume.BatchReadAsync.
-// It holds 2*width pool frames: one group being consumed, one being
-// prefetched. Its sequence of BatchRead calls — and therefore every Stats
-// counter — is identical to a synchronous width-w Reader's.
-type PrefetchReader[T any] struct {
-	f        *File[T]
-	pool     *pdm.Pool
-	width    int
-	cur      []*pdm.Frame // group being consumed
-	next     []*pdm.Frame // group being prefetched
-	join     func() error // in-flight fetch; nil when none
-	inFlight int          // blocks the in-flight fetch covers
-	block    int          // index of next block to prefetch
-	avail    int          // records available in cur
-	pos      int          // next record offset within cur
-	read     int64        // records returned so far
-	closed   bool
+// NewPrefetchReader opens a reader over f ahead: it fetches width blocks per
+// parallel batch and keeps the following batch in flight from the moment it
+// is opened, holding 2×width pool frames.
+func NewPrefetchReader[T any](f *File[T], pool *pdm.Pool, width int) (*Reader[T], error) {
+	return newReader(f, pool, width, true)
 }
 
-// NewPrefetchReader creates an asynchronous reader over f that fetches width
-// blocks per parallel batch and keeps the following batch in flight.
-func NewPrefetchReader[T any](f *File[T], pool *pdm.Pool, width int) (*PrefetchReader[T], error) {
-	if width < 1 {
-		return nil, fmt.Errorf("stream: reader width must be >= 1, got %d", width)
-	}
-	frames, err := pool.AllocN(2 * width)
-	if err != nil {
-		return nil, err
-	}
-	r := &PrefetchReader[T]{
-		f:     f,
-		pool:  pool,
-		width: width,
-		cur:   frames[:width],
-		next:  frames[width:],
-	}
-	r.launch()
-	return r, nil
+// NewAsyncWriter opens a writer appending to f behind: each full group of
+// width blocks is flushed while the caller fills the next, holding 2×width
+// pool frames.
+func NewAsyncWriter[T any](f *File[T], pool *pdm.Pool, width int) (*Writer[T], error) {
+	return newWriter(f, pool, width, true)
 }
 
-// launch dispatches the next block group's fetch into r.next, if any blocks
-// remain. It must only be called when no fetch is in flight. The dispatch
-// happens on the caller's goroutine, so the disks' service-time reservations
-// begin immediately; only the join can block.
-func (r *PrefetchReader[T]) launch() {
-	want := r.width
-	if rem := len(r.f.blocks) - r.block; rem < want {
-		want = rem
-	}
-	if want <= 0 {
-		return
-	}
-	addrs := make([]int64, want)
-	bufs := make([][]byte, want)
-	for i := 0; i < want; i++ {
-		addrs[i] = r.f.blocks[r.block+i]
-		bufs[i] = r.next[i].Buf
-	}
-	r.block += want
-	r.inFlight = want
-	r.join = r.f.vol.BatchReadAsync(addrs, bufs)
-}
-
-// fill joins the in-flight fetch, promotes it to the consumable group, and
-// immediately launches the next prefetch.
-func (r *PrefetchReader[T]) fill() error {
-	if r.join == nil {
-		return fmt.Errorf("stream: read past end of file blocks")
-	}
-	err := r.join()
-	r.join = nil
-	if err != nil {
-		return err
-	}
-	r.cur, r.next = r.next, r.cur
-	r.avail = r.inFlight * r.f.PerBlock()
-	r.pos = 0
-	r.launch()
-	return nil
-}
-
-// Next returns the next record. ok is false at end of file.
-func (r *PrefetchReader[T]) Next() (v T, ok bool, err error) {
-	if r.closed {
-		return v, false, ErrClosed
-	}
-	if r.read >= r.f.n {
-		return v, false, nil
-	}
-	if r.pos == r.avail {
-		if err := r.fill(); err != nil {
-			return v, false, err
-		}
-	}
-	per := r.f.PerBlock()
-	frame := r.cur[r.pos/per]
-	off := (r.pos % per) * r.f.codec.Size()
-	v = r.f.codec.Decode(frame.Buf[off:])
-	r.pos++
-	r.read++
-	return v, true, nil
-}
-
-// Remaining returns the number of records not yet returned.
-func (r *PrefetchReader[T]) Remaining() int64 { return r.f.n - r.read }
-
-// Close joins any in-flight fetch and releases the reader's frames.
-func (r *PrefetchReader[T]) Close() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	if r.join != nil {
-		r.join() // the engine writes into our frames until the join returns
-		r.join = nil
-	}
-	pdm.ReleaseAll(r.cur)
-	pdm.ReleaseAll(r.next)
-	r.cur, r.next = nil, nil
-}
-
-// AsyncWriter appends records to a File like Writer, but flushes each full
-// group of width blocks via Volume.BatchWriteAsync while the caller fills
-// the next group — double-buffered write-behind. It holds 2*width pool frames.
-// Its sequence of BatchWrite calls matches a synchronous width-w Writer's,
-// so all Stats counters are identical.
-type AsyncWriter[T any] struct {
-	f        *File[T]
-	pool     *pdm.Pool
-	width    int
-	cur      []*pdm.Frame // group being filled
-	flushing []*pdm.Frame // group being written behind
-	join     func() error // in-flight flush; nil when none
-	filled   int          // records buffered in cur
-	closed   bool
-
-	onFlush     FlushFunc // durable-progress observer; nil for plain writers
-	pendingAddr []int64   // addresses of the in-flight group, for onFlush
-	pendingRecs int       // records the in-flight group carries
-}
-
-// NewAsyncWriter creates a write-behind writer appending to f in batches of
-// width blocks.
-func NewAsyncWriter[T any](f *File[T], pool *pdm.Pool, width int) (*AsyncWriter[T], error) {
-	if width < 1 {
-		return nil, fmt.Errorf("stream: writer width must be >= 1, got %d", width)
-	}
-	frames, err := pool.AllocN(2 * width)
-	if err != nil {
-		return nil, err
-	}
-	w := &AsyncWriter[T]{
-		f:        f,
-		pool:     pool,
-		width:    width,
-		cur:      frames[:width],
-		flushing: frames[width:],
-	}
-	tail, err := f.reloadTail(w.cur[0].Buf)
-	if err != nil {
-		pdm.ReleaseAll(frames)
-		return nil, err
-	}
-	w.filled = tail
-	return w, nil
-}
-
-// joinFlush waits for the in-flight flush, if any, and reports its error.
-// Once the join returns clean the group is durable, so this is also the
-// point where the flush observer learns about it.
-func (w *AsyncWriter[T]) joinFlush() error {
-	if w.join == nil {
-		return nil
-	}
-	err := w.join()
-	w.join = nil
-	if err != nil {
-		return err
-	}
-	if w.onFlush != nil && w.pendingAddr != nil {
-		err = w.onFlush(w.pendingAddr, w.pendingRecs)
-	}
-	w.pendingAddr = nil
-	return err
-}
-
-// dispatch allocates addresses for the current full group and hands the
-// BatchWrite to the volume's async engine. Block addresses are allocated
-// and recorded in file order on the caller's goroutine, so the file layout
-// is identical to the synchronous writer's.
-func (w *AsyncWriter[T]) dispatch() error {
-	if err := w.joinFlush(); err != nil {
-		return err
-	}
-	addrs, bufs := w.f.allocExtent(w.width, w.cur)
-	w.pendingAddr, w.pendingRecs = addrs, w.filled
-	w.cur, w.flushing = w.flushing, w.cur
-	w.filled = 0
-	w.join = w.f.vol.BatchWriteAsync(addrs, bufs)
-	return nil
-}
-
-// Append adds one record to the file.
-func (w *AsyncWriter[T]) Append(v T) error {
-	if w.closed {
-		return ErrClosed
-	}
-	per := w.f.PerBlock()
-	if w.filled == per*w.width {
-		if err := w.dispatch(); err != nil {
-			return err
-		}
-	}
-	frame := w.cur[w.filled/per]
-	off := (w.filled % per) * w.f.codec.Size()
-	w.f.codec.Encode(frame.Buf[off:], v)
-	w.filled++
-	w.f.n++
-	return nil
-}
-
-// Close joins the in-flight flush, writes any partial tail group
-// synchronously, and releases the writer's frames.
-func (w *AsyncWriter[T]) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	err := w.joinFlush()
-	if err == nil && w.filled > 0 {
-		per := w.f.PerBlock()
-		full := (w.filled + per - 1) / per
-		addrs, bufs := w.f.allocExtent(full, w.cur)
-		err = w.f.vol.BatchWrite(addrs, bufs)
-		if err == nil && w.onFlush != nil {
-			err = w.onFlush(addrs, w.filled)
-		}
-	}
-	pdm.ReleaseAll(w.cur)
-	pdm.ReleaseAll(w.flushing)
-	w.cur, w.flushing = nil, nil
-	return err
-}
-
-// AsyncForEach streams every record of f through fn using a width-w
-// prefetching reader, overlapping each block fetch with fn's processing of
-// the previous group. With width 1 its I/O counters are identical to
-// ForEach's.
+// AsyncForEach streams every record of f through fn using a width-w reader
+// opened ahead, overlapping each block fetch with fn's processing of the
+// previous group. Its I/O counters are identical to ForEach's at width 1.
 func AsyncForEach[T any](f *File[T], pool *pdm.Pool, width int, fn func(T) error) error {
 	r, err := NewPrefetchReader(f, pool, width)
 	if err != nil {

@@ -10,6 +10,11 @@
 // blocks as one parallel batch, which is exactly the disk-striping technique
 // the survey analyses (Scan speeds up by a factor of D; Sort pays a reduced
 // merge arity).
+//
+// There is one Reader and one Writer. Each holds one group of w frames, or
+// two when opened ahead (reader) or behind (writer) — see prefetch.go. The
+// depth changes only when a batch is issued, never which batches are: both
+// depths make the same BatchRead/BatchWrite calls, so every counter agrees.
 package stream
 
 import (
@@ -23,35 +28,30 @@ import (
 // ErrClosed reports use of a closed reader or writer.
 var ErrClosed = errors.New("stream: closed")
 
-// Source is the record-producing side shared by synchronous (Reader) and
-// forecasting (PrefetchReader) readers, so algorithms can consume a stream
-// without knowing whether its next block group is fetched on demand or kept
-// in flight.
+// Source is the record-producing side of a stream — a Reader at either
+// depth, a TailSource, or an index scanner — so algorithms consume records
+// without knowing whether the next block group is fetched on demand or
+// already in flight.
 type Source[T any] interface {
 	Next() (v T, ok bool, err error)
 	Close()
 }
 
-// Sink is the record-consuming side shared by synchronous (Writer) and
-// write-behind (AsyncWriter) writers.
+// Sink is the record-consuming side of a stream, a Writer at either depth.
 type Sink[T any] interface {
 	Append(v T) error
 	Close() error
 }
 
-// OpenSource opens a width-w reader over f: striped (fetch on demand) when
-// async is false, forecasting (next group kept in flight, 2×width frames)
-// when true. It is the single sync-vs-async dispatch point shared by the
-// sort and index layers.
+// OpenSource opens a width-w reader over f: fetching on demand when async
+// is false, reading ahead (next group kept in flight, 2×width frames) when
+// true. The sort and index layers open every input through it.
 func OpenSource[T any](f *File[T], pool *pdm.Pool, width int, async bool) (Source[T], error) {
-	if async {
-		return NewPrefetchReader(f, pool, width)
-	}
-	return NewStripedReader(f, pool, width)
+	return newReader(f, pool, width, async)
 }
 
-// OpenSink opens a width-w writer appending to f: striped when async is
-// false, write-behind when true.
+// OpenSink opens a width-w writer appending to f: flushing on demand when
+// async is false, writing behind when true.
 func OpenSink[T any](f *File[T], pool *pdm.Pool, width int, async bool) (Sink[T], error) {
 	return OpenSinkNotify(f, pool, width, async, nil)
 }
@@ -59,7 +59,7 @@ func OpenSink[T any](f *File[T], pool *pdm.Pool, width int, async bool) (Sink[T]
 // FlushFunc observes a writer's durable progress: it is called with the
 // block addresses of each flushed group and the number of records buffered
 // when the group was cut, strictly in file order, only after the blocks are
-// safely on the volume (for a write-behind writer, after the group's join).
+// safely on the volume (for a writer opened behind, after the group's join).
 // A non-nil error aborts the writer's current operation, which is how a
 // pipeline consumer that has gone away stops its producer. See TailPipe.
 type FlushFunc func(addrs []int64, recs int) error
@@ -70,15 +70,7 @@ type FlushFunc func(addrs []int64, recs int) error
 // for writers that start on an empty file; with a partially filled file the
 // first notification would also cover the reloaded tail records.
 func OpenSinkNotify[T any](f *File[T], pool *pdm.Pool, width int, async bool, fn FlushFunc) (Sink[T], error) {
-	if async {
-		w, err := NewAsyncWriter(f, pool, width)
-		if err != nil {
-			return nil, err
-		}
-		w.onFlush = fn
-		return w, nil
-	}
-	w, err := NewStripedWriter(f, pool, width)
+	w, err := newWriter(f, pool, width, async)
 	if err != nil {
 		return nil, err
 	}
@@ -148,9 +140,8 @@ func (f *File[T]) reloadTail(buf []byte) (int, error) {
 
 // allocExtent reserves n fresh contiguous blocks, records them in the
 // file's block list in order, and returns their addresses paired with the
-// first n frames' buffers — the shared layout step of every writer flush,
-// synchronous or write-behind, which keeps their on-volume layouts
-// byte-identical.
+// first n frames' buffers. Addresses are taken in file order on the
+// caller's goroutine, so a writer's layout does not depend on its depth.
 func (f *File[T]) allocExtent(n int, frames []*pdm.Frame) (addrs []int64, bufs [][]byte) {
 	base := f.vol.Alloc(n)
 	addrs = make([]int64, n)
@@ -163,42 +154,62 @@ func (f *File[T]) allocExtent(n int, frames []*pdm.Frame) (addrs []int64, bufs [
 	return addrs, bufs
 }
 
+// frameCount returns the frames a width-w stream holds: one group on
+// demand, two when it reads ahead or writes behind.
+func frameCount(width int, overlap bool) int {
+	if overlap {
+		return 2 * width
+	}
+	return width
+}
+
 // Writer appends records to a File block by block. A width-w writer buffers
-// w blocks and flushes them as one parallel batch.
+// w blocks and flushes them as one parallel batch. Opened behind, it holds
+// a second group and leaves each flush in flight while the caller fills the
+// other; on demand the two groups are one and each flush is joined at once.
 type Writer[T any] struct {
-	f       *File[T]
-	pool    *pdm.Pool
-	frames  []*pdm.Frame
-	width   int
-	filled  int // records buffered across frames
-	closed  bool
-	onFlush FlushFunc // durable-progress observer; nil for plain writers
+	f        *File[T]
+	frames   []*pdm.Frame // every frame held: one group, or two behind
+	cur      []*pdm.Frame // group being filled
+	flushing []*pdm.Frame // group last dispatched; cur itself on demand
+	join     func() error // in-flight flush; nil when none
+	width    int
+	filled   int // records buffered in cur
+	closed   bool
+
+	onFlush     FlushFunc // durable-progress observer; nil for plain writers
+	pendingAddr []int64   // addresses of the in-flight group, for onFlush
+	pendingRecs int       // records the in-flight group carries
 }
 
 // NewWriter creates a width-1 writer (one buffer frame).
 func NewWriter[T any](f *File[T], pool *pdm.Pool) (*Writer[T], error) {
-	return NewStripedWriter(f, pool, 1)
+	return newWriter(f, pool, 1, false)
 }
 
 // NewStripedWriter creates a writer that buffers width blocks and writes
 // them as single parallel batches. width is typically the volume's disk
 // count D.
 func NewStripedWriter[T any](f *File[T], pool *pdm.Pool, width int) (*Writer[T], error) {
+	return newWriter(f, pool, width, false)
+}
+
+// newWriter opens a writer, reloading a partial tail block into cur.
+func newWriter[T any](f *File[T], pool *pdm.Pool, width int, behind bool) (*Writer[T], error) {
 	if width < 1 {
 		return nil, fmt.Errorf("stream: writer width must be >= 1, got %d", width)
 	}
-	frames, err := pool.AllocN(width)
+	frames, err := pool.AllocN(frameCount(width, behind))
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer[T]{f: f, pool: pool, frames: frames, width: width}
 	tail, err := f.reloadTail(frames[0].Buf)
 	if err != nil {
 		pdm.ReleaseAll(frames)
 		return nil, err
 	}
-	w.filled = tail
-	return w, nil
+	return &Writer[T]{f: f, frames: frames, cur: frames[:width],
+		flushing: frames[len(frames)-width:], width: width, filled: tail}, nil
 }
 
 // Append adds one record to the file.
@@ -207,13 +218,12 @@ func (w *Writer[T]) Append(v T) error {
 		return ErrClosed
 	}
 	per := w.f.PerBlock()
-	cap := per * w.width
-	if w.filled == cap {
+	if w.filled == per*w.width {
 		if err := w.flush(w.width); err != nil {
 			return err
 		}
 	}
-	frame := w.frames[w.filled/per]
+	frame := w.cur[w.filled/per]
 	off := (w.filled % per) * w.f.codec.Size()
 	w.f.codec.Encode(frame.Buf[off:], v)
 	w.filled++
@@ -221,68 +231,108 @@ func (w *Writer[T]) Append(v T) error {
 	return nil
 }
 
-// flush writes the first nFrames buffered frames to freshly allocated blocks.
-func (w *Writer[T]) flush(nFrames int) error {
-	if nFrames == 0 {
-		return nil
-	}
-	addrs, bufs := w.f.allocExtent(nFrames, w.frames)
-	if err := w.f.vol.BatchWrite(addrs, bufs); err != nil {
+// flush joins the previous flush, then writes the first n frames of cur to
+// freshly allocated blocks and swaps the groups. Behind, the write stays in
+// flight until the next flush or Close; on demand it is joined here, since
+// the swapped-in group is the same frames.
+func (w *Writer[T]) flush(n int) error {
+	if err := w.joinFlush(); err != nil || n == 0 {
 		return err
 	}
-	recs := w.filled
+	addrs, bufs := w.f.allocExtent(n, w.cur)
+	w.pendingAddr, w.pendingRecs = addrs, w.filled
+	w.cur, w.flushing = w.flushing, w.cur
 	w.filled = 0
-	if w.onFlush != nil {
-		return w.onFlush(addrs, recs)
+	w.join = w.f.vol.BatchWriteAsync(addrs, bufs)
+	if len(w.frames) == w.width {
+		return w.joinFlush()
 	}
 	return nil
 }
 
-// Close flushes any partial buffer and releases the writer's frames. The
-// final block may be partially filled; File.Len records the true count.
+// joinFlush waits for the in-flight flush, if any, and reports its error.
+// Once the join returns clean the group is durable, so this is also the
+// point where the flush observer learns about it.
+func (w *Writer[T]) joinFlush() error {
+	if w.join == nil {
+		return nil
+	}
+	err := w.join()
+	w.join = nil
+	if err != nil {
+		return err
+	}
+	if w.onFlush != nil && w.pendingAddr != nil {
+		err = w.onFlush(w.pendingAddr, w.pendingRecs)
+	}
+	w.pendingAddr = nil
+	return err
+}
+
+// Close flushes any partial buffer, joins the last flush, and releases the
+// writer's frames. The final block may be partially filled; File.Len
+// records the true count.
 func (w *Writer[T]) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
 	per := w.f.PerBlock()
-	full := (w.filled + per - 1) / per
-	err := w.flush(full)
+	err := w.flush((w.filled + per - 1) / per)
+	if err == nil {
+		err = w.joinFlush()
+	}
 	pdm.ReleaseAll(w.frames)
-	w.frames = nil
+	w.frames, w.cur, w.flushing = nil, nil, nil
 	return err
 }
 
-// Reader iterates a File's records in order. A width-w reader prefetches w
-// blocks per parallel batch.
+// Reader iterates a File's records in order, fetching w blocks per parallel
+// batch. Opened ahead, it holds a second group and keeps the next batch in
+// flight while the caller consumes the current one; on demand the two
+// groups are one and each batch is dispatched when the last is used up.
 type Reader[T any] struct {
-	f      *File[T]
-	pool   *pdm.Pool
-	frames []*pdm.Frame
-	width  int
-	block  int   // index of next block to fetch
-	avail  int   // records available in the buffered frames
-	pos    int   // next record offset within buffered frames
-	read   int64 // records returned so far
-	closed bool
+	f        *File[T]
+	frames   []*pdm.Frame // every frame held: one group, or two ahead
+	cur      []*pdm.Frame // group being consumed
+	next     []*pdm.Frame // group being fetched; cur itself on demand
+	join     func() error // in-flight fetch; nil when none
+	inFlight int          // blocks the in-flight fetch covers
+	width    int
+	block    int   // index of next block to fetch
+	avail    int   // records available in cur
+	pos      int   // next record offset within cur
+	read     int64 // records returned so far
+	closed   bool
 }
 
 // NewReader creates a width-1 reader over f.
 func NewReader[T any](f *File[T], pool *pdm.Pool) (*Reader[T], error) {
-	return NewStripedReader(f, pool, 1)
+	return newReader(f, pool, 1, false)
 }
 
 // NewStripedReader creates a reader that fetches width blocks per parallel
 // batch.
 func NewStripedReader[T any](f *File[T], pool *pdm.Pool, width int) (*Reader[T], error) {
+	return newReader(f, pool, width, false)
+}
+
+// newReader opens a reader; only one opened ahead dispatches a fetch here,
+// so an on-demand reader closed early reads nothing it did not return.
+func newReader[T any](f *File[T], pool *pdm.Pool, width int, ahead bool) (*Reader[T], error) {
 	if width < 1 {
 		return nil, fmt.Errorf("stream: reader width must be >= 1, got %d", width)
 	}
-	frames, err := pool.AllocN(width)
+	frames, err := pool.AllocN(frameCount(width, ahead))
 	if err != nil {
 		return nil, err
 	}
-	return &Reader[T]{f: f, pool: pool, frames: frames, width: width}, nil
+	r := &Reader[T]{f: f, frames: frames, cur: frames[:width],
+		next: frames[len(frames)-width:], width: width}
+	if ahead {
+		r.launch()
+	}
+	return r, nil
 }
 
 // Next returns the next record. ok is false at end of file.
@@ -299,7 +349,7 @@ func (r *Reader[T]) Next() (v T, ok bool, err error) {
 		}
 	}
 	per := r.f.PerBlock()
-	frame := r.frames[r.pos/per]
+	frame := r.cur[r.pos/per]
 	off := (r.pos % per) * r.f.codec.Size()
 	v = r.f.codec.Decode(frame.Buf[off:])
 	r.pos++
@@ -307,60 +357,66 @@ func (r *Reader[T]) Next() (v T, ok bool, err error) {
 	return v, true, nil
 }
 
-// fill fetches the next batch of blocks.
-func (r *Reader[T]) fill() error {
+// launch dispatches the next block group's fetch into r.next, if any blocks
+// remain. It must only be called when no fetch is in flight. The dispatch
+// happens on the caller's goroutine, so the disks' service-time reservations
+// begin immediately; only the join can block.
+func (r *Reader[T]) launch() {
 	want := r.width
 	if rem := len(r.f.blocks) - r.block; rem < want {
 		want = rem
 	}
 	if want <= 0 {
-		return fmt.Errorf("stream: read past end of file blocks")
+		return
 	}
 	addrs := make([]int64, want)
 	bufs := make([][]byte, want)
 	for i := 0; i < want; i++ {
 		addrs[i] = r.f.blocks[r.block+i]
-		bufs[i] = r.frames[i].Buf
-	}
-	if err := r.f.vol.BatchRead(addrs, bufs); err != nil {
-		return err
+		bufs[i] = r.next[i].Buf
 	}
 	r.block += want
-	r.avail = want * r.f.PerBlock()
+	r.inFlight = want
+	r.join = r.f.vol.BatchReadAsync(addrs, bufs)
+}
+
+// fill joins the next group's fetch — dispatching it first when none is in
+// flight — and promotes it to cur; a reader opened ahead then launches the
+// following group at once. A failed fetch is retried by the next call.
+func (r *Reader[T]) fill() error {
+	if r.join == nil {
+		r.launch()
+	}
+	if r.join == nil {
+		return fmt.Errorf("stream: read past end of file blocks")
+	}
+	err := r.join()
+	r.join = nil
+	if err != nil {
+		r.block -= r.inFlight
+		return err
+	}
+	r.cur, r.next = r.next, r.cur
+	r.avail = r.inFlight * r.f.PerBlock()
 	r.pos = 0
+	if len(r.frames) > r.width {
+		r.launch()
+	}
 	return nil
 }
 
-// Peek returns the next record without consuming it.
-func (r *Reader[T]) Peek() (v T, ok bool, err error) {
-	if r.closed {
-		return v, false, ErrClosed
-	}
-	if r.read >= r.f.n {
-		return v, false, nil
-	}
-	if r.pos == r.avail {
-		if err := r.fill(); err != nil {
-			return v, false, err
-		}
-	}
-	per := r.f.PerBlock()
-	frame := r.frames[r.pos/per]
-	off := (r.pos % per) * r.f.codec.Size()
-	return r.f.codec.Decode(frame.Buf[off:]), true, nil
-}
-
-// Remaining returns the number of records not yet returned.
-func (r *Reader[T]) Remaining() int64 { return r.f.n - r.read }
-
-// Close releases the reader's frames.
+// Close joins any in-flight fetch and releases the reader's frames.
 func (r *Reader[T]) Close() {
 	if r.closed {
 		return
 	}
 	r.closed = true
+	if r.join != nil {
+		r.join() // the engine writes into our frames until the join returns
+		r.join = nil
+	}
 	pdm.ReleaseAll(r.frames)
-	r.frames = nil
+	r.frames, r.cur, r.next = nil, nil, nil
 }
 
 // Drain feeds every remaining record of src to fn, stopping on the first

@@ -133,35 +133,6 @@ func TestStripedWriterParallelSteps(t *testing.T) {
 	}
 }
 
-func TestReaderPeek(t *testing.T) {
-	vol, pool := newEnv(t, 8, 1)
-	in := recs(10)
-	f, err := FromSlice(vol, pool, record.RecordCodec{}, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(f, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	p1, ok, err := r.Peek()
-	if err != nil || !ok {
-		t.Fatalf("peek: %v %v", ok, err)
-	}
-	p2, _, _ := r.Peek()
-	if p1 != p2 {
-		t.Fatal("peek must not consume")
-	}
-	n1, _, _ := r.Next()
-	if n1 != p1 {
-		t.Fatal("next after peek mismatch")
-	}
-	if r.Remaining() != 9 {
-		t.Fatalf("remaining = %d", r.Remaining())
-	}
-}
-
 func TestClosedReaderWriter(t *testing.T) {
 	vol, pool := newEnv(t, 8, 1)
 	f, err := FromSlice(vol, pool, record.RecordCodec{}, recs(4))
