@@ -79,12 +79,16 @@ cover:
 # (BenchmarkStoreDrain: writes/op and ns/op per buffered op), the buffer manager
 # (BenchmarkCacheGet), the B-tree's batched fetch
 # (BenchmarkGetBatchGroups: steps/key and allocs/key at a roomy and a
-# saturated cache) and the stream round trip at both depths
-# (BenchmarkStreams: ns/record and allocs/record, on demand and
-# ahead/behind) — in those one iteration is a fixed batch, the per-item
-# cost its own column; -benchtime 3x keeps each at three iterations.
+# saturated cache) and its bulk loader (BenchmarkBulkLoad: ns/record and
+# allocs/record for 2^20 sorted records on both leaf paths), the stream
+# round trip at both depths (BenchmarkStreams: ns/record and allocs/record,
+# on demand and ahead/behind) and the fused index build
+# (BenchmarkSortIndex: ns/record, allocs/record and ios/record for 2^18
+# random records in 512 frames) — in those one iteration is a fixed batch,
+# the per-item cost its own column; -benchtime 3x keeps each at three
+# iterations.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache ./internal/btree ./internal/stream
+	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache ./internal/btree ./internal/stream ./internal/pipeline
 
 # The repo benchmark (BENCHMARK.json, bench/) is a module of its own that
 # `go build ./...` does not reach; its smoke test runs every workload at
@@ -94,7 +98,7 @@ bench-smoke:
 	cd bench && $(GO) test ./...
 
 # Machine-readable benchmark trajectory: sync vs async sort/bulk-load, the
-# write-behind and pipelined sort→index modes, the query-serving points
+# write-behind loader and the fused sort→index build, the query-serving points
 # (looped vs batched lookups, sync vs prefetched scans), the online
 # store's mixed-workload points (buffered writes vs per-key inserts,
 # serving quiesced vs through a drain) at D in {1,4}, the sharded

@@ -19,8 +19,9 @@
 // engine itself (elapsed ms falling ×D at constant block count, and
 // forecasting prefetch overlapping compute with I/O), F10 extends the
 // forecasting comparison to distribution sort and B-tree bulk loading, F11
-// covers the write side — write-behind leaf batching and the pipelined
-// sort→index build against their synchronous twins — F12 the read side:
+// covers the write side — write-behind leaf batching against the
+// synchronous loader, and the fused sort→index build against sorting to a
+// file then loading it — F12 the read side:
 // batched point lookups, prefetched range scans, and concurrent read
 // sessions against one-at-a-time serving, on both storage backends — and
 // F13 the online store that composes the two: buffer-tree write absorption
@@ -42,10 +43,11 @@
 //
 // With -json the catalogue is skipped; instead the benchmark trajectory —
 // sync vs async merge sort, distribution sort, B-tree bulk load (plus its
-// write-behind mode), the sequential vs pipelined sort→index build, the
-// query-serving points (looped vs batched lookups, sync vs prefetched
-// scans), the online store's mixed-workload points (buffered writes vs
-// per-key inserts, serving quiesced vs through a drain) at D ∈ {1, 4},
+// write-behind mode), the fused sort→index build with and without
+// write-behind, the query-serving points (looped vs batched lookups, sync
+// vs prefetched scans), the online store's mixed-workload points (buffered
+// writes vs per-key inserts, serving quiesced vs through a drain) at
+// D ∈ {1, 4},
 // the sharded serving points (merge-cut batch and stitched scan at
 // S ∈ {1, 4} volumes), and the robustness points (open-loop latency and
 // shed profile, clean-vs-faulted serving with retry audit), wall-clock
@@ -195,7 +197,7 @@ var catalogue = []experiment{
 		}
 		return experiments.F10ForecastSortIndex(1<<13, []int{1, 2, 4, 8}, 2*time.Millisecond)
 	}},
-	{"F11", "write-behind bulk load and sort→index pipeline recover the write path's serialization", func(q bool) (*experiments.Table, error) {
+	{"F11", "write-behind bulk load recovers the write path's serialization; the fused build drops the sorted file", func(q bool) (*experiments.Table, error) {
 		if q {
 			return experiments.F11WriteBehind(1<<13, []int{1, 4}, 2*time.Millisecond)
 		}

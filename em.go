@@ -56,28 +56,24 @@
 // revisited, and BulkLoadOptions.WriteBehind exploits exactly that: leaves
 // bypass the pinning cache and stream to the disks in Width-block batches
 // through the async engine while the next group is packed (internal nodes,
-// at most N/B of them, stay on the cache path). SortIndex composes the two
-// halves of index building — DistributionSort, then bulk load — and its
-// Pipeline mode overlaps them: the sort announces each durable block group
-// of its output through a bounded pipe (smallest key ranges first, since
-// the distribution recursion finishes buckets in key order) and the loader
-// packs leaves from those groups while later buckets still sort.
+// at most N/B of them, stay on the cache path). SortIndex fuses the two
+// halves of index building: the loader is the distribution sort's sink, so
+// each memory-sized bucket is sorted and appended straight into leaves,
+// smallest key range first, and the sorted order never exists as a file.
+// That costs the survey's bound — Sort(N) plus one write per node — and
+// saves the ⌈N/B⌉ writes and ⌈N/B⌉ reads of sorting to a file and loading
+// from it, which is what the test suite pins on both storage backends.
 //
-// None of this moves the counted model: write-behind issues exactly the
-// cache path's read and write I/Os, and the pipelined build issues exactly
-// the sequential build's — invariants the test suite pins on both storage
-// backends. The currencies traded are pool frames and wall-clock time.
-// Write-behind costs 2×Width extra frames (its double buffer): worth it
-// whenever leaf write-back dominates, since a cache-path loader writes one
-// block per step while D-1 disks idle, but on a tight pool those frames
+// Write-behind never moves the counted model: it issues exactly the cache
+// path's read and write I/Os. The currencies it trades are pool frames and
+// wall-clock time. It costs 2×Width extra frames (its double buffer): worth
+// it whenever leaf write-back dominates, since a cache-path loader writes
+// one block per step while D-1 disks idle, but on a tight pool those frames
 // come out of the loader's cache or the sort's fan-out, which can add a
-// pass — experiment F11 measures both sides of that trade. SortIndex
-// reserves the loader's whole budget (CacheFrames + 4×Width) up front in
-// every mode, so the sort's splitting decisions — and therefore its I/O
-// counts — are identical with and without the concurrent loader; the
-// pipeline's win is filling the disk idle the synchronous phases leave,
-// which is largest when the loader's writes are serialized (cache path)
-// and shrinks to nothing once write-behind already saturates the disks.
+// pass — experiment F11 measures the write-behind side of that trade.
+// SortIndex reserves the loader's whole budget (CacheFrames + 2×Width) up
+// front whether or not WriteBehind is on, so the sort's splitting decisions
+// — and therefore its I/O counts — do not depend on the leaf path.
 //
 // # Serving queries
 //

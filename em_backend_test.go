@@ -218,13 +218,12 @@ type recordSort = func(*em.File[em.Record], *em.Pool, func(a, b em.Record) bool,
 
 // TestSortCountersIndependentOfGOMAXPROCS pins that the kernel's parallelism
 // cannot leak into the I/O schedule: MergeSort, DistributionSort and
-// SortIndex (sequential and pipelined) write identical output and charge
-// identical Stats at GOMAXPROCS 1 and 4, on both backends. n=20000 is a
-// single run and a single base case, sorted as four chunks; n=70000 takes
-// the multi-pass paths around them. In the pipelined build the two stages
-// allocate blocks concurrently, so which disk a block lands on and how
-// transfers group into steps depend on their interleaving (at one CPU
-// already); there the comparison stops at Reads and Writes.
+// SortIndex write identical output and charge identical Stats — per-disk
+// counts and parallel steps included — at GOMAXPROCS 1 and 4, on both
+// backends. n=20000 is a single run and a single base case, sorted as four
+// chunks; n=70000 takes the multi-pass paths around them. SortIndex runs on
+// one goroutine, its sort emitting straight into the loader, so its block
+// placement is as fixed as the sorts'.
 func TestSortCountersIndependentOfGOMAXPROCS(t *testing.T) {
 	type result struct {
 		name  string
@@ -249,22 +248,20 @@ func TestSortCountersIndependentOfGOMAXPROCS(t *testing.T) {
 				return em.ToSlice(sorted, pool)
 			}
 		}
-		sortIndex := func(pipeline bool) func() ([]em.Record, error) {
-			return func() ([]em.Record, error) {
-				tr, err := em.SortIndex(f, pool, &em.SortIndexOptions{Width: 2, Async: true, WriteBehind: true, Pipeline: pipeline})
-				if err != nil {
-					return nil, err
-				}
-				var out []em.Record
-				err = tr.Range(0, ^uint64(0), func(k, v uint64) error {
-					out = append(out, em.Record{Key: k, Val: v})
-					return nil
-				})
-				if err != nil {
-					return nil, err
-				}
-				return out, tr.Close()
+		sortIndex := func() ([]em.Record, error) {
+			tr, err := em.SortIndex(f, pool, &em.SortIndexOptions{Width: 2, Async: true, WriteBehind: true})
+			if err != nil {
+				return nil, err
 			}
+			var out []em.Record
+			err = tr.Range(0, ^uint64(0), func(k, v uint64) error {
+				out = append(out, em.Record{Key: k, Val: v})
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			return out, tr.Close()
 		}
 		var results []result
 		for _, step := range []struct {
@@ -273,8 +270,7 @@ func TestSortCountersIndependentOfGOMAXPROCS(t *testing.T) {
 		}{
 			{"MergeSort", sortFile(em.MergeSort[em.Record])},
 			{"DistributionSort", sortFile(em.DistributionSort[em.Record])},
-			{"SortIndex", sortIndex(false)},
-			{"SortIndex/pipelined", sortIndex(true)},
+			{"SortIndex", sortIndex},
 		} {
 			vol.Stats().Reset()
 			out, err := step.fn()
@@ -287,11 +283,7 @@ func TestSortCountersIndependentOfGOMAXPROCS(t *testing.T) {
 			if pool.InUse() != 0 {
 				t.Fatalf("%s: leaked %d frames", step.name, pool.InUse())
 			}
-			st := vol.Stats().Snapshot()
-			if step.name == "SortIndex/pipelined" {
-				st = em.Stats{Reads: st.Reads, Writes: st.Writes}
-			}
-			results = append(results, result{step.name, out, st})
+			results = append(results, result{step.name, out, vol.Stats().Snapshot()})
 		}
 		return results
 	}

@@ -3,16 +3,16 @@
 // engine makes when building secondary indexes:
 //
 //  1. repeated B-tree insertion       Θ(N·log_B N) I/Os
-//  2. pipelined sort→index build      Θ(Sort(N))   I/Os
+//  2. fused sort→index build          Θ(Sort(N))   I/Os
 //  3. buffer tree, then bulk load     Θ(Sort(N))   I/Os, online inserts
 //
-// Method 2 is em.SortIndex in full: distribution sort and bottom-up bulk
-// load running concurrently, the loader packing leaves from each durable
-// block group of sorted output while later buckets still sort, and leaf
-// write-back batched D blocks at a time through the async engine. The
-// pipelining and write-behind change when the I/Os happen — overlapped,
-// D disks at a step — never how many there are, so the counted savings
-// shown here are exactly the survey's Sort(N) vs N·log_B N gap.
+// Method 2 is em.SortIndex in full: a distribution sort whose memory-sized
+// buckets are sorted and appended, smallest keys first, straight into a
+// bottom-up bulk loader, so the sorted order is never written out and read
+// back, and leaf write-back batched D blocks at a time through the async
+// engine. Write-behind changes when the leaf writes happen — D disks at a
+// step — never how many there are, so the counted savings shown here are
+// exactly the survey's Sort(N) vs N·log_B N gap.
 //
 // Run with:
 //
@@ -79,11 +79,11 @@ func main() {
 	fmt.Printf("%-28s %10d I/Os   (height %d, %d keys)\n",
 		"repeated insertion:", insertIOs, bt.Height(), bt.Len())
 
-	// 2. Pipelined sort→index: sort and loader overlapped, leaves batched
+	// 2. Fused sort→index: the sort emits into the loader, leaves batched
 	// D at a time write-behind.
 	vol, pool, f = freshEnv(recs)
 	bt2, err := em.SortIndex(f, pool, &em.SortIndexOptions{
-		Width: disks, Async: true, WriteBehind: true, Pipeline: true,
+		Width: disks, Async: true, WriteBehind: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -91,9 +91,9 @@ func main() {
 	if err := bt2.Close(); err != nil {
 		log.Fatal(err)
 	}
-	pipeIOs := vol.Stats().Total()
+	fusedIOs := vol.Stats().Total()
 	fmt.Printf("%-28s %10d I/Os   (height %d, %d keys)\n",
-		"pipelined sort→index:", pipeIOs, bt2.Height(), bt2.Len())
+		"fused sort→index:", fusedIOs, bt2.Height(), bt2.Len())
 
 	// 3. Buffer tree absorbing online inserts, sealed into a bulk load.
 	vol, pool, f = freshEnv(recs)
@@ -121,9 +121,9 @@ func main() {
 	fmt.Printf("%-28s %10d I/Os   (height %d, %d keys)\n",
 		"buffer tree + bulk load:", bufIOs, bt3.Height(), bt3.Len())
 
-	fmt.Printf("\nthe pipelined build saves %d I/Os — %.1fx cheaper than repeated insertion —\n",
-		insertIOs-pipeIOs, float64(insertIOs)/float64(pipeIOs))
-	fmt.Printf("while overlapping the sort and the load on the volume's %d disks;\n", disks)
+	fmt.Printf("\nthe fused build saves %d I/Os — %.1fx cheaper than repeated insertion —\n",
+		insertIOs-fusedIOs, float64(insertIOs)/float64(fusedIOs))
+	fmt.Printf("with its leaves written %d at a time, one per disk;\n", disks)
 	fmt.Printf("the buffer tree keeps inserts online at %.1fx cheaper.\n",
 		float64(insertIOs)/float64(bufIOs))
 

@@ -9,8 +9,8 @@
 //  5. one API, two layouts          the same em.Index code over the single
 //     tree and a 4×1-disk sharded layout
 //
-// The index is built with the pipelined write-optimal SortIndex from PR 4
-// and warmed (internal levels resident, Θ(N/B²) blocks) before serving —
+// The index is built with the write-optimal SortIndex, whose sort feeds
+// the bulk loader directly, and warmed (internal levels resident, Θ(N/B²) blocks) before serving —
 // the classical database posture. The volume simulates D disks with a
 // fixed per-block service time, so the wall clock below is the model's
 // parallel-step cost, not host noise; counted block reads come from the
@@ -50,7 +50,7 @@ func main() {
 	defer vol.Close()
 	pool := em.PoolFor(vol)
 
-	// Build the index from unsorted records with the pipelined, write-behind
+	// Build the index from unsorted records with the fused, write-behind
 	// sort→index path, then adopt the serving posture: fan-out in memory.
 	rng := rand.New(rand.NewSource(1))
 	recs := make([]em.Record, n)
@@ -63,7 +63,7 @@ func main() {
 	}
 	start := time.Now()
 	idx, err := em.SortIndex(f, pool, &em.SortIndexOptions{
-		Width: disks, Async: true, WriteBehind: true, Pipeline: true, CacheFrames: 32,
+		Width: disks, Async: true, WriteBehind: true, CacheFrames: 32,
 	})
 	if err != nil {
 		log.Fatal(err)

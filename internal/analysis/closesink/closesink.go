@@ -1,13 +1,15 @@
 // Package closesink enforces the stream lifecycle discipline: opened
-// stream Sources and Sinks (Reader and Writer at either depth, TailSource,
-// and the Source/Sink interfaces), B-tree Scanners and Sessions, store
+// stream Sources and Sinks (Reader and Writer at either depth, and the
+// Source/Sink interfaces), B-tree bulk Loaders, Scanners and Sessions, store
 // Scanners and Sessions, sharded Scanners and Sessions, sessions behind
 // the unified index.Session interface, and Caches are closed on every path
-// to return, unless they escape into a struct or caller that owns them or
-// the acquisition is annotated //emlint:owns. These types hold pool frames
-// and pinned pages; a Source dropped on an error unwind leaks its frames, an
-// unclosed Writer opened behind abandons its in-flight batch, and a dropped
-// sharded handle leaks per-shard frames on every volume it spans.
+// to return — a Loader closed or aborted — unless they escape into a struct
+// or caller that owns them or the acquisition is annotated //emlint:owns.
+// These types hold pool frames and pinned pages; a Source dropped on an
+// error unwind leaks its frames, an unclosed Writer opened behind abandons
+// its in-flight batch, a dropped Loader strands every node it allocated,
+// and a dropped sharded handle leaks per-shard frames on every volume it
+// spans.
 package closesink
 
 import (
@@ -30,9 +32,9 @@ var Analyzer = &analysis.Analyzer{
 var closeable = [...][2]string{
 	{"stream", "Reader"},
 	{"stream", "Writer"},
-	{"stream", "TailSource"},
 	{"stream", "Source"},
 	{"stream", "Sink"},
+	{"btree", "Loader"},
 	{"btree", "Scanner"},
 	{"btree", "Session"},
 	{"store", "Scanner"},
@@ -69,7 +71,8 @@ var spec = &pairing.Spec{
 		return tracked
 	},
 	Releases: func(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
-		if match.CalleeName(call) != "Close" {
+		// Abort is the Loader's release on a path that keeps no tree.
+		if name := match.CalleeName(call); name != "Close" && name != "Abort" {
 			return false
 		}
 		return match.ReceiverIs(info, call, obj)

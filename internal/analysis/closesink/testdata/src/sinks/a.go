@@ -5,6 +5,7 @@
 package sinks
 
 import (
+	"btree"
 	"index"
 	"shard"
 	"stream"
@@ -234,6 +235,42 @@ func okGateClosureSession(t *shard.Tree, gate func(func() error) error) (index.S
 		return nil, err
 	}
 	return sess, nil
+}
+
+// leakLoaderOnAppendError returns on a rejected record without aborting,
+// stranding every node the load allocated.
+func leakLoaderOnAppendError(keys []uint64) (*btree.Tree, error) {
+	l, err := btree.NewLoader(8) // want `open stream/handle "l" \(from NewLoader\) is not released`
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range keys {
+		if err := l.Append(k); err != nil {
+			return nil, err // leak: l still holds its nodes and frames
+		}
+	}
+	if err := l.Close(); err != nil {
+		return nil, err
+	}
+	return l.Tree(), nil
+}
+
+// okLoaderAbortOrClose aborts on the unwind and closes on success.
+func okLoaderAbortOrClose(keys []uint64) (*btree.Tree, error) {
+	l, err := btree.NewLoader(8)
+	if err != nil {
+		return nil, err
+	}
+	for _, k := range keys {
+		if err := l.Append(k); err != nil {
+			l.Abort()
+			return nil, err
+		}
+	}
+	if err := l.Close(); err != nil {
+		return nil, err
+	}
+	return l.Tree(), nil
 }
 
 // okAnnotated documents a handoff the analysis cannot see.

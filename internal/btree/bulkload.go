@@ -24,8 +24,8 @@ type BulkLoadOptions struct {
 	// packs leaves and writes nodes back — the survey's read-ahead applied
 	// to index construction. The reader then holds 2×Width pool frames
 	// instead of Width; counted I/Os are identical to the on-demand
-	// reader's at equal width. It has no effect on BulkLoadFrom, whose
-	// caller owns the input stream.
+	// reader's at equal width. It has no effect on BulkLoadFrom or a
+	// Loader, whose caller owns the input.
 	Async bool
 	// WriteBehind routes the leaf level around the pinning cache: leaves
 	// are written exactly once and never revisited, so they are packed
@@ -47,18 +47,12 @@ func (o *BulkLoadOptions) width() int {
 
 func (o *BulkLoadOptions) writeBehind() bool { return o != nil && o.WriteBehind }
 
-// openReader opens the sorted input according to opts: striped when
-// synchronous, forecasting when async.
-func (o *BulkLoadOptions) openReader(sorted *stream.File[record.Record], pool *pdm.Pool) (stream.Source[record.Record], error) {
-	return stream.OpenSource(sorted, pool, o.width(), o != nil && o.Async)
-}
-
 // BulkLoad builds a tree bottom-up from a file of records sorted strictly by
 // key, opening the input stream according to opts (see BulkLoadFrom for the
 // construction itself). A nil opts reads the input with a synchronous
 // width-1 reader and retires leaves through the cache.
 func BulkLoad(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, sorted *stream.File[record.Record], opts *BulkLoadOptions) (*Tree, error) {
-	r, err := opts.openReader(sorted, pool)
+	r, err := stream.OpenSource(sorted, pool, opts.width(), opts != nil && opts.Async)
 	if err != nil {
 		return nil, err
 	}
@@ -66,26 +60,81 @@ func BulkLoad(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, sorted *stream.F
 	return BulkLoadFrom(vol, pool, cacheFrames, r, opts)
 }
 
-// BulkLoadFrom builds a tree bottom-up from any stream of records sorted
-// strictly by key — a file reader, or a pipeline source fed by a sort still
-// in progress. Leaves are filled left to right at fill-factor occupancy,
-// then each internal level is built over the previous one; the whole
-// construction costs Θ(N/B) I/Os on top of the sort that produced the input
-// — the survey's Sort(N) index-construction bound, versus Θ(N·log_B N) for
-// repeated insertion (experiment T9).
+// BulkLoadFrom is the pull face of the bulk loader: it drains src, a stream
+// of records sorted strictly by key, into a Loader and returns the finished
+// tree. On any error the pool and the volume are exactly as they were (see
+// Loader). BulkLoadFrom does not close src.
+func BulkLoadFrom(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, src stream.Source[record.Record], opts *BulkLoadOptions) (*Tree, error) {
+	l, err := NewLoader(vol, pool, cacheFrames, opts)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		rec, ok, err := src.Next()
+		if err != nil {
+			l.Abort()
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if err := l.Append(rec); err != nil {
+			l.Abort()
+			return nil, err
+		}
+	}
+	if err := l.Close(); err != nil {
+		return nil, err
+	}
+	return l.Tree(), nil
+}
+
+// levelEntry is one node of a finished level, as its parent indexes it.
+type levelEntry struct {
+	firstKey uint64
+	addr     int64
+}
+
+// Loader is the push face of the bulk loader, a stream.Sink of records
+// sorted strictly by key: Append packs leaves left to right at full
+// occupancy, and Close builds each internal level over the previous one and
+// hands the tree out through Tree. The whole construction costs Θ(N/B) I/Os
+// on top of whatever produced the input — fed by a distribution sort's base
+// cases, that is the survey's Sort(N) index-construction bound, versus
+// Θ(N·log_B N) for repeated insertion (experiment T9).
 //
 // Each leaf's successor block is allocated the moment the leaf overflows,
 // so the sibling pointer is threaded forward into the leaf before it is
 // sealed — no leaf is ever re-fetched to patch its pointer. With
-// opts.WriteBehind the sealed leaves bypass the cache entirely and stream
-// to the disks in Width-block batches behind the loader.
+// WriteBehind the sealed leaves bypass the cache entirely and stream to the
+// disks in Width-block batches behind the loader.
 //
-// On any error — unsorted input, a failed read or write, an exhausted pool
-// — every node allocated by the load is freed, every cache and batch frame
-// is returned, any in-flight leaf batch is joined (never abandoned
-// mid-write), and no page stays pinned, so the caller's pool is exactly as
-// it was. BulkLoadFrom does not close src.
-func BulkLoadFrom(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, src stream.Source[record.Record], opts *BulkLoadOptions) (*Tree, error) {
+// Abort discards whatever the load built, at any point before the tree is
+// handed on — a closed load included: it joins any in-flight leaf batch
+// (never abandoning it mid-write), unpins the leaf being packed, drops and
+// frees every node the load allocated, and closes the buffer manager, so
+// the pool and the volume are exactly as they were. A Close that fails
+// aborts the same way. Every path that does not keep the tree must end in
+// Close's failure or in Abort.
+type Loader struct {
+	t       *Tree
+	wb      *leafBatch  // write-behind leaf path; nil on the cache path
+	page    *cache.Page // leaf being packed on the cache path; nil otherwise
+	buf     []byte      // block image of the leaf being packed
+	addr    int64       // its block
+	count   int         // records in it
+	first   uint64      // its first key
+	prev    uint64      // last key appended
+	leaves  []levelEntry
+	nodes   []int64 // every block the load allocated
+	done    bool    // closed or aborted: Append refuses
+	aborted bool
+}
+
+// NewLoader starts a bulk load of a tree whose nodes live on vol and whose
+// buffer manager draws cacheFrames frames from pool; with opts.WriteBehind
+// the leaf double buffer takes another 2×Width frames from pool.
+func NewLoader(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, opts *BulkLoadOptions) (*Loader, error) {
 	t, err := New(vol, pool, cacheFrames)
 	if err != nil {
 		return nil, err
@@ -95,164 +144,137 @@ func BulkLoadFrom(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, src stream.S
 	// load performs is a node of the final tree, on both leaf paths.
 	t.cache.Drop(t.root)
 	t.vol.Free(t.root)
-
-	// Failure cleanup: join any in-flight leaf batch, unpin whatever node
-	// was mid-construction, then drop and free every block the load
-	// allocated. That leaves the cache empty, so Close returns its frames
-	// without flushing garbage nodes to the volume.
-	done := false
-	var pinned *cache.Page
-	var nodes []int64
-	var wb *leafBatch
-	defer func() {
-		if done {
-			return
-		}
-		if wb != nil {
-			wb.abort()
-		}
-		if pinned != nil {
-			t.cache.Unpin(pinned)
-		}
-		for _, a := range nodes {
-			t.cache.Drop(a)
-			t.vol.Free(a)
-		}
-		t.cache.Close()
-	}()
-	alloc := func() int64 {
-		a := t.vol.Alloc(1)
-		nodes = append(nodes, a)
-		return a
-	}
-
+	l := &Loader{t: t}
 	if opts.writeBehind() {
-		wb, err = newLeafBatch(vol, pool, opts.width())
-		if err != nil {
+		if l.wb, err = newLeafBatch(vol, pool, opts.width()); err != nil {
+			l.Abort()
 			return nil, err
 		}
 	}
-	// startLeaf, putLeaf and finishLeaf abstract over the two leaf paths:
-	// the pinning cache (leaves retire through the buffer manager, written
-	// on eviction or Close) and the write-behind batch.
-	var cur *cache.Page
-	startLeaf := func(addr int64) error {
-		if wb != nil {
-			wb.start(addr)
-			return nil
-		}
-		p, err := t.newNodeAt(addr, true)
-		if err != nil {
+	if err := l.start(l.alloc()); err != nil {
+		l.Abort()
+		return nil, err
+	}
+	return l, nil
+}
+
+// Append adds the next record, which must have a key strictly greater than
+// every key before it.
+func (l *Loader) Append(rec record.Record) error {
+	if l.done {
+		return stream.ErrClosed
+	}
+	if l.t.n > 0 && rec.Key <= l.prev {
+		return ErrUnsortedInput
+	}
+	if l.count == l.t.leafCap {
+		if err := l.nextLeaf(); err != nil {
 			return err
 		}
-		cur, pinned = p, p
+	}
+	if l.count == 0 {
+		l.first = rec.Key
+	}
+	bufSetLeafKV(l.buf, l.count, rec.Key, rec.Val)
+	l.count++
+	l.prev = rec.Key
+	l.t.n++
+	return nil
+}
+
+// alloc takes one block for a node of the tree, remembering it for Abort.
+func (l *Loader) alloc() int64 {
+	a := l.t.vol.Alloc(1)
+	l.nodes = append(l.nodes, a)
+	return a
+}
+
+// start begins packing an empty leaf destined for block addr. A cache-path
+// leaf is a pinned page, already dirty from GetNew, so Append writes its
+// image directly.
+func (l *Loader) start(addr int64) error {
+	l.addr, l.count = addr, 0
+	if l.wb != nil {
+		l.buf = l.wb.start(addr)
 		return nil
 	}
-	putLeaf := func(i int, k, v uint64) {
-		if wb != nil {
-			wb.put(i, k, v)
-			return
-		}
-		setLeafKV(cur, i, k, v)
+	p, err := l.t.newNodeAt(addr, true)
+	if err != nil {
+		return err
 	}
-	finishLeaf := func(count int, next int64) error {
-		if wb != nil {
-			return wb.finish(count, next)
-		}
-		setCount(cur, count)
-		if next >= 0 {
-			setNextLeaf(cur, next)
-		}
-		t.cache.Unpin(cur)
-		cur, pinned = nil, nil
+	l.page, l.buf = p, p.Buf
+	return nil
+}
+
+// seal completes the leaf being packed with its forward sibling pointer
+// (next < 0 for the last leaf) and retires it: into the write-behind batch,
+// or unpinned into the cache, which writes it on eviction or Close.
+func (l *Loader) seal(next int64) error {
+	l.leaves = append(l.leaves, levelEntry{firstKey: l.first, addr: l.addr})
+	bufSetCount(l.buf, l.count)
+	if next >= 0 {
+		bufSetNextLeaf(l.buf, next)
+	}
+	if l.wb != nil {
+		return l.wb.finish()
+	}
+	l.t.cache.Unpin(l.page)
+	l.page = nil
+	return nil
+}
+
+// nextLeaf seals the full leaf and starts its successor.
+func (l *Loader) nextLeaf() error {
+	next := l.alloc()
+	if err := l.seal(next); err != nil {
+		return err
+	}
+	return l.start(next)
+}
+
+// Close seals the last leaf — an empty input leaves it as the empty root —
+// and builds the internal levels until a single node remains. On error the
+// load is aborted. Closing a closed loader does nothing; closing an aborted
+// one reports stream.ErrClosed.
+func (l *Loader) Close() error {
+	if l.aborted {
+		return stream.ErrClosed
+	}
+	if l.done {
 		return nil
 	}
+	l.done = true
+	err := l.build()
+	if err != nil {
+		l.Abort()
+	}
+	return err
+}
 
-	type levelEntry struct {
-		firstKey uint64
-		addr     int64
+// build is Close's construction.
+func (l *Loader) build() error {
+	if err := l.seal(-1); err != nil {
+		return err
 	}
-	var leaves []levelEntry
-
-	// Build the leaf level.
-	var prevKey, firstKey uint64
-	havePrev := false
-	curAddr := alloc()
-	if err := startLeaf(curAddr); err != nil {
-		return nil, err
-	}
-	curCount := 0
-	for {
-		rec, ok, err := src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if havePrev && rec.Key <= prevKey {
-			return nil, ErrUnsortedInput
-		}
-		prevKey, havePrev = rec.Key, true
-		if curCount == t.leafCap {
-			next := alloc()
-			leaves = append(leaves, levelEntry{firstKey: firstKey, addr: curAddr})
-			if err := finishLeaf(curCount, next); err != nil {
-				return nil, err
-			}
-			curAddr = next
-			if err := startLeaf(curAddr); err != nil {
-				return nil, err
-			}
-			curCount = 0
-		}
-		if curCount == 0 {
-			firstKey = rec.Key
-		}
-		putLeaf(curCount, rec.Key, rec.Val)
-		curCount++
-		t.n++
-	}
-	// The final leaf keeps next = -1 from its initialisation; an empty
-	// input leaves the sole allocated leaf as the empty root.
-	leaves = append(leaves, levelEntry{firstKey: firstKey, addr: curAddr})
-	if err := finishLeaf(curCount, -1); err != nil {
-		return nil, err
-	}
-	if wb != nil {
+	if l.wb != nil {
 		// Send the tail group on its way; the internal levels build while
-		// it is in flight, and close joins before the tree is handed back.
-		if err := wb.flush(); err != nil {
-			return nil, err
+		// it is in flight, and close joins before the tree is handed out.
+		if err := l.wb.flush(); err != nil {
+			return err
 		}
 	}
-
-	newNode := func(leaf bool) (*cache.Page, error) {
-		p, err := t.newNode(leaf)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, p.Addr())
-		return p, nil
-	}
-
-	// Build internal levels until a single node remains.
-	level := leaves
+	t := l.t
+	level := l.leaves
 	height := 1
 	for len(level) > 1 {
 		var next []levelEntry
-		i := 0
-		for i < len(level) {
-			hi := i + t.keyCap + 1 // fanout children per node
-			if hi > len(level) {
-				hi = len(level)
-			}
-			node, err := newNode(false)
+		for i := 0; i < len(level); i += t.keyCap + 1 {
+			group := level[i:min(i+t.keyCap+1, len(level))]
+			node, err := t.newNode(false)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			pinned = node
-			group := level[i:hi]
+			l.nodes = append(l.nodes, node.Addr())
 			for j, e := range group {
 				t.setChild(node, j, e.addr)
 				if j > 0 {
@@ -262,20 +284,53 @@ func BulkLoadFrom(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, src stream.S
 			setCount(node, len(group)-1)
 			next = append(next, levelEntry{firstKey: group[0].firstKey, addr: node.Addr()})
 			t.cache.Unpin(node)
-			pinned = nil
-			i = hi
 		}
 		level = next
 		height++
 	}
-	if wb != nil {
-		if err := wb.close(); err != nil {
-			return nil, err
+	if l.wb != nil {
+		if err := l.wb.close(); err != nil {
+			return err
 		}
-		wb = nil
+		l.wb = nil
 	}
 	t.root = level[0].addr
 	t.height = height
-	done = true
-	return t, nil
+	return nil
 }
+
+// Tree returns the tree a successful Close built, or nil before then and
+// after an Abort.
+func (l *Loader) Tree() *Tree {
+	if !l.done || l.aborted {
+		return nil
+	}
+	return l.t
+}
+
+// Abort discards the load and everything it built (see Loader). Aborting
+// twice does nothing.
+func (l *Loader) Abort() {
+	if l.aborted {
+		return
+	}
+	l.done, l.aborted = true, true
+	if l.wb != nil {
+		l.wb.abort()
+		l.wb = nil
+	}
+	if l.page != nil {
+		l.t.cache.Unpin(l.page)
+		l.page = nil
+	}
+	// Dropping every node leaves the cache empty, so Close returns its
+	// frames without flushing garbage nodes to the volume.
+	for _, a := range l.nodes {
+		l.t.cache.Drop(a)
+		l.t.vol.Free(a)
+	}
+	l.t.cache.Close()
+}
+
+// A Loader is the sink a sort emits into.
+var _ stream.Sink[record.Record] = (*Loader)(nil)

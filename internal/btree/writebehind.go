@@ -25,7 +25,6 @@ type leafBatch struct {
 	n        int          // completed leaves in cur
 	width    int
 	join     func() error // in-flight batch write; nil when none
-	buf      []byte       // block image of the leaf under construction
 }
 
 func newLeafBatch(vol *pdm.Volume, pool *pdm.Pool, width int) (*leafBatch, error) {
@@ -44,26 +43,20 @@ func newLeafBatch(vol *pdm.Volume, pool *pdm.Pool, width int) (*leafBatch, error
 }
 
 // start begins packing a new leaf destined for block addr in the next free
-// frame of the current group.
-func (w *leafBatch) start(addr int64) {
-	w.buf = w.cur[w.n].Buf
-	bufInitNode(w.buf, true)
+// frame of the current group, returning that frame's block image.
+func (w *leafBatch) start(addr int64) []byte {
+	buf := w.cur[w.n].Buf
+	bufInitNode(buf, true)
 	w.addrs = append(w.addrs, addr)
+	return buf
 }
 
-// put stores the i-th key/value pair of the current leaf.
-func (w *leafBatch) put(i int, k, v uint64) { bufSetLeafKV(w.buf, i, k, v) }
-
-// finish completes the current leaf with count records and its forward
-// sibling pointer (next < 0 for the last leaf), dispatching the group once
-// it is full. The successor's address is known before the leaf is sealed —
-// the loader pre-allocates it — so no leaf is ever revisited to patch its
+// finish completes the current leaf, whose image the loader has sealed with
+// its count and forward sibling pointer, dispatching the group once it is
+// full. The successor's address is known before the leaf is sealed — the
+// loader pre-allocates it — so no leaf is ever revisited to patch its
 // pointer, which is what lets the whole level stream out write-behind.
-func (w *leafBatch) finish(count int, next int64) error {
-	bufSetCount(w.buf, count)
-	if next >= 0 {
-		bufSetNextLeaf(w.buf, next)
-	}
+func (w *leafBatch) finish() error {
 	w.n++
 	if w.n == w.width {
 		return w.dispatch()

@@ -24,9 +24,12 @@ type BenchResult struct {
 	// build side, getbatch | rangescan for the query-serving side.
 	Workload string `json:"workload"`
 	// Mode is sync | async for the sorts; the bulk load adds writebehind
-	// and the sortindex build reports its composition instead — sequential,
-	// pipelined, or pipelined+wb, all on async streams. The query points
-	// compare loop | batched point lookups and sync | prefetch scans.
+	// and the sortindex build reports its leaf path instead — pipelined or
+	// pipelined+wb, both on async streams. The build has since been fused
+	// (the sort emits into the loader) and the old sequential point is the
+	// same build as pipelined; the two labels stay so the committed series
+	// continues. The query points compare loop | batched point lookups and
+	// sync | prefetch scans.
 	Mode    string  `json:"mode"`
 	Disks   int     `json:"disks"`
 	Records int     `json:"records"`
@@ -49,8 +52,8 @@ type BenchResult struct {
 
 // BenchTrajectory measures the repository's headline perf surface: merge
 // sort, distribution sort, B-tree bulk load and the sort→index build —
-// synchronous vs forecast-driven asynchronous, plus the write-behind and
-// pipelined compositions — and, since PR 5, the query-serving side (looped
+// synchronous vs forecast-driven asynchronous, plus the write-behind loader
+// and the fused build with and without it — and, since PR 5, the query-serving side (looped
 // vs batched point lookups, sync vs prefetched range scans), at D ∈ {1, 4},
 // on a worker-engine volume with a fixed per-block service latency (so wall
 // clock reflects the model's parallel-step cost, not host noise). Since
@@ -314,17 +317,16 @@ func benchPoint(n, d int, async bool, latency time.Duration) ([]BenchResult, err
 		return nil, err
 	}
 	for _, ix := range []struct {
-		mode          string
-		pipelined, wb bool
+		mode string
+		wb   bool
 	}{
-		{"sequential", false, false},
-		{"pipelined", true, false},
-		{"pipelined+wb", true, true},
+		{"pipelined", false},
+		{"pipelined+wb", true},
 	} {
 		mode = ix.mode
 		if err := measure("sortindex", func() error {
 			tr, err := pipeline.SortIndex(pf, pool, &pipeline.Options{
-				Width: d, Async: true, WriteBehind: ix.wb, Pipeline: ix.pipelined,
+				Width: d, Async: true, WriteBehind: ix.wb,
 			})
 			if err != nil {
 				return err

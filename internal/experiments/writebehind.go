@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"em/internal/btree"
+	"em/internal/extsort"
 	"em/internal/pdm"
 	"em/internal/pipeline"
 	"em/internal/record"
@@ -15,26 +16,25 @@ import (
 // F11WriteBehind measures the write side of index construction on the
 // worker engine, swept over disk counts. The cache-path bulk load trickles
 // its node write-backs out one synchronous block at a time — each write
-// busies a single disk while the other D-1 idle — and that serialization is
-// recovered two independent ways: write-behind (bulkWBMs) batches the
-// leaves D at a time through BatchWriteAsync so every write step uses all
-// disks, and the sort→index pipeline (pipeMs vs seqMs, measured on the
-// cache-path loader) hides the loader's serialized writes inside the
-// concurrently running sort's disk schedule. Combined (pipeWBMs) the build
-// sits on the disk-bound floor: total transfers over D disks times the
-// service latency, with nothing left to hide.
+// busies a single disk while the other D-1 idle — and write-behind
+// (bulkWBMs) recovers that serialization by batching the leaves D at a time
+// through BatchWriteAsync, so every write step uses all disks. The same
+// point then builds an index from unsorted input twice: composed, as
+// DistributionSort writing the sorted file and BulkLoad reading it back, and
+// fused, as SortIndex, whose sort emits its base cases straight into the
+// loader.
 //
-// The counted model never moves: write-behind issues exactly the write
-// I/Os of the cache path (bulkWrites vs bulkWBWrites, asserted equal by
-// the shape test), and the pipelined build issues exactly the sequential
-// build's reads and writes (pinned by the em-level quick-checks). What
-// falls is the wall clock, which is this experiment's currency; absolute
-// numbers vary with the host, the asserted shape is across D and modes.
+// Write-behind issues exactly the write I/Os of the cache path (bulkWrites
+// vs bulkWBWrites), and the fused build issues exactly the composed build's
+// transfers less the sorted file, written once and read once
+// (2·sortedBlocks); both are asserted by the shape test on the counted
+// columns, together with fused steps strictly below composed. The wall
+// clock columns vary with the host.
 func F11WriteBehind(n int, disks []int, latency time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "F11",
-		Title: "write-behind bulk load and sort→index pipeline vs their synchronous paths across D",
-		Notes: "write I/Os identical; D=4 write-behind beats D=1 sync >= 2.5x; D=4 pipeline strictly under sequential",
+		Title: "write-behind bulk load, and the fused sort→index build vs sort then load, across D",
+		Notes: "write I/Os identical; D=4 write-behind beats D=1 sync >= 2.5x; fused = composed − 2·sortedBlocks I/Os, fewer steps",
 	}
 	for _, d := range disks {
 		row, err := writeBehindPoint(n, d, latency)
@@ -50,10 +50,10 @@ func F11WriteBehind(n int, disks []int, latency time.Duration) (*Table, error) {
 // the volume for exactly its scope.
 func writeBehindPoint(n, d int, latency time.Duration) (*Row, error) {
 	// The pool grows by exactly SortIndex's reserved loader budget (8 cache
-	// frames + 4×D stream frames), so the sort keeps F10's 96 effective
-	// frames — and the same fan-out and pass structure — at every point of
-	// the D sweep instead of starving at high D.
-	cfg := pdm.Config{BlockBytes: 1024, MemBlocks: 96 + 8 + 4*d, Disks: d, DiskLatency: latency}
+	// frames + 2×D leaf frames), so the fused sort keeps F10's 96 frames —
+	// and the same fan-out and pass structure — at every point of the D
+	// sweep instead of starving at high D.
+	cfg := pdm.Config{BlockBytes: 1024, MemBlocks: 96 + 8 + 2*d, Disks: d, DiskLatency: latency}
 	vol, err := newVolume(cfg)
 	if err != nil {
 		return nil, err
@@ -100,26 +100,42 @@ func writeBehindPoint(n, d int, latency time.Duration) (*Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	timeIndex := func(pipelined, writeBehind bool) (float64, error) {
+	// Both builds are timed to a closed tree, every node on the volume.
+	build := func(fn func() (*btree.Tree, error)) (float64, pdm.Stats, error) {
+		vol.Stats().Reset()
 		start := time.Now()
-		tr, err := pipeline.SortIndex(rf, pool, &pipeline.Options{
-			Width: d, Async: true, WriteBehind: writeBehind, Pipeline: pipelined,
-		})
-		if err != nil {
-			return 0, err
+		tr, err := fn()
+		if err == nil {
+			err = tr.Close()
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1000
-		return ms, tr.Close()
+		return ms, vol.Stats().Snapshot(), err
 	}
-	seqMs, err := timeIndex(false, false)
+	var sortedBlocks int
+	composedMs, composed, err := build(func() (*btree.Tree, error) {
+		// Holding the loader's 8 cache frames back during the sort leaves it
+		// the free frames the fused sort sees: the output writer's 2×D
+		// frames stand in for the loader's leaf double buffer. Both sorts
+		// then split identically and differ only in the sorted file.
+		held, err := pool.AllocN(8)
+		if err != nil {
+			return nil, err
+		}
+		sorted, err := extsort.DistributionSort(rf, pool, record.Record.Less, &extsort.Options{Width: d, Async: true})
+		pdm.ReleaseAll(held)
+		if err != nil {
+			return nil, err
+		}
+		defer sorted.Release()
+		sortedBlocks = sorted.Blocks()
+		return btree.BulkLoad(vol, pool, 8, sorted, &btree.BulkLoadOptions{Width: d, Async: true, WriteBehind: true})
+	})
 	if err != nil {
 		return nil, err
 	}
-	pipeMs, err := timeIndex(true, false)
-	if err != nil {
-		return nil, err
-	}
-	pipeWBMs, err := timeIndex(true, true)
+	fusedMs, fused, err := build(func() (*btree.Tree, error) {
+		return pipeline.SortIndex(rf, pool, &pipeline.Options{Width: d, Async: true, WriteBehind: true})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -127,14 +143,22 @@ func writeBehindPoint(n, d int, latency time.Duration) (*Row, error) {
 	return &Row{
 		Label: fmt.Sprintf("D=%d", d),
 		Cells: map[string]float64{
-			"bulkSyncMs":   bulkSyncMs,
-			"bulkWBMs":     bulkWBMs,
-			"bulkWrites":   float64(bulkWrites),
-			"bulkWBWrites": float64(bulkWBWrites),
-			"seqMs":        seqMs,
-			"pipeMs":       pipeMs,
-			"pipeWBMs":     pipeWBMs,
+			"bulkSyncMs":     bulkSyncMs,
+			"bulkWBMs":       bulkWBMs,
+			"bulkWrites":     float64(bulkWrites),
+			"bulkWBWrites":   float64(bulkWBWrites),
+			"sortedBlocks":   float64(sortedBlocks),
+			"composedMs":     composedMs,
+			"composedReads":  float64(composed.Reads),
+			"composedWrites": float64(composed.Writes),
+			"composedSteps":  float64(composed.Steps),
+			"fusedMs":        fusedMs,
+			"fusedReads":     float64(fused.Reads),
+			"fusedWrites":    float64(fused.Writes),
+			"fusedSteps":     float64(fused.Steps),
 		},
-		Order: []string{"bulkSyncMs", "bulkWBMs", "bulkWrites", "bulkWBWrites", "seqMs", "pipeMs", "pipeWBMs"},
+		Order: []string{"bulkSyncMs", "bulkWBMs", "bulkWrites", "bulkWBWrites", "sortedBlocks",
+			"composedMs", "composedReads", "composedWrites", "composedSteps",
+			"fusedMs", "fusedReads", "fusedWrites", "fusedSteps"},
 	}, nil
 }

@@ -13,7 +13,7 @@ import (
 // Θ(M/B) buckets in one pass, recurse on each bucket until it fits in
 // memory, then load-sort it. Like merge sort it performs Θ(n·log_m n) I/Os,
 // but passes data top-down through splitters instead of bottom-up through
-// merges.
+// merges. It is DistributionSortTo writing into a fresh file's writer.
 //
 // The same Options drive it as MergeSort: Width stripes every reader and
 // bucket writer over the disks, and Async switches them to forecasting
@@ -24,52 +24,34 @@ import (
 // fan-out the counted I/Os are identical to the synchronous path; only
 // wall-clock overlap changes.
 func DistributionSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) (*stream.File[T], error) {
-	return DistributionSortNotify(f, pool, less, opts, nil)
-}
-
-// DistributionSortNotify is DistributionSort with a streaming emit mode:
-// notify observes the final output writer's flushes, learning — strictly in
-// key order, as the recursion finishes buckets smallest key range first —
-// which block groups of the sorted output are durable while later buckets
-// are still being split and sorted. Feeding a stream.TailPipe's Notify here
-// is what lets a consumer (the B-tree bulk loader, via em.SortIndex) read
-// sorted output concurrently with the sort, at counted I/Os identical to
-// sorting to completion first: the notifications add no transfers, and the
-// consumer's reads are the ones it would have issued afterwards anyway.
-// A notify error aborts the sort through its normal error paths (buckets
-// released, pool restored); a nil notify is exactly DistributionSort.
-//
-// Error cleanup differs between the two in one deliberate way: block
-// groups already announced through notify may still be in a concurrent
-// consumer's hands, so with a non-nil notify a failed sort returns the
-// partial output file alongside the error instead of releasing it —
-// freeing those blocks here would let them be reallocated and overwritten
-// under a consumer mid-read. The caller must Release the returned file
-// once the consumer has detached. With a nil notify (and on the
-// DistributionSort path) a failed sort releases everything and returns
-// (nil, err), as ever.
-func DistributionSortNotify[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options, notify stream.FlushFunc) (*stream.File[T], error) {
 	out := stream.NewFile[T](f.Vol(), f.Codec())
-	ow, err := stream.OpenSinkNotify(out, pool, opts.width(), opts.async(), notify)
+	ow, err := openSink(out, pool, opts)
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*stream.File[T], error) {
-		if notify != nil {
-			return out, err
-		}
+	err = DistributionSortTo(f, pool, less, opts, ow)
+	if cerr := ow.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		out.Release()
 		return nil, err
 	}
-	d := &distSorter[T]{pool: pool, less: less, opts: opts, rng: rand.New(rand.NewSource(0x5EED))}
-	if err := d.sortInto(f, ow, false); err != nil {
-		ow.Close()
-		return fail(err)
-	}
-	if err := ow.Close(); err != nil {
-		return fail(err)
-	}
 	return out, nil
+}
+
+// DistributionSortTo is the distribution sort emitting into sink: each
+// memory-sized bucket is load-sorted and appended to sink as soon as it is
+// reached, smallest key range first, so sink sees the whole input once in
+// sorted order and nothing sorted is ever written to the volume by the sort
+// itself. Fed a B-tree bulk loader, that is the index build without an
+// intermediate sorted file. The sink's frames are the caller's: the sort
+// sizes its fan-out and base cases from what pool has free. It never closes
+// sink; on error every bucket is released and the pool restored, and the
+// caller closes or aborts sink.
+func DistributionSortTo[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options, sink stream.Sink[T]) error {
+	d := &distSorter[T]{pool: pool, less: less, opts: opts, rng: rand.New(rand.NewSource(0x5EED))}
+	return d.sortInto(f, sink, false)
 }
 
 type distSorter[T any] struct {
@@ -80,9 +62,9 @@ type distSorter[T any] struct {
 }
 
 // memRecords returns how many records fit in the frames left after reserving
-// the input reader's buffers (the output writer is already open, so its
-// frames are charged). A pool that cannot host even the reader is an error,
-// the same loud failure formRunsLoadSort gives.
+// the input reader's buffers (the sink's frames are already charged). A pool
+// that cannot host even the reader is an error, the same loud failure
+// formRunsLoadSort gives.
 func (d *distSorter[T]) memRecords(f *stream.File[T]) (int, error) {
 	sf := d.opts.streamFrames()
 	frames := d.pool.Free() - sf
@@ -95,7 +77,7 @@ func (d *distSorter[T]) memRecords(f *stream.File[T]) (int, error) {
 // fanOut returns the number of buckets per level: each bucket writer costs
 // streamFrames() pool frames (Width synchronously, 2×Width asynchronously —
 // the same per-stream charge maxFanIn levies on the merge side), as does the
-// partition-pass reader; the output writer is already open.
+// partition-pass reader; the sink's frames are already charged.
 func (d *distSorter[T]) fanOut() int {
 	sf := d.opts.streamFrames()
 	fo := (d.pool.Free() - sf) / sf

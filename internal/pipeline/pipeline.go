@@ -1,8 +1,8 @@
 // Package pipeline composes the sort and index layers into the survey's
-// write-optimal index construction: a distribution sort feeding a bottom-up
-// B-tree bulk load, optionally overlapped so the loader consumes sorted
-// output while later buckets still sort. The em facade re-exports SortIndex;
-// the experiments package drives it directly.
+// write-optimal index construction: a distribution sort whose base cases
+// emit straight into a bottom-up B-tree bulk loader, so the sorted order
+// never exists as a file. The em facade re-exports SortIndex; the
+// experiments package drives it directly.
 package pipeline
 
 import (
@@ -15,10 +15,11 @@ import (
 
 // Options tunes SortIndex; see em.SortIndexOptions for the full story.
 type Options struct {
-	// Width is the striping width for every stream of both stages; set it
-	// to the volume's disk count D. Zero means 1.
+	// Width is the striping width of the sort's streams and of the loader's
+	// write-behind leaf batches; set it to the volume's disk count D. Zero
+	// means 1.
 	Width int
-	// Async switches every stream to forecast-driven read-ahead and
+	// Async switches the sort's streams to forecast-driven read-ahead and
 	// write-behind (double buffers, same counted I/Os at equal fan-out).
 	Async bool
 	// WriteBehind batches the loader's leaf writes (see
@@ -26,10 +27,9 @@ type Options struct {
 	WriteBehind bool
 	// CacheFrames sizes the tree's buffer manager; zero means 8.
 	CacheFrames int
-	// Pipeline overlaps the two stages through a bounded TailPipe.
+	// Deprecated: the build is always fused; kept until bench/ stops setting it.
 	Pipeline bool
-	// PipeDepth bounds how many block groups the sort may run ahead of the
-	// loader in pipeline mode; zero means 4.
+	// Deprecated: the build is always fused; kept until bench/ stops setting it.
 	PipeDepth int
 }
 
@@ -47,120 +47,49 @@ func (o *Options) cacheFrames() int {
 	return o.CacheFrames
 }
 
-func (o *Options) pipeDepth() int {
-	if o == nil || o.PipeDepth < 1 {
-		return 4
-	}
-	return o.PipeDepth
-}
-
-// loaderFrames is the bulk loader's reserved frame budget: buffer manager
-// plus the worst-case stream charge — an input double buffer and a leaf
-// write-behind double buffer. The reservation is deliberately
-// mode-independent (a synchronous loader leaves part of it idle) so that
-// every mode combination at one width presents the sort with the same free
-// pool and therefore the same fan-out, pass structure, and counted I/Os.
+// loaderFrames is what the loader holds: its buffer manager plus the leaf
+// write-behind double buffer. The reservation is mode-independent (a
+// cache-path loader leaves the double buffer idle) so that the sort sees
+// the same free pool, and makes the same splitting decisions, whether or not
+// WriteBehind is on.
 func (o *Options) loaderFrames() int {
-	return o.cacheFrames() + 4*o.width()
+	return o.cacheFrames() + 2*o.width()
 }
 
-func (o *Options) sortOptions() *extsort.Options {
-	return &extsort.Options{Width: o.width(), Async: o != nil && o.Async}
-}
-
-func (o *Options) loadOptions() *btree.BulkLoadOptions {
-	return &btree.BulkLoadOptions{
-		Width:       o.width(),
-		Async:       o != nil && o.Async,
-		WriteBehind: o != nil && o.WriteBehind,
-	}
-}
-
-// SortIndex builds a B+-tree over an unsorted record file: distribution
-// sort into key order, then bottom-up bulk load — Θ(Sort(N)) I/Os end to
-// end. See em.SortIndex for the mode semantics and invariants.
+// SortIndex builds a B+-tree over an unsorted record file: a distribution
+// sort whose base cases are appended, in key order, to a bulk loader —
+// Sort(N) I/Os plus one write per node. See em.SortIndex for the invariants.
 func SortIndex(f *stream.File[record.Record], pool *pdm.Pool, opts *Options) (*btree.Tree, error) {
 	vol := f.Vol()
-	// Reserve the loader's budget for the whole call, and run the loader on
-	// a private pool of exactly that size: the sort then sees the same free
-	// frames — and picks the same fan-out, pass structure, and therefore
-	// I/O counts — whether the loader runs after it or beside it.
+	// Reserve the loader's budget for the whole call and run the loader on a
+	// private pool of exactly that size, so the sort's fan-out is what the
+	// caller's pool has left.
 	reserve, err := pool.AllocN(opts.loaderFrames())
 	if err != nil {
 		return nil, err
 	}
 	defer pdm.ReleaseAll(reserve)
 	loaderPool := pdm.NewPool(vol.BlockBytes(), opts.loaderFrames())
-
-	var tr *btree.Tree
-	if opts != nil && opts.Pipeline {
-		tr, err = pipelined(f, pool, loaderPool, opts)
-	} else {
-		tr, err = sequential(f, pool, loaderPool, opts)
-	}
+	ld, err := btree.NewLoader(vol, loaderPool, opts.cacheFrames(),
+		&btree.BulkLoadOptions{Width: opts.width(), WriteBehind: opts != nil && opts.WriteBehind})
 	if err != nil {
+		return nil, err
+	}
+	sortOpts := &extsort.Options{Width: opts.width(), Async: opts != nil && opts.Async}
+	if err := extsort.DistributionSortTo(f, pool, record.Record.Less, sortOpts, ld); err != nil {
+		ld.Abort()
+		return nil, err
+	}
+	if err := ld.Close(); err != nil {
 		return nil, err
 	}
 	// The construction budget is about to be released; rehome the tree's
-	// buffer manager onto the caller's pool.
+	// buffer manager onto the caller's pool. A failed flush leaves the old
+	// one in place, so the loader can still take back every node.
+	tr := ld.Tree()
 	if err := tr.Rehome(pool, opts.cacheFrames()); err != nil {
+		ld.Abort()
 		return nil, err
-	}
-	return tr, nil
-}
-
-// sequential sorts to completion, then loads.
-func sequential(f *stream.File[record.Record], pool, loaderPool *pdm.Pool, opts *Options) (*btree.Tree, error) {
-	sorted, err := extsort.DistributionSort(f, pool, record.Record.Less, opts.sortOptions())
-	if err != nil {
-		return nil, err
-	}
-	tr, err := btree.BulkLoad(f.Vol(), loaderPool, opts.cacheFrames(), sorted, opts.loadOptions())
-	sorted.Release()
-	return tr, err
-}
-
-// pipelined runs the sort on a background goroutine, streaming its durable
-// output groups to the loader through a bounded TailPipe.
-func pipelined(f *stream.File[record.Record], pool, loaderPool *pdm.Pool, opts *Options) (*btree.Tree, error) {
-	vol := f.Vol()
-	pipe := stream.NewTailPipe(opts.pipeDepth())
-	src, err := stream.NewTailSource[record.Record](vol, f.Codec(), loaderPool, pipe, opts.width(), opts != nil && opts.Async)
-	if err != nil {
-		return nil, err
-	}
-
-	var sorted *stream.File[record.Record]
-	var sortErr error
-	sortDone := make(chan struct{})
-	go func() {
-		defer close(sortDone)
-		sorted, sortErr = extsort.DistributionSortNotify(f, pool, record.Record.Less, opts.sortOptions(), pipe.Notify)
-		pipe.CloseSend(sortErr)
-	}()
-
-	tr, loadErr := btree.BulkLoadFrom(vol, loaderPool, opts.cacheFrames(), src, opts.loadOptions())
-	// Closing the source end unblocks a producer mid-Notify if the loader
-	// bailed out early; then wait for the sort to finish unwinding before
-	// touching its output. A failed sort hands its partial output file back
-	// un-released (see DistributionSortNotify) precisely so that its blocks
-	// cannot be reallocated under the loader mid-read; with both sides
-	// detached it is safe to release here, on the error paths included.
-	src.Close()
-	<-sortDone
-	if sorted != nil {
-		sorted.Release()
-	}
-	if loadErr != nil {
-		// A sort failure reaches the loader through the pipe, so loadErr
-		// already carries the root cause.
-		return nil, loadErr
-	}
-	if sortErr != nil {
-		// The loader drained the pipe cleanly but the sort failed after its
-		// last flush; the half-built index is not trustworthy.
-		tr.Close()
-		return nil, sortErr
 	}
 	return tr, nil
 }

@@ -29,15 +29,16 @@ import (
 var ErrClosed = errors.New("stream: closed")
 
 // Source is the record-producing side of a stream — a Reader at either
-// depth, a TailSource, or an index scanner — so algorithms consume records
-// without knowing whether the next block group is fetched on demand or
-// already in flight.
+// depth, a patch of sources, or an index scanner — so algorithms consume
+// records without knowing whether the next block group is fetched on demand
+// or already in flight.
 type Source[T any] interface {
 	Next() (v T, ok bool, err error)
 	Close()
 }
 
-// Sink is the record-consuming side of a stream, a Writer at either depth.
+// Sink is the record-consuming side of a stream: a Writer at either depth,
+// or a consumer that never writes a file, such as the B-tree bulk loader.
 type Sink[T any] interface {
 	Append(v T) error
 	Close() error
@@ -53,29 +54,7 @@ func OpenSource[T any](f *File[T], pool *pdm.Pool, width int, async bool) (Sourc
 // OpenSink opens a width-w writer appending to f: flushing on demand when
 // async is false, writing behind when true.
 func OpenSink[T any](f *File[T], pool *pdm.Pool, width int, async bool) (Sink[T], error) {
-	return OpenSinkNotify(f, pool, width, async, nil)
-}
-
-// FlushFunc observes a writer's durable progress: it is called with the
-// block addresses of each flushed group and the number of records buffered
-// when the group was cut, strictly in file order, only after the blocks are
-// safely on the volume (for a writer opened behind, after the group's join).
-// A non-nil error aborts the writer's current operation, which is how a
-// pipeline consumer that has gone away stops its producer. See TailPipe.
-type FlushFunc func(addrs []int64, recs int) error
-
-// OpenSinkNotify is OpenSink with a flush observer, the producer half of a
-// sort→consumer pipeline: fn learns, group by group, which prefix of f is
-// durable and may be read back. A nil fn is exactly OpenSink. It is meant
-// for writers that start on an empty file; with a partially filled file the
-// first notification would also cover the reloaded tail records.
-func OpenSinkNotify[T any](f *File[T], pool *pdm.Pool, width int, async bool, fn FlushFunc) (Sink[T], error) {
-	w, err := newWriter(f, pool, width, async)
-	if err != nil {
-		return nil, err
-	}
-	w.onFlush = fn
-	return w, nil
+	return newWriter(f, pool, width, async)
 }
 
 // File is a sequence of N records of type T stored in whole blocks on a
@@ -176,10 +155,6 @@ type Writer[T any] struct {
 	width    int
 	filled   int // records buffered in cur
 	closed   bool
-
-	onFlush     FlushFunc // durable-progress observer; nil for plain writers
-	pendingAddr []int64   // addresses of the in-flight group, for onFlush
-	pendingRecs int       // records the in-flight group carries
 }
 
 // NewWriter creates a width-1 writer (one buffer frame).
@@ -240,7 +215,6 @@ func (w *Writer[T]) flush(n int) error {
 		return err
 	}
 	addrs, bufs := w.f.allocExtent(n, w.cur)
-	w.pendingAddr, w.pendingRecs = addrs, w.filled
 	w.cur, w.flushing = w.flushing, w.cur
 	w.filled = 0
 	w.join = w.f.vol.BatchWriteAsync(addrs, bufs)
@@ -251,21 +225,12 @@ func (w *Writer[T]) flush(n int) error {
 }
 
 // joinFlush waits for the in-flight flush, if any, and reports its error.
-// Once the join returns clean the group is durable, so this is also the
-// point where the flush observer learns about it.
 func (w *Writer[T]) joinFlush() error {
 	if w.join == nil {
 		return nil
 	}
 	err := w.join()
 	w.join = nil
-	if err != nil {
-		return err
-	}
-	if w.onFlush != nil && w.pendingAddr != nil {
-		err = w.onFlush(w.pendingAddr, w.pendingRecs)
-	}
-	w.pendingAddr = nil
 	return err
 }
 

@@ -213,8 +213,8 @@ func backendConfigs(t *testing.T, cfg em.Config) map[string]em.Config {
 // not yet freed.
 func liveBlocks(vol *em.Volume) int64 { return vol.Allocated() - vol.FreeBlocks() }
 
-// TestSortIndexUnwindUnderFault crashes the volume midway through a
-// sort→bulk-load pipeline and asserts the documented unwind contract: the
+// TestSortIndexUnwindUnderFault crashes the volume midway through a fused
+// sort→bulk-load build and asserts the documented unwind contract: the
 // pool is restored exactly and no blocks beyond the input file stay
 // allocated, on both storage backends.
 func TestSortIndexUnwindUnderFault(t *testing.T) {

@@ -4,43 +4,36 @@ import (
 	"em/internal/pipeline"
 )
 
-// SortIndexOptions tunes SortIndex, the sort→bulk-load index builder.
+// SortIndexOptions tunes SortIndex, the fused sort→bulk-load index builder.
 //
-// Width and Async apply to both stages (the sort's readers and writers and
-// the loader's input and leaf batches); WriteBehind batches the loader's
-// leaf writes D at a time through the async engine. The loader's whole
-// budget — CacheFrames for the buffer manager plus 4×Width stream frames
-// (input double buffer and write-behind double buffer, reserved whether or
-// not those modes are on) — is held back from the pool for the full
-// duration of the call, so the sort makes identical splitting decisions in
-// every mode combination at one width; size Config.MemBlocks to cover the
-// sort's fan-out plus that reservation.
+// Width and Async apply to the sort's readers and bucket writers; Width also
+// stripes the loader's leaf batches, and WriteBehind sends those batches D
+// at a time through the async engine. The loader's whole budget —
+// CacheFrames for the buffer manager plus 2×Width for the leaf double
+// buffer, reserved whether or not WriteBehind is on — is held back from the
+// pool for the full call, so the sort makes identical splitting decisions
+// on both leaf paths; size Config.MemBlocks to cover the sort's fan-out
+// plus that reservation. Pipeline and PipeDepth are deprecated no-ops: the
+// build is always fused.
 type SortIndexOptions = pipeline.Options
 
-// SortIndex builds a B+-tree index over an unsorted record file: a
-// distribution sort into key order followed by a bottom-up bulk load —
-// Θ(Sort(N)) I/Os end to end, the survey's index-construction bound.
-//
-// With SortIndexOptions.Pipeline the two stages run concurrently: the
-// sort's output writer announces each durable block group through a bounded
-// pipe (smallest key ranges first, because the distribution recursion
-// finishes its buckets in key order), and the loader reads those groups and
-// packs leaves while later buckets are still being split. With WriteBehind
-// the leaves leave through D-block batches on the async engine rather than
-// one cache write-back at a time. Counted reads and writes are identical
-// across all mode combinations at one width — the modes trade pool frames
-// for wall-clock overlap, never transfers — a property the test suite pins
-// down on both storage backends.
+// SortIndex builds a B+-tree index over an unsorted record file in one
+// fused pass structure: a distribution sort whose base cases — memory-sized
+// buckets, reached smallest key range first — are sorted and appended
+// straight into a bottom-up bulk loader. There is no intermediate sorted
+// file: the build costs Sort(N) plus one write per tree node, the survey's
+// index-construction bound, and ⌈N/B⌉ writes and ⌈N/B⌉ reads fewer than
+// sorting to a file and bulk-loading from it. It runs on the caller's
+// goroutine, so its counted I/Os, block placement and parallel steps are
+// fixed by the input and the options.
 //
 // Keys must be distinct: the tree is a map and the bulk loader rejects a
-// non-strictly-increasing sorted stream with ErrUnsortedInput.
+// non-strictly-increasing stream with ErrUnsortedInput, which aborts the
+// sort mid-emit.
 //
-// The sorted intermediate file is released before returning; the returned
-// tree's buffer manager draws CacheFrames frames from pool. On any error
-// during the build the pool is restored exactly and no blocks are leaked;
-// the one exception is a backend write failure while flushing the finished
-// tree at the final rehoming step, where the error is returned and the
-// already-written nodes stay on the volume.
+// The returned tree's buffer manager draws CacheFrames frames from pool. On
+// any error the pool is restored exactly and no blocks are leaked, a
+// failure while flushing the finished tree onto pool included.
 func SortIndex(f *File[Record], pool *Pool, opts *SortIndexOptions) (*BTree, error) {
 	return pipeline.SortIndex(f, pool, opts)
 }

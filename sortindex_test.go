@@ -2,6 +2,7 @@ package em
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 // sortIndexConfig is the device shape shared by the SortIndex tests: 16
 // records per block, enough memory for the sort's fan-out beside the
 // loader's reserved budget, four disks with a small service latency so the
-// pipeline genuinely overlaps on the worker engine.
+// build runs on the worker engine.
 var sortIndexConfig = Config{BlockBytes: 256, MemBlocks: 64, Disks: 4, DiskLatency: 10 * time.Microsecond}
 
 // permRecords produces n records with distinct shuffled keys.
@@ -23,9 +24,20 @@ func permRecords(seed int64, n int) []Record {
 	return vs
 }
 
-// buildSortIndex runs SortIndex on a fresh volume and returns the tree's
-// contents and the Stats the whole build (tree closed) charged.
-func buildSortIndex(t *testing.T, dir string, vs []Record, opts *SortIndexOptions) ([][2]uint64, Stats) {
+// builtIndex is what one index build left behind: the tree's contents, the
+// Stats the build charged with every node flushed, and the block count of
+// the sorted file it wrote (zero for the fused build, which writes none).
+type builtIndex struct {
+	kvs    [][2]uint64
+	st     Stats
+	sorted int
+}
+
+// buildIndex builds an index over vs on a fresh volume — fused through
+// SortIndex, or composed by hand as DistributionSort then BulkLoad — and
+// checks that releasing the tree hands back every pool frame and every
+// block beyond the input.
+func buildIndex(t *testing.T, dir string, vs []Record, opts *SortIndexOptions, composed bool) builtIndex {
 	t.Helper()
 	cfg := sortIndexConfig
 	cfg.Dir = dir
@@ -35,37 +47,71 @@ func buildSortIndex(t *testing.T, dir string, vs []Record, opts *SortIndexOption
 	}
 	defer vol.Close()
 	pool := PoolFor(vol)
+	if composed {
+		// The fused sort sees the pool less the loader's reservation,
+		// CacheFrames (8) + 2×Width. DistributionSort's own sink is a writer
+		// of Width frames, 2×Width when it writes behind, so a pool of
+		// MemBlocks − (8 + 2×Width) + writer frames leaves the composed sort
+		// exactly as many free frames: both make the same splitting
+		// decisions and differ only in the sorted file.
+		writer := opts.Width
+		if opts.Async {
+			writer *= 2
+		}
+		pool = NewPool(cfg.BlockBytes, cfg.MemBlocks-(8+2*opts.Width)+writer)
+	}
 	f, err := FromSlice(vol, pool, RecordCodec{}, vs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	preFree, preLive := pool.Free(), vol.Allocated()-vol.FreeBlocks()
 	vol.Stats().Reset()
-	tr, err := SortIndex(f, pool, opts)
-	if err != nil {
+	var got builtIndex
+	var tr *BTree
+	if composed {
+		sorted, err := DistributionSort(f, pool, Record.Less, &SortOptions{Width: opts.Width, Async: opts.Async})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.sorted = sorted.Blocks()
+		tr, err = BulkLoadBTreeWith(vol, pool, 8, sorted,
+			&BulkLoadOptions{Width: opts.Width, Async: opts.Async, WriteBehind: opts.WriteBehind})
+		sorted.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// SortIndex hands its tree back rehomed, every node flushed.
+		if err := tr.Rehome(pool, 8); err != nil {
+			t.Fatal(err)
+		}
+	} else if tr, err = SortIndex(f, pool, opts); err != nil {
 		t.Fatalf("opts=%+v: %v", opts, err)
 	}
-	var kvs [][2]uint64
+	got.st = vol.Stats().Snapshot()
 	if err := tr.Range(0, ^uint64(0), func(k, v uint64) error {
-		kvs = append(kvs, [2]uint64{k, v})
+		got.kvs = append(got.kvs, [2]uint64{k, v})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Close(); err != nil {
+	if err := tr.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if pool.InUse() != 0 {
-		t.Fatalf("opts=%+v: leaked %d frames", opts, pool.InUse())
+	if pool.Free() != preFree {
+		t.Fatalf("opts=%+v composed=%v: pool free %d after release, want %d", opts, composed, pool.Free(), preFree)
 	}
-	return kvs, vol.Stats().Snapshot()
+	if live := vol.Allocated() - vol.FreeBlocks(); live != preLive {
+		t.Fatalf("opts=%+v composed=%v: %d blocks live after release, want %d", opts, composed, live, preLive)
+	}
+	return got
 }
 
-// TestSortIndexPipelineMatchesSequential is the pipeline==sequential
-// quick-check on both backends: for each stream mode, the pipelined build
-// must produce the identical final tree at identical counted reads and
-// writes — overlapping the loader with the sort moves wall-clock time, not
-// transfers. Write-behind must not change the counts either.
-func TestSortIndexPipelineMatchesSequential(t *testing.T) {
+// TestSortIndexFusedMatchesComposition pins what fusing the build saves, on
+// both backends and in every stream mode: SortIndex, whose sort emits into
+// the bulk loader, builds the same tree as DistributionSort followed by
+// BulkLoad at exactly the sorted file's blocks fewer reads and fewer writes
+// — the file the composition writes once and reads back once.
+func TestSortIndexFusedMatchesComposition(t *testing.T) {
 	n := 4000
 	vs := permRecords(0x51D, n)
 	for _, backend := range []string{"mem", "file"} {
@@ -74,76 +120,65 @@ func TestSortIndexPipelineMatchesSequential(t *testing.T) {
 			if backend == "file" {
 				dir = t.TempDir()
 			}
-			for _, async := range []bool{false, true} {
-				// All four (WriteBehind, Pipeline) combinations of one
-				// stream mode must agree on reads, writes, and contents.
-				var refKVs [][2]uint64
-				var refSt Stats
-				for i, mode := range []*SortIndexOptions{
-					{Width: 2, Async: async},
-					{Width: 2, Async: async, WriteBehind: true},
-					{Width: 2, Async: async, Pipeline: true},
-					{Width: 2, Async: async, WriteBehind: true, Pipeline: true},
-				} {
-					kvs, st := buildSortIndex(t, dir, vs, mode)
-					if len(kvs) != n {
-						t.Fatalf("opts=%+v: tree has %d records, want %d", mode, len(kvs), n)
+			for _, opts := range []*SortIndexOptions{
+				{Width: 2},
+				{Width: 2, WriteBehind: true},
+				{Width: 2, Async: true},
+				{Width: 2, Async: true, WriteBehind: true},
+			} {
+				fused := buildIndex(t, dir, vs, opts, false)
+				ref := buildIndex(t, dir, vs, opts, true)
+				if len(fused.kvs) != n {
+					t.Fatalf("opts=%+v: tree has %d records, want %d", opts, len(fused.kvs), n)
+				}
+				for j, kv := range fused.kvs {
+					if kv[0] != uint64(j+1) || kv != ref.kvs[j] {
+						t.Fatalf("opts=%+v: entry %d is %v, composed build has %v", opts, j, kv, ref.kvs[j])
 					}
-					for j, kv := range kvs {
-						if kv[0] != uint64(j+1) {
-							t.Fatalf("opts=%+v: key %d out of place", mode, kv[0])
-						}
-					}
-					if i == 0 {
-						refKVs, refSt = kvs, st
-						continue
-					}
-					for j := range kvs {
-						if kvs[j] != refKVs[j] {
-							t.Fatalf("opts=%+v: entry %d differs from sequential build", mode, j)
-						}
-					}
-					if st.Reads != refSt.Reads || st.Writes != refSt.Writes {
-						t.Fatalf("opts=%+v: counted I/Os diverge: got r=%d w=%d, sequential r=%d w=%d",
-							mode, st.Reads, st.Writes, refSt.Reads, refSt.Writes)
-					}
+				}
+				if want := (n + 15) / 16; ref.sorted != want {
+					t.Fatalf("opts=%+v: sorted file has %d blocks, want %d", opts, ref.sorted, want)
+				}
+				if fused.st.Reads+uint64(ref.sorted) != ref.st.Reads || fused.st.Writes+uint64(ref.sorted) != ref.st.Writes {
+					t.Fatalf("opts=%+v: fused r=%d w=%d, composed r=%d w=%d: want both lower by the sorted file's %d blocks",
+						opts, fused.st.Reads, fused.st.Writes, ref.st.Reads, ref.st.Writes, ref.sorted)
 				}
 			}
 		})
 	}
 }
 
-// TestSortIndexBackendsAgree pins the mem==file invariant for the pipeline:
-// the same build on the file backend charges exactly the reads and writes
-// the in-memory simulation counts.
+// TestSortIndexBackendsAgree pins the mem==file invariant for the fused
+// build: the same build on the file backend charges exactly the reads and
+// writes the in-memory simulation counts.
 func TestSortIndexBackendsAgree(t *testing.T) {
 	vs := permRecords(0xBEEF, 3000)
-	opts := &SortIndexOptions{Width: 4, Async: true, WriteBehind: true, Pipeline: true}
-	memKVs, memSt := buildSortIndex(t, "", vs, opts)
-	fileKVs, fileSt := buildSortIndex(t, t.TempDir(), vs, opts)
-	if len(memKVs) != len(fileKVs) {
-		t.Fatalf("tree sizes diverge: mem %d file %d", len(memKVs), len(fileKVs))
+	opts := &SortIndexOptions{Width: 4, Async: true, WriteBehind: true}
+	mem := buildIndex(t, "", vs, opts, false)
+	file := buildIndex(t, t.TempDir(), vs, opts, false)
+	if len(mem.kvs) != len(file.kvs) {
+		t.Fatalf("tree sizes diverge: mem %d file %d", len(mem.kvs), len(file.kvs))
 	}
-	for i := range memKVs {
-		if memKVs[i] != fileKVs[i] {
+	for i := range mem.kvs {
+		if mem.kvs[i] != file.kvs[i] {
 			t.Fatalf("entry %d differs across backends", i)
 		}
 	}
-	if memSt.Reads != fileSt.Reads || memSt.Writes != fileSt.Writes {
+	if mem.st.Reads != file.st.Reads || mem.st.Writes != file.st.Writes {
 		t.Fatalf("counted I/Os diverge: mem r=%d w=%d, file r=%d w=%d",
-			memSt.Reads, fileSt.Reads, memSt.Writes, fileSt.Writes)
+			mem.st.Reads, mem.st.Writes, file.st.Reads, file.st.Writes)
 	}
 }
 
 // TestSortIndexDuplicateKeysRestoresPool injects the loader's rejection —
-// duplicate keys surface as ErrUnsortedInput mid-build — into both modes
-// and asserts the error unwinds the whole pipeline: the producer is
-// unblocked and aborts, the pool is exactly restored, and no volume blocks
-// are stranded.
+// duplicate keys surface as ErrUnsortedInput mid-sort, from inside a base
+// case's emit — on both leaf paths and asserts the error unwinds the whole
+// build: the sort releases its buckets, the loader is aborted, the pool is
+// exactly restored, and no volume blocks are stranded.
 func TestSortIndexDuplicateKeysRestoresPool(t *testing.T) {
 	vs := permRecords(7, 4000)
 	vs[1234].Key = vs[3210].Key
-	for _, pipeline := range []bool{false, true} {
+	for _, wb := range []bool{false, true} {
 		vol, err := NewVolume(sortIndexConfig)
 		if err != nil {
 			t.Fatal(err)
@@ -155,23 +190,87 @@ func TestSortIndexDuplicateKeysRestoresPool(t *testing.T) {
 		}
 		preFree := pool.Free()
 		preLive := vol.Allocated() - vol.FreeBlocks()
-		tr, err := SortIndex(f, pool, &SortIndexOptions{Width: 2, Async: true, WriteBehind: true, Pipeline: pipeline})
+		tr, err := SortIndex(f, pool, &SortIndexOptions{Width: 2, Async: true, WriteBehind: wb})
 		if err == nil {
-			t.Fatalf("pipeline=%v: duplicate keys built a tree", pipeline)
+			t.Fatalf("writeBehind=%v: duplicate keys built a tree", wb)
 		}
 		if !errors.Is(err, ErrUnsortedInput) {
-			t.Fatalf("pipeline=%v: error %v, want ErrUnsortedInput", pipeline, err)
+			t.Fatalf("writeBehind=%v: error %v, want ErrUnsortedInput", wb, err)
 		}
 		if tr != nil {
-			t.Fatalf("pipeline=%v: error return kept a tree", pipeline)
+			t.Fatalf("writeBehind=%v: error return kept a tree", wb)
 		}
 		if pool.Free() != preFree || pool.InUse() != 0 {
-			t.Fatalf("pipeline=%v: pool not restored: free %d (pre %d), in use %d",
-				pipeline, pool.Free(), preFree, pool.InUse())
+			t.Fatalf("writeBehind=%v: pool not restored: free %d (pre %d), in use %d",
+				wb, pool.Free(), preFree, pool.InUse())
 		}
 		if live := vol.Allocated() - vol.FreeBlocks(); live != preLive {
-			t.Fatalf("pipeline=%v: stranded %d volume blocks", pipeline, live-preLive)
+			t.Fatalf("writeBehind=%v: stranded %d volume blocks", wb, live-preLive)
 		}
 		vol.Close()
+	}
+}
+
+// TestSortIndexCrashSweep crashes the volume after every possible number of
+// the build's transfers, 0 up to one short of the clean build's total, on
+// both backends and both leaf paths. The sweep so passes through the
+// sampling and partition passes, base-case reads and their emits into the
+// loader, a leaf batch in flight, cache evictions of sealed leaves, and the
+// flush of the internal levels; every crash point must surface ErrFaulted
+// and leave the pool's free frames and the volume's live blocks exactly as
+// they were before the call.
+func TestSortIndexCrashSweep(t *testing.T) {
+	vs := permRecords(0xC2A5, 3000)
+	// run builds on a fresh volume under plan and reports the build's
+	// transfers, whether it kept a tree, its error, and whether the pool's
+	// free frames and the live blocks came back to their pre-call values.
+	run := func(cfg Config, plan *FaultPlan, opts *SortIndexOptions) (ios uint64, kept bool, err error, restored bool) {
+		cfg.Fault = plan
+		vol, err := NewVolume(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer vol.Close()
+		pool := PoolFor(vol)
+		f, err := FromSlice(vol, pool, RecordCodec{}, vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		free, live := pool.Free(), vol.Allocated()-vol.FreeBlocks()
+		vol.Stats().Reset()
+		tr, err := SortIndex(f, pool, opts)
+		ios = vol.Stats().Total()
+		if tr != nil {
+			tr.Close()
+		}
+		return ios, tr != nil, err, pool.Free() == free && vol.Allocated()-vol.FreeBlocks() == live
+	}
+	base := Config{BlockBytes: 512, MemBlocks: 48, Disks: 2}
+	// The input file takes one write per block before the build starts.
+	input := int64((len(vs) + 31) / 32)
+	for _, backend := range []string{"mem", "file"} {
+		for _, wb := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/writeBehind=%v", backend, wb), func(t *testing.T) {
+				cfg := base
+				if backend == "file" {
+					cfg.Dir = t.TempDir()
+				}
+				opts := &SortIndexOptions{Width: 2, Async: true, WriteBehind: wb}
+				total, kept, err, _ := run(cfg, nil, opts)
+				if err != nil || !kept {
+					t.Fatalf("clean build: %v", err)
+				}
+				t.Logf("sweeping %d crash points", total)
+				for k := int64(0); k < int64(total); k++ {
+					_, kept, err, restored := run(cfg, &FaultPlan{Seed: 1, FailAfter: input + k}, opts)
+					if !errors.Is(err, ErrFaulted) || kept {
+						t.Fatalf("crash after %d of %d transfers: kept a tree %v, err %v, want ErrFaulted", k, total, kept, err)
+					}
+					if !restored {
+						t.Fatalf("crash after %d of %d transfers: pool frames or live blocks not restored", k, total)
+					}
+				}
+			})
+		}
 	}
 }
