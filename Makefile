@@ -1,8 +1,7 @@
 # Developer and CI entry points. `make ci` is the gate every change must
-# pass: vet plus the full test suite under the race detector, so a dropped
-# lock in the concurrent I/O engine fails the build rather than a user.
-# The GitHub workflow (.github/workflows/ci.yml) runs lint + ci + cover on
-# every push/PR and bench-json as a non-gating trajectory job.
+# pass: build, vet, and the full test suite under the race detector with
+# shuffled test order. The GitHub workflow (.github/workflows/ci.yml) runs
+# lint, ci plus bench-smoke, and cover on every push and pull request.
 
 GO ?= go
 
@@ -11,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint emlint staticcheck govulncheck tools test race cover bench bench-json bench-smoke ci
+.PHONY: all build vet lint emlint staticcheck govulncheck tools test race cover bench bench-smoke ci
 
 all: ci
 
@@ -71,10 +70,10 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Engine and experiment benchmarks (wall-clock + counted I/Os). The full
-# suite — every experiment table plus the engine, async, and query-serving
-# benchmarks — runs, then extsort's in-memory sort kernel
-# (BenchmarkMemSort), the store's write-front overlay (BenchmarkStoreScan,
+# Micro-benchmarks (wall clock and counted I/Os). The root package
+# contributes the engine, async, ablation and query-serving benchmarks (the
+# survey's tables are cmd/embench's job). Then come extsort's in-memory
+# sort kernel (BenchmarkMemSort), the store's write-front overlay (BenchmarkStoreScan,
 # BenchmarkStoreFrontOps, BenchmarkOverlay) and its drain
 # (BenchmarkStoreDrain: writes/op and ns/op per buffered op), the buffer manager
 # (BenchmarkCacheGet), the B-tree's batched fetch
@@ -84,7 +83,7 @@ cover:
 # round trip at both depths (BenchmarkStreams: ns/record and allocs/record,
 # on demand and ahead/behind) and the fused index build
 # (BenchmarkSortIndex: ns/record, allocs/record and ios/record for 2^18
-# random records in 512 frames) — in those one iteration is a fixed batch,
+# random records in 512 frames). In those one iteration is a fixed batch,
 # the per-item cost its own column; -benchtime 3x keeps each at three
 # iterations.
 bench:
@@ -96,20 +95,5 @@ bench:
 # benchmark fails here. A few seconds.
 bench-smoke:
 	cd bench && $(GO) test ./...
-
-# Machine-readable benchmark trajectory: sync vs async sort/bulk-load, the
-# write-behind loader and the fused sort→index build, the query-serving points
-# (looped vs batched lookups, sync vs prefetched scans), the online
-# store's mixed-workload points (buffered writes vs per-key inserts,
-# serving quiesced vs through a drain) at D in {1,4}, the sharded
-# serving points (merge-cut batch, stitched scan at S in {1,4}), and the
-# robustness points (open-loop p50/p99 and shed profile at half and twice
-# calibrated capacity, clean-vs-faulted serving with the retry audit),
-# wall-clock and counted I/Os, written to BENCH_PR9.json. Committed once
-# per PR so perf history accumulates as a diffable series
-# (BENCH_PR3..PR8.json are the previous points).
-bench-json:
-	$(GO) run ./cmd/embench -json BENCH_PR9.json
-	@cat BENCH_PR9.json
 
 ci: build vet race

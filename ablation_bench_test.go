@@ -1,6 +1,6 @@
 package em
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: each
+// Ablation benchmarks for the design choices the survey weighs: each
 // sweeps one knob of one algorithm and reports counted I/Os, isolating the
 // contribution of run formation, striping width, cache size, buffer-tree
 // fanout, and memory for the blocked transpose.

@@ -1,13 +1,11 @@
 package em
 
-// bench_test.go regenerates every table and figure of the survey's
-// evaluation, one benchmark per experiment id (see DESIGN.md §3 and
-// EXPERIMENTS.md). Each iteration runs the full experiment on a fresh
-// instrumented volume; the counted block I/Os — the survey's own currency —
-// are attached as custom metrics (suffix "ios" or named per algorithm), so
-// `go test -bench .` reports both wall-clock and model cost.
-//
-// The cmd/embench tool prints the same experiments as human-readable tables.
+// bench_test.go holds the engine micro-benchmarks: the concurrent per-disk
+// worker engine's batched reads, and synchronous against forecasting
+// (async) streams on the sorts, a compute-heavy scan and the bulk loader.
+// Each reports counted block I/Os beside wall clock. The survey's
+// experiment tables are printed by cmd/embench and their shapes asserted by
+// the tests in internal/experiments.
 
 import (
 	"fmt"
@@ -16,311 +14,6 @@ import (
 
 	"em/internal/experiments"
 )
-
-// lastCells extracts the last row of a table.
-func lastCells(t *experiments.Table) (map[string]float64, []string) {
-	if len(t.Rows) == 0 {
-		return nil, nil
-	}
-	r := t.Rows[len(t.Rows)-1]
-	return r.Cells, r.Order
-}
-
-func reportTable(b *testing.B, t *experiments.Table) {
-	cells, order := lastCells(t)
-	for _, k := range order {
-		b.ReportMetric(cells[k], k)
-	}
-}
-
-// BenchmarkT1FundamentalBounds regenerates the fundamental-bounds table:
-// measured Scan, Sort and Search against their Θ-formulas.
-func BenchmarkT1FundamentalBounds(b *testing.B) {
-	for _, n := range []int{1 << 14, 1 << 16, 1 << 18} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.T1FundamentalBounds([]int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkT2SortingAlgorithms regenerates the sorting table: merge sort ≈
-// distribution sort ≈ Sort(N), B-tree insertion sort worse by ≈ B/log m.
-func BenchmarkT2SortingAlgorithms(b *testing.B) {
-	for _, n := range []int{1 << 14, 1 << 16} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.T2SortingAlgorithms([]int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkF1MergePassesVsMemory regenerates the passes-vs-memory figure.
-func BenchmarkF1MergePassesVsMemory(b *testing.B) {
-	for _, fanin := range []int{2, 4, 8, 16, 64} {
-		b.Run(fmt.Sprintf("fanin=%d", fanin), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.F1MergePassesVsMemory(1<<16, []int{fanin})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkF2RunFormation regenerates the run-length figure: replacement
-// selection vs load-sort on random and nearly-sorted inputs.
-func BenchmarkF2RunFormation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.F2RunFormation(1 << 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			// Report the headline number: replacement-selection run length
-			// over M on random input (row 1).
-			b.ReportMetric(t.Rows[1].Cells["lenOverM"], "replsel-lenOverM")
-			b.ReportMetric(t.Rows[0].Cells["lenOverM"], "loadsort-lenOverM")
-		}
-	}
-}
-
-// BenchmarkF3DiskStriping regenerates the striping figure across D.
-func BenchmarkF3DiskStriping(b *testing.B) {
-	for _, d := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("D=%d", d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.F3DiskStriping(1<<15, []int{d})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkT3Permuting regenerates the permuting table and its crossover.
-func BenchmarkT3Permuting(b *testing.B) {
-	for _, n := range []int{1 << 10, 1 << 13, 1 << 16} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.T3Permuting([]int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkT4Transpose regenerates the transpose table.
-func BenchmarkT4Transpose(b *testing.B) {
-	for _, s := range []int{64, 128, 256} {
-		b.Run(fmt.Sprintf("%dx%d", s, s), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.T4Transpose([]int{s})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkT5OnlineSearch regenerates the online-search table: binary search
-// vs B-tree vs extendible hashing, in reads per lookup.
-func BenchmarkT5OnlineSearch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.T5OnlineSearch(1<<17, 300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportTable(b, t)
-		}
-	}
-}
-
-// BenchmarkT6BufferTreeVsBTree regenerates the batched-update table.
-func BenchmarkT6BufferTreeVsBTree(b *testing.B) {
-	for _, n := range []int{1 << 13, 1 << 15} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.T6BufferTreeVsBTree([]int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkT7PriorityQueue regenerates the priority-queue table.
-func BenchmarkT7PriorityQueue(b *testing.B) {
-	for _, n := range []int{1 << 13, 1 << 15} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.T7PriorityQueue([]int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkF4ListRanking regenerates the list-ranking figure.
-func BenchmarkF4ListRanking(b *testing.B) {
-	for _, n := range []int{1 << 12, 1 << 15} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.F4ListRanking([]int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkF5ExternalBFS regenerates the BFS figure.
-func BenchmarkF5ExternalBFS(b *testing.B) {
-	for _, v := range []int{1000, 4000} {
-		b.Run(fmt.Sprintf("V=%d", v), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.F5ExternalBFS([]int{v})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkT8DistributionSweep regenerates the segment-intersection table.
-func BenchmarkT8DistributionSweep(b *testing.B) {
-	for _, n := range []int{512, 2048} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.T8DistributionSweep([]int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkF6Paging regenerates the paging-policy figure.
-func BenchmarkF6Paging(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.F6Paging(48, 32, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			// Loop workload is the interesting row: LRU pathological.
-			loop := t.Rows[0]
-			for _, k := range loop.Order {
-				b.ReportMetric(loop.Cells[k], "loop-"+k)
-			}
-		}
-	}
-}
-
-// BenchmarkF7FFT regenerates the FFT figure: six-step external FFT vs
-// unblocked butterflies.
-func BenchmarkF7FFT(b *testing.B) {
-	for _, n := range []int{1 << 10, 1 << 12} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.F7FFT([]int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkF8TimeForward regenerates the time-forward-processing figure.
-func BenchmarkF8TimeForward(b *testing.B) {
-	for _, v := range []int{1000, 4000} {
-		b.Run(fmt.Sprintf("V=%d", v), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.F8TimeForward([]int{v})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkT9BulkLoad regenerates the index-construction table.
-func BenchmarkT9BulkLoad(b *testing.B) {
-	for _, n := range []int{1 << 13, 1 << 15} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t, err := experiments.T9BulkLoad([]int{n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkVolumeBatchRead measures the wall-clock effect of the concurrent
 // per-disk worker engine: the same 64-block striped read workload at a fixed

@@ -1,7 +1,7 @@
 // Command embench regenerates every table and figure of the survey
-// reproduction as aligned text rows — the same experiments bench_test.go
-// runs under testing.B, at the full parameter sweeps recorded in
-// EXPERIMENTS.md.
+// reproduction as aligned text rows. The shape tests in
+// internal/experiments run the same experiments at reduced sweeps and
+// assert the survey's claims on them.
 //
 // Usage:
 //
@@ -10,62 +10,31 @@
 //	embench -quick          # reduced sweeps (seconds instead of minutes)
 //	embench -list           # list experiment ids and claims
 //	embench -dir path       # file-backed volumes: disks are real files under path
-//	embench -json out.json  # emit the machine-readable benchmark trajectory
 //
 // Most numbers are counted block transfers on the instrumented Parallel
-// Disk Model — the survey's currency. Since the volume grew a concurrent
-// per-disk engine with a configurable service latency, wall-clock time is
-// meaningful too: every experiment prints its elapsed time, F9 sweeps the
-// engine itself (elapsed ms falling ×D at constant block count, and
-// forecasting prefetch overlapping compute with I/O), F10 extends the
-// forecasting comparison to distribution sort and B-tree bulk loading, F11
-// covers the write side — write-behind leaf batching against the
-// synchronous loader, and the fused sort→index build against sorting to a
-// file then loading it — F12 the read side:
-// batched point lookups, prefetched range scans, and concurrent read
-// sessions against one-at-a-time serving, on both storage backends — and
-// F13 the online store that composes the two: buffer-tree write absorption
-// against per-key B-tree inserts, and read throughput while a background
-// drain hands a new B-tree generation over — F14 the sharded serving
-// facade: merge-cut batched lookups and stitched scans across S
-// range-partitioned volumes against the single-volume layout, with
-// aggregated counters pinned byte-identical across backends — and F15 the
-// robustness surface: an open-loop YCSB-style mix at twice calibrated
-// capacity shedding typed overload errors instead of failing, a faulted
-// volume with retries serving identical counted I/Os at bounded p99, and
-// a batch across a crashed shard degrading to a partial result. F12–F15
-// check their own acceptance gates and fail (non-zero exit) when one is
-// missed, so CI can gate on the sweeps.
+// Disk Model, the survey's currency. The volume's per-disk engine takes a
+// configurable service latency, so wall clock is meaningful too, and every
+// experiment prints its elapsed time. T1–T9 and F1–F8 are the survey's
+// bounds in counted I/Os. F9–F14 measure the engine on the clock: F9 the
+// striped scan and forecasting prefetch, F10 forecasting in distribution
+// sort and bulk loading, F11 write-behind and the fused sort→index build,
+// F12 batched lookups, prefetched scans and read sessions, F13 the online
+// store's write front and reads through a drain, and F14 the sharded
+// facade. F12–F14 check their own acceptance gates and fail when one is
+// missed.
 //
 // With -dir every experiment volume maps its simulated disks to real files
 // under the given directory (one numbered subdirectory per volume), so the
 // full catalogue exercises actual storage with identical counted I/Os.
 //
-// With -json the catalogue is skipped; instead the benchmark trajectory —
-// sync vs async merge sort, distribution sort, B-tree bulk load (plus its
-// write-behind mode), the fused sort→index build with and without
-// write-behind, the query-serving points (looped vs batched lookups, sync
-// vs prefetched scans), the online store's mixed-workload points (buffered
-// writes vs per-key inserts, serving quiesced vs through a drain) at
-// D ∈ {1, 4},
-// the sharded serving points (merge-cut batch and stitched scan at
-// S ∈ {1, 4} volumes), and the robustness points (open-loop latency and
-// shed profile, clean-vs-faulted serving with retry audit), wall-clock
-// and counted I/Os — is written to the given file
-// (the repository commits these as BENCH_*.json, one per PR, so perf
-// regressions show up as a diffable series; `make bench-json` regenerates
-// the current one).
-//
 // Any experiment failure is reported on stderr and the remaining
-// experiments still run, but the process exits non-zero, so CI gates on it.
+// experiments still run, but the process exits non-zero.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -221,20 +190,13 @@ var catalogue = []experiment{
 		}
 		return experiments.F14ShardedServing(1<<13, []int{1, 2, 4}, 2*time.Millisecond)
 	}},
-	{"F15", "robustness: oversubscribed load sheds typed; faulted retries keep counted I/Os; crashed shard degrades", func(q bool) (*experiments.Table, error) {
-		if q {
-			return experiments.F15Robustness(1<<11, 160, 2*time.Millisecond)
-		}
-		return experiments.F15Robustness(1<<12, 320, 2*time.Millisecond)
-	}},
 }
 
 func main() {
 	var (
-		quick   = flag.Bool("quick", false, "reduced parameter sweeps")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		dir     = flag.String("dir", "", "file-backed volumes: store simulated disks as real files under this directory")
-		jsonOut = flag.String("json", "", "skip the catalogue; write the benchmark trajectory as JSON to this file")
+		quick = flag.Bool("quick", false, "reduced parameter sweeps")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
+		dir   = flag.String("dir", "", "file-backed volumes: store simulated disks as real files under this directory")
 	)
 	flag.Parse()
 
@@ -246,14 +208,6 @@ func main() {
 	}
 	if *dir != "" {
 		experiments.SetVolumeDir(*dir)
-	}
-
-	if *jsonOut != "" {
-		if err := writeBenchJSON(*jsonOut, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, "embench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	want := map[string]bool{}
@@ -270,8 +224,7 @@ func main() {
 		tab, err := runExperiment(e, *quick)
 		if err != nil {
 			// Report and keep going so one broken experiment doesn't hide
-			// the state of the rest, but fail the process at the end — CI
-			// gates on the exit code.
+			// the state of the rest, but fail the process at the end.
 			fmt.Fprintf(os.Stderr, "embench: %s: FAILED: %v\n", e.id, err)
 			failed++
 			continue
@@ -300,37 +253,4 @@ func runExperiment(e experiment, quick bool) (tab *experiments.Table, err error)
 		}
 	}()
 	return e.run(quick)
-}
-
-// benchFile is the on-disk shape of a BENCH_*.json trajectory file.
-type benchFile struct {
-	// Schema names the measurement set so future PRs with different
-	// trajectories stay distinguishable.
-	Schema string `json:"schema"`
-	Go     string `json:"go"`
-	OS     string `json:"os"`
-	Arch   string `json:"arch"`
-	Quick  bool   `json:"quick"`
-	// Results holds one point per (workload, mode, disks) coordinate.
-	Results []experiments.BenchResult `json:"results"`
-}
-
-// writeBenchJSON measures the benchmark trajectory and writes it to path.
-func writeBenchJSON(path string, quick bool) error {
-	results, err := experiments.BenchTrajectory(quick)
-	if err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(benchFile{
-		Schema:  "em-bench-trajectory/v3",
-		Go:      runtime.Version(),
-		OS:      runtime.GOOS,
-		Arch:    runtime.GOARCH,
-		Quick:   quick,
-		Results: results,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o666)
 }

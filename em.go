@@ -210,8 +210,11 @@
 // answered, and a per-key Served mask; only a batch with no surviving
 // shard fails outright. Callers that can tolerate holes keep the answers,
 // callers that cannot treat the error as fatal — either way errors.Is
-// sees through to each cause. Experiment F15 gates all four mechanisms
-// under an open-loop YCSB-style workload.
+// sees through to each cause. Deterministic tests pin all four:
+// TestRetryToSuccessIdentity (per block transfer) and
+// TestServeUnderRetriedFaults (a served B-tree) the fault model and the
+// retry identity, TestStarvedPoolErrorsUniform the typed shed, and
+// TestShardedGetBatchUnwindUnderFault the partial batch.
 //
 // # Invariants
 //
@@ -281,9 +284,9 @@
 //   - paging policies: FaultsLRU, FaultsFIFO, FaultsCLOCK, FaultsMIN
 //
 // Each algorithm's doc comment states the I/O bound it meets and, where the
-// survey describes one, the naive baseline it is benchmarked against. The
-// benchmark suite in bench_test.go regenerates every experiment table; see
-// DESIGN.md and EXPERIMENTS.md.
+// survey describes one, the naive baseline it is benchmarked against.
+// cmd/embench regenerates every experiment table, and the shape tests in
+// internal/experiments assert each table's claim.
 package em
 
 import (

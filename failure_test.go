@@ -3,8 +3,8 @@ package em_test
 // Failure-injection and misuse tests: every component must fail loudly and
 // cleanly — returning errors, not corrupting state or silently borrowing
 // memory — when its contract is violated. The memory-budget cases are the
-// library's core promise (see DESIGN.md §5: "the pool panics on
-// over-subscription so model violations cannot pass silently").
+// library's core promise: the pool panics on over-subscription so model
+// violations cannot pass silently.
 
 import (
 	"errors"

@@ -1,12 +1,13 @@
 // Package experiments implements every evaluation experiment of the survey
-// reproduction — one function per table or figure listed in DESIGN.md §3.
+// reproduction — one function per table or figure in cmd/embench's
+// catalogue.
 //
 // Each experiment builds its workload on a fresh instrumented volume, runs
 // the algorithm(s) under test, and returns the measured I/O counts together
 // with the survey's predicted value, so that callers can check the claimed
-// shape (who wins, by what factor, where crossovers fall). Three callers
-// share this package: the root bench_test.go benchmarks, the cmd/embench
-// table printer, and the package's own shape-asserting tests.
+// shape (who wins, by what factor, where crossovers fall). Two callers
+// share this package: the cmd/embench table printer and the package's own
+// shape-asserting tests.
 package experiments
 
 import (
@@ -34,7 +35,7 @@ var (
 // string restores the in-memory simulation. The I/O counts every experiment
 // reports are identical either way — only the medium under the wall-clock
 // columns changes. cmd/embench wires this to its -dir flag so the full
-// catalogue (T1–T9, F1–F13) runs against real files with a flag flip.
+// catalogue (T1–T9, F1–F14) runs against real files with a flag flip.
 func SetVolumeDir(dir string) { volumeDir.Store(dir) }
 
 // newVolume creates one experiment volume honouring SetVolumeDir.
@@ -59,7 +60,7 @@ type Row struct {
 
 // Table is a complete experiment result.
 type Table struct {
-	// ID is the experiment id from DESIGN.md, e.g. "T1" or "F4".
+	// ID is the experiment id in cmd/embench's catalogue, e.g. "T1" or "F4".
 	ID string
 	// Title is the survey claim being reproduced.
 	Title string

@@ -9,7 +9,7 @@ import (
 // These tests run every experiment at reduced scale and assert the *shape*
 // of the survey's claim — who wins, by roughly what factor, where the
 // crossover falls — which is exactly what reproduction means for a survey
-// of asymptotic bounds (see DESIGN.md §1).
+// of asymptotic bounds.
 
 func TestT1FundamentalBoundsShape(t *testing.T) {
 	tab, err := T1FundamentalBounds([]int{1 << 12, 1 << 14, 1 << 16})
@@ -512,57 +512,4 @@ func TestF13StoreOnlineShape(t *testing.T) {
 		d4.Cells["btreeMs"], d4.Cells["storeMs"], d4.Cells["btreeMs"]/d4.Cells["storeMs"],
 		d4.Cells["btreeIOs"], d4.Cells["storeIOs"],
 		d4.Cells["qpsQuiet"], d4.Cells["qpsDrain"], int(d4.Cells["drainReads"]))
-}
-
-func TestF15RobustnessShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiment")
-	}
-	// F15 enforces its own acceptance gates — typed sheds (and nothing
-	// harder) under 2x oversubscription, counted-I/O identity and bounded
-	// p99 under injected faults with retries, the partial-batch contract
-	// across a crashed shard — and fails the run when one is missed, so
-	// the assertions here are the gross shape on top.
-	tab, err := F15Robustness(1<<11, 160, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := map[string]Row{}
-	for _, r := range tab.Rows {
-		rows[r.Label] = r
-	}
-	if len(rows) != 7 {
-		t.Fatalf("expected 7 distinct rows, got %d", len(rows))
-	}
-	for _, label := range []string{"uniform/0.5x", "uniform/2x", "zipf/0.5x", "zipf/2x"} {
-		r, ok := rows[label]
-		if !ok {
-			t.Fatalf("missing row %s", label)
-		}
-		if r.Cells["ok"] == 0 {
-			t.Errorf("%s: no op succeeded", label)
-		}
-		if r.Cells["p99Ms"] < r.Cells["p50Ms"] {
-			t.Errorf("%s: p99 %.2fms below p50 %.2fms", label, r.Cells["p99Ms"], r.Cells["p50Ms"])
-		}
-	}
-	// The faulted serve must have exercised the retry path and read
-	// exactly what the clean run read (the F15 identity gate already
-	// compared full snapshots).
-	if rows["serve/faulted"].Cells["retries"] == 0 {
-		t.Error("serve/faulted: no retries recorded")
-	}
-	if cr, fr := rows["serve/clean"].Cells["reads"], rows["serve/faulted"].Cells["reads"]; cr != fr {
-		t.Errorf("serve reads differ: clean %0.f vs faulted %0.f", cr, fr)
-	}
-	// The crashed shard dropped its half of the batch and the survivor
-	// answered the rest.
-	if crash := rows["crash/partial"]; crash.Cells["ok"] == 0 || crash.Cells["shed"] == 0 {
-		t.Errorf("crash/partial: want both served and dropped keys, got ok=%0.f shed=%0.f",
-			crash.Cells["ok"], crash.Cells["shed"])
-	}
-	two := rows["uniform/2x"]
-	t.Logf("uniform 2x: ok %0.f shed %0.f (%.1f%%) p50 %.1fms p99 %.1fms; faulted serve: %0.f retries over %0.f injected",
-		two.Cells["ok"], two.Cells["shed"], two.Cells["shedPct"], two.Cells["p50Ms"], two.Cells["p99Ms"],
-		rows["serve/faulted"].Cells["retries"], rows["serve/faulted"].Cells["injected"])
 }

@@ -80,108 +80,6 @@ func F14ShardedServing(n int, shardCounts []int, latency time.Duration) (*Table,
 	return t, nil
 }
 
-// shardBenchPoint measures the sharded serving trajectory points (the F14
-// surface): the merge-cut batched lookup and the stitched full scan at
-// S ∈ {1, 4} shards, each shard a two-disk volume of its own. Counters are
-// the aggregated per-shard Stats.
-func shardBenchPoint(n int, latency time.Duration) ([]BenchResult, error) {
-	var out []BenchResult
-	for _, s := range []int{1, 4} {
-		vols := make([]*pdm.Volume, s)
-		pools := make([]*pdm.Pool, s)
-		for i := range vols {
-			vol, err := newVolume(pdm.Config{BlockBytes: 1024, MemBlocks: 256, Disks: 2, DiskLatency: latency})
-			if err != nil {
-				return nil, err
-			}
-			defer vol.Close()
-			vols[i] = vol
-			pools[i] = pdm.PoolFor(vol)
-		}
-		splits := make([]uint64, s-1)
-		for i := range splits {
-			splits[i] = uint64((i+1)*n/s) + 1
-		}
-		shards := make([]*btree.Tree, s)
-		for i := range shards {
-			lo, hi := i*n/s+1, (i+1)*n/s
-			recs := make([]record.Record, 0, hi-lo+1)
-			for k := lo; k <= hi; k++ {
-				recs = append(recs, record.Record{Key: uint64(k), Val: uint64(k) * 3})
-			}
-			sf, err := stream.FromSlice(vols[i], pools[i], record.RecordCodec{}, recs)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := btree.BulkLoad(vols[i], pools[i], 16, sf,
-				&btree.BulkLoadOptions{Width: 2, Async: true, WriteBehind: true})
-			if err != nil {
-				return nil, err
-			}
-			if err := tr.Rehome(pools[i], 16); err != nil {
-				return nil, err
-			}
-			shards[i] = tr
-		}
-		sharded, err := shard.NewTree(shards, &shard.TreeOptions{Splits: splits})
-		if err != nil {
-			return nil, err
-		}
-		defer sharded.Close()
-		if err := sharded.Warm(); err != nil {
-			return nil, err
-		}
-
-		measure := func(workload string, records int, fn func() error) error {
-			for _, v := range vols {
-				v.Stats().Reset()
-			}
-			start := time.Now()
-			if err := fn(); err != nil {
-				return fmt.Errorf("%s S=%d: %w", workload, s, err)
-			}
-			ms := msSince(start)
-			agg := sharded.Stats()
-			out = append(out, BenchResult{
-				Workload: workload, Mode: fmt.Sprintf("S=%d", s), Disks: 2, Records: records,
-				WallMs: ms, Reads: agg.Reads, Writes: agg.Writes, Steps: agg.Steps,
-			})
-			return nil
-		}
-
-		// Scan first, then the batch, for the same cold-leaf reasoning as
-		// shardedPoint and F12.
-		if err := measure("sharded-scan", n, func() error {
-			sc, err := sharded.Scan(0, ^uint64(0))
-			if err != nil {
-				return err
-			}
-			defer sc.Close()
-			for {
-				if _, ok, err := sc.Next(); err != nil {
-					return err
-				} else if !ok {
-					return nil
-				}
-			}
-		}); err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(0xF14))
-		keys := make([]uint64, 1000)
-		for i := range keys {
-			keys[i] = uint64(rng.Intn(n+n/8) + 1)
-		}
-		if err := measure("sharded-getbatch", len(keys), func() error {
-			_, _, err := sharded.GetBatch(keys)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // shardedPoint serves the fixed workload from an S-shard layout for one
 // (shards, backend) coordinate, owning its volumes — and, on the file
 // backend, their directories — for exactly its scope. It returns the

@@ -1,15 +1,17 @@
 package em_test
 
 // Robustness contracts at the public surface: starved-pool errors are
-// uniform across every layer, and a fault that aborts an operation midway
+// uniform across every layer, a fault that aborts an operation midway
 // unwinds both resources the model accounts for — pool frames and volume
-// blocks — exactly. See the "Robustness" section of the package doc and
-// CONTRIBUTING.md ("Writing fault-plan tests") for the conventions these
-// tests pin down.
+// blocks — exactly, and transient faults retried to success leave a served
+// index's answers and counted I/Os unchanged. See the "Robustness" section
+// of the package doc and CONTRIBUTING.md ("Writing fault-plan tests") for
+// the conventions these tests pin down.
 
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -79,6 +81,8 @@ func buildSmallStore(t *testing.T, vol *em.Volume, pool *em.Pool, cfg em.StoreCo
 func TestStarvedPoolErrorsUniform(t *testing.T) {
 	cfg := em.Config{BlockBytes: 512, MemBlocks: 48, Disks: 2}
 	gated := &em.BTreeOptions{CacheFrames: 8, AdmitQueue: 2, AdmitWait: 2 * time.Millisecond}
+	gatedStore := em.StoreConfig{FrontOps: 1 << 20, CacheFrames: 4, Width: 2,
+		AdmitQueue: 2, AdmitWait: 2 * time.Millisecond}
 
 	cases := []struct {
 		name         string
@@ -160,12 +164,39 @@ func TestStarvedPoolErrorsUniform(t *testing.T) {
 		{name: "store-session-gated", wantOverload: true, run: func(t *testing.T) error {
 			vol := em.MustVolume(cfg)
 			pool := em.PoolFor(vol)
-			st := buildSmallStore(t, vol, pool, em.StoreConfig{
-				FrontOps: 1 << 20, CacheFrames: 4, Width: 2,
-				AdmitQueue: 2, AdmitWait: 2 * time.Millisecond})
+			st := buildSmallStore(t, vol, pool, gatedStore)
 			defer st.Close()
 			defer soakPool(t, pool)()
 			_, err := st.NewSession(4, 2)
+			return err
+		}},
+		{name: "store-scan-gated", wantOverload: true, run: func(t *testing.T) error {
+			vol := em.MustVolume(cfg)
+			pool := em.PoolFor(vol)
+			st := buildSmallStore(t, vol, pool, gatedStore)
+			defer st.Close()
+			defer soakPool(t, pool)()
+			_, err := st.Scan(1, 200)
+			return err
+		}},
+		{name: "sharded-store-scan-gated", wantOverload: true, run: func(t *testing.T) error {
+			vols := []*em.Volume{em.MustVolume(cfg), em.MustVolume(cfg)}
+			pools := []*em.Pool{em.PoolFor(vols[0]), em.PoolFor(vols[1])}
+			st, err := em.OpenShardedStore(vols, pools, &em.ShardedStoreOptions{Splits: []uint64{101}, Store: gatedStore})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for k := uint64(1); k <= 200; k++ {
+				if err := st.Insert(k, 3*k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			defer soakPool(t, pools[1])() // starve only the upper shard
+			_, err = st.Scan(1, 200)
 			return err
 		}},
 		{name: "sharded-session", run: func(t *testing.T) error {
@@ -456,6 +487,96 @@ func TestShardedGetBatchUnwindUnderFault(t *testing.T) {
 			}
 			if got := liveBlocks(vol1); got != live1 {
 				t.Errorf("dead shard leaked blocks: live %d, want %d", got, live1)
+			}
+		})
+	}
+}
+
+// TestServeUnderRetriedFaults is the retry identity at the serving layer,
+// on both backends: a B-tree bulk-loaded, warmed and served on a volume
+// whose fault plan injects transient read and write errors and latency
+// spikes, with retries on, answers every key exactly as its clean twin
+// does, at identical counted I/Os, and Stats.Retries accounts for every
+// injected fault. (TestRetryToSuccessIdentity pins the same identity one
+// block transfer at a time.)
+func TestServeUnderRetriedFaults(t *testing.T) {
+	base := em.Config{BlockBytes: 1024, MemBlocks: 256, Disks: 2}
+	const n, batches = 1 << 11, 80
+
+	// serve builds the tree over keys [1, n] with val = 3*key and checks
+	// every answer of a seeded run of 16-key batches.
+	serve := func(t *testing.T, vol *em.Volume) {
+		t.Helper()
+		pool := em.PoolFor(vol)
+		recs := make([]em.Record, n)
+		for i := range recs {
+			k := uint64(i + 1)
+			recs[i] = em.Record{Key: k, Val: 3 * k}
+		}
+		f, err := em.FromSlice(vol, pool, em.RecordCodec{}, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := em.BulkLoadBTree(vol, pool, 16, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		if err := tr.Warm(); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(42))
+		for b := 0; b < batches; b++ {
+			keys := make([]uint64, 16)
+			for i := range keys {
+				keys[i] = uint64(rng.Intn(n) + 1)
+			}
+			vals, found, err := tr.GetBatch(keys)
+			if err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+			for i, k := range keys {
+				if !found[i] || vals[i] != 3*k {
+					t.Fatalf("batch %d: key %d = (%d, %v), want (%d, true)", b, k, vals[i], found[i], 3*k)
+				}
+			}
+		}
+	}
+
+	for name, cfg := range backendConfigs(t, base) {
+		t.Run(name, func(t *testing.T) {
+			faultCfg := cfg
+			faultCfg.Fault = &em.FaultPlan{Seed: 7, ReadErr: 0.04, WriteErr: 0.02,
+				StallEvery: 128, Stall: 10 * time.Microsecond}
+			faultCfg.Retry = &em.RetryPolicy{MaxRetries: 8}
+			if cfg.Dir != "" { // file volumes must not share a directory
+				cfg.Dir = t.TempDir()
+				faultCfg.Dir = t.TempDir()
+			}
+			clean, err := em.NewVolume(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer clean.Close()
+			faulted, err := em.NewVolume(faultCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer faulted.Close()
+
+			serve(t, clean)
+			serve(t, faulted)
+			fb := faulted.Fault()
+			if fb.Injected() == 0 || fb.Stalls() == 0 {
+				t.Fatalf("plan injected %d faults and %d stalls; the check is vacuous", fb.Injected(), fb.Stalls())
+			}
+			cs, fs := clean.Stats().Snapshot(), faulted.Stats().Snapshot()
+			if fs.Retries != uint64(fb.Injected()) {
+				t.Errorf("retries %d != injected faults %d", fs.Retries, fb.Injected())
+			}
+			fs.Retries = 0
+			if !reflect.DeepEqual(cs, fs) {
+				t.Errorf("counted I/Os differ from the clean twin:\nclean   %+v\nfaulted %+v", cs, fs)
 			}
 		})
 	}
