@@ -166,7 +166,7 @@ var catalogue = []experiment{
 		}
 		return experiments.F10ForecastSortIndex(1<<13, []int{1, 2, 4, 8}, 2*time.Millisecond)
 	}},
-	{"F11", "write-behind bulk load recovers the write path's serialization; the fused build drops the sorted file", func(q bool) (*experiments.Table, error) {
+	{"F11", "a width-D write-behind bulk load writes D leaves per step; the fused build drops the sorted file", func(q bool) (*experiments.Table, error) {
 		if q {
 			return experiments.F11WriteBehind(1<<13, []int{1, 4}, 2*time.Millisecond)
 		}

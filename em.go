@@ -54,27 +54,26 @@
 // Index construction gets the same treatment on its write side. The B-tree
 // bulk loader threads each leaf's sibling pointer forward — the successor's
 // block is allocated before the leaf is sealed — so no leaf is ever
-// revisited, and BulkLoadOptions.WriteBehind exploits exactly that: leaves
-// bypass the pinning cache and stream to the disks in Width-block batches
-// through the async engine while the next group is packed (internal nodes,
-// at most N/B of them, stay on the cache path). SortIndex fuses the two
-// halves of index building: the loader is the distribution sort's sink, so
-// each memory-sized bucket is sorted and appended straight into leaves,
-// smallest key range first, and the sorted order never exists as a file.
-// That costs the survey's bound — Sort(N) plus one write per node — and
-// saves the ⌈N/B⌉ writes and ⌈N/B⌉ reads of sorting to a file and loading
-// from it, which is what the test suite pins on both storage backends.
+// revisited, and the loader exploits exactly that: leaves bypass the
+// pinning cache and stream to the disks write-behind, in Width-block
+// batches through the async engine while the next group is packed
+// (internal nodes, at most N/B of them, go through the cache). SortIndex
+// fuses the two halves of index building: the loader is the distribution
+// sort's sink, so each memory-sized bucket is sorted and appended straight
+// into leaves, smallest key range first, and the sorted order never exists
+// as a file. That costs the survey's bound — Sort(N) plus one write per
+// node — and saves the ⌈N/B⌉ writes and ⌈N/B⌉ reads of sorting to a file
+// and loading from it, which is what the test suite pins on both storage
+// backends.
 //
-// Write-behind never moves the counted model: it issues exactly the cache
-// path's read and write I/Os. The currencies it trades are pool frames and
-// wall-clock time. It costs 2×Width extra frames (its double buffer): worth
-// it whenever leaf write-back dominates, since a cache-path loader writes
-// one block per step while D-1 disks idle, but on a tight pool those frames
-// come out of the loader's cache or the sort's fan-out, which can add a
-// pass — experiment F11 measures the write-behind side of that trade.
-// SortIndex reserves the loader's whole budget (CacheFrames + 2×Width) up
-// front whether or not WriteBehind is on, so the sort's splitting decisions
-// — and therefore its I/O counts — do not depend on the leaf path.
+// Write-behind writes each node exactly once, so a load's counted writes
+// are the finished tree's node count and its reads are the input's blocks.
+// What it sets is the parallel step count: a width-D load writes D leaves
+// per step where a one-leaf-at-a-time writer would leave D-1 disks idle,
+// and experiment F11 measures that across D. It costs 2×Width pool frames
+// (its double buffer) beside the cache. SortIndex reserves the loader's
+// whole budget (CacheFrames + 2×Width) up front, so the sort's splitting
+// decisions are fixed before the first record reaches the loader.
 //
 // # Serving queries
 //
@@ -275,7 +274,7 @@
 //   - external sorting: MergeSort, DistributionSort, SortViaBTree (baseline)
 //   - permuting: Permute, PermuteNaive, PermuteBySorting
 //   - matrices: Matrix, Transpose, TransposeNaive, MatMul
-//   - online dictionaries: BTree (with BulkLoadBTree and SortIndex), HashTable
+//   - online dictionaries: BTree (with BulkLoadBTreeWith and SortIndex), HashTable
 //   - batched updates: BufferTree
 //   - updatable store: Store (in-memory write front + generational B-tree)
 //   - priority queues: PQ
@@ -722,27 +721,23 @@ type BTreeScanner = btree.Scanner
 // its own goroutine beside other sessions. See BTree.NewSession.
 type BTreeSession = btree.Session
 
-// BulkLoadBTree builds a B+-tree bottom-up from a key-sorted record file in
-// Θ(N/B) I/Os — versus Θ(N log_B N) for repeated insertion (experiment T9).
-// The input is read synchronously one block at a time; BulkLoadBTreeWith
-// adds striping, forecasting read-ahead, and write-behind leaf batching.
-func BulkLoadBTree(vol *Volume, pool *Pool, cacheFrames int, sorted *File[Record]) (*BTree, error) {
-	return btree.BulkLoad(vol, pool, cacheFrames, sorted, nil)
-}
-
 // BulkLoadOptions tunes BulkLoadBTreeWith's streams: Width stripes the
-// reads over the disks, Async keeps the next block group of the sorted run
-// in flight (forecasting read-ahead, 2×Width pool frames) while leaves are
-// packed and nodes written back, and WriteBehind batches the leaf writes
-// Width at a time through the async engine (another 2×Width frames — see
-// the package comment's write-optimal index construction section). Counted
-// I/Os are identical to the synchronous paths' at equal width.
+// input reads and the leaf writes over the disks, and Async keeps the next
+// block group of the sorted run in flight (forecasting read-ahead, 2×Width
+// pool frames) while leaves are packed and nodes written back. The leaves
+// always go Width at a time through the async engine, write-behind, in
+// another 2×Width frames (see the package comment's write-optimal index
+// construction section). Counted I/Os are identical at every width and
+// depth. WriteBehind is a deprecated no-op.
 type BulkLoadOptions = btree.BulkLoadOptions
 
-// BulkLoadBTreeWith is BulkLoadBTree with an options-driven input stream.
-// On any error — unsorted input, failed read or write, exhausted pool —
-// every block and frame the load took is returned and any in-flight leaf
-// batch is joined, so the pool is exactly as it was.
+// BulkLoadBTreeWith builds a B+-tree bottom-up from a key-sorted record
+// file in Θ(N/B) I/Os — versus Θ(N log_B N) for repeated insertion
+// (experiment T9). Nil options read the input synchronously one block at a
+// time and write one leaf per batch. On any error — unsorted input, failed
+// read or write, exhausted pool — every block and frame the load took is
+// returned and any in-flight leaf batch is joined, so the pool is exactly
+// as it was.
 func BulkLoadBTreeWith(vol *Volume, pool *Pool, cacheFrames int, sorted *File[Record], opts *BulkLoadOptions) (*BTree, error) {
 	return btree.BulkLoad(vol, pool, cacheFrames, sorted, opts)
 }

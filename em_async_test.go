@@ -173,7 +173,7 @@ func TestFacadeAsyncBulkLoadMatchesSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sync, err := em.BulkLoadBTree(vol, pool, 8, f)
+	sync, err := em.BulkLoadBTreeWith(vol, pool, 8, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,18 +199,23 @@ func TestFacadeAsyncBulkLoadMatchesSync(t *testing.T) {
 	}
 }
 
-// TestAsyncSortIndexSpeedupGate is the wall-clock acceptance gate for
-// forecasting beyond the merge path, the distribution-side mirror of the
-// engine's TestDiskLatencyParallelSpeedup: at a fixed per-block service
-// latency, the async width-4 distribution sort and B-tree bulk load on four
-// disks must beat their serial one-disk synchronous baselines by >= 1.5x
-// (the model predicts more; 1.5x leaves headroom for scheduler noise).
+// TestAsyncSortIndexSpeedupGate is the acceptance gate for forecasting
+// beyond the merge path, the distribution-side mirror of the engine's
+// TestDiskLatencyParallelSpeedup: the async width-4 distribution sort and
+// B-tree bulk load on four disks must take >= 1.5x fewer parallel steps
+// than their serial one-disk synchronous baselines (the model predicts
+// more). Steps are the model's wall clock, counted exactly; the measured
+// wall clock at a 2 ms service latency is only logged.
 func TestAsyncSortIndexSpeedupGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing test")
+		t.Skip("latency test")
 	}
 	const latency = 2 * time.Millisecond
-	run := func(disks int, async bool) (distMs, bulkMs time.Duration) {
+	type cost struct {
+		steps uint64
+		wall  time.Duration
+	}
+	run := func(disks int, async bool) (dist, bulk cost) {
 		vol := em.MustVolume(em.Config{
 			BlockBytes: 1024, MemBlocks: 96, Disks: disks, DiskLatency: latency,
 		})
@@ -221,37 +226,43 @@ func TestAsyncSortIndexSpeedupGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := &em.SortOptions{Width: disks, Async: async}
-		start := time.Now()
-		sorted, err := em.DistributionSort(f, pool, em.Record.Less, opts)
-		if err != nil {
-			t.Fatal(err)
+		measure := func(fn func()) cost {
+			before, start := vol.Stats().Snapshot().Steps, time.Now()
+			fn()
+			return cost{vol.Stats().Snapshot().Steps - before, time.Since(start)}
 		}
-		distMs = time.Since(start)
-		start = time.Now()
-		tr, err := em.BulkLoadBTreeWith(vol, pool, 8, sorted, &em.BulkLoadOptions{Width: disks, Async: async})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bulkMs = time.Since(start)
-		if tr.Len() != sorted.Len() {
-			t.Fatalf("bulk load lost records: %d != %d", tr.Len(), sorted.Len())
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return distMs, bulkMs
+		var sorted *em.File[em.Record]
+		dist = measure(func() {
+			if sorted, err = em.DistributionSort(f, pool, em.Record.Less, &em.SortOptions{Width: disks, Async: async}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The load is measured to a closed tree, every node on the volume.
+		bulk = measure(func() {
+			tr, err := em.BulkLoadBTreeWith(vol, pool, 8, sorted, &em.BulkLoadOptions{Width: disks, Async: async})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Len() != sorted.Len() {
+				t.Fatalf("bulk load lost records: %d != %d", tr.Len(), sorted.Len())
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return dist, bulk
 	}
 	serialDist, serialBulk := run(1, false)
 	asyncDist, asyncBulk := run(4, true)
-	distSpeedup := float64(serialDist) / float64(asyncDist)
-	bulkSpeedup := float64(serialBulk) / float64(asyncBulk)
-	t.Logf("dist: D=1 sync %v, D=4 async %v, speedup %.2fx", serialDist, asyncDist, distSpeedup)
-	t.Logf("bulk: D=1 sync %v, D=4 async %v, speedup %.2fx", serialBulk, asyncBulk, bulkSpeedup)
-	if distSpeedup < 1.5 {
-		t.Errorf("async distribution sort D=4 speedup %.2fx, want >= 1.5x", distSpeedup)
-	}
-	if bulkSpeedup < 1.5 {
-		t.Errorf("async bulk load D=4 speedup %.2fx, want >= 1.5x", bulkSpeedup)
+	for _, c := range []struct {
+		name          string
+		serial, async cost
+	}{{"distribution sort", serialDist, asyncDist}, {"bulk load", serialBulk, asyncBulk}} {
+		speedup := float64(c.serial.steps) / float64(c.async.steps)
+		t.Logf("%s: D=1 sync %d steps (%v), D=4 async %d steps (%v), speedup %.2fx",
+			c.name, c.serial.steps, c.serial.wall, c.async.steps, c.async.wall, speedup)
+		if speedup < 1.5 {
+			t.Errorf("async %s D=4 speedup %.2fx in steps, want >= 1.5x", c.name, speedup)
+		}
 	}
 }

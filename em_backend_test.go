@@ -249,7 +249,7 @@ func TestSortCountersIndependentOfGOMAXPROCS(t *testing.T) {
 			}
 		}
 		sortIndex := func() ([]em.Record, error) {
-			tr, err := em.SortIndex(f, pool, &em.SortIndexOptions{Width: 2, Async: true, WriteBehind: true})
+			tr, err := em.SortIndex(f, pool, &em.SortIndexOptions{Width: 2, Async: true})
 			if err != nil {
 				return nil, err
 			}

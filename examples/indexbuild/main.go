@@ -83,7 +83,7 @@ func main() {
 	// D at a time write-behind.
 	vol, pool, f = freshEnv(recs)
 	bt2, err := em.SortIndex(f, pool, &em.SortIndexOptions{
-		Width: disks, Async: true, WriteBehind: true,
+		Width: disks, Async: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -110,7 +110,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bt3, err := em.BulkLoadBTree(vol, pool, 8, sealed)
+	bt3, err := em.BulkLoadBTreeWith(vol, pool, 8, sealed, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

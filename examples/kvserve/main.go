@@ -63,7 +63,7 @@ func main() {
 	}
 	start := time.Now()
 	idx, err := em.SortIndex(f, pool, &em.SortIndexOptions{
-		Width: disks, Async: true, WriteBehind: true, CacheFrames: 32,
+		Width: disks, Async: true, CacheFrames: 32,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -234,7 +234,7 @@ func main() {
 			log.Fatal(err)
 		}
 		tr, err := em.BulkLoadBTreeWith(v, p, 16, sf,
-			&em.BulkLoadOptions{Width: 1, Async: true, WriteBehind: true})
+			&em.BulkLoadOptions{Width: 1, Async: true})
 		if err != nil {
 			log.Fatal(err)
 		}

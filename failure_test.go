@@ -95,7 +95,7 @@ func TestBTreeContractViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := em.BulkLoadBTree(vol, pool, 4, unsorted); err == nil {
+	if _, err := em.BulkLoadBTreeWith(vol, pool, 4, unsorted, nil); err == nil {
 		t.Error("bulk load accepted unsorted input")
 	}
 	// Bulk load rejects duplicate keys (not strictly increasing).
@@ -105,7 +105,7 @@ func TestBTreeContractViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := em.BulkLoadBTree(vol, pool, 4, dup); err == nil {
+	if _, err := em.BulkLoadBTreeWith(vol, pool, 4, dup, nil); err == nil {
 		t.Error("bulk load accepted duplicate keys")
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // BenchmarkBulkLoad bulk-loads 2^20 sorted records from a file through the
 // pull face (BulkLoad → BulkLoadFrom → Loader.Append) on the zero-latency
-// memory backend at width 4, on both leaf paths. One iteration is a load
-// and a release of the tree; the ns/record and allocs/record columns divide
+// memory backend at width 4. One iteration is a load and a release of the
+// tree; the ns/record and allocs/record columns divide
 // it by the 2^20 records. It guards the per-record cost of the loop the
 // store's drains and the serving benchmarks' set-up run.
 func BenchmarkBulkLoad(b *testing.B) {
@@ -34,32 +34,25 @@ func BenchmarkBulkLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer f.Release()
-	for _, c := range []struct {
-		name string
-		wb   bool
-	}{{"cache", false}, {"writebehind", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			opts := &BulkLoadOptions{Width: width, Async: true, WriteBehind: c.wb}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr, err := BulkLoad(vol, pool, 8, f, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if tr.Len() != n {
-					b.Fatalf("loaded %d records, want %d", tr.Len(), n)
-				}
-				if err := tr.Release(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			recs := float64(b.N) * n
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/record")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/recs, "allocs/record")
-		})
+	opts := &BulkLoadOptions{Width: width, Async: true}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := BulkLoad(vol, pool, 8, f, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tr.Len() != n {
+			b.Fatalf("loaded %d records, want %d", tr.Len(), n)
+		}
+		if err := tr.Release(); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	recs := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/recs, "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/recs, "allocs/record")
 }

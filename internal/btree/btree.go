@@ -203,8 +203,8 @@ func (t *Tree) CacheStats() cache.CacheStats { return t.cache.Stats() }
 // --- node accessors -------------------------------------------------------
 //
 // The buf* functions operate on a raw block image, so a node can be built
-// directly in a pool frame (the bulk loader's write-behind leaf path) as
-// well as in a cache page; the page accessors delegate to them and add the
+// directly in a pool frame (the bulk loader's leaves) as well as in a
+// cache page; the page accessors delegate to them and add the
 // dirty-bit bookkeeping the buffer manager needs.
 
 func bufInitNode(b []byte, leaf bool) {
@@ -290,21 +290,9 @@ func (t *Tree) setChild(p *cache.Page, i int, a int64) {
 // block is returned to the volume rather than stranded.
 func (t *Tree) newNode(leaf bool) (*cache.Page, error) {
 	addr := t.vol.Alloc(1)
-	p, err := t.newNodeAt(addr, leaf)
-	if err != nil {
-		t.vol.Free(addr)
-		return nil, err
-	}
-	return p, nil
-}
-
-// newNodeAt pins a fresh node page for a block address the caller already
-// allocated (the bulk loader pre-allocates each leaf's successor so sibling
-// pointers can be threaded forward). The caller keeps ownership of addr on
-// error.
-func (t *Tree) newNodeAt(addr int64, leaf bool) (*cache.Page, error) {
 	p, err := t.cache.GetNew(addr)
 	if err != nil {
+		t.vol.Free(addr)
 		return nil, err
 	}
 	bufInitNode(p.Buf, leaf)

@@ -3,7 +3,6 @@ package btree
 import (
 	"errors"
 
-	"em/internal/cache"
 	"em/internal/pdm"
 	"em/internal/record"
 	"em/internal/stream"
@@ -15,9 +14,9 @@ var ErrUnsortedInput = errors.New("btree: bulk load input not strictly sorted by
 
 // BulkLoadOptions tunes the bulk loader's input and leaf-output streams.
 type BulkLoadOptions struct {
-	// Width is the striping width of the input reader and of the
-	// write-behind leaf batches; set it to the volume's disk count D to move
-	// D blocks per parallel batch. Zero means 1.
+	// Width is the striping width of the input reader and of the leaf
+	// batches; set it to the volume's disk count D to move D blocks per
+	// parallel batch. Zero means 1.
 	Width int
 	// Async opens a file input's reader ahead (forecasting read-ahead): the
 	// next block group of the sorted run stays in flight while the loader
@@ -27,14 +26,8 @@ type BulkLoadOptions struct {
 	// reader's at equal width. It has no effect on BulkLoadFrom or a
 	// Loader, whose caller owns the input.
 	Async bool
-	// WriteBehind routes the leaf level around the pinning cache: leaves
-	// are written exactly once and never revisited, so they are packed
-	// directly in pool frames and flushed Width at a time through
-	// Volume.BatchWriteAsync while the next group is packed. This costs
-	// 2×Width extra pool frames (the double buffer) but gives node
-	// write-back the same D-disk parallelism the input reads already have;
-	// counted read and write I/Os are identical to the cache path's.
-	// Internal levels — at most N/B nodes — stay on the cache path.
+	// Deprecated: leaves always stream out write-behind (see Loader); kept
+	// until bench/ stops setting it.
 	WriteBehind bool
 }
 
@@ -45,12 +38,10 @@ func (o *BulkLoadOptions) width() int {
 	return o.Width
 }
 
-func (o *BulkLoadOptions) writeBehind() bool { return o != nil && o.WriteBehind }
-
 // BulkLoad builds a tree bottom-up from a file of records sorted strictly by
 // key, opening the input stream according to opts (see BulkLoadFrom for the
 // construction itself). A nil opts reads the input with a synchronous
-// width-1 reader and retires leaves through the cache.
+// width-1 reader and writes leaves one per batch.
 func BulkLoad(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, sorted *stream.File[record.Record], opts *BulkLoadOptions) (*Tree, error) {
 	r, err := stream.OpenSource(sorted, pool, opts.width(), opts != nil && opts.Async)
 	if err != nil {
@@ -105,26 +96,37 @@ type levelEntry struct {
 //
 // Each leaf's successor block is allocated the moment the leaf overflows,
 // so the sibling pointer is threaded forward into the leaf before it is
-// sealed — no leaf is ever re-fetched to patch its pointer. With
-// WriteBehind the sealed leaves bypass the cache entirely and stream to the
-// disks in Width-block batches behind the loader.
+// sealed, and no leaf is ever revisited. Leaves therefore need none of the
+// buffer manager's machinery: each is packed directly in a pool frame, and
+// every Width sealed leaves leave as one parallel batch through
+// Volume.BatchWriteAsync while the loader packs the next group in the other
+// half of a 2×Width double buffer — the survey's full D-disk write
+// parallelism applied to index construction. Each leaf costs exactly one
+// block write. Internal nodes, at most N/B of them, go through the cache.
 //
 // Abort discards whatever the load built, at any point before the tree is
 // handed on — a closed load included: it joins any in-flight leaf batch
-// (never abandoning it mid-write), unpins the leaf being packed, drops and
-// frees every node the load allocated, and closes the buffer manager, so
-// the pool and the volume are exactly as they were. A Close that fails
-// aborts the same way. Every path that does not keep the tree must end in
-// Close's failure or in Abort.
+// (never abandoning it mid-write), returns the leaf frames, drops and frees
+// every node the load allocated, and closes the buffer manager, so the pool
+// and the volume are exactly as they were. A Close that fails aborts the
+// same way. Every path that does not keep the tree must end in Close's
+// failure or in Abort.
 type Loader struct {
-	t       *Tree
-	wb      *leafBatch  // write-behind leaf path; nil on the cache path
-	page    *cache.Page // leaf being packed on the cache path; nil otherwise
-	buf     []byte      // block image of the leaf being packed
-	addr    int64       // its block
-	count   int         // records in it
-	first   uint64      // its first key
-	prev    uint64      // last key appended
+	t *Tree
+
+	// The leaf double buffer: cur is the group being packed and flushing
+	// the group in flight, the two halves of frames. addrs holds the blocks
+	// of cur's sealed leaves and, last, of the leaf being packed.
+	frames   []*pdm.Frame // nil after Close or Abort
+	cur      []*pdm.Frame
+	flushing []*pdm.Frame
+	addrs    []int64
+	join     func() error // in-flight leaf batch; nil when none
+
+	buf     []byte // block image of the leaf being packed
+	count   int    // records in it
+	first   uint64 // its first key
+	prev    uint64 // last key appended
 	leaves  []levelEntry
 	nodes   []int64 // every block the load allocated
 	done    bool    // closed or aborted: Append refuses
@@ -132,8 +134,8 @@ type Loader struct {
 }
 
 // NewLoader starts a bulk load of a tree whose nodes live on vol and whose
-// buffer manager draws cacheFrames frames from pool; with opts.WriteBehind
-// the leaf double buffer takes another 2×Width frames from pool.
+// buffer manager draws cacheFrames frames from pool; the leaf double buffer
+// takes another 2×Width frames from pool.
 func NewLoader(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, opts *BulkLoadOptions) (*Loader, error) {
 	t, err := New(vol, pool, cacheFrames)
 	if err != nil {
@@ -141,20 +143,18 @@ func NewLoader(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, opts *BulkLoadO
 	}
 	// New's placeholder root would cost one spurious block write whenever
 	// the cache evicted it mid-load; drop and free it now so every write the
-	// load performs is a node of the final tree, on both leaf paths.
+	// load performs is a node of the final tree.
 	t.cache.Drop(t.root)
 	t.vol.Free(t.root)
 	l := &Loader{t: t}
-	if opts.writeBehind() {
-		if l.wb, err = newLeafBatch(vol, pool, opts.width()); err != nil {
-			l.Abort()
-			return nil, err
-		}
-	}
-	if err := l.start(l.alloc()); err != nil {
+	width := opts.width()
+	if l.frames, err = pool.AllocN(2 * width); err != nil {
 		l.Abort()
 		return nil, err
 	}
+	l.cur, l.flushing = l.frames[:width], l.frames[width:]
+	l.addrs = make([]int64, 0, width)
+	l.start(l.alloc())
 	return l, nil
 }
 
@@ -189,37 +189,26 @@ func (l *Loader) alloc() int64 {
 	return a
 }
 
-// start begins packing an empty leaf destined for block addr. A cache-path
-// leaf is a pinned page, already dirty from GetNew, so Append writes its
-// image directly.
-func (l *Loader) start(addr int64) error {
-	l.addr, l.count = addr, 0
-	if l.wb != nil {
-		l.buf = l.wb.start(addr)
-		return nil
-	}
-	p, err := l.t.newNodeAt(addr, true)
-	if err != nil {
-		return err
-	}
-	l.page, l.buf = p, p.Buf
-	return nil
+// start begins packing an empty leaf destined for block addr in the next
+// free frame of the current group.
+func (l *Loader) start(addr int64) {
+	l.buf = l.cur[len(l.addrs)].Buf
+	bufInitNode(l.buf, true)
+	l.addrs = append(l.addrs, addr)
+	l.count = 0
 }
 
 // seal completes the leaf being packed with its forward sibling pointer
-// (next < 0 for the last leaf) and retires it: into the write-behind batch,
-// or unpinned into the cache, which writes it on eviction or Close.
+// (next < 0 for the last leaf) and dispatches the group once it is full.
 func (l *Loader) seal(next int64) error {
-	l.leaves = append(l.leaves, levelEntry{firstKey: l.first, addr: l.addr})
+	l.leaves = append(l.leaves, levelEntry{firstKey: l.first, addr: l.addrs[len(l.addrs)-1]})
 	bufSetCount(l.buf, l.count)
 	if next >= 0 {
 		bufSetNextLeaf(l.buf, next)
 	}
-	if l.wb != nil {
-		return l.wb.finish()
+	if len(l.addrs) == len(l.cur) {
+		return l.dispatch()
 	}
-	l.t.cache.Unpin(l.page)
-	l.page = nil
 	return nil
 }
 
@@ -229,7 +218,39 @@ func (l *Loader) nextLeaf() error {
 	if err := l.seal(next); err != nil {
 		return err
 	}
-	return l.start(next)
+	l.start(next)
+	return nil
+}
+
+// dispatch joins the previous leaf batch, hands the current group's sealed
+// leaves to the volume's async write engine, and swaps the double buffers.
+// The addresses are copied out before the swap, so the engine owns them
+// and the frames until the next join while the loader refills the other
+// group.
+func (l *Loader) dispatch() error {
+	if err := l.joinLeaves(); err != nil {
+		return err
+	}
+	addrs := make([]int64, len(l.addrs))
+	bufs := make([][]byte, len(l.addrs))
+	for i, a := range l.addrs {
+		addrs[i], bufs[i] = a, l.cur[i].Buf
+	}
+	l.join = l.t.vol.BatchWriteAsync(addrs, bufs)
+	l.cur, l.flushing = l.flushing, l.cur
+	l.addrs = l.addrs[:0]
+	return nil
+}
+
+// joinLeaves waits for the in-flight leaf batch, if any, and reports its
+// error.
+func (l *Loader) joinLeaves() error {
+	if l.join == nil {
+		return nil
+	}
+	err := l.join()
+	l.join = nil
+	return err
 }
 
 // Close seals the last leaf — an empty input leaves it as the empty root —
@@ -256,10 +277,10 @@ func (l *Loader) build() error {
 	if err := l.seal(-1); err != nil {
 		return err
 	}
-	if l.wb != nil {
-		// Send the tail group on its way; the internal levels build while
-		// it is in flight, and close joins before the tree is handed out.
-		if err := l.wb.flush(); err != nil {
+	// Send the tail group on its way; the internal levels build while it is
+	// in flight, and the join below lands it before the tree is handed out.
+	if len(l.addrs) > 0 {
+		if err := l.dispatch(); err != nil {
 			return err
 		}
 	}
@@ -288,12 +309,11 @@ func (l *Loader) build() error {
 		level = next
 		height++
 	}
-	if l.wb != nil {
-		if err := l.wb.close(); err != nil {
-			return err
-		}
-		l.wb = nil
+	if err := l.joinLeaves(); err != nil {
+		return err
 	}
+	pdm.ReleaseAll(l.frames)
+	l.frames = nil
 	t.root = level[0].addr
 	t.height = height
 	return nil
@@ -315,14 +335,12 @@ func (l *Loader) Abort() {
 		return
 	}
 	l.done, l.aborted = true, true
-	if l.wb != nil {
-		l.wb.abort()
-		l.wb = nil
-	}
-	if l.page != nil {
-		l.t.cache.Unpin(l.page)
-		l.page = nil
-	}
+	// The engine owns the in-flight group's frames until the join returns,
+	// and a dispatched write must complete, not vanish. Its error is moot:
+	// the load is being discarded.
+	_ = l.joinLeaves()
+	pdm.ReleaseAll(l.frames)
+	l.frames = nil
 	// Dropping every node leaves the cache empty, so Close returns its
 	// frames without flushing garbage nodes to the volume.
 	for _, a := range l.nodes {

@@ -101,8 +101,6 @@ func TestBulkLoadErrorRestoresPool(t *testing.T) {
 			nil,
 			{Width: 2},
 			{Width: 2, Async: true},
-			{Width: 2, WriteBehind: true},
-			{Width: 2, Async: true, WriteBehind: true},
 		} {
 			// 12 frames suffice for the reader and a working cache on the
 			// sorted-violation cases; the "starved" case asks for a 64-page

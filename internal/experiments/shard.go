@@ -125,7 +125,7 @@ func shardedPoint(n, s int, latency time.Duration, backend string) (*Row, pdm.St
 			return nil, pdm.Stats{}, err
 		}
 		tr, err := btree.BulkLoad(vols[i], pools[i], 16, sf,
-			&btree.BulkLoadOptions{Width: 2, Async: true, WriteBehind: true})
+			&btree.BulkLoadOptions{Width: 2, Async: true})
 		if err != nil {
 			return nil, pdm.Stats{}, err
 		}

@@ -14,27 +14,27 @@ import (
 )
 
 // F11WriteBehind measures the write side of index construction on a
-// latency volume, swept over disk counts. The cache-path bulk load trickles
-// its node write-backs out one synchronous block at a time — each write
-// busies a single disk while the other D-1 idle — and write-behind
-// (bulkWBMs) recovers that serialization by batching the leaves D at a time
-// through BatchWriteAsync, so every write step uses all disks. The same
-// point then builds an index from unsorted input twice: composed, as
-// DistributionSort writing the sorted file and BulkLoad reading it back, and
-// fused, as SortIndex, whose sort emits its base cases straight into the
-// loader.
+// latency volume, swept over disk counts. The bulk loader streams its
+// leaves out write-behind, Width at a time through BatchWriteAsync: the
+// width-1 synchronous load (bulkSync) writes one leaf per step while the
+// other D-1 disks idle, and the width-D load reading ahead (bulkWB) moves D
+// blocks per step in both directions. The same point then builds an index
+// from unsorted input twice: composed, as DistributionSort writing the
+// sorted file and BulkLoad reading it back, and fused, as SortIndex, whose
+// sort emits its base cases straight into the loader.
 //
-// Write-behind issues exactly the write I/Os of the cache path (bulkWrites
-// vs bulkWBWrites), and the fused build issues exactly the composed build's
+// Both loads issue exactly the same write I/Os (bulkWrites vs
+// bulkWBWrites), and the fused build issues exactly the composed build's
 // transfers less the sorted file, written once and read once
 // (2·sortedBlocks); both are asserted by the shape test on the counted
-// columns, together with fused steps strictly below composed. The wall
-// clock columns vary with the host.
+// columns, together with fused steps strictly below composed and the D=4
+// width-4 load's steps against the D=1 width-1 load's. The wall clock
+// columns vary with the host.
 func F11WriteBehind(n int, disks []int, latency time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "F11",
-		Title: "write-behind bulk load, and the fused sort→index build vs sort then load, across D",
-		Notes: "write I/Os identical; D=4 write-behind beats D=1 sync >= 2.5x; fused = composed − 2·sortedBlocks I/Os, fewer steps",
+		Title: "width-D write-behind bulk load vs width 1, and the fused sort→index build vs sort then load, across D",
+		Notes: "write I/Os identical; D=4 width-4 load takes >= 2.5x fewer steps than D=1 width 1; fused = composed − 2·sortedBlocks I/Os, fewer steps",
 	}
 	for _, d := range disks {
 		row, err := writeBehindPoint(n, d, latency)
@@ -69,24 +69,24 @@ func writeBehindPoint(n, d int, latency time.Duration) (*Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	timeBulk := func(opts *btree.BulkLoadOptions) (float64, uint64, error) {
+	timeBulk := func(opts *btree.BulkLoadOptions) (float64, pdm.Stats, error) {
 		vol.Stats().Reset()
 		start := time.Now()
 		tr, err := btree.BulkLoad(vol, pool, 8, sf, opts)
 		if err != nil {
-			return 0, 0, err
+			return 0, pdm.Stats{}, err
 		}
 		if err := tr.Close(); err != nil {
-			return 0, 0, err
+			return 0, pdm.Stats{}, err
 		}
 		ms := float64(time.Since(start).Microseconds()) / 1000
-		return ms, vol.Stats().Snapshot().Writes, nil
+		return ms, vol.Stats().Snapshot(), nil
 	}
-	bulkSyncMs, bulkWrites, err := timeBulk(&btree.BulkLoadOptions{Width: d})
+	bulkSyncMs, bulkSync, err := timeBulk(nil)
 	if err != nil {
 		return nil, err
 	}
-	bulkWBMs, bulkWBWrites, err := timeBulk(&btree.BulkLoadOptions{Width: d, Async: true, WriteBehind: true})
+	bulkWBMs, bulkWB, err := timeBulk(&btree.BulkLoadOptions{Width: d, Async: true})
 	if err != nil {
 		return nil, err
 	}
@@ -128,13 +128,13 @@ func writeBehindPoint(n, d int, latency time.Duration) (*Row, error) {
 		}
 		defer sorted.Release()
 		sortedBlocks = sorted.Blocks()
-		return btree.BulkLoad(vol, pool, 8, sorted, &btree.BulkLoadOptions{Width: d, Async: true, WriteBehind: true})
+		return btree.BulkLoad(vol, pool, 8, sorted, &btree.BulkLoadOptions{Width: d, Async: true})
 	})
 	if err != nil {
 		return nil, err
 	}
 	fusedMs, fused, err := build(func() (*btree.Tree, error) {
-		return pipeline.SortIndex(rf, pool, &pipeline.Options{Width: d, Async: true, WriteBehind: true})
+		return pipeline.SortIndex(rf, pool, &pipeline.Options{Width: d, Async: true})
 	})
 	if err != nil {
 		return nil, err
@@ -145,8 +145,10 @@ func writeBehindPoint(n, d int, latency time.Duration) (*Row, error) {
 		Cells: map[string]float64{
 			"bulkSyncMs":     bulkSyncMs,
 			"bulkWBMs":       bulkWBMs,
-			"bulkWrites":     float64(bulkWrites),
-			"bulkWBWrites":   float64(bulkWBWrites),
+			"bulkWrites":     float64(bulkSync.Writes),
+			"bulkWBWrites":   float64(bulkWB.Writes),
+			"bulkSyncSteps":  float64(bulkSync.Steps),
+			"bulkWBSteps":    float64(bulkWB.Steps),
 			"sortedBlocks":   float64(sortedBlocks),
 			"composedMs":     composedMs,
 			"composedReads":  float64(composed.Reads),
@@ -157,7 +159,7 @@ func writeBehindPoint(n, d int, latency time.Duration) (*Row, error) {
 			"fusedWrites":    float64(fused.Writes),
 			"fusedSteps":     float64(fused.Steps),
 		},
-		Order: []string{"bulkSyncMs", "bulkWBMs", "bulkWrites", "bulkWBWrites", "sortedBlocks",
+		Order: []string{"bulkSyncMs", "bulkWBMs", "bulkWrites", "bulkWBWrites", "bulkSyncSteps", "bulkWBSteps", "sortedBlocks",
 			"composedMs", "composedReads", "composedWrites", "composedSteps",
 			"fusedMs", "fusedReads", "fusedWrites", "fusedSteps"},
 	}, nil

@@ -16,17 +16,16 @@ import (
 // Options tunes SortIndex; see em.SortIndexOptions for the full story.
 type Options struct {
 	// Width is the striping width of the sort's streams and of the loader's
-	// write-behind leaf batches; set it to the volume's disk count D. Zero
-	// means 1.
+	// leaf batches; set it to the volume's disk count D. Zero means 1.
 	Width int
 	// Async switches the sort's streams to forecast-driven read-ahead and
 	// write-behind (double buffers, same counted I/Os at equal fan-out).
 	Async bool
-	// WriteBehind batches the loader's leaf writes (see
-	// btree.BulkLoadOptions).
-	WriteBehind bool
 	// CacheFrames sizes the tree's buffer manager; zero means 8.
 	CacheFrames int
+	// Deprecated: the loader's leaves always stream out write-behind; kept
+	// until bench/ stops setting it.
+	WriteBehind bool
 	// Deprecated: the build is always fused; kept until bench/ stops setting it.
 	Pipeline bool
 	// Deprecated: the build is always fused; kept until bench/ stops setting it.
@@ -47,11 +46,8 @@ func (o *Options) cacheFrames() int {
 	return o.CacheFrames
 }
 
-// loaderFrames is what the loader holds: its buffer manager plus the leaf
-// write-behind double buffer. The reservation is mode-independent (a
-// cache-path loader leaves the double buffer idle) so that the sort sees
-// the same free pool, and makes the same splitting decisions, whether or not
-// WriteBehind is on.
+// loaderFrames is what the loader holds: its buffer manager plus the
+// 2×Width leaf double buffer.
 func (o *Options) loaderFrames() int {
 	return o.cacheFrames() + 2*o.width()
 }
@@ -71,7 +67,7 @@ func SortIndex(f *stream.File[record.Record], pool *pdm.Pool, opts *Options) (*b
 	defer pdm.ReleaseAll(reserve)
 	loaderPool := pdm.NewPool(vol.BlockBytes(), opts.loaderFrames())
 	ld, err := btree.NewLoader(vol, loaderPool, opts.cacheFrames(),
-		&btree.BulkLoadOptions{Width: opts.width(), WriteBehind: opts != nil && opts.WriteBehind})
+		&btree.BulkLoadOptions{Width: opts.width()})
 	if err != nil {
 		return nil, err
 	}

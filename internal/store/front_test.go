@@ -22,7 +22,7 @@ func TestStoreWritePathDoesNoIO(t *testing.T) {
 		script = 10000
 		keys   = 3000
 		// The drain's counted transfers at this script and geometry: a
-		// 77-block generation of height 3 loaded at DrainWidth 1.
+		// 77-block generation of height 3 loaded at drain width 1.
 		drainReads  = 5
 		drainWrites = 78
 		drainSteps  = 83

@@ -40,33 +40,26 @@ import (
 // ErrClosed reports an operation on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-const opBytes = 24 // size of one buffered Op
-
 // Config tunes the store.
 type Config struct {
 	// FrontOps seals the write front after this many accepted operations,
-	// repeated keys included. Zero picks FrontBytes/24 if FrontBytes is
-	// set, else 8192. The front lives only in memory — an overlay whose
-	// chunks run between half and completely full, so at most 48 bytes per
-	// buffered operation — so FrontOps bounds the memory the store holds
-	// beyond its pool (two fronts' worth while a drain is in flight) and
-	// the operations no block on the volume holds yet.
+	// repeated keys included. Zero means 8192. The front lives only in
+	// memory — an overlay whose chunks run between half and completely
+	// full, so at most 48 bytes per buffered operation — so FrontOps bounds
+	// the memory the store holds beyond its pool (two fronts' worth while a
+	// drain is in flight) and the operations no block on the volume holds
+	// yet.
 	FrontOps int64
-	// FrontBytes seals the write front after this many buffered bytes
-	// (24 per operation). Zero defers to FrontOps.
-	FrontBytes int64
 	// CacheFrames sizes each generation's buffer manager and the drain's
 	// loader cache. Zero means 8; minimum 3.
 	CacheFrames int
 	// Width is the striping width of reader scans and batched lookups;
-	// zero picks the volume's disk count.
+	// zero picks the volume's disk count. The background drain's streams
+	// (the generation scan and the loader) stripe half as wide, minimum 1:
+	// a handover that kept Width reads in flight would queue foreground
+	// lookups behind the rebuild on every disk, and serving during the
+	// drain is the point.
 	Width int
-	// DrainWidth is the stripe width of the background drain's streams
-	// (the generation scan and the write-behind loader). Zero picks half
-	// of Width, minimum 1: a handover that kept Width reads in flight
-	// would queue foreground lookups behind the rebuild on every disk, and
-	// serving during the drain is the point.
-	DrainWidth int
 	// AdmitQueue and AdmitWait enable admission control on the serving
 	// entry points (GetBatch, Scan, NewSession): a request that finds the
 	// pool starved joins a bounded FIFO of at most AdmitQueue waiters and
@@ -77,6 +70,10 @@ type Config struct {
 	AdmitQueue int
 	AdmitWait  time.Duration
 }
+
+// drainWidth is the stripe width of the background drain: half of Width,
+// minimum 1.
+func (c *Config) drainWidth() int { return max(1, c.Width/2) }
 
 // generation is one immutable B-tree the store serves reads from. Point
 // reads through the tree's own buffer manager are serialized by mu (the
@@ -134,10 +131,10 @@ type Store struct {
 }
 
 // Open creates an empty store on vol whose steady-state frames are drawn
-// from pool. The drain budget (2·CacheFrames + 6·Width − 2·DrainWidth + 2
-// frames) is reserved from pool immediately and held until Close; the pool
-// additionally serves each generation's cache and per-reader frames, so
-// size it with headroom beyond the reservation.
+// from pool. The drain budget (2·CacheFrames + 6·Width − 2·w + 2 frames,
+// at drain width w) is reserved from pool immediately and held until Close;
+// the pool additionally serves each generation's cache and per-reader
+// frames, so size it with headroom beyond the reservation.
 func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 	if cfg.CacheFrames == 0 {
 		cfg.CacheFrames = 8
@@ -148,24 +145,11 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 	if cfg.Width < 1 {
 		cfg.Width = vol.Disks()
 	}
-	if cfg.DrainWidth < 1 {
-		cfg.DrainWidth = cfg.Width / 2
-		if cfg.DrainWidth < 1 {
-			cfg.DrainWidth = 1
-		}
-	}
 	sealOps := cfg.FrontOps
 	if sealOps <= 0 {
-		if cfg.FrontBytes > 0 {
-			sealOps = cfg.FrontBytes / opBytes
-		} else {
-			sealOps = 8192
-		}
+		sealOps = 8192
 	}
-	if sealOps < 1 {
-		sealOps = 1
-	}
-	drainFrames := 2*cfg.CacheFrames + 6*cfg.Width - 2*cfg.DrainWidth + 2
+	drainFrames := 2*cfg.CacheFrames + 6*cfg.Width - 2*cfg.drainWidth() + 2
 	reserve, err := pool.AllocN(drainFrames)
 	if err != nil {
 		return nil, err
@@ -288,11 +272,11 @@ func (s *Store) drainOnce(sealed *overlay, gen *generation) error {
 
 // buildGen merges the sealed front into a scan of the current generation
 // and bulk-loads the result into a fresh tree, entirely on the drain
-// budget and at DrainWidth striping so foreground lookups keep disk
-// headroom; the finished tree is rehomed onto the store's pool and warmed
-// so descents after the swap are memory hits.
+// budget and at the drain width so foreground lookups keep disk headroom;
+// the finished tree is rehomed onto the store's pool and warmed so descents
+// after the swap are memory hits.
 func (s *Store) buildGen(gen *generation, sealed *overlay) (*btree.Tree, error) {
-	w := s.cfg.DrainWidth
+	w := s.cfg.drainWidth()
 	gen.mu.Lock()
 	sess, err := gen.tree.NewSessionOn(s.drainPool, s.cfg.CacheFrames, w)
 	gen.mu.Unlock()
@@ -309,7 +293,7 @@ func (s *Store) buildGen(gen *generation, sealed *overlay) (*btree.Tree, error) 
 	// from the view by swapping the pointer, not by changing the overlay.
 	patch := patchOps(base, sealed.chunks...)
 	tree, err := btree.BulkLoadFrom(s.vol, s.drainPool, s.cfg.CacheFrames, patch,
-		&btree.BulkLoadOptions{Width: w, Async: true, WriteBehind: true})
+		&btree.BulkLoadOptions{Width: w})
 	patch.Close()
 	if err != nil {
 		return nil, err

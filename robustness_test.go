@@ -400,7 +400,7 @@ func TestShardedGetBatchUnwindUnderFault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := em.BulkLoadBTree(vol, pool, 8, f)
+		tr, err := em.BulkLoadBTreeWith(vol, pool, 8, f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,7 +517,7 @@ func TestServeUnderRetriedFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := em.BulkLoadBTree(vol, pool, 16, f)
+		tr, err := em.BulkLoadBTreeWith(vol, pool, 16, f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,14 +7,13 @@ import (
 // SortIndexOptions tunes SortIndex, the fused sort→bulk-load index builder.
 //
 // Width and Async apply to the sort's readers and bucket writers; Width also
-// stripes the loader's leaf batches, and WriteBehind sends those batches D
-// at a time through the async engine. The loader's whole budget —
+// stripes the loader's leaf batches, which go Width at a time through the
+// async engine while the next group is packed. The loader's whole budget —
 // CacheFrames for the buffer manager plus 2×Width for the leaf double
-// buffer, reserved whether or not WriteBehind is on — is held back from the
-// pool for the full call, so the sort makes identical splitting decisions
-// on both leaf paths; size Config.MemBlocks to cover the sort's fan-out
-// plus that reservation. Pipeline and PipeDepth are deprecated no-ops: the
-// build is always fused.
+// buffer — is held back from the pool for the full call; size
+// Config.MemBlocks to cover the sort's fan-out plus that reservation.
+// Pipeline, PipeDepth and WriteBehind are deprecated no-ops: the build is
+// always fused and its leaves always stream out write-behind.
 type SortIndexOptions = pipeline.Options
 
 // SortIndex builds a B+-tree index over an unsorted record file in one

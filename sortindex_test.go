@@ -2,7 +2,6 @@ package em
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -75,7 +74,7 @@ func buildIndex(t *testing.T, dir string, vs []Record, opts *SortIndexOptions, c
 		}
 		got.sorted = sorted.Blocks()
 		tr, err = BulkLoadBTreeWith(vol, pool, 8, sorted,
-			&BulkLoadOptions{Width: opts.Width, Async: opts.Async, WriteBehind: opts.WriteBehind})
+			&BulkLoadOptions{Width: opts.Width, Async: opts.Async})
 		sorted.Release()
 		if err != nil {
 			t.Fatal(err)
@@ -120,12 +119,7 @@ func TestSortIndexFusedMatchesComposition(t *testing.T) {
 			if backend == "file" {
 				dir = t.TempDir()
 			}
-			for _, opts := range []*SortIndexOptions{
-				{Width: 2},
-				{Width: 2, WriteBehind: true},
-				{Width: 2, Async: true},
-				{Width: 2, Async: true, WriteBehind: true},
-			} {
+			for _, opts := range []*SortIndexOptions{{Width: 2}, {Width: 2, Async: true}} {
 				fused := buildIndex(t, dir, vs, opts, false)
 				ref := buildIndex(t, dir, vs, opts, true)
 				if len(fused.kvs) != n {
@@ -153,7 +147,7 @@ func TestSortIndexFusedMatchesComposition(t *testing.T) {
 // writes the in-memory simulation counts.
 func TestSortIndexBackendsAgree(t *testing.T) {
 	vs := permRecords(0xBEEF, 3000)
-	opts := &SortIndexOptions{Width: 4, Async: true, WriteBehind: true}
+	opts := &SortIndexOptions{Width: 4, Async: true}
 	mem := buildIndex(t, "", vs, opts, false)
 	file := buildIndex(t, t.TempDir(), vs, opts, false)
 	if len(mem.kvs) != len(file.kvs) {
@@ -172,53 +166,51 @@ func TestSortIndexBackendsAgree(t *testing.T) {
 
 // TestSortIndexDuplicateKeysRestoresPool injects the loader's rejection —
 // duplicate keys surface as ErrUnsortedInput mid-sort, from inside a base
-// case's emit — on both leaf paths and asserts the error unwinds the whole
-// build: the sort releases its buckets, the loader is aborted, the pool is
-// exactly restored, and no volume blocks are stranded.
+// case's emit — and asserts the error unwinds the whole build: the sort
+// releases its buckets, the loader is aborted, the pool is exactly restored,
+// and no volume blocks are stranded.
 func TestSortIndexDuplicateKeysRestoresPool(t *testing.T) {
 	vs := permRecords(7, 4000)
 	vs[1234].Key = vs[3210].Key
-	for _, wb := range []bool{false, true} {
-		vol, err := NewVolume(sortIndexConfig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool := PoolFor(vol)
-		f, err := FromSlice(vol, pool, RecordCodec{}, vs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		preFree := pool.Free()
-		preLive := vol.Allocated() - vol.FreeBlocks()
-		tr, err := SortIndex(f, pool, &SortIndexOptions{Width: 2, Async: true, WriteBehind: wb})
-		if err == nil {
-			t.Fatalf("writeBehind=%v: duplicate keys built a tree", wb)
-		}
-		if !errors.Is(err, ErrUnsortedInput) {
-			t.Fatalf("writeBehind=%v: error %v, want ErrUnsortedInput", wb, err)
-		}
-		if tr != nil {
-			t.Fatalf("writeBehind=%v: error return kept a tree", wb)
-		}
-		if pool.Free() != preFree || pool.InUse() != 0 {
-			t.Fatalf("writeBehind=%v: pool not restored: free %d (pre %d), in use %d",
-				wb, pool.Free(), preFree, pool.InUse())
-		}
-		if live := vol.Allocated() - vol.FreeBlocks(); live != preLive {
-			t.Fatalf("writeBehind=%v: stranded %d volume blocks", wb, live-preLive)
-		}
-		vol.Close()
+	vol, err := NewVolume(sortIndexConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vol.Close()
+	pool := PoolFor(vol)
+	f, err := FromSlice(vol, pool, RecordCodec{}, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preFree := pool.Free()
+	preLive := vol.Allocated() - vol.FreeBlocks()
+	tr, err := SortIndex(f, pool, &SortIndexOptions{Width: 2, Async: true})
+	if err == nil {
+		t.Fatal("duplicate keys built a tree")
+	}
+	if !errors.Is(err, ErrUnsortedInput) {
+		t.Fatalf("error %v, want ErrUnsortedInput", err)
+	}
+	if tr != nil {
+		t.Fatal("error return kept a tree")
+	}
+	if pool.Free() != preFree || pool.InUse() != 0 {
+		t.Fatalf("pool not restored: free %d (pre %d), in use %d", pool.Free(), preFree, pool.InUse())
+	}
+	if live := vol.Allocated() - vol.FreeBlocks(); live != preLive {
+		t.Fatalf("stranded %d volume blocks", live-preLive)
 	}
 }
 
 // TestSortIndexCrashSweep crashes the volume after every possible number of
 // the build's transfers, 0 up to one short of the clean build's total, on
-// both backends and both leaf paths. The sweep so passes through the
-// sampling and partition passes, base-case reads and their emits into the
-// loader, a leaf batch in flight, cache evictions of sealed leaves, and the
-// flush of the internal levels; every crash point must surface ErrFaulted
-// and leave the pool's free frames and the volume's live blocks exactly as
-// they were before the call.
+// both backends, with nil options (width 1, one leaf per batch) and at
+// width 2 reading ahead. The sweep so passes through the sampling and
+// partition passes, base-case reads and their emits into the loader, a leaf
+// batch in flight, cache evictions of internal nodes, and the flush of the
+// internal levels; every crash point must surface ErrFaulted and leave the
+// pool's free frames and the volume's live blocks exactly as they were
+// before the call.
 func TestSortIndexCrashSweep(t *testing.T) {
 	vs := permRecords(0xC2A5, 3000)
 	// run builds on a fresh volume under plan and reports the build's
@@ -249,13 +241,16 @@ func TestSortIndexCrashSweep(t *testing.T) {
 	// The input file takes one write per block before the build starts.
 	input := int64((len(vs) + 31) / 32)
 	for _, backend := range []string{"mem", "file"} {
-		for _, wb := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/writeBehind=%v", backend, wb), func(t *testing.T) {
+		for _, c := range []struct {
+			name string
+			opts *SortIndexOptions
+		}{{"nil", nil}, {"width=2", &SortIndexOptions{Width: 2, Async: true}}} {
+			t.Run(backend+"/"+c.name, func(t *testing.T) {
 				cfg := base
 				if backend == "file" {
 					cfg.Dir = t.TempDir()
 				}
-				opts := &SortIndexOptions{Width: 2, Async: true, WriteBehind: wb}
+				opts := c.opts
 				total, kept, err, _ := run(cfg, nil, opts)
 				if err != nil || !kept {
 					t.Fatalf("clean build: %v", err)
