@@ -7,8 +7,8 @@
 //	             on all return paths (the M/B memory budget stays exact)
 //	pinpair      every pinned cache page is unpinned on all return paths
 //	             (pinned pages can never be evicted)
-//	joinasync    every dispatched async batch is joined before returning
-//	             (no write is ever silently abandoned)
+//	joinasync    every async batch deadline reaches Volume.Wait on all
+//	             return paths (no batch's model time is skipped)
 //	closesink    every opened Source/Sink/Scanner/Session/Cache is closed
 //	             on all return paths (they hold frames and pins)
 //
@@ -36,7 +36,7 @@ import (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: emlint [packages]\n\nruns the em I/O-accounting analyzers (poolbalance, pinpair, joinasync, closesink)\nover the given package patterns (default ./...) and exits 1 on any finding.\n")
+		fmt.Fprintf(os.Stderr, "usage: emlint [packages]\n\nruns the em I/O-accounting analyzers over the given package patterns\n(default ./...) and exits 1 on any finding:\n\n  poolbalance  pool frames are released\n  pinpair      cache pages are unpinned\n  joinasync    async batch deadlines reach Volume.Wait\n  closesink    streams, scanners, sessions and caches are closed\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

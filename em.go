@@ -229,10 +229,11 @@
 //     Peek, GetBatchAsync) is unpinned on every path; a page whose pin
 //     count never returns to zero can never be evicted, which silently
 //     shrinks the cache until admission fails.
-//   - Async joins: every dispatched batch (BatchReadAsync,
-//     BatchWriteAsync, GetBatchAsync's join) is joined before returning,
-//     so no I/O is silently abandoned and no buffer is mutated behind its
-//     owner's back.
+//   - Async deadlines: every deadline a dispatched batch returns
+//     (BatchReadAsync, BatchWriteAsync, GetBatchAsync) reaches Volume.Wait
+//     on every path after a successful dispatch. The bytes move and the
+//     error is decided at dispatch; the wait is the model time the batch
+//     reserved, so skipping it undercounts the wall clock.
 //   - Stream lifecycle: every opened Reader, Writer, Scanner, Session and
 //     Cache is closed on every path; these hold frames and pins, so a
 //     handle dropped on an unwind leaks part of the budget.
@@ -736,8 +737,8 @@ type BulkLoadOptions = btree.BulkLoadOptions
 // (experiment T9). Nil options read the input synchronously one block at a
 // time and write one leaf per batch. On any error — unsorted input, failed
 // read or write, exhausted pool — every block and frame the load took is
-// returned and any in-flight leaf batch is joined, so the pool is exactly
-// as it was.
+// returned and any in-flight leaf batch is waited out, so the pool is
+// exactly as it was.
 func BulkLoadBTreeWith(vol *Volume, pool *Pool, cacheFrames int, sorted *File[Record], opts *BulkLoadOptions) (*BTree, error) {
 	return btree.BulkLoad(vol, pool, cacheFrames, sorted, opts)
 }

@@ -7,10 +7,12 @@
 // the suite can migrate to the real framework by swapping imports if the
 // dependency ever becomes available.
 //
-// The analyzers themselves live in subpackages (poolbalance, pinpair,
-// joinasync, closesink) and encode the repository's I/O-accounting
-// disciplines; see the pairing subpackage for the shared dataflow engine and
-// cmd/emlint for the multichecker driver.
+// The analyzers themselves live in subpackages and encode the repository's
+// I/O-accounting disciplines: poolbalance (pool frames are released),
+// pinpair (cache pages are unpinned), joinasync (async batch deadlines
+// reach Volume.Wait) and closesink (streams, scanners, sessions and caches
+// are closed). See the pairing subpackage for the shared dataflow engine
+// and cmd/emlint for the multichecker driver.
 package analysis
 
 import (

@@ -6,8 +6,8 @@
 // to return — a Loader closed or aborted — unless they escape into a struct
 // or caller that owns them or the acquisition is annotated //emlint:owns.
 // These types hold pool frames and pinned pages; a Source dropped on an
-// error unwind leaks its frames, an unclosed Writer opened behind abandons
-// its in-flight batch, a dropped Loader strands every node it allocated,
+// error unwind leaks its frames, an unclosed Writer never writes its
+// partial last group, a dropped Loader strands every node it allocated,
 // and a dropped sharded handle leaks per-shard frames on every volume it
 // spans.
 package closesink
@@ -77,7 +77,7 @@ var spec = &pairing.Spec{
 		}
 		return match.ReceiverIs(info, call, obj)
 	},
-	Remedy: "close it on the unwind (Close releases its frames and joins any in-flight batch)",
+	Remedy: "close it on the unwind (Close releases its frames and waits out any in-flight write)",
 }
 
 func run(pass *analysis.Pass) error {

@@ -3,7 +3,7 @@ package emlint
 import "testing"
 
 // TestRepoClean asserts the whole module passes every emlint discipline:
-// any pool frame, cache pin, async join, or open stream handle that can
+// any pool frame, cache pin, async deadline, or open stream handle that can
 // leak on a return path is either fixed or carries an //emlint:owns
 // annotation explaining the handoff. New code that breaks a discipline
 // fails this test (and `make lint`, and CI).

@@ -1,11 +1,15 @@
-// Package joinasync enforces the async-batch discipline: the join handle
+// Package joinasync enforces the async-batch discipline: every deadline
 // returned by a dispatching call (Volume.BatchReadAsync,
 // Volume.BatchWriteAsync, Cache.GetBatchAsync, and any *Async helper
-// returning `func() error`) is invoked on every path to return. A batch
-// that is dispatched and never joined abandons in-flight writes — the
-// caller can observe success while blocks were never durably written —
-// and its buffers are mutated behind the caller's back. Discarding the
-// handle (`_` or a bare call statement) is reported unconditionally.
+// returning a time.Time) reaches Volume.Wait on every path to return. The
+// batch's bytes moved, and its error was decided, at dispatch; the deadline
+// is when the disks finish serving it in model time. A path that drops the
+// deadline reports an overlap it never paid for: the caller returns, and
+// hands its frames back, while the model still has the batch in flight, so
+// wall clock undercounts the batch's parallel steps. A failed dispatch
+// needs no wait (the `if err != nil { return err }` unwind is silent), and
+// discarding the deadline (`_` or a bare call statement) is reported
+// unconditionally.
 package joinasync
 
 import (
@@ -20,24 +24,23 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "joinasync",
-	Doc:  "check that async batch join handles are called on every return path",
+	Doc:  "check that every async batch deadline reaches Volume.Wait on every return path",
 	Run:  run,
 }
 
 var spec = &pairing.Spec{
-	What: "async batch join",
+	What: "async batch deadline",
 	Acquires: func(info *types.Info, call *ast.CallExpr) []bool {
-		name := match.CalleeName(call)
-		if !strings.HasSuffix(name, "Async") {
+		if !strings.HasSuffix(match.CalleeName(call), "Async") {
 			return nil
 		}
 		results := match.ResultTypes(info, call)
 		var tracked []bool
 		any := false
 		for _, t := range results {
-			isJoin := match.IsErrorFunc(t)
-			tracked = append(tracked, isJoin)
-			any = any || isJoin
+			isDeadline := match.IsNamed(t, "time", "Time")
+			tracked = append(tracked, isDeadline)
+			any = any || isDeadline
 		}
 		if !any {
 			return nil
@@ -45,14 +48,10 @@ var spec = &pairing.Spec{
 		return tracked
 	},
 	Releases: func(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
-		// The join is released by calling it: join().
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		return info.Uses[id] == obj || info.Defs[id] == obj
+		// The deadline is released by waiting on it: vol.Wait(deadline).
+		return match.CalleeName(call) == "Wait" && match.HasArg(info, call, obj)
 	},
-	Remedy: "call the join before every return (including error unwinds) so no dispatched I/O is abandoned",
+	Remedy: "pass it to Volume.Wait before every return (including unwinds after a successful dispatch) so no batch's model time is skipped",
 }
 
 func run(pass *analysis.Pass) error {

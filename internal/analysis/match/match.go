@@ -84,15 +84,6 @@ func IsSliceOfNamed(t types.Type, pkgBase, name string) bool {
 	return ok && IsNamed(s.Elem(), pkgBase, name)
 }
 
-// IsErrorFunc reports whether t is `func() error`.
-func IsErrorFunc(t types.Type) bool {
-	sig, ok := t.Underlying().(*types.Signature)
-	if !ok || sig.Params().Len() != 0 || sig.Results().Len() != 1 {
-		return false
-	}
-	return sig.Results().At(0).Type().String() == "error"
-}
-
 // ReceiverIs reports whether call is a method call whose receiver
 // expression is exactly the object obj.
 func ReceiverIs(info *types.Info, call *ast.CallExpr, obj types.Object) bool {

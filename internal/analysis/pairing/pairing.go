@@ -49,7 +49,7 @@ type Spec struct {
 	Acquires func(info *types.Info, call *ast.CallExpr) []bool
 	// Releases reports whether call releases the resource held in obj.
 	// obj may appear as the method receiver, as an argument, or as the
-	// callee itself (batch join handles are released by calling them).
+	// callee itself.
 	Releases func(info *types.Info, call *ast.CallExpr, obj types.Object) bool
 	// Remedy is the diagnostic's "what to do" clause, e.g.
 	// "release it on the unwind (Release, or ReleaseAll for batches)".

@@ -3,6 +3,8 @@
 // so these stubs exercise exactly the same matching as the real package.
 package cache
 
+import "time"
+
 // Page is one cached block; every pointer handed out holds a pin.
 type Page struct {
 	Addr int64
@@ -20,9 +22,10 @@ func (c *Cache) GetNew(addr int64) (*Page, error) { return &Page{Addr: addr}, ni
 func (c *Cache) Pin(addr int64, retain bool) (*Page, error) { return &Page{Addr: addr}, nil }
 func (c *Cache) Peek(addr int64, retain bool) *Page         { return nil }
 
-// GetBatchAsync pins every page up front and returns a join for the misses.
-func (c *Cache) GetBatchAsync(addrs []int64, retain bool) ([]*Page, func() error, error) {
-	return nil, func() error { return nil }, nil
+// GetBatchAsync pins every page up front and returns the misses' deadline;
+// on an error it has already unpinned the batch.
+func (c *Cache) GetBatchAsync(addrs []int64, retain bool) ([]*Page, time.Time, error) {
+	return nil, time.Time{}, nil
 }
 
 // Unpin drops one pin.

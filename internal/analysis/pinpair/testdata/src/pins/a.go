@@ -28,13 +28,14 @@ func leakPeekNeverUnpinned(c *cache.Cache, addr int64) []byte {
 	return append([]byte(nil), pg.Data...)
 }
 
-// leakBatchOnJoinError keeps the whole batch pinned when the join fails.
-func leakBatchOnJoinError(c *cache.Cache, addrs []int64) error {
-	pages, join, err := c.GetBatchAsync(addrs, false) // want `pinned page "pages" \(from GetBatchAsync\) is not released`
+// leakBatchOnLaterError keeps the whole batch pinned when a check after
+// the dispatch fails.
+func leakBatchOnLaterError(c *cache.Cache, addrs []int64) error {
+	pages, _, err := c.GetBatchAsync(addrs, false) // want `pinned page "pages" \(from GetBatchAsync\) is not released`
 	if err != nil {
 		return err
 	}
-	if err := join(); err != nil {
+	if err := cache.Checksum(pages[0].Data); err != nil {
 		return err // leak: every page in the batch is still pinned
 	}
 	for _, pg := range pages {
@@ -118,13 +119,13 @@ func okPeekGuarded(c *cache.Cache, addr int64) []byte {
 	return data
 }
 
-// okBatchUnpinnedOnBothPaths unpins the batch on the join failure too.
+// okBatchUnpinnedOnBothPaths unpins the batch on the later failure too.
 func okBatchUnpinnedOnBothPaths(c *cache.Cache, addrs []int64) error {
-	pages, join, err := c.GetBatchAsync(addrs, false)
+	pages, _, err := c.GetBatchAsync(addrs, false)
 	if err != nil {
 		return err
 	}
-	if err := join(); err != nil {
+	if err := cache.Checksum(pages[0].Data); err != nil {
 		for _, pg := range pages {
 			c.Unpin(pg)
 		}

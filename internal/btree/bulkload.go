@@ -2,6 +2,7 @@ package btree
 
 import (
 	"errors"
+	"time"
 
 	"em/internal/pdm"
 	"em/internal/record"
@@ -105,8 +106,8 @@ type levelEntry struct {
 // block write. Internal nodes, at most N/B of them, go through the cache.
 //
 // Abort discards whatever the load built, at any point before the tree is
-// handed on — a closed load included: it joins any in-flight leaf batch
-// (never abandoning it mid-write), returns the leaf frames, drops and frees
+// handed on — a closed load included: it waits out any in-flight leaf batch
+// (its frames are busy until then), returns the leaf frames, drops and frees
 // every node the load allocated, and closes the buffer manager, so the pool
 // and the volume are exactly as they were. A Close that fails aborts the
 // same way. Every path that does not keep the tree must end in Close's
@@ -116,12 +117,14 @@ type Loader struct {
 
 	// The leaf double buffer: cur is the group being packed and flushing
 	// the group in flight, the two halves of frames. addrs holds the blocks
-	// of cur's sealed leaves and, last, of the leaf being packed.
+	// of cur's sealed leaves and, last, of the leaf being packed; bufs is
+	// the batch's buffer slice, reused by every dispatch.
 	frames   []*pdm.Frame // nil after Close or Abort
 	cur      []*pdm.Frame
 	flushing []*pdm.Frame
 	addrs    []int64
-	join     func() error // in-flight leaf batch; nil when none
+	bufs     [][]byte
+	due      time.Time // deadline of the last leaf batch
 
 	buf     []byte // block image of the leaf being packed
 	count   int    // records in it
@@ -154,6 +157,7 @@ func NewLoader(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, opts *BulkLoadO
 	}
 	l.cur, l.flushing = l.frames[:width], l.frames[width:]
 	l.addrs = make([]int64, 0, width)
+	l.bufs = make([][]byte, width)
 	l.start(l.alloc())
 	return l, nil
 }
@@ -222,34 +226,19 @@ func (l *Loader) nextLeaf() error {
 	return nil
 }
 
-// dispatch joins the previous leaf batch, hands the current group's sealed
-// leaves to the volume's async write engine, and swaps the double buffers.
-// The addresses are copied out before the swap, so the engine owns them
-// and the frames until the next join while the loader refills the other
-// group.
+// dispatch waits out the previous leaf batch, writes the current group's
+// sealed leaves through Volume.BatchWriteAsync, and swaps the double
+// buffers, so the loader refills the other group while the batch's
+// reservation runs.
 func (l *Loader) dispatch() error {
-	if err := l.joinLeaves(); err != nil {
-		return err
+	l.t.vol.Wait(l.due)
+	for i := range l.addrs {
+		l.bufs[i] = l.cur[i].Buf
 	}
-	addrs := make([]int64, len(l.addrs))
-	bufs := make([][]byte, len(l.addrs))
-	for i, a := range l.addrs {
-		addrs[i], bufs[i] = a, l.cur[i].Buf
-	}
-	l.join = l.t.vol.BatchWriteAsync(addrs, bufs)
+	due, err := l.t.vol.BatchWriteAsync(l.addrs, l.bufs[:len(l.addrs)])
+	l.due = due
 	l.cur, l.flushing = l.flushing, l.cur
 	l.addrs = l.addrs[:0]
-	return nil
-}
-
-// joinLeaves waits for the in-flight leaf batch, if any, and reports its
-// error.
-func (l *Loader) joinLeaves() error {
-	if l.join == nil {
-		return nil
-	}
-	err := l.join()
-	l.join = nil
 	return err
 }
 
@@ -278,7 +267,7 @@ func (l *Loader) build() error {
 		return err
 	}
 	// Send the tail group on its way; the internal levels build while it is
-	// in flight, and the join below lands it before the tree is handed out.
+	// in flight, and the wait below lands it before the tree is handed out.
 	if len(l.addrs) > 0 {
 		if err := l.dispatch(); err != nil {
 			return err
@@ -309,9 +298,7 @@ func (l *Loader) build() error {
 		level = next
 		height++
 	}
-	if err := l.joinLeaves(); err != nil {
-		return err
-	}
+	t.vol.Wait(l.due)
 	pdm.ReleaseAll(l.frames)
 	l.frames = nil
 	t.root = level[0].addr
@@ -335,10 +322,9 @@ func (l *Loader) Abort() {
 		return
 	}
 	l.done, l.aborted = true, true
-	// The engine owns the in-flight group's frames until the join returns,
-	// and a dispatched write must complete, not vanish. Its error is moot:
-	// the load is being discarded.
-	_ = l.joinLeaves()
+	// The in-flight group's frames stay busy until its reservation runs
+	// out; only then may the pool hand them to someone else.
+	l.t.vol.Wait(l.due)
 	pdm.ReleaseAll(l.frames)
 	l.frames = nil
 	// Dropping every node leaves the cache empty, so Close returns its

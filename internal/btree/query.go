@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"slices"
+	"time"
 
 	"em/internal/cache"
 )
@@ -65,7 +66,7 @@ type fetchGroup struct {
 	spans []span
 	addrs []int64
 	pages []*cache.Page
-	join  func() error
+	due   time.Time
 }
 
 // span is a run of sorted batch positions [lo, hi) that all descend through
@@ -139,7 +140,7 @@ func (t *Tree) getBatch(c *cache.Cache, keys []uint64) ([]uint64, []bool, error)
 // current one, and calls fn with each span's pinned page; retain is the
 // class of the spans' level (above the leaves or not); groups is the
 // caller's scratch. On any error the cache has already dropped the failed
-// group's unread pages; forEachSpan drains whatever else it put in flight
+// group's unread pages; forEachSpan unpins the group it already fetched
 // before returning.
 func (t *Tree) forEachSpan(c *cache.Cache, groups *[2]fetchGroup, spans []span, retain bool, fn func(span, *cache.Page)) error {
 	gw := groupWidth(c, t.vol.Disks())
@@ -151,7 +152,7 @@ func (t *Tree) forEachSpan(c *cache.Cache, groups *[2]fetchGroup, spans []span, 
 			for _, s := range spans[:take] {
 				g.addrs = append(g.addrs, s.addr)
 			}
-			g.pages, g.join, err = c.GetBatchAsync(g.addrs, retain)
+			g.pages, g.due, err = c.GetBatchAsync(g.addrs, retain)
 			if take > 1 && errors.Is(err, cache.ErrAllPinned) {
 				// Someone else holds pins the width did not count (an open
 				// Scanner keeps its resident leaves pinned): the cache has
@@ -163,17 +164,6 @@ func (t *Tree) forEachSpan(c *cache.Cache, groups *[2]fetchGroup, spans []span, 
 			return err
 		}
 	}
-	// drain disposes of a dispatched group when unwinding: join the read
-	// (the engine writes into cache frames until it completes) and unpin on
-	// success — on failure the cache has already cleaned up.
-	drain := func(g *fetchGroup) {
-		if g.join() == nil {
-			for _, p := range g.pages {
-				c.Unpin(p)
-			}
-		}
-	}
-
 	cur, next := &groups[0], &groups[1]
 	if err := fetch(cur); err != nil {
 		return err
@@ -182,16 +172,13 @@ func (t *Tree) forEachSpan(c *cache.Cache, groups *[2]fetchGroup, spans []span, 
 		more := len(spans) > 0
 		if more {
 			if err := fetch(next); err != nil {
-				drain(cur)
+				for _, p := range cur.pages {
+					c.Unpin(p)
+				}
 				return err
 			}
 		}
-		if err := cur.join(); err != nil {
-			if more {
-				drain(next)
-			}
-			return err
-		}
+		t.vol.Wait(cur.due)
 		for i, sp := range cur.spans {
 			fn(sp, cur.pages[i])
 		}

@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"time"
+
 	"em/internal/cache"
 	"em/internal/index"
 	"em/internal/pdm"
@@ -54,12 +56,15 @@ type pathLevel struct {
 
 // leafGroup is one group of leaves, either being consumed or in flight.
 // Each slot is served from a pinned cache page (the leaf was resident) or
-// from one of the scanner's private frames (read off the volume).
+// from one of the scanner's private frames (read off the volume by one
+// batch, whose deadline and error the scanner keeps until it opens the
+// group).
 type leafGroup struct {
 	addrs  []int64
 	pages  []*cache.Page
 	frames []*pdm.Frame
-	join   func() error
+	due    time.Time
+	err    error
 }
 
 // Scanner streams every record with lo <= key <= hi in key order, keeping
@@ -138,12 +143,7 @@ func (t *Tree) newScanner(c *cache.Cache, pool *pdm.Pool, lo, hi uint64, opts *S
 	}
 	// Dispatch the first group now; its successor goes out the moment it
 	// arrives, so there is always one group in flight behind the reader.
-	g, err := s.dispatchForecast()
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	s.cur = g
+	s.cur = s.dispatchForecast()
 	return s, nil
 }
 
@@ -250,22 +250,23 @@ func (s *Scanner) refill() {
 
 // dispatchForecast cuts the next group from the forecast and sends its
 // reads on their way; nil when no forecast leaves are available.
-func (s *Scanner) dispatchForecast() (*leafGroup, error) {
+func (s *Scanner) dispatchForecast() *leafGroup {
 	if len(s.pending) == 0 {
 		s.refill()
 	}
 	if len(s.pending) == 0 {
-		return nil, nil
+		return nil
 	}
 	take := min(s.width, len(s.pending))
 	g := &leafGroup{addrs: append([]int64(nil), s.pending[:take]...)}
 	s.pending = s.pending[take:]
-	return g, s.dispatch(g)
+	s.dispatch(g)
+	return g
 }
 
 // dispatch resolves a group's slots — resident leaves pin their cache page,
 // the rest read into private frames as one async batch.
-func (s *Scanner) dispatch(g *leafGroup) error {
+func (s *Scanner) dispatch(g *leafGroup) {
 	g.pages = make([]*cache.Page, len(g.addrs))
 	g.frames = make([]*pdm.Frame, len(g.addrs))
 	var rAddrs []int64
@@ -280,10 +281,7 @@ func (s *Scanner) dispatch(g *leafGroup) error {
 		rAddrs = append(rAddrs, a)
 		rBufs = append(rBufs, fr.Buf)
 	}
-	if len(rAddrs) > 0 {
-		g.join = s.t.vol.BatchReadAsync(rAddrs, rBufs)
-	}
-	return nil
+	g.due, g.err = s.t.vol.BatchReadAsync(rAddrs, rBufs)
 }
 
 func (s *Scanner) takeFrame() *pdm.Frame {
@@ -296,14 +294,10 @@ func (s *Scanner) takeFrame() *pdm.Frame {
 	return fr
 }
 
-// joinGroup waits for a group's in-flight reads, if any.
-func (s *Scanner) joinGroup(g *leafGroup) error {
-	if g.join == nil {
-		return nil
-	}
-	err := g.join()
-	g.join = nil
-	return err
+// waitGroup waits out a group's reads and reports their error.
+func (s *Scanner) waitGroup(g *leafGroup) error {
+	s.t.vol.Wait(g.due)
+	return g.err
 }
 
 // retire returns a consumed group's resources.
@@ -333,37 +327,28 @@ func (s *Scanner) leafImage(g *leafGroup, i int) []byte {
 // along the sibling chain, whose next address cur's tail leaf just made
 // known. The chain is followed exactly when Range would follow it: the
 // tail holds no key beyond hi (so Range, too, would read the successor).
-func (s *Scanner) scheduleNext() error {
+func (s *Scanner) scheduleNext() {
 	if s.next != nil {
-		return nil
+		return
 	}
-	g, err := s.dispatchForecast()
-	if err != nil {
-		return err
-	}
-	if g != nil {
-		s.next = g
-		return nil
+	if s.next = s.dispatchForecast(); s.next != nil {
+		return
 	}
 	if s.fcDone {
 		// Every remaining leaf starts beyond hi; Range would read one more
 		// block only to find its first key past the bound. Skipping it is
 		// the one place the scanner reads strictly less than Range.
-		return nil
+		return
 	}
 	tail := s.leafImage(s.cur, len(s.cur.addrs)-1)
 	n := bufCount(tail)
 	if n > 0 && bufLeafKey(tail, n-1) > s.hi {
-		return nil
+		return
 	}
 	if nxt := bufNextLeaf(tail); nxt >= 0 {
-		g := &leafGroup{addrs: []int64{nxt}}
-		if err := s.dispatch(g); err != nil {
-			return err
-		}
-		s.next = g
+		s.next = &leafGroup{addrs: []int64{nxt}}
+		s.dispatch(s.next)
 	}
-	return nil
 }
 
 // openLeaf positions the scanner on the next leaf, crossing group
@@ -377,13 +362,11 @@ func (s *Scanner) openLeaf() error {
 			s.done = true
 			return nil
 		}
-		if err := s.joinGroup(s.cur); err != nil {
+		if err := s.waitGroup(s.cur); err != nil {
 			return err
 		}
 		s.slot = 0
-		if err := s.scheduleNext(); err != nil {
-			return err
-		}
+		s.scheduleNext()
 	} else {
 		s.slot++
 		if s.slot >= len(s.cur.addrs) {
@@ -393,13 +376,11 @@ func (s *Scanner) openLeaf() error {
 				s.done = true
 				return nil
 			}
-			if err := s.joinGroup(s.cur); err != nil {
+			if err := s.waitGroup(s.cur); err != nil {
 				return err
 			}
 			s.slot = 0
-			if err := s.scheduleNext(); err != nil {
-				return err
-			}
+			s.scheduleNext()
 		}
 	}
 	s.buf = s.leafImage(s.cur, s.slot)
@@ -445,23 +426,18 @@ func (s *Scanner) Next() (record.Record, bool, error) {
 	return zero, false, nil
 }
 
-// Close joins any in-flight reads (the engine writes into the scanner's
-// frames until they complete) and releases every frame and pin. It is
-// idempotent and safe after errors.
+// Close releases every frame and pin. In-flight reads need no wait: their
+// bytes moved at dispatch, and their reservations stay booked on the
+// disks' timelines. It is idempotent and safe after errors.
 func (s *Scanner) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
 	for _, g := range []*leafGroup{s.cur, s.next} {
-		if g == nil {
-			continue
+		if g != nil {
+			s.retire(g)
 		}
-		if g.join != nil {
-			g.join()
-			g.join = nil
-		}
-		s.retire(g)
 	}
 	s.cur, s.next = nil, nil
 	s.buf = nil

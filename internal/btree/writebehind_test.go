@@ -144,7 +144,7 @@ func TestBulkLoadWriteBehindMatchesSync(t *testing.T) {
 }
 
 // TestWriteBehindEvictionRace is the cache/write-behind interaction
-// property: while a batched leaf flush's join is outstanding on a latency
+// property: while a batched leaf flush's deadline is outstanding on a latency
 // volume, the internal-level build evicts dirty pages through the same
 // volume. No dirty page may be lost (every key must read back from disk)
 // and none may be written twice (total writes must equal the tree's node

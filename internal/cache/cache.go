@@ -21,6 +21,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"em/internal/pdm"
 )
@@ -202,19 +203,20 @@ func (c *Cache) Peek(addr int64, retain bool) *Page {
 }
 
 // GetBatchAsync pins every block of addrs in the stated class — cache hits
-// immediately, misses through one batched read dispatched on the volume's
-// async engine — and returns the pinned pages aligned with addrs plus the
-// batch's join. Hit pages are valid at once; miss pages hold their block's
-// bytes only after join returns nil. This is read-only admission: no page is
-// marked dirty, and making room evicts only unpinned pages (as always), so a
-// concurrent writer's pinned working set is never disturbed. The caller must
-// Unpin every page after a nil join; if the dispatch or the join fails, the
-// cache has already unpinned everything and dropped the unfilled pages — the
-// returned pages must not be used.
+// immediately, misses through one batched read dispatched with
+// Volume.BatchReadAsync — and returns the pinned pages aligned with addrs
+// plus the deadline of the misses' read (zero when every block hit). Every
+// page holds its block's bytes on return; a caller that models its overlap
+// honestly treats the miss pages as in flight until Volume.Wait on the
+// deadline returns. This is read-only admission: no page is marked dirty,
+// and making room evicts only unpinned pages (as always), so a concurrent
+// writer's pinned working set is never disturbed. The caller must Unpin
+// every page; on an error the cache has already unpinned everything and
+// dropped the unfilled pages, and returns neither pages nor a deadline.
 //
 // The caller must keep len(addrs) below the cache capacity (the batch is
 // pinned as a whole); duplicate addresses are allowed and share one page.
-func (c *Cache) GetBatchAsync(addrs []int64, retain bool) ([]*Page, func() error, error) {
+func (c *Cache) GetBatchAsync(addrs []int64, retain bool) ([]*Page, time.Time, error) {
 	pages := make([]*Page, len(addrs))
 	var miss []int
 	for i, a := range addrs {
@@ -227,13 +229,13 @@ func (c *Cache) GetBatchAsync(addrs []int64, retain bool) ([]*Page, func() error
 		p, err := c.admit(a, retain)
 		if err != nil {
 			c.failBatch(pages[:i], miss)
-			return nil, nil, err
+			return nil, time.Time{}, err
 		}
 		pages[i] = p
 		miss = append(miss, i)
 	}
 	if len(miss) == 0 {
-		return pages, func() error { return nil }, nil
+		return pages, time.Time{}, nil
 	}
 	mAddrs := make([]int64, len(miss))
 	mBufs := make([][]byte, len(miss))
@@ -241,14 +243,12 @@ func (c *Cache) GetBatchAsync(addrs []int64, retain bool) ([]*Page, func() error
 		mAddrs[k] = addrs[i]
 		mBufs[k] = pages[i].Buf
 	}
-	join := c.vol.BatchReadAsync(mAddrs, mBufs)
-	return pages, func() error {
-		err := join()
-		if err != nil {
-			c.failBatch(pages, miss)
-		}
-		return err
-	}, nil
+	deadline, err := c.vol.BatchReadAsync(mAddrs, mBufs)
+	if err != nil {
+		c.failBatch(pages, miss)
+		return nil, time.Time{}, err
+	}
+	return pages, deadline, nil
 }
 
 // failBatch unwinds a failed GetBatchAsync: every page loses the batch's

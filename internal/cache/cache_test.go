@@ -333,13 +333,11 @@ func TestGetBatchAsyncHitsMissesAndDuplicates(t *testing.T) {
 	c.Unpin(p)
 	vol.Stats().Reset()
 
-	pages, join, err := c.GetBatchAsync([]int64{addr, addr + 1, addr + 3, addr}, false)
+	pages, deadline, err := c.GetBatchAsync([]int64{addr, addr + 1, addr + 3, addr}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := join(); err != nil {
-		t.Fatal(err)
-	}
+	vol.Wait(deadline)
 	for i, want := range []byte{10, 11, 13, 10} {
 		if pages[i].Buf[0] != want {
 			t.Fatalf("page %d holds %d, want %d", i, pages[i].Buf[0], want)
@@ -387,13 +385,11 @@ func TestGetBatchAsyncRespectsPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.MarkDirty()
-	pages, join, err := c.GetBatchAsync([]int64{addr, addr + 1}, false)
+	pages, deadline, err := c.GetBatchAsync([]int64{addr, addr + 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := join(); err != nil {
-		t.Fatal(err)
-	}
+	vol.Wait(deadline)
 	for _, p := range pages {
 		c.Unpin(p)
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -86,8 +87,8 @@ func TestClassFollowsLatestPin(t *testing.T) {
 	if !resident(c, base) || resident(c, base+1) {
 		t.Fatal("page pinned as retained on a hit was not promoted")
 	}
-	pages, join, err := c.GetBatchAsync([]int64{base + 2}, true)
-	if err != nil || join() != nil {
+	pages, _, err := c.GetBatchAsync([]int64{base + 2}, true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	c.Unpin(pages[0])
@@ -157,11 +158,8 @@ func TestGetBatchAsyncOverRetainedFrames(t *testing.T) {
 		touch(t, c, base+i, true)
 	}
 	// Every frame is retained and unpinned: a batch still finds room.
-	pages, join, err := c.GetBatchAsync([]int64{base + 4, base + 5, base + 6}, true)
+	pages, _, err := c.GetBatchAsync([]int64{base + 4, base + 5, base + 6}, true)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := join(); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range pages {
@@ -188,12 +186,8 @@ func TestFailedBatchOverRetainedFramesRestoresPool(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		touch(t, c, base+i, true)
 	}
-	_, join, err := c.GetBatchAsync([]int64{base + 4, base + 3, base + 5}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := join(); err == nil {
-		t.Fatal("join succeeded on a dead disk")
+	if _, _, err := c.GetBatchAsync([]int64{base + 4, base + 3, base + 5}, true); err == nil {
+		t.Fatal("batch succeeded on a dead disk")
 	}
 	// The two unread pages are gone and their frames returned; base+3, a
 	// hit, stays resident and unpinned.
@@ -208,6 +202,38 @@ func TestFailedBatchOverRetainedFramesRestoresPool(t *testing.T) {
 	}
 	if pool.Free() != free {
 		t.Fatalf("pool free %d after close, want %d", pool.Free(), free)
+	}
+}
+
+// TestFailedBatchUnwindsAtDispatch: a batch whose miss read fails is
+// unwound before GetBatchAsync returns, not at some later wait. The call
+// itself reports the fault, no page of the batch keeps its pin, and every
+// failed miss is gone from the cache, so nothing can hit its unread frame.
+func TestFailedBatchUnwindsAtDispatch(t *testing.T) {
+	// The disk dies after the two transfers that make base and base+1
+	// resident.
+	c, pool, base := retainEnv(t, 8, 6, &pdm.FaultPlan{FailAfter: 2})
+	free := pool.Free()
+	touch(t, c, base, false)
+	touch(t, c, base+1, true)
+	batch := []int64{base + 2, base, base + 3, base + 1, base + 2}
+	if _, _, err := c.GetBatchAsync(batch, false); !errors.Is(err, pdm.ErrFaulted) {
+		t.Fatalf("GetBatchAsync on a dead disk returned %v, want ErrFaulted", err)
+	}
+	for _, a := range batch {
+		if p := c.pages[a]; p != nil && p.pins != 0 {
+			t.Fatalf("block %d still pinned %d times after the failed batch", a-base, p.pins)
+		}
+	}
+	for _, a := range []int64{base + 2, base + 3} {
+		if p := c.Peek(a, false); p != nil {
+			c.Unpin(p)
+			t.Fatalf("failed miss %d still resident", a-base)
+		}
+	}
+	if !resident(c, base) || !resident(c, base+1) || pool.Free()+c.Len() != free {
+		t.Fatalf("hits resident %v %v, pool free %d + resident %d, want %d",
+			resident(c, base), resident(c, base+1), pool.Free(), c.Len(), free)
 	}
 }
 
@@ -263,13 +289,13 @@ func TestRetainedCountsTheRetainedChain(t *testing.T) {
 				check("Peek")
 			case 5:
 				// Up to the whole capacity: with pages held elsewhere the
-				// dispatch is refused; on a dead disk the join fails.
+				// dispatch is refused; on a dead disk its read fails.
 				addrs := make([]int64, 1+rng.Intn(capacity))
 				for j := range addrs {
 					addrs[j] = base + int64(rng.Intn(blocks))
 				}
-				pages, join, err := c.GetBatchAsync(addrs, retain)
-				if err == nil && join() == nil {
+				pages, _, err := c.GetBatchAsync(addrs, retain)
+				if err == nil {
 					held = append(held, pages...)
 				}
 				check("GetBatchAsync")

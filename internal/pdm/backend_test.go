@@ -167,7 +167,7 @@ func TestFileBackendBadDir(t *testing.T) {
 }
 
 // TestFileBackendServiceError checks that a backend transfer failure
-// surfaces through the batched join rather than being swallowed. The files
+// surfaces through the batched path rather than being swallowed. The files
 // are yanked out from under a live volume — crude, but exactly what a dying
 // disk looks like to the engine.
 func TestFileBackendServiceError(t *testing.T) {

@@ -8,11 +8,11 @@ import (
 )
 
 // TestCloseFailsOutstandingJoins pins the Close-vs-async contract: closing
-// a volume while Batch*Async handles are outstanding must return promptly —
-// not run out the reserved horizon or hang — and every outstanding join
-// must then return nil, because its bytes moved at dispatch and only the
-// model-time wait is cut short. Run under -race in `make ci`, this doubles
-// as the race test for the dispatch/close interleaving.
+// a volume while Batch*Async deadlines are outstanding must return promptly
+// — not run out the reserved horizon or hang — and a Wait on each of them
+// must then return at once, because its bytes moved at dispatch and only
+// the model-time wait is cut short. Run under -race in `make ci`, this
+// doubles as the race test for the dispatch/close interleaving.
 func TestCloseFailsOutstandingJoins(t *testing.T) {
 	const (
 		batches  = 24
@@ -21,7 +21,7 @@ func TestCloseFailsOutstandingJoins(t *testing.T) {
 	)
 	v := MustVolume(Config{BlockBytes: 256, MemBlocks: 8, Disks: 2, DiskLatency: latency})
 	addr := v.Alloc(batches * perBatch)
-	joins := make([]func() error, 0, batches)
+	deadlines := make([]time.Time, 0, batches)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	// Dispatch from several goroutines so Close races real concurrent
@@ -36,9 +36,12 @@ func TestCloseFailsOutstandingJoins(t *testing.T) {
 				addrs[i] = addr + int64(b*perBatch+i)
 				srcs[i] = make([]byte, 256)
 			}
-			j := v.BatchWriteAsync(addrs, srcs)
+			deadline, err := v.BatchWriteAsync(addrs, srcs)
+			if err != nil {
+				t.Error(err)
+			}
 			mu.Lock()
-			joins = append(joins, j)
+			deadlines = append(deadlines, deadline)
 			mu.Unlock()
 		}(b)
 	}
@@ -61,13 +64,15 @@ func TestCloseFailsOutstandingJoins(t *testing.T) {
 	if el := time.Since(start); el > horizon/2 {
 		t.Fatalf("Close took %v; it must return well inside the %v reserved horizon", el, horizon)
 	}
-	for i, j := range joins {
-		if err := j(); err != nil {
-			t.Fatalf("join %d: the bytes moved at dispatch, want nil, got %v", i, err)
-		}
+	// Waits after Close must return at once, however far out their
+	// deadlines lie, and dispatch must refuse cleanly.
+	start = time.Now()
+	for _, d := range deadlines {
+		v.Wait(d)
 	}
-	// Joins after Close must still be answerable (no hang) and dispatch
-	// must refuse cleanly.
+	if el := time.Since(start); el > horizon/2 {
+		t.Fatalf("waits after Close took %v; they must return at once", el)
+	}
 	if err := v.BatchWrite([]int64{addr}, [][]byte{make([]byte, 256)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close dispatch: want ErrClosed, got %v", err)
 	}

@@ -302,30 +302,33 @@ func TestDiskLatencyParallelSpeedup(t *testing.T) {
 }
 
 // TestTransferBytesMoveAtDispatch pins the byte order of the async
-// transfers at every latency: the bytes move at dispatch and the join only
-// waits out model time, so a read issued after BatchWriteAsync returns sees
-// the new bytes even while the write's join — and a backlog queued ahead of
-// it on the same disk — is still outstanding.
+// transfers at every latency: the bytes move at dispatch and the deadline
+// only marks model time, so a read issued after BatchWriteAsync returns sees
+// the new bytes even while the write's deadline — and a backlog queued ahead
+// of it on the same disk — has not been waited.
 func TestTransferBytesMoveAtDispatch(t *testing.T) {
 	for _, latency := range []time.Duration{0, 20 * time.Millisecond} {
 		t.Run(latency.String(), func(t *testing.T) {
 			forEachBackend(t, Config{BlockBytes: 32, MemBlocks: 4, Disks: 1, DiskLatency: latency}, func(t *testing.T, v *Volume) {
 				backlog, a := v.Alloc(1), v.Alloc(1)
-				joinBacklog := v.BatchWriteAsync([]int64{backlog}, [][]byte{make([]byte, 32)})
+				dueBacklog, err := v.BatchWriteAsync([]int64{backlog}, [][]byte{make([]byte, 32)})
+				if err != nil {
+					t.Fatal(err)
+				}
 				want := bytes.Repeat([]byte{0xA5}, 32)
-				joinA := v.BatchWriteAsync([]int64{a}, [][]byte{want})
+				dueA, err := v.BatchWriteAsync([]int64{a}, [][]byte{want})
+				if err != nil {
+					t.Fatal(err)
+				}
 				got := make([]byte, 32)
 				if err := v.ReadBlock(a, got); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Errorf("read before the joins returned %x, want the bytes written at dispatch", got[:4])
+					t.Errorf("read before the waits returned %x, want the bytes written at dispatch", got[:4])
 				}
-				for _, join := range []func() error{joinBacklog, joinA} {
-					if err := join(); err != nil {
-						t.Fatal(err)
-					}
-				}
+				v.Wait(dueBacklog)
+				v.Wait(dueA)
 			})
 		})
 	}

@@ -56,29 +56,30 @@ func TestModelTimeSyncBatch(t *testing.T) {
 	}
 }
 
-// TestModelTimeAsyncJoin: an async dispatch returns after zero elapsed
-// time, and its join returns exactly at the reserved deadline.
-func TestModelTimeAsyncJoin(t *testing.T) {
+// TestModelTimeAsyncWait: an async dispatch returns after zero elapsed
+// time, and Wait on its deadline returns exactly at the reservation.
+func TestModelTimeAsyncWait(t *testing.T) {
 	synctest.Run(func() {
 		v, base, bufs := modelVolume(2, 6)
 		defer v.Close()
 		start := time.Now()
-		join := v.BatchReadAsync(span(base, 6), bufs)
+		deadline, err := v.BatchReadAsync(span(base, 6), bufs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if el := time.Since(start); el != 0 {
 			t.Errorf("dispatch took %v of model time, want 0", el)
 		}
-		if err := join(); err != nil {
-			t.Fatal(err)
-		}
+		v.Wait(deadline)
 		if got, want := time.Since(start), 3*modelLatency; got != want {
-			t.Errorf("join returned at %v, want exactly %v", got, want)
+			t.Errorf("Wait returned at %v, want exactly %v", got, want)
 		}
 	})
 }
 
 // TestModelTimeQueueOnOneDisk: two goroutines' batches on one disk queue on
-// its timeline, so one join lands at 1× the batch's service time and the
-// other at exactly 2×.
+// its timeline, so one batch lands at 1× its service time and the other at
+// exactly 2×.
 func TestModelTimeQueueOnOneDisk(t *testing.T) {
 	const k = 4
 	synctest.Run(func() {
@@ -110,7 +111,7 @@ func TestModelTimeQueueOnOneDisk(t *testing.T) {
 		wg.Wait()
 		sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
 		if want := []time.Duration{k * modelLatency, 2 * k * modelLatency}; len(ends) != 2 || ends[0] != want[0] || ends[1] != want[1] {
-			t.Errorf("joins landed at %v, want exactly %v", ends, want)
+			t.Errorf("batches landed at %v, want exactly %v", ends, want)
 		}
 	})
 }
@@ -137,25 +138,26 @@ func TestModelTimeSingleBlock(t *testing.T) {
 	})
 }
 
-// TestModelTimeCloseCutsJoin: Close during a join that is waiting out its
-// reservation returns at once, and so does the join, with nil — its bytes
-// moved at dispatch.
-func TestModelTimeCloseCutsJoin(t *testing.T) {
+// TestModelTimeCloseCutsWait: Close during a Wait that is sleeping out its
+// reservation returns at once, and so does the Wait — the batch's bytes
+// moved, and its error was decided, at dispatch.
+func TestModelTimeCloseCutsWait(t *testing.T) {
 	synctest.Run(func() {
 		v, base, bufs := modelVolume(1, 8)
 		start := time.Now()
-		join := v.BatchWriteAsync(span(base, 8), bufs)
-		done := make(chan error, 1)
-		go func() { done <- join() }()
-		synctest.Wait() // the join is now asleep on its 8-step reservation
+		deadline, err := v.BatchWriteAsync(span(base, 8), bufs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() { v.Wait(deadline); close(done) }()
+		synctest.Wait() // the Wait is now asleep on its 8-step reservation
 		if err := v.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := <-done; err != nil {
-			t.Errorf("join cut short by Close: %v, want nil", err)
-		}
+		<-done
 		if el := time.Since(start); el != 0 {
-			t.Errorf("Close and the join took %v of model time, want 0", el)
+			t.Errorf("Close and the Wait took %v of model time, want 0", el)
 		}
 	})
 }

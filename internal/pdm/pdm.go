@@ -34,9 +34,10 @@
 // DiskLatency, not its size, which makes D-way speedups directly measurable
 // with a stopwatch and keeps overlap honest even on a single-CPU host.
 // BatchReadAsync and BatchWriteAsync split the transfer from that wait: the
-// bytes move at dispatch, and the returned join only waits out model time.
-// Package stream builds forecasting read-ahead and write-behind on them.
-// Close is idempotent and cuts short any join still waiting. With
+// bytes move and the error is decided at dispatch, and the returned deadline
+// is what Volume.Wait later sleeps to. Package stream builds forecasting
+// read-ahead and write-behind on them. Close is idempotent and cuts short
+// any wait still sleeping. With
 // DiskLatency zero nothing sleeps, and every I/O count is the same as at
 // any latency.
 //
@@ -108,8 +109,8 @@ type Config struct {
 	// DiskLatency is the simulated service time per block transfer. Zero
 	// (the default) is the purely-counted model: nothing sleeps. A non-zero
 	// latency books every transfer on its disks' timelines and holds the
-	// caller (or the async join) until the worst disk's reservation runs
-	// out, so batch wall-clock time is proportional to the parallel-step
+	// caller (or its later Volume.Wait) until the worst disk's reservation
+	// runs out, so batch wall-clock time is proportional to the parallel-step
 	// cost and striping speedups show up on a stopwatch.
 	DiskLatency time.Duration
 	// Dir, when non-empty, stores the disks' blocks in real files — one per
@@ -291,8 +292,8 @@ type Volume struct {
 
 // NewVolume creates an empty volume with the given configuration. When
 // cfg.Dir is non-empty the blocks live in one file per disk under that
-// directory. Call Close to close the files and release any join still
-// waiting out its reservation.
+// directory. Call Close to close the files and release any Wait still
+// sleeping out its reservation.
 func NewVolume(cfg Config) (*Volume, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -334,9 +335,9 @@ func MustVolume(cfg Config) *Volume {
 // the file backend closes its per-disk files and returns the first close
 // error). It is idempotent — repeated calls return the first call's result.
 // Close waits for transfers already moving bytes to finish, then cuts short
-// every reservation wait: an outstanding Batch*Async join returns at once
-// with its transfer's own result (the bytes moved at dispatch) instead of
-// running out the reserved horizon. I/O submitted after Close returns
+// every reservation wait: a Wait on an outstanding Batch*Async deadline
+// returns at once (the bytes moved at dispatch) instead of running out the
+// reserved horizon. I/O submitted after Close returns
 // ErrClosed without charging counters, on the single-block and batched
 // paths alike.
 func (v *Volume) Close() error {
@@ -363,13 +364,14 @@ func (v *Volume) reserve(di, n int, now time.Time) time.Time {
 	return d.busyUntil
 }
 
-// wait blocks until a transfer's deadline, then returns the transfer's
-// error. Close cuts the wait short: once the volume is shutting down nobody
-// is measuring reservation horizons any more. A zero deadline — nothing was
-// reserved — returns at once without reading the clock.
-func (v *Volume) wait(deadline time.Time, err error) error {
+// Wait sleeps until deadline, the moment a Batch*Async transfer's
+// reservation runs out. Close cuts the wait short: once the volume is
+// shutting down nobody is measuring reservation horizons any more. A zero
+// deadline — nothing was reserved — returns at once without reading the
+// clock.
+func (v *Volume) Wait(deadline time.Time) {
 	if deadline.IsZero() {
-		return err
+		return
 	}
 	if dt := time.Until(deadline); dt > 0 {
 		t := time.NewTimer(dt)
@@ -379,6 +381,12 @@ func (v *Volume) wait(deadline time.Time, err error) error {
 		case <-v.closing:
 		}
 	}
+}
+
+// finish waits out a transfer's deadline, then returns its error: the
+// second half of every blocking call.
+func (v *Volume) finish(deadline time.Time, err error) error {
+	v.Wait(deadline)
 	return err
 }
 
@@ -505,13 +513,13 @@ func (v *Volume) checkAddr(addr int64) error {
 // It costs one block read and one parallel step. After Close it returns
 // ErrClosed without charging counters.
 func (v *Volume) ReadBlock(addr int64, dst []byte) error {
-	return v.wait(v.transfer([]int64{addr}, [][]byte{dst}, false))
+	return v.finish(v.transfer([]int64{addr}, [][]byte{dst}, false))
 }
 
 // WriteBlock stores src as block addr. It costs one block write and one
 // parallel step. After Close it returns ErrClosed without charging counters.
 func (v *Volume) WriteBlock(addr int64, src []byte) error {
-	return v.wait(v.transfer([]int64{addr}, [][]byte{src}, true))
+	return v.finish(v.transfer([]int64{addr}, [][]byte{src}, true))
 }
 
 // serviceAll moves the given blocks in batch order on the calling
@@ -538,7 +546,7 @@ func (v *Volume) serviceAll(addrs []int64, bufs [][]byte, write bool) error {
 // time on its disk's timeline. Then every block moves on the calling
 // goroutine. The returned deadline is when the worst disk's reservation
 // runs out, or zero when nothing was reserved; the caller waits it out,
-// at once or at a join.
+// at once or later.
 //
 // The close lock is held in read mode throughout, so Close — which takes it
 // in write mode before shutting the backend down — cannot yank the backend
@@ -603,17 +611,6 @@ func (v *Volume) transfer(addrs []int64, bufs [][]byte, write bool) (deadline ti
 	return deadline, v.serviceAll(addrs, bufs, write)
 }
 
-// dispatch runs a transfer now and returns the join that waits out its
-// reservation. With nothing reserved — no latency, or a refused transfer —
-// the join only reports the result.
-func (v *Volume) dispatch(addrs []int64, bufs [][]byte, write bool) func() error {
-	deadline, err := v.transfer(addrs, bufs, write)
-	if deadline.IsZero() {
-		return func() error { return err }
-	}
-	return func() error { return v.wait(deadline, err) }
-}
-
 // BatchRead reads len(addrs) blocks as one parallel batch. dsts[i] receives
 // block addrs[i]. The batch costs len(addrs) block reads but only as many
 // parallel steps as the worst single disk must serve, and — with a non-zero
@@ -622,30 +619,31 @@ func (v *Volume) dispatch(addrs []int64, bufs [][]byte, write bool) func() error
 // block by block; a batch refused part-way still moves and charges its
 // valid prefix, at no step cost.
 func (v *Volume) BatchRead(addrs []int64, dsts [][]byte) error {
-	return v.wait(v.transfer(addrs, dsts, false))
+	return v.finish(v.transfer(addrs, dsts, false))
 }
 
 // BatchWrite writes len(addrs) blocks as one parallel batch, the write-side
 // dual of BatchRead.
 func (v *Volume) BatchWrite(addrs []int64, srcs [][]byte) error {
-	return v.wait(v.transfer(addrs, srcs, true))
+	return v.finish(v.transfer(addrs, srcs, true))
 }
 
 // BatchReadAsync is BatchRead split at the wait: it charges the counters,
-// reserves the service time and moves the bytes before it returns, and the
-// join only waits out the model time the batch reserved, then returns the
-// transfer's error. The caller overlaps computation with that simulated
-// transfer; this is the primitive the stream prefetcher builds forecasting
-// read-ahead on. A caller that models its overlap honestly treats dsts as
-// in flight until join returns.
-func (v *Volume) BatchReadAsync(addrs []int64, dsts [][]byte) (join func() error) {
-	return v.dispatch(addrs, dsts, false)
+// reserves the service time, moves the bytes and returns the transfer's
+// error before it returns, together with the deadline at which the batch's
+// reservation runs out (zero when nothing was reserved). The caller
+// overlaps computation with that simulated transfer and hands the deadline
+// to Wait once it needs the blocks; this is the primitive the stream
+// prefetcher builds forecasting read-ahead on. A caller that models its
+// overlap honestly treats dsts as in flight until that Wait returns.
+func (v *Volume) BatchReadAsync(addrs []int64, dsts [][]byte) (deadline time.Time, err error) {
+	return v.transfer(addrs, dsts, false)
 }
 
 // BatchWriteAsync is BatchWrite split at the wait, the write-behind dual of
 // BatchReadAsync: the bytes of srcs are on the disks when it returns, so a
-// read issued after it sees them whether or not join has run, and the join
-// only waits out the reserved model time.
-func (v *Volume) BatchWriteAsync(addrs []int64, srcs [][]byte) (join func() error) {
-	return v.dispatch(addrs, srcs, true)
+// read issued after it sees them whether or not the deadline has been
+// waited, and Wait only sleeps out the reserved model time.
+func (v *Volume) BatchWriteAsync(addrs []int64, srcs [][]byte) (deadline time.Time, err error) {
+	return v.transfer(addrs, srcs, true)
 }

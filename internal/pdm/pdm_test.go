@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func testConfig() Config {
@@ -162,6 +163,34 @@ func TestBatchParallelSteps(t *testing.T) {
 	}
 	if got := v.Stats().Steps; got != 4 {
 		t.Fatalf("colliding batch of 4 should cost 4 steps, got %d", got)
+	}
+}
+
+// TestAsyncDispatchAllocatesNothing pins the cost of splitting a batch at
+// its wait: an async dispatch returns a deadline, not a closure, so a
+// dispatch plus its Wait allocates no more than the synchronous batch does.
+func TestAsyncDispatchAllocatesNothing(t *testing.T) {
+	v := MustVolume(Config{BlockBytes: 64, MemBlocks: 8, Disks: 4})
+	base := v.Alloc(4)
+	addrs := []int64{base, base + 1, base + 2, base + 3}
+	bufs := make([][]byte, len(addrs))
+	for i := range bufs {
+		bufs[i] = make([]byte, 64)
+	}
+	for _, c := range []struct {
+		name  string
+		async func([]int64, [][]byte) (time.Time, error)
+	}{{"BatchReadAsync", v.BatchReadAsync}, {"BatchWriteAsync", v.BatchWriteAsync}} {
+		n := testing.AllocsPerRun(100, func() {
+			deadline, err := c.async(addrs, bufs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.Wait(deadline)
+		})
+		if n != 0 {
+			t.Errorf("%s + Wait: %v allocations per batch, want 0", c.name, n)
+		}
 	}
 }
 

@@ -160,7 +160,7 @@ func TestAsyncWriterMatchesWriter(t *testing.T) {
 // TestAsyncRoundTripQuick is the quick-check property: for arbitrary record
 // payloads, an async write followed by an async read returns exactly the
 // input, with the same block counts a synchronous round trip charges, on a
-// latency volume, where every join waits out a reservation.
+// latency volume, where every wait sleeps out a reservation.
 func TestAsyncRoundTripQuick(t *testing.T) {
 	f := func(keys []uint64) bool {
 		if len(keys) > 512 {

@@ -20,6 +20,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"em/internal/pdm"
 	"em/internal/record"
@@ -118,19 +119,24 @@ func (f *File[T]) reloadTail(buf []byte) (int, error) {
 }
 
 // allocExtent reserves n fresh contiguous blocks, records them in the
-// file's block list in order, and returns their addresses paired with the
-// first n frames' buffers. Addresses are taken in file order on the
-// caller's goroutine, so a writer's layout does not depend on its depth.
-func (f *File[T]) allocExtent(n int, frames []*pdm.Frame) (addrs []int64, bufs [][]byte) {
+// file's block list in order, and returns their addresses, a view of that
+// list. Addresses are taken in file order on the caller's goroutine, so a
+// writer's layout does not depend on its depth.
+func (f *File[T]) allocExtent(n int) []int64 {
 	base := f.vol.Alloc(n)
-	addrs = make([]int64, n)
-	bufs = make([][]byte, n)
 	for i := 0; i < n; i++ {
-		addrs[i] = base + int64(i)
-		bufs[i] = frames[i].Buf
-		f.blocks = append(f.blocks, addrs[i])
+		f.blocks = append(f.blocks, base+int64(i))
 	}
-	return addrs, bufs
+	return f.blocks[len(f.blocks)-n:]
+}
+
+// groupBufs fills bufs with the buffers of the first n frames and returns
+// that prefix: the batch slice a stream reuses for every group it moves.
+func groupBufs(bufs [][]byte, frames []*pdm.Frame, n int) [][]byte {
+	for i, fr := range frames[:n] {
+		bufs[i] = fr.Buf
+	}
+	return bufs[:n]
 }
 
 // frameCount returns the frames a width-w stream holds: one group on
@@ -145,13 +151,14 @@ func frameCount(width int, overlap bool) int {
 // Writer appends records to a File block by block. A width-w writer buffers
 // w blocks and flushes them as one parallel batch. Opened behind, it holds
 // a second group and leaves each flush in flight while the caller fills the
-// other; on demand the two groups are one and each flush is joined at once.
+// other; on demand the two groups are one and each flush is waited at once.
 type Writer[T any] struct {
 	f        *File[T]
 	frames   []*pdm.Frame // every frame held: one group, or two behind
 	cur      []*pdm.Frame // group being filled
 	flushing []*pdm.Frame // group last dispatched; cur itself on demand
-	join     func() error // in-flight flush; nil when none
+	bufs     [][]byte     // batch buffers, reused by every flush
+	due      time.Time    // deadline of the last flush
 	width    int
 	filled   int // records buffered in cur
 	closed   bool
@@ -184,7 +191,8 @@ func newWriter[T any](f *File[T], pool *pdm.Pool, width int, behind bool) (*Writ
 		return nil, err
 	}
 	return &Writer[T]{f: f, frames: frames, cur: frames[:width],
-		flushing: frames[len(frames)-width:], width: width, filled: tail}, nil
+		flushing: frames[len(frames)-width:], bufs: make([][]byte, width),
+		width: width, filled: tail}, nil
 }
 
 // Append adds one record to the file.
@@ -206,36 +214,27 @@ func (w *Writer[T]) Append(v T) error {
 	return nil
 }
 
-// flush joins the previous flush, then writes the first n frames of cur to
-// freshly allocated blocks and swaps the groups. Behind, the write stays in
-// flight until the next flush or Close; on demand it is joined here, since
-// the swapped-in group is the same frames.
+// flush waits out the previous flush, then writes the first n frames of cur
+// to freshly allocated blocks and swaps the groups. Behind, the write stays
+// in flight until the next flush or Close; on demand it is waited here,
+// since the swapped-in group is the same frames.
 func (w *Writer[T]) flush(n int) error {
-	if err := w.joinFlush(); err != nil || n == 0 {
-		return err
-	}
-	addrs, bufs := w.f.allocExtent(n, w.cur)
-	w.cur, w.flushing = w.flushing, w.cur
-	w.filled = 0
-	w.join = w.f.vol.BatchWriteAsync(addrs, bufs)
-	if len(w.frames) == w.width {
-		return w.joinFlush()
-	}
-	return nil
-}
-
-// joinFlush waits for the in-flight flush, if any, and reports its error.
-func (w *Writer[T]) joinFlush() error {
-	if w.join == nil {
+	w.f.vol.Wait(w.due)
+	if n == 0 {
 		return nil
 	}
-	err := w.join()
-	w.join = nil
+	addrs := w.f.allocExtent(n)
+	due, err := w.f.vol.BatchWriteAsync(addrs, groupBufs(w.bufs, w.cur, n))
+	w.cur, w.flushing = w.flushing, w.cur
+	w.filled, w.due = 0, due
+	if len(w.frames) == w.width {
+		w.f.vol.Wait(w.due)
+	}
 	return err
 }
 
-// Close flushes any partial buffer, joins the last flush, and releases the
-// writer's frames. The final block may be partially filled; File.Len
+// Close flushes any partial buffer, waits out the last flush, and releases
+// the writer's frames. The final block may be partially filled; File.Len
 // records the true count.
 func (w *Writer[T]) Close() error {
 	if w.closed {
@@ -244,9 +243,7 @@ func (w *Writer[T]) Close() error {
 	w.closed = true
 	per := w.f.PerBlock()
 	err := w.flush((w.filled + per - 1) / per)
-	if err == nil {
-		err = w.joinFlush()
-	}
+	w.f.vol.Wait(w.due)
 	pdm.ReleaseAll(w.frames)
 	w.frames, w.cur, w.flushing = nil, nil, nil
 	return err
@@ -261,8 +258,10 @@ type Reader[T any] struct {
 	frames   []*pdm.Frame // every frame held: one group, or two ahead
 	cur      []*pdm.Frame // group being consumed
 	next     []*pdm.Frame // group being fetched; cur itself on demand
-	join     func() error // in-flight fetch; nil when none
-	inFlight int          // blocks the in-flight fetch covers
+	bufs     [][]byte     // batch buffers, reused by every fetch
+	due      time.Time    // deadline of the in-flight fetch
+	fetchErr error        // the in-flight fetch's error, kept for fill
+	inFlight int          // blocks the in-flight fetch covers; 0 when none
 	width    int
 	block    int   // index of next block to fetch
 	avail    int   // records available in cur
@@ -293,7 +292,7 @@ func newReader[T any](f *File[T], pool *pdm.Pool, width int, ahead bool) (*Reade
 		return nil, err
 	}
 	r := &Reader[T]{f: f, frames: frames, cur: frames[:width],
-		next: frames[len(frames)-width:], width: width}
+		next: frames[len(frames)-width:], bufs: make([][]byte, width), width: width}
 	if ahead {
 		r.launch()
 	}
@@ -325,44 +324,38 @@ func (r *Reader[T]) Next() (v T, ok bool, err error) {
 // launch dispatches the next block group's fetch into r.next, if any blocks
 // remain. It must only be called when no fetch is in flight. The dispatch
 // happens on the caller's goroutine, so the disks' service-time reservations
-// begin immediately; only the join can block.
+// begin immediately; only the Wait in fill can block. The fetch's error is
+// kept for the fill that needs the group, not reported early.
 func (r *Reader[T]) launch() {
-	want := r.width
-	if rem := len(r.f.blocks) - r.block; rem < want {
-		want = rem
-	}
+	want := min(r.width, len(r.f.blocks)-r.block)
 	if want <= 0 {
 		return
 	}
-	addrs := make([]int64, want)
-	bufs := make([][]byte, want)
-	for i := 0; i < want; i++ {
-		addrs[i] = r.f.blocks[r.block+i]
-		bufs[i] = r.next[i].Buf
-	}
+	addrs := r.f.blocks[r.block : r.block+want]
 	r.block += want
 	r.inFlight = want
-	r.join = r.f.vol.BatchReadAsync(addrs, bufs)
+	r.due, r.fetchErr = r.f.vol.BatchReadAsync(addrs, groupBufs(r.bufs, r.next, want))
 }
 
-// fill joins the next group's fetch — dispatching it first when none is in
-// flight — and promotes it to cur; a reader opened ahead then launches the
-// following group at once. A failed fetch is retried by the next call.
+// fill waits out the next group's fetch — dispatching it first when none is
+// in flight — and promotes it to cur; a reader opened ahead then launches
+// the following group at once. A failed fetch is retried by the next call.
 func (r *Reader[T]) fill() error {
-	if r.join == nil {
+	if r.inFlight == 0 {
 		r.launch()
 	}
-	if r.join == nil {
+	if r.inFlight == 0 {
 		return fmt.Errorf("stream: read past end of file blocks")
 	}
-	err := r.join()
-	r.join = nil
+	r.f.vol.Wait(r.due)
+	n, err := r.inFlight, r.fetchErr
+	r.inFlight, r.fetchErr = 0, nil
 	if err != nil {
-		r.block -= r.inFlight
+		r.block -= n
 		return err
 	}
 	r.cur, r.next = r.next, r.cur
-	r.avail = r.inFlight * r.f.PerBlock()
+	r.avail = n * r.f.PerBlock()
 	r.pos = 0
 	if len(r.frames) > r.width {
 		r.launch()
@@ -370,16 +363,14 @@ func (r *Reader[T]) fill() error {
 	return nil
 }
 
-// Close joins any in-flight fetch and releases the reader's frames.
+// Close releases the reader's frames. An in-flight fetch needs no wait:
+// its bytes moved at dispatch, and its reservation stays booked on the
+// disks' timelines.
 func (r *Reader[T]) Close() {
 	if r.closed {
 		return
 	}
 	r.closed = true
-	if r.join != nil {
-		r.join() // the engine writes into our frames until the join returns
-		r.join = nil
-	}
 	pdm.ReleaseAll(r.frames)
 	r.frames, r.cur, r.next = nil, nil, nil
 }
