@@ -66,14 +66,15 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Model time, asserted to the nanosecond: pdm's and btree's tests behind
-# the goexperiment.synctest build tag run latency volumes inside a
-# testing/synctest bubble, where the clock moves only when every goroutine
-# is blocked — pdm's transfers and waits, and the bulk loader's last leaf
-# batch, which Close must wait out. Needs go1.24 (go.mod's 1.23 has no
-# synctest experiment).
+# Model time, asserted to the nanosecond: pdm's, btree's and extsort's
+# tests behind the goexperiment.synctest build tag run latency volumes
+# inside a testing/synctest bubble, where the clock moves only when every
+# goroutine is blocked — pdm's transfers and waits, the bulk loader's last
+# leaf batch, which Close must wait out, and F10's overlap contract (the
+# async distribution sort and bulk load never finish after their sync
+# twins). Needs go1.24 (go.mod's 1.23 has no synctest experiment).
 modeltime:
-	GOEXPERIMENT=synctest $(GO) test ./internal/pdm ./internal/btree
+	GOEXPERIMENT=synctest $(GO) test ./internal/pdm ./internal/btree ./internal/extsort
 
 # Coverage profile across every package, with a per-function summary.
 cover:

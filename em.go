@@ -559,12 +559,15 @@ func MergeSort[T any](f *File[T], pool *Pool, less func(a, b T) bool, opts *Sort
 }
 
 // DistributionSort sorts f by less with sample-based distribution sort,
-// also Θ(n log_m n) I/Os. It honours the same SortOptions as MergeSort:
-// Width stripes the partition readers and bucket writers over the disks,
-// and Async switches them to forecasting read-ahead and write-behind
-// (double-buffered streams cost 2×Width frames each, so the distribution
-// fan-out halves — the mirror of the merge fan-in trade). At equal fan-out
-// the counted I/Os match the synchronous path exactly.
+// also Θ(n log_m n) I/Os: each level of fan-out k+1 costs one pass plus
+// the 4·(k+1) random blocks its splitters are sampled from (fewer when the
+// bucket writers' frames cannot hold that many). It honours the same
+// SortOptions as MergeSort: Width stripes the partition readers and bucket
+// writers over the disks, and Async switches them to forecasting
+// read-ahead and write-behind (double-buffered streams cost 2×Width frames
+// each, so the distribution fan-out halves — the mirror of the merge
+// fan-in trade). At equal fan-out the counted I/Os match the synchronous
+// path exactly.
 func DistributionSort[T any](f *File[T], pool *Pool, less func(a, b T) bool, opts *SortOptions) (*File[T], error) {
 	return extsort.DistributionSort(f, pool, less, opts)
 }

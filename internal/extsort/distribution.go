@@ -3,26 +3,30 @@ package extsort
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"em/internal/pdm"
 	"em/internal/stream"
 )
 
 // DistributionSort sorts f by less into a new file using the survey's
-// distribution (bucket) sort: sample splitters, partition the input into
-// Θ(M/B) buckets in one pass, recurse on each bucket until it fits in
-// memory, then load-sort it. Like merge sort it performs Θ(n·log_m n) I/Os,
-// but passes data top-down through splitters instead of bottom-up through
-// merges. It is DistributionSortTo writing into a fresh file's writer.
+// distribution (bucket) sort: choose k approximate splitters from a sample
+// of 4·(k+1) random blocks, partition the input into k+1 = Θ(M/B) buckets
+// in one pass, recurse on each bucket until it fits in memory, then
+// load-sort it. A level costs one pass plus the 4·(k+1) sample blocks.
+// Like merge sort it performs Θ(n·log_m n) I/Os, but passes data top-down
+// through splitters instead of bottom-up through merges. It is
+// DistributionSortTo writing into a fresh file's writer.
 //
-// The same Options drive it as MergeSort: Width stripes every reader and
-// bucket writer over the disks, and Async switches them to forecasting
-// read-ahead and write-behind (a partitioning pass is consumed strictly in
-// order, so the forecast block is the next sequential one, exactly as for a
-// sorted run). Asynchronous streams hold 2×Width frames, so the fan-out
-// halves — the distribution-side mirror of the merge fan-in trade. At equal
-// fan-out the counted I/Os are identical to the synchronous path; only
-// wall-clock overlap changes.
+// The same Options drive it as MergeSort: Width stripes the partition
+// readers and bucket writers over the disks, and Async switches them to
+// forecasting read-ahead and write-behind (a partitioning pass is consumed
+// strictly in order, so the forecast block is the next sequential one,
+// exactly as for a sorted run). Asynchronous streams hold 2×Width frames,
+// so the fan-out halves — the distribution-side mirror of the merge fan-in
+// trade. At equal fan-out the counted I/Os are identical to the
+// synchronous path; only wall-clock overlap changes. The sample is one
+// batch read either way.
 func DistributionSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) (*stream.File[T], error) {
 	out := stream.NewFile[T](f.Vol(), f.Codec())
 	ow, err := openSink(out, pool, opts)
@@ -172,26 +176,35 @@ func (d *distSorter[T]) fallbackMerge(b *stream.File[T], ow stream.Sink[T]) erro
 	return err
 }
 
-// sampleSplitters reservoir-samples the input and returns k approximate
-// quantile splitters. Costs one scan — asymptotically absorbed by the
-// partition pass that follows (the survey notes an O(n) sampling term).
+// sampleSplitters returns k approximate quantile splitters of f, read off
+// the sorted records of 4·(k+1) random blocks, so a level costs its
+// partition pass plus that sample rather than a second scan of f. The
+// sample is one batch read into the frames the bucket writers are about to
+// take, with the partition reader's share held back: it depends only on
+// the budget memRecords and fanOut see, so the sort opened ahead and
+// behind reads exactly what the on-demand one does at equal fan-out, and
+// it never outgrows that memory (synchronous width 1, whose writers take
+// nearly every frame, gets about one block per bucket).
+//
+// Four blocks per bucket, not two: when each block holds one narrow key
+// range (sorted or block-clustered input), a block is one sample point.
+// On block-clustered input at the 40-frame, 128-block shape of
+// TestDistributionSortAdversarialInputs, two per bucket overflowed a
+// bucket, and so recursed, on 57 of 300 seeds and four on 1, where the
+// record reservoir this replaced recursed on none.
 func (d *distSorter[T]) sampleSplitters(f *stream.File[T], k int) ([]T, error) {
-	sampleSize := 8 * (k + 1)
-	sample := make([]T, 0, sampleSize)
-	seen := 0
-	err := forEach(f, d.pool, d.opts, func(v T) error {
-		seen++
-		if len(sample) < sampleSize {
-			sample = append(sample, v)
-		} else if j := d.rng.Intn(seen); j < sampleSize {
-			sample[j] = v
-		}
-		return nil
-	})
+	reader, err := d.pool.AllocN(d.opts.streamFrames())
 	if err != nil {
 		return nil, err
 	}
-	sortStable(sample, d.less)
+	sample, err := stream.SampleBlocks(f, d.pool, 4*(k+1), d.rng)
+	pdm.ReleaseAll(reader)
+	if err != nil {
+		return nil, err
+	}
+	// Records equal under less split alike, so the sample needs no stable
+	// sort, and pdqsort takes half SymMerge's time on a sample this size.
+	slices.SortFunc(sample, compare(d.less))
 	splitters := make([]T, 0, k)
 	for i := 1; i <= k; i++ {
 		splitters = append(splitters, sample[i*len(sample)/(k+1)])

@@ -75,11 +75,12 @@ type Options struct {
 	// holding the smallest pending key is simply its next sequential block),
 	// and writers flush behind the caller. In merge sort that covers the run
 	// readers and the merged-output writer; in distribution sort the
-	// splitter-sampling and partition readers and the per-bucket write-behind
-	// writers. Each open stream then holds 2×Width frames instead of Width,
-	// so the maximum merge fan-in — and, symmetrically, the distribution
-	// fan-out — halves: the same memory-for-overlap trade the survey charges
-	// striped merging. I/O counters are identical to the synchronous path at
+	// partition readers and the per-bucket write-behind writers (the
+	// splitter sample is one batch read of random blocks either way). Each
+	// open stream then holds 2×Width frames instead of Width, so the
+	// maximum merge fan-in — and, symmetrically, the distribution fan-out —
+	// halves: the same memory-for-overlap trade the survey charges striped
+	// merging. I/O counters are identical to the synchronous path at
 	// equal fan-in/fan-out; only wall-clock overlap changes.
 	Async bool
 }

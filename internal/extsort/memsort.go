@@ -7,16 +7,13 @@ import (
 )
 
 // memSortChunk is the fewest records worth a chunk of their own: below two
-// chunks' worth a buffer is sorted on the calling goroutine, so the splitter
-// sample and short last runs never start one.
+// chunks' worth a buffer is sorted on the calling goroutine, so short last
+// runs never start one.
 const memSortChunk = 1 << 12
 
-// sortStable sorts buf in place by less, stably, with no scratch space
-// (slices.SortStableFunc is an in-place insertion sort plus SymMerge). The
-// comparator is derived once from less; being generic, it moves records with
-// typed assignments rather than through a reflection swapper.
-func sortStable[T any](buf []T, less func(a, b T) bool) {
-	slices.SortStableFunc(buf, func(a, b T) int {
+// compare derives the three-way comparator the slices sorts take from less.
+func compare[T any](less func(a, b T) bool) func(a, b T) int {
+	return func(a, b T) int {
 		if less(a, b) {
 			return -1
 		}
@@ -24,7 +21,15 @@ func sortStable[T any](buf []T, less func(a, b T) bool) {
 			return 1
 		}
 		return 0
-	})
+	}
+}
+
+// sortStable sorts buf in place by less, stably, with no scratch space
+// (slices.SortStableFunc is an in-place insertion sort plus SymMerge). Being
+// generic, it moves records with typed assignments rather than through a
+// reflection swapper.
+func sortStable[T any](buf []T, less func(a, b T) bool) {
+	slices.SortStableFunc(buf, compare(less))
 }
 
 // sortEmit passes the records of buf to emit in stable sorted order, stopping

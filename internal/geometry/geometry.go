@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 
 	"em/internal/extsort"
@@ -184,7 +185,7 @@ func Intersections(segs *stream.File[Segment], pool *pdm.Pool) (*stream.File[rec
 		ow.Close()
 		return nil, err
 	}
-	ds := &sweeper{vol: vol, pool: pool, out: ow}
+	ds := &sweeper{vol: vol, pool: pool, out: ow, rng: rand.New(rand.NewSource(0x5EED))}
 	if err := ds.sweep(sorted, math.Inf(-1), math.Inf(1)); err != nil {
 		ow.Close()
 		return nil, err
@@ -219,6 +220,7 @@ type sweeper struct {
 	vol  *pdm.Volume
 	pool *pdm.Pool
 	out  *stream.Writer[record.Pair]
+	rng  *rand.Rand // seeded: slab boundaries, hence counted I/Os, repeat
 }
 
 // memRecords is the base-case threshold in segments.
@@ -421,25 +423,19 @@ func (d *sweeper) reportSlab(act *stream.File[Segment], h Segment) error {
 	return nil
 }
 
-// slabBounds samples x-coordinates and returns up to fanOut-1 distinct
-// interior boundaries within (xlo, xhi).
+// slabBounds samples x-coordinates — the left ends of the events in four
+// random blocks of evs per slab, or as many as the pool has free, as the
+// distribution sort samples its splitters — and returns up to fanOut-1
+// distinct interior boundaries within (xlo, xhi).
 func (d *sweeper) slabBounds(evs *stream.File[Segment], xlo, xhi float64) ([]float64, error) {
 	target := d.fanOut() - 1
-	sampleCap := 8 * (target + 1)
-	var xs []float64
-	seen := 0
-	err := stream.ForEach(evs, d.pool, func(s Segment) error {
-		x := s.X1
-		seen++
-		if len(xs) < sampleCap {
-			xs = append(xs, x)
-		} else if j := seen % sampleCap; j < sampleCap { // deterministic thinning
-			xs[(seen*2654435761)%sampleCap] = x
-		}
-		return nil
-	})
+	sample, err := stream.SampleBlocks(evs, d.pool, 4*(target+1), d.rng)
 	if err != nil {
 		return nil, err
+	}
+	xs := make([]float64, len(sample))
+	for i, s := range sample {
+		xs[i] = s.X1
 	}
 	sort.Float64s(xs)
 	var bounds []float64

@@ -325,3 +325,43 @@ func TestSweepBeatsNaiveOnIOs(t *testing.T) {
 	}
 	t.Logf("sweep=%d naive=%d (%.1fx)", sweepIOs, naiveIOs, float64(naiveIOs)/float64(sweepIOs))
 }
+
+// TestSweepDiagonalStaysNearSort: on a diagonal — vertical i at x=i
+// spanning y∈[i, i+3], horizontal i at y=i+1 spanning x∈[i-1, i+1] — x
+// rises with the sweep's y order, so a slab sample drawn from one end of
+// the event file puts every boundary among the first or last few x values
+// and each level peels off a sliver. A sample of random blocks keeps the
+// sweep near Sort(N) + Z/B: ≈ 21 I/Os per input block here, where the
+// tail sample it replaced took ≈ 760.
+func TestSweepDiagonalStaysNearSort(t *testing.T) {
+	const n = 3000
+	segs := make([]Segment, 0, 2*n)
+	for i := 0; i < n; i++ {
+		x := float64(i)
+		segs = append(segs, Vertical(int64(2*i), x, x, x+3), Horizontal(int64(2*i+1), x-1, x+1, x+1))
+	}
+	vol, pool := testVolume(t, 12)
+	f, err := stream.FromSlice(vol, pool, SegmentCodec{}, segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol.Stats().Reset()
+	out, err := Intersections(f, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := vol.Stats().Snapshot()
+	got, err := stream.ToSlice(out, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3*n-2 {
+		t.Fatalf("%d pairs, want %d", len(got), 3*n-2)
+	}
+	blocks := uint64(f.Blocks())
+	t.Logf("%d input blocks: %d reads + %d writes", blocks, st.Reads, st.Writes)
+	if total := st.Reads + st.Writes; total > 40*blocks {
+		t.Errorf("diagonal sweep took %d reads + %d writes = %d I/Os, want <= 40 × %d input blocks",
+			st.Reads, st.Writes, total, blocks)
+	}
+}
