@@ -92,13 +92,13 @@ cover:
 # saturated cache) and its bulk loader (BenchmarkBulkLoad: ns/record and
 # allocs/record for 2^20 sorted records on both leaf paths), the stream
 # round trip at both depths (BenchmarkStreams: ns/record and allocs/record,
-# on demand and ahead/behind) and the fused index build
+# on demand and ahead/behind) and extsort's fused index build
 # (BenchmarkSortIndex: ns/record, allocs/record and ios/record for 2^18
 # random records in 512 frames). In those one iteration is a fixed batch,
 # the per-item cost its own column; -benchtime 3x keeps each at three
 # iterations.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache ./internal/btree ./internal/stream ./internal/pipeline
+	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache ./internal/btree ./internal/stream
 
 # The repo benchmark (BENCHMARK.json, bench/) is a module of its own that
 # `go build ./...` does not reach; its smoke test runs every workload at

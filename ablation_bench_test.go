@@ -96,7 +96,7 @@ func BenchmarkAblationBTreeCache(b *testing.B) {
 		b.Run(fmt.Sprintf("cache=%d", frames), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				vol, pool := ablEnv(1024, 64, 1)
-				bt, err := btree.New(vol, pool, frames)
+				bt, err := btree.New(vol, pool, &btree.Options{CacheFrames: frames})
 				if err != nil {
 					b.Fatal(err)
 				}

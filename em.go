@@ -291,6 +291,8 @@
 package em
 
 import (
+	"fmt"
+
 	"em/internal/btree"
 	"em/internal/buffertree"
 	"em/internal/cache"
@@ -692,9 +694,13 @@ var (
 type BTree = btree.Tree
 
 // NewBTree creates an empty B+-tree whose node cache holds cacheFrames
-// blocks drawn from pool. It is the positional shorthand for NewBTreeWith.
+// blocks drawn from pool. It is the positional shorthand for NewBTreeWith,
+// and takes cacheFrames literally: below 3 is an error, zero included.
 func NewBTree(vol *Volume, pool *Pool, cacheFrames int) (*BTree, error) {
-	return btree.New(vol, pool, cacheFrames)
+	if cacheFrames < 3 {
+		return nil, fmt.Errorf("em: B-tree cache needs >= 3 frames, got %d", cacheFrames)
+	}
+	return btree.New(vol, pool, &btree.Options{CacheFrames: cacheFrames})
 }
 
 // BTreeOptions tunes NewBTreeWith, mirroring the options forms the bulk
@@ -707,7 +713,7 @@ type BTreeOptions = btree.Options
 // NewBTreeWith creates an empty B+-tree with options-driven defaults; nil
 // options take every default.
 func NewBTreeWith(vol *Volume, pool *Pool, opts *BTreeOptions) (*BTree, error) {
-	return btree.NewWith(vol, pool, opts)
+	return btree.New(vol, pool, opts)
 }
 
 // ScanOptions tunes BTree.NewScanner and RangePrefetch: Width is the

@@ -85,8 +85,12 @@ func TestSortFailsCleanlyWithoutMemory(t *testing.T) {
 func TestBTreeContractViolations(t *testing.T) {
 	vol := em.MustVolume(em.Config{BlockBytes: 512, MemBlocks: 16, Disks: 1})
 	pool := em.PoolFor(vol)
-	if _, err := em.NewBTree(vol, pool, 2); err == nil {
-		t.Error("B-tree with 2 cache frames accepted (needs 3 for splits)")
+	// The positional constructor takes its frame count literally: zero is
+	// not the options form's default.
+	for _, frames := range []int{2, 0} {
+		if _, err := em.NewBTree(vol, pool, frames); err == nil {
+			t.Errorf("B-tree with %d cache frames accepted (needs 3 for splits)", frames)
+		}
 	}
 	// Bulk load rejects unsorted input.
 	unsorted, err := em.FromSlice(vol, pool, em.RecordCodec{}, []em.Record{

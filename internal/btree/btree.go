@@ -103,19 +103,9 @@ type Options struct {
 }
 
 // New creates an empty tree whose node blocks live on vol and whose working
-// pages are served by a cache of cacheFrames pages drawn from pool.
-func New(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int) (*Tree, error) {
-	// Splits pin a parent, a child, and the new sibling simultaneously, so
-	// the buffer manager needs at least three frames. The positional form
-	// takes cacheFrames literally — no zero default.
-	if cacheFrames < 3 {
-		return nil, fmt.Errorf("btree: cache needs >= 3 frames, got %d", cacheFrames)
-	}
-	return NewWith(vol, pool, &Options{CacheFrames: cacheFrames})
-}
-
-// NewWith is New driven by an Options struct.
-func NewWith(vol *pdm.Volume, pool *pdm.Pool, opts *Options) (*Tree, error) {
+// pages are served by a buffer manager drawing opts.CacheFrames frames from
+// pool; nil options take every default.
+func New(vol *pdm.Volume, pool *pdm.Pool, opts *Options) (*Tree, error) {
 	var o Options
 	if opts != nil {
 		o = *opts
@@ -123,8 +113,8 @@ func NewWith(vol *pdm.Volume, pool *pdm.Pool, opts *Options) (*Tree, error) {
 	if o.CacheFrames == 0 {
 		o.CacheFrames = 8
 	}
-	if o.CacheFrames < 3 {
-		return nil, fmt.Errorf("btree: cache needs >= 3 frames, got %d", o.CacheFrames)
+	if err := checkFrames(o.CacheFrames); err != nil {
+		return nil, err
 	}
 	if o.Width < 1 {
 		o.Width = vol.Disks()
@@ -152,6 +142,15 @@ func NewWith(vol *pdm.Volume, pool *pdm.Pool, opts *Options) (*Tree, error) {
 	return t, nil
 }
 
+// checkFrames rejects a buffer manager below three frames: a split pins a
+// parent, a child, and the new sibling simultaneously.
+func checkFrames(n int) error {
+	if n < 3 {
+		return fmt.Errorf("btree: cache needs >= 3 frames, got %d", n)
+	}
+	return nil
+}
+
 // Close flushes and releases the tree's cache.
 func (t *Tree) Close() error { return t.cache.Close() }
 
@@ -161,8 +160,8 @@ func (t *Tree) Close() error { return t.cache.Close() }
 // before returning, so a tree's steady-state frames are always charged
 // where its future I/O is. The cache must have no pinned pages.
 func (t *Tree) Rehome(pool *pdm.Pool, cacheFrames int) error {
-	if cacheFrames < 3 {
-		return fmt.Errorf("btree: cache needs >= 3 frames, got %d", cacheFrames)
+	if err := checkFrames(cacheFrames); err != nil {
+		return err
 	}
 	// Close (flush) the old cache before creating the replacement, so a
 	// flush failure leaves nothing half-constructed behind; the new cache
@@ -190,9 +189,6 @@ func (t *Tree) Len() int64 { return t.n }
 
 // Height returns the number of levels (1 = the root is a leaf).
 func (t *Tree) Height() int { return t.height }
-
-// LeafCapacity returns the records per leaf (the model's B for this tree).
-func (t *Tree) LeafCapacity() int { return t.leafCap }
 
 // Fanout returns the maximum internal fanout.
 func (t *Tree) Fanout() int { return t.keyCap + 1 }

@@ -20,7 +20,7 @@ func newEnv(t testing.TB) (*pdm.Volume, *pdm.Pool) {
 func newTree(t testing.TB) (*Tree, *pdm.Volume, *pdm.Pool) {
 	t.Helper()
 	vol, pool := newEnv(t)
-	tr, err := New(vol, pool, 8)
+	tr, err := New(vol, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func newTree(t testing.TB) (*Tree, *pdm.Volume, *pdm.Pool) {
 
 func TestBlockTooSmall(t *testing.T) {
 	vol := pdm.MustVolume(pdm.Config{BlockBytes: 48, MemBlocks: 8, Disks: 1})
-	if _, err := New(vol, pdm.PoolFor(vol), 4); err == nil {
+	if _, err := New(vol, pdm.PoolFor(vol), &Options{CacheFrames: 4}); err == nil {
 		t.Fatal("48-byte blocks should be rejected")
 	}
 }
@@ -250,7 +250,7 @@ func TestSearchIOLogarithmic(t *testing.T) {
 	// With a tiny cache, a point lookup should cost about height block
 	// reads — the survey's Θ(log_B N) search bound.
 	vol, pool := newEnv(t)
-	tr, err := New(vol, pool, 3) // minimal cache: cannot retain the path
+	tr, err := New(vol, pool, &Options{CacheFrames: 3}) // minimal cache: cannot retain the path
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestBulkLoadIOCheaperThanInserts(t *testing.T) {
 	}
 	bulkIO := vol.Stats().Total()
 	vol.Stats().Reset()
-	tr, _ := New(vol, pool, 8)
+	tr, _ := New(vol, pool, nil)
 	rng := rand.New(rand.NewSource(6))
 	for _, i := range rng.Perm(n) { // random order: the realistic case
 		tr.Insert(recs[i].Key, recs[i].Val)
@@ -430,7 +430,7 @@ func TestQuickTreeMatchesMap(t *testing.T) {
 	f := func(ops []op) bool {
 		vol := pdm.MustVolume(pdm.Config{BlockBytes: 128, MemBlocks: 32, Disks: 1})
 		pool := pdm.PoolFor(vol)
-		tr, err := New(vol, pool, 8)
+		tr, err := New(vol, pool, nil)
 		if err != nil {
 			return false
 		}

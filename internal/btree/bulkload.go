@@ -137,10 +137,14 @@ type Loader struct {
 }
 
 // NewLoader starts a bulk load of a tree whose nodes live on vol and whose
-// buffer manager draws cacheFrames frames from pool; the leaf double buffer
-// takes another 2×Width frames from pool.
+// buffer manager draws cacheFrames frames from pool (taken literally: zero
+// is an error, not the default); the leaf double buffer takes another
+// 2×Width frames from pool.
 func NewLoader(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, opts *BulkLoadOptions) (*Loader, error) {
-	t, err := New(vol, pool, cacheFrames)
+	if err := checkFrames(cacheFrames); err != nil {
+		return nil, err
+	}
+	t, err := New(vol, pool, &Options{CacheFrames: cacheFrames})
 	if err != nil {
 		return nil, err
 	}
@@ -327,13 +331,12 @@ func (l *Loader) Abort() {
 	l.t.vol.Wait(l.due)
 	pdm.ReleaseAll(l.frames)
 	l.frames = nil
-	// Dropping every node leaves the cache empty, so Close returns its
-	// frames without flushing garbage nodes to the volume.
+	// Every cached page is a node of the abandoned tree: discard them
+	// unwritten, then free the blocks.
+	l.t.cache.Discard()
 	for _, a := range l.nodes {
-		l.t.cache.Drop(a)
 		l.t.vol.Free(a)
 	}
-	l.t.cache.Close()
 }
 
 // A Loader is the sink a sort emits into.

@@ -17,7 +17,7 @@ import (
 // returning the tree and the surviving reference map.
 func buildDeleted(t *testing.T, vol *pdm.Volume, pool *pdm.Pool, n int, seed int64) (*Tree, map[uint64]uint64) {
 	t.Helper()
-	tr, err := New(vol, pool, 8)
+	tr, err := New(vol, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestQuickGetBatchMatchesGets(t *testing.T) {
 		var tr *Tree
 		var err error
 		if inserted {
-			tr, err = New(vol, pool, 8)
+			tr, err = New(vol, pool, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +227,7 @@ func TestQuickScannerMatchesRange(t *testing.T) {
 		var tr *Tree
 		var err error
 		if inserted {
-			tr, err = New(vol, pool, 8)
+			tr, err = New(vol, pool, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,12 +36,11 @@ func (t *Tree) Release() error {
 	if walkErr == nil {
 		addrs = append(addrs, level...)
 	}
-	// Drop before Close so no freed block is ever written back, then free:
-	// a block returned to the volume may be reallocated immediately.
-	for _, a := range addrs {
-		t.cache.Drop(a)
-	}
-	err := t.cache.Close()
+	// Every cached page is a node being freed: discard them all unwritten
+	// before freeing, since a block returned to the volume may be
+	// reallocated immediately. Discarding needs no transfer, so the frames
+	// come back even when the walk failed on a dead device.
+	err := t.cache.Discard()
 	for _, a := range addrs {
 		t.vol.Free(a)
 	}

@@ -87,7 +87,7 @@ func loadAndCollect(t *testing.T, cfg pdm.Config, vs []record.Record, cacheFrame
 	got := loaded{st: vol.Stats().Snapshot(), blocks: f.Blocks()}
 	// Reopen a read path over the same volume to verify what actually
 	// reached the disks — not what a cache might still be holding.
-	tr2, err := New(vol, pool, cacheFrames)
+	tr2, err := New(vol, pool, &Options{CacheFrames: cacheFrames})
 	if err != nil {
 		t.Fatal(err)
 	}

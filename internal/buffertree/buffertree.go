@@ -8,32 +8,21 @@
 // This implementation is an online distribution tree: every node owns an
 // on-disk buffer of timestamped operations; when a buffer exceeds its
 // capacity it is emptied into the node's children (splitting leaves as the
-// tree deepens). The tree is consumed two ways:
+// tree deepens). Seal is the survey's offline flush: it drains every
+// buffer and emits the final sorted key/value file, the classic use
+// driving batched problems (sorting, sweeps, bulk index construction).
 //
-//   - Seal drains every buffer and emits the final sorted key/value file —
-//     the classic offline use driving batched problems (sorting, sweeps,
-//     bulk index construction).
-//   - SealOps drains to a sorted run of resolved operations with delete
-//     tombstones kept, plus a sparse per-block key index (Run). This is the
-//     write-front handover used by the store: the run merges against the
-//     current B-tree generation, tombstones cancelling records, while the
-//     next front keeps absorbing updates.
-//
-// For read-your-writes serving, Probe answers a point lookup against the
-// buffered (unsealed or frozen) tree in O(path buffer blocks) I/Os. It
-// relies on the push-down invariant: along any root-to-leaf path, every
-// operation in a node's buffer is newer than every operation buffered in
-// its descendants (ops enter at the root in sequence order and a flush
-// always moves a node's entire buffer down), so the shallowest hit is the
-// newest operation for the key. Operations sitting in the root's buffer
-// since its last flush are mirrored in memory — faithful to Arge's model,
-// where the root buffer is the tree's internal-memory block.
+// SealOps, Run and ReleaseBuffers drain to a sorted run of resolved
+// operations with delete tombstones kept. No library code calls them; they
+// are kept for the repo benchmark's buffer-tree probe until its re-baseline.
 package buffertree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"em/internal/pdm"
@@ -41,12 +30,11 @@ import (
 	"em/internal/stream"
 )
 
-// ErrSealed reports an update to a sealed or frozen tree.
+// ErrSealed reports an update to a sealed tree.
 var ErrSealed = errors.New("buffertree: tree already sealed")
 
 // Op is one buffered operation. Seq orders operations on the same key
-// across the tree (and across successive write fronts via Config.StartSeq);
-// its low bit marks deletions.
+// across the tree; its low bit marks deletions.
 type Op struct {
 	Key uint64
 	Val uint64
@@ -81,10 +69,6 @@ type Config struct {
 	// BufferRecords is each node's buffer capacity (the survey's Θ(M)).
 	// Zero picks a value from the pool size.
 	BufferRecords int
-	// StartSeq seeds the operation sequence counter. A store opening a
-	// fresh write front seeds it with the previous front's LastSeq so that
-	// last-writer-wins resolution stays correct across front generations.
-	StartSeq uint64
 }
 
 // node is one buffer-tree node. splitters and children are empty for
@@ -96,7 +80,7 @@ type node struct {
 	children  []*node
 }
 
-// Tree is a buffer tree accepting Insert and Delete until Freeze or Seal.
+// Tree is a buffer tree accepting Insert and Delete until Seal.
 type Tree struct {
 	vol    *pdm.Volume
 	pool   *pdm.Pool
@@ -104,15 +88,10 @@ type Tree struct {
 	root   *node
 	rootW  *stream.Writer[Op]
 	seq    uint64
-	frozen bool
+	frozen bool // updates refused: a drain has begun
 	sealed bool
 	broken error // sticky: a failed flush leaves buffers duplicated below
 	ops    int64
-	// mirror holds the newest operation per key among the ops appended to
-	// the root's buffer since its last flush (the root buffer is internal
-	// memory in Arge's model). It serves Probe and CollectRange without
-	// reading the root's buffer file, which the open root writer mutates.
-	mirror map[uint64]Op
 }
 
 // New creates an empty buffer tree.
@@ -130,7 +109,7 @@ func New(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Tree, error) {
 	if cfg.BufferRecords < 2 {
 		return nil, fmt.Errorf("buffertree: buffer must hold >= 2 records, got %d", cfg.BufferRecords)
 	}
-	t := &Tree{vol: vol, pool: pool, cfg: cfg, seq: cfg.StartSeq, mirror: make(map[uint64]Op)}
+	t := &Tree{vol: vol, pool: pool, cfg: cfg}
 	t.root = &node{buf: stream.NewFile[Op](vol, opCodec{})}
 	w, err := stream.NewWriter(t.root.buf, pool)
 	if err != nil {
@@ -142,10 +121,6 @@ func New(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Tree, error) {
 
 // Ops returns the number of operations accepted so far.
 func (t *Tree) Ops() int64 { return t.ops }
-
-// LastSeq returns the current sequence counter, the StartSeq for the next
-// front in a generational store.
-func (t *Tree) LastSeq() uint64 { return t.seq }
 
 // Insert buffers an insertion of (key, val). Later operations on the same
 // key win.
@@ -169,7 +144,7 @@ func (t *Tree) nextSeq(del bool) uint64 {
 }
 
 func (t *Tree) push(o Op) error {
-	if t.frozen || t.sealed {
+	if t.frozen {
 		return ErrSealed
 	}
 	if t.broken != nil {
@@ -180,26 +155,19 @@ func (t *Tree) push(o Op) error {
 		return err
 	}
 	t.ops++
-	t.mirror[o.Key] = o // seqs are monotone, so overwrite is last-writer-wins
 	if t.root.buf.Len() >= int64(t.cfg.BufferRecords) {
 		// Re-open the root writer around the flush. Any failure below
 		// poisons the tree for further updates: a partial flush may leave
 		// ops duplicated between a node and its children (harmless for
-		// probing and draining, which resolve by Seq, but not for going on
-		// accepting writes through a writer of unknown state).
+		// draining, which resolves by Seq, but not for going on accepting
+		// writes through a writer of unknown state).
 		if err := t.rootW.Close(); err != nil {
 			t.rootW = nil
 			t.broken = err
 			return err
 		}
 		t.rootW = nil
-		err := t.flush(t.root)
-		if t.root.buf.Len() == 0 {
-			// The root's buffer went down (even if a deeper flush then
-			// failed); the mirror no longer covers anything.
-			clear(t.mirror)
-		}
-		if err != nil {
+		if err := t.flush(t.root); err != nil {
 			t.broken = err
 			return err
 		}
@@ -250,12 +218,7 @@ func (t *Tree) splitLeaf(n *node) error {
 	if err != nil {
 		return err
 	}
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].Key != ops[j].Key {
-			return ops[i].Key < ops[j].Key
-		}
-		return ops[i].Seq < ops[j].Seq
-	})
+	slices.SortFunc(ops, opOrder)
 	f := t.cfg.Fanout
 	n.splitters = make([]uint64, 0, f-1)
 	for i := 1; i < f; i++ {
@@ -370,104 +333,18 @@ func (t *Tree) writePartitioned(ops []Op, n *node) error {
 	return nil
 }
 
-// Freeze stops the tree from accepting updates but keeps it probe-able: it
-// closes the root writer (returning its frames) while every buffer —
-// including the root mirror — stays in place. A store freezes the old
-// front at swap time, while it still holds the writers' lock, so the
-// background drain never races a writer over the root buffer's tail block.
-// Freeze is idempotent.
-func (t *Tree) Freeze() error {
-	if t.frozen {
-		return t.broken
-	}
+// freeze refuses further updates and closes the root writer, returning
+// its frames, while every buffer stays in place for the drain. Idempotent.
+func (t *Tree) freeze() error {
 	t.frozen = true
 	if t.rootW != nil {
 		err := t.rootW.Close()
 		t.rootW = nil
 		if err != nil {
 			t.broken = err
-			return err
 		}
 	}
 	return t.broken
-}
-
-// Probe answers a point lookup against the buffered tree: the newest
-// operation for key, or ok=false if no operation mentions it. It costs at
-// most the buffer blocks along one root-to-leaf path (the root's share is
-// answered from the in-memory mirror). By the push-down invariant — ops
-// only ever move down, and a flush moves a node's whole buffer — the
-// shallowest node with a hit holds the newest operation.
-//
-// Probe is read-only and safe to call concurrently with other probes and
-// CollectRange, but not with updates or a drain; a store interleaves them
-// under its reader/writer lock.
-func (t *Tree) Probe(key uint64) (Op, bool, error) {
-	if o, ok := t.mirror[key]; ok {
-		return o, true, nil
-	}
-	n := t.root
-	for len(n.children) > 0 {
-		n = n.children[childIndex(n, key)]
-		var best Op
-		found := false
-		err := stream.ForEach(n.buf, t.pool, func(o Op) error {
-			if o.Key == key && (!found || o.Seq > best.Seq) {
-				best, found = o, true
-			}
-			return nil
-		})
-		if err != nil {
-			return Op{}, false, err
-		}
-		if found {
-			return best, true, nil
-		}
-	}
-	return Op{}, false, nil
-}
-
-// CollectRange returns the resolved newest operation per key for every
-// buffered key in [lo, hi], sorted by key, tombstones included. It reads
-// every non-root buffer (the root's share comes from the mirror); the
-// result is bounded by the tree's buffered op count, which a store keeps
-// under its front threshold. Like Probe it is read-only.
-func (t *Tree) CollectRange(lo, hi uint64) ([]Op, error) {
-	var ops []Op
-	for k, o := range t.mirror {
-		if k >= lo && k <= hi {
-			ops = append(ops, o)
-		}
-	}
-	var walk func(n *node) error
-	walk = func(n *node) error {
-		for _, c := range n.children {
-			err := stream.ForEach(c.buf, t.pool, func(o Op) error {
-				if o.Key >= lo && o.Key <= hi {
-					ops = append(ops, o)
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root); err != nil {
-		return nil, err
-	}
-	var out []Op
-	if err := resolveOps(ops, func(o Op) error {
-		out = append(out, o)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Seal drains every buffer and returns the final key/value pairs as a file
@@ -480,7 +357,7 @@ func (t *Tree) Seal() (*stream.File[record.Record], error) {
 	if t.sealed {
 		return nil, ErrSealed
 	}
-	if err := t.Freeze(); err != nil {
+	if err := t.freeze(); err != nil {
 		return nil, err
 	}
 	out := stream.NewFile[record.Record](t.vol, record.RecordCodec{})
@@ -510,23 +387,16 @@ func (t *Tree) Seal() (*stream.File[record.Record], error) {
 	return out, nil
 }
 
-// SealOps drains every buffer into a sorted run of resolved operations —
-// one op per buffered key, newest by Seq, delete tombstones kept — and
-// returns it with a sparse first-key-per-block index for point probes.
-// This is the store's write-front handover: the run merges against the
-// current B-tree generation (tombstones cancelling records) while probes
-// keep being served from it at one read each.
-//
-// The drain is non-destructive: the tree's buffers remain intact and
-// probe-able until the caller releases them with ReleaseBuffers, so a
-// store can run SealOps in the background while readers still consult the
-// frozen front. On failure the partial run is released and every frame
-// returned; the caller may retry.
+// SealOps drains every buffer into a sorted run of resolved operations:
+// one op per buffered key, newest by Seq, delete tombstones kept. The
+// drain is non-destructive: the tree's buffers remain until the caller
+// releases them with ReleaseBuffers. On failure the partial run is
+// released and every frame returned; the caller may retry.
 func (t *Tree) SealOps() (*Run, error) {
 	if t.sealed {
 		return nil, ErrSealed
 	}
-	if err := t.Freeze(); err != nil {
+	if err := t.freeze(); err != nil {
 		return nil, err
 	}
 	out := stream.NewFile[Op](t.vol, opCodec{})
@@ -534,17 +404,8 @@ func (t *Tree) SealOps() (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Run{file: out}
-	per := int64(out.PerBlock())
-	var cnt int64
 	err = t.drainAll(func(leafOps []Op) error {
-		return resolveOps(leafOps, func(o Op) error {
-			if cnt%per == 0 {
-				r.firstKeys = append(r.firstKeys, o.Key)
-			}
-			cnt++
-			return w.Append(o)
-		})
+		return resolveOps(leafOps, w.Append)
 	})
 	if err == nil {
 		err = w.Close()
@@ -556,21 +417,19 @@ func (t *Tree) SealOps() (*Run, error) {
 		return nil, err
 	}
 	t.sealed = true
-	return r, nil
+	return &Run{file: out}, nil
 }
 
 // ReleaseBuffers returns every buffer block (and the root writer's frames,
-// if the tree was never frozen) to the volume and pool. The tree accepts
-// no further operations and must no longer be probed. It is the
-// counterpart of SealOps's non-destructive drain, and the teardown path
-// for abandoning a tree part-way.
+// if no drain has begun) to the volume and pool. The tree accepts no
+// further operations. It is the counterpart of SealOps's non-destructive
+// drain, and the teardown path for abandoning a tree part-way.
 func (t *Tree) ReleaseBuffers() {
 	t.frozen, t.sealed = true, true
 	if t.rootW != nil {
 		t.rootW.Close()
 		t.rootW = nil
 	}
-	clear(t.mirror)
 	var walk func(n *node)
 	walk = func(n *node) {
 		n.buf.Release()
@@ -612,19 +471,21 @@ func (t *Tree) drainNode(n *node, pending []Op, emit func([]Op) error) error {
 	return nil
 }
 
+// opOrder orders operations by (key, seq).
+func opOrder(a, b Op) int {
+	if c := cmp.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
 // resolveOps sorts ops by (key, seq) and hands the newest operation per
 // key to fn in ascending key order — last-writer-wins by Seq, which holds
-// across splitLeaf/distribute repartitioning and across write fronts
-// (seqs are globally monotone). A partial flush may leave the same (key,
-// seq) op duplicated between a node and its children; duplicates sort
-// adjacent and collapse here.
+// across splitLeaf/distribute repartitioning (seqs are monotone). A
+// partial flush may leave the same (key, seq) op duplicated between a
+// node and its children; duplicates sort adjacent and collapse here.
 func resolveOps(ops []Op, fn func(Op) error) error {
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].Key != ops[j].Key {
-			return ops[i].Key < ops[j].Key
-		}
-		return ops[i].Seq < ops[j].Seq
-	})
+	slices.SortFunc(ops, opOrder)
 	for i := 0; i < len(ops); {
 		j := i
 		for j < len(ops) && ops[j].Key == ops[i].Key {

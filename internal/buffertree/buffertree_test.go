@@ -193,7 +193,7 @@ func TestAmortizedInsertBeatsBTree(t *testing.T) {
 	bufIO := vol.Stats().Total()
 
 	vol.Stats().Reset()
-	bt2, err := btree.New(vol, pool, 8)
+	bt2, err := btree.New(vol, pool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

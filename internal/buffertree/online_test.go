@@ -63,77 +63,9 @@ func driveOps(t *testing.T, tr *Tree, n int, seed int64, keySpace uint64) map[ui
 	return ref
 }
 
-// TestProbeReadYourWrites checks Probe against the reference after every
-// operation of a duplicate-heavy mix: the newest op must surface from
-// whatever depth the flushes pushed it to. Both backends.
-func TestProbeReadYourWrites(t *testing.T) {
-	cfg := pdm.Config{BlockBytes: 96, MemBlocks: 24, Disks: 1}
-	forEachBackend(t, cfg, func(t *testing.T, vol *pdm.Volume, pool *pdm.Pool) {
-		tr, err := New(vol, pool, Config{Fanout: 3, BufferRecords: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(7))
-		ref := map[uint64]refOp{}
-		const keySpace = 30
-		for i := 0; i < 800; i++ {
-			k := uint64(rng.Intn(keySpace))
-			if rng.Intn(4) == 0 {
-				if err := tr.Delete(k); err != nil {
-					t.Fatal(err)
-				}
-				ref[k] = refOp{del: true}
-			} else {
-				if err := tr.Insert(k, uint64(i)); err != nil {
-					t.Fatal(err)
-				}
-				ref[k] = refOp{val: uint64(i)}
-			}
-			q := uint64(rng.Intn(keySpace))
-			op, ok, err := tr.Probe(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wok := ref[q]
-			if ok != wok {
-				t.Fatalf("op %d: Probe(%d) ok=%v want %v", i, q, ok, wok)
-			}
-			if ok && (op.Deleted() != want.del || (!want.del && op.Val != want.val)) {
-				t.Fatalf("op %d: Probe(%d) = (%d, del=%v), want (%d, del=%v)",
-					i, q, op.Val, op.Deleted(), want.val, want.del)
-			}
-		}
-		// Probes still served after Freeze; updates rejected.
-		if err := tr.Freeze(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Insert(1, 1); err != ErrSealed {
-			t.Fatalf("insert after freeze: %v", err)
-		}
-		for q := uint64(0); q < keySpace; q++ {
-			op, ok, err := tr.Probe(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wok := ref[q]
-			if ok != wok || (ok && op.Deleted() != want.del) || (ok && !want.del && op.Val != want.val) {
-				t.Fatalf("frozen Probe(%d) mismatch", q)
-			}
-		}
-		tr.ReleaseBuffers()
-		if pool.InUse() != 0 {
-			t.Fatalf("leaked %d frames", pool.InUse())
-		}
-		if live := vol.Allocated() - vol.FreeBlocks(); live != 0 {
-			t.Fatalf("leaked %d blocks", live)
-		}
-	})
-}
-
 // TestSealOpsMatchesReference checks the run handed over by SealOps: one
 // resolved op per key in strictly increasing key order, tombstones kept,
-// Run.Probe and Run.OpenRange agreeing with the reference — and the
-// tree's buffers still intact (probe-able) until ReleaseBuffers.
+// and every block back after ReleaseBuffers and Run.Release.
 func TestSealOpsMatchesReference(t *testing.T) {
 	cfg := pdm.Config{BlockBytes: 96, MemBlocks: 24, Disks: 1}
 	forEachBackend(t, cfg, func(t *testing.T, vol *pdm.Volume, pool *pdm.Pool) {
@@ -169,64 +101,6 @@ func TestSealOpsMatchesReference(t *testing.T) {
 				t.Fatalf("run[%d] = %+v (present %v), want %+v", k, o, ok, want)
 			}
 		}
-		// Point probes: one counted read each, same answers.
-		for k := uint64(0); k < keySpace+5; k++ {
-			before := atomic.LoadUint64(&vol.Stats().Reads)
-			o, ok, err := run.Probe(pool, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reads := atomic.LoadUint64(&vol.Stats().Reads) - before; reads > 1 {
-				t.Fatalf("Run.Probe(%d) cost %d reads, want <= 1", k, reads)
-			}
-			want, wok := ref[k]
-			if ok != wok || (ok && o.Deleted() != want.del) || (ok && !want.del && o.Val != want.val) {
-				t.Fatalf("Run.Probe(%d) = (%+v,%v), want (%+v,%v)", k, o, ok, want, wok)
-			}
-		}
-		// Range scans line up with the sorted reference.
-		for _, r := range [][2]uint64{{0, ^uint64(0)}, {10, 30}, {keySpace, keySpace + 10}, {17, 17}} {
-			sc := run.OpenRange(pool, r[0], r[1])
-			seen := 0
-			for {
-				o, ok, err := sc.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				if o.Key < r[0] || o.Key > r[1] {
-					t.Fatalf("OpenRange[%d,%d] yielded %d", r[0], r[1], o.Key)
-				}
-				want := ref[o.Key]
-				if o.Deleted() != want.del || (!want.del && o.Val != want.val) {
-					t.Fatalf("OpenRange op mismatch at %d", o.Key)
-				}
-				seen++
-			}
-			sc.Close()
-			wantN := 0
-			for k := range ref {
-				if k >= r[0] && k <= r[1] {
-					wantN++
-				}
-			}
-			if seen != wantN {
-				t.Fatalf("OpenRange[%d,%d] yielded %d ops, want %d", r[0], r[1], seen, wantN)
-			}
-		}
-		// The non-destructive drain left the buffers probe-able.
-		for q := uint64(0); q < keySpace; q++ {
-			op, ok, err := tr.Probe(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wok := ref[q]
-			if ok != wok || (ok && op.Deleted() != want.del) {
-				t.Fatalf("post-SealOps Probe(%d) mismatch", q)
-			}
-		}
 		tr.ReleaseBuffers()
 		run.Release()
 		if pool.InUse() != 0 {
@@ -236,104 +110,6 @@ func TestSealOpsMatchesReference(t *testing.T) {
 			t.Fatalf("leaked %d blocks", live)
 		}
 	})
-}
-
-// TestCollectRange checks the in-memory range collection used by store
-// scan snapshots against the reference, over several ranges.
-func TestCollectRange(t *testing.T) {
-	vol := pdm.MustVolume(pdm.Config{BlockBytes: 96, MemBlocks: 24, Disks: 1})
-	pool := pdm.PoolFor(vol)
-	tr, err := New(vol, pool, Config{Fanout: 3, BufferRecords: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := driveOps(t, tr, 900, 5, 50)
-	for _, r := range [][2]uint64{{0, ^uint64(0)}, {5, 25}, {49, 49}, {60, 90}} {
-		ops, err := tr.CollectRange(r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := int64(-1)
-		for _, o := range ops {
-			if int64(o.Key) <= last {
-				t.Fatalf("CollectRange not sorted: %d after %d", o.Key, last)
-			}
-			last = int64(o.Key)
-			want, ok := ref[o.Key]
-			if !ok || o.Key < r[0] || o.Key > r[1] || o.Deleted() != want.del || (!want.del && o.Val != want.val) {
-				t.Fatalf("CollectRange[%d,%d] wrong op %+v", r[0], r[1], o)
-			}
-		}
-		wantN := 0
-		for k := range ref {
-			if k >= r[0] && k <= r[1] {
-				wantN++
-			}
-		}
-		if len(ops) != wantN {
-			t.Fatalf("CollectRange[%d,%d] = %d ops, want %d", r[0], r[1], len(ops), wantN)
-		}
-	}
-}
-
-// TestStartSeqOrdersAcrossFronts checks that a successor front seeded with
-// the predecessor's LastSeq resolves last-writer-wins across the pair —
-// the property generational handover relies on.
-func TestStartSeqOrdersAcrossFronts(t *testing.T) {
-	vol := pdm.MustVolume(pdm.Config{BlockBytes: 96, MemBlocks: 24, Disks: 1})
-	pool := pdm.PoolFor(vol)
-	a, err := New(vol, pool, Config{Fanout: 3, BufferRecords: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 20; k++ {
-		if err := a.Insert(k, 100+k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b, err := New(vol, pool, Config{Fanout: 3, BufferRecords: 8, StartSeq: a.LastSeq()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Insert(5, 999); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Delete(6); err != nil {
-		t.Fatal(err)
-	}
-	runA, err := a.SealOps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	runB, err := b.SealOps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opA, _, err := runA.Probe(pool, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opB, _, err := runB.Probe(pool, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opB.Seq <= opA.Seq {
-		t.Fatalf("successor front seq %d not above predecessor's %d", opB.Seq, opA.Seq)
-	}
-	var resolved []Op
-	if err := resolveOps([]Op{opA, opB}, func(o Op) error {
-		resolved = append(resolved, o)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(resolved) != 1 || resolved[0].Val != 999 {
-		t.Fatalf("cross-front resolution picked %+v", resolved)
-	}
-	a.ReleaseBuffers()
-	b.ReleaseBuffers()
-	runA.Release()
-	runB.Release()
 }
 
 // TestSealLeakSafety sweeps a starved pool across Insert/Seal: whatever
@@ -434,16 +210,10 @@ func TestStatsIdenticalAcrossBackends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := driveOps(t, tr, 1000, 3, 40)
-		_ = ref
+		driveOps(t, tr, 1000, 3, 40)
 		run, err := tr.SealOps()
 		if err != nil {
 			t.Fatal(err)
-		}
-		for k := uint64(0); k < 40; k++ {
-			if _, _, err := run.Probe(pool, k); err != nil {
-				t.Fatal(err)
-			}
 		}
 		tr.ReleaseBuffers()
 		run.Release()

@@ -1,141 +1,18 @@
 package buffertree
 
-import (
-	"sort"
+import "em/internal/stream"
 
-	"em/internal/pdm"
-	"em/internal/stream"
-)
-
-// Run is the output of SealOps: a key-sorted file of resolved operations
-// (one per key, tombstones kept) with a sparse in-memory index — the first
-// key of every block, Θ(n/B) words, the classical sparse index over a
-// sorted file. A store serves point probes from it at one counted read
-// while the run is being merged into the next B-tree generation.
+// Run is the output of SealOps: a key-sorted file of resolved operations,
+// one per buffered key, delete tombstones kept.
 type Run struct {
-	file      *stream.File[Op]
-	firstKeys []uint64 // firstKeys[i] = key of the first op in block i
+	file *stream.File[Op]
 }
 
 // Len returns the number of operations in the run.
 func (r *Run) Len() int64 { return r.file.Len() }
 
-// File exposes the underlying sorted op file, e.g. to open a full
-// prefetched scan over it for the merge drain.
+// File exposes the underlying sorted op file.
 func (r *Run) File() *stream.File[Op] { return r.file }
 
 // Release returns the run's blocks to the volume.
-func (r *Run) Release() {
-	r.file.Release()
-	r.firstKeys = nil
-}
-
-// block reads block i of the run into fr and returns the ops it holds.
-func (r *Run) block(i int, fr *pdm.Frame) (n int, err error) {
-	per := int64(r.file.PerBlock())
-	n = int(min(per, r.file.Len()-int64(i)*per))
-	err = r.file.Vol().ReadBlock(stream.BlockAddrs(r.file)[i], fr.Buf)
-	return n, err
-}
-
-// Probe looks up the newest resolved operation for key: exactly one
-// counted read (the candidate block found through the sparse index), or
-// zero when the index rules the key out.
-func (r *Run) Probe(pool *pdm.Pool, key uint64) (Op, bool, error) {
-	i := sort.Search(len(r.firstKeys), func(i int) bool { return r.firstKeys[i] > key }) - 1
-	if i < 0 {
-		return Op{}, false, nil
-	}
-	fr, err := pool.Alloc()
-	if err != nil {
-		return Op{}, false, err
-	}
-	defer fr.Release()
-	n, err := r.block(i, fr)
-	if err != nil {
-		return Op{}, false, err
-	}
-	codec := opCodec{}
-	sz := codec.Size()
-	j := sort.Search(n, func(j int) bool { return codec.Decode(fr.Buf[j*sz:]).Key >= key })
-	if j < n {
-		if o := codec.Decode(fr.Buf[j*sz:]); o.Key == key {
-			return o, true, nil
-		}
-	}
-	return Op{}, false, nil
-}
-
-// RunScanner iterates the run's operations with keys in [lo, hi] in key
-// order, starting at the block the sparse index selects. It implements
-// stream.Source[Op] and holds one pool frame while open.
-type RunScanner struct {
-	r      *Run
-	pool   *pdm.Pool
-	frame  *pdm.Frame
-	lo, hi uint64
-	block  int // next block to read
-	idx    int // next op within frame
-	cnt    int // ops decoded into frame
-	done   bool
-}
-
-// OpenRange opens a scanner over the run's operations in [lo, hi].
-func (r *Run) OpenRange(pool *pdm.Pool, lo, hi uint64) *RunScanner {
-	start := sort.Search(len(r.firstKeys), func(i int) bool { return r.firstKeys[i] > lo }) - 1
-	if start < 0 {
-		start = 0
-	}
-	return &RunScanner{r: r, pool: pool, lo: lo, hi: hi, block: start}
-}
-
-// Next returns the next in-range operation.
-func (s *RunScanner) Next() (Op, bool, error) {
-	codec := opCodec{}
-	sz := codec.Size()
-	for {
-		if s.done {
-			return Op{}, false, nil
-		}
-		if s.idx >= s.cnt {
-			if s.block >= s.r.file.Blocks() {
-				s.Close()
-				return Op{}, false, nil
-			}
-			if s.frame == nil {
-				fr, err := s.pool.Alloc()
-				if err != nil {
-					return Op{}, false, err
-				}
-				s.frame = fr
-			}
-			n, err := s.r.block(s.block, s.frame)
-			if err != nil {
-				s.Close()
-				return Op{}, false, err
-			}
-			s.block++
-			s.idx, s.cnt = 0, n
-			continue
-		}
-		o := codec.Decode(s.frame.Buf[s.idx*sz:])
-		s.idx++
-		if o.Key < s.lo {
-			continue
-		}
-		if o.Key > s.hi {
-			s.Close()
-			return Op{}, false, nil
-		}
-		return o, true, nil
-	}
-}
-
-// Close releases the scanner's frame. Idempotent.
-func (s *RunScanner) Close() {
-	s.done = true
-	if s.frame != nil {
-		s.frame.Release()
-		s.frame = nil
-	}
-}
+func (r *Run) Release() { r.file.Release() }

@@ -362,12 +362,24 @@ func (c *Cache) Close() error {
 	if err := c.Flush(); err != nil {
 		return err
 	}
+	return c.Discard()
+}
+
+// Discard drops every unpinned page without writing it back, returning its
+// frame to the pool: the teardown of a cache whose blocks are all being
+// freed. It needs no transfer, so it cannot strand frames on a failed
+// device. A pinned page stays and is reported.
+func (c *Cache) Discard() error {
+	var err error
 	for i := range c.table {
-		if p := &c.table[i]; p.frame != nil {
+		switch p := &c.table[i]; {
+		case p.pins > 0:
+			err = fmt.Errorf("cache: discard with page %d still pinned", p.addr)
+		case p.frame != nil:
 			c.discard(p)
 		}
 	}
-	return nil
+	return err
 }
 
 // Drop removes block addr from the cache without writing it back, for blocks

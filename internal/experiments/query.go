@@ -32,15 +32,18 @@ import (
 //     overlaps their transfers.
 //
 // Unlike the earlier timing experiments, F12 enforces its acceptance gates
-// itself at the D=4 points — batch >= 2.5x at strictly fewer reads,
-// prefetched scan >= 2x at identical reads, 4 sessions >= 2x QPS of 1 on
-// the file backend — and returns an error when one fails, so cmd/embench
-// exits non-zero and CI can gate on the sweep.
+// itself at the D=4 points — batch >= 2.5x fewer parallel steps at
+// strictly fewer reads, prefetched scan >= 2x fewer steps at identical
+// reads, 4 sessions >= 2x QPS of 1 on the file backend — and returns an
+// error when one fails, so cmd/embench exits non-zero and CI can gate on
+// the sweep. The batch and scan gates count Stats.Steps, which the model's
+// wall clock is proportional to, so they do not flake on a loaded host; the
+// clock columns are reported beside them.
 func F12QueryServing(n int, disks []int, latency time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "F12",
 		Title: "query serving: batched lookups, prefetched scans, and concurrent sessions vs one-at-a-time",
-		Notes: "gates at D=4: batch >= 2.5x with reads strictly fewer; scan >= 2x at identical reads; 4 sessions >= 2x QPS (file)",
+		Notes: "gates at D=4: batch >= 2.5x fewer steps with reads strictly fewer; scan >= 2x fewer steps at identical reads; 4 sessions >= 2x QPS (file)",
 	}
 	for _, d := range disks {
 		for _, backend := range []string{"mem", "file"} {
@@ -53,17 +56,17 @@ func F12QueryServing(n int, disks []int, latency time.Duration) (*Table, error) 
 				continue
 			}
 			c := row.Cells
-			if c["batchMs"]*2.5 > c["loopMs"] {
-				return nil, fmt.Errorf("F12 %s gate: GetBatch %.1fms not >= 2.5x faster than Get loop %.1fms",
-					row.Label, c["batchMs"], c["loopMs"])
+			if c["batchSteps"]*2.5 > c["loopSteps"] {
+				return nil, fmt.Errorf("F12 %s gate: GetBatch %.0f steps not >= 2.5x fewer than Get loop %.0f",
+					row.Label, c["batchSteps"], c["loopSteps"])
 			}
 			if c["batchReads"] >= c["loopReads"] {
 				return nil, fmt.Errorf("F12 %s gate: GetBatch %0.f reads not strictly below loop %0.f",
 					row.Label, c["batchReads"], c["loopReads"])
 			}
-			if c["scanMs"]*2 > c["rangeMs"] {
-				return nil, fmt.Errorf("F12 %s gate: prefetched scan %.1fms not >= 2x faster than Range %.1fms",
-					row.Label, c["scanMs"], c["rangeMs"])
+			if c["scanSteps"]*2 > c["rangeSteps"] {
+				return nil, fmt.Errorf("F12 %s gate: prefetched scan %.0f steps not >= 2x fewer than Range %.0f",
+					row.Label, c["scanSteps"], c["rangeSteps"])
 			}
 			if c["scanReads"] != c["rangeReads"] {
 				return nil, fmt.Errorf("F12 %s gate: scan %0.f reads != Range %0.f",
@@ -132,7 +135,7 @@ func queryPoint(n, d int, latency time.Duration, backend string) (*Row, error) {
 		return nil, err
 	}
 	scanMs := msSince(start)
-	scanReads := vol.Stats().Snapshot().Reads
+	scan := vol.Stats().Snapshot()
 	if cnt != n {
 		return nil, fmt.Errorf("F12: prefetched scan returned %d of %d records", cnt, n)
 	}
@@ -144,7 +147,7 @@ func queryPoint(n, d int, latency time.Duration, backend string) (*Row, error) {
 		return nil, err
 	}
 	rangeMs := msSince(start)
-	rangeReads := vol.Stats().Snapshot().Reads
+	ranged := vol.Stats().Snapshot()
 	if cnt != n {
 		return nil, fmt.Errorf("F12: Range returned %d of %d records", cnt, n)
 	}
@@ -173,7 +176,7 @@ func queryPoint(n, d int, latency time.Duration, backend string) (*Row, error) {
 		loopVals[i], loopFound[i] = v, ok
 	}
 	loopMs := msSince(start)
-	loopReads := vol.Stats().Snapshot().Reads
+	loop := vol.Stats().Snapshot()
 
 	vol.Stats().Reset()
 	start = time.Now()
@@ -182,7 +185,7 @@ func queryPoint(n, d int, latency time.Duration, backend string) (*Row, error) {
 		return nil, err
 	}
 	batchMs := msSince(start)
-	batchReads := vol.Stats().Snapshot().Reads
+	batch := vol.Stats().Snapshot()
 	for i := range keys {
 		if vals[i] != loopVals[i] || found[i] != loopFound[i] {
 			return nil, fmt.Errorf("F12: GetBatch disagrees with Get on key %d", keys[i])
@@ -202,13 +205,15 @@ func queryPoint(n, d int, latency time.Duration, backend string) (*Row, error) {
 		Label: fmt.Sprintf("D=%d/%s", d, backend),
 		Cells: map[string]float64{
 			"loopMs": loopMs, "batchMs": batchMs,
-			"loopReads": float64(loopReads), "batchReads": float64(batchReads),
+			"loopReads": float64(loop.Reads), "batchReads": float64(batch.Reads),
+			"loopSteps": float64(loop.Steps), "batchSteps": float64(batch.Steps),
 			"rangeMs": rangeMs, "scanMs": scanMs,
-			"rangeReads": float64(rangeReads), "scanReads": float64(scanReads),
+			"rangeReads": float64(ranged.Reads), "scanReads": float64(scan.Reads),
+			"rangeSteps": float64(ranged.Steps), "scanSteps": float64(scan.Steps),
 			"qps1": qps1, "qps4": qps4,
 		},
-		Order: []string{"loopMs", "batchMs", "loopReads", "batchReads",
-			"rangeMs", "scanMs", "rangeReads", "scanReads", "qps1", "qps4"},
+		Order: []string{"loopMs", "batchMs", "loopReads", "batchReads", "loopSteps", "batchSteps",
+			"rangeMs", "scanMs", "rangeReads", "scanReads", "rangeSteps", "scanSteps", "qps1", "qps4"},
 	}, nil
 }
 

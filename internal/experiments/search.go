@@ -183,7 +183,7 @@ func T6BufferTreeVsBTree(ns []int) (*Table, error) {
 		}
 		sealed.Release()
 
-		bt2, err := btree.New(e.Vol, e.Pool, 4)
+		bt2, err := btree.New(e.Vol, e.Pool, &btree.Options{CacheFrames: 4})
 		if err != nil {
 			return nil, err
 		}
@@ -257,7 +257,7 @@ func T7PriorityQueue(ns []int) (*Table, error) {
 			return nil, err
 		}
 
-		bt, err := btree.New(e.Vol, e.Pool, 4)
+		bt, err := btree.New(e.Vol, e.Pool, &btree.Options{CacheFrames: 4})
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +330,7 @@ func T9BulkLoad(ns []int) (*Table, error) {
 			return nil, err
 		}
 
-		bt2, err := btree.New(e.Vol, e.Pool, 4)
+		bt2, err := btree.New(e.Vol, e.Pool, &btree.Options{CacheFrames: 4})
 		if err != nil {
 			return nil, err
 		}

@@ -139,7 +139,7 @@ func F1MergePassesVsMemory(n int, fanins []int) (*Table, error) {
 	t := &Table{
 		ID:    "F1",
 		Title: "merge passes shrink as ceil(log_m(N/M)) while memory grows",
-		Notes: "measured passes equal predicted passes at every fan-in",
+		Notes: "measured passes equal predicted passes, less a lone tail run carried up a level uncopied",
 	}
 	for _, fanin := range fanins {
 		e := NewEnv(1024, 512, 1) // merge memory is ample; ForceFanIn is the knob

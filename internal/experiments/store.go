@@ -92,7 +92,7 @@ func storePoint(n, d int, latency time.Duration, backend string) (*Row, error) {
 	// online index the survey's buffer tree is measured against.
 	vol.Stats().Reset()
 	start := time.Now()
-	tr, err := btree.New(vol, pool, 8)
+	tr, err := btree.New(vol, pool, nil)
 	if err != nil {
 		return nil, err
 	}

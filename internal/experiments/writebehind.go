@@ -8,7 +8,6 @@ import (
 	"em/internal/btree"
 	"em/internal/extsort"
 	"em/internal/pdm"
-	"em/internal/pipeline"
 	"em/internal/record"
 	"em/internal/stream"
 )
@@ -134,7 +133,7 @@ func writeBehindPoint(n, d int, latency time.Duration) (*Row, error) {
 		return nil, err
 	}
 	fusedMs, fused, err := build(func() (*btree.Tree, error) {
-		return pipeline.SortIndex(rf, pool, &pipeline.Options{Width: d, Async: true})
+		return extsort.SortIndex(rf, pool, 8, &extsort.Options{Width: d, Async: true})
 	})
 	if err != nil {
 		return nil, err

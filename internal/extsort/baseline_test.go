@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"errors"
 	"testing"
 
 	"em/internal/pdm"
@@ -38,6 +39,48 @@ func TestSortViaBTreeCorrect(t *testing.T) {
 	}
 	if pool.InUse() != 0 {
 		t.Fatalf("leaked %d frames", pool.InUse())
+	}
+	// The tree is scaffolding: once the output goes, only the input's
+	// blocks are left.
+	out.Release()
+	if live := vol.Allocated() - vol.FreeBlocks(); live != int64(f.Blocks()) {
+		t.Fatalf("%d live blocks after releasing the output, want the input's %d", live, f.Blocks())
+	}
+}
+
+// TestSortViaBTreeFailureRestores crashes the volume at points spread over
+// the insert, scan and output phases: each sort must fail with every pool
+// frame returned.
+func TestSortViaBTreeFailureRestores(t *testing.T) {
+	cfg := pdm.Config{BlockBytes: 128, MemBlocks: 32, Disks: 1}
+	in := distinctRecs(700)
+	clean := pdm.MustVolume(cfg)
+	f, err := stream.FromSlice(clean, pdm.PoolFor(clean), record.RecordCodec{}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputIOs := clean.Stats().Total()
+	if _, err := SortViaBTree(f, pdm.PoolFor(clean), 8); err != nil {
+		t.Fatal(err)
+	}
+	sortIOs := clean.Stats().Total() - inputIOs
+	clean.Close()
+	for after := uint64(1); after < sortIOs; after += sortIOs / 8 {
+		c := cfg
+		c.Fault = &pdm.FaultPlan{FailAfter: int64(inputIOs + after)}
+		vol := pdm.MustVolume(c)
+		pool := pdm.PoolFor(vol)
+		f, err := stream.FromSlice(vol, pool, record.RecordCodec{}, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SortViaBTree(f, pool, 8); !errors.Is(err, pdm.ErrFaulted) {
+			t.Errorf("crash after %d of %d: error %v, want ErrFaulted", after, sortIOs, err)
+		}
+		if pool.InUse() != 0 {
+			t.Errorf("crash after %d of %d: %d frames in use", after, sortIOs, pool.InUse())
+		}
+		vol.Close()
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"slices"
 
+	"em/internal/btree"
 	"em/internal/pdm"
+	"em/internal/record"
 	"em/internal/stream"
 )
 
@@ -56,6 +58,48 @@ func DistributionSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T
 func DistributionSortTo[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options, sink stream.Sink[T]) error {
 	d := &distSorter[T]{pool: pool, less: less, opts: opts, rng: rand.New(rand.NewSource(0x5EED))}
 	return d.sortInto(f, sink, false)
+}
+
+// SortIndex builds a B+-tree over an unsorted record file: the
+// distribution sort with a bottom-up bulk loader as its sink, so the build
+// costs Sort(N) plus one write per tree node and the sorted order never
+// exists as a file. opts.Width also stripes the loader's leaf batches. The
+// loader's budget, cacheFrames for its buffer manager plus 2×Width for its
+// leaf double buffer, is held back from pool for the whole call, so the
+// sort's fan-out is what pool has left. The returned tree's buffer manager
+// draws cacheFrames frames from pool. On any error pool is restored exactly
+// and no blocks are leaked. See em.SortIndex for the contract.
+func SortIndex(f *stream.File[record.Record], pool *pdm.Pool, cacheFrames int, opts *Options) (*btree.Tree, error) {
+	vol := f.Vol()
+	// Reserve the loader's budget and run the loader on a private pool of
+	// exactly that size.
+	loaderFrames := cacheFrames + 2*opts.width()
+	reserve, err := pool.AllocN(loaderFrames)
+	if err != nil {
+		return nil, err
+	}
+	defer pdm.ReleaseAll(reserve)
+	ld, err := btree.NewLoader(vol, pdm.NewPool(vol.BlockBytes(), loaderFrames), cacheFrames,
+		&btree.BulkLoadOptions{Width: opts.width()})
+	if err != nil {
+		return nil, err
+	}
+	if err := DistributionSortTo(f, pool, record.Record.Less, opts, ld); err != nil {
+		ld.Abort()
+		return nil, err
+	}
+	if err := ld.Close(); err != nil {
+		return nil, err
+	}
+	// The construction budget is about to be released; rehome the tree's
+	// buffer manager onto the caller's pool. A failed flush leaves the old
+	// one in place, so the loader can still take back every node.
+	tr := ld.Tree()
+	if err := tr.Rehome(pool, cacheFrames); err != nil {
+		ld.Abort()
+		return nil, err
+	}
+	return tr, nil
 }
 
 type distSorter[T any] struct {

@@ -377,26 +377,22 @@ func formRunsReplacement[T any](f *stream.File[T], pool *pdm.Pool, less func(a, 
 	return runs, nil
 }
 
-// MaxFanIn returns the merge fan-in the pool supports at the given striping
-// width. Disk striping treats a group of width blocks as one logical block,
-// so each input run needs width frames and the fan-in drops from m to
-// roughly m/D — exactly the suboptimality factor the survey attributes to
-// striped merge sort.
-func MaxFanIn(pool *pdm.Pool, width int) int {
-	return (pool.Free() - width) / width
-}
-
-// maxFanIn is MaxFanIn generalised to the per-stream frame cost of the
-// options: asynchronous streams hold double-buffered frame groups, so the
-// fan-in halves again — memory traded for I/O/compute overlap.
+// maxFanIn returns the merge fan-in the pool supports: one open stream per
+// input run plus the output. Disk striping treats a group of width blocks
+// as one logical block, so each stream needs width frames and the fan-in
+// drops from m to roughly m/D — exactly the suboptimality factor the
+// survey attributes to striped merge sort; asynchronous streams hold
+// double-buffered frame groups, so the fan-in halves again — memory traded
+// for I/O/compute overlap.
 func maxFanIn(pool *pdm.Pool, opts *Options) int {
 	sf := opts.streamFrames()
 	return (pool.Free() - sf) / sf
 }
 
 // MergeRuns repeatedly merges sorted runs fan-in at a time until one remains.
-// The total cost is one read+write of the data per merge level, i.e.
-// ⌈log_fanin(#runs)⌉ passes.
+// The total cost is at most one read+write of the data per merge level, i.e.
+// ⌈log_fanin(#runs)⌉ passes: a level's lone tail run is carried into the
+// next level untouched.
 //
 // With opts.Async set, each input run's reader keeps its next block group in
 // flight while the merge consumes buffered records — the survey's
@@ -429,9 +425,10 @@ func MergeRuns[T any](runs []*stream.File[T], pool *pdm.Pool, less func(a, b T) 
 	for len(level) > 1 {
 		var next []*stream.File[T]
 		for lo := 0; lo < len(level); lo += fanin {
-			hi := lo + fanin
-			if hi > len(level) {
-				hi = len(level)
+			hi := min(lo+fanin, len(level))
+			if hi-lo == 1 {
+				next = append(next, level[lo])
+				continue
 			}
 			merged, err := mergeOnce(level[lo:hi], pool, less, opts)
 			if err != nil {
@@ -458,15 +455,10 @@ type mergeItem[T any] struct {
 	src int
 }
 
-// mergeOnce merges the given sorted runs into one sorted file in a single
+// mergeOnce merges two or more sorted runs into one sorted file in a single
 // pass: one reader per run plus one writer, each synchronous or
 // asynchronous per opts.
 func mergeOnce[T any](runs []*stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) (*stream.File[T], error) {
-	if len(runs) == 1 {
-		// Copy-through keeps ownership semantics uniform (caller releases
-		// inputs), at the cost of one extra pass on odd tails.
-		return copyFile(runs[0], pool, opts)
-	}
 	vol := runs[0].Vol()
 	out := stream.NewFile[T](vol, runs[0].Codec())
 	ow, err := openSink(out, pool, opts)
@@ -524,43 +516,6 @@ func mergeOnce[T any](runs []*stream.File[T], pool *pdm.Pool, less func(a, b T) 
 		return nil, err
 	}
 	return out, nil
-}
-
-// copyFile copies src into a fresh file, abandoning the partial copy on
-// error.
-func copyFile[T any](src *stream.File[T], pool *pdm.Pool, opts *Options) (*stream.File[T], error) {
-	dst := stream.NewFile[T](src.Vol(), src.Codec())
-	w, err := openSink(dst, pool, opts)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) (*stream.File[T], error) {
-		w.Close()
-		dst.Release()
-		return nil, err
-	}
-	r, err := openSource(src, pool, opts)
-	if err != nil {
-		return fail(err)
-	}
-	defer r.Close()
-	for {
-		v, ok, err := r.Next()
-		if err != nil {
-			return fail(err)
-		}
-		if !ok {
-			break
-		}
-		if err := w.Append(v); err != nil {
-			return fail(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		dst.Release()
-		return nil, err
-	}
-	return dst, nil
 }
 
 // IsSorted scans f and reports whether it is ordered by less.

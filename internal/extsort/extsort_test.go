@@ -214,6 +214,58 @@ func TestMergePassCount(t *testing.T) {
 	}
 }
 
+// TestMergeRunsCarriesLoneTail merges five 10-block runs at fan-in 2: the
+// levels are {2,2,1}, {2,1} and {2}, and each lone tail run goes up a level
+// without being copied, so the merge reads and writes 40 + 40 + 50 blocks,
+// on both backends alike. A copied tail costs 10 more each way per level.
+func TestMergeRunsCarriesLoneTail(t *testing.T) {
+	const runs, blocks, per = 5, 10, 4 // 64-byte blocks hold 4 records
+	var want []record.Record
+	var stats []pdm.Stats
+	for _, dir := range []string{"", t.TempDir()} {
+		vol := pdm.MustVolume(pdm.Config{BlockBytes: 64, MemBlocks: 8, Disks: 1, Dir: dir})
+		pool := pdm.PoolFor(vol)
+		var files []*stream.File[record.Record]
+		want = want[:0]
+		for r := 0; r < runs; r++ {
+			run := make([]record.Record, blocks*per)
+			for i := range run {
+				run[i] = record.Record{Key: uint64(i*runs + r), Val: uint64(r)}
+			}
+			want = append(want, run...)
+			f, err := stream.FromSlice(vol, pool, record.RecordCodec{}, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		vol.Stats().Reset()
+		out, err := MergeRuns(files, pool, recLess, &Options{ForceFanIn: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := vol.Stats().Snapshot()
+		got, err := stream.ToSlice(out, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSorted(t, "merged", got, want)
+		out.Release()
+		if live := vol.Allocated() - vol.FreeBlocks(); live != 0 {
+			t.Errorf("dir=%q: %d live blocks after releasing the output", dir, live)
+		}
+		if st.Reads != 130 || st.Writes != 130 {
+			t.Errorf("dir=%q: merge cost %d reads, %d writes; want 130, 130", dir, st.Reads, st.Writes)
+		}
+		stats = append(stats, st)
+		vol.Close()
+	}
+	if m, f := stats[0], stats[1]; m.Reads != f.Reads || m.Writes != f.Writes || m.Steps != f.Steps {
+		t.Errorf("backends diverge: mem %d/%d/%d, file %d/%d/%d reads/writes/steps",
+			m.Reads, m.Writes, m.Steps, f.Reads, f.Writes, f.Steps)
+	}
+}
+
 func TestForceFanInIncreasesPasses(t *testing.T) {
 	// Constraining fan-in must increase I/O (more merge passes) but keep the
 	// output correct — this is the mechanism behind experiment F1.

@@ -1,4 +1,4 @@
-package pipeline
+package extsort
 
 import (
 	"math/rand"
@@ -36,7 +36,7 @@ func BenchmarkSortIndex(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s0 := vol.Stats().Total()
-		tr, err := SortIndex(f, pool, opts)
+		tr, err := SortIndex(f, pool, 8, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -99,7 +99,7 @@ type Store struct {
 	sealOps int64 // effective front threshold in ops
 
 	// The drain's construction budget, reserved once at Open (the
-	// pipeline.SortIndex pattern): the background rebuild draws from its
+	// extsort.SortIndex pattern): the background rebuild draws from its
 	// own pool, so foreground readers never lose frames to it and a
 	// too-small pool fails at Open, not mid-drain.
 	drainPool *pdm.Pool
@@ -163,7 +163,7 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 		drainPool: pdm.NewPool(vol.BlockBytes(), drainFrames),
 		reserve:   reserve,
 	}
-	tree, err := btree.New(vol, pool, cfg.CacheFrames)
+	tree, err := btree.New(vol, pool, &btree.Options{CacheFrames: cfg.CacheFrames})
 	if err != nil {
 		pdm.ReleaseAll(reserve)
 		return nil, err

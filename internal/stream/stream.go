@@ -479,13 +479,6 @@ func WriteRecordAt[T any](f *File[T], pool *pdm.Pool, i int64, v T) error {
 	return f.vol.WriteBlock(addr, fr.Buf)
 }
 
-// AppendFileLen grows f's logical length to include records written directly
-// via block addresses by lower-level code. Most callers never need this.
-func AppendFileLen[T any](f *File[T], addrs []int64, n int64) {
-	f.blocks = append(f.blocks, addrs...)
-	f.n += n
-}
-
 // BlockAddrs exposes the file's block address list for algorithms (such as
 // the naive permuter and the matrix routines) that address blocks directly.
 func BlockAddrs[T any](f *File[T]) []int64 { return f.blocks }

@@ -1,7 +1,7 @@
 package em
 
 import (
-	"em/internal/pipeline"
+	"em/internal/extsort"
 )
 
 // SortIndexOptions tunes SortIndex, the fused sort→bulk-load index builder.
@@ -12,9 +12,22 @@ import (
 // CacheFrames for the buffer manager plus 2×Width for the leaf double
 // buffer — is held back from the pool for the full call; size
 // Config.MemBlocks to cover the sort's fan-out plus that reservation.
-// Pipeline, PipeDepth and WriteBehind are deprecated no-ops: the build is
-// always fused and its leaves always stream out write-behind.
-type SortIndexOptions = pipeline.Options
+type SortIndexOptions struct {
+	// Width is the striping width of the sort's streams and of the loader's
+	// leaf batches; set it to the volume's disk count D. Zero means 1.
+	Width int
+	// Async switches the sort's streams to forecast-driven read-ahead and
+	// write-behind (double buffers, same counted I/Os at equal fan-out).
+	Async bool
+	// CacheFrames sizes the tree's buffer manager; zero means 8.
+	CacheFrames int
+	// Deprecated: the loader's leaves always stream out write-behind; kept
+	// until the repo benchmark stops setting it.
+	WriteBehind bool
+	// Deprecated: the build is always fused; kept until the repo benchmark
+	// stops setting it.
+	Pipeline bool
+}
 
 // SortIndex builds a B+-tree index over an unsorted record file in one
 // fused pass structure: a distribution sort whose base cases — memory-sized
@@ -34,5 +47,12 @@ type SortIndexOptions = pipeline.Options
 // any error the pool is restored exactly and no blocks are leaked, a
 // failure while flushing the finished tree onto pool included.
 func SortIndex(f *File[Record], pool *Pool, opts *SortIndexOptions) (*BTree, error) {
-	return pipeline.SortIndex(f, pool, opts)
+	var o SortIndexOptions
+	if opts != nil {
+		o = *opts
+	}
+	if o.CacheFrames < 1 {
+		o.CacheFrames = 8
+	}
+	return extsort.SortIndex(f, pool, o.CacheFrames, &SortOptions{Width: o.Width, Async: o.Async})
 }
