@@ -66,15 +66,17 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Model time, asserted to the nanosecond: pdm's, btree's and extsort's
-# tests behind the goexperiment.synctest build tag run latency volumes
-# inside a testing/synctest bubble, where the clock moves only when every
-# goroutine is blocked — pdm's transfers and waits, the bulk loader's last
-# leaf batch, which Close must wait out, and F10's overlap contract (the
+# Model time, asserted to the nanosecond: pdm's, btree's, extsort's and
+# stream's tests behind the goexperiment.synctest build tag run latency
+# volumes inside a testing/synctest bubble, where the clock moves only when
+# every goroutine is blocked — pdm's transfers and waits, the bulk loader's
+# last leaf batch, which Close must wait out, F10's overlap contract (the
 # async distribution sort and bulk load never finish after their sync
-# twins). Needs go1.24 (go.mod's 1.23 has no synctest experiment).
+# twins) and F9's (a scan reading ahead overlaps its consumer's compute,
+# modelled as a virtual sleep, and never finishes after the on-demand
+# scan). Needs go1.24 (go.mod's 1.23 has no synctest experiment).
 modeltime:
-	GOEXPERIMENT=synctest $(GO) test ./internal/pdm ./internal/btree ./internal/extsort
+	GOEXPERIMENT=synctest $(GO) test ./internal/pdm ./internal/btree ./internal/extsort ./internal/stream
 
 # Coverage profile across every package, with a per-function summary.
 cover:

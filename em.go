@@ -560,16 +560,19 @@ func MergeSort[T any](f *File[T], pool *Pool, less func(a, b T) bool, opts *Sort
 	return extsort.MergeSort(f, pool, less, opts)
 }
 
-// DistributionSort sorts f by less with sample-based distribution sort,
-// also Θ(n log_m n) I/Os: each level of fan-out k+1 costs one pass plus
-// the 4·(k+1) random blocks its splitters are sampled from (fewer when the
-// bucket writers' frames cannot hold that many). It honours the same
-// SortOptions as MergeSort: Width stripes the partition readers and bucket
-// writers over the disks, and Async switches them to forecasting
-// read-ahead and write-behind (double-buffered streams cost 2×Width frames
-// each, so the distribution fan-out halves — the mirror of the merge
-// fan-in trade). At equal fan-out the counted I/Os match the synchronous
-// path exactly.
+// DistributionSort sorts f by less with sample-based, hybrid distribution
+// sort, also Θ(n log_m n) I/Os: each level splits its input into only as
+// many buckets as the input needs, around splitters read off a sample of
+// random blocks, and keeps the lowest bucket in memory for the pass, so a
+// level costs one pass over the buckets it spills plus its sample. It
+// honours the same SortOptions as MergeSort: Width stripes the partition
+// readers and bucket writers over the disks, and Async switches them to
+// forecasting read-ahead and write-behind. A level is planned as if each
+// stream held the 2×Width frames a double-buffered one does, in either
+// mode, so at equal pool a planned level's counted I/Os match the
+// synchronous path exactly. A level whose input no plan holds takes as
+// many buckets as its streams fit, half as many when they are
+// double-buffered — the mirror of the merge fan-in trade.
 func DistributionSort[T any](f *File[T], pool *Pool, less func(a, b T) bool, opts *SortOptions) (*File[T], error) {
 	return extsort.DistributionSort(f, pool, less, opts)
 }

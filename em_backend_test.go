@@ -97,14 +97,12 @@ func TestQuickBackendCountersIdentical(t *testing.T) {
 }
 
 // TestQuickAsyncMatchesSyncPerBackend re-runs the async==sync counter
-// property on each storage backend: at equal fan-out — forced below both
-// paths' natural budgets, with the async pool compensated by the 2×width
-// frames its double-buffered writer holds, exactly like the extsort suite —
-// the forecasting distribution sort and bulk load must charge the
-// synchronous paths' I/Os to the byte, whether the blocks live in memory or
-// in files.
+// property on each storage backend: at equal pool, with the fan-out capped
+// below both paths' natural budgets exactly like the extsort suite, the
+// forecasting distribution sort and bulk load must charge the synchronous
+// paths' I/Os to the byte, whether the blocks live in memory or in files.
 func TestQuickAsyncMatchesSyncPerBackend(t *testing.T) {
-	const width, fanOut, syncCap = 2, 3, 20
+	const width, fanOut, capacity = 2, 3, 20
 	for _, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) {
 			prop := func(seedRaw uint32, nRaw uint16) bool {
@@ -117,10 +115,6 @@ func TestQuickAsyncMatchesSyncPerBackend(t *testing.T) {
 					}
 					vol := em.MustVolume(cfg)
 					defer vol.Close()
-					capacity := syncCap
-					if async {
-						capacity += 2 * width
-					}
 					pool := em.NewPool(cfg.BlockBytes, capacity)
 					// Pairwise-distinct keys (odd multiplier is a bijection
 					// mod 2^64): no all-equal fallback in the distribution

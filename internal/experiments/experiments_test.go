@@ -345,16 +345,18 @@ func TestF9ParallelEngineShape(t *testing.T) {
 	if d1.Cells["blockReads"] != d4.Cells["blockReads"] {
 		t.Errorf("block reads changed with D: %v vs %v", d1.Cells["blockReads"], d4.Cells["blockReads"])
 	}
-	// The model predicts 4x; 2x leaves headroom for scheduler noise.
-	if speedup := d1.Cells["scanMs"] / d4.Cells["scanMs"]; speedup < 2 {
-		t.Errorf("4-disk scan wall-clock speedup %.2fx, want >= 2x", speedup)
+	// The model predicts 4x in parallel steps, counted exactly; the clock is
+	// only logged. That prefetch never loses to the synchronous scan when
+	// compute shares the clock is asserted in model time by stream's
+	// synctest suite.
+	speedup := d1.Cells["scanSteps"] / d4.Cells["scanSteps"]
+	t.Logf("D=1 %.0f steps (%.1fms), D=4 %.0f steps (%.1fms), speedup %.2fx",
+		d1.Cells["scanSteps"], d1.Cells["scanMs"], d4.Cells["scanSteps"], d4.Cells["scanMs"], speedup)
+	if speedup < 2 {
+		t.Errorf("4-disk scan speedup %.2fx in steps, want >= 2x", speedup)
 	}
-	// Forecasting prefetch must not lose to the synchronous scan when
-	// compute shares the clock (it should win; equality tolerates noise).
 	for _, r := range tab.Rows {
-		if r.Cells["asyncMs"] > 1.1*r.Cells["syncMs"] {
-			t.Errorf("%s: prefetch scan %.1fms slower than sync %.1fms", r.Label, r.Cells["asyncMs"], r.Cells["syncMs"])
-		}
+		t.Logf("%s: sync %.1fms, prefetch %.1fms", r.Label, r.Cells["syncMs"], r.Cells["asyncMs"])
 	}
 }
 

@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -12,11 +13,16 @@ import (
 )
 
 // DistributionSort sorts f by less into a new file using the survey's
-// distribution (bucket) sort: choose k approximate splitters from a sample
-// of 4·(k+1) random blocks, partition the input into k+1 = Θ(M/B) buckets
-// in one pass, recurse on each bucket until it fits in memory, then
-// load-sort it. A level costs one pass plus the 4·(k+1) sample blocks.
-// Like merge sort it performs Θ(n·log_m n) I/Os, but passes data top-down
+// distribution (bucket) sort, made hybrid: each level samples splitters
+// from random blocks of its input, partitions it in one pass into only as
+// many buckets as the input needs — fewer than the Θ(M/B) memory allows
+// once N is within a small multiple of M — and keeps the lowest key range
+// in the frames the fewer bucket writers leave free. That resident bucket
+// is sorted and emitted as soon as the pass ends, so it is never written
+// or read back; the spilled buckets are sorted the same way, recursively,
+// smallest key range first, and load-sorted once they fit in memory. A
+// level costs one pass over what it spills plus its sample blocks. Like
+// merge sort it performs Θ(n·log_m n) I/Os, but passes data top-down
 // through splitters instead of bottom-up through merges. It is
 // DistributionSortTo writing into a fresh file's writer.
 //
@@ -24,12 +30,29 @@ import (
 // readers and bucket writers over the disks, and Async switches them to
 // forecasting read-ahead and write-behind (a partitioning pass is consumed
 // strictly in order, so the forecast block is the next sequential one,
-// exactly as for a sorted run). Asynchronous streams hold 2×Width frames,
-// so the fan-out halves — the distribution-side mirror of the merge fan-in
-// trade. At equal fan-out the counted I/Os are identical to the
-// synchronous path; only wall-clock overlap changes. The sample is one
-// batch read either way.
+// exactly as for a sorted run). Unlike merge sort, a level is planned as
+// if each stream held the 2×Width frames a double-buffered one does, and
+// the output writer's frames are held at that charge too, whether or not
+// Async is set: the resident bucket turns memory into fewer transfers, so
+// the plan must not depend on the mode. At equal pool a planned level
+// makes exactly the synchronous path's transfers; only wall-clock overlap
+// changes. A level whose input no plan holds is the plain distribution
+// sort and takes as many buckets as its streams fit, twice as many on
+// demand — the mirror of the merge fan-in trade. The sample is one batch
+// read either way.
 func DistributionSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) (*stream.File[T], error) {
+	// A synchronous sort whose levels take the double-buffered charge holds
+	// its output writer at that charge too, so it sees the budget an
+	// asynchronous one would.
+	w, idle := opts.width(), 0
+	if !opts.async() && levelFrames(opts, pool.Free()-2*w) == 2*w {
+		idle = w
+	}
+	held, err := pool.AllocN(idle)
+	if err != nil {
+		return nil, err
+	}
+	defer pdm.ReleaseAll(held)
 	out := stream.NewFile[T](f.Vol(), f.Codec())
 	ow, err := openSink(out, pool, opts)
 	if err != nil {
@@ -56,19 +79,21 @@ func DistributionSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T
 // sink; on error every bucket is released and the pool restored, and the
 // caller closes or aborts sink.
 func DistributionSortTo[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options, sink stream.Sink[T]) error {
-	d := &distSorter[T]{pool: pool, less: less, opts: opts, rng: rand.New(rand.NewSource(0x5EED))}
-	return d.sortInto(f, sink, false)
+	return newDistSorter(pool, less, opts).sortInto(f, sink, false)
 }
 
 // SortIndex builds a B+-tree over an unsorted record file: the
 // distribution sort with a bottom-up bulk loader as its sink, so the build
 // costs Sort(N) plus one write per tree node and the sorted order never
-// exists as a file. opts.Width also stripes the loader's leaf batches. The
-// loader's budget, cacheFrames for its buffer manager plus 2×Width for its
-// leaf double buffer, is held back from pool for the whole call, so the
-// sort's fan-out is what pool has left. The returned tree's buffer manager
-// draws cacheFrames frames from pool. On any error pool is restored exactly
-// and no blocks are leaked. See em.SortIndex for the contract.
+// exists as a file. Each level's resident bucket — the lowest key range,
+// which is also the first the loader needs — goes from the partition pass
+// straight into leaves. opts.Width also stripes the loader's leaf batches.
+// The loader's budget, cacheFrames for its buffer manager plus 2×Width for
+// its leaf double buffer, is held back from pool for the whole call, so
+// the sort's buckets and resident bucket share what pool has left. The
+// returned tree's buffer manager draws cacheFrames frames from pool. On
+// any error pool is restored exactly and no blocks are leaked. See
+// em.SortIndex for the contract.
 func SortIndex(f *stream.File[record.Record], pool *pdm.Pool, cacheFrames int, opts *Options) (*btree.Tree, error) {
 	vol := f.Vol()
 	// Reserve the loader's budget and run the loader on a private pool of
@@ -107,6 +132,30 @@ type distSorter[T any] struct {
 	less func(a, b T) bool
 	opts *Options
 	rng  *rand.Rand
+	sf   int // levelFrames at the sort's budget
+}
+
+// newDistSorter returns a sorter over what pool has free now. Every level
+// starts from that budget — a level releases all it holds before its
+// buckets are sorted — so the per-stream charge is fixed once.
+func newDistSorter[T any](pool *pdm.Pool, less func(a, b T) bool, opts *Options) *distSorter[T] {
+	return &distSorter[T]{pool: pool, less: less, opts: opts,
+		rng: rand.New(rand.NewSource(0x5EED)), sf: levelFrames(opts, pool.Free())}
+}
+
+// levelFrames returns the frames a distribution sort charges each open
+// reader or writer when it plans a level over free frames: 2×Width, the
+// double-buffered charge, in either mode. The plan then depends on the
+// pool and Width alone, so at equal pool a sort opened ahead and behind
+// plans exactly as its on-demand twin, whose streams then leave Width of
+// their frames idle. A synchronous sort on a pool too small for an
+// asynchronous level, a reader and two writers at that charge, falls back
+// to Width.
+func levelFrames(opts *Options, free int) int {
+	if w := opts.width(); opts.async() || free >= 6*w {
+		return 2 * w
+	}
+	return opts.width()
 }
 
 // memRecords returns how many records fit in the frames left after reserving
@@ -114,20 +163,18 @@ type distSorter[T any] struct {
 // that cannot host even the reader is an error, the same loud failure
 // formRunsLoadSort gives.
 func (d *distSorter[T]) memRecords(f *stream.File[T]) (int, error) {
-	sf := d.opts.streamFrames()
-	frames := d.pool.Free() - sf
+	frames := d.pool.Free() - d.sf
 	if frames < 1 {
-		return 0, fmt.Errorf("%w: %d frames free, need > %d", ErrEmptyPool, d.pool.Free(), sf)
+		return 0, fmt.Errorf("%w: %d frames free, need > %d", ErrEmptyPool, d.pool.Free(), d.sf)
 	}
 	return frames * f.PerBlock(), nil
 }
 
-// fanOut returns the number of buckets per level: each bucket writer costs
-// streamFrames() pool frames (Width synchronously, 2×Width asynchronously —
-// the same per-stream charge maxFanIn levies on the merge side), as does the
-// partition-pass reader; the sink's frames are already charged.
-func (d *distSorter[T]) fanOut() int {
-	sf := d.opts.streamFrames()
+// fanOut returns the most buckets a level may have when each bucket
+// writer costs sf pool frames, as does the partition-pass reader; the
+// sink's frames are already charged. ForceFanIn caps it further. plan
+// sizes the level within fanOut(d.sf).
+func (d *distSorter[T]) fanOut(sf int) int {
 	fo := (d.pool.Free() - sf) / sf
 	if d.opts != nil && d.opts.ForceFanIn > 0 && d.opts.ForceFanIn < fo {
 		fo = d.opts.ForceFanIn
@@ -153,15 +200,7 @@ func (d *distSorter[T]) sortInto(f *stream.File[T], ow stream.Sink[T], owned boo
 	if f.Len() <= int64(memRecs) {
 		return d.baseCase(f, ow)
 	}
-	fo := d.fanOut()
-	if fo < 2 {
-		return fmt.Errorf("%w: fan-out %d", ErrEmptyPool, fo)
-	}
-	splitters, err := d.sampleSplitters(f, fo-1)
-	if err != nil {
-		return err
-	}
-	buckets, err := d.partition(f, splitters)
+	buckets, err := d.level(f, ow, memRecs)
 	if err != nil {
 		return err
 	}
@@ -176,13 +215,96 @@ func (d *distSorter[T]) sortInto(f *stream.File[T], ow stream.Sink[T], owned boo
 		if err != nil {
 			// The failed bucket was released by its consumer; the rest would
 			// otherwise strand their blocks.
-			for _, rest := range buckets[i+1:] {
-				rest.Release()
-			}
+			releaseFiles(buckets[i+1:])
 			return err
 		}
 	}
 	return nil
+}
+
+// level runs one partition pass over f, whose memory-sized base cases
+// hold memRecs records. It samples the splitters, plans the level, keeps
+// the lowest key range in memory for the pass — charged to the pool,
+// sorted and emitted into ow before any spilled bucket is read — and
+// returns the spilled buckets, lowest key range first. Where the resident
+// bucket outgrew its frames it was spilled and is the first of them.
+func (d *distSorter[T]) level(f *stream.File[T], ow stream.Sink[T], memRecs int) ([]*stream.File[T], error) {
+	fo := d.fanOut(d.sf)
+	if fo < 2 {
+		return nil, fmt.Errorf("%w: fan-out %d", ErrEmptyPool, fo)
+	}
+	sample, err := d.sample(f, fo)
+	if err != nil {
+		return nil, err
+	}
+	per := f.PerBlock()
+	k, resident, target := d.plan(f.Len(), memRecs, per, (len(sample)+per-1)/per, fo)
+	if k == 0 {
+		// No plan holds the input: the plain distribution sort, with as
+		// many buckets as the streams this sort opens fit.
+		k = d.fanOut(d.opts.streamFrames())
+	}
+	// The splitters cut the sample at the resident bucket's share, then
+	// what lies above it into k equal parts, one per spilled bucket.
+	lo := int(int64(len(sample)) * int64(target) / f.Len())
+	cuts := make([]T, 0, k)
+	if resident > 0 {
+		cuts = append(cuts, sample[lo])
+	}
+	for j := 1; j < k; j++ {
+		cuts = append(cuts, sample[lo+j*(len(sample)-lo)/k])
+	}
+	reserve, err := d.pool.AllocN(resident)
+	if err != nil {
+		return nil, err
+	}
+	defer pdm.ReleaseAll(reserve)
+	res, buckets, err := d.partition(f, cuts, resident*per)
+	if err != nil {
+		return nil, err
+	}
+	if err := sortEmit(res, d.less, ow.Append); err != nil {
+		releaseFiles(buckets)
+		return nil, err
+	}
+	return buckets, nil
+}
+
+// plan sizes a level of n records, sampled by s blocks, within fo
+// buckets: k spilled buckets, the frames the resident bucket is kept in,
+// and the records its key range is sized to.
+//
+// Every bucket is expected to hold at most memRecs over a slack of 1 + 3/p,
+// where p = √(s/(k+1)). On block-clustered or sorted input a block is one
+// sample point, so a bucket's share is estimated from about s/(k+1) points
+// and its standard deviation is about 1/p of its size: the slack covers
+// three of them, so a bucket outgrows memory, and recurses, only on a
+// sample three deviations off. The resident bucket gets the frames left
+// once the reader, the k writers and one more writer (for its own spill)
+// are charged, and its key range is sized to 7/8 of them, or to the slack
+// if that is less, so the sample must undercount the lowest range by at
+// least an eighth before it spills. k is the fewest spilled buckets that
+// hold the rest, so a level has at most fo buckets, the resident one
+// included. When no k below fo does, plan returns k = 0.
+func (d *distSorter[T]) plan(n int64, memRecs, per, s, fo int) (k, resident, target int) {
+	sf := d.sf
+	for k = 1; k < fo; k++ {
+		p := math.Sqrt(float64(s) / float64(k+1))
+		bucket := float64(memRecs) * p / (p + 3)
+		resident = max(0, d.pool.Free()-(k+2)*sf)
+		target = min(resident*per*7/8, int(bucket))
+		if math.Ceil(float64(n-int64(target))/float64(k)) <= bucket {
+			return k, resident, target
+		}
+	}
+	return 0, 0, 0
+}
+
+// releaseFiles releases every file in fs.
+func releaseFiles[T any](fs []*stream.File[T]) {
+	for _, f := range fs {
+		f.Release()
+	}
 }
 
 // baseCase load-sorts a memory-sized file into ow. The record buffer is
@@ -220,15 +342,15 @@ func (d *distSorter[T]) fallbackMerge(b *stream.File[T], ow stream.Sink[T]) erro
 	return err
 }
 
-// sampleSplitters returns k approximate quantile splitters of f, read off
-// the sorted records of 4·(k+1) random blocks, so a level costs its
+// sample returns the sorted records of 4·fo random blocks of f, from which
+// a level of at most fo buckets takes its splitters, so a level costs its
 // partition pass plus that sample rather than a second scan of f. The
 // sample is one batch read into the frames the bucket writers are about to
 // take, with the partition reader's share held back: it depends only on
 // the budget memRecords and fanOut see, so the sort opened ahead and
-// behind reads exactly what the on-demand one does at equal fan-out, and
-// it never outgrows that memory (synchronous width 1, whose writers take
-// nearly every frame, gets about one block per bucket).
+// behind reads exactly what the on-demand one does, and it never outgrows
+// that memory (width 1, whose writers take nearly every frame, gets about
+// two blocks per bucket).
 //
 // Four blocks per bucket, not two: when each block holds one narrow key
 // range (sorted or block-clustered input), a block is one sample point.
@@ -236,12 +358,12 @@ func (d *distSorter[T]) fallbackMerge(b *stream.File[T], ow stream.Sink[T]) erro
 // TestDistributionSortAdversarialInputs, two per bucket overflowed a
 // bucket, and so recursed, on 57 of 300 seeds and four on 1, where the
 // record reservoir this replaced recursed on none.
-func (d *distSorter[T]) sampleSplitters(f *stream.File[T], k int) ([]T, error) {
-	reader, err := d.pool.AllocN(d.opts.streamFrames())
+func (d *distSorter[T]) sample(f *stream.File[T], fo int) ([]T, error) {
+	reader, err := d.pool.AllocN(d.sf)
 	if err != nil {
 		return nil, err
 	}
-	sample, err := stream.SampleBlocks(f, d.pool, 4*(k+1), d.rng)
+	sample, err := stream.SampleBlocks(f, d.pool, 4*fo, d.rng)
 	pdm.ReleaseAll(reader)
 	if err != nil {
 		return nil, err
@@ -249,24 +371,25 @@ func (d *distSorter[T]) sampleSplitters(f *stream.File[T], k int) ([]T, error) {
 	// Records equal under less split alike, so the sample needs no stable
 	// sort, and pdqsort takes half SymMerge's time on a sample this size.
 	slices.SortFunc(sample, compare(d.less))
-	splitters := make([]T, 0, k)
-	for i := 1; i <= k; i++ {
-		splitters = append(splitters, sample[i*len(sample)/(k+1)])
-	}
-	return splitters, nil
+	return sample, nil
 }
 
-// partition splits f into len(splitters)+1 bucket files in one pass. Bucket
-// i receives records v with splitters[i-1] <= v < splitters[i]: a record
-// equal to a splitter goes to the bucket on that splitter's right.
-func (d *distSorter[T]) partition(f *stream.File[T], splitters []T) ([]*stream.File[T], error) {
+// partition splits f into len(splitters)+1 buckets in one pass. Bucket i
+// receives records v with splitters[i-1] <= v < splitters[i]: a record
+// equal to a splitter goes to the bucket on that splitter's right. When
+// resident > 0, bucket 0 is kept in memory, up to resident records, and
+// returned as a slice, its file left empty; a bucket 0 that outgrows them
+// is spilled into its file, which then holds all of it, and the slice is
+// nil. The caller charges the resident records to the pool, and must
+// leave one writer's frames free for the spill.
+func (d *distSorter[T]) partition(f *stream.File[T], splitters []T, resident int) ([]T, []*stream.File[T], error) {
 	nb := len(splitters) + 1
 	buckets := make([]*stream.File[T], nb)
 	writers := make([]stream.Sink[T], nb)
 	// fail closes every writer still open and releases every bucket file
 	// created so far, so a mid-partition error can strand neither pool
 	// frames nor volume blocks. Closing a closed writer is a no-op.
-	fail := func(err error) error {
+	fail := func(err error) ([]T, []*stream.File[T], error) {
 		for _, w := range writers {
 			if w != nil {
 				w.Close()
@@ -277,13 +400,19 @@ func (d *distSorter[T]) partition(f *stream.File[T], splitters []T) ([]*stream.F
 				b.Release()
 			}
 		}
-		return err
+		return nil, nil, err
 	}
+	var res *spillSink[T]
 	for i := range buckets {
 		buckets[i] = stream.NewFile[T](f.Vol(), f.Codec())
+		if i == 0 && resident > 0 {
+			res = &spillSink[T]{d: d, f: buckets[0], vs: make([]T, 0, resident)}
+			writers[0] = res
+			continue
+		}
 		w, err := openSink(buckets[i], d.pool, d.opts)
 		if err != nil {
-			return nil, fail(err)
+			return fail(err)
 		}
 		writers[i] = w
 	}
@@ -301,12 +430,56 @@ func (d *distSorter[T]) partition(f *stream.File[T], splitters []T) ([]*stream.F
 		return writers[lo].Append(v)
 	})
 	if err != nil {
-		return nil, fail(err)
+		return fail(err)
 	}
 	for _, w := range writers {
 		if err := w.Close(); err != nil {
-			return nil, fail(err)
+			return fail(err)
 		}
 	}
-	return buckets, nil
+	if res == nil {
+		return nil, buckets, nil
+	}
+	return res.vs, buckets, nil
+}
+
+// spillSink is the resident bucket's writer. It keeps records in memory
+// up to the capacity vs was made with; the record that overflows it opens
+// an ordinary bucket writer on f, which takes every record held so far and
+// every one after, so a sample that undercounts the lowest key range costs
+// a spill, not a failure.
+type spillSink[T any] struct {
+	d  *distSorter[T]
+	f  *stream.File[T]
+	vs []T
+	w  stream.Sink[T]
+}
+
+func (s *spillSink[T]) Append(v T) error {
+	if s.w == nil {
+		if len(s.vs) < cap(s.vs) {
+			s.vs = append(s.vs, v)
+			return nil
+		}
+		w, err := openSink(s.f, s.d.pool, s.d.opts)
+		if err != nil {
+			return err
+		}
+		s.w = w
+		for _, u := range s.vs {
+			if err := w.Append(u); err != nil {
+				return err
+			}
+		}
+		s.vs = nil
+	}
+	return s.w.Append(v)
+}
+
+// Close closes the spill writer, if the bucket spilled.
+func (s *spillSink[T]) Close() error {
+	if s.w == nil {
+		return nil
+	}
+	return s.w.Close()
 }

@@ -11,25 +11,21 @@ import (
 	"em/internal/stream"
 )
 
-// distBoth distribution-sorts vs synchronously and asynchronously at the
-// same forced fan-out and an equalised memory budget, returning both outputs
-// and both stats snapshots.
+// distBoth distribution-sorts vs synchronously and asynchronously with the
+// fan-out capped at fanOut and the same pool of capacity frames, returning
+// both outputs and both stats snapshots.
 //
-// The async pool gets 2×width extra frames: the open output writer holds
-// streamFrames() (width sync, 2×width async), so with the compensation both
-// paths see the same free-frame budget at every memRecords/fanOut decision
-// and take byte-identical recursion paths — the distribution-side analogue
-// of TestAsyncMergeRunsIdenticalStats merging identical run sets.
-func distBoth(t *testing.T, vs []record.Record, width, fanOut, syncCap int, latency time.Duration) (syncOut, asyncOut []record.Record, syncStats, asyncStats pdm.Stats) {
+// The sort sizes every level at the double-buffered stream charge in either
+// mode and holds its output writer's frames at that charge too, so both
+// paths see the same free-frame budget at every memRecords/fanOut/plan
+// decision and take byte-identical recursion paths — the distribution-side
+// analogue of TestAsyncMergeRunsIdenticalStats merging identical run sets.
+func distBoth(t *testing.T, vs []record.Record, width, fanOut, capacity int, latency time.Duration) (syncOut, asyncOut []record.Record, syncStats, asyncStats pdm.Stats) {
 	t.Helper()
 	run := func(async bool) ([]record.Record, pdm.Stats) {
 		cfg := pdm.Config{BlockBytes: 64, MemBlocks: 24, Disks: 4, DiskLatency: latency}
 		vol := pdm.MustVolume(cfg)
 		defer vol.Close()
-		capacity := syncCap
-		if async {
-			capacity += 2 * width
-		}
 		pool := pdm.NewPool(cfg.BlockBytes, capacity)
 		f, err := stream.FromSlice(vol, pool, record.RecordCodec{}, vs)
 		if err != nil {
@@ -69,14 +65,14 @@ func distinctRecords(n int) []record.Record {
 }
 
 // TestAsyncDistributionSortIdenticalStats asserts the forecast-driven
-// distribution sort issues exactly the synchronous I/Os at equal fan-out:
+// distribution sort issues exactly the synchronous I/Os at equal pool:
 // same outputs, same reads, writes, and parallel steps. The async engine
 // must change overlap, never the counted model.
 func TestAsyncDistributionSortIdenticalStats(t *testing.T) {
-	for _, tc := range []struct{ width, syncCap int }{{1, 12}, {2, 20}} {
+	for _, tc := range []struct{ width, capacity int }{{1, 12}, {2, 20}} {
 		for _, n := range []int{0, 1, 37, 256, 1000} {
 			vs := distinctRecords(n)
-			sOut, aOut, sSt, aSt := distBoth(t, vs, tc.width, 3, tc.syncCap, 0)
+			sOut, aOut, sSt, aSt := distBoth(t, vs, tc.width, 3, tc.capacity, 0)
 			if len(sOut) != len(aOut) || len(sOut) != n {
 				t.Fatalf("w=%d n=%d: lengths sync=%d async=%d", tc.width, n, len(sOut), len(aOut))
 			}
@@ -94,7 +90,7 @@ func TestAsyncDistributionSortIdenticalStats(t *testing.T) {
 
 // TestAsyncDistributionSortQuick is the quick-check property over arbitrary
 // inputs on a latency volume: output and every I/O counter of the
-// async path match the synchronous path at equal fan-out.
+// async path match the synchronous path at equal pool.
 func TestAsyncDistributionSortQuick(t *testing.T) {
 	f := func(keys []uint16) bool {
 		if len(keys) > 600 {
@@ -212,7 +208,7 @@ func TestPartitionErrorReleasesFramesAndBuckets(t *testing.T) {
 		for i := range splitters {
 			splitters[i] = record.Record{Key: uint64(i * 20)}
 		}
-		buckets, err := d.partition(f, splitters)
+		_, buckets, err := d.partition(f, splitters, 0)
 		if err == nil {
 			t.Fatalf("%s: partition with 6 frames and 10 buckets succeeded", name)
 		}

@@ -78,10 +78,13 @@ type Options struct {
 	// partition readers and the per-bucket write-behind writers (the
 	// splitter sample is one batch read of random blocks either way). Each
 	// open stream then holds 2×Width frames instead of Width, so the
-	// maximum merge fan-in — and, symmetrically, the distribution fan-out —
-	// halves: the same memory-for-overlap trade the survey charges striped
-	// merging. I/O counters are identical to the synchronous path at
-	// equal fan-in/fan-out; only wall-clock overlap changes.
+	// maximum merge fan-in halves, as does a plain distribution level's
+	// bucket count: the same memory-for-overlap trade the survey charges
+	// striped merging. A planned distribution level, whose resident bucket turns memory into
+	// fewer transfers, is sized at that charge in either mode. I/O counters
+	// are identical to the synchronous path at equal fan-in for merge sort
+	// and at equal pool for planned distribution levels; only wall-clock
+	// overlap changes.
 	Async bool
 }
 

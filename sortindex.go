@@ -32,12 +32,15 @@ type SortIndexOptions struct {
 // SortIndex builds a B+-tree index over an unsorted record file in one
 // fused pass structure: a distribution sort whose base cases — memory-sized
 // buckets, reached smallest key range first — are sorted and appended
-// straight into a bottom-up bulk loader. There is no intermediate sorted
-// file: the build costs Sort(N) plus one write per tree node, the survey's
-// index-construction bound, and ⌈N/B⌉ writes and ⌈N/B⌉ reads fewer than
-// sorting to a file and bulk-loading from it. It runs on the caller's
-// goroutine, so its counted I/Os, block placement and parallel steps are
-// fixed by the input and the options.
+// straight into a bottom-up bulk loader. Each level splits into only as
+// many buckets as its input needs and keeps the lowest in memory, so that
+// bucket goes from the partition pass into leaves without touching the
+// volume. There is no intermediate sorted file: the build costs Sort(N)
+// plus one write per tree node, the survey's index-construction bound, and
+// ⌈N/B⌉ writes and ⌈N/B⌉ reads fewer than sorting to a file and
+// bulk-loading from it. It runs on the caller's goroutine, so its counted
+// I/Os, block placement and parallel steps are fixed by the input and the
+// options.
 //
 // Keys must be distinct: the tree is a map and the bulk loader rejects a
 // non-strictly-increasing stream with ErrUnsortedInput, which aborts the

@@ -48,16 +48,12 @@ func buildIndex(t *testing.T, dir string, vs []Record, opts *SortIndexOptions, c
 	pool := PoolFor(vol)
 	if composed {
 		// The fused sort sees the pool less the loader's reservation,
-		// CacheFrames (8) + 2×Width. DistributionSort's own sink is a writer
-		// of Width frames, 2×Width when it writes behind, so a pool of
-		// MemBlocks − (8 + 2×Width) + writer frames leaves the composed sort
-		// exactly as many free frames: both make the same splitting
-		// decisions and differ only in the sorted file.
-		writer := opts.Width
-		if opts.Async {
-			writer *= 2
-		}
-		pool = NewPool(cfg.BlockBytes, cfg.MemBlocks-(8+2*opts.Width)+writer)
+		// CacheFrames (8) + 2×Width. DistributionSort holds 2×Width frames
+		// for its own sink in either mode, so a pool of MemBlocks − (8 +
+		// 2×Width) + 2×Width frames leaves the composed sort exactly as many
+		// free frames: both make the same splitting decisions and differ
+		// only in the sorted file.
+		pool = NewPool(cfg.BlockBytes, cfg.MemBlocks-8)
 	}
 	f, err := FromSlice(vol, pool, RecordCodec{}, vs)
 	if err != nil {
