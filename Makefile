@@ -70,11 +70,12 @@ race:
 # stream's tests behind the goexperiment.synctest build tag run latency
 # volumes inside a testing/synctest bubble, where the clock moves only when
 # every goroutine is blocked — pdm's transfers and waits, the bulk loader's
-# last leaf batch, which Close must wait out, F10's overlap contract (the
-# async distribution sort and bulk load never finish after their sync
-# twins) and F9's (a scan reading ahead overlaps its consumer's compute,
-# modelled as a virtual sleep, and never finishes after the on-demand
-# scan). Needs go1.24 (go.mod's 1.23 has no synctest experiment).
+# last leaf batch, which Close must wait out, F10's two workloads (the
+# distribution sort and the bulk load take exactly their pinned parallel
+# steps at D=1 and D=4) and F9's overlap (a scan reading ahead overlaps
+# its consumer's compute, modelled as a virtual sleep, and never finishes
+# after the on-demand scan). Needs go1.24 (go.mod's 1.23 has no synctest
+# experiment).
 modeltime:
 	GOEXPERIMENT=synctest $(GO) test ./internal/pdm ./internal/btree ./internal/extsort ./internal/stream
 

@@ -1,8 +1,8 @@
 package em
 
 // bench_test.go holds the engine micro-benchmarks: batched reads on a
-// latency volume, and synchronous against forecasting (async) streams on
-// the sorts, a compute-heavy scan and the bulk loader.
+// latency volume, and an on-demand against a forecasting (read-ahead) scan
+// with a compute-heavy consumer.
 // Each reports counted block I/Os beside wall clock. The survey's
 // experiment tables are printed by cmd/embench and their shapes asserted by
 // the tests in internal/experiments.
@@ -63,46 +63,6 @@ func BenchmarkVolumeBatchRead(b *testing.B) {
 	}
 }
 
-// BenchmarkAsyncMergeSort compares synchronous and forecast-driven
-// asynchronous merge sort on a latency volume; counted I/Os are reported
-// alongside wall-clock so both currencies are visible. Counted I/Os must be
-// identical; the async path wins modestly on the clock by overlapping run
-// reads with run writes (the full overlap win on compute-heavy consumers is
-// BenchmarkAsyncScan's subject).
-func BenchmarkAsyncMergeSort(b *testing.B) {
-	const n = 1 << 12
-	for _, async := range []bool{false, true} {
-		b.Run(fmt.Sprintf("async=%v", async), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				vol := MustVolume(Config{BlockBytes: 512, MemBlocks: 64, Disks: 4, DiskLatency: 50 * time.Microsecond})
-				pool := PoolFor(vol)
-				f, err := FromSlice(vol, pool, RecordCodec{}, experiments.RandomRecords(42, n))
-				if err != nil {
-					b.Fatal(err)
-				}
-				vol.Stats().Reset()
-				b.StartTimer()
-				sorted, err := SortRecords(f, pool, &SortOptions{Width: 4, Async: async})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if sorted.Len() != n {
-					b.Fatal("bad output length")
-				}
-				if i == b.N-1 {
-					s := vol.Stats().Snapshot()
-					b.ReportMetric(float64(s.Reads+s.Writes), "blockios")
-					b.ReportMetric(float64(s.Steps), "iosteps")
-				}
-				vol.Close()
-				b.StartTimer()
-			}
-		})
-	}
-}
-
 // BenchmarkAsyncScan measures forecasting read-ahead where it pays: a scan
 // whose consumer does real per-record work. The synchronous scan serialises
 // fetch and compute; the prefetching scan overlaps them, approaching
@@ -145,88 +105,6 @@ func BenchmarkAsyncScan(b *testing.B) {
 			s := vol.Stats().Snapshot()
 			b.ReportMetric(float64(s.Reads)/float64(b.N), "blockreads/op")
 			b.ReportMetric(float64(s.Steps)/float64(b.N), "iosteps/op")
-		})
-	}
-}
-
-// BenchmarkAsyncDistributionSort is BenchmarkAsyncMergeSort's twin for the
-// distribution path: synchronous vs forecast-driven bucket partitioning on a
-// latency volume, counted I/Os reported alongside wall-clock. Memory is
-// sized so both variants partition in one level (the async fan-out is half).
-func BenchmarkAsyncDistributionSort(b *testing.B) {
-	const n = 1 << 12
-	for _, async := range []bool{false, true} {
-		b.Run(fmt.Sprintf("async=%v", async), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				vol := MustVolume(Config{BlockBytes: 512, MemBlocks: 96, Disks: 4, DiskLatency: 50 * time.Microsecond})
-				pool := PoolFor(vol)
-				f, err := FromSlice(vol, pool, RecordCodec{}, experiments.RandomRecords(42, n))
-				if err != nil {
-					b.Fatal(err)
-				}
-				vol.Stats().Reset()
-				b.StartTimer()
-				sorted, err := DistributionSort(f, pool, Record.Less, &SortOptions{Width: 4, Async: async})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if sorted.Len() != n {
-					b.Fatal("bad output length")
-				}
-				if i == b.N-1 {
-					s := vol.Stats().Snapshot()
-					b.ReportMetric(float64(s.Reads+s.Writes), "blockios")
-					b.ReportMetric(float64(s.Steps), "iosteps")
-				}
-				vol.Close()
-				b.StartTimer()
-			}
-		})
-	}
-}
-
-// BenchmarkAsyncBulkLoad measures forecasting read-ahead on B-tree bulk
-// loading: the prefetching input reader overlaps the sorted run's block
-// fetches with leaf packing and node write-backs.
-func BenchmarkAsyncBulkLoad(b *testing.B) {
-	const n = 1 << 12
-	for _, async := range []bool{false, true} {
-		b.Run(fmt.Sprintf("async=%v", async), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				vol := MustVolume(Config{BlockBytes: 512, MemBlocks: 64, Disks: 4, DiskLatency: 50 * time.Microsecond})
-				pool := PoolFor(vol)
-				recs := make([]Record, n)
-				for j := range recs {
-					recs[j] = Record{Key: uint64(j + 1), Val: uint64(j)}
-				}
-				f, err := FromSlice(vol, pool, RecordCodec{}, recs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				vol.Stats().Reset()
-				b.StartTimer()
-				tr, err := BulkLoadBTreeWith(vol, pool, 8, f, &BulkLoadOptions{Width: 4, Async: async})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if tr.Len() != n {
-					b.Fatal("bad tree size")
-				}
-				if i == b.N-1 {
-					s := vol.Stats().Snapshot()
-					b.ReportMetric(float64(s.Reads+s.Writes), "blockios")
-					b.ReportMetric(float64(s.Steps), "iosteps")
-				}
-				if err := tr.Close(); err != nil {
-					b.Fatal(err)
-				}
-				vol.Close()
-				b.StartTimer()
-			}
 		})
 	}
 }

@@ -160,7 +160,7 @@ var catalogue = []experiment{
 		}
 		return experiments.F9ParallelEngine(1<<12, []int{1, 2, 4, 8}, 2*time.Millisecond)
 	}},
-	{"F10", "forecasting beyond merge: async distribution sort and bulk load overlap I/O across D", func(q bool) (*experiments.Table, error) {
+	{"F10", "forecasting beyond merge: distribution sort and bulk load read ahead and write behind across D", func(q bool) (*experiments.Table, error) {
 		if q {
 			return experiments.F10ForecastSortIndex(1<<13, []int{1, 4}, 2*time.Millisecond)
 		}

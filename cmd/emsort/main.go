@@ -7,12 +7,11 @@
 //
 // Usage:
 //
-//	emsort [-block bytes] [-mem blocks] [-disks d] [-dir path] [-algo merge|dist|btree] [-runs load|replsel] [-async] [-o out.txt] in.txt
+//	emsort [-block bytes] [-mem blocks] [-disks d] [-dir path] [-algo merge|dist|btree] [-runs load|replsel] [-o out.txt] in.txt
 //
 // The device shape flags set the model's B (bytes), M/B (frames) and D.
-// -async switches the merge and distribution sorts to forecast-driven
-// prefetching readers and write-behind writers (identical counted I/Os at
-// equal fan-in/fan-out, double the frames per stream). -dir stores the
+// The sorts read ahead and write behind wherever their plan has the frames
+// for it, with the same counted I/Os as on demand. -dir stores the
 // model's disks as real files, one per disk, under the given directory —
 // same algorithms, same counted I/Os, real hardware underneath (O_DIRECT
 // where the platform and filesystem allow). With -v the tool prints run
@@ -46,7 +45,6 @@ func run() error {
 		dir        = flag.String("dir", "", "store each simulated disk as a real file under this directory")
 		algo       = flag.String("algo", "merge", "sorting algorithm: merge, dist, or btree")
 		runMode    = flag.String("runs", "load", "run formation for merge sort: load or replsel")
-		async      = flag.Bool("async", false, "forecast-driven asynchronous I/O (read-ahead and write-behind)")
 		out        = flag.String("o", "", "output file (default stdout)")
 		verbose    = flag.Bool("v", false, "print the I/O ledger and device shape")
 	)
@@ -72,7 +70,7 @@ func run() error {
 	}
 	vol.Stats().Reset()
 
-	opts := &em.SortOptions{Width: *disks, Async: *async}
+	opts := &em.SortOptions{Width: *disks}
 	switch *runMode {
 	case "load":
 		opts.RunMode = em.LoadSort

@@ -37,17 +37,16 @@
 // running. Volumes and pools are safe for concurrent use; read Stats via
 // Snapshot when I/O may be in flight on other goroutines.
 //
-// On top of the engine, AsyncScan, the SortOptions.Async flag (honoured by
-// both MergeSort and DistributionSort), and BulkLoadBTreeWith enable
+// On top of the engine, AsyncScan, the sorts and the bulk loader get
 // forecast-driven overlap by opening the one Reader and Writer one group
 // deeper: a reader opened ahead keeps its next block group in flight
 // (read-ahead — for a sequentially consumed file, the block the survey's
 // forecast selects is exactly the next sequential one) and a writer opened
 // behind flushes the previous group while the caller fills the next. The
 // second group is charged to the same Pool, so the memory budget M still
-// binds, and depth changes only when a batch is issued, never which, so
-// counted I/Os are unchanged at equal fan-in (merge) or fan-out
-// (distribution).
+// binds; a stream is opened deeper only where its plan already holds that
+// group, so no option picks the depth. Depth changes only when a batch is
+// issued, never which, so counted I/Os do not depend on it.
 //
 // # Write-optimal index construction
 //
@@ -377,8 +376,8 @@ func PoolFor(v *Volume) *Pool { return pdm.PoolFor(v) }
 func NewPool(blockBytes, capacity int) *Pool { return pdm.NewPool(blockBytes, capacity) }
 
 // ErrNoFrames reports that a buffer pool is exhausted — the memory budget
-// M is exceeded. Reservations that fail (a session's cache budget, an
-// async stream's double buffer) wrap it, and the sharded facades prefix
+// M is exceeded. Reservations that fail (a session's cache budget, a
+// stream's second group) wrap it, and the sharded facades prefix
 // the owning shard's index, so errors.Is(err, ErrNoFrames) holds across
 // every layer.
 var ErrNoFrames = pdm.ErrNoFrames
@@ -535,11 +534,12 @@ func AsyncScan[T any](f *File[T], pool *Pool, fn func(T) error) error {
 // Sorting (survey §3: fundamental batched problem)
 // ---------------------------------------------------------------------------
 
-// SortOptions tunes the external sorts: striping width, run-formation mode,
-// a fan-in/fan-out cap for experiments, and the Async flag, which switches
-// both merge sort and distribution sort to forecast-driven prefetching
-// readers and write-behind writers (same counted I/Os at equal
-// fan-in/fan-out, overlapped wall-clock, half the stream arity).
+// SortOptions tunes the external sorts: striping width, run-formation mode
+// and a fan-in/fan-out cap for experiments. Every fan-in and fan-out is
+// sized at Width frames per stream, except a planned distribution level's
+// at 2×Width; a merge group whose streams fit at 2×Width, and every stream
+// of a planned level, reads ahead and writes behind. Async is a deprecated
+// no-op.
 type SortOptions = extsort.Options
 
 // RunMode selects the run-formation technique for merge sort.
@@ -566,13 +566,11 @@ func MergeSort[T any](f *File[T], pool *Pool, less func(a, b T) bool, opts *Sort
 // random blocks, and keeps the lowest bucket in memory for the pass, so a
 // level costs one pass over the buckets it spills plus its sample. It
 // honours the same SortOptions as MergeSort: Width stripes the partition
-// readers and bucket writers over the disks, and Async switches them to
-// forecasting read-ahead and write-behind. A level is planned as if each
-// stream held the 2×Width frames a double-buffered one does, in either
-// mode, so at equal pool a planned level's counted I/Os match the
-// synchronous path exactly. A level whose input no plan holds takes as
-// many buckets as its streams fit, half as many when they are
-// double-buffered — the mirror of the merge fan-in trade.
+// readers and bucket writers over the disks. A level is planned at 2×Width
+// frames per stream, so its streams read ahead and write behind in the
+// frames it charged them; a pool under 6×Width plans at Width, on demand.
+// A level whose input no plan holds takes as many buckets as Width-frame
+// streams fit.
 func DistributionSort[T any](f *File[T], pool *Pool, less func(a, b T) bool, opts *SortOptions) (*File[T], error) {
 	return extsort.DistributionSort(f, pool, less, opts)
 }
@@ -735,22 +733,24 @@ type BTreeScanner = btree.Scanner
 type BTreeSession = btree.Session
 
 // BulkLoadOptions tunes BulkLoadBTreeWith's streams: Width stripes the
-// input reads and the leaf writes over the disks, and Async keeps the next
-// block group of the sorted run in flight (forecasting read-ahead, 2×Width
-// pool frames) while leaves are packed and nodes written back. The leaves
-// always go Width at a time through the async engine, write-behind, in
-// another 2×Width frames (see the package comment's write-optimal index
-// construction section). Counted I/Os are identical at every width and
-// depth. WriteBehind is a deprecated no-op.
+// input reads and the leaf writes over the disks. The input reader keeps
+// the next block group of the sorted run in flight (forecasting
+// read-ahead, 2×Width pool frames) while leaves are packed and nodes
+// written back, whenever the pool holds those frames beyond the loader's
+// own budget. The leaves always go Width at a time through the async
+// engine, write-behind, in another 2×Width frames (see the package
+// comment's write-optimal index construction section). Counted I/Os are
+// identical at every width and depth. Async and WriteBehind are deprecated
+// no-ops.
 type BulkLoadOptions = btree.BulkLoadOptions
 
 // BulkLoadBTreeWith builds a B+-tree bottom-up from a key-sorted record
 // file in Θ(N/B) I/Os — versus Θ(N log_B N) for repeated insertion
-// (experiment T9). Nil options read the input synchronously one block at a
-// time and write one leaf per batch. On any error — unsorted input, failed
-// read or write, exhausted pool — every block and frame the load took is
-// returned and any in-flight leaf batch is waited out, so the pool is
-// exactly as it was.
+// (experiment T9). Nil options read the input and write the leaves one
+// block per batch. On any error — unsorted input, failed read or write,
+// exhausted pool — every block and frame the load took is returned and
+// any in-flight leaf batch is waited out, so the pool is exactly as it
+// was.
 func BulkLoadBTreeWith(vol *Volume, pool *Pool, cacheFrames int, sorted *File[Record], opts *BulkLoadOptions) (*BTree, error) {
 	return btree.BulkLoad(vol, pool, cacheFrames, sorted, opts)
 }

@@ -54,8 +54,9 @@ func TestFacadeAsyncScan(t *testing.T) {
 	}
 }
 
-// TestFacadeAsyncSortOnLatencyVolume runs the async sort end to end on a
-// latency volume through the public API and verifies the result.
+// TestFacadeAsyncSortOnLatencyVolume runs the merge sort, whose merge
+// groups read ahead and write behind, end to end on a latency volume
+// through the public API and verifies the result.
 func TestFacadeAsyncSortOnLatencyVolume(t *testing.T) {
 	vol := em.MustVolume(em.Config{
 		BlockBytes: 256, MemBlocks: 32, Disks: 4,
@@ -68,13 +69,13 @@ func TestFacadeAsyncSortOnLatencyVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := em.SortRecords(f, pool, &em.SortOptions{Width: 4, Async: true})
+	sorted, err := em.SortRecords(f, pool, &em.SortOptions{Width: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ok, err := em.IsSorted(sorted, pool, em.Record.Less)
 	if err != nil || !ok {
-		t.Fatalf("async sort output not sorted (err=%v)", err)
+		t.Fatalf("sort output not sorted (err=%v)", err)
 	}
 	if sorted.Len() != int64(len(recs)) {
 		t.Fatalf("length changed: %d != %d", sorted.Len(), len(recs))
@@ -129,9 +130,9 @@ func TestFacadePrefetchReaderAndAsyncWriter(t *testing.T) {
 	}
 }
 
-// TestFacadeAsyncDistributionSortOnLatencyVolume runs the async distribution
-// sort end to end on a latency volume through the public API — the
-// options DistributionSort used to silently drop — and verifies the result.
+// TestFacadeAsyncDistributionSortOnLatencyVolume runs the distribution sort,
+// whose levels read ahead and write behind, end to end on a latency volume
+// through the public API and verifies the result.
 func TestFacadeAsyncDistributionSortOnLatencyVolume(t *testing.T) {
 	vol := em.MustVolume(em.Config{
 		BlockBytes: 256, MemBlocks: 48, Disks: 4,
@@ -144,13 +145,13 @@ func TestFacadeAsyncDistributionSortOnLatencyVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := em.DistributionSort(f, pool, em.Record.Less, &em.SortOptions{Width: 4, Async: true})
+	sorted, err := em.DistributionSort(f, pool, em.Record.Less, &em.SortOptions{Width: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ok, err := em.IsSorted(sorted, pool, em.Record.Less)
 	if err != nil || !ok {
-		t.Fatalf("async distribution sort output not sorted (err=%v)", err)
+		t.Fatalf("distribution sort output not sorted (err=%v)", err)
 	}
 	if sorted.Len() != int64(len(recs)) {
 		t.Fatalf("length changed: %d != %d", sorted.Len(), len(recs))
@@ -161,8 +162,9 @@ func TestFacadeAsyncDistributionSortOnLatencyVolume(t *testing.T) {
 }
 
 // TestFacadeAsyncBulkLoadMatchesSync round-trips a sorted file through the
-// synchronous and forecasting bulk loaders and checks the trees answer
-// identically, with no frames retained beyond the trees' own caches.
+// width-1 and the width-4 bulk loaders, both reading ahead, and checks the
+// trees answer identically, with no frames retained beyond the trees' own
+// caches.
 func TestFacadeAsyncBulkLoadMatchesSync(t *testing.T) {
 	vol, pool := env(t, 256, 32, 4)
 	recs := make([]em.Record, 2000)
@@ -173,25 +175,25 @@ func TestFacadeAsyncBulkLoadMatchesSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sync, err := em.BulkLoadBTreeWith(vol, pool, 8, f, nil)
+	narrow, err := em.BulkLoadBTreeWith(vol, pool, 8, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := em.BulkLoadBTreeWith(vol, pool, 8, f, &em.BulkLoadOptions{Width: 4, Async: true})
+	anarrow, err := em.BulkLoadBTreeWith(vol, pool, 8, f, &em.BulkLoadOptions{Width: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		sv, sok, serr := sync.Get(r.Key)
-		av, aok, aerr := async.Get(r.Key)
+		sv, sok, serr := narrow.Get(r.Key)
+		av, aok, aerr := anarrow.Get(r.Key)
 		if serr != nil || aerr != nil || !sok || !aok || sv != av || av != r.Val {
-			t.Fatalf("key %d: sync (%d,%v,%v) async (%d,%v,%v)", r.Key, sv, sok, serr, av, aok, aerr)
+			t.Fatalf("key %d: width 1 (%d,%v,%v) width 4 (%d,%v,%v)", r.Key, sv, sok, serr, av, aok, aerr)
 		}
 	}
-	if err := sync.Close(); err != nil {
+	if err := narrow.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := async.Close(); err != nil {
+	if err := anarrow.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if pool.InUse() != 0 {
@@ -201,11 +203,11 @@ func TestFacadeAsyncBulkLoadMatchesSync(t *testing.T) {
 
 // TestAsyncSortIndexSpeedupGate is the acceptance gate for forecasting
 // beyond the merge path, the distribution-side mirror of the engine's
-// TestDiskLatencyParallelSpeedup: the async width-4 distribution sort and
-// B-tree bulk load on four disks must take >= 1.5x fewer parallel steps
-// than their serial one-disk synchronous baselines (the model predicts
-// more). Steps are the model's wall clock, counted exactly; the measured
-// wall clock at a 2 ms service latency is only logged.
+// TestDiskLatencyParallelSpeedup: the width-4 distribution sort and B-tree
+// bulk load on four disks must take >= 1.5x fewer parallel steps than the
+// same calls at width 1 on one disk (the model predicts more). Steps are
+// the model's wall clock, counted exactly; the measured wall clock at a
+// 2 ms service latency is only logged.
 func TestAsyncSortIndexSpeedupGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency test")
@@ -215,7 +217,7 @@ func TestAsyncSortIndexSpeedupGate(t *testing.T) {
 		steps uint64
 		wall  time.Duration
 	}
-	run := func(disks int, async bool) (dist, bulk cost) {
+	run := func(disks int) (dist, bulk cost) {
 		vol := em.MustVolume(em.Config{
 			BlockBytes: 1024, MemBlocks: 96, Disks: disks, DiskLatency: latency,
 		})
@@ -233,13 +235,13 @@ func TestAsyncSortIndexSpeedupGate(t *testing.T) {
 		}
 		var sorted *em.File[em.Record]
 		dist = measure(func() {
-			if sorted, err = em.DistributionSort(f, pool, em.Record.Less, &em.SortOptions{Width: disks, Async: async}); err != nil {
+			if sorted, err = em.DistributionSort(f, pool, em.Record.Less, &em.SortOptions{Width: disks}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		// The load is measured to a closed tree, every node on the volume.
 		bulk = measure(func() {
-			tr, err := em.BulkLoadBTreeWith(vol, pool, 8, sorted, &em.BulkLoadOptions{Width: disks, Async: async})
+			tr, err := em.BulkLoadBTreeWith(vol, pool, 8, sorted, &em.BulkLoadOptions{Width: disks})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,17 +254,17 @@ func TestAsyncSortIndexSpeedupGate(t *testing.T) {
 		})
 		return dist, bulk
 	}
-	serialDist, serialBulk := run(1, false)
-	asyncDist, asyncBulk := run(4, true)
+	serialDist, serialBulk := run(1)
+	wideDist, wideBulk := run(4)
 	for _, c := range []struct {
-		name          string
-		serial, async cost
-	}{{"distribution sort", serialDist, asyncDist}, {"bulk load", serialBulk, asyncBulk}} {
-		speedup := float64(c.serial.steps) / float64(c.async.steps)
-		t.Logf("%s: D=1 sync %d steps (%v), D=4 async %d steps (%v), speedup %.2fx",
-			c.name, c.serial.steps, c.serial.wall, c.async.steps, c.async.wall, speedup)
+		name         string
+		serial, wide cost
+	}{{"distribution sort", serialDist, wideDist}, {"bulk load", serialBulk, wideBulk}} {
+		speedup := float64(c.serial.steps) / float64(c.wide.steps)
+		t.Logf("%s: D=1 %d steps (%v), D=4 %d steps (%v), speedup %.2fx",
+			c.name, c.serial.steps, c.serial.wall, c.wide.steps, c.wide.wall, speedup)
 		if speedup < 1.5 {
-			t.Errorf("async %s D=4 speedup %.2fx in steps, want >= 1.5x", c.name, speedup)
+			t.Errorf("%s D=4 speedup %.2fx in steps, want >= 1.5x", c.name, speedup)
 		}
 	}
 }

@@ -26,7 +26,7 @@ func shuffledRecords(seed int64, n int) []em.Record {
 // same input — on one volume and returns the cumulative Stats snapshot.
 // Keys are a shuffled permutation of 1..n so the bulk load sees strictly
 // increasing keys once sorted.
-func sortIndexWorkload(t *testing.T, vol *em.Volume, seed int64, n int, async bool) em.Stats {
+func sortIndexWorkload(t *testing.T, vol *em.Volume, seed int64, n int) em.Stats {
 	t.Helper()
 	pool := em.PoolFor(vol)
 	f, err := em.FromSlice(vol, pool, em.RecordCodec{}, shuffledRecords(seed, n))
@@ -34,7 +34,7 @@ func sortIndexWorkload(t *testing.T, vol *em.Volume, seed int64, n int, async bo
 		t.Fatal(err)
 	}
 	vol.Stats().Reset()
-	opts := &em.SortOptions{Width: vol.Disks(), Async: async}
+	opts := &em.SortOptions{Width: vol.Disks()}
 	merged, err := em.SortRecords(f, pool, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func sortIndexWorkload(t *testing.T, vol *em.Volume, seed int64, n int, async bo
 		t.Fatal(err)
 	}
 	dist.Release()
-	tr, err := em.BulkLoadBTreeWith(vol, pool, 8, merged, &em.BulkLoadOptions{Width: vol.Disks(), Async: async})
+	tr, err := em.BulkLoadBTreeWith(vol, pool, 8, merged, &em.BulkLoadOptions{Width: vol.Disks()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,29 +64,29 @@ func sortIndexWorkload(t *testing.T, vol *em.Volume, seed int64, n int, async bo
 // file-backed volume backend: for the same MergeSort + DistributionSort +
 // BulkLoad workload, the Stats snapshot — reads, writes, steps, and the
 // per-disk shards — is byte-identical between the memory backend and the
-// file backend, in both synchronous and forecasting (async) modes.
+// file backend.
 func TestQuickBackendCountersIdentical(t *testing.T) {
-	prop := func(seedRaw uint32, nRaw uint16, disksRaw uint8, async bool) bool {
+	prop := func(seedRaw uint32, nRaw uint16, disksRaw uint8) bool {
 		seed := int64(seedRaw)
 		n := 512 + int(nRaw)%2048
 		disks := 1 + int(disksRaw)%4
 		cfg := em.Config{BlockBytes: 256, MemBlocks: 96, Disks: disks}
 
 		memVol := em.MustVolume(cfg)
-		memStats := sortIndexWorkload(t, memVol, seed, n, async)
+		memStats := sortIndexWorkload(t, memVol, seed, n)
 		memVol.Close()
 
 		fileVol, err := em.NewFileVolume(cfg, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fileStats := sortIndexWorkload(t, fileVol, seed, n, async)
+		fileStats := sortIndexWorkload(t, fileVol, seed, n)
 		if err := fileVol.Close(); err != nil {
 			t.Fatal(err)
 		}
 
 		if !reflect.DeepEqual(memStats, fileStats) {
-			t.Logf("seed=%d n=%d D=%d async=%v: mem %+v file %+v", seed, n, disks, async, memStats, fileStats)
+			t.Logf("seed=%d n=%d D=%d: mem %+v file %+v", seed, n, disks, memStats, fileStats)
 			return false
 		}
 		return true
@@ -96,75 +96,96 @@ func TestQuickBackendCountersIdentical(t *testing.T) {
 	}
 }
 
-// TestQuickAsyncMatchesSyncPerBackend re-runs the async==sync counter
-// property on each storage backend: at equal pool, with the fan-out capped
-// below both paths' natural budgets exactly like the extsort suite, the
-// forecasting distribution sort and bulk load must charge the synchronous
-// paths' I/Os to the byte, whether the blocks live in memory or in files.
+// asyncWorkloads runs MergeSort, DistributionSort, SortIndex and BulkLoad
+// (of the merge sort's output) over n shuffled records, each on a fresh
+// D-disk volume of 1 KiB blocks, in memory or in files, with the Async
+// option set as given, and returns each workload's Stats. The sorts get a
+// pool of frames; SortIndex and BulkLoad get frames plus the loader's
+// budget (8 cache frames and 2×D leaf frames), so the sort inside
+// SortIndex sees the same budget.
+func asyncWorkloads(t *testing.T, file bool, seed int64, n, disks, frames int, async bool) map[string]em.Stats {
+	t.Helper()
+	//lint:ignore SA1019 the deprecated flag is set to show it changes nothing
+	sortOpts := &em.SortOptions{Width: disks, Async: async}
+	//lint:ignore SA1019 as above
+	indexOpts := &em.SortIndexOptions{Width: disks, Async: async}
+	//lint:ignore SA1019 as above
+	loadOpts := &em.BulkLoadOptions{Width: disks, Async: async}
+	stats := map[string]em.Stats{}
+	for _, name := range []string{"merge", "dist", "index", "bulk"} {
+		cfg := em.Config{BlockBytes: 1024, MemBlocks: 8, Disks: disks}
+		if file {
+			cfg.Dir = t.TempDir()
+		}
+		vol := em.MustVolume(cfg)
+		defer vol.Close()
+		f, err := em.FromSlice(vol, em.NewPool(cfg.BlockBytes, 1), em.RecordCodec{}, shuffledRecords(seed, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := em.NewPool(cfg.BlockBytes, frames)
+		loaderPool := em.NewPool(cfg.BlockBytes, frames+8+2*disks)
+		if name == "bulk" {
+			if f, err = em.SortRecords(f, pool, sortOpts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vol.Stats().Reset()
+		var out *em.File[em.Record]
+		var tr *em.BTree
+		switch name {
+		case "merge":
+			out, err = em.SortRecords(f, pool, sortOpts)
+		case "dist":
+			out, err = em.DistributionSort(f, pool, em.Record.Less, sortOpts)
+		case "index":
+			tr, err = em.SortIndex(f, loaderPool, indexOpts)
+		case "bulk":
+			tr, err = em.BulkLoadBTreeWith(vol, loaderPool, 8, f, loadOpts)
+		}
+		if err != nil {
+			t.Fatalf("%s n=%d D=%d frames=%d async=%v: %v", name, n, disks, frames, async, err)
+		}
+		if (out != nil && out.Len() != int64(n)) || (tr != nil && tr.Len() != int64(n)) {
+			t.Fatalf("%s n=%d: records lost", name, n)
+		}
+		stats[name] = vol.Stats().Snapshot()
+	}
+	return stats
+}
+
+// TestQuickAsyncMatchesSyncPerBackend pins Async as a deprecated no-op: on
+// both storage backends, MergeSort, DistributionSort, SortIndex and
+// BulkLoad charge byte-identical Stats with it set and unset, each stream's
+// depth coming from its plan. The fixed shapes are the ones where the flag
+// used to matter: merge sort at D=4 on 24 frames, where halving the fan-in
+// cost 320 parallel steps instead of 192, and the distribution sort at D=4
+// on 16 and 24 frames, where the halved fan-out could not sort at all.
 func TestQuickAsyncMatchesSyncPerBackend(t *testing.T) {
-	const width, fanOut, capacity = 2, 3, 20
 	for _, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) {
-			prop := func(seedRaw uint32, nRaw uint16) bool {
-				seed := uint64(seedRaw)
-				n := 1 + int(nRaw)%1500
-				run := func(async bool) (distStats, bulkStats em.Stats) {
-					cfg := em.Config{BlockBytes: 256, MemBlocks: 24, Disks: 4}
-					if backend == "file" {
-						cfg.Dir = t.TempDir()
-					}
-					vol := em.MustVolume(cfg)
-					defer vol.Close()
-					pool := em.NewPool(cfg.BlockBytes, capacity)
-					// Pairwise-distinct keys (odd multiplier is a bijection
-					// mod 2^64): no all-equal fallback in the distribution
-					// sort, strictly increasing keys for the bulk load.
-					vs := make([]em.Record, n)
-					for i := range vs {
-						vs[i] = em.Record{Key: (uint64(i) + seed) * 2654435761, Val: uint64(i)}
-					}
-					f, err := em.FromSlice(vol, pool, em.RecordCodec{}, vs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					vol.Stats().Reset()
-					opts := &em.SortOptions{Width: width, ForceFanIn: fanOut, Async: async}
-					sorted, err := em.DistributionSort(f, pool, em.Record.Less, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					distStats = vol.Stats().Snapshot()
-
-					vol.Stats().Reset()
-					tr, err := em.BulkLoadBTreeWith(vol, pool, 8, sorted, &em.BulkLoadOptions{Width: width, Async: async})
-					if err != nil {
-						t.Fatal(err)
-					}
-					bulkStats = vol.Stats().Snapshot()
-					if tr.Len() != int64(n) {
-						t.Fatalf("bulk load lost records: %d != %d", tr.Len(), n)
-					}
-					if err := tr.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if pool.InUse() != 0 {
-						t.Fatalf("async=%v: leaked %d frames", async, pool.InUse())
-					}
-					return distStats, bulkStats
-				}
-				syncDist, syncBulk := run(false)
-				asyncDist, asyncBulk := run(true)
-				if !reflect.DeepEqual(syncDist, asyncDist) {
-					t.Logf("seed=%d n=%d dist: sync %+v async %+v", seed, n, syncDist, asyncDist)
-					return false
-				}
-				if !reflect.DeepEqual(syncBulk, asyncBulk) {
-					t.Logf("seed=%d n=%d bulk: sync %+v async %+v", seed, n, syncBulk, asyncBulk)
+			file := backend == "file"
+			check := func(seed int64, n, disks, frames int) bool {
+				off := asyncWorkloads(t, file, seed, n, disks, frames, false)
+				on := asyncWorkloads(t, file, seed, n, disks, frames, true)
+				if !reflect.DeepEqual(off, on) {
+					t.Logf("seed=%d n=%d D=%d frames=%d: Async unset %+v, set %+v", seed, n, disks, frames, off, on)
 					return false
 				}
 				return true
 			}
-			if err := quick.Check(prop, &quick.Config{MaxCount: 6}); err != nil {
+			for _, frames := range []int{16, 24} {
+				if !check(1, 1<<13, 4, frames) {
+					t.Fatalf("D=4 frames=%d: the Async option changed the counted I/Os", frames)
+				}
+			}
+			if st := asyncWorkloads(t, file, 1, 1<<13, 4, 24, true)["merge"]; st.Steps != 192 {
+				t.Fatalf("merge sort at D=4, 24 frames: %d steps, want 192", st.Steps)
+			}
+			prop := func(seedRaw uint32, nRaw uint16, disksRaw uint8) bool {
+				return check(int64(seedRaw), 1+int(nRaw)%(1<<13), 1+int(disksRaw)%4, 40)
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 4}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -185,7 +206,7 @@ func TestFileVolumeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := em.SortRecords(f, pool, &em.SortOptions{Width: 4, Async: true})
+	sorted, err := em.SortRecords(f, pool, &em.SortOptions{Width: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +255,7 @@ func TestSortCountersIndependentOfGOMAXPROCS(t *testing.T) {
 		}
 		sortFile := func(sortFn recordSort) func() ([]em.Record, error) {
 			return func() ([]em.Record, error) {
-				sorted, err := sortFn(f, pool, em.Record.Less, &em.SortOptions{Width: 2, Async: true})
+				sorted, err := sortFn(f, pool, em.Record.Less, &em.SortOptions{Width: 2})
 				if err != nil {
 					return nil, err
 				}
@@ -243,7 +264,7 @@ func TestSortCountersIndependentOfGOMAXPROCS(t *testing.T) {
 			}
 		}
 		sortIndex := func() ([]em.Record, error) {
-			tr, err := em.SortIndex(f, pool, &em.SortIndexOptions{Width: 2, Async: true})
+			tr, err := em.SortIndex(f, pool, &em.SortIndexOptions{Width: 2})
 			if err != nil {
 				return nil, err
 			}

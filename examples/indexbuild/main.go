@@ -82,9 +82,7 @@ func main() {
 	// 2. Fused sort→index: the sort emits into the loader, leaves batched
 	// D at a time write-behind.
 	vol, pool, f = freshEnv(recs)
-	bt2, err := em.SortIndex(f, pool, &em.SortIndexOptions{
-		Width: disks, Async: true,
-	})
+	bt2, err := em.SortIndex(f, pool, &em.SortIndexOptions{Width: disks})
 	if err != nil {
 		log.Fatal(err)
 	}

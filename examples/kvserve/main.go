@@ -62,9 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	idx, err := em.SortIndex(f, pool, &em.SortIndexOptions{
-		Width: disks, Async: true, CacheFrames: 32,
-	})
+	idx, err := em.SortIndex(f, pool, &em.SortIndexOptions{Width: disks, CacheFrames: 32})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -233,8 +231,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tr, err := em.BulkLoadBTreeWith(v, p, 16, sf,
-			&em.BulkLoadOptions{Width: 1, Async: true})
+		tr, err := em.BulkLoadBTreeWith(v, p, 16, sf, &em.BulkLoadOptions{Width: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

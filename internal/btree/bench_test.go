@@ -21,7 +21,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 	defer vol.Close()
 	pool := pdm.PoolFor(vol)
 	f := stream.NewFile[record.Record](vol, record.RecordCodec{})
-	w, err := stream.OpenSink(f, pool, width, false)
+	w, err := stream.OpenSink(f, pool, width, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer f.Release()
-	opts := &BulkLoadOptions{Width: width, Async: true}
+	opts := &BulkLoadOptions{Width: width}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()

@@ -19,13 +19,8 @@ type BulkLoadOptions struct {
 	// batches; set it to the volume's disk count D to move D blocks per
 	// parallel batch. Zero means 1.
 	Width int
-	// Async opens a file input's reader ahead (forecasting read-ahead): the
-	// next block group of the sorted run stays in flight while the loader
-	// packs leaves and writes nodes back — the survey's read-ahead applied
-	// to index construction. The reader then holds 2×Width pool frames
-	// instead of Width; counted I/Os are identical to the on-demand
-	// reader's at equal width. It has no effect on BulkLoadFrom or a
-	// Loader, whose caller owns the input.
+	// Deprecated: BulkLoad reads its input ahead whenever the pool has
+	// room for it; kept until bench/ stops setting it.
 	Async bool
 	// Deprecated: leaves always stream out write-behind (see Loader); kept
 	// until bench/ stops setting it.
@@ -40,11 +35,19 @@ func (o *BulkLoadOptions) width() int {
 }
 
 // BulkLoad builds a tree bottom-up from a file of records sorted strictly by
-// key, opening the input stream according to opts (see BulkLoadFrom for the
-// construction itself). A nil opts reads the input with a synchronous
-// width-1 reader and writes leaves one per batch.
+// key through a Width-striped reader (see BulkLoadFrom for the construction
+// itself). When pool holds 2×Width frames beyond the loader's own budget,
+// the reader is opened ahead (forecasting read-ahead): the next block group
+// of the sorted run stays in flight while the loader packs leaves and
+// writes nodes back — the survey's read-ahead applied to index
+// construction. Otherwise it reads on demand; counted I/Os are the same
+// either way. A nil opts reads and writes one block per batch.
 func BulkLoad(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, sorted *stream.File[record.Record], opts *BulkLoadOptions) (*Tree, error) {
-	r, err := stream.OpenSource(sorted, pool, opts.width(), opts != nil && opts.Async)
+	w, depth := opts.width(), 1
+	if pool.Free() >= cacheFrames+4*w {
+		depth = 2
+	}
+	r, err := stream.OpenSource(sorted, pool, w, depth)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"em/internal/pdm"
@@ -18,22 +19,25 @@ func sortedRecords(n int) []record.Record {
 	return vs
 }
 
-// TestBulkLoadAsyncMatchesSync bulk-loads the same sorted file through the
-// synchronous striped reader and the forecasting prefetch reader at equal
-// width and asserts identical trees and identical I/O counters — the async
-// input changes overlap, never the counted model or the built index.
+// TestBulkLoadAsyncMatchesSync bulk-loads the same sorted file from a pool
+// with room for the input reader ahead (forecasting read-ahead, 2×Width
+// frames beyond the loader's budget) and from one a frame short of it, so
+// the reader fetches on demand, and asserts identical trees and identical
+// I/O counters: the reader's depth changes overlap, never the counted
+// model or the built index.
 func TestBulkLoadAsyncMatchesSync(t *testing.T) {
+	const cacheFrames = 8
 	for _, width := range []int{1, 2} {
 		for _, n := range []int{0, 1, 100, 3000} {
-			run := func(async bool) ([][2]uint64, pdm.Stats) {
+			run := func(frames int) ([][2]uint64, pdm.Stats, int) {
 				vol := pdm.MustVolume(pdm.Config{BlockBytes: 256, MemBlocks: 24, Disks: 4})
-				pool := pdm.PoolFor(vol)
-				f, err := stream.FromSlice(vol, pool, record.RecordCodec{}, sortedRecords(n))
+				f, err := stream.FromSlice(vol, pdm.PoolFor(vol), record.RecordCodec{}, sortedRecords(n))
 				if err != nil {
 					t.Fatal(err)
 				}
+				pool := pdm.NewPool(256, frames)
 				vol.Stats().Reset()
-				tr, err := BulkLoad(vol, pool, 8, f, &BulkLoadOptions{Width: width, Async: async})
+				tr, err := BulkLoad(vol, pool, cacheFrames, f, &BulkLoadOptions{Width: width})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -46,28 +50,29 @@ func TestBulkLoadAsyncMatchesSync(t *testing.T) {
 					t.Fatal(err)
 				}
 				if tr.Len() != int64(n) {
-					t.Fatalf("async=%v: tree has %d keys, want %d", async, tr.Len(), n)
+					t.Fatalf("%d frames: tree has %d keys, want %d", frames, tr.Len(), n)
 				}
 				if err := tr.Close(); err != nil {
 					t.Fatal(err)
 				}
 				if pool.InUse() != 0 {
-					t.Fatalf("async=%v: leaked %d frames", async, pool.InUse())
+					t.Fatalf("%d frames: leaked %d frames", frames, pool.InUse())
 				}
-				return kvs, st
+				return kvs, st, pool.Peak()
 			}
-			sKVs, sSt := run(false)
-			aKVs, aSt := run(true)
-			if len(sKVs) != len(aKVs) || len(sKVs) != n {
-				t.Fatalf("w=%d n=%d: lengths sync=%d async=%d", width, n, len(sKVs), len(aKVs))
+			roomy := cacheFrames + 4*width
+			aKVs, aSt, aPeak := run(roomy)
+			dKVs, dSt, dPeak := run(roomy - 1)
+			if len(aKVs) != n || !slices.Equal(aKVs, dKVs) {
+				t.Fatalf("w=%d n=%d: trees differ or lost keys: %d and %d entries", width, n, len(aKVs), len(dKVs))
 			}
-			for i := range sKVs {
-				if sKVs[i] != aKVs[i] {
-					t.Fatalf("w=%d n=%d: entry %d differs", width, n, i)
-				}
+			if aSt.Reads != dSt.Reads || aSt.Writes != dSt.Writes || aSt.Steps != dSt.Steps {
+				t.Fatalf("w=%d n=%d: stats differ: ahead %+v, on demand %+v", width, n, aSt, dSt)
 			}
-			if sSt.Reads != aSt.Reads || sSt.Writes != aSt.Writes || sSt.Steps != aSt.Steps {
-				t.Fatalf("w=%d n=%d: stats differ: sync %+v async %+v", width, n, sSt, aSt)
+			// A long load peaks with its reader open; a short one may peak
+			// later, building its internal levels.
+			if n == 3000 && aPeak != dPeak+width {
+				t.Fatalf("w=%d n=%d: pool peak %d ahead, %d on demand, want a difference of %d", width, n, aPeak, dPeak, width)
 			}
 		}
 	}
@@ -75,7 +80,7 @@ func TestBulkLoadAsyncMatchesSync(t *testing.T) {
 
 // TestBulkLoadErrorRestoresPool injects every reachable failure into the
 // bulk loader — unsorted input, duplicate keys, and a pool exhausted
-// mid-load — synchronously and asynchronously, and asserts Pool.Free() is
+// mid-load — at widths 1 and 2, and asserts Pool.Free() is
 // exactly its pre-call value afterwards: no leaked frames, no page left
 // pinned, no cache holding on to the aborted tree.
 func TestBulkLoadErrorRestoresPool(t *testing.T) {
@@ -100,7 +105,6 @@ func TestBulkLoadErrorRestoresPool(t *testing.T) {
 		for _, opts := range []*BulkLoadOptions{
 			nil,
 			{Width: 2},
-			{Width: 2, Async: true},
 		} {
 			// 12 frames suffice for the reader and a working cache on the
 			// sorted-violation cases; the "starved" case asks for a 64-page

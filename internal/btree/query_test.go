@@ -415,7 +415,7 @@ func TestSessionsConcurrent(t *testing.T) {
 	defer vol.Close()
 	pool := pdm.PoolFor(vol)
 	const n = 2000
-	tr := bulkTree(t, vol, pool, n, &BulkLoadOptions{Width: 4, Async: true})
+	tr := bulkTree(t, vol, pool, n, &BulkLoadOptions{Width: 4})
 
 	const g = 4
 	sessions := make([]*Session, g)

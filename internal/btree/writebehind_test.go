@@ -120,7 +120,7 @@ func TestBulkLoadWriteBehindMatchesSync(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 3000} {
 		vs := sortedRecords(n)
 		var serial uint64
-		for _, opts := range []*BulkLoadOptions{nil, {Width: 2}, {Width: 4, Async: true}} {
+		for _, opts := range []*BulkLoadOptions{nil, {Width: 2}, {Width: 4}} {
 			got := loadAndCollect(t, cfg, vs, 8, opts)
 			if len(got.kvs) != n {
 				t.Fatalf("opts=%+v n=%d: %d records read back", opts, n, len(got.kvs))
@@ -169,7 +169,7 @@ func TestWriteBehindEvictionRace(t *testing.T) {
 			vol.Stats().Reset()
 			// The minimum legal cache keeps the internal build evicting
 			// constantly while leaf batches are still travelling.
-			tr, err := BulkLoad(vol, pool, 3, f, &BulkLoadOptions{Width: 4, Async: true})
+			tr, err := BulkLoad(vol, pool, 3, f, &BulkLoadOptions{Width: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,23 +12,24 @@ import (
 )
 
 // F10ForecastSortIndex measures forecasting beyond the merge path: the
-// synchronous and asynchronous distribution sort and B-tree bulk load on a
-// latency volume with a fixed per-block service latency, swept over
-// disk counts. Each workload reports its parallel steps — the model's wall
-// clock, counted exactly: they fall with D as width-D striping spreads each
-// batch over the disks — and its measured elapsed milliseconds, where
-// read-ahead / write-behind also overlap partition reads with bucket writes
-// (sort) and input reads with node write-backs (bulk load).
+// distribution sort and B-tree bulk load, their streams read ahead and
+// written behind wherever their plan holds the second group, on a latency
+// volume with a fixed per-block service latency, swept over disk counts.
+// Each workload reports its parallel steps — the model's wall clock,
+// counted exactly: they fall with D as width-D striping spreads each batch
+// over the disks — and its measured elapsed milliseconds, where read-ahead
+// / write-behind also overlap partition reads with bucket writes (sort) and
+// input reads with node write-backs (bulk load).
 //
-// The shape test gates the D=4 async vs D=1 sync speedup on the step
-// columns; the clocks vary with the host and are only logged. That async
-// never loses to sync at equal D is asserted in model time, exactly, by
-// extsort's synctest suite (`make modeltime`).
+// The shape test gates the D=4 vs D=1 speedup on the step columns; the
+// clocks vary with the host and are only logged. That both workloads take
+// exactly their steps in model time is asserted by extsort's synctest
+// suite (`make modeltime`).
 func F10ForecastSortIndex(n int, disks []int, latency time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "F10",
-		Title: "forecasting beyond merge: async distribution sort and bulk load vs their sync paths across D",
-		Notes: "D=4 async takes >= 1.5x fewer steps than D=1 sync for both workloads; clocks fall with D",
+		Title: "forecasting beyond merge: distribution sort and bulk load read ahead and write behind across D",
+		Notes: "D=4 takes >= 1.5x fewer steps than D=1 for both workloads; clocks fall with D",
 	}
 	for _, d := range disks {
 		row, err := forecastPoint(n, d, latency)
@@ -40,13 +41,9 @@ func F10ForecastSortIndex(n int, disks []int, latency time.Duration) (*Table, er
 	return t, nil
 }
 
-// forecastPoint runs the four timed workloads for one disk count, owning the
+// forecastPoint runs the two timed workloads for one disk count, owning the
 // volume for exactly its scope.
 func forecastPoint(n, d int, latency time.Duration) (*Row, error) {
-	// Memory is sized so the halved async fan-out still partitions in the
-	// same number of levels as the synchronous path across the D sweep;
-	// with a too-small M the async run pays extra passes (its fan-out is
-	// half), which is the documented trade, not the overlap under test.
 	cfg := pdm.Config{BlockBytes: 1024, MemBlocks: 96, Disks: d, DiskLatency: latency}
 	vol, err := newVolume(cfg)
 	if err != nil {
@@ -68,21 +65,14 @@ func forecastPoint(n, d int, latency time.Duration) (*Row, error) {
 		ms = float64(time.Since(start).Microseconds()) / 1000
 		return ms, float64(vol.Stats().Snapshot().Steps), err
 	}
-	timeDist := func(async bool) (float64, float64, error) {
-		return timed(func() error {
-			out, err := extsort.DistributionSort(f, pool, record.Record.Less, &extsort.Options{Width: d, Async: async})
-			if err != nil {
-				return err
-			}
-			out.Release()
-			return nil
-		})
-	}
-	distSyncMs, distSyncSteps, err := timeDist(false)
-	if err != nil {
-		return nil, err
-	}
-	distAsyncMs, distAsyncSteps, err := timeDist(true)
+	distMs, distSteps, err := timed(func() error {
+		out, err := extsort.DistributionSort(f, pool, record.Record.Less, &extsort.Options{Width: d})
+		if err != nil {
+			return err
+		}
+		out.Release()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -95,20 +85,13 @@ func forecastPoint(n, d int, latency time.Duration) (*Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	timeBulk := func(async bool) (float64, float64, error) {
-		return timed(func() error {
-			tr, err := btree.BulkLoad(vol, pool, 8, sf, &btree.BulkLoadOptions{Width: d, Async: async})
-			if err != nil {
-				return err
-			}
-			return tr.Close()
-		})
-	}
-	bulkSyncMs, bulkSyncSteps, err := timeBulk(false)
-	if err != nil {
-		return nil, err
-	}
-	bulkAsyncMs, bulkAsyncSteps, err := timeBulk(true)
+	bulkMs, bulkSteps, err := timed(func() error {
+		tr, err := btree.BulkLoad(vol, pool, 8, sf, &btree.BulkLoadOptions{Width: d})
+		if err != nil {
+			return err
+		}
+		return tr.Close()
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -116,16 +99,11 @@ func forecastPoint(n, d int, latency time.Duration) (*Row, error) {
 	return &Row{
 		Label: fmt.Sprintf("D=%d", d),
 		Cells: map[string]float64{
-			"distSyncSteps":  distSyncSteps,
-			"distAsyncSteps": distAsyncSteps,
-			"bulkSyncSteps":  bulkSyncSteps,
-			"bulkAsyncSteps": bulkAsyncSteps,
-			"distSyncMs":     distSyncMs,
-			"distAsyncMs":    distAsyncMs,
-			"bulkSyncMs":     bulkSyncMs,
-			"bulkAsyncMs":    bulkAsyncMs,
+			"distSteps": distSteps,
+			"bulkSteps": bulkSteps,
+			"distMs":    distMs,
+			"bulkMs":    bulkMs,
 		},
-		Order: []string{"distSyncSteps", "distAsyncSteps", "bulkSyncSteps", "bulkAsyncSteps",
-			"distSyncMs", "distAsyncMs", "bulkSyncMs", "bulkAsyncMs"},
+		Order: []string{"distSteps", "bulkSteps", "distMs", "bulkMs"},
 	}, nil
 }

@@ -109,7 +109,7 @@ func queryPoint(n, d int, latency time.Duration, backend string) (*Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := btree.BulkLoad(vol, pool, 16, sf, &btree.BulkLoadOptions{Width: d, Async: true})
+	tr, err := btree.BulkLoad(vol, pool, 16, sf, &btree.BulkLoadOptions{Width: d})
 	if err != nil {
 		return nil, err
 	}

@@ -124,8 +124,7 @@ func shardedPoint(n, s int, latency time.Duration, backend string) (*Row, pdm.St
 		if err != nil {
 			return nil, pdm.Stats{}, err
 		}
-		tr, err := btree.BulkLoad(vols[i], pools[i], 16, sf,
-			&btree.BulkLoadOptions{Width: 2, Async: true})
+		tr, err := btree.BulkLoad(vols[i], pools[i], 16, sf, &btree.BulkLoadOptions{Width: 2})
 		if err != nil {
 			return nil, pdm.Stats{}, err
 		}

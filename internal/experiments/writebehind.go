@@ -15,9 +15,9 @@ import (
 // F11WriteBehind measures the write side of index construction on a
 // latency volume, swept over disk counts. The bulk loader streams its
 // leaves out write-behind, Width at a time through BatchWriteAsync: the
-// width-1 synchronous load (bulkSync) writes one leaf per step while the
-// other D-1 disks idle, and the width-D load reading ahead (bulkWB) moves D
-// blocks per step in both directions. The same point then builds an index
+// width-1 load (bulkSync) writes one leaf per step while the other D-1
+// disks idle, and the width-D load (bulkWB) moves D blocks per step in both
+// directions. The same point then builds an index
 // from unsorted input twice: composed, as DistributionSort writing the
 // sorted file and BulkLoad reading it back, and fused, as SortIndex, whose
 // sort emits its base cases straight into the loader.
@@ -85,7 +85,7 @@ func writeBehindPoint(n, d int, latency time.Duration) (*Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	bulkWBMs, bulkWB, err := timeBulk(&btree.BulkLoadOptions{Width: d, Async: true})
+	bulkWBMs, bulkWB, err := timeBulk(&btree.BulkLoadOptions{Width: d})
 	if err != nil {
 		return nil, err
 	}
@@ -120,20 +120,20 @@ func writeBehindPoint(n, d int, latency time.Duration) (*Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		sorted, err := extsort.DistributionSort(rf, pool, record.Record.Less, &extsort.Options{Width: d, Async: true})
+		sorted, err := extsort.DistributionSort(rf, pool, record.Record.Less, &extsort.Options{Width: d})
 		pdm.ReleaseAll(held)
 		if err != nil {
 			return nil, err
 		}
 		defer sorted.Release()
 		sortedBlocks = sorted.Blocks()
-		return btree.BulkLoad(vol, pool, 8, sorted, &btree.BulkLoadOptions{Width: d, Async: true})
+		return btree.BulkLoad(vol, pool, 8, sorted, &btree.BulkLoadOptions{Width: d})
 	})
 	if err != nil {
 		return nil, err
 	}
 	fusedMs, fused, err := build(func() (*btree.Tree, error) {
-		return extsort.SortIndex(rf, pool, 8, &extsort.Options{Width: d, Async: true})
+		return extsort.SortIndex(rf, pool, 8, &extsort.Options{Width: d})
 	})
 	if err != nil {
 		return nil, err

@@ -27,34 +27,18 @@ import (
 // DistributionSortTo writing into a fresh file's writer.
 //
 // The same Options drive it as MergeSort: Width stripes the partition
-// readers and bucket writers over the disks, and Async switches them to
-// forecasting read-ahead and write-behind (a partitioning pass is consumed
-// strictly in order, so the forecast block is the next sequential one,
-// exactly as for a sorted run). Unlike merge sort, a level is planned as
-// if each stream held the 2×Width frames a double-buffered one does, and
-// the output writer's frames are held at that charge too, whether or not
-// Async is set: the resident bucket turns memory into fewer transfers, so
-// the plan must not depend on the mode. At equal pool a planned level
-// makes exactly the synchronous path's transfers; only wall-clock overlap
-// changes. A level whose input no plan holds is the plain distribution
-// sort and takes as many buckets as its streams fit, twice as many on
-// demand — the mirror of the merge fan-in trade. The sample is one batch
-// read either way.
+// readers and bucket writers over the disks. A level is planned at 2×Width
+// frames per stream (see levelFrames), so its reader, bucket writers and
+// base-case readers read ahead and write behind in the frames the plan
+// charged them (a partitioning pass is consumed strictly in order, so the
+// forecast block is the next sequential one, exactly as for a sorted run),
+// and so does the output writer when the sort's budget takes that charge.
+// A level whose input no plan holds is the plain distribution sort: it
+// takes as many buckets as Width-frame streams fit and runs them on
+// demand. The sample is one batch read.
 func DistributionSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) (*stream.File[T], error) {
-	// A synchronous sort whose levels take the double-buffered charge holds
-	// its output writer at that charge too, so it sees the budget an
-	// asynchronous one would.
-	w, idle := opts.width(), 0
-	if !opts.async() && levelFrames(opts, pool.Free()-2*w) == 2*w {
-		idle = w
-	}
-	held, err := pool.AllocN(idle)
-	if err != nil {
-		return nil, err
-	}
-	defer pdm.ReleaseAll(held)
 	out := stream.NewFile[T](f.Vol(), f.Codec())
-	ow, err := openSink(out, pool, opts)
+	ow, err := openSink(out, pool, opts, levelFrames(opts, pool.Free()-2*opts.width()))
 	if err != nil {
 		return nil, err
 	}
@@ -144,18 +128,15 @@ func newDistSorter[T any](pool *pdm.Pool, less func(a, b T) bool, opts *Options)
 }
 
 // levelFrames returns the frames a distribution sort charges each open
-// reader or writer when it plans a level over free frames: 2×Width, the
-// double-buffered charge, in either mode. The plan then depends on the
-// pool and Width alone, so at equal pool a sort opened ahead and behind
-// plans exactly as its on-demand twin, whose streams then leave Width of
-// their frames idle. A synchronous sort on a pool too small for an
-// asynchronous level, a reader and two writers at that charge, falls back
-// to Width.
+// reader or writer when it plans a level over free frames: 2×Width, so
+// every stream of the level reads ahead or writes behind, or Width, on
+// demand, when free cannot hold a reader and two writers at that charge.
 func levelFrames(opts *Options, free int) int {
-	if w := opts.width(); opts.async() || free >= 6*w {
+	w := opts.width()
+	if free >= 6*w {
 		return 2 * w
 	}
-	return opts.width()
+	return w
 }
 
 // memRecords returns how many records fit in the frames left after reserving
@@ -239,10 +220,12 @@ func (d *distSorter[T]) level(f *stream.File[T], ow stream.Sink[T], memRecs int)
 	}
 	per := f.PerBlock()
 	k, resident, target := d.plan(f.Len(), memRecs, per, (len(sample)+per-1)/per, fo)
+	sf := d.sf
 	if k == 0 {
 		// No plan holds the input: the plain distribution sort, with as
-		// many buckets as the streams this sort opens fit.
-		k = d.fanOut(d.opts.streamFrames())
+		// many buckets as Width-frame streams fit.
+		sf = d.opts.width()
+		k = d.fanOut(sf)
 	}
 	// The splitters cut the sample at the resident bucket's share, then
 	// what lies above it into k equal parts, one per spilled bucket.
@@ -259,7 +242,7 @@ func (d *distSorter[T]) level(f *stream.File[T], ow stream.Sink[T], memRecs int)
 		return nil, err
 	}
 	defer pdm.ReleaseAll(reserve)
-	res, buckets, err := d.partition(f, cuts, resident*per)
+	res, buckets, err := d.partition(f, cuts, resident*per, sf)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +302,7 @@ func (d *distSorter[T]) baseCase(f *stream.File[T], ow stream.Sink[T]) error {
 	}
 	defer pdm.ReleaseAll(reserve)
 	buf := make([]T, 0, f.Len())
-	if err := forEach(f, d.pool, d.opts, func(v T) error {
+	if err := forEach(f, d.pool, d.opts, d.sf, func(v T) error {
 		buf = append(buf, v)
 		return nil
 	}); err != nil {
@@ -337,7 +320,7 @@ func (d *distSorter[T]) fallbackMerge(b *stream.File[T], ow stream.Sink[T]) erro
 	if err != nil {
 		return err
 	}
-	err = forEach(sorted, d.pool, d.opts, func(v T) error { return ow.Append(v) })
+	err = forEach(sorted, d.pool, d.opts, d.sf, func(v T) error { return ow.Append(v) })
 	sorted.Release()
 	return err
 }
@@ -346,9 +329,7 @@ func (d *distSorter[T]) fallbackMerge(b *stream.File[T], ow stream.Sink[T]) erro
 // a level of at most fo buckets takes its splitters, so a level costs its
 // partition pass plus that sample rather than a second scan of f. The
 // sample is one batch read into the frames the bucket writers are about to
-// take, with the partition reader's share held back: it depends only on
-// the budget memRecords and fanOut see, so the sort opened ahead and
-// behind reads exactly what the on-demand one does, and it never outgrows
+// take, with the partition reader's share held back, so it never outgrows
 // that memory (width 1, whose writers take nearly every frame, gets about
 // two blocks per bucket).
 //
@@ -374,7 +355,8 @@ func (d *distSorter[T]) sample(f *stream.File[T], fo int) ([]T, error) {
 	return sample, nil
 }
 
-// partition splits f into len(splitters)+1 buckets in one pass. Bucket i
+// partition splits f into len(splitters)+1 buckets in one pass, its reader
+// and bucket writers in sf frames each. Bucket i
 // receives records v with splitters[i-1] <= v < splitters[i]: a record
 // equal to a splitter goes to the bucket on that splitter's right. When
 // resident > 0, bucket 0 is kept in memory, up to resident records, and
@@ -382,7 +364,7 @@ func (d *distSorter[T]) sample(f *stream.File[T], fo int) ([]T, error) {
 // is spilled into its file, which then holds all of it, and the slice is
 // nil. The caller charges the resident records to the pool, and must
 // leave one writer's frames free for the spill.
-func (d *distSorter[T]) partition(f *stream.File[T], splitters []T, resident int) ([]T, []*stream.File[T], error) {
+func (d *distSorter[T]) partition(f *stream.File[T], splitters []T, resident, sf int) ([]T, []*stream.File[T], error) {
 	nb := len(splitters) + 1
 	buckets := make([]*stream.File[T], nb)
 	writers := make([]stream.Sink[T], nb)
@@ -410,13 +392,13 @@ func (d *distSorter[T]) partition(f *stream.File[T], splitters []T, resident int
 			writers[0] = res
 			continue
 		}
-		w, err := openSink(buckets[i], d.pool, d.opts)
+		w, err := openSink(buckets[i], d.pool, d.opts, sf)
 		if err != nil {
 			return fail(err)
 		}
 		writers[i] = w
 	}
-	err := forEach(f, d.pool, d.opts, func(v T) error {
+	err := forEach(f, d.pool, d.opts, sf, func(v T) error {
 		// Binary search for the first splitter greater than v.
 		lo, hi := 0, len(splitters)
 		for lo < hi {
@@ -461,7 +443,7 @@ func (s *spillSink[T]) Append(v T) error {
 			s.vs = append(s.vs, v)
 			return nil
 		}
-		w, err := openSink(s.f, s.d.pool, s.d.opts)
+		w, err := openSink(s.f, s.d.pool, s.d.opts, s.d.sf)
 		if err != nil {
 			return err
 		}

@@ -69,22 +69,9 @@ type Options struct {
 	// the pool would allow; zero means use the maximum. Experiments use it
 	// to sweep the effective M/B.
 	ForceFanIn int
-	// Async enables forecast-driven asynchronous I/O for both optimal sorts:
-	// every reader keeps its next block group in flight (the survey's
-	// forecasting read-ahead — for a sequentially consumed file the block
-	// holding the smallest pending key is simply its next sequential block),
-	// and writers flush behind the caller. In merge sort that covers the run
-	// readers and the merged-output writer; in distribution sort the
-	// partition readers and the per-bucket write-behind writers (the
-	// splitter sample is one batch read of random blocks either way). Each
-	// open stream then holds 2×Width frames instead of Width, so the
-	// maximum merge fan-in halves, as does a plain distribution level's
-	// bucket count: the same memory-for-overlap trade the survey charges
-	// striped merging. A planned distribution level, whose resident bucket turns memory into
-	// fewer transfers, is sized at that charge in either mode. I/O counters
-	// are identical to the synchronous path at equal fan-in for merge sort
-	// and at equal pool for planned distribution levels; only wall-clock
-	// overlap changes.
+	// Deprecated: every stream reads ahead or writes behind exactly when
+	// the sort's plan already holds its second group; kept until the repo
+	// benchmark stops setting it.
 	Async bool
 }
 
@@ -102,34 +89,22 @@ func (o *Options) runMode() RunMode {
 	return o.RunMode
 }
 
-func (o *Options) async() bool { return o != nil && o.Async }
-
-// streamFrames returns the pool frames one open reader or writer consumes:
-// width frames synchronously, double that with asynchronous double
-// buffering.
-func (o *Options) streamFrames() int {
-	if o.async() {
-		return 2 * o.width()
-	}
-	return o.width()
+// openSource opens a Width-striped reader over f in the frames its plan
+// charged it: Width frames read on demand, 2×Width read ahead.
+func openSource[T any](f *stream.File[T], pool *pdm.Pool, opts *Options, frames int) (stream.Source[T], error) {
+	return stream.OpenSource(f, pool, opts.width(), frames/opts.width())
 }
 
-// openSource opens a reader over f according to opts: striped when
-// synchronous, prefetching when async.
-func openSource[T any](f *stream.File[T], pool *pdm.Pool, opts *Options) (stream.Source[T], error) {
-	return stream.OpenSource(f, pool, opts.width(), opts.async())
+// openSink opens a Width-striped writer appending to f in the frames its
+// plan charged it: Width frames flush on demand, 2×Width write behind.
+func openSink[T any](f *stream.File[T], pool *pdm.Pool, opts *Options, frames int) (stream.Sink[T], error) {
+	return stream.OpenSink(f, pool, opts.width(), frames/opts.width())
 }
 
-// openSink opens a writer appending to f according to opts: striped when
-// synchronous, write-behind when async.
-func openSink[T any](f *stream.File[T], pool *pdm.Pool, opts *Options) (stream.Sink[T], error) {
-	return stream.OpenSink(f, pool, opts.width(), opts.async())
-}
-
-// forEach streams every record of f through fn with an options-driven reader,
-// the openSource analogue of stream.ForEach.
-func forEach[T any](f *stream.File[T], pool *pdm.Pool, opts *Options, fn func(T) error) error {
-	r, err := openSource(f, pool, opts)
+// forEach streams every record of f through fn with a reader in frames
+// pool frames, the openSource analogue of stream.ForEach.
+func forEach[T any](f *stream.File[T], pool *pdm.Pool, opts *Options, frames int, fn func(T) error) error {
+	r, err := openSource(f, pool, opts, frames)
 	if err != nil {
 		return err
 	}
@@ -171,7 +146,7 @@ func FormRuns[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, 
 // the reader and the run writer leave free, reserved from the pool for the
 // whole pass; sortEmit sorts a run inside it and needs no other.
 func formRunsLoadSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) ([]*stream.File[T], error) {
-	sf := opts.streamFrames()
+	sf := opts.width()
 	// Reserve frames: reader (sf) + writer (sf); the rest hold the run buffer.
 	bufFrames := pool.Free() - 2*sf
 	if bufFrames < 1 {
@@ -184,7 +159,7 @@ func formRunsLoadSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T
 	defer pdm.ReleaseAll(reserve)
 	memRecords := bufFrames * f.PerBlock()
 
-	r, err := openSource(f, pool, opts)
+	r, err := openSource(f, pool, opts, sf)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +180,7 @@ func formRunsLoadSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T
 			return nil
 		}
 		run := stream.NewFile[T](f.Vol(), f.Codec())
-		rw, err := openSink(run, pool, opts)
+		rw, err := openSink(run, pool, opts, sf)
 		if err != nil {
 			return err
 		}
@@ -268,7 +243,7 @@ func rsHeap[T any](less func(a, b T) bool) *minHeap[rsItem[T]] {
 // random input the expected run length is 2M (the survey's "snowplow"
 // argument); on sorted input it produces a single run.
 func formRunsReplacement[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) ([]*stream.File[T], error) {
-	sf := opts.streamFrames()
+	sf := opts.width()
 	bufFrames := pool.Free() - 2*sf
 	if bufFrames < 1 {
 		return nil, fmt.Errorf("%w: %d frames free, need > %d", ErrEmptyPool, pool.Free(), 2*sf)
@@ -280,7 +255,7 @@ func formRunsReplacement[T any](f *stream.File[T], pool *pdm.Pool, less func(a, 
 	defer pdm.ReleaseAll(reserve)
 	memRecords := bufFrames * f.PerBlock()
 
-	r, err := openSource(f, pool, opts)
+	r, err := openSource(f, pool, opts, sf)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +295,7 @@ func formRunsReplacement[T any](f *stream.File[T], pool *pdm.Pool, less func(a, 
 	curGen := 0
 	openRun := func() error {
 		cur = stream.NewFile[T](f.Vol(), f.Codec())
-		w, err := openSink(cur, pool, opts)
+		w, err := openSink(cur, pool, opts, sf)
 		if err != nil {
 			cur.Release()
 			cur = nil
@@ -384,12 +359,10 @@ func formRunsReplacement[T any](f *stream.File[T], pool *pdm.Pool, less func(a, 
 // input run plus the output. Disk striping treats a group of width blocks
 // as one logical block, so each stream needs width frames and the fan-in
 // drops from m to roughly m/D — exactly the suboptimality factor the
-// survey attributes to striped merge sort; asynchronous streams hold
-// double-buffered frame groups, so the fan-in halves again — memory traded
-// for I/O/compute overlap.
+// survey attributes to striped merge sort.
 func maxFanIn(pool *pdm.Pool, opts *Options) int {
-	sf := opts.streamFrames()
-	return (pool.Free() - sf) / sf
+	w := opts.width()
+	return (pool.Free() - w) / w
 }
 
 // MergeRuns repeatedly merges sorted runs fan-in at a time until one remains.
@@ -397,13 +370,14 @@ func maxFanIn(pool *pdm.Pool, opts *Options) int {
 // ⌈log_fanin(#runs)⌉ passes: a level's lone tail run is carried into the
 // next level untouched.
 //
-// With opts.Async set, each input run's reader keeps its next block group in
-// flight while the merge consumes buffered records — the survey's
-// forecasting technique for D-disk merging. A sorted run is consumed in
-// order, so the block the forecast selects (the one holding the smallest
-// pending key of that run) is exactly the run's next sequential block, and
-// read-ahead fetches it before the merge blocks on it; the write-behind
-// output overlaps symmetrically. Counted I/Os are unchanged at equal fan-in.
+// A merge group whose streams all fit at 2×Width frames opens them one
+// group deep: each input run's reader keeps its next block group in flight
+// while the merge consumes buffered records — the survey's forecasting
+// technique for D-disk merging. A sorted run is consumed in order, so the
+// block the forecast selects (the one holding the smallest pending key of
+// that run) is exactly the run's next sequential block, and read-ahead
+// fetches it before the merge blocks on it; the write-behind output
+// overlaps symmetrically. Depth never changes the counted I/Os.
 //
 // On error the input runs and every intermediate merged file are released,
 // so no blocks stay stranded on the volume.
@@ -459,12 +433,16 @@ type mergeItem[T any] struct {
 }
 
 // mergeOnce merges two or more sorted runs into one sorted file in a single
-// pass: one reader per run plus one writer, each synchronous or
-// asynchronous per opts.
+// pass: one reader per run plus one writer, read ahead and written behind
+// when all of them fit at 2×Width frames, on demand otherwise.
 func mergeOnce[T any](runs []*stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) (*stream.File[T], error) {
+	sf := opts.width()
+	if (len(runs)+1)*2*sf <= pool.Free() {
+		sf *= 2
+	}
 	vol := runs[0].Vol()
 	out := stream.NewFile[T](vol, runs[0].Codec())
-	ow, err := openSink(out, pool, opts)
+	ow, err := openSink(out, pool, opts, sf)
 	if err != nil {
 		return nil, err
 	}
@@ -485,7 +463,7 @@ func mergeOnce[T any](runs []*stream.File[T], pool *pdm.Pool, less func(a, b T) 
 	}()
 	h := &minHeap[mergeItem[T]]{less: func(a, b mergeItem[T]) bool { return less(a.v, b.v) }}
 	for i, run := range runs {
-		r, err := openSource(run, pool, opts)
+		r, err := openSource(run, pool, opts, sf)
 		if err != nil {
 			return fail(err)
 		}

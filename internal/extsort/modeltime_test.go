@@ -21,11 +21,10 @@ const modelLatency = 2 * time.Millisecond
 
 // modelRun builds an input of F10's shape (2^13 records on 1 KiB blocks,
 // 96 frames, 2 ms per block) on a fresh D-disk volume inside a bubble —
-// distinct random keys for the sort, sorted ones for the load — and returns the model time and parallel
-// steps of one distribution sort (bulk false) or one bulk load (true). A
-// fresh volume per run gives every run the same block layout, so sync and
-// async differ only in their overlap.
-func modelRun(t *testing.T, d int, bulk, async bool) (elapsed time.Duration, steps uint64) {
+// distinct random keys for the sort, sorted ones for the load — and
+// returns the model time and parallel steps of one distribution sort (bulk
+// false) or one bulk load (true).
+func modelRun(t *testing.T, d int, bulk bool) (elapsed time.Duration, steps uint64) {
 	const n = 1 << 13
 	synctest.Run(func() {
 		vol := pdm.MustVolume(pdm.Config{BlockBytes: 1024, MemBlocks: 96, Disks: d, DiskLatency: modelLatency})
@@ -45,12 +44,12 @@ func modelRun(t *testing.T, d int, bulk, async bool) (elapsed time.Duration, ste
 		start := time.Now()
 		if bulk {
 			var tr *btree.Tree
-			if tr, err = btree.BulkLoad(vol, pool, 8, f, &btree.BulkLoadOptions{Width: d, Async: async}); err == nil {
+			if tr, err = btree.BulkLoad(vol, pool, 8, f, &btree.BulkLoadOptions{Width: d}); err == nil {
 				err = tr.Close()
 			}
 		} else {
 			var out *stream.File[record.Record]
-			if out, err = DistributionSort(f, pool, record.Record.Less, &Options{Width: d, Async: async}); err == nil {
+			if out, err = DistributionSort(f, pool, record.Record.Less, &Options{Width: d}); err == nil {
 				out.Release()
 			}
 		}
@@ -62,29 +61,27 @@ func modelRun(t *testing.T, d int, bulk, async bool) (elapsed time.Duration, ste
 	return elapsed, steps
 }
 
-// TestModelTimeAsyncNeverLoses is F10's overlap contract: at every disk
-// count the distribution sort and the bulk load opened ahead and behind
-// finish no later than their on-demand twins. The on-demand paths wait out
-// every batch, so they take exactly their parallel steps; the overlapped
-// paths take at most theirs.
-func TestModelTimeAsyncNeverLoses(t *testing.T) {
-	for _, d := range []int{1, 4} {
-		for _, w := range []struct {
-			name string
-			bulk bool
-		}{{"dist", false}, {"bulk", true}} {
-			syncT, syncSteps := modelRun(t, d, w.bulk, false)
-			asyncT, asyncSteps := modelRun(t, d, w.bulk, true)
-			t.Logf("D=%d %s: sync %v (%d steps), async %v (%d steps)", d, w.name, syncT, syncSteps, asyncT, asyncSteps)
-			if syncT != time.Duration(syncSteps)*modelLatency {
-				t.Errorf("D=%d %s: on-demand path took %v, want exactly %d steps × %v", d, w.name, syncT, syncSteps, modelLatency)
-			}
-			if asyncT > time.Duration(asyncSteps)*modelLatency {
-				t.Errorf("D=%d %s: overlapped path took %v, more than its %d steps × %v", d, w.name, asyncT, asyncSteps, modelLatency)
-			}
-			if asyncT > syncT {
-				t.Errorf("D=%d %s: overlapped path took %v, on-demand %v", d, w.name, asyncT, syncT)
-			}
+// TestModelTimeDistributionSortAndBulkLoad pins F10's two workloads in
+// model time: at each disk count the distribution sort and the bulk load,
+// their streams opened ahead and behind, take exactly their parallel
+// steps, and those steps are the counted ones.
+func TestModelTimeDistributionSortAndBulkLoad(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		d     int
+		bulk  bool
+		steps uint64
+	}{
+		{"dist", 1, false, 490}, {"dist", 4, false, 128},
+		{"bulk", 1, true, 265}, {"bulk", 4, true, 70},
+	} {
+		elapsed, steps := modelRun(t, c.d, c.bulk)
+		t.Logf("D=%d %s: %v (%d steps)", c.d, c.name, elapsed, steps)
+		if steps != c.steps {
+			t.Errorf("D=%d %s: %d steps, want %d", c.d, c.name, steps, c.steps)
+		}
+		if elapsed != time.Duration(steps)*modelLatency {
+			t.Errorf("D=%d %s: took %v, want exactly %d steps × %v", c.d, c.name, elapsed, steps, modelLatency)
 		}
 	}
 }

@@ -36,23 +36,17 @@ func (s *sliceSink[T]) Close() error { return nil }
 // sortShape is one memory configuration of the adversarial grid: a pool of
 // mem frames on a D=width volume of 1 KiB blocks, sorting n records.
 type sortShape struct {
-	mem, width int
-	async      bool
-	n          int
+	mem, width, n int
 }
 
 func (s sortShape) String() string {
-	mode := "sync"
-	if s.async {
-		mode = "async"
-	}
-	return fmt.Sprintf("mem%d/W%d/%s", s.mem, s.width, mode)
+	return fmt.Sprintf("mem%d/W%d", s.mem, s.width)
 }
 
 // sampleBlocks is the sample the top level of a sort of in blocks reads
 // into a pool with mem frames free: four blocks per bucket, at most the
 // frames the partition reader leaves, and at most the whole input. The
-// sort charges every stream 2×width frames, synchronous or not.
+// sort charges every stream 2×width frames.
 func (s sortShape) sampleBlocks(in int) int {
 	sf := 2 * s.width
 	return min(4*((s.mem-sf)/sf), s.mem-sf, in)
@@ -75,7 +69,7 @@ func sortCount(t *testing.T, s sortShape, dir string, vs []record.Record) ([]rec
 	free, live := pool.Free(), vol.Allocated()-vol.FreeBlocks()
 	vol.Stats().Reset()
 	sink := sliceSink[record.Record]{pool: pool}
-	if err := DistributionSortTo(f, pool, keyLess, &Options{Width: s.width, Async: s.async}, &sink); err != nil {
+	if err := DistributionSortTo(f, pool, keyLess, &Options{Width: s.width}, &sink); err != nil {
 		t.Fatalf("%v: %v", s, err)
 	}
 	st := vol.Stats().Snapshot()
@@ -95,7 +89,7 @@ func sortCount(t *testing.T, s sortShape, dir string, vs []record.Record) ([]rec
 // buckets', so reads = input + writes + sample, exactly, and the mem and
 // file backends count the same transfers.
 func TestDistributionSortReadsInputSampleAndBuckets(t *testing.T) {
-	s := sortShape{mem: 128, width: 2, async: true, n: 512 * 64}
+	s := sortShape{mem: 128, width: 2, n: 512 * 64}
 	vs := distinctRecords(s.n)
 	_, in, mem, _ := sortCount(t, s, "", vs)
 	_, _, file, _ := sortCount(t, s, t.TempDir(), vs)
@@ -169,7 +163,7 @@ func TestDistributionSortAdversarialInputs(t *testing.T) {
 		shape sortShape
 		scan  map[string]counts
 	}{
-		{sortShape{mem: 512, width: 4, async: true, n: 1 << 18}, map[string]counts{
+		{sortShape{mem: 512, width: 4, n: 1 << 18}, map[string]counts{
 			"random": {12320, 4128}, "sorted": {12320, 4128}, "reverse": {12316, 4124},
 			"all-equal": {20480, 12288}, "few": {28682, 16392}, "clustered": {12321, 4129},
 		}},
@@ -177,7 +171,7 @@ func TestDistributionSortAdversarialInputs(t *testing.T) {
 			"random": {1566, 542}, "sorted": {1568, 544}, "reverse": {1564, 540},
 			"all-equal": {2560, 1536}, "few": {3599, 2060}, "clustered": {1566, 542},
 		}},
-		{sortShape{mem: 40, width: 2, async: true, n: 1 << 13}, map[string]counts{
+		{sortShape{mem: 40, width: 2, n: 1 << 13}, map[string]counts{
 			"random": {387, 131}, "sorted": {388, 132}, "reverse": {389, 133},
 			"all-equal": {640, 384}, "few": {386, 130}, "clustered": {389, 133},
 		}},
@@ -216,7 +210,7 @@ func TestDistributionSortAdversarialInputs(t *testing.T) {
 // transfer of the sample read and the first partition batches: each sort
 // must fail with the pool's frames and the volume's blocks restored.
 func TestDistributionSortSampleReadFailureRestores(t *testing.T) {
-	s := sortShape{mem: 40, width: 2, async: true, n: 1 << 13}
+	s := sortShape{mem: 40, width: 2, n: 1 << 13}
 	vs := distinctRecords(s.n)
 	in := s.n / 64
 	for after := 0; after <= s.sampleBlocks(in)+2*s.width; after++ {
@@ -228,7 +222,7 @@ func TestDistributionSortSampleReadFailureRestores(t *testing.T) {
 			t.Fatal(err)
 		}
 		free, live := pool.Free(), vol.Allocated()-vol.FreeBlocks()
-		err = DistributionSortTo(f, pool, keyLess, &Options{Width: s.width, Async: s.async}, &sliceSink[record.Record]{})
+		err = DistributionSortTo(f, pool, keyLess, &Options{Width: s.width}, &sliceSink[record.Record]{})
 		if !errors.Is(err, pdm.ErrFaulted) {
 			t.Errorf("crash after %d: error %v, want ErrFaulted", after, err)
 		}
@@ -250,7 +244,7 @@ func TestDistributionSortSampleReadFailureRestores(t *testing.T) {
 // nor read back — on both backends alike. Its records are charged to the
 // pool until they are emitted.
 func TestDistributionSortResidentBucketNeverWritten(t *testing.T) {
-	s := sortShape{mem: 512, width: 4, async: true, n: 1 << 18}
+	s := sortShape{mem: 512, width: 4, n: 1 << 18}
 	vs := adversarialInputs(s.n, 64)[0].records(s.n)
 	got, in, mem, held := sortCount(t, s, "", vs)
 	_, _, file, _ := sortCount(t, s, t.TempDir(), vs)
@@ -295,9 +289,9 @@ func TestPartitionSpillsResidentBucket(t *testing.T) {
 	sorted := slices.Clone(vs)
 	slices.SortFunc(sorted, cmpKey)
 	cuts := []record.Record{sorted[n/4], sorted[n/2], sorted[3*n/4]}
-	d := &distSorter[record.Record]{pool: pool, less: keyLess, opts: &Options{Width: 2, Async: true}}
+	d := &distSorter[record.Record]{pool: pool, less: keyLess, opts: &Options{Width: 2}, sf: 4}
 	vol.Stats().Reset()
-	res, buckets, err := d.partition(f, cuts, 8*per)
+	res, buckets, err := d.partition(f, cuts, 8*per, d.sf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,8 +330,8 @@ func TestPartitionSpillsResidentBucket(t *testing.T) {
 // frames and the volume's live blocks restored.
 func TestSortIndexHybridCrashSweep(t *testing.T) {
 	const mem, cacheFrames = 68, 8
-	s := sortShape{mem: mem - cacheFrames - 2*2, width: 2, async: true, n: 1 << 13}
-	opts := &Options{Width: s.width, Async: s.async}
+	s := sortShape{mem: mem - cacheFrames - 2*2, width: 2, n: 1 << 13}
+	opts := &Options{Width: s.width}
 	vs := adversarialInputs(s.n, 64)[5].records(s.n) // clustered
 	in := s.n / 64
 	// The sort sees s.mem frames once the loader's budget is held back; at

@@ -29,7 +29,7 @@ func BenchmarkSortIndex(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer f.Release()
-	opts := &Options{Width: width, Async: true}
+	opts := &Options{Width: width}
 	var ios uint64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

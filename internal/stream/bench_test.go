@@ -28,7 +28,7 @@ func BenchmarkStreams(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f := NewFile[record.Record](vol, record.RecordCodec{})
-				w, err := OpenSink(f, pool, width, c.overlap)
+				w, err := OpenSink(f, pool, width, depthOf(c.overlap))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -40,7 +40,7 @@ func BenchmarkStreams(b *testing.B) {
 				if err := w.Close(); err != nil {
 					b.Fatal(err)
 				}
-				r, err := OpenSource(f, pool, width, c.overlap)
+				r, err := OpenSource(f, pool, width, depthOf(c.overlap))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -23,6 +23,15 @@ func depthVolume(t *testing.T, cfg pdm.Config, file bool) *pdm.Volume {
 	return vol
 }
 
+// depthOf returns the OpenSource/OpenSink depth of a stream on demand
+// (false) or ahead/behind (true).
+func depthOf(overlap bool) int {
+	if overlap {
+		return 2
+	}
+	return 1
+}
+
 // depthRun is what one depth produced: the records read back, the file's
 // block layout and the volume's counters over the whole run.
 type depthRun struct {
@@ -47,7 +56,7 @@ func runDepth(t *testing.T, vol *pdm.Volume, width int, overlap bool, prefill, v
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenSink(f, pool, width, overlap)
+	w, err := OpenSink(f, pool, width, depthOf(overlap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +74,7 @@ func runDepth(t *testing.T, vol *pdm.Volume, width int, overlap bool, prefill, v
 	if got := pool.Free(); got != free {
 		t.Fatalf("after writer Close: %d free frames, want %d", got, free)
 	}
-	r, err := OpenSource(f, pool, width, overlap)
+	r, err := OpenSource(f, pool, width, depthOf(overlap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +152,7 @@ func TestReaderOpensOnDemandLazily(t *testing.T) {
 		reads   uint64
 	}{{false, 0}, {true, 2}} {
 		vol.Stats().Reset()
-		r, err := OpenSource(f, pool, 2, c.overlap)
+		r, err := OpenSource(f, pool, 2, depthOf(c.overlap))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +177,7 @@ func TestStreamDepthsCrash(t *testing.T) {
 					DiskLatency: 5 * time.Microsecond, Fault: &pdm.FaultPlan{Seed: 1, FailAfter: int64(2 * width)}}, false)
 				pool := pdm.PoolFor(vol)
 				free := pool.Free()
-				w, err := OpenSink(NewFile[record.Record](vol, record.RecordCodec{}), pool, width, overlap)
+				w, err := OpenSink(NewFile[record.Record](vol, record.RecordCodec{}), pool, width, depthOf(overlap))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,7 +211,7 @@ func TestStreamDepthsCrash(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := OpenSource(f, pool, width, overlap)
+				r, err := OpenSource(f, pool, width, depthOf(overlap))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -13,8 +13,9 @@
 // at either depth, so every I/O counter is identical and only the wall-clock
 // overlap changes. The second group is drawn from the caller's pdm.Pool (a
 // width-w stream holds 2w frames instead of w), so the memory budget M still
-// holds. Consumers open streams through OpenSource/OpenSink, so every
-// sequential pass in the sort/index stack picks its depth with an option.
+// holds. Consumers open streams through OpenSource/OpenSink, and every
+// sequential pass in the sort/index stack opens at the second depth exactly
+// when its plan already holds the second group's frames.
 package stream
 
 import "em/internal/pdm"

@@ -45,17 +45,18 @@ type Sink[T any] interface {
 	Close() error
 }
 
-// OpenSource opens a width-w reader over f: fetching on demand when async
-// is false, reading ahead (next group kept in flight, 2×width frames) when
-// true. The sort and index layers open every input through it.
-func OpenSource[T any](f *File[T], pool *pdm.Pool, width int, async bool) (Source[T], error) {
-	return newReader(f, pool, width, async)
+// OpenSource opens a width-w reader over f holding depth groups of width
+// frames: depth 1 fetches on demand, depth 2 keeps the next group in
+// flight. The sort and index layers open every input through it, at the
+// depth their plan has frames for.
+func OpenSource[T any](f *File[T], pool *pdm.Pool, width, depth int) (Source[T], error) {
+	return newReader(f, pool, width, depth == 2)
 }
 
-// OpenSink opens a width-w writer appending to f: flushing on demand when
-// async is false, writing behind when true.
-func OpenSink[T any](f *File[T], pool *pdm.Pool, width int, async bool) (Sink[T], error) {
-	return newWriter(f, pool, width, async)
+// OpenSink opens a width-w writer appending to f holding depth groups of
+// width frames: depth 1 flushes on demand, depth 2 writes behind.
+func OpenSink[T any](f *File[T], pool *pdm.Pool, width, depth int) (Sink[T], error) {
+	return newWriter(f, pool, width, depth == 2)
 }
 
 // File is a sequence of N records of type T stored in whole blocks on a

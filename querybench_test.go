@@ -29,7 +29,7 @@ func benchTree(b *testing.B, n, disks int, latency time.Duration) (*Volume, *Poo
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := BulkLoadBTreeWith(vol, pool, 16, f, &BulkLoadOptions{Width: disks, Async: true})
+	tr, err := BulkLoadBTreeWith(vol, pool, 16, f, &BulkLoadOptions{Width: disks})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,9 +6,9 @@ import (
 
 // SortIndexOptions tunes SortIndex, the fused sort→bulk-load index builder.
 //
-// Width and Async apply to the sort's readers and bucket writers; Width also
-// stripes the loader's leaf batches, which go Width at a time through the
-// async engine while the next group is packed. The loader's whole budget —
+// Width stripes the sort's readers and bucket writers and the loader's leaf
+// batches, which go Width at a time through the async engine while the
+// next group is packed. The loader's whole budget —
 // CacheFrames for the buffer manager plus 2×Width for the leaf double
 // buffer — is held back from the pool for the full call; size
 // Config.MemBlocks to cover the sort's fan-out plus that reservation.
@@ -16,8 +16,9 @@ type SortIndexOptions struct {
 	// Width is the striping width of the sort's streams and of the loader's
 	// leaf batches; set it to the volume's disk count D. Zero means 1.
 	Width int
-	// Async switches the sort's streams to forecast-driven read-ahead and
-	// write-behind (double buffers, same counted I/Os at equal fan-out).
+	// Deprecated: the sort's streams read ahead and write behind wherever
+	// its plan holds their second group; kept until the repo benchmark
+	// stops setting it.
 	Async bool
 	// CacheFrames sizes the tree's buffer manager; zero means 8.
 	CacheFrames int
@@ -57,5 +58,5 @@ func SortIndex(f *File[Record], pool *Pool, opts *SortIndexOptions) (*BTree, err
 	if o.CacheFrames < 1 {
 		o.CacheFrames = 8
 	}
-	return extsort.SortIndex(f, pool, o.CacheFrames, &SortOptions{Width: o.Width, Async: o.Async})
+	return extsort.SortIndex(f, pool, o.CacheFrames, &SortOptions{Width: o.Width})
 }

@@ -48,8 +48,8 @@ func buildIndex(t *testing.T, dir string, vs []Record, opts *SortIndexOptions, c
 	pool := PoolFor(vol)
 	if composed {
 		// The fused sort sees the pool less the loader's reservation,
-		// CacheFrames (8) + 2×Width. DistributionSort holds 2×Width frames
-		// for its own sink in either mode, so a pool of MemBlocks − (8 +
+		// CacheFrames (8) + 2×Width. DistributionSort's own sink takes
+		// 2×Width frames on a pool this size, so a pool of MemBlocks − (8 +
 		// 2×Width) + 2×Width frames leaves the composed sort exactly as many
 		// free frames: both make the same splitting decisions and differ
 		// only in the sorted file.
@@ -64,13 +64,13 @@ func buildIndex(t *testing.T, dir string, vs []Record, opts *SortIndexOptions, c
 	var got builtIndex
 	var tr *BTree
 	if composed {
-		sorted, err := DistributionSort(f, pool, Record.Less, &SortOptions{Width: opts.Width, Async: opts.Async})
+		sorted, err := DistributionSort(f, pool, Record.Less, &SortOptions{Width: opts.Width})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got.sorted = sorted.Blocks()
 		tr, err = BulkLoadBTreeWith(vol, pool, 8, sorted,
-			&BulkLoadOptions{Width: opts.Width, Async: opts.Async})
+			&BulkLoadOptions{Width: opts.Width})
 		sorted.Release()
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +102,7 @@ func buildIndex(t *testing.T, dir string, vs []Record, opts *SortIndexOptions, c
 }
 
 // TestSortIndexFusedMatchesComposition pins what fusing the build saves, on
-// both backends and in every stream mode: SortIndex, whose sort emits into
+// both backends: SortIndex, whose sort emits into
 // the bulk loader, builds the same tree as DistributionSort followed by
 // BulkLoad at exactly the sorted file's blocks fewer reads and fewer writes
 // — the file the composition writes once and reads back once.
@@ -115,24 +115,23 @@ func TestSortIndexFusedMatchesComposition(t *testing.T) {
 			if backend == "file" {
 				dir = t.TempDir()
 			}
-			for _, opts := range []*SortIndexOptions{{Width: 2}, {Width: 2, Async: true}} {
-				fused := buildIndex(t, dir, vs, opts, false)
-				ref := buildIndex(t, dir, vs, opts, true)
-				if len(fused.kvs) != n {
-					t.Fatalf("opts=%+v: tree has %d records, want %d", opts, len(fused.kvs), n)
+			opts := &SortIndexOptions{Width: 2}
+			fused := buildIndex(t, dir, vs, opts, false)
+			ref := buildIndex(t, dir, vs, opts, true)
+			if len(fused.kvs) != n {
+				t.Fatalf("opts=%+v: tree has %d records, want %d", opts, len(fused.kvs), n)
+			}
+			for j, kv := range fused.kvs {
+				if kv[0] != uint64(j+1) || kv != ref.kvs[j] {
+					t.Fatalf("opts=%+v: entry %d is %v, composed build has %v", opts, j, kv, ref.kvs[j])
 				}
-				for j, kv := range fused.kvs {
-					if kv[0] != uint64(j+1) || kv != ref.kvs[j] {
-						t.Fatalf("opts=%+v: entry %d is %v, composed build has %v", opts, j, kv, ref.kvs[j])
-					}
-				}
-				if want := (n + 15) / 16; ref.sorted != want {
-					t.Fatalf("opts=%+v: sorted file has %d blocks, want %d", opts, ref.sorted, want)
-				}
-				if fused.st.Reads+uint64(ref.sorted) != ref.st.Reads || fused.st.Writes+uint64(ref.sorted) != ref.st.Writes {
-					t.Fatalf("opts=%+v: fused r=%d w=%d, composed r=%d w=%d: want both lower by the sorted file's %d blocks",
-						opts, fused.st.Reads, fused.st.Writes, ref.st.Reads, ref.st.Writes, ref.sorted)
-				}
+			}
+			if want := (n + 15) / 16; ref.sorted != want {
+				t.Fatalf("opts=%+v: sorted file has %d blocks, want %d", opts, ref.sorted, want)
+			}
+			if fused.st.Reads+uint64(ref.sorted) != ref.st.Reads || fused.st.Writes+uint64(ref.sorted) != ref.st.Writes {
+				t.Fatalf("opts=%+v: fused r=%d w=%d, composed r=%d w=%d: want both lower by the sorted file's %d blocks",
+					opts, fused.st.Reads, fused.st.Writes, ref.st.Reads, ref.st.Writes, ref.sorted)
 			}
 		})
 	}
@@ -143,7 +142,7 @@ func TestSortIndexFusedMatchesComposition(t *testing.T) {
 // writes the in-memory simulation counts.
 func TestSortIndexBackendsAgree(t *testing.T) {
 	vs := permRecords(0xBEEF, 3000)
-	opts := &SortIndexOptions{Width: 4, Async: true}
+	opts := &SortIndexOptions{Width: 4}
 	mem := buildIndex(t, "", vs, opts, false)
 	file := buildIndex(t, t.TempDir(), vs, opts, false)
 	if len(mem.kvs) != len(file.kvs) {
@@ -180,7 +179,7 @@ func TestSortIndexDuplicateKeysRestoresPool(t *testing.T) {
 	}
 	preFree := pool.Free()
 	preLive := vol.Allocated() - vol.FreeBlocks()
-	tr, err := SortIndex(f, pool, &SortIndexOptions{Width: 2, Async: true})
+	tr, err := SortIndex(f, pool, &SortIndexOptions{Width: 2})
 	if err == nil {
 		t.Fatal("duplicate keys built a tree")
 	}
@@ -240,7 +239,7 @@ func TestSortIndexCrashSweep(t *testing.T) {
 		for _, c := range []struct {
 			name string
 			opts *SortIndexOptions
-		}{{"nil", nil}, {"width=2", &SortIndexOptions{Width: 2, Async: true}}} {
+		}{{"nil", nil}, {"width=2", &SortIndexOptions{Width: 2}}} {
 			t.Run(backend+"/"+c.name, func(t *testing.T) {
 				cfg := base
 				if backend == "file" {
