@@ -575,9 +575,13 @@ func DistributionSort[T any](f *File[T], pool *Pool, less func(a, b T) bool, opt
 	return extsort.DistributionSort(f, pool, less, opts)
 }
 
-// SortRecords sorts a Record file by key with merge sort — the common case.
+// SortRecords sorts a Record file by key, then value, with merge sort —
+// the common case. Its runs are sorted in memory by an in-place radix sort,
+// which is not stable, but Record.Less is a total order: records it ties
+// are equal in bytes, so the output is byte for byte MergeSort's by
+// Record.Less.
 func SortRecords(f *File[Record], pool *Pool, opts *SortOptions) (*File[Record], error) {
-	return extsort.MergeSort(f, pool, Record.Less, opts)
+	return extsort.SortRecords(f, pool, opts)
 }
 
 // SortViaBTree is the survey's strawman "online sort": insert every record

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"em/internal/btree"
 	"em/internal/pdm"
@@ -63,7 +62,7 @@ func DistributionSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T
 // sink; on error every bucket is released and the pool restored, and the
 // caller closes or aborts sink.
 func DistributionSortTo[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options, sink stream.Sink[T]) error {
-	return newDistSorter(pool, less, opts).sortInto(f, sink, false)
+	return newDistSorter(pool, less, stableKernel(less), opts).sortInto(f, sink, false)
 }
 
 // SortIndex builds a B+-tree over an unsorted record file: the
@@ -71,7 +70,9 @@ func DistributionSortTo[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b
 // costs Sort(N) plus one write per tree node and the sorted order never
 // exists as a file. Each level's resident bucket — the lowest key range,
 // which is also the first the loader needs — goes from the partition pass
-// straight into leaves. opts.Width also stripes the loader's leaf batches.
+// straight into leaves. Every in-memory sort is record.Sort, whose output
+// bytes are the stable sort's since Record.Less is total. opts.Width also
+// stripes the loader's leaf batches.
 // The loader's budget, cacheFrames for its buffer manager plus 2×Width for
 // its leaf double buffer, is held back from pool for the whole call, so
 // the sort's buckets and resident bucket share what pool has left. The
@@ -93,7 +94,8 @@ func SortIndex(f *stream.File[record.Record], pool *pdm.Pool, cacheFrames int, o
 	if err != nil {
 		return nil, err
 	}
-	if err := DistributionSortTo(f, pool, record.Record.Less, opts, ld); err != nil {
+	d := newDistSorter(pool, record.Record.Less, recordKernel, opts)
+	if err := d.sortInto(f, ld, false); err != nil {
 		ld.Abort()
 		return nil, err
 	}
@@ -114,6 +116,7 @@ func SortIndex(f *stream.File[record.Record], pool *pdm.Pool, cacheFrames int, o
 type distSorter[T any] struct {
 	pool *pdm.Pool
 	less func(a, b T) bool
+	kern kernel[T]
 	opts *Options
 	rng  *rand.Rand
 	sf   int // levelFrames at the sort's budget
@@ -122,8 +125,8 @@ type distSorter[T any] struct {
 // newDistSorter returns a sorter over what pool has free now. Every level
 // starts from that budget — a level releases all it holds before its
 // buckets are sorted — so the per-stream charge is fixed once.
-func newDistSorter[T any](pool *pdm.Pool, less func(a, b T) bool, opts *Options) *distSorter[T] {
-	return &distSorter[T]{pool: pool, less: less, opts: opts,
+func newDistSorter[T any](pool *pdm.Pool, less func(a, b T) bool, kern kernel[T], opts *Options) *distSorter[T] {
+	return &distSorter[T]{pool: pool, less: less, kern: kern, opts: opts,
 		rng: rand.New(rand.NewSource(0x5EED)), sf: levelFrames(opts, pool.Free())}
 }
 
@@ -246,7 +249,7 @@ func (d *distSorter[T]) level(f *stream.File[T], ow stream.Sink[T], memRecs int)
 	if err != nil {
 		return nil, err
 	}
-	if err := sortEmit(res, d.less, ow.Append); err != nil {
+	if err := sortEmit(res, d.less, d.kern, ow.Append); err != nil {
 		releaseFiles(buckets)
 		return nil, err
 	}
@@ -308,14 +311,14 @@ func (d *distSorter[T]) baseCase(f *stream.File[T], ow stream.Sink[T]) error {
 	}); err != nil {
 		return err
 	}
-	return sortEmit(buf, d.less, ow.Append)
+	return sortEmit(buf, d.less, d.kern, ow.Append)
 }
 
 // fallbackMerge handles pathological all-equal buckets with a merge sort,
 // whose progress does not depend on key diversity. It writes sorted output
 // to ow and releases b, on the error paths included.
 func (d *distSorter[T]) fallbackMerge(b *stream.File[T], ow stream.Sink[T]) error {
-	sorted, err := MergeSort(b, d.pool, d.less, d.opts)
+	sorted, err := mergeSort(b, d.pool, d.less, d.kern, d.opts)
 	b.Release()
 	if err != nil {
 		return err
@@ -350,8 +353,8 @@ func (d *distSorter[T]) sample(f *stream.File[T], fo int) ([]T, error) {
 		return nil, err
 	}
 	// Records equal under less split alike, so the sample needs no stable
-	// sort, and pdqsort takes half SymMerge's time on a sample this size.
-	slices.SortFunc(sample, compare(d.less))
+	// sort: record.Sort for the Record entry points, pdqsort otherwise.
+	d.kern.sample(sample)
 	return sample, nil
 }
 

@@ -292,7 +292,7 @@ func TestPartitionErrorReleasesFramesAndBuckets(t *testing.T) {
 		// Six frames cannot host ten writers at >=1 frame each, so the open
 		// loop fails partway with several writers (and bucket files) live.
 		pool := pdm.NewPool(64, 6)
-		d := &distSorter[record.Record]{pool: pool, less: record.Record.Less, opts: tc.opts, sf: tc.sf}
+		d := &distSorter[record.Record]{pool: pool, less: record.Record.Less, kern: recordKernel, opts: tc.opts, sf: tc.sf}
 		splitters := make([]record.Record, 9)
 		for i := range splitters {
 			splitters[i] = record.Record{Key: uint64(i * 20)}
@@ -322,7 +322,7 @@ func TestFallbackMergeReleasesBucketOnError(t *testing.T) {
 	}
 	// Two frames: MergeSort's run formation needs more than reader+writer.
 	pool := pdm.NewPool(64, 2)
-	d := &distSorter[record.Record]{pool: pool, less: record.Record.Less}
+	d := &distSorter[record.Record]{pool: pool, less: record.Record.Less, kern: recordKernel}
 	if err := d.fallbackMerge(b, nil); err == nil {
 		t.Fatal("fallback merge with a 2-frame pool succeeded")
 	} else if !errors.Is(err, ErrEmptyPool) {

@@ -10,13 +10,21 @@
 // through pdm counters, so the claimed pass structure is directly observable.
 //
 // The internal sort both paradigms bottom out in (a run of load-sort run
-// formation, a memory-sized bucket of the distribution sort) is one kernel,
-// sortEmit in memsort.go. Its memory is the caller's record buffer alone,
-// charged to the pool as that buffer's block equivalent (bufFrames): the
-// buffer is sorted in place, one chunk per CPU, and the chunks are merged
-// while their records are appended to the sink, so there is no scratch
-// buffer to charge. The sort is stable and its output does not depend on
-// the CPU count; neither do the reads and appends around it.
+// formation, a memory-sized bucket of the distribution sort) is one
+// function, sortEmit in memsort.go. Its memory is the caller's record
+// buffer alone, charged to the pool as that buffer's block equivalent
+// (bufFrames): the buffer is sorted in place, one chunk per CPU, and the
+// chunks are merged while their records are appended to the sink, so there
+// is no scratch buffer to charge. Its output does not depend on the CPU
+// count; neither do the reads and appends around it.
+//
+// Each chunk is sorted in place by a kernel the sorter fixes when it is
+// built. The generic entry points (MergeSort, FormRuns, DistributionSort,
+// DistributionSortTo) sort each chunk stably, since their less may tie
+// records that differ. The Record entry points (SortRecords, SortIndex)
+// sort with record.Sort, an in-place radix sort that is not stable and need
+// not be: Record.Less is a total order, so the bytes they emit are the
+// stable sort's.
 package extsort
 
 import (
@@ -24,6 +32,7 @@ import (
 	"fmt"
 
 	"em/internal/pdm"
+	"em/internal/record"
 	"em/internal/stream"
 )
 
@@ -115,7 +124,18 @@ func forEach[T any](f *stream.File[T], pool *pdm.Pool, opts *Options, frames int
 // MergeSort sorts f by less into a new file using multiway external merge
 // sort. The input file is not modified.
 func MergeSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) (*stream.File[T], error) {
-	runs, err := FormRuns(f, pool, less, opts)
+	return mergeSort(f, pool, less, stableKernel(less), opts)
+}
+
+// SortRecords is MergeSort by record.Record.Less, its load-sort runs
+// sorted in memory by recordKernel.
+func SortRecords(f *stream.File[record.Record], pool *pdm.Pool, opts *Options) (*stream.File[record.Record], error) {
+	return mergeSort(f, pool, record.Record.Less, recordKernel, opts)
+}
+
+// mergeSort is MergeSort with kern sorting each load-sort run in memory.
+func mergeSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, kern kernel[T], opts *Options) (*stream.File[T], error) {
+	runs, err := formRuns(f, pool, less, kern, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -133,19 +153,25 @@ func MergeSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool,
 }
 
 // FormRuns performs the run-formation pass, returning sorted runs whose
-// concatenation is a permutation of f.
+// concatenation is a permutation of f. A load-sorted run keeps records
+// tied by less in their input order.
 func FormRuns[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) ([]*stream.File[T], error) {
+	return formRuns(f, pool, less, stableKernel(less), opts)
+}
+
+// formRuns is FormRuns with kern sorting each load-sort run in memory.
+func formRuns[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, kern kernel[T], opts *Options) ([]*stream.File[T], error) {
 	if opts.runMode() == ReplacementSelection {
 		return formRunsReplacement(f, pool, less, opts)
 	}
-	return formRunsLoadSort(f, pool, less, opts)
+	return formRunsLoadSort(f, pool, less, kern, opts)
 }
 
 // formRunsLoadSort fills memory, sorts, writes, repeats. Each run holds
 // exactly memRecords records except the last. The run buffer is every frame
 // the reader and the run writer leave free, reserved from the pool for the
-// whole pass; sortEmit sorts a run inside it and needs no other.
-func formRunsLoadSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) ([]*stream.File[T], error) {
+// whole pass; sortEmit sorts a run inside it with kern and needs no other.
+func formRunsLoadSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, kern kernel[T], opts *Options) ([]*stream.File[T], error) {
 	sf := opts.width()
 	// Reserve frames: reader (sf) + writer (sf); the rest hold the run buffer.
 	bufFrames := pool.Free() - 2*sf
@@ -184,7 +210,7 @@ func formRunsLoadSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T
 		if err != nil {
 			return err
 		}
-		if err := sortEmit(buf, less, rw.Append); err != nil {
+		if err := sortEmit(buf, less, kern, rw.Append); err != nil {
 			rw.Close()
 			run.Release()
 			return err

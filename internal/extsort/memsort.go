@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+
+	"em/internal/record"
 )
 
 // memSortChunk is the fewest records worth a chunk of their own: below two
@@ -24,29 +26,50 @@ func compare[T any](less func(a, b T) bool) func(a, b T) int {
 	}
 }
 
-// sortStable sorts buf in place by less, stably, with no scratch space
-// (slices.SortStableFunc is an in-place insertion sort plus SymMerge). Being
-// generic, it moves records with typed assignments rather than through a
-// reflection swapper.
-func sortStable[T any](buf []T, less func(a, b T) bool) {
-	slices.SortStableFunc(buf, compare(less))
+// kernel is how a sorter sorts in memory, in place, fixed when the sorter
+// is built: sort takes each chunk of a run or base case, sample the
+// distribution sort's splitter sample, whose ties split alike and so may
+// land in any order.
+type kernel[T any] struct {
+	sort   func(buf []T)
+	sample func(buf []T)
 }
 
-// sortEmit passes the records of buf to emit in stable sorted order, stopping
-// at emit's first error. It is the in-memory sort of load-sort run formation
+// stableKernel is the kernel of the generic entry points, whose less may
+// tie records that differ: chunks are sorted stably with no scratch space
+// (slices.SortStableFunc is an in-place insertion sort plus SymMerge), the
+// sample with pdqsort, at half SymMerge's time. Being generic, both move
+// records with typed assignments rather than through a reflection swapper.
+func stableKernel[T any](less func(a, b T) bool) kernel[T] {
+	cmp := compare(less)
+	return kernel[T]{
+		sort:   func(buf []T) { slices.SortStableFunc(buf, cmp) },
+		sample: func(buf []T) { slices.SortFunc(buf, cmp) },
+	}
+}
+
+// recordKernel is the kernel of the Record entry points: record.Sort, an
+// in-place radix sort that allocates nothing. It is not stable, and need
+// not be: Record.Less is a total order, so records it ties are equal in
+// bytes and every sorted order of a buffer is the same byte sequence.
+var recordKernel = kernel[record.Record]{sort: record.Sort, sample: record.Sort}
+
+// sortEmit passes the records of buf to emit in sorted order, stopping at
+// emit's first error. It is the in-memory sort of load-sort run formation
 // and of the distribution sort's base case, and it works inside the one
 // buffer its caller charged to the pool: buf is cut into
 // min(GOMAXPROCS, len/memSortChunk) contiguous chunks, each sorted in place
-// on its own goroutine, and once all of them have been joined the chunks are
-// merged while emitting — the final merge levels of an in-place sort are
-// never run and no second record buffer exists. Ties go to the lower chunk,
-// which holds the earlier records, so the emitted order is the one stable
-// order whatever the chunk count. Afterwards buf holds the same records,
-// each chunk sorted.
-func sortEmit[T any](buf []T, less func(a, b T) bool, emit func(T) error) error {
+// by kern on its own goroutine, and once all of them have been joined the
+// chunks are merged by less while emitting — the final merge levels of an
+// in-place sort are never run and no second record buffer exists. Ties go
+// to the lower chunk, which holds the earlier records, so with a stable
+// kernel the emitted order is the one stable order whatever the chunk
+// count, and with recordKernel, whose ties are equal in bytes, it is the
+// same bytes. Afterwards buf holds the same records, each chunk sorted.
+func sortEmit[T any](buf []T, less func(a, b T) bool, kern kernel[T], emit func(T) error) error {
 	k := min(runtime.GOMAXPROCS(0), len(buf)/memSortChunk)
 	if k < 2 {
-		sortStable(buf, less)
+		kern.sort(buf)
 		return emitAll(buf, emit)
 	}
 	chunks := make([][]T, k)
@@ -56,7 +79,7 @@ func sortEmit[T any](buf []T, less func(a, b T) bool, emit func(T) error) error 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sortStable(chunks[i], less)
+			kern.sort(chunks[i])
 		}()
 	}
 	wg.Wait()

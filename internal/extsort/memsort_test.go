@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -41,7 +42,7 @@ func TestSortEmitMatchesSliceStable(t *testing.T) {
 				want := append([]record.Record(nil), in...)
 				sort.SliceStable(want, func(i, j int) bool { return keyLess(want[i], want[j]) })
 				got := make([]record.Record, 0, n)
-				err := sortEmit(in, keyLess, func(v record.Record) error {
+				err := sortEmit(in, keyLess, stableKernel(keyLess), func(v record.Record) error {
 					got = append(got, v)
 					return nil
 				})
@@ -55,6 +56,45 @@ func TestSortEmitMatchesSliceStable(t *testing.T) {
 					if got[i] != want[i] {
 						t.Fatalf("n=%d: record %d = %+v, want %+v", n, i, got[i], want[i])
 					}
+				}
+			}
+		})
+	}
+}
+
+// dupWholeRecs returns n records over about sixteen distinct keys and four
+// distinct values, so whole records repeat.
+func dupWholeRecs(rng *rand.Rand, n int) []record.Record {
+	out := make([]record.Record, n)
+	for i := range out {
+		out[i] = record.Record{Key: uint64(rng.Intn(16)), Val: uint64(rng.Intn(4))}
+	}
+	return out
+}
+
+// TestSortEmitRecordKernelMatchesSliceStable is the Record kernel's
+// property: on records with repeated keys, values and whole records, at
+// every buffer length and CPU count, the unstable kernel emits exactly
+// sort.SliceStable's sequence by Record.Less.
+func TestSortEmitRecordKernelMatchesSliceStable(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			rng := rand.New(rand.NewSource(int64(procs)))
+			for _, n := range memSortLens {
+				in := dupWholeRecs(rng, n)
+				want := append([]record.Record(nil), in...)
+				sort.SliceStable(want, func(i, j int) bool { return want[i].Less(want[j]) })
+				got := make([]record.Record, 0, n)
+				err := sortEmit(in, recLess, recordKernel, func(v record.Record) error {
+					got = append(got, v)
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d: emitted sequence is not sort.SliceStable's", n)
 				}
 			}
 		})
@@ -82,7 +122,7 @@ func TestSortEmitStopsAtEmitError(t *testing.T) {
 					return keyLess(a, b)
 				}
 				calls := 0
-				err := sortEmit(dupRecs(rng, n), less, func(record.Record) error {
+				err := sortEmit(dupRecs(rng, n), less, stableKernel(less), func(record.Record) error {
 					if c := comparing.Load(); c != 0 {
 						t.Errorf("n=%d: %d comparisons in progress during emit %d", n, c, calls)
 					}
@@ -107,9 +147,10 @@ var memSortSink record.Record
 
 // BenchmarkMemSort times the kernel on one base-case buffer of the repo
 // benchmark's build geometry (2^17 records): sorting and the merge on the
-// way out, with an emit that only keeps the record. Random keys go through
-// the build's own comparator; the all-equal case uses the key-only one, so
-// every comparison is a tie.
+// way out, with an emit that only keeps the record. Random keys and one
+// repeated key (values in input order) each go through the generic stable
+// kernel and through the Record kernel; the generic all-equal case uses
+// the key-only comparator, so every comparison is a tie.
 func BenchmarkMemSort(b *testing.B) {
 	const n = 1 << 17
 	rng := rand.New(rand.NewSource(1))
@@ -117,9 +158,12 @@ func BenchmarkMemSort(b *testing.B) {
 		name string
 		key  func() uint64
 		less func(a, b record.Record) bool
+		kern kernel[record.Record]
 	}{
-		{"random", rng.Uint64, recLess},
-		{"equal", func() uint64 { return 7 }, keyLess},
+		{"random", rng.Uint64, recLess, stableKernel(recLess)},
+		{"record-kernel", rng.Uint64, recLess, recordKernel},
+		{"equal", func() uint64 { return 7 }, keyLess, stableKernel(keyLess)},
+		{"record-kernel-equal", func() uint64 { return 7 }, recLess, recordKernel},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			in := make([]record.Record, n)
@@ -137,7 +181,7 @@ func BenchmarkMemSort(b *testing.B) {
 				b.StopTimer()
 				copy(buf, in)
 				b.StartTimer()
-				if err := sortEmit(buf, tc.less, emit); err != nil {
+				if err := sortEmit(buf, tc.less, tc.kern, emit); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -289,7 +289,7 @@ func TestPartitionSpillsResidentBucket(t *testing.T) {
 	sorted := slices.Clone(vs)
 	slices.SortFunc(sorted, cmpKey)
 	cuts := []record.Record{sorted[n/4], sorted[n/2], sorted[3*n/4]}
-	d := &distSorter[record.Record]{pool: pool, less: keyLess, opts: &Options{Width: 2}, sf: 4}
+	d := &distSorter[record.Record]{pool: pool, less: keyLess, kern: stableKernel(keyLess), opts: &Options{Width: 2}, sf: 4}
 	vol.Stats().Reset()
 	res, buckets, err := d.partition(f, cuts, 8*per, d.sf)
 	if err != nil {
@@ -337,7 +337,7 @@ func TestSortIndexHybridCrashSweep(t *testing.T) {
 	// The sort sees s.mem frames once the loader's budget is held back; at
 	// that budget the top level must be hybrid, so the spill below is the
 	// resident bucket's.
-	d := newDistSorter(pdm.NewPool(1024, s.mem), keyLess, opts)
+	d := newDistSorter(pdm.NewPool(1024, s.mem), keyLess, stableKernel(keyLess), opts)
 	fo := d.fanOut(d.sf)
 	if k, resident, _ := d.plan(int64(s.n), (s.mem-2*s.width)*64, 64, s.sampleBlocks(in), fo); k == 0 || resident == 0 {
 		t.Fatalf("%v: plan of %d spilled buckets, %d resident frames: not a hybrid level", s, k, resident)

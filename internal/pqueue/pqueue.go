@@ -10,7 +10,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
 
 	"em/internal/pdm"
 	"em/internal/record"
@@ -117,14 +116,15 @@ func (q *Queue) spill() error {
 			return err
 		}
 	}
-	buf := append([]record.Record(nil), q.mem...)
-	sort.Slice(buf, func(i, j int) bool { return buf[i].Less(buf[j]) })
+	// Sorted in place: a sorted slice is still a valid heap, so a failed
+	// spill leaves the in-memory records queued.
+	record.Sort(q.mem)
 	f := stream.NewFile[record.Record](q.vol, record.RecordCodec{})
 	w, err := stream.NewWriter(f, q.pool)
 	if err != nil {
 		return err
 	}
-	for _, r := range buf {
+	for _, r := range q.mem {
 		if err := w.Append(r); err != nil {
 			w.Close()
 			return err

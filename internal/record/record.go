@@ -6,7 +6,10 @@
 // encodings are little-endian and allocation-free; no reflection is used.
 package record
 
-import "encoding/binary"
+import (
+	"cmp"
+	"encoding/binary"
+)
 
 // Codec converts values of type T to and from their fixed-width binary form.
 // Size must be constant for all values, and Encode/Decode must be exact
@@ -34,6 +37,16 @@ func (r Record) Less(o Record) bool {
 		return r.Key < o.Key
 	}
 	return r.Val < o.Val
+}
+
+// Compare is Less as a three-way comparison: cmp.Compare on Key, then on
+// Val. It returns 0 only for records equal in bytes, so a sort by it emits
+// the same sequence whether or not it is stable.
+func Compare(a, b Record) int {
+	if c := cmp.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Val, b.Val)
 }
 
 // RecordCodec encodes Record in 16 bytes.

@@ -89,10 +89,12 @@ func TestRecordLessTotalOrder(t *testing.T) {
 	}
 }
 
+// TestRecordLessTrichotomy checks that exactly one of a.Less(b), b.Less(a)
+// and a == b holds, and that Compare's sign says which, both ways round.
+// Each draw is also tried with every field reduced mod 3, so equal keys,
+// equal values and equal records all occur.
 func TestRecordLessTrichotomy(t *testing.T) {
-	f := func(k1, v1, k2, v2 uint64) bool {
-		a := Record{Key: k1, Val: v1}
-		b := Record{Key: k2, Val: v2}
+	check := func(a, b Record) bool {
 		less, greater := a.Less(b), b.Less(a)
 		equal := a == b
 		// Exactly one of less, greater, equal.
@@ -106,7 +108,12 @@ func TestRecordLessTrichotomy(t *testing.T) {
 		if equal {
 			n++
 		}
-		return n == 1
+		c, r := Compare(a, b), Compare(b, a)
+		return n == 1 && (c < 0) == less && (c > 0) == greater && (c == 0) == equal && r == -c
+	}
+	f := func(k1, v1, k2, v2 uint64) bool {
+		return check(Record{Key: k1, Val: v1}, Record{Key: k2, Val: v2}) &&
+			check(Record{Key: k1 % 3, Val: v1 % 3}, Record{Key: k2 % 3, Val: v2 % 3})
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

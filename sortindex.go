@@ -41,7 +41,9 @@ type SortIndexOptions struct {
 // ⌈N/B⌉ writes and ⌈N/B⌉ reads fewer than sorting to a file and
 // bulk-loading from it. It runs on the caller's goroutine, so its counted
 // I/Os, block placement and parallel steps are fixed by the input and the
-// options.
+// options. Its in-memory sorts are an in-place radix sort on Record.Less's
+// total order, which is not stable, but records it ties are equal in bytes,
+// so the leaves are those of the stable sort.
 //
 // Keys must be distinct: the tree is a map and the bulk loader rejects a
 // non-strictly-increasing stream with ErrUnsortedInput, which aborts the
