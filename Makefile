@@ -91,9 +91,11 @@ cover:
 # BenchmarkStoreFrontOps, BenchmarkOverlay) and its drain
 # (BenchmarkStoreDrain: writes/op and ns/op per buffered op), the buffer manager
 # (BenchmarkCacheGet), the B-tree's batched fetch
-# (BenchmarkGetBatchGroups: steps/key and allocs/key at a roomy and a
-# saturated cache) and its bulk loader (BenchmarkBulkLoad: ns/record and
-# allocs/record for 2^20 sorted records on both leaf paths), the stream
+# (BenchmarkGetBatchGroups: reads/key, steps/key and allocs/key at a roomy
+# and a saturated cache, and zipf: skewed and uniform batches at a serving
+# session's shape, where hit leaves earn the cache's hot class) and its
+# bulk loader (BenchmarkBulkLoad: ns/record and allocs/record for 2^20
+# sorted records on both leaf paths), the stream
 # round trip at both depths (BenchmarkStreams: ns/record and allocs/record,
 # on demand and ahead/behind) and extsort's fused index build
 # (BenchmarkSortIndex: ns/record, allocs/record and ios/record for 2^18

@@ -24,6 +24,9 @@ var (
 	wide = geom{blockBytes: 256, disks: 4, n: 5750, frames: 48, height: 4, internals: 34}
 	// saturated: the tree's default 8 frames under 19 internal nodes.
 	saturated = geom{blockBytes: 256, disks: 4, n: 3000, frames: 8, height: 4, internals: 19}
+	// serving: a serving session's shape scaled down — two disks, 48
+	// frames, a height-3 tree whose leaves outnumber the frames tenfold.
+	serving = geom{blockBytes: 1024, disks: 2, n: 32768, frames: 48, height: 3, internals: 10}
 )
 
 func (g geom) config() pdm.Config {
@@ -99,6 +102,34 @@ func uniformKeys(rng *rand.Rand, q, n int) []uint64 {
 		keys[i] = uint64(rng.Intn(2*n + 2))
 	}
 	return keys
+}
+
+// servingBatches draws batches 64-key batches the way a serving client
+// does over shards range-partitioned trees of n keys each, and returns the
+// sub-batches the first tree serves. Batches alternate between
+// Zipf(1.1)-popular present keys scattered over the whole keyspace (a
+// multiplicative hash, one to one for shards*n a power of two) and uniform
+// keys, present or absent: half the batches can be served by a cache and
+// half cannot.
+func servingBatches(rng *rand.Rand, batches, shards, n int) [][]uint64 {
+	const q = 64
+	span := uint64(shards * n)
+	zipf := rand.NewZipf(rng, 1.1, 1, span-1)
+	out := make([][]uint64, batches)
+	for j := range out {
+		for i := 0; i < q; i++ {
+			var k uint64
+			if j%2 == 0 {
+				k = 2 * ((zipf.Uint64()*0x9E3779B97F4A7C15 + 0x7F4A7C15) & (span - 1))
+			} else {
+				k = uint64(rng.Int63n(int64(2 * span)))
+			}
+			if k < 2*uint64(n) {
+				out[j] = append(out[j], k)
+			}
+		}
+	}
+	return out
 }
 
 // TestGroupWidthFloorOnSaturatedCache is the first trap of sizing a fetch by
@@ -399,15 +430,22 @@ func TestGetBatchBesideForeignPins(t *testing.T) {
 
 // BenchmarkGetBatchGroups counts what a 64-key batch costs at the two
 // shapes the width formula serves — roomy (the width is most of the cache)
-// and saturated (it is the disk-count floor). One iteration is a fixed run
-// of batches through a warmed session; steps/key and allocs/key are the
-// columns to read.
+// and saturated (it is the disk-count floor) — and at the serving shape,
+// where zipf alternates skewed and uniform batches split over four shards
+// (servingBatches) and the leaves the skewed ones hit earn the cache's hot
+// class. One iteration is a fixed run of batches through a warmed session;
+// reads/key, steps/key and allocs/key are the columns to read.
 func BenchmarkGetBatchGroups(b *testing.B) {
 	const q, batches = 64, 64
 	for _, tc := range []struct {
-		name string
-		g    geom
-	}{{"roomy", roomy}, {"saturated", saturated}} {
+		name    string
+		g       geom
+		batches func(rng *rand.Rand, n int) [][]uint64
+	}{
+		{"roomy", roomy, nil},
+		{"saturated", saturated, nil},
+		{"zipf", serving, func(rng *rand.Rand, n int) [][]uint64 { return servingBatches(rng, 4*batches, 4, n) }},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			vol := pdm.MustVolume(tc.g.config())
 			pool := pdm.PoolFor(vol)
@@ -421,22 +459,36 @@ func BenchmarkGetBatchGroups(b *testing.B) {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(43))
-			keys := uniformKeys(rng, q*batches, tc.g.n)
+			var run [][]uint64
+			if tc.batches != nil {
+				run = tc.batches(rng, tc.g.n)
+			} else {
+				keys := uniformKeys(rng, q*batches, tc.g.n)
+				for j := 0; j < batches; j++ {
+					run = append(run, keys[j*q:(j+1)*q])
+				}
+			}
+			keys := 0
+			for _, batch := range run {
+				keys += len(batch)
+			}
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
-			mallocs, steps := ms.Mallocs, tr.Stats().Steps
+			mallocs, before := ms.Mallocs, tr.Stats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j := 0; j < batches; j++ {
-					if _, _, err := s.GetBatch(keys[j*q : (j+1)*q]); err != nil {
+				for _, batch := range run {
+					if _, _, err := s.GetBatch(batch); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&ms)
-			total := float64(b.N * batches * q)
-			b.ReportMetric(float64(tr.Stats().Steps-steps)/total, "steps/key")
+			after := tr.Stats()
+			total := float64(b.N * keys)
+			b.ReportMetric(float64(after.Reads-before.Reads)/total, "reads/key")
+			b.ReportMetric(float64(after.Steps-before.Steps)/total, "steps/key")
 			b.ReportMetric(float64(ms.Mallocs-mallocs)/total, "allocs/key")
 		})
 	}

@@ -26,9 +26,14 @@ import (
 // retained page, less one, so that two groups — the one being searched and
 // the one in flight — fit pinned with an evictable page to spare, and a wide
 // group of leaves never evicts the internal nodes the cache keeps resident.
-// It is never below min(disks, (capacity-1)/2), the disk-count width that a
-// cache saturated by its retained pages falls back to: there a group
-// displaces retained pages, LRU among themselves, as single reads would.
+// Leaves that earned the cache's hot class by a hit are not spared: they
+// count among the frames left, and a group evicts them once no ordinary
+// leaf is unpinned. Sparing them too would narrow every group as the hot
+// leaves accumulate, and more groups per level cost more parallel steps
+// than the rereads they save. The width is never below
+// min(disks, (capacity-1)/2), the disk-count width that a cache saturated
+// by its retained pages falls back to: there a group displaces retained
+// pages, LRU among themselves, as single reads would.
 // Pins held by anyone else (an open Scanner's resident leaves) are not
 // counted; forEachSpan narrows its groups when they get in the way.
 func groupWidth(c *cache.Cache, disks int) int {
@@ -200,7 +205,10 @@ func (t *Tree) forEachSpan(c *cache.Cache, groups *[2]fetchGroup, spans []span, 
 // in RAM while the Θ(N/B) leaves stay on disk. It costs at most one read
 // per internal node, and the nodes stay warm: they are pinned as retained,
 // so leaf traffic never evicts one, and only internal nodes beyond the
-// cache capacity displace each other (LRU among themselves).
+// cache capacity displace each other (LRU among themselves). Leaves rank
+// below them in two tiers: a leaf hit while resident is hot and outlives
+// every leaf read once, so a skewed key stream keeps its popular leaves
+// while uniform traffic washes through the rest.
 func (t *Tree) Warm() error {
 	return t.warmWith(t.cache)
 }

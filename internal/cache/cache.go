@@ -5,17 +5,21 @@
 // The live Cache is the buffer manager used by the online index structures
 // (B-tree, extendible hashing): it keeps hot blocks pinned in pool frames
 // and writes dirty pages back on eviction or Flush. Replacement is LRU over
-// two classes of unpinned pages. Every pin states its page's class — the
-// cache never looks inside a block — and a retained page is evicted only
-// when no ordinary unpinned page exists, so what a caller pins as retained
-// (the B-tree's nodes above the leaf level) stays resident while ordinary
-// pages (its leaves, all of extendible hashing) wash through. A cache too
-// small for its retained pages falls back to LRU among them. Retained
-// reports how many resident pages are of that class, so a reader that pins
-// many pages at once — the B-tree's batched fetch — can size itself by the
-// frames that are left instead of pushing the retained pages out. The policy
-// simulators replay reference strings without touching a volume and are the
-// engine behind experiment F6.
+// three classes of unpinned pages, evicted in this order: ordinary, hot,
+// retained. Every pin states whether its page is retained — the cache never
+// looks inside a block — so what a caller pins as retained (the B-tree's
+// nodes above the leaf level) stays resident while the rest wash through.
+// A page pinned as not retained is admitted ordinary, on probation, and
+// earns the hot class by being referenced again while resident, as in 2Q
+// (Johnson & Shasha, VLDB'94): a leaf that is hit outlives every leaf that
+// was touched once, so a skewed key stream keeps its popular leaves while a
+// uniform one washes through the probation chain. A cache too small for its
+// protected pages falls back to LRU among them. Retained reports how many
+// resident pages are retained, so a reader that pins many pages at once —
+// the B-tree's batched fetch — can size itself by the frames that are left
+// instead of pushing the retained pages out. The policy simulators replay
+// reference strings without touching a volume and are the engine behind
+// experiment F6.
 package cache
 
 import (
@@ -38,11 +42,13 @@ type Page struct {
 	addr  int64
 	pins  int
 	dirty bool
-	// retain is the page's class: which recency chain it is linked into.
-	retain bool
-	frame  *pdm.Frame // nil while the table slot is free
-	// prev and next link the page into the recency chain of its class — the
-	// one its latest pin stated; a free slot uses next alone.
+	// retain is the class the page's latest pin stated; hot records a hit
+	// while resident. Together they pick the recency chain the page is
+	// linked into: retained, else hot, else ordinary.
+	retain, hot bool
+	frame       *pdm.Frame // nil while the table slot is free
+	// prev and next link the page into the recency chain of its class; a
+	// free slot uses next alone.
 	prev, next *Page
 }
 
@@ -61,7 +67,7 @@ type CacheStats struct {
 	WriteBack uint64
 }
 
-// Cache is a fixed-capacity pinning block cache with two-class LRU
+// Cache is a fixed-capacity pinning block cache with three-class LRU
 // replacement.
 type Cache struct {
 	vol   *pdm.Volume
@@ -71,9 +77,10 @@ type Cache struct {
 	// *Page stays valid while pinned. Frames are drawn per resident page.
 	table []Page
 	free  *Page // unused table slots
-	// chains are the sentinels of the two circular recency chains, ordinary
-	// then retained: next is the most recently used page, prev the least.
-	chains   [2]Page
+	// chains are the sentinels of the three circular recency chains, in
+	// eviction order — ordinary, hot, retained: next is the most recently
+	// used page, prev the least.
+	chains   [3]Page
 	retained int // pages linked into the retained chain
 	stats    CacheStats
 }
@@ -112,14 +119,21 @@ func (c *Cache) Capacity() int { return len(c.table) }
 // Retained returns the number of resident pages whose latest pin stated the
 // retained class — the frames ordinary traffic cannot claim. A batched
 // reader sizes its pinned groups by what is left (see btree's groupWidth).
+// Hot pages are not counted, so a group may take their frames: sparing
+// them too would narrow the groups and cost more parallel steps than the
+// rereads it saves.
 func (c *Cache) Retained() int { return c.retained }
 
-// touch makes p the most recently used page of the class its pin states.
+// touch makes p the most recently used page of its class: retained if its
+// pin states so, else hot once it has been hit, else ordinary.
 func (c *Cache) touch(p *Page, retain bool) {
 	s := &c.chains[0]
-	if retain {
-		s = &c.chains[1]
+	switch {
+	case retain:
+		s = &c.chains[2]
 		c.retained++
+	case p.hot:
+		s = &c.chains[1]
 	}
 	p.retain = retain
 	p.prev, p.next = s, s.next
@@ -136,10 +150,13 @@ func (c *Cache) unlink(p *Page) {
 }
 
 // hit records a cache hit on p and pins it — the shared bookkeeping of
-// every path that finds a resident page. The class follows the latest pin.
+// every path that finds a resident page. The page has been referenced
+// again while resident, so it is hot from now on; whether it is retained
+// follows the latest pin.
 func (c *Cache) hit(p *Page, retain bool) {
 	c.stats.Hits++
 	p.pins++
+	p.hot = true
 	c.unlink(p)
 	c.touch(p, retain)
 }
@@ -148,7 +165,8 @@ func (c *Cache) hit(p *Page, retain bool) {
 func (c *Cache) Get(addr int64) (*Page, error) { return c.Pin(addr, false) }
 
 // Pin pins block addr, reading it from the volume on a miss, and states its
-// class: a retained page outlives every ordinary unpinned page. Every Pin
+// class: a retained page outlives every unretained unpinned page. A page
+// not pinned as retained is ordinary until a hit makes it hot. Every Pin
 // must be paired with an Unpin.
 func (c *Cache) Pin(addr int64, retain bool) (*Page, error) {
 	if p, ok := c.pages[addr]; ok {
@@ -169,7 +187,7 @@ func (c *Cache) Pin(addr int64, retain bool) (*Page, error) {
 
 // GetNew pins block addr without reading it, for freshly allocated blocks
 // whose on-disk contents are irrelevant. The page starts zeroed, dirty and
-// ordinary.
+// unretained: ordinary on a miss, hot on a hit.
 func (c *Cache) GetNew(addr int64) (*Page, error) {
 	if p, ok := c.pages[addr]; ok {
 		c.hit(p, false)
@@ -273,7 +291,7 @@ func (c *Cache) failBatch(pages []*Page, miss []int) {
 }
 
 // admit makes room if needed and installs a pinned page for addr in a free
-// table slot.
+// table slot, on probation: a reused slot never inherits hot.
 func (c *Cache) admit(addr int64, retain bool) (*Page, error) {
 	if c.free == nil {
 		if err := c.evictOne(); err != nil {
@@ -292,8 +310,9 @@ func (c *Cache) admit(addr int64, retain bool) (*Page, error) {
 	return p, nil
 }
 
-// evictOne removes the least recently used unpinned page — an ordinary one
-// if there is any, a retained one otherwise — writing it back if dirty.
+// evictOne removes the least recently used unpinned page of the first class
+// that has one — ordinary, then hot, then retained — writing it back if
+// dirty.
 func (c *Cache) evictOne() error {
 	for i := range c.chains {
 		s := &c.chains[i]
@@ -316,7 +335,7 @@ func (c *Cache) evictOne() error {
 }
 
 // discard removes a page from all cache bookkeeping, returns its frame and
-// frees its table slot, forgetting the page's class and dirty bit.
+// frees its table slot, forgetting the page's class, hot bit and dirty bit.
 func (c *Cache) discard(p *Page) {
 	c.unlink(p)
 	delete(c.pages, p.addr)

@@ -116,6 +116,121 @@ func TestClassFollowsLatestPin(t *testing.T) {
 	}
 }
 
+// TestProtectionIsEarned: a page hit while resident outlives every page
+// touched once, a retained page outlives both, and Retained() counts only
+// the retained one.
+func TestProtectionIsEarned(t *testing.T) {
+	const capacity = 6
+	c, _, base := retainEnv(t, 32, capacity, nil)
+	r, a, b := base, base+1, base+2
+	touch(t, c, r, true)
+	touch(t, c, a, false)
+	touch(t, c, a, false) // a hit: a is hot from here on
+	touch(t, c, b, false) // never hit
+	if c.Retained() != 1 || classCount(c, hot) != 1 {
+		t.Fatalf("Retained() %d with %d hot pages, want 1 and 1", c.Retained(), classCount(c, hot))
+	}
+	// A sweep of capacity-many one-shot misses washes b out, not a.
+	next := base + 3
+	for i := 0; i < capacity; i++ {
+		touch(t, c, next, false)
+		next++
+	}
+	if !resident(c, r) || !resident(c, a) || resident(c, b) {
+		t.Fatalf("after the sweep: retained %v, hot %v, one-shot %v resident; want true, true, false",
+			resident(c, r), resident(c, a), resident(c, b))
+	}
+	// Hold the capacity-2 ordinary frames pinned: the next miss has only a
+	// and r to choose from, and takes the hot page although r is older.
+	var held []*Page
+	for i := 0; i < capacity-2; i++ {
+		p, err := c.Pin(next, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, p)
+		next++
+	}
+	touch(t, c, next, false)
+	if resident(c, a) || !resident(c, r) {
+		t.Fatal("a hot page outlived a retained one")
+	}
+	// A hot page pinned as retained is counted as retained, and an ordinary
+	// pin hands it back to the hot chain, uncounted.
+	touch(t, c, next, true)
+	if c.Retained() != 2 || classCount(c, hot) != 0 {
+		t.Fatalf("Retained() %d with %d hot pages after a retained pin, want 2 and 0", c.Retained(), classCount(c, hot))
+	}
+	touch(t, c, next, false)
+	if c.Retained() != 1 || classCount(c, hot) != 1 {
+		t.Fatalf("Retained() %d with %d hot pages after an ordinary pin, want 1 and 1", c.Retained(), classCount(c, hot))
+	}
+	for _, p := range held {
+		c.Unpin(p)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReusedSlotStartsOnProbation: a table slot freed while its page was
+// hot — by eviction, Drop, Discard or a failed batch — hands the next page
+// it takes a clean start. Free slots are reused last in, first out, so the
+// next admission lands in the freed slot.
+func TestReusedSlotStartsOnProbation(t *testing.T) {
+	for _, how := range []string{"evict", "Drop", "Discard", "failed batch"} {
+		t.Run(how, func(t *testing.T) {
+			var fault *pdm.FaultPlan
+			if how == "failed batch" {
+				fault = &pdm.FaultPlan{FailAfter: 1} // base's read only
+			}
+			c, _, base := retainEnv(t, 8, 2, fault)
+			touch(t, c, base, false)
+			touch(t, c, base, false)
+			slot := c.pages[base]
+			switch how {
+			case "evict":
+				touch(t, c, base+1, false)
+				touch(t, c, base+1, false) // both hot: base is the LRU
+				touch(t, c, base+2, false)
+			case "Drop":
+				c.Drop(base)
+				touch(t, c, base+2, false)
+			case "Discard":
+				if err := c.Discard(); err != nil {
+					t.Fatal(err)
+				}
+				touch(t, c, base+2, false)
+			case "failed batch":
+				// The duplicate is a hit on the page admitted for the miss,
+				// so the page the failure discards is hot.
+				if _, _, err := c.GetBatchAsync([]int64{base + 1, base + 1}, false); !errors.Is(err, pdm.ErrFaulted) {
+					t.Fatalf("batch on a dead disk returned %v", err)
+				}
+				slot = c.free
+				p, err := c.GetNew(base + 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Unpin(p)
+			}
+			p := c.pages[base+2]
+			if p != slot {
+				t.Fatal("the next admission landed in another slot than the freed one")
+			}
+			if p.hot || classWalk(t, c)[hot] != classCount(c, hot) {
+				t.Fatal("a reused slot inherited hot")
+			}
+			if how == "failed batch" {
+				c.Drop(base + 2) // dirty on a dead disk
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestDirtyRetainedWrittenBackOnce(t *testing.T) {
 	c, _, base := retainEnv(t, 8, 2, nil)
 	p, err := c.Pin(base, true)
@@ -237,11 +352,59 @@ func TestFailedBatchUnwindsAtDispatch(t *testing.T) {
 	}
 }
 
-// retainedWalk counts the retained chain link by link.
-func retainedWalk(c *Cache) int {
+// Page classes, in eviction order, as classWalk counts them.
+const (
+	ordinary = iota
+	hot
+	retained
+)
+
+func classOf(p *Page) int {
+	switch {
+	case p.retain:
+		return retained
+	case p.hot:
+		return hot
+	}
+	return ordinary
+}
+
+// classWalk walks every recency chain link by link and counts the pages of
+// each class it finds. It fails if a chain mixes classes or two chains hold
+// the same class, so each count is the length of one chain, found by the
+// class of its pages rather than by its index.
+func classWalk(t *testing.T, c *Cache) [3]int {
+	t.Helper()
+	var n [3]int
+	var seen [3]bool
+	for i := range c.chains {
+		class := -1
+		for s, p := &c.chains[i], c.chains[i].next; p != s; p = p.next {
+			if k := classOf(p); class < 0 {
+				class = k
+			} else if k != class {
+				t.Fatalf("chain %d links a page of class %d beside class %d", i, k, class)
+			}
+			n[class]++
+		}
+		if class >= 0 {
+			if seen[class] {
+				t.Fatalf("two chains hold class %d", class)
+			}
+			seen[class] = true
+		}
+	}
+	return n
+}
+
+// classCount counts the resident pages of class k by the table, without
+// following any link.
+func classCount(c *Cache, k int) int {
 	n := 0
-	for s, p := &c.chains[1], c.chains[1].next; p != s; p = p.next {
-		n++
+	for i := range c.table {
+		if p := &c.table[i]; p.frame != nil && classOf(p) == k {
+			n++
+		}
 	}
 	return n
 }
@@ -250,7 +413,8 @@ func retainedWalk(c *Cache) int {
 // unlinks a page — both classes of Pin, GetNew, Peek, batches that succeed,
 // batches refused for lack of evictable pages, batches whose read fails on a
 // dead disk, Drop, eviction, Close — through caches of 3 to 64 pages, and
-// after each one Retained() is the length of the retained chain.
+// after each one Retained() is the length of the retained chain and the hot
+// chain links exactly the resident hot pages.
 func TestRetainedCountsTheRetainedChain(t *testing.T) {
 	const blocks = 96
 	for capacity := 3; capacity <= 64; capacity++ {
@@ -265,8 +429,12 @@ func TestRetainedCountsTheRetainedChain(t *testing.T) {
 		var held []*Page
 		check := func(op string) {
 			t.Helper()
-			if got, want := c.Retained(), retainedWalk(c); got != want {
+			walk := classWalk(t, c)
+			if got, want := c.Retained(), walk[retained]; got != want {
 				t.Fatalf("capacity %d after %s: Retained() %d, chain holds %d", capacity, op, got, want)
+			}
+			if got, want := walk[hot], classCount(c, hot); got != want {
+				t.Fatalf("capacity %d after %s: hot chain holds %d, %d hot pages resident", capacity, op, got, want)
 			}
 		}
 		for i := 0; i < 2000; i++ {

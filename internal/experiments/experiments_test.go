@@ -467,6 +467,37 @@ func TestF12QueryServingShape(t *testing.T) {
 		d4.Cells["qps1"], d4.Cells["qps4"])
 }
 
+// TestF14ShardedServingShape runs F14 at embench -quick's size with no
+// latency, so only its counted gates apply: the aggregated Stats of every
+// layout are identical on the memory and file backends (F14 checks that
+// itself), and four shards read at most four times what one reads, for
+// the batch rounds and the stitched scan. The S=4 QPS gate is a clock gate
+// and runs under cmd/embench.
+func TestF14ShardedServingShape(t *testing.T) {
+	tab, err := F14ShardedServing(1<<12, []int{1, 4}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 4 {
+		t.Fatalf("expected 4 rows (S in {1,4} x {mem,file}), got %d", len(tab.Rows))
+	}
+	// Rows run S=1/mem, S=1/file, S=4/mem, S=4/file.
+	for i := 0; i < 2; i++ {
+		one, four := tab.Rows[i], tab.Rows[2+i]
+		for _, c := range []string{"batchReads", "scanReads"} {
+			if four.Cells[c] > 4*one.Cells[c] {
+				t.Errorf("%s: %.0f %s over 4x %s's %.0f", four.Label, four.Cells[c], c, one.Label, one.Cells[c])
+			}
+			if mem, file := tab.Rows[2*i].Cells[c], tab.Rows[2*i+1].Cells[c]; mem != file {
+				t.Errorf("%s: %s %.0f on mem, %.0f on file", tab.Rows[2*i].Label, c, mem, file)
+			}
+		}
+	}
+	for _, r := range tab.Rows {
+		t.Logf("%s: batch %.0f reads, scan %.0f reads", r.Label, r.Cells["batchReads"], r.Cells["scanReads"])
+	}
+}
+
 func TestF13StoreOnlineShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")

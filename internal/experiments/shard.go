@@ -31,7 +31,9 @@ import (
 // backends for batch and scan, and, the facade's defining invariant, the
 // aggregated per-shard Stats byte-identical between the memory and file
 // backends at every S — and returns an error when one fails, so
-// cmd/embench exits non-zero and CI can gate on the sweep.
+// cmd/embench exits non-zero and CI can gate on the sweep. The QPS gate is
+// a clock gate and needs a latency to measure: at zero latency F14 checks
+// its counted gates alone.
 func F14ShardedServing(n int, shardCounts []int, latency time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "F14",
@@ -72,7 +74,7 @@ func F14ShardedServing(n int, shardCounts []int, latency time.Duration) (*Table,
 			return nil, fmt.Errorf("F14 %s gate: S=4 scan reads %.0f exceed 4x S=1's %.0f",
 				backend, r4.Cells["scanReads"], r1.Cells["scanReads"])
 		}
-		if backend == "file" && r4.Cells["batchQps"] < 2*r1.Cells["batchQps"] {
+		if backend == "file" && latency > 0 && r4.Cells["batchQps"] < 2*r1.Cells["batchQps"] {
 			return nil, fmt.Errorf("F14 %s gate: S=4 batch QPS %.0f not >= 2x S=1's %.0f",
 				backend, r4.Cells["batchQps"], r1.Cells["batchQps"])
 		}
