@@ -70,14 +70,18 @@ race:
 # stream's tests behind the goexperiment.synctest build tag run latency
 # volumes inside a testing/synctest bubble, where the clock moves only when
 # every goroutine is blocked — pdm's transfers and waits, the bulk loader's
-# last leaf batch, which Close must wait out, F10's two workloads (the
-# distribution sort and the bulk load take exactly their pinned parallel
-# steps at D=1 and D=4) and F9's overlap (a scan reading ahead overlaps
-# its consumer's compute, modelled as a virtual sleep, and never finishes
-# after the on-demand scan). Needs go1.24 (go.mod's 1.23 has no synctest
-# experiment).
+# last leaf batch, which Close must wait out, the scanner and the
+# write-behind writer booking their next group before they wait out the
+# last, F10's two workloads (the distribution sort and the bulk load take
+# exactly their pinned parallel steps at D=1 and D=4) and F9's overlap (a
+# scan reading ahead overlaps its consumer's compute, modelled as a virtual
+# sleep, and never finishes after the on-demand scan). The experiments
+# package runs only its ModelTime tests here — F14 with its S=4 batch-QPS
+# gate and pinned cells — so the bubble does not rerun F13. Needs go1.24
+# (go.mod's 1.23 has no synctest experiment).
 modeltime:
 	GOEXPERIMENT=synctest $(GO) test ./internal/pdm ./internal/btree ./internal/extsort ./internal/stream
+	GOEXPERIMENT=synctest $(GO) test -run ModelTime ./internal/experiments
 
 # Coverage profile across every package, with a per-function summary.
 cover:

@@ -17,14 +17,16 @@ import (
 // consecutive leaves — in key order. The Scanner exploits that: it takes
 // upcoming leaf addresses from cache-resident parents (a residency probe,
 // never an extra read) and keeps up to Width leaf reads in flight through
-// the volume's async engine; when a parent is not resident it degrades to
-// pipelining one leaf ahead along the sibling chain, which is always known
-// once the current leaf has arrived. Leaves are read into the scanner's own
-// pool frames rather than admitted to the buffer manager — a scan touches
-// each leaf once, and a scan-resistant path keeps it from evicting the hot
-// internal nodes point queries depend on — except that leaves already
-// resident are served from the cache, so counted reads never exceed the
-// synchronous Range's from the same cache state.
+// the volume's async engine, booking each group on the disks before it
+// waits out the one it is about to read, so at model latency a scan takes
+// its parallel steps and no more; when a parent is not resident it degrades
+// to pipelining one leaf ahead along the sibling chain, which is always
+// known once the current leaf has arrived. Leaves are read into the
+// scanner's own pool frames rather than admitted to the buffer manager — a
+// scan touches each leaf once, and a scan-resistant path keeps it from
+// evicting the hot internal nodes point queries depend on — except that
+// leaves already resident are served from the cache, so counted reads never
+// exceed the synchronous Range's from the same cache state.
 
 // ScanOptions tunes a prefetched range scan.
 type ScanOptions struct {
@@ -141,8 +143,9 @@ func (t *Tree) newScanner(c *cache.Cache, pool *pdm.Pool, lo, hi uint64, opts *S
 		s.Close()
 		return nil, err
 	}
-	// Dispatch the first group now; its successor goes out the moment it
-	// arrives, so there is always one group in flight behind the reader.
+	// Dispatch the first group now; the first Next books its successor
+	// before waiting for it, and every group crossed after that books the
+	// one behind it, so a group is always in flight behind the reader.
 	s.cur = s.dispatchForecast()
 	return s, nil
 }
@@ -321,19 +324,13 @@ func (s *Scanner) leafImage(g *leafGroup, i int) []byte {
 	return g.frames[i].Buf
 }
 
-// scheduleNext keeps one group in flight behind the one being consumed. It
-// is called as soon as cur's reads have arrived: first from the forecast,
-// and — when the forecast has nothing but leaves may remain — one ahead
-// along the sibling chain, whose next address cur's tail leaf just made
-// known. The chain is followed exactly when Range would follow it: the
-// tail holds no key beyond hi (so Range, too, would read the successor).
-func (s *Scanner) scheduleNext() {
-	if s.next != nil {
-		return
-	}
-	if s.next = s.dispatchForecast(); s.next != nil {
-		return
-	}
+// followChain is the scanner's fallback once the forecast has nothing left
+// to dispatch but leaves may remain: it sends one leaf ahead along the
+// sibling chain, whose next address cur's tail leaf makes known — so it
+// runs only after cur's reads have arrived. The chain is followed exactly
+// when Range would follow it: the tail holds no key beyond hi (so Range,
+// too, would read the successor).
+func (s *Scanner) followChain() {
 	if s.fcDone {
 		// Every remaining leaf starts beyond hi; Range would read one more
 		// block only to find its first key past the bound. Skipping it is
@@ -352,35 +349,35 @@ func (s *Scanner) scheduleNext() {
 }
 
 // openLeaf positions the scanner on the next leaf, crossing group
-// boundaries as needed.
+// boundaries as needed. Crossing into a group books the forecast group
+// after it before sleeping out its reads, into the frames the retired group
+// just freed, so the disks never idle while the consumer wakes; only the
+// sibling-chain fallback has to wait for the tail leaf's bytes.
 func (s *Scanner) openLeaf() error {
-	first := false
-	if !s.started {
+	first := !s.started
+	if first {
 		s.started = true
-		first = true
+	} else {
+		s.slot++
+	}
+	if first || s.slot >= len(s.cur.addrs) {
+		if !first {
+			s.retire(s.cur)
+			s.cur, s.next = s.next, nil
+		}
 		if s.cur == nil {
 			s.done = true
 			return nil
+		}
+		if s.cur.err == nil { // a failed group ends the scan: book nothing
+			s.next = s.dispatchForecast()
 		}
 		if err := s.waitGroup(s.cur); err != nil {
 			return err
 		}
 		s.slot = 0
-		s.scheduleNext()
-	} else {
-		s.slot++
-		if s.slot >= len(s.cur.addrs) {
-			s.retire(s.cur)
-			s.cur, s.next = s.next, nil
-			if s.cur == nil {
-				s.done = true
-				return nil
-			}
-			if err := s.waitGroup(s.cur); err != nil {
-				return err
-			}
-			s.slot = 0
-			s.scheduleNext()
+		if s.next == nil {
+			s.followChain()
 		}
 	}
 	s.buf = s.leafImage(s.cur, s.slot)

@@ -471,8 +471,8 @@ func TestF12QueryServingShape(t *testing.T) {
 // latency, so only its counted gates apply: the aggregated Stats of every
 // layout are identical on the memory and file backends (F14 checks that
 // itself), and four shards read at most four times what one reads, for
-// the batch rounds and the stitched scan. The S=4 QPS gate is a clock gate
-// and runs under cmd/embench.
+// the batch rounds and the stitched scan. The S=4 QPS gate is a clock gate:
+// TestModelTimeF14ShardedServing runs it in model time (`make modeltime`).
 func TestF14ShardedServingShape(t *testing.T) {
 	tab, err := F14ShardedServing(1<<12, []int{1, 4}, 0)
 	if err != nil {

@@ -365,7 +365,9 @@ func (v *Volume) reserve(di, n int, now time.Time) time.Time {
 }
 
 // Wait sleeps until deadline, the moment a Batch*Async transfer's
-// reservation runs out. Close cuts the wait short: once the volume is
+// reservation runs out. Book the next transfer before you wait out the
+// last: the sleep may overshoot, and only what is booked keeps the disks
+// busy through it. Close cuts the wait short: once the volume is
 // shutting down nobody is measuring reservation horizons any more. A zero
 // deadline — nothing was reserved — returns at once without reading the
 // clock.
@@ -635,7 +637,9 @@ func (v *Volume) BatchWrite(addrs []int64, srcs [][]byte) error {
 // overlaps computation with that simulated transfer and hands the deadline
 // to Wait once it needs the blocks; this is the primitive the stream
 // prefetcher builds forecasting read-ahead on. A caller that models its
-// overlap honestly treats dsts as in flight until that Wait returns.
+// overlap honestly treats dsts as in flight until that Wait returns. A
+// pipeline books its next transfer before it waits out the last, so the
+// disks stay busy through a sleep that overshoots its deadline.
 func (v *Volume) BatchReadAsync(addrs []int64, dsts [][]byte) (deadline time.Time, err error) {
 	return v.transfer(addrs, dsts, false)
 }

@@ -84,3 +84,68 @@ func TestModelTimePrefetchOverlapsCompute(t *testing.T) {
 		}
 	}
 }
+
+// TestModelTimeWriterBooksAhead: a writer opened behind dispatches each full
+// group before it sleeps out the flush still in flight, so the disks never
+// idle between batches. With D=2 and width 2 every batch is one parallel
+// step; an observer reading the counters at (k+½)·L, while batch k is in
+// service, must find batch k+1's writes already charged — 2(k+2) of them,
+// not the 2(k+1) of a writer that dispatched only once its wait returned.
+// Booking early never changes when a batch lands, so Close still returns at
+// exactly Steps × L.
+func TestModelTimeWriterBooksAhead(t *testing.T) {
+	const blocks = 20
+	synctest.Run(func() {
+		vol := pdm.MustVolume(pdm.Config{BlockBytes: 1024, MemBlocks: 32, Disks: 2, DiskLatency: modelLatency})
+		defer vol.Close()
+		pool := pdm.PoolFor(vol)
+		f := NewFile[record.Record](vol, record.RecordCodec{})
+		n := blocks * f.PerBlock()
+
+		start := time.Now()
+		done, result := make(chan struct{}), make(chan []uint64)
+		go func() {
+			var seen []uint64
+			for time.Sleep(modelLatency / 2); ; time.Sleep(modelLatency) {
+				select {
+				case <-done:
+					result <- seen
+					return
+				default:
+				}
+				seen = append(seen, vol.Stats().Snapshot().Writes)
+			}
+		}()
+		w, err := OpenSink(f, pool, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := w.Append(record.Record{Key: uint64(i), Val: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		elapsed, s := time.Since(start), vol.Stats().Snapshot()
+		close(done)
+		seen := <-result
+
+		t.Logf("%d writes in %d steps, %v; writes at (k+½)L: %v", s.Writes, s.Steps, elapsed, seen)
+		if s.Writes != blocks {
+			t.Fatalf("wrote %d blocks, want %d", s.Writes, blocks)
+		}
+		if want := blocks / 2 * modelLatency; elapsed != want || elapsed != time.Duration(s.Steps)*modelLatency {
+			t.Errorf("Close returned at %v after %d steps, want exactly %v = %d steps × %v", elapsed, s.Steps, want, blocks/2, modelLatency)
+		}
+		if uint64(len(seen)) != s.Steps {
+			t.Fatalf("observer sampled %d times over %d steps", len(seen), s.Steps)
+		}
+		for k, got := range seen {
+			if want := min(2*uint64(k+2), s.Writes); got != want {
+				t.Errorf("at (%d+½)L the writer had charged %d writes, want %d: batch %d not booked behind batch %d", k, got, want, k+1, k)
+			}
+		}
+	})
+}

@@ -152,7 +152,9 @@ func frameCount(width int, overlap bool) int {
 // Writer appends records to a File block by block. A width-w writer buffers
 // w blocks and flushes them as one parallel batch. Opened behind, it holds
 // a second group and leaves each flush in flight while the caller fills the
-// other; on demand the two groups are one and each flush is waited at once.
+// other, dispatching each full group before it waits out the one still in
+// flight, so the disks never idle between batches; on demand the two
+// groups are one and each flush is waited at once.
 type Writer[T any] struct {
 	f        *File[T]
 	frames   []*pdm.Frame // every frame held: one group, or two behind
@@ -215,19 +217,21 @@ func (w *Writer[T]) Append(v T) error {
 	return nil
 }
 
-// flush waits out the previous flush, then writes the first n frames of cur
-// to freshly allocated blocks and swaps the groups. Behind, the write stays
-// in flight until the next flush or Close; on demand it is waited here,
-// since the swapped-in group is the same frames.
+// flush writes the first n frames of cur to freshly allocated blocks, then
+// waits out the previous flush and swaps the groups, so the next batch is
+// booked on the disks before the writer sleeps out the last. Behind, the
+// write stays in flight until the next flush or Close; on demand it is
+// waited here, since the swapped-in group is the same frames.
 func (w *Writer[T]) flush(n int) error {
-	w.f.vol.Wait(w.due)
-	if n == 0 {
-		return nil
+	prev := w.due
+	var err error
+	if n > 0 {
+		addrs := w.f.allocExtent(n)
+		w.due, err = w.f.vol.BatchWriteAsync(addrs, groupBufs(w.bufs, w.cur, n))
+		w.cur, w.flushing = w.flushing, w.cur
+		w.filled = 0
 	}
-	addrs := w.f.allocExtent(n)
-	due, err := w.f.vol.BatchWriteAsync(addrs, groupBufs(w.bufs, w.cur, n))
-	w.cur, w.flushing = w.flushing, w.cur
-	w.filled, w.due = 0, due
+	w.f.vol.Wait(prev)
 	if len(w.frames) == w.width {
 		w.f.vol.Wait(w.due)
 	}

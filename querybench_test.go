@@ -83,7 +83,9 @@ func BenchmarkGetBatch(b *testing.B) {
 
 // BenchmarkRangeScan measures a full-tree scan through the synchronous
 // Range vs the prefetched Scanner keeping D leaf reads in flight; counted
-// reads are identical, the clock divides by ≈D.
+// reads are identical, the clock divides by ≈D. ns/step is wall clock per
+// parallel step: the latency when the disks never idle, more by whatever a
+// sleep overshoots its deadline while nothing else is booked.
 func BenchmarkRangeScan(b *testing.B) {
 	const (
 		n       = 1 << 12
@@ -116,6 +118,7 @@ func BenchmarkRangeScan(b *testing.B) {
 			s := vol.Stats().Snapshot()
 			b.ReportMetric(float64(s.Reads)/float64(b.N), "blockreads/op")
 			b.ReportMetric(float64(s.Steps)/float64(b.N), "iosteps/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.Steps), "ns/step")
 		})
 	}
 }
