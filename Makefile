@@ -72,16 +72,19 @@ race:
 # every goroutine is blocked — pdm's transfers and waits, the bulk loader's
 # last leaf batch, which Close must wait out, the scanner and the
 # write-behind writer booking their next group before they wait out the
-# last, F10's two workloads (the distribution sort and the bulk load take
-# exactly their pinned parallel steps at D=1 and D=4) and F9's overlap (a
-# scan reading ahead overlaps its consumer's compute, modelled as a virtual
-# sleep, and never finishes after the on-demand scan). The experiments
-# package runs only its ModelTime tests here — F14 with its S=4 batch-QPS
-# gate and pinned cells — so the bubble does not rerun F13. Needs go1.24
-# (go.mod's 1.23 has no synctest experiment).
+# last, the distribution sort and the bulk load taking exactly their pinned
+# parallel steps at D=1 and D=4, and F9's overlap (a scan reading ahead
+# overlaps its consumer's compute, modelled as a virtual sleep, and never
+# finishes after the on-demand scan). The experiments package runs only its
+# ModelTime tests here: F10–F14 at 2 ms per block with their clock cells
+# pinned and every clock gate decided — F12's session QPS, F13's store
+# against per-key inserts and its in-drain QPS, F14's S=4 batch QPS.
+# `go test ./...` runs those experiments at zero latency and gates only
+# counted cells. Under -race, since each test asserts inside its bubble.
+# Needs go1.24 (go.mod's 1.23 has no synctest experiment).
 modeltime:
-	GOEXPERIMENT=synctest $(GO) test ./internal/pdm ./internal/btree ./internal/extsort ./internal/stream
-	GOEXPERIMENT=synctest $(GO) test -run ModelTime ./internal/experiments
+	GOEXPERIMENT=synctest $(GO) test -race ./internal/pdm ./internal/btree ./internal/extsort ./internal/stream
+	GOEXPERIMENT=synctest $(GO) test -race -run ModelTime ./internal/experiments
 
 # Coverage profile across every package, with a per-function summary.
 cover:

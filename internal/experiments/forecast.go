@@ -21,10 +21,10 @@ import (
 // / write-behind also overlap partition reads with bucket writes (sort) and
 // input reads with node write-backs (bulk load).
 //
-// The shape test gates the D=4 vs D=1 speedup on the step columns; the
-// clocks vary with the host and are only logged. That both workloads take
-// exactly their steps in model time is asserted by extsort's synctest
-// suite (`make modeltime`).
+// The shape test runs F10 at zero latency and gates the D=4 vs D=1 speedup
+// on the step columns. TestModelTimeF10ForecastSortIndex pins the clocks in
+// model time, and extsort's synctest suite asserts that both workloads take
+// exactly their steps (`make modeltime`).
 func F10ForecastSortIndex(n int, disks []int, latency time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "F10",

@@ -18,9 +18,9 @@ import (
 // does per-record work, showing read-ahead overlapping compute with I/O.
 //
 // This is the one experiment whose currency is wall-clock time, so absolute
-// numbers vary with the host. Its shape test asserts the ratio across D in
-// parallel steps and only logs the clocks; the prefetch overlap is asserted
-// exactly, in model time, by internal/stream's synctest suite.
+// numbers vary with the host. Its shape test runs it at zero latency and
+// asserts the ratio across D in parallel steps; the prefetch overlap is
+// asserted exactly, in model time, by internal/stream's synctest suite.
 func F9ParallelEngine(n int, disks []int, latency time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "F9",

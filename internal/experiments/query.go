@@ -35,10 +35,12 @@ import (
 // itself at the D=4 points — batch >= 2.5x fewer parallel steps at
 // strictly fewer reads, prefetched scan >= 2x fewer steps at identical
 // reads, 4 sessions >= 2x QPS of 1 on the file backend — and returns an
-// error when one fails, so cmd/embench exits non-zero and CI can gate on
-// the sweep. The batch and scan gates count Stats.Steps, which the model's
-// wall clock is proportional to, so they do not flake on a loaded host; the
-// clock columns are reported beside them.
+// error when one fails, so cmd/embench exits non-zero. The batch and scan
+// gates count Stats.Steps, which the model's wall clock is proportional
+// to, so they hold at any latency; the clock columns are reported beside
+// them. The session-QPS gate is a clock gate and applies only at a nonzero
+// latency: the shape test runs F12 at zero latency, and
+// TestModelTimeF12QueryServing decides it in model time (`make modeltime`).
 func F12QueryServing(n int, disks []int, latency time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "F12",
@@ -72,7 +74,7 @@ func F12QueryServing(n int, disks []int, latency time.Duration) (*Table, error) 
 				return nil, fmt.Errorf("F12 %s gate: scan %0.f reads != Range %0.f",
 					row.Label, c["scanReads"], c["rangeReads"])
 			}
-			if backend == "file" && c["qps4"] < 2*c["qps1"] {
+			if backend == "file" && latency > 0 && c["qps4"] < 2*c["qps1"] {
 				return nil, fmt.Errorf("F12 %s gate: 4 sessions %.0f qps not >= 2x one session %.0f",
 					row.Label, c["qps4"], c["qps1"])
 			}

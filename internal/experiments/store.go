@@ -30,8 +30,11 @@ import (
 // Like F12, F13 enforces its acceptance gates itself at the D=4 points —
 // buffered writes >= 2x faster than per-key B-tree inserts at strictly
 // fewer counted I/Os, and in-drain read QPS >= half of quiesced — and
-// returns an error when one fails, so cmd/embench exits non-zero and CI
-// gates on the sweep.
+// returns an error when one fails, so cmd/embench exits non-zero. The
+// I/O gate holds at any latency; the two clock gates apply only at a
+// nonzero latency: the shape test runs F13 at zero latency, and
+// TestModelTimeF13StoreOnline decides them in model time (`make
+// modeltime`).
 func F13StoreOnline(n int, disks []int, latency time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "F13",
@@ -49,13 +52,16 @@ func F13StoreOnline(n int, disks []int, latency time.Duration) (*Table, error) {
 				continue
 			}
 			c := row.Cells
-			if c["storeMs"]*2 > c["btreeMs"] {
-				return nil, fmt.Errorf("F13 %s gate: store %.1fms not >= 2x faster than per-key inserts %.1fms",
-					row.Label, c["storeMs"], c["btreeMs"])
-			}
 			if c["storeIOs"] >= c["btreeIOs"] {
 				return nil, fmt.Errorf("F13 %s gate: store %0.f I/Os not strictly below per-key inserts %0.f",
 					row.Label, c["storeIOs"], c["btreeIOs"])
+			}
+			if latency == 0 {
+				continue
+			}
+			if c["storeMs"]*2 > c["btreeMs"] {
+				return nil, fmt.Errorf("F13 %s gate: store %.1fms not >= 2x faster than per-key inserts %.1fms",
+					row.Label, c["storeMs"], c["btreeMs"])
 			}
 			if 2*c["qpsDrain"] < c["qpsQuiet"] {
 				return nil, fmt.Errorf("F13 %s gate: QPS during drain %.0f below half of quiesced %.0f",

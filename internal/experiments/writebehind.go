@@ -27,8 +27,9 @@ import (
 // transfers less the sorted file, written once and read once
 // (2·sortedBlocks); both are asserted by the shape test on the counted
 // columns, together with fused steps strictly below composed and the D=4
-// width-4 load's steps against the D=1 width-1 load's. The wall clock
-// columns vary with the host.
+// width-4 load's steps against the D=1 width-1 load's, at zero latency.
+// The wall clock columns vary with the host; TestModelTimeF11WriteBehind
+// pins them in model time (`make modeltime`).
 func F11WriteBehind(n int, disks []int, latency time.Duration) (*Table, error) {
 	t := &Table{
 		ID:    "F11",

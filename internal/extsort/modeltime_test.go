@@ -21,10 +21,11 @@ const modelLatency = 2 * time.Millisecond
 
 // modelRun builds an input of F10's shape (2^13 records on 1 KiB blocks,
 // 96 frames, 2 ms per block) on a fresh D-disk volume inside a bubble —
-// distinct random keys for the sort, sorted ones for the load — and
-// returns the model time and parallel steps of one distribution sort (bulk
-// false) or one bulk load (true).
-func modelRun(t *testing.T, d int, bulk bool) (elapsed time.Duration, steps uint64) {
+// distinct random keys for the sort, sorted ones for the load — runs one
+// distribution sort (bulk false) or one bulk load (true), and asserts,
+// inside the bubble, that it takes exactly wantSteps parallel steps and
+// exactly that many latencies of model time.
+func modelRun(t *testing.T, name string, d int, bulk bool, wantSteps uint64) {
 	const n = 1 << 13
 	synctest.Run(func() {
 		vol := pdm.MustVolume(pdm.Config{BlockBytes: 1024, MemBlocks: 96, Disks: d, DiskLatency: modelLatency})
@@ -56,9 +57,15 @@ func modelRun(t *testing.T, d int, bulk bool) (elapsed time.Duration, steps uint
 		if err != nil {
 			t.Fatal(err)
 		}
-		elapsed, steps = time.Since(start), vol.Stats().Snapshot().Steps
+		elapsed, steps := time.Since(start), vol.Stats().Snapshot().Steps
+		t.Logf("D=%d %s: %v (%d steps)", d, name, elapsed, steps)
+		if steps != wantSteps {
+			t.Errorf("D=%d %s: %d steps, want %d", d, name, steps, wantSteps)
+		}
+		if elapsed != time.Duration(steps)*modelLatency {
+			t.Errorf("D=%d %s: took %v, want exactly %d steps × %v", d, name, elapsed, steps, modelLatency)
+		}
 	})
-	return elapsed, steps
 }
 
 // TestModelTimeDistributionSortAndBulkLoad pins F10's two workloads in
@@ -75,13 +82,6 @@ func TestModelTimeDistributionSortAndBulkLoad(t *testing.T) {
 		{"dist", 1, false, 490}, {"dist", 4, false, 128},
 		{"bulk", 1, true, 265}, {"bulk", 4, true, 70},
 	} {
-		elapsed, steps := modelRun(t, c.d, c.bulk)
-		t.Logf("D=%d %s: %v (%d steps)", c.d, c.name, elapsed, steps)
-		if steps != c.steps {
-			t.Errorf("D=%d %s: %d steps, want %d", c.d, c.name, steps, c.steps)
-		}
-		if elapsed != time.Duration(steps)*modelLatency {
-			t.Errorf("D=%d %s: took %v, want exactly %d steps × %v", c.d, c.name, elapsed, steps, modelLatency)
-		}
+		modelRun(t, c.name, c.d, c.bulk, c.steps)
 	}
 }

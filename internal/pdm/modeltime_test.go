@@ -170,10 +170,14 @@ func TestModelTimeParallelSpeedup(t *testing.T) {
 		blocks = 64
 		width  = 4
 	)
-	var serial, parallel time.Duration
-	synctest.Run(func() { serial, _ = measureBatchRead(t, 1, modelLatency, blocks, width) })
-	synctest.Run(func() { parallel, _ = measureBatchRead(t, 4, modelLatency, blocks, width) })
-	if serial != blocks*modelLatency || parallel != blocks/width*modelLatency {
-		t.Fatalf("D=1 %v (want %v), D=4 %v (want %v)", serial, blocks*modelLatency, parallel, blocks/width*modelLatency)
+	for _, c := range []struct {
+		disks int
+		want  time.Duration
+	}{{1, blocks * modelLatency}, {4, blocks / width * modelLatency}} {
+		synctest.Run(func() {
+			if elapsed, _ := measureBatchRead(t, c.disks, modelLatency, blocks, width); elapsed != c.want {
+				t.Errorf("D=%d: %v, want %v", c.disks, elapsed, c.want)
+			}
+		})
 	}
 }

@@ -57,9 +57,9 @@ func (s *Store) Get(key uint64) (uint64, bool, error) {
 	// The generation's own buffer manager is not thread-safe; point reads
 	// through it are serialized. Sessions read with private caches and
 	// skip this lock.
-	gen.mu.Lock()
+	gen.mu <- struct{}{}
 	v, found, err := gen.tree.Get(key)
-	gen.mu.Unlock()
+	<-gen.mu
 	s.releaseGen(gen)
 	return v, found, err
 }
@@ -100,9 +100,9 @@ func (s *Store) getBatch(keys []uint64) ([]uint64, []bool, error) {
 		for j, i := range rest {
 			sub[j] = keys[i]
 		}
-		gen.mu.Lock()
+		gen.mu <- struct{}{}
 		v2, f2, err := gen.tree.GetBatch(sub)
-		gen.mu.Unlock()
+		<-gen.mu
 		if err != nil {
 			s.releaseGen(gen)
 			return nil, nil, err

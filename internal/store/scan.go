@@ -127,9 +127,9 @@ func (s *Store) scan(lo, hi uint64) (index.Scanner, error) {
 	s.mu.RUnlock()
 	mem = mergeResolved(mem, older)
 
-	gen.mu.Lock()
+	gen.mu <- struct{}{}
 	sess, err := gen.tree.NewSessionOn(s.pool, s.cfg.CacheFrames, s.cfg.Width)
-	gen.mu.Unlock()
+	<-gen.mu
 	if err != nil {
 		s.releaseGen(gen)
 		return nil, err

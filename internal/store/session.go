@@ -71,8 +71,8 @@ func (s *Store) NewSession(cacheFrames, width int) (index.Session, error) {
 // openGenSession opens a btree session under the generation's cache lock
 // (NewSession flushes the tree's own cache).
 func openGenSession(gen *generation, s *Store, cacheFrames, width int) (*btree.Session, error) {
-	gen.mu.Lock()
-	defer gen.mu.Unlock()
+	gen.mu <- struct{}{}
+	defer func() { <-gen.mu }()
 	return gen.tree.NewSessionOn(s.pool, cacheFrames, width)
 }
 

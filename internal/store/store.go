@@ -80,10 +80,15 @@ func (c *Config) drainWidth() int { return max(1, c.Width/2) }
 // cache is not thread-safe); Sessions bypass it with private caches. refs
 // counts the store's view plus every in-flight Scanner, Session, and
 // drain; the tree's blocks are reclaimed when it hits zero.
+//
+// mu is a one-slot channel, not a sync.Mutex: a send locks and a receive
+// unlocks. Its holder sleeps out disk latency, and a goroutine blocked on a
+// channel is durably blocked where one blocked on a mutex is not, so a
+// testing/synctest bubble can advance its clock past a reader queued here.
 type generation struct {
 	tree  *btree.Tree
 	epoch uint64
-	mu    sync.Mutex
+	mu    chan struct{}
 	refs  atomic.Int64
 }
 
@@ -168,7 +173,7 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 		pdm.ReleaseAll(reserve)
 		return nil, err
 	}
-	s.gen = &generation{tree: tree, epoch: 1}
+	s.gen = &generation{tree: tree, epoch: 1, mu: make(chan struct{}, 1)}
 	s.gen.refs.Store(1)
 	s.frontMem = &overlay{}
 	return s, nil
@@ -258,7 +263,7 @@ func (s *Store) drainOnce(sealed *overlay, gen *generation) error {
 		// though the store no longer accepts writes.
 		return err
 	}
-	next := &generation{tree: tree, epoch: gen.epoch + 1}
+	next := &generation{tree: tree, epoch: gen.epoch + 1, mu: make(chan struct{}, 1)}
 	next.refs.Store(1)
 	s.mu.Lock()
 	oldGen := s.gen
@@ -277,9 +282,9 @@ func (s *Store) drainOnce(sealed *overlay, gen *generation) error {
 // after the swap are memory hits.
 func (s *Store) buildGen(gen *generation, sealed *overlay) (*btree.Tree, error) {
 	w := s.cfg.drainWidth()
-	gen.mu.Lock()
+	gen.mu <- struct{}{}
 	sess, err := gen.tree.NewSessionOn(s.drainPool, s.cfg.CacheFrames, w)
-	gen.mu.Unlock()
+	<-gen.mu
 	if err != nil {
 		return nil, err
 	}

@@ -19,43 +19,40 @@ import (
 
 const modelLatency = 2 * time.Millisecond
 
-// modelScan writes n records to a fresh D-disk volume of 1 KiB blocks
-// inside a bubble and scans them through a width-1 reader, on demand or
-// reading ahead, with a consumer that computes for compute per block —
-// experiment F9's prefetch columns. It returns the scan's model time, the
-// file's blocks and the scan's parallel steps.
+// modelScan writes n records to a fresh D-disk volume of 1 KiB blocks and
+// scans them through a width-1 reader, on demand or reading ahead, with a
+// consumer that computes for compute per block — experiment F9's prefetch
+// columns. It returns the scan's model time, the file's blocks and the
+// scan's parallel steps. Call it inside a bubble.
 func modelScan(t *testing.T, d, n int, compute time.Duration, ahead bool) (elapsed time.Duration, blocks int, steps uint64) {
-	synctest.Run(func() {
-		vol := pdm.MustVolume(pdm.Config{BlockBytes: 1024, MemBlocks: 32, Disks: d, DiskLatency: modelLatency})
-		defer vol.Close()
-		pool := pdm.PoolFor(vol)
-		vs := make([]record.Record, n)
-		for i := range vs {
-			vs[i] = record.Record{Key: uint64(i), Val: uint64(i)}
+	vol := pdm.MustVolume(pdm.Config{BlockBytes: 1024, MemBlocks: 32, Disks: d, DiskLatency: modelLatency})
+	defer vol.Close()
+	pool := pdm.PoolFor(vol)
+	vs := make([]record.Record, n)
+	for i := range vs {
+		vs[i] = record.Record{Key: uint64(i), Val: uint64(i)}
+	}
+	f, err := FromSlice(vol, pool, record.RecordCodec{}, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol.Stats().Reset()
+	start := time.Now()
+	r, err := newReader(f, pool, 1, ahead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	i := 0
+	if err := Drain[record.Record](r, func(record.Record) error {
+		if i++; i%f.PerBlock() == 0 || i == n {
+			time.Sleep(compute)
 		}
-		f, err := FromSlice(vol, pool, record.RecordCodec{}, vs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vol.Stats().Reset()
-		start := time.Now()
-		r, err := newReader(f, pool, 1, ahead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		i := 0
-		if err := Drain[record.Record](r, func(record.Record) error {
-			if i++; i%f.PerBlock() == 0 || i == n {
-				time.Sleep(compute)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		elapsed, blocks, steps = time.Since(start), f.Blocks(), vol.Stats().Snapshot().Steps
-	})
-	return elapsed, blocks, steps
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return time.Since(start), f.Blocks(), vol.Stats().Snapshot().Steps
 }
 
 // TestModelTimePrefetchOverlapsCompute is F9's prefetch contract, exact:
@@ -67,21 +64,23 @@ func modelScan(t *testing.T, d, n int, compute time.Duration, ahead bool) (elaps
 func TestModelTimePrefetchOverlapsCompute(t *testing.T) {
 	const n = 1 << 11
 	for _, d := range []int{1, 4} {
-		syncT, blocks, syncSteps := modelScan(t, d, n, modelLatency, false)
-		asyncT, _, asyncSteps := modelScan(t, d, n, modelLatency, true)
-		t.Logf("D=%d: on demand %v (%d steps), ahead %v (%d steps), %d blocks", d, syncT, syncSteps, asyncT, asyncSteps, blocks)
-		if syncSteps != asyncSteps {
-			t.Errorf("D=%d: on demand %d steps, ahead %d", d, syncSteps, asyncSteps)
-		}
-		if want := time.Duration(syncSteps)*modelLatency + time.Duration(blocks)*modelLatency; syncT != want {
-			t.Errorf("D=%d: on-demand scan took %v, want exactly %d steps + %d computes = %v", d, syncT, syncSteps, blocks, want)
-		}
-		if want := time.Duration(asyncSteps)*modelLatency + modelLatency; asyncT != want {
-			t.Errorf("D=%d: scan reading ahead took %v, want exactly %d steps + one compute = %v", d, asyncT, asyncSteps, want)
-		}
-		if asyncT > syncT {
-			t.Errorf("D=%d: scan reading ahead took %v, on demand %v", d, asyncT, syncT)
-		}
+		synctest.Run(func() {
+			syncT, blocks, syncSteps := modelScan(t, d, n, modelLatency, false)
+			asyncT, _, asyncSteps := modelScan(t, d, n, modelLatency, true)
+			t.Logf("D=%d: on demand %v (%d steps), ahead %v (%d steps), %d blocks", d, syncT, syncSteps, asyncT, asyncSteps, blocks)
+			if syncSteps != asyncSteps {
+				t.Errorf("D=%d: on demand %d steps, ahead %d", d, syncSteps, asyncSteps)
+			}
+			if want := time.Duration(syncSteps)*modelLatency + time.Duration(blocks)*modelLatency; syncT != want {
+				t.Errorf("D=%d: on-demand scan took %v, want exactly %d steps + %d computes = %v", d, syncT, syncSteps, blocks, want)
+			}
+			if want := time.Duration(asyncSteps)*modelLatency + modelLatency; asyncT != want {
+				t.Errorf("D=%d: scan reading ahead took %v, want exactly %d steps + one compute = %v", d, asyncT, asyncSteps, want)
+			}
+			if asyncT > syncT {
+				t.Errorf("D=%d: scan reading ahead took %v, on demand %v", d, asyncT, syncT)
+			}
+		})
 	}
 }
 
