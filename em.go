@@ -44,9 +44,13 @@
 // forecast selects is exactly the next sequential one) and a writer opened
 // behind flushes the previous group while the caller fills the next. The
 // second group is charged to the same Pool, so the memory budget M still
-// binds; a stream is opened deeper only where its plan already holds that
-// group, so no option picks the depth. Depth changes only when a batch is
-// issued, never which, so counted I/Os do not depend on it.
+// binds. One depth rule serves every pass, and no option picks the depth:
+// the streams a pass opens together — a merge group's readers and output
+// writer, a distribution level's reader and two bucket writers, the bulk
+// loader's input reader — go one group deeper exactly when all of them fit
+// at 2×Width in the frames the pass has free, and run on demand otherwise.
+// Depth changes only when a batch is issued, never which, so counted I/Os
+// do not depend on it.
 //
 // # Write-optimal index construction
 //
@@ -535,10 +539,10 @@ func AsyncScan[T any](f *File[T], pool *Pool, fn func(T) error) error {
 // ---------------------------------------------------------------------------
 
 // SortOptions tunes the external sorts: striping width, run-formation mode
-// and a fan-in/fan-out cap for experiments. Every fan-in and fan-out is
-// sized at Width frames per stream, except a planned distribution level's
-// at 2×Width; a merge group whose streams fit at 2×Width, and every stream
-// of a planned level, reads ahead and writes behind. Async is a deprecated
+// and a fan-in/fan-out cap for experiments. A merge sizes its fan-in at
+// Width frames per stream, and a planned distribution level its fan-out at
+// the frames its streams hold; both open their streams at the depth the
+// package comment's one depth rule gives them. Async is a deprecated
 // no-op.
 type SortOptions = extsort.Options
 
@@ -566,9 +570,9 @@ func MergeSort[T any](f *File[T], pool *Pool, less func(a, b T) bool, opts *Sort
 // random blocks, and keeps the lowest bucket in memory for the pass, so a
 // level costs one pass over the buckets it spills plus its sample. It
 // honours the same SortOptions as MergeSort: Width stripes the partition
-// readers and bucket writers over the disks. A level is planned at 2×Width
-// frames per stream, so its streams read ahead and write behind in the
-// frames it charged them; a pool under 6×Width plans at Width, on demand.
+// readers and bucket writers over the disks. The depth rule (see the
+// package comment) sets the depth of a level's streams and of the output
+// writer beside them, and a level is planned at the frames they then hold.
 // A level whose input no plan holds takes as many buckets as Width-frame
 // streams fit.
 func DistributionSort[T any](f *File[T], pool *Pool, less func(a, b T) bool, opts *SortOptions) (*File[T], error) {
@@ -737,15 +741,15 @@ type BTreeScanner = btree.Scanner
 type BTreeSession = btree.Session
 
 // BulkLoadOptions tunes BulkLoadBTreeWith's streams: Width stripes the
-// input reads and the leaf writes over the disks. The input reader keeps
-// the next block group of the sorted run in flight (forecasting
-// read-ahead, 2×Width pool frames) while leaves are packed and nodes
-// written back, whenever the pool holds those frames beyond the loader's
-// own budget. The leaves always go Width at a time through the async
-// engine, write-behind, in another 2×Width frames (see the package
-// comment's write-optimal index construction section). Counted I/Os are
-// identical at every width and depth. Async and WriteBehind are deprecated
-// no-ops.
+// input reads and the leaf writes over the disks. By the depth rule (see
+// the package comment), the input reader keeps the next block group of the
+// sorted run in flight (forecasting read-ahead, 2×Width pool frames) while
+// leaves are packed and nodes written back, whenever the pool holds those
+// frames beyond the loader's own budget. The leaves always go Width at a
+// time through the async engine, write-behind, in another 2×Width frames
+// (see the package comment's write-optimal index construction section).
+// Counted I/Os are identical at every width and depth. Async and
+// WriteBehind are deprecated no-ops.
 type BulkLoadOptions = btree.BulkLoadOptions
 
 // BulkLoadBTreeWith builds a B+-tree bottom-up from a key-sorted record
@@ -812,7 +816,9 @@ type StoreSession = store.Session
 var ErrStoreClosed = store.ErrClosed
 
 // OpenStore creates a store on vol; the background drain's budget is
-// reserved from pool up front, like SortIndex's loader budget.
+// reserved from pool up front, like SortIndex's loader budget. It is what a
+// drain opens at its half-width striping w = max(1, Width/2): one read
+// session and one bulk loader, CacheFrames + 2·w frames each.
 func OpenStore(vol *Volume, pool *Pool, cfg StoreConfig) (*Store, error) {
 	return store.Open(vol, pool, cfg)
 }
@@ -858,8 +864,9 @@ func NewShardedTree(shards []*BTree, opts *ShardedTreeOptions) (*ShardedTree, er
 }
 
 // OpenShardedStore opens one store per volume — vols[i] and pools[i] back
-// shard i — behind the sharded facade. Each shard's drain budget is
-// reserved from its own pool at open, and its drains run independently.
+// shard i — behind the sharded facade. Each shard's drain budget (see
+// OpenStore) is reserved from its own pool at open, and its drains run
+// independently.
 func OpenShardedStore(vols []*Volume, pools []*Pool, opts *ShardedStoreOptions) (*ShardedStore, error) {
 	return shard.OpenStore(vols, pools, opts)
 }

@@ -36,17 +36,16 @@ func (o *BulkLoadOptions) width() int {
 
 // BulkLoad builds a tree bottom-up from a file of records sorted strictly by
 // key through a Width-striped reader (see BulkLoadFrom for the construction
-// itself). When pool holds 2×Width frames beyond the loader's own budget,
-// the reader is opened ahead (forecasting read-ahead): the next block group
-// of the sorted run stays in flight while the loader packs leaves and
-// writes nodes back — the survey's read-ahead applied to index
-// construction. Otherwise it reads on demand; counted I/Os are the same
-// either way. A nil opts reads and writes one block per batch.
+// itself). The reader takes the depth stream.Depth gives one stream in what
+// pool has free beyond LoaderFrames: ahead (forecasting read-ahead) when
+// that holds its second group, so the next block group of the sorted run
+// stays in flight while the loader packs leaves and writes nodes back —
+// the survey's read-ahead applied to index construction — and on demand
+// otherwise; counted I/Os are the same either way. A nil opts reads and
+// writes one block per batch.
 func BulkLoad(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, sorted *stream.File[record.Record], opts *BulkLoadOptions) (*Tree, error) {
-	w, depth := opts.width(), 1
-	if pool.Free() >= cacheFrames+4*w {
-		depth = 2
-	}
+	w := opts.width()
+	depth := stream.Depth(pool.Free()-LoaderFrames(cacheFrames, w), 1, w)
 	r, err := stream.OpenSource(sorted, pool, w, depth)
 	if err != nil {
 		return nil, err
@@ -139,10 +138,15 @@ type Loader struct {
 	aborted bool
 }
 
+// LoaderFrames is a bulk load's budget, the most frames NewLoader draws
+// from its pool: cacheFrames for the buffer manager plus the 2×width leaf
+// double buffer.
+func LoaderFrames(cacheFrames, width int) int { return cacheFrames + 2*width }
+
 // NewLoader starts a bulk load of a tree whose nodes live on vol and whose
 // buffer manager draws cacheFrames frames from pool (taken literally: zero
 // is an error, not the default); the leaf double buffer takes another
-// 2×Width frames from pool.
+// 2×Width frames from pool, LoaderFrames in all.
 func NewLoader(vol *pdm.Volume, pool *pdm.Pool, cacheFrames int, opts *BulkLoadOptions) (*Loader, error) {
 	if err := checkFrames(cacheFrames); err != nil {
 		return nil, err

@@ -60,11 +60,16 @@ func (t *Tree) NewSession(cacheFrames, width int) (index.Session, error) {
 	return s, nil
 }
 
+// SessionFrames is a read session's budget, the frames NewSessionOn
+// reserves: cacheFrames for its buffer manager plus 2×width for its
+// scanner's double buffer.
+func SessionFrames(cacheFrames, width int) int { return cacheFrames + 2*width }
+
 // NewSessionOn opens a read session whose buffer manager holds cacheFrames
 // pages and whose scanners may keep up to width leaf reads in flight
-// (width < 1 selects the volume's disk count). The session's whole budget —
-// cacheFrames + 2×width frames — is reserved from pool immediately and
-// returned by Close, so admission failures surface at open, not mid-query.
+// (width < 1 selects the volume's disk count). The session's whole budget,
+// SessionFrames, is reserved from pool immediately and returned by Close,
+// so admission failures surface at open, not mid-query.
 func (t *Tree) NewSessionOn(pool *pdm.Pool, cacheFrames, width int) (*Session, error) {
 	if cacheFrames < 3 {
 		return nil, fmt.Errorf("btree: session cache needs >= 3 frames, got %d", cacheFrames)
@@ -78,7 +83,7 @@ func (t *Tree) NewSessionOn(pool *pdm.Pool, cacheFrames, width int) (*Session, e
 	if err := t.cache.Flush(); err != nil {
 		return nil, err
 	}
-	budget := cacheFrames + 2*width
+	budget := SessionFrames(cacheFrames, width)
 	reserve, err := pool.AllocN(budget)
 	if err != nil {
 		return nil, err

@@ -82,10 +82,13 @@ func enginePoint(n, d int, latency time.Duration) (*Row, error) {
 
 	// Synchronous vs forecasting scan with per-record compute sized so a
 	// block's worth of processing is comparable to its service latency —
-	// the regime where read-ahead pays.
+	// the regime where read-ahead pays: 85 000 multiply-adds per record at
+	// 2 ms, in proportion to the latency, and none at zero latency, where
+	// there is no service time to overlap.
+	spins := int(85000 * latency / (2 * time.Millisecond))
 	work := func(rec record.Record) {
 		h := rec.Key
-		for i := 0; i < 85000; i++ {
+		for i := 0; i < spins; i++ {
 			h = h*2654435761 + rec.Val
 		}
 		_ = h

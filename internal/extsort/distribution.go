@@ -26,18 +26,21 @@ import (
 // DistributionSortTo writing into a fresh file's writer.
 //
 // The same Options drive it as MergeSort: Width stripes the partition
-// readers and bucket writers over the disks. A level is planned at 2×Width
-// frames per stream (see levelFrames), so its reader, bucket writers and
-// base-case readers read ahead and write behind in the frames the plan
-// charged them (a partitioning pass is consumed strictly in order, so the
-// forecast block is the next sequential one, exactly as for a sorted run),
-// and so does the output writer when the sort's budget takes that charge.
-// A level whose input no plan holds is the plain distribution sort: it
-// takes as many buckets as Width-frame streams fit and runs them on
-// demand. The sample is one batch read.
+// readers and bucket writers over the disks. stream.Depth sets the depth
+// of a level's reader and two bucket writers at the sort's budget, and of
+// the output writer, opened first, beside them; a level is planned at the
+// frames its streams then hold, so at depth 2 its reader, bucket writers
+// and base-case readers read ahead and write behind (a partitioning pass
+// is consumed strictly in order, so the forecast block is the next
+// sequential one, exactly as for a sorted run). A level whose input no
+// plan holds is the plain distribution sort: it takes as many buckets as
+// Width-frame streams fit and runs them on demand. The sample is one batch
+// read.
 func DistributionSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) (*stream.File[T], error) {
 	out := stream.NewFile[T](f.Vol(), f.Codec())
-	ow, err := openSink(out, pool, opts, levelFrames(opts, pool.Free()-2*opts.width()))
+	// The output writer opens before the first level's reader and two
+	// writers, so it writes behind when all four fit at that depth.
+	ow, err := openSink(out, pool, opts, stream.Depth(pool.Free(), 4, opts.width()))
 	if err != nil {
 		return nil, err
 	}
@@ -73,9 +76,9 @@ func DistributionSortTo[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b
 // straight into leaves. Every in-memory sort is record.Sort, whose output
 // bytes are the stable sort's since Record.Less is total. opts.Width also
 // stripes the loader's leaf batches.
-// The loader's budget, cacheFrames for its buffer manager plus 2×Width for
-// its leaf double buffer, is held back from pool for the whole call, so
-// the sort's buckets and resident bucket share what pool has left. The
+// The loader's budget, btree.LoaderFrames, is held back from pool for the
+// whole call, so the sort's buckets and resident bucket share what pool
+// has left, and its levels take their depth from what is left. The
 // returned tree's buffer manager draws cacheFrames frames from pool. On
 // any error pool is restored exactly and no blocks are leaked. See
 // em.SortIndex for the contract.
@@ -83,7 +86,7 @@ func SortIndex(f *stream.File[record.Record], pool *pdm.Pool, cacheFrames int, o
 	vol := f.Vol()
 	// Reserve the loader's budget and run the loader on a private pool of
 	// exactly that size.
-	loaderFrames := cacheFrames + 2*opts.width()
+	loaderFrames := btree.LoaderFrames(cacheFrames, opts.width())
 	reserve, err := pool.AllocN(loaderFrames)
 	if err != nil {
 		return nil, err
@@ -119,51 +122,33 @@ type distSorter[T any] struct {
 	kern kernel[T]
 	opts *Options
 	rng  *rand.Rand
-	sf   int // levelFrames at the sort's budget
+	// depth is every planned stream's, from stream.Depth for a level's
+	// reader and two writers at the sort's budget.
+	depth int
 }
 
 // newDistSorter returns a sorter over what pool has free now. Every level
 // starts from that budget — a level releases all it holds before its
-// buckets are sorted — so the per-stream charge is fixed once.
+// buckets are sorted — so the depth is fixed once: 2 when a reader and two
+// writers fit at 2×Width, else 1.
 func newDistSorter[T any](pool *pdm.Pool, less func(a, b T) bool, kern kernel[T], opts *Options) *distSorter[T] {
 	return &distSorter[T]{pool: pool, less: less, kern: kern, opts: opts,
-		rng: rand.New(rand.NewSource(0x5EED)), sf: levelFrames(opts, pool.Free())}
+		rng: rand.New(rand.NewSource(0x5EED)), depth: stream.Depth(pool.Free(), 3, opts.width())}
 }
 
-// levelFrames returns the frames a distribution sort charges each open
-// reader or writer when it plans a level over free frames: 2×Width, so
-// every stream of the level reads ahead or writes behind, or Width, on
-// demand, when free cannot hold a reader and two writers at that charge.
-func levelFrames(opts *Options, free int) int {
-	w := opts.width()
-	if free >= 6*w {
-		return 2 * w
-	}
-	return w
-}
+// sf returns the frames each planned stream holds.
+func (d *distSorter[T]) sf() int { return d.depth * d.opts.width() }
 
 // memRecords returns how many records fit in the frames left after reserving
 // the input reader's buffers (the sink's frames are already charged). A pool
 // that cannot host even the reader is an error, the same loud failure
-// formRunsLoadSort gives.
+// formRuns gives.
 func (d *distSorter[T]) memRecords(f *stream.File[T]) (int, error) {
-	frames := d.pool.Free() - d.sf
+	frames := d.pool.Free() - d.sf()
 	if frames < 1 {
-		return 0, fmt.Errorf("%w: %d frames free, need > %d", ErrEmptyPool, d.pool.Free(), d.sf)
+		return 0, fmt.Errorf("%w: %d frames free, need > %d", ErrEmptyPool, d.pool.Free(), d.sf())
 	}
 	return frames * f.PerBlock(), nil
-}
-
-// fanOut returns the most buckets a level may have when each bucket
-// writer costs sf pool frames, as does the partition-pass reader; the
-// sink's frames are already charged. ForceFanIn caps it further. plan
-// sizes the level within fanOut(d.sf).
-func (d *distSorter[T]) fanOut(sf int) int {
-	fo := (d.pool.Free() - sf) / sf
-	if d.opts != nil && d.opts.ForceFanIn > 0 && d.opts.ForceFanIn < fo {
-		fo = d.opts.ForceFanIn
-	}
-	return fo
 }
 
 // sortInto writes the sorted contents of f to ow. If owned, f is released
@@ -213,7 +198,7 @@ func (d *distSorter[T]) sortInto(f *stream.File[T], ow stream.Sink[T], owned boo
 // returns the spilled buckets, lowest key range first. Where the resident
 // bucket outgrew its frames it was spilled and is the first of them.
 func (d *distSorter[T]) level(f *stream.File[T], ow stream.Sink[T], memRecs int) ([]*stream.File[T], error) {
-	fo := d.fanOut(d.sf)
+	fo := fanOut(d.pool.Free(), d.sf(), d.opts)
 	if fo < 2 {
 		return nil, fmt.Errorf("%w: fan-out %d", ErrEmptyPool, fo)
 	}
@@ -223,12 +208,12 @@ func (d *distSorter[T]) level(f *stream.File[T], ow stream.Sink[T], memRecs int)
 	}
 	per := f.PerBlock()
 	k, resident, target := d.plan(f.Len(), memRecs, per, (len(sample)+per-1)/per, fo)
-	sf := d.sf
+	depth := d.depth
 	if k == 0 {
 		// No plan holds the input: the plain distribution sort, with as
-		// many buckets as Width-frame streams fit.
-		sf = d.opts.width()
-		k = d.fanOut(sf)
+		// many buckets as on-demand streams fit.
+		depth = 1
+		k = fanOut(d.pool.Free(), d.opts.width(), d.opts)
 	}
 	// The splitters cut the sample at the resident bucket's share, then
 	// what lies above it into k equal parts, one per spilled bucket.
@@ -245,7 +230,7 @@ func (d *distSorter[T]) level(f *stream.File[T], ow stream.Sink[T], memRecs int)
 		return nil, err
 	}
 	defer pdm.ReleaseAll(reserve)
-	res, buckets, err := d.partition(f, cuts, resident*per, sf)
+	res, buckets, err := d.partition(f, cuts, resident*per, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +258,7 @@ func (d *distSorter[T]) level(f *stream.File[T], ow stream.Sink[T], memRecs int)
 // hold the rest, so a level has at most fo buckets, the resident one
 // included. When no k below fo does, plan returns k = 0.
 func (d *distSorter[T]) plan(n int64, memRecs, per, s, fo int) (k, resident, target int) {
-	sf := d.sf
+	sf := d.sf()
 	for k = 1; k < fo; k++ {
 		p := math.Sqrt(float64(s) / float64(k+1))
 		bucket := float64(memRecs) * p / (p + 3)
@@ -294,8 +279,8 @@ func releaseFiles[T any](fs []*stream.File[T]) {
 }
 
 // baseCase load-sorts a memory-sized file into ow. The record buffer is
-// charged to the pool for its block equivalent — as formRunsLoadSort charges
-// its run buffer — so the memory bound M stays enforced, not just computed;
+// charged to the pool for its block equivalent — as formRuns charges its
+// run buffer — so the memory bound M stays enforced, not just computed;
 // sortEmit sorts inside that buffer and needs no other.
 func (d *distSorter[T]) baseCase(f *stream.File[T], ow stream.Sink[T]) error {
 	bufFrames := int((f.Len() + int64(f.PerBlock()) - 1) / int64(f.PerBlock()))
@@ -305,7 +290,7 @@ func (d *distSorter[T]) baseCase(f *stream.File[T], ow stream.Sink[T]) error {
 	}
 	defer pdm.ReleaseAll(reserve)
 	buf := make([]T, 0, f.Len())
-	if err := forEach(f, d.pool, d.opts, d.sf, func(v T) error {
+	if err := forEach(f, d.pool, d.opts, d.depth, func(v T) error {
 		buf = append(buf, v)
 		return nil
 	}); err != nil {
@@ -323,7 +308,7 @@ func (d *distSorter[T]) fallbackMerge(b *stream.File[T], ow stream.Sink[T]) erro
 	if err != nil {
 		return err
 	}
-	err = forEach(sorted, d.pool, d.opts, d.sf, func(v T) error { return ow.Append(v) })
+	err = forEach(sorted, d.pool, d.opts, d.depth, func(v T) error { return ow.Append(v) })
 	sorted.Release()
 	return err
 }
@@ -343,7 +328,7 @@ func (d *distSorter[T]) fallbackMerge(b *stream.File[T], ow stream.Sink[T]) erro
 // bucket, and so recursed, on 57 of 300 seeds and four on 1, where the
 // record reservoir this replaced recursed on none.
 func (d *distSorter[T]) sample(f *stream.File[T], fo int) ([]T, error) {
-	reader, err := d.pool.AllocN(d.sf)
+	reader, err := d.pool.AllocN(d.sf())
 	if err != nil {
 		return nil, err
 	}
@@ -359,15 +344,15 @@ func (d *distSorter[T]) sample(f *stream.File[T], fo int) ([]T, error) {
 }
 
 // partition splits f into len(splitters)+1 buckets in one pass, its reader
-// and bucket writers in sf frames each. Bucket i
-// receives records v with splitters[i-1] <= v < splitters[i]: a record
-// equal to a splitter goes to the bucket on that splitter's right. When
-// resident > 0, bucket 0 is kept in memory, up to resident records, and
-// returned as a slice, its file left empty; a bucket 0 that outgrows them
-// is spilled into its file, which then holds all of it, and the slice is
-// nil. The caller charges the resident records to the pool, and must
-// leave one writer's frames free for the spill.
-func (d *distSorter[T]) partition(f *stream.File[T], splitters []T, resident, sf int) ([]T, []*stream.File[T], error) {
+// and bucket writers at depth. Bucket i receives records v with
+// splitters[i-1] <= v < splitters[i]: a record equal to a splitter goes to
+// the bucket on that splitter's right. When resident > 0, bucket 0 is kept
+// in memory, up to resident records, and returned as a slice, its file
+// left empty; a bucket 0 that outgrows them is spilled into its file,
+// which then holds all of it, and the slice is nil. The caller charges the
+// resident records to the pool, and must leave one writer's frames free
+// for the spill.
+func (d *distSorter[T]) partition(f *stream.File[T], splitters []T, resident, depth int) ([]T, []*stream.File[T], error) {
 	nb := len(splitters) + 1
 	buckets := make([]*stream.File[T], nb)
 	writers := make([]stream.Sink[T], nb)
@@ -395,13 +380,13 @@ func (d *distSorter[T]) partition(f *stream.File[T], splitters []T, resident, sf
 			writers[0] = res
 			continue
 		}
-		w, err := openSink(buckets[i], d.pool, d.opts, sf)
+		w, err := openSink(buckets[i], d.pool, d.opts, depth)
 		if err != nil {
 			return fail(err)
 		}
 		writers[i] = w
 	}
-	err := forEach(f, d.pool, d.opts, sf, func(v T) error {
+	err := forEach(f, d.pool, d.opts, depth, func(v T) error {
 		// Binary search for the first splitter greater than v.
 		lo, hi := 0, len(splitters)
 		for lo < hi {
@@ -446,7 +431,7 @@ func (s *spillSink[T]) Append(v T) error {
 			s.vs = append(s.vs, v)
 			return nil
 		}
-		w, err := openSink(s.f, s.d.pool, s.d.opts, s.d.sf)
+		w, err := openSink(s.f, s.d.pool, s.d.opts, s.d.depth)
 		if err != nil {
 			return err
 		}

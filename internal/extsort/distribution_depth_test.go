@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -103,111 +104,63 @@ func TestAsyncDistributionSortQuick(t *testing.T) {
 	}
 }
 
-// TestStreamDepthFromPlan pins the depth each stream takes from the frames
-// its plan charged, as the pool's peak shows it:
-//   - on a roomy pool, DistributionSort and SortIndex hold every stream at
-//     2×Width, the output writer included: a base case peaks at its
-//     streams plus its record buffer, and a partitioned level takes all
-//     but one bucket writer's frames;
-//   - below 6×Width free, the sort plans at Width and still succeeds;
-//   - BulkLoad at the serving benchmark's shape (256 frames, 48 cache
-//     frames) reads ahead, one Width group above an on-demand reader, and
-//     reads on demand when the pool lacks that group.
+// TestStreamDepthFromPlan is a table over (pass, free frames, width): the
+// depth stream.Depth gives the pass's streams, and the pool peak the pass
+// reaches at that depth.
+//   - DistributionSort's output writer opens beside a level's reader and
+//     two writers, so both write behind when four streams fit at
+//     2×Width: a base case then peaks at its two streams plus its 10-block
+//     record buffer, and a partitioned level takes the whole pool (at
+//     least all but the resident bucket's spill writer). On 11 frames at
+//     width 2 neither fits, and the sort runs on demand.
+//   - SortIndex holds back btree.LoaderFrames, and its levels read ahead
+//     when three streams fit in the rest: the loader's cache and leaf
+//     frames plus a base case's reader at 2×Width and its buffer.
+//   - BulkLoad's one reader reads ahead when it fits at 2×Width beyond
+//     btree.LoaderFrames (the serving benchmark's 48 cache frames), one
+//     Width group above BulkLoadFrom over an on-demand reader, and equals
+//     it one frame short.
 func TestStreamDepthFromPlan(t *testing.T) {
-	const per = 16 // 16-byte records in 256-byte blocks, big enough for a node
+	const (
+		per         = 16 // 16-byte records in 256-byte blocks, big enough for a node
+		cacheFrames = 4
+		loadCache   = 48
+	)
 	vol := pdm.MustVolume(pdm.Config{BlockBytes: 256, MemBlocks: 32, Disks: 4})
 	build := pdm.PoolFor(vol)
-	sortPeak := func(vs []record.Record, capacity, width int) int {
+	input := func(vs []record.Record) *stream.File[record.Record] {
 		t.Helper()
 		f, err := stream.FromSlice(vol, build, record.RecordCodec{}, vs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer f.Release()
-		pool := pdm.NewPool(256, capacity)
-		out, err := DistributionSort(f, pool, record.Record.Less, &Options{Width: width})
-		if err != nil {
-			t.Fatalf("capacity %d width %d: %v", capacity, width, err)
-		}
-		got, err := stream.ToSlice(out, pool)
-		out.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, sortedCopy(vs)) {
-			t.Fatalf("capacity %d width %d: output is not the sorted input", capacity, width)
-		}
-		if pool.InUse() != 0 {
-			t.Fatalf("capacity %d width %d: leaked %d frames", capacity, width, pool.InUse())
-		}
-		return pool.Peak()
+		return f
 	}
-	for _, w := range []int{1, 2, 4} {
-		// A base case: output writer, reader and the 10-block buffer.
-		if peak, want := sortPeak(distinctRecords(10*per), 64, w), 4*w+10; peak != want {
-			t.Errorf("W=%d base case: pool peak %d, want 2×%d + 2×%d + 10 = %d", w, peak, w, w, want)
-		}
-		// A partitioned level: everything but the resident bucket's spill
-		// writer, 2×Width frames.
-		if peak, want := sortPeak(distinctRecords(120*per), 64, w), 64-2*w; peak < want {
-			t.Errorf("W=%d level: pool peak %d, want >= %d", w, peak, want)
-		}
-	}
-	// 11 frames at width 2: 7 once the output writer's 2×Width are taken
-	// and 9 at Width, both under 6×Width, so every stream runs at Width;
-	// at 2×Width the sort could not open a level. sortPeak fails the test
-	// unless the sort succeeds.
-	sortPeak(distinctRecords(75*per), 11, 2)
-
-	// SortIndex: the loader's cache and leaf frames, then a base case at
-	// 2×Width per stream.
-	for _, w := range []int{1, 2} {
-		const cacheFrames = 4
-		f, err := stream.FromSlice(vol, build, record.RecordCodec{}, distinctRecords(10*per))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool := pdm.NewPool(256, 64)
-		tr, err := SortIndex(f, pool, cacheFrames, &Options{Width: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		f.Release()
-		if peak, want := pool.Peak(), cacheFrames+2*w+2*w+10; peak != want {
-			t.Errorf("W=%d SortIndex: pool peak %d, want %d", w, peak, want)
-		}
-	}
-
-	// BulkLoad against BulkLoadFrom over an on-demand reader.
 	sorted := make([]record.Record, 4096)
 	for i := range sorted {
 		sorted[i] = record.Record{Key: uint64(i + 1), Val: uint64(i)}
 	}
-	f, err := stream.FromSlice(vol, build, record.RecordCodec{}, sorted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Release()
-	const cacheFrames = 48
-	loadPeak := func(capacity, w int, onDemand bool) int {
+	loadInput := input(sorted)
+	defer loadInput.Release()
+	// load bulk-loads loadInput, through a reader on demand or at the
+	// depth BulkLoad picks, and returns the pool's peak.
+	load := func(capacity, w int, onDemand bool) int {
 		t.Helper()
 		pool := pdm.NewPool(256, capacity)
 		opts := &btree.BulkLoadOptions{Width: w}
 		var tr *btree.Tree
+		var err error
 		if onDemand {
-			r, err := stream.NewStripedReader(f, pool, w)
-			if err != nil {
-				t.Fatal(err)
+			r, rerr := stream.NewStripedReader(loadInput, pool, w)
+			if rerr != nil {
+				t.Fatal(rerr)
 			}
-			tr, err = btree.BulkLoadFrom(vol, pool, cacheFrames, r, opts)
+			tr, err = btree.BulkLoadFrom(vol, pool, loadCache, r, opts)
 			r.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else if tr, err = btree.BulkLoad(vol, pool, cacheFrames, f, opts); err != nil {
+		} else {
+			tr, err = btree.BulkLoad(vol, pool, loadCache, loadInput, opts)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.Close(); err != nil {
@@ -215,16 +168,96 @@ func TestStreamDepthFromPlan(t *testing.T) {
 		}
 		return pool.Peak()
 	}
-	for _, w := range []int{2, 4} {
-		demand := loadPeak(256, w, true)
-		if peak := loadPeak(256, w, false); peak != demand+w {
-			t.Errorf("W=%d BulkLoad at 256 frames: pool peak %d, want the on-demand %d + %d", w, peak, demand, w)
-		}
-		// One frame short of the loader's budget plus a reader ahead.
-		tight := cacheFrames + 4*w - 1
-		if peak, demand := loadPeak(tight, w, false), loadPeak(tight, w, true); peak != demand {
-			t.Errorf("W=%d BulkLoad at %d frames: pool peak %d, want the on-demand %d", w, tight, peak, demand)
-		}
+
+	type pass struct {
+		// depth is the pass's frame rule: its streams' depth in free frames.
+		depth func(free, w int) int
+		// run runs the pass over n records in a pool of free frames, its
+		// streams at depth, and returns the pool's peak.
+		run func(t *testing.T, n, free, w, depth int) int
+	}
+	passes := map[string]pass{
+		"DistributionSort": {
+			depth: func(free, w int) int { return stream.Depth(free, 4, w) },
+			run: func(t *testing.T, n, free, w, _ int) int {
+				vs := distinctRecords(n)
+				f := input(vs)
+				defer f.Release()
+				pool := pdm.NewPool(256, free)
+				out, err := DistributionSort(f, pool, record.Record.Less, &Options{Width: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := stream.ToSlice(out, pool)
+				out.Release()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, sortedCopy(vs)) {
+					t.Fatal("output is not the sorted input")
+				}
+				if pool.InUse() != 0 {
+					t.Fatalf("leaked %d frames", pool.InUse())
+				}
+				return pool.Peak()
+			},
+		},
+		"SortIndex": {
+			depth: func(free, w int) int { return stream.Depth(free-btree.LoaderFrames(cacheFrames, w), 3, w) },
+			run: func(t *testing.T, n, free, w, _ int) int {
+				f := input(distinctRecords(n))
+				defer f.Release()
+				pool := pdm.NewPool(256, free)
+				tr, err := SortIndex(f, pool, cacheFrames, &Options{Width: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return pool.Peak()
+			},
+		},
+		"BulkLoad": {
+			depth: func(free, w int) int { return stream.Depth(free-btree.LoaderFrames(loadCache, w), 1, w) },
+			run: func(t *testing.T, _, free, w, depth int) int {
+				peak, demand := load(free, w, false), load(free, w, true)
+				if peak != demand+(depth-1)*w {
+					t.Fatalf("pool peak %d, want the on-demand %d + %d", peak, demand, (depth-1)*w)
+				}
+				return peak
+			},
+		},
+	}
+	for _, tc := range []struct {
+		pass        string
+		n           int // input records
+		free, width int
+		depth, peak int
+	}{
+		{"DistributionSort", 10 * per, 64, 1, 2, 2*2 + 10}, // a base case
+		{"DistributionSort", 10 * per, 64, 2, 2, 2*4 + 10},
+		{"DistributionSort", 10 * per, 64, 4, 2, 2*8 + 10},
+		{"DistributionSort", 120 * per, 64, 1, 2, 64}, // a partitioned level
+		{"DistributionSort", 120 * per, 64, 2, 2, 64},
+		{"DistributionSort", 120 * per, 64, 4, 2, 64},
+		{"DistributionSort", 75 * per, 11, 2, 1, 11}, // at 2×Width no level could open
+		{"SortIndex", 10 * per, 64, 1, 2, cacheFrames + 2 + 2 + 10},
+		{"SortIndex", 10 * per, 64, 2, 2, cacheFrames + 4 + 4 + 10},
+		{"BulkLoad", len(sorted), 256, 2, 2, 32},
+		{"BulkLoad", len(sorted), 256, 4, 2, 40},
+		{"BulkLoad", len(sorted), loadCache + 4*2 - 1, 2, 1, 30},
+		{"BulkLoad", len(sorted), loadCache + 4*4 - 1, 4, 1, 36},
+	} {
+		t.Run(fmt.Sprintf("%s/n=%d/free=%d/W=%d", tc.pass, tc.n, tc.free, tc.width), func(t *testing.T) {
+			p := passes[tc.pass]
+			if got := p.depth(tc.free, tc.width); got != tc.depth {
+				t.Errorf("depth %d, want %d", got, tc.depth)
+			}
+			if peak := p.run(t, tc.n, tc.free, tc.width, tc.depth); peak != tc.peak {
+				t.Errorf("pool peak %d, want %d", peak, tc.peak)
+			}
+		})
 	}
 }
 
@@ -277,11 +310,11 @@ func TestDistributionSortFailsCleanlyWithoutMemory(t *testing.T) {
 // file is released, at Width frames per stream and at 2×Width.
 func TestPartitionErrorReleasesFramesAndBuckets(t *testing.T) {
 	for name, tc := range map[string]struct {
-		opts *Options
-		sf   int
+		opts  *Options
+		depth int
 	}{
 		"w1/demand": {nil, 1},
-		"w2/ahead":  {&Options{Width: 2}, 4},
+		"w2/ahead":  {&Options{Width: 2}, 2},
 	} {
 		vol := pdm.MustVolume(pdm.Config{BlockBytes: 64, MemBlocks: 32, Disks: 4})
 		build := pdm.PoolFor(vol)
@@ -292,12 +325,12 @@ func TestPartitionErrorReleasesFramesAndBuckets(t *testing.T) {
 		// Six frames cannot host ten writers at >=1 frame each, so the open
 		// loop fails partway with several writers (and bucket files) live.
 		pool := pdm.NewPool(64, 6)
-		d := &distSorter[record.Record]{pool: pool, less: record.Record.Less, kern: recordKernel, opts: tc.opts, sf: tc.sf}
+		d := &distSorter[record.Record]{pool: pool, less: record.Record.Less, kern: recordKernel, opts: tc.opts, depth: tc.depth}
 		splitters := make([]record.Record, 9)
 		for i := range splitters {
 			splitters[i] = record.Record{Key: uint64(i * 20)}
 		}
-		_, buckets, err := d.partition(f, splitters, 0, d.sf)
+		_, buckets, err := d.partition(f, splitters, 0, d.depth)
 		if err == nil {
 			t.Fatalf("%s: partition with 6 frames and 10 buckets succeeded", name)
 		}

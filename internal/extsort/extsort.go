@@ -98,27 +98,42 @@ func (o *Options) runMode() RunMode {
 	return o.RunMode
 }
 
-// openSource opens a Width-striped reader over f in the frames its plan
-// charged it: Width frames read on demand, 2×Width read ahead.
-func openSource[T any](f *stream.File[T], pool *pdm.Pool, opts *Options, frames int) (stream.Source[T], error) {
-	return stream.OpenSource(f, pool, opts.width(), frames/opts.width())
+// openSource opens a Width-striped reader over f at depth: on demand at
+// 1, reading ahead at 2.
+func openSource[T any](f *stream.File[T], pool *pdm.Pool, opts *Options, depth int) (stream.Source[T], error) {
+	return stream.OpenSource(f, pool, opts.width(), depth)
 }
 
-// openSink opens a Width-striped writer appending to f in the frames its
-// plan charged it: Width frames flush on demand, 2×Width write behind.
-func openSink[T any](f *stream.File[T], pool *pdm.Pool, opts *Options, frames int) (stream.Sink[T], error) {
-	return stream.OpenSink(f, pool, opts.width(), frames/opts.width())
+// openSink opens a Width-striped writer appending to f at depth: flushing
+// on demand at 1, writing behind at 2.
+func openSink[T any](f *stream.File[T], pool *pdm.Pool, opts *Options, depth int) (stream.Sink[T], error) {
+	return stream.OpenSink(f, pool, opts.width(), depth)
 }
 
-// forEach streams every record of f through fn with a reader in frames
-// pool frames, the openSource analogue of stream.ForEach.
-func forEach[T any](f *stream.File[T], pool *pdm.Pool, opts *Options, frames int, fn func(T) error) error {
-	r, err := openSource(f, pool, opts, frames)
+// forEach streams every record of f through fn with a reader at depth,
+// the openSource analogue of stream.ForEach.
+func forEach[T any](f *stream.File[T], pool *pdm.Pool, opts *Options, depth int, fn func(T) error) error {
+	r, err := openSource(f, pool, opts, depth)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
 	return stream.Drain(r, fn)
+}
+
+// fanOut returns the most streams of sf frames each that free frames hold
+// beside one more stream of sf frames — a merge's fan-in beside its output
+// writer, a distribution level's bucket count beside its reader — capped
+// by ForceFanIn. Disk striping treats a group of Width blocks as one
+// logical block, so each stream needs at least Width frames and the
+// fan-in drops from m to roughly m/D: exactly the suboptimality factor the
+// survey attributes to striped merge sort.
+func fanOut(free, sf int, opts *Options) int {
+	fo := (free - sf) / sf
+	if opts != nil && opts.ForceFanIn > 0 && opts.ForceFanIn < fo {
+		fo = opts.ForceFanIn
+	}
+	return fo
 }
 
 // MergeSort sorts f by less into a new file using multiway external merge
@@ -160,37 +175,42 @@ func FormRuns[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, 
 }
 
 // formRuns is FormRuns with kern sorting each load-sort run in memory.
+// Either technique holds memRecords records: every frame the input reader
+// and the run writer leave free, both at depth 1, reserved from the pool
+// for the whole pass.
 func formRuns[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, kern kernel[T], opts *Options) ([]*stream.File[T], error) {
-	if opts.runMode() == ReplacementSelection {
-		return formRunsReplacement(f, pool, less, opts)
-	}
-	return formRunsLoadSort(f, pool, less, kern, opts)
-}
-
-// formRunsLoadSort fills memory, sorts, writes, repeats. Each run holds
-// exactly memRecords records except the last. The run buffer is every frame
-// the reader and the run writer leave free, reserved from the pool for the
-// whole pass; sortEmit sorts a run inside it with kern and needs no other.
-func formRunsLoadSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, kern kernel[T], opts *Options) ([]*stream.File[T], error) {
-	sf := opts.width()
-	// Reserve frames: reader (sf) + writer (sf); the rest hold the run buffer.
-	bufFrames := pool.Free() - 2*sf
+	bufFrames := pool.Free() - 2*opts.width()
 	if bufFrames < 1 {
-		return nil, fmt.Errorf("%w: %d frames free, need > %d", ErrEmptyPool, pool.Free(), 2*sf)
+		return nil, fmt.Errorf("%w: %d frames free, need > %d", ErrEmptyPool, pool.Free(), 2*opts.width())
 	}
 	reserve, err := pool.AllocN(bufFrames)
 	if err != nil {
 		return nil, err
 	}
 	defer pdm.ReleaseAll(reserve)
-	memRecords := bufFrames * f.PerBlock()
-
-	r, err := openSource(f, pool, opts, sf)
+	r, err := openSource(f, pool, opts, 1)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
+	memRecords := bufFrames * f.PerBlock()
+	var runs []*stream.File[T]
+	if opts.runMode() == ReplacementSelection {
+		runs, err = formRunsReplacement(f, r, pool, less, opts, memRecords)
+	} else {
+		runs, err = formRunsLoadSort(f, r, pool, less, kern, opts, memRecords)
+	}
+	if err == nil && len(runs) == 0 {
+		// An empty input is one empty run.
+		runs = append(runs, stream.NewFile[T](f.Vol(), f.Codec()))
+	}
+	return runs, err
+}
 
+// formRunsLoadSort fills memory from r, sorts, writes, repeats. Each run
+// holds exactly memRecords records except the last; sortEmit sorts a run
+// inside the reserved buffer with kern and needs no other.
+func formRunsLoadSort[T any](f *stream.File[T], r stream.Source[T], pool *pdm.Pool, less func(a, b T) bool, kern kernel[T], opts *Options, memRecords int) ([]*stream.File[T], error) {
 	var runs []*stream.File[T]
 	// fail releases every run already written (a concurrent pool consumer
 	// can starve a mid-pass allocation), so an aborted pass strands nothing.
@@ -206,7 +226,7 @@ func formRunsLoadSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T
 			return nil
 		}
 		run := stream.NewFile[T](f.Vol(), f.Codec())
-		rw, err := openSink(run, pool, opts, sf)
+		rw, err := openSink(run, pool, opts, 1)
 		if err != nil {
 			return err
 		}
@@ -241,9 +261,6 @@ func formRunsLoadSort[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T
 	if err := flush(); err != nil {
 		return fail(err)
 	}
-	if len(runs) == 0 {
-		runs = append(runs, stream.NewFile[T](f.Vol(), f.Codec()))
-	}
 	return runs, nil
 }
 
@@ -264,29 +281,11 @@ func rsHeap[T any](less func(a, b T) bool) *minHeap[rsItem[T]] {
 	}}
 }
 
-// formRunsReplacement streams the input through an M-record tournament,
+// formRunsReplacement streams r through a memRecords-record tournament,
 // emitting the smallest element that can still extend the current run. On
 // random input the expected run length is 2M (the survey's "snowplow"
 // argument); on sorted input it produces a single run.
-func formRunsReplacement[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) ([]*stream.File[T], error) {
-	sf := opts.width()
-	bufFrames := pool.Free() - 2*sf
-	if bufFrames < 1 {
-		return nil, fmt.Errorf("%w: %d frames free, need > %d", ErrEmptyPool, pool.Free(), 2*sf)
-	}
-	reserve, err := pool.AllocN(bufFrames)
-	if err != nil {
-		return nil, err
-	}
-	defer pdm.ReleaseAll(reserve)
-	memRecords := bufFrames * f.PerBlock()
-
-	r, err := openSource(f, pool, opts, sf)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-
+func formRunsReplacement[T any](f *stream.File[T], r stream.Source[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options, memRecords int) ([]*stream.File[T], error) {
 	h := rsHeap[T](less)
 	// Prime the heap with up to M records, all in generation 0.
 	for len(h.items) < memRecords {
@@ -321,7 +320,7 @@ func formRunsReplacement[T any](f *stream.File[T], pool *pdm.Pool, less func(a, 
 	curGen := 0
 	openRun := func() error {
 		cur = stream.NewFile[T](f.Vol(), f.Codec())
-		w, err := openSink(cur, pool, opts, sf)
+		w, err := openSink(cur, pool, opts, 1)
 		if err != nil {
 			cur.Release()
 			cur = nil
@@ -375,20 +374,7 @@ func formRunsReplacement[T any](f *stream.File[T], pool *pdm.Pool, less func(a, 
 	if err := closeRun(); err != nil {
 		return fail(err)
 	}
-	if len(runs) == 0 {
-		runs = append(runs, stream.NewFile[T](f.Vol(), f.Codec()))
-	}
 	return runs, nil
-}
-
-// maxFanIn returns the merge fan-in the pool supports: one open stream per
-// input run plus the output. Disk striping treats a group of width blocks
-// as one logical block, so each stream needs width frames and the fan-in
-// drops from m to roughly m/D — exactly the suboptimality factor the
-// survey attributes to striped merge sort.
-func maxFanIn(pool *pdm.Pool, opts *Options) int {
-	w := opts.width()
-	return (pool.Free() - w) / w
 }
 
 // MergeRuns repeatedly merges sorted runs fan-in at a time until one remains.
@@ -396,10 +382,11 @@ func maxFanIn(pool *pdm.Pool, opts *Options) int {
 // ⌈log_fanin(#runs)⌉ passes: a level's lone tail run is carried into the
 // next level untouched.
 //
-// A merge group whose streams all fit at 2×Width frames opens them one
-// group deep: each input run's reader keeps its next block group in flight
-// while the merge consumes buffered records — the survey's forecasting
-// technique for D-disk merging. A sorted run is consumed in order, so the
+// A merge group opens its readers and output writer at the depth
+// stream.Depth gives them in the pool's free frames. One group deep, when
+// all of them fit at 2×Width, each input run's reader keeps its next block
+// group in flight while the merge consumes buffered records — the survey's
+// forecasting technique for D-disk merging. A sorted run is consumed in order, so the
 // block the forecast selects (the one holding the smallest pending key of
 // that run) is exactly the run's next sequential block, and read-ahead
 // fetches it before the merge blocks on it; the write-behind output
@@ -416,10 +403,7 @@ func MergeRuns[T any](runs []*stream.File[T], pool *pdm.Pool, less func(a, b T) 
 			f.Release()
 		}
 	}
-	fanin := maxFanIn(pool, opts)
-	if opts != nil && opts.ForceFanIn > 0 && opts.ForceFanIn < fanin {
-		fanin = opts.ForceFanIn
-	}
+	fanin := fanOut(pool.Free(), opts.width(), opts)
 	if fanin < 2 {
 		releaseAll(runs)
 		return nil, fmt.Errorf("%w: fan-in %d", ErrEmptyPool, fanin)
@@ -459,16 +443,13 @@ type mergeItem[T any] struct {
 }
 
 // mergeOnce merges two or more sorted runs into one sorted file in a single
-// pass: one reader per run plus one writer, read ahead and written behind
-// when all of them fit at 2×Width frames, on demand otherwise.
+// pass: one reader per run plus one writer, all at the depth stream.Depth
+// gives them in the pool's free frames.
 func mergeOnce[T any](runs []*stream.File[T], pool *pdm.Pool, less func(a, b T) bool, opts *Options) (*stream.File[T], error) {
-	sf := opts.width()
-	if (len(runs)+1)*2*sf <= pool.Free() {
-		sf *= 2
-	}
+	depth := stream.Depth(pool.Free(), len(runs)+1, opts.width())
 	vol := runs[0].Vol()
 	out := stream.NewFile[T](vol, runs[0].Codec())
-	ow, err := openSink(out, pool, opts, sf)
+	ow, err := openSink(out, pool, opts, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -489,7 +470,7 @@ func mergeOnce[T any](runs []*stream.File[T], pool *pdm.Pool, less func(a, b T) 
 	}()
 	h := &minHeap[mergeItem[T]]{less: func(a, b mergeItem[T]) bool { return less(a.v, b.v) }}
 	for i, run := range runs {
-		r, err := openSource(run, pool, opts, sf)
+		r, err := openSource(run, pool, opts, depth)
 		if err != nil {
 			return fail(err)
 		}

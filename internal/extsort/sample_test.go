@@ -289,9 +289,9 @@ func TestPartitionSpillsResidentBucket(t *testing.T) {
 	sorted := slices.Clone(vs)
 	slices.SortFunc(sorted, cmpKey)
 	cuts := []record.Record{sorted[n/4], sorted[n/2], sorted[3*n/4]}
-	d := &distSorter[record.Record]{pool: pool, less: keyLess, kern: stableKernel(keyLess), opts: &Options{Width: 2}, sf: 4}
+	d := &distSorter[record.Record]{pool: pool, less: keyLess, kern: stableKernel(keyLess), opts: &Options{Width: 2}, depth: 2}
 	vol.Stats().Reset()
-	res, buckets, err := d.partition(f, cuts, 8*per, d.sf)
+	res, buckets, err := d.partition(f, cuts, 8*per, d.depth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestSortIndexHybridCrashSweep(t *testing.T) {
 	// that budget the top level must be hybrid, so the spill below is the
 	// resident bucket's.
 	d := newDistSorter(pdm.NewPool(1024, s.mem), keyLess, stableKernel(keyLess), opts)
-	fo := d.fanOut(d.sf)
+	fo := fanOut(d.pool.Free(), d.sf(), opts)
 	if k, resident, _ := d.plan(int64(s.n), (s.mem-2*s.width)*64, 64, s.sampleBlocks(in), fo); k == 0 || resident == 0 {
 		t.Fatalf("%v: plan of %d spilled buckets, %d resident frames: not a hybrid level", s, k, resident)
 	}

@@ -2,10 +2,12 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"em/internal/btree"
 	"em/internal/pdm"
 )
 
@@ -194,9 +196,9 @@ func TestStoreDrainCrashLeaksNothing(t *testing.T) {
 // TestStoreDrainFitsReservation drains a full front at the repo
 // benchmark's store-file geometry — 4 KiB blocks, two disks, a 32-frame
 // cache, fronts of 32 768 ops — on the drain reservation Open makes, which
-// must then be exactly 2·32 + 6·2 − 2·1 + 2 frames: no share for a run
-// reader. A reservation too small for the drain's session, scan and loader
-// fails the drain with ErrNoFrames.
+// must then be exactly one session and one loader at drain width 1,
+// 2·32 + 4·1 frames. A reservation too small for the drain's session, scan
+// and loader fails the drain with ErrNoFrames.
 func TestStoreDrainFitsReservation(t *testing.T) {
 	forEachBackend(t, pdm.Config{BlockBytes: 4096, MemBlocks: 512, Disks: 2}, func(t *testing.T, vol *pdm.Volume, pool *pdm.Pool) {
 		const front = 32768
@@ -205,7 +207,7 @@ func TestStoreDrainFitsReservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if got, want := s.drainPool.Capacity(), 2*32+6*2-2*1+2; got != want {
+		if got, want := s.drainPool.Capacity(), 2*32+4*1; got != want {
 			t.Fatalf("drain reservation %d frames, want %d", got, want)
 		}
 		rng := rand.New(rand.NewSource(25))
@@ -223,4 +225,67 @@ func TestStoreDrainFitsReservation(t *testing.T) {
 			t.Fatalf("drain kept %d reserved frames", s.drainPool.Capacity()-got)
 		}
 	})
+}
+
+// TestStoreDrainReservationIsExact opens stores at W = D ∈ {1, 2, 4, 8} on
+// pools sized around the drain reservation, btree.SessionFrames plus
+// btree.LoaderFrames at the drain width w, 2·CacheFrames + 4·w frames:
+//   - one frame short of it, Open fails with ErrNoFrames and leaks nothing;
+//   - at it plus the foreground's two generation caches (the retiring one
+//     and its successor), Open succeeds, and so do a drain that builds a
+//     tree with more internal nodes than a cache holds and a second drain
+//     that scans that tree, and the drain pool's peak is its capacity:
+//     no reserved frame goes unused.
+func TestStoreDrainReservationIsExact(t *testing.T) {
+	const cacheFrames, keys = 4, 20000
+	for _, width := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("W=%d", width), func(t *testing.T) {
+			cfg := pdm.Config{BlockBytes: 256, MemBlocks: 8, Disks: width}
+			forEachBackend(t, cfg, func(t *testing.T, vol *pdm.Volume, _ *pdm.Pool) {
+				sc := Config{FrontOps: 1 << 40, CacheFrames: cacheFrames, Width: width}
+				w := sc.drainWidth()
+				reservation := btree.SessionFrames(cacheFrames, w) + btree.LoaderFrames(cacheFrames, w)
+				if reservation != 2*cacheFrames+4*w {
+					t.Fatalf("drain reservation %d frames, want 2·%d + 4·%d", reservation, cacheFrames, w)
+				}
+				short := pdm.NewPool(cfg.BlockBytes, reservation-1)
+				live := vol.Allocated() - vol.FreeBlocks()
+				if _, err := Open(vol, short, sc); !errors.Is(err, pdm.ErrNoFrames) {
+					t.Fatalf("Open one frame short = %v, want ErrNoFrames", err)
+				}
+				if short.InUse() != 0 || vol.Allocated()-vol.FreeBlocks() != live {
+					t.Fatalf("failed Open kept %d frames and %d blocks", short.InUse(), vol.Allocated()-vol.FreeBlocks()-live)
+				}
+
+				pool := pdm.NewPool(cfg.BlockBytes, reservation+2*cacheFrames)
+				s, err := Open(vol, pool, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(width)))
+				for round, n := range []int{keys, keys / 20} {
+					for i := 0; i < n; i++ {
+						if err := s.Insert(rng.Uint64(), uint64(i)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := s.Drain(); err != nil {
+						t.Fatalf("drain %d: %v", round+1, err)
+					}
+				}
+				if got, want := s.drainPool.Peak(), s.drainPool.Capacity(); got != want {
+					t.Errorf("drain pool peak %d of %d reserved frames", got, want)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if pool.InUse() != 0 {
+					t.Errorf("close kept %d frames", pool.InUse())
+				}
+				if got := vol.Allocated() - vol.FreeBlocks(); got != live {
+					t.Errorf("close leaked %d blocks", got-live)
+				}
+			})
+		})
+	}
 }

@@ -136,10 +136,13 @@ type Store struct {
 }
 
 // Open creates an empty store on vol whose steady-state frames are drawn
-// from pool. The drain budget (2·CacheFrames + 6·Width − 2·w + 2 frames,
-// at drain width w) is reserved from pool immediately and held until Close;
-// the pool additionally serves each generation's cache and per-reader
-// frames, so size it with headroom beyond the reservation.
+// from pool. The drain budget is reserved from pool immediately and held
+// until Close. It is the sum of what a drain opens, at the drain width w:
+// one session over the current generation, whose scanner the front is
+// merged into (btree.SessionFrames), and one bulk loader for the next
+// generation (btree.LoaderFrames) — 2·CacheFrames + 4·w frames. The pool
+// additionally serves each generation's cache and per-reader frames, so
+// size it with headroom beyond the reservation.
 func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 	if cfg.CacheFrames == 0 {
 		cfg.CacheFrames = 8
@@ -154,7 +157,8 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 	if sealOps <= 0 {
 		sealOps = 8192
 	}
-	drainFrames := 2*cfg.CacheFrames + 6*cfg.Width - 2*cfg.drainWidth() + 2
+	w := cfg.drainWidth()
+	drainFrames := btree.SessionFrames(cfg.CacheFrames, w) + btree.LoaderFrames(cfg.CacheFrames, w)
 	reserve, err := pool.AllocN(drainFrames)
 	if err != nil {
 		return nil, err

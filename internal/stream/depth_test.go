@@ -95,6 +95,41 @@ func runDepth(t *testing.T, vol *pdm.Volume, width int, overlap bool, prefill, v
 	return depthRun{out: out, layout: append([]int64(nil), BlockAddrs(f)...), stats: vol.Stats().Snapshot()}
 }
 
+// TestDepthRule pins the one frame rule: depth 2 exactly when every
+// stream fits at 2×width in free frames. A stream asked for a depth other
+// than 1 or 2, or a width below 1, fails to open and takes no frame.
+func TestDepthRule(t *testing.T) {
+	for _, tc := range []struct{ free, streams, width, depth int }{
+		{0, 1, 1, 1},
+		{2, 1, 1, 2},
+		{5, 3, 1, 1},
+		{6, 3, 1, 2}, // a distribution level: reader and two writers
+		{23, 3, 4, 1},
+		{24, 3, 4, 2},
+		{31, 4, 4, 1}, // a merge group of three runs and its output
+		{32, 4, 4, 2},
+		{1 << 10, 4, 4, 2},
+	} {
+		if got := Depth(tc.free, tc.streams, tc.width); got != tc.depth {
+			t.Errorf("Depth(%d, %d, %d) = %d, want %d", tc.free, tc.streams, tc.width, got, tc.depth)
+		}
+	}
+	vol := pdm.MustVolume(pdm.Config{BlockBytes: 64, MemBlocks: 16, Disks: 2})
+	pool := pdm.PoolFor(vol)
+	f := NewFile[record.Record](vol, record.RecordCodec{})
+	for _, c := range []struct{ width, depth int }{{1, 0}, {1, 3}, {0, 1}} {
+		if _, err := OpenSource(f, pool, c.width, c.depth); err == nil {
+			t.Errorf("OpenSource at width %d, depth %d succeeded", c.width, c.depth)
+		}
+		if _, err := OpenSink(f, pool, c.width, c.depth); err == nil {
+			t.Errorf("OpenSink at width %d, depth %d succeeded", c.width, c.depth)
+		}
+	}
+	if pool.InUse() != 0 {
+		t.Fatalf("failed opens kept %d frames", pool.InUse())
+	}
+}
+
 // TestStreamDepthsAgree checks that depth changes only when batches are
 // issued: across widths, both backends, lengths at and around the group
 // boundaries, and appends to a partially filled tail block, the on-demand

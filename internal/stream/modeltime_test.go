@@ -38,7 +38,7 @@ func modelScan(t *testing.T, d, n int, compute time.Duration, ahead bool) (elaps
 	}
 	vol.Stats().Reset()
 	start := time.Now()
-	r, err := newReader(f, pool, 1, ahead)
+	r, err := newReader(f, pool, 1, depthOf(ahead))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@
 // overlap changes. The second group is drawn from the caller's pdm.Pool (a
 // width-w stream holds 2w frames instead of w), so the memory budget M still
 // holds. Consumers open streams through OpenSource/OpenSink, and every
-// sequential pass in the sort/index stack opens at the second depth exactly
-// when its plan already holds the second group's frames.
+// sequential pass in the sort/index stack opens at the depth Depth gives:
+// the second exactly when its plan holds every stream's second group.
 package stream
 
 import "em/internal/pdm"
@@ -30,14 +30,14 @@ var (
 // parallel batch and keeps the following batch in flight from the moment it
 // is opened, holding 2×width pool frames.
 func NewPrefetchReader[T any](f *File[T], pool *pdm.Pool, width int) (*Reader[T], error) {
-	return newReader(f, pool, width, true)
+	return newReader(f, pool, width, 2)
 }
 
 // NewAsyncWriter opens a writer appending to f behind: each full group of
 // width blocks is flushed while the caller fills the next, holding 2×width
 // pool frames.
 func NewAsyncWriter[T any](f *File[T], pool *pdm.Pool, width int) (*Writer[T], error) {
-	return newWriter(f, pool, width, true)
+	return newWriter(f, pool, width, 2)
 }
 
 // AsyncForEach streams every record of f through fn using a width-w reader

@@ -45,18 +45,30 @@ type Sink[T any] interface {
 	Close() error
 }
 
+// Depth is the one frame rule for stream depth: it returns 2 when streams
+// width-w streams all fit at 2×width frames in free pool frames, so each
+// keeps a second group in flight (the survey's forecasting, given memory
+// for it), and 1, on demand, otherwise. Every sequential pass in the sort
+// and index layers asks it for the depth of the streams it opens together.
+func Depth(free, streams, width int) int {
+	if streams*2*width <= free {
+		return 2
+	}
+	return 1
+}
+
 // OpenSource opens a width-w reader over f holding depth groups of width
 // frames: depth 1 fetches on demand, depth 2 keeps the next group in
 // flight. The sort and index layers open every input through it, at the
-// depth their plan has frames for.
+// depth Depth gives their plan.
 func OpenSource[T any](f *File[T], pool *pdm.Pool, width, depth int) (Source[T], error) {
-	return newReader(f, pool, width, depth == 2)
+	return newReader(f, pool, width, depth)
 }
 
 // OpenSink opens a width-w writer appending to f holding depth groups of
 // width frames: depth 1 flushes on demand, depth 2 writes behind.
 func OpenSink[T any](f *File[T], pool *pdm.Pool, width, depth int) (Sink[T], error) {
-	return newWriter(f, pool, width, depth == 2)
+	return newWriter(f, pool, width, depth)
 }
 
 // File is a sequence of N records of type T stored in whole blocks on a
@@ -140,13 +152,13 @@ func groupBufs(bufs [][]byte, frames []*pdm.Frame, n int) [][]byte {
 	return bufs[:n]
 }
 
-// frameCount returns the frames a width-w stream holds: one group on
-// demand, two when it reads ahead or writes behind.
-func frameCount(width int, overlap bool) int {
-	if overlap {
-		return 2 * width
+// allocGroups checks a stream's width and depth and takes its depth
+// groups of width frames from pool.
+func allocGroups(pool *pdm.Pool, width, depth int) ([]*pdm.Frame, error) {
+	if width < 1 || depth < 1 || depth > 2 {
+		return nil, fmt.Errorf("stream: width %d, depth %d: want width >= 1 and depth 1 or 2", width, depth)
 	}
-	return width
+	return pool.AllocN(depth * width)
 }
 
 // Writer appends records to a File block by block. A width-w writer buffers
@@ -169,22 +181,20 @@ type Writer[T any] struct {
 
 // NewWriter creates a width-1 writer (one buffer frame).
 func NewWriter[T any](f *File[T], pool *pdm.Pool) (*Writer[T], error) {
-	return newWriter(f, pool, 1, false)
+	return newWriter(f, pool, 1, 1)
 }
 
 // NewStripedWriter creates a writer that buffers width blocks and writes
 // them as single parallel batches. width is typically the volume's disk
 // count D.
 func NewStripedWriter[T any](f *File[T], pool *pdm.Pool, width int) (*Writer[T], error) {
-	return newWriter(f, pool, width, false)
+	return newWriter(f, pool, width, 1)
 }
 
-// newWriter opens a writer, reloading a partial tail block into cur.
-func newWriter[T any](f *File[T], pool *pdm.Pool, width int, behind bool) (*Writer[T], error) {
-	if width < 1 {
-		return nil, fmt.Errorf("stream: writer width must be >= 1, got %d", width)
-	}
-	frames, err := pool.AllocN(frameCount(width, behind))
+// newWriter opens a writer at depth 1 or 2, reloading a partial tail block
+// into cur.
+func newWriter[T any](f *File[T], pool *pdm.Pool, width, depth int) (*Writer[T], error) {
+	frames, err := allocGroups(pool, width, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -277,28 +287,26 @@ type Reader[T any] struct {
 
 // NewReader creates a width-1 reader over f.
 func NewReader[T any](f *File[T], pool *pdm.Pool) (*Reader[T], error) {
-	return newReader(f, pool, 1, false)
+	return newReader(f, pool, 1, 1)
 }
 
 // NewStripedReader creates a reader that fetches width blocks per parallel
 // batch.
 func NewStripedReader[T any](f *File[T], pool *pdm.Pool, width int) (*Reader[T], error) {
-	return newReader(f, pool, width, false)
+	return newReader(f, pool, width, 1)
 }
 
-// newReader opens a reader; only one opened ahead dispatches a fetch here,
-// so an on-demand reader closed early reads nothing it did not return.
-func newReader[T any](f *File[T], pool *pdm.Pool, width int, ahead bool) (*Reader[T], error) {
-	if width < 1 {
-		return nil, fmt.Errorf("stream: reader width must be >= 1, got %d", width)
-	}
-	frames, err := pool.AllocN(frameCount(width, ahead))
+// newReader opens a reader at depth 1 or 2; only one opened ahead
+// dispatches a fetch here, so an on-demand reader closed early reads
+// nothing it did not return.
+func newReader[T any](f *File[T], pool *pdm.Pool, width, depth int) (*Reader[T], error) {
+	frames, err := allocGroups(pool, width, depth)
 	if err != nil {
 		return nil, err
 	}
 	r := &Reader[T]{f: f, frames: frames, cur: frames[:width],
 		next: frames[len(frames)-width:], bufs: make([][]byte, width), width: width}
-	if ahead {
+	if depth == 2 {
 		r.launch()
 	}
 	return r, nil

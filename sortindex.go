@@ -10,8 +10,10 @@ import (
 // batches, which go Width at a time through the async engine while the
 // next group is packed. The loader's whole budget —
 // CacheFrames for the buffer manager plus 2×Width for the leaf double
-// buffer — is held back from the pool for the full call; size
-// Config.MemBlocks to cover the sort's fan-out plus that reservation.
+// buffer — is held back from the pool for the full call, and the sort
+// plans in what is left, its streams at the depth the package comment's
+// depth rule gives them; size Config.MemBlocks to cover the sort's fan-out
+// plus that reservation.
 type SortIndexOptions struct {
 	// Width is the striping width of the sort's streams and of the loader's
 	// leaf batches; set it to the volume's disk count D. Zero means 1.
