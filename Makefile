@@ -106,11 +106,14 @@ cover:
 # round trip at both depths (BenchmarkStreams: ns/record and allocs/record,
 # on demand and ahead/behind) and extsort's fused index build
 # (BenchmarkSortIndex: ns/record, allocs/record and ios/record for 2^18
-# random records in 512 frames). In those one iteration is a fixed batch,
-# the per-item cost its own column; -benchtime 3x keeps each at three
-# iterations.
+# random records in 512 frames), and last the file backend's buffered read
+# (BenchmarkFileRead in internal/pdm: ns/block and allocs/block for random
+# single-block reads of a warmed file volume at 4080-byte blocks, copied out
+# of the disk files' mappings; allocs/block is 0). In those one iteration is
+# a fixed batch, the per-item cost its own column; -benchtime 3x keeps each
+# at three iterations.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache ./internal/btree ./internal/stream
+	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache ./internal/btree ./internal/stream ./internal/pdm
 
 # The repo benchmark (BENCHMARK.json, bench/) is a module of its own that
 # `go build ./...` does not reach; its smoke test runs every workload at

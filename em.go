@@ -269,7 +269,12 @@
 // the filesystem accepts the flag (tmpfs, for one, does not), so transfers
 // bypass the page cache and the measured times are the medium's; everywhere
 // else the backend transparently falls back to ordinary buffered I/O, which
-// preserves semantics but lets the OS cache absorb re-reads. File-backed
+// preserves semantics but lets the OS cache absorb re-reads. Writes are
+// always pwrite, and O_DIRECT disks read with pread. A buffered disk's reads
+// are copies out of a read-only shared mapping of its file, with no syscall
+// per read; a page fault on such a read (the file truncated or failing
+// under a live volume) comes back as an error, not a crash. Mapped pages are
+// page cache, not frames charged to the pool's M. File-backed
 // volumes should always be Closed; the per-disk files are left on disk for
 // inspection and are the caller's to delete.
 //

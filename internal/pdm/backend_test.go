@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -296,44 +298,241 @@ func backendWorkload(t *testing.T, v *Volume, seed int64) (Stats, []byte) {
 	return v.stats.Snapshot(), digest
 }
 
+// growthWorkload drives the edges of the file backend's mapped reads on
+// every disk. Each round writes one block per disk at a slot that outruns
+// the file's current mapping and reads it straight back, which remaps; then
+// it reads, in one batch, a slot below the high-water mark that is mostly a
+// hole, a slot past the mark, and the block just written.
+func growthWorkload(t *testing.T, v *Volume, seed int64) (Stats, []byte) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	bb, disks := v.BlockBytes(), int64(v.Disks())
+	const slots = 600
+	base := v.Alloc(slots * int(disks))
+	addr := func(d, slot int64) int64 { return base + slot*disks + d }
+	var digest []byte
+	read := func(addrs ...int64) {
+		dsts := make([][]byte, len(addrs))
+		for i := range dsts {
+			dsts[i] = make([]byte, bb)
+		}
+		if err := v.BatchRead(addrs, dsts); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dsts {
+			digest = append(digest, d...)
+		}
+	}
+	src := make([]byte, bb)
+	for _, top := range []int64{0, 2, 7, 19, 50, 130, 330, slots - 2} {
+		for d := int64(0); d < disks; d++ {
+			for j := range src {
+				src[j] = byte(rng.Intn(256))
+			}
+			if err := v.WriteBlock(addr(d, top), src); err != nil {
+				t.Fatal(err)
+			}
+			read(addr(d, top))
+			hole := addr(rng.Int63n(disks), rng.Int63n(top+1))
+			past := addr(rng.Int63n(disks), top+1+rng.Int63n(slots-1-top))
+			read(hole, past, addr(d, top))
+		}
+	}
+	return v.stats.Snapshot(), digest
+}
+
+// diskPaths names the path each disk of a file volume reads through.
+func diskPaths(v *Volume) []string {
+	fb := v.backend.(*fileBackend)
+	paths := make([]string, len(fb.files))
+	for d := range paths {
+		switch {
+		case fb.direct[d]:
+			paths[d] = "O_DIRECT pread"
+		case fb.readAt[d]:
+			paths[d] = "pread (no mapping)"
+		default:
+			paths[d] = fmt.Sprintf("mapped (%d bytes mapped, %d written)", len(fb.maps[d]), fb.written[d])
+		}
+	}
+	return paths
+}
+
 // TestQuickBackendsAgree is the engine-level sim==file property: the same
 // seeded workload on a memory-backed and a file-backed volume must produce
 // byte-identical Stats snapshots (reads, writes, steps, per-disk shards)
-// and byte-identical read contents.
+// and byte-identical read contents. The mixed workload runs at a small
+// block; the growth workload runs at 4080 bytes, which is never O_DIRECT
+// and so always mapped where the platform maps, and at 4096, which is
+// O_DIRECT where the filesystem takes the flag and mapped where it does
+// not (tmpfs).
 func TestQuickBackendsAgree(t *testing.T) {
-	prop := func(seedRaw uint32, disksRaw uint8, latencyOn bool) bool {
-		seed := int64(seedRaw)
-		disks := 1 + int(disksRaw)%4
-		var latency time.Duration
-		if latencyOn {
-			latency = 5 * time.Microsecond
-		}
-		cfg := Config{BlockBytes: 48, MemBlocks: 8, Disks: disks, DiskLatency: latency}
+	for _, tc := range []struct {
+		name       string
+		blockBytes int
+		work       func(*testing.T, *Volume, int64) (Stats, []byte)
+		runs       int
+		endsOnRead bool // the workload's last transfer on each disk is a read
+	}{
+		{"mixed", 48, backendWorkload, 12, false},
+		{"growth-4080", 4080, growthWorkload, 4, true},
+		{"growth-4096", 4096, growthWorkload, 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prop := func(seedRaw uint32, disksRaw uint8, latencyOn bool) bool {
+				seed := int64(seedRaw)
+				disks := 1 + int(disksRaw)%4
+				var latency time.Duration
+				if latencyOn {
+					latency = 5 * time.Microsecond
+				}
+				cfg := Config{BlockBytes: tc.blockBytes, MemBlocks: 8, Disks: disks, DiskLatency: latency}
 
-		mv := MustVolume(cfg)
-		memStats, memDigest := backendWorkload(t, mv, seed)
-		mv.Close()
+				mv := MustVolume(cfg)
+				memStats, memDigest := tc.work(t, mv, seed)
+				mv.Close()
 
-		fcfg := cfg
-		fcfg.Dir = t.TempDir()
-		fv := MustVolume(fcfg)
-		fileStats, fileDigest := backendWorkload(t, fv, seed)
-		if err := fv.Close(); err != nil {
-			t.Logf("file volume close: %v", err)
-			return false
-		}
+				fcfg := cfg
+				fcfg.Dir = t.TempDir()
+				fv := MustVolume(fcfg)
+				fileStats, fileDigest := tc.work(t, fv, seed)
+				t.Logf("D=%d: %v", disks, diskPaths(fv))
+				if fb := fv.backend.(*fileBackend); tc.endsOnRead && runtime.GOOS == "linux" {
+					// Each disk that maps followed its file's growth.
+					for d := range fb.files {
+						if !fb.direct[d] && (fb.readAt[d] || int64(len(fb.maps[d])) < fb.written[d]) {
+							t.Logf("disk %d: mapping did not follow growth: %s", d, diskPaths(fv)[d])
+							return false
+						}
+					}
+				}
+				if err := fv.Close(); err != nil {
+					t.Logf("file volume close: %v", err)
+					return false
+				}
 
-		if !reflect.DeepEqual(memStats, fileStats) {
-			t.Logf("stats diverge: mem %+v file %+v", memStats, fileStats)
-			return false
-		}
-		if !bytes.Equal(memDigest, fileDigest) {
-			t.Logf("read contents diverge (seed %d, D=%d)", seed, disks)
-			return false
-		}
-		return true
+				if !reflect.DeepEqual(memStats, fileStats) {
+					t.Logf("stats diverge: mem %+v file %+v", memStats, fileStats)
+					return false
+				}
+				if !bytes.Equal(memDigest, fileDigest) {
+					t.Logf("read contents diverge (seed %d, D=%d)", seed, disks)
+					return false
+				}
+				return true
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: tc.runs}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 12}); err != nil {
+}
+
+// TestFileBackendTruncatedUnderMapping truncates a disk file behind a live
+// volume's back after a mapped read, as a failing medium might. A read of a
+// block past the new end faults on the mapping and must return an error
+// naming the disk and slot, not kill the process with SIGBUS; a block still
+// inside the file reads correctly; Close unmaps, and no frame or block is
+// left behind.
+func TestFileBackendTruncatedUnderMapping(t *testing.T) {
+	const bb = 4080
+	dir := t.TempDir()
+	v := MustVolume(Config{BlockBytes: bb, MemBlocks: 4, Disks: 1, Dir: dir})
+	pool := PoolFor(v)
+	fb := v.backend.(*fileBackend)
+	base := v.Alloc(4)
+	src, dst := pool.MustAlloc(), pool.MustAlloc()
+	for i := int64(0); i < 4; i++ {
+		for j := range src.Buf {
+			src.Buf[j] = byte(i + 1)
+		}
+		if err := v.WriteBlock(base+i, src.Buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.ReadBlock(base+3, dst.Buf); err != nil {
 		t.Fatal(err)
 	}
+	if fb.maps[0] == nil {
+		t.Skipf("disk 0 reads through %s", diskPaths(v)[0])
+	}
+	if err := os.Truncate(filepath.Join(dir, "disk000.dat"), bb); err != nil {
+		t.Fatal(err)
+	}
+	err := v.ReadBlock(base+3, dst.Buf)
+	if err == nil || !strings.Contains(err.Error(), "disk 0 read slot 3") {
+		t.Fatalf("read past the truncated end: err %v, want an error naming disk 0 slot 3", err)
+	}
+	if err := v.ReadBlock(base, dst.Buf); err != nil {
+		t.Fatalf("read inside the truncated file: %v", err)
+	}
+	if !bytes.Equal(dst.Buf, bytes.Repeat([]byte{1}, bb)) {
+		t.Fatalf("block 0 after truncation reads % x…", dst.Buf[:4])
+	}
+	src.Release()
+	dst.Release()
+	for i := int64(0); i < 4; i++ {
+		v.Free(base + i)
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fb.maps[0] != nil {
+		t.Fatal("Close left disk 0 mapped")
+	}
+	if pool.InUse() != 0 || v.Allocated() != v.FreeBlocks() {
+		t.Fatalf("left behind: %d frames, %d blocks", pool.InUse(), v.Allocated()-v.FreeBlocks())
+	}
+}
+
+// BenchmarkFileRead times random single-block ReadBlock calls on a warmed
+// file volume at BlockBytes 4080, a size never opened O_DIRECT, so every
+// read comes from the page cache: out of the disk file's mapping where the
+// platform maps, else by pread. One iteration is 2^16 reads over 4096
+// blocks on 4 disks; ns/block and allocs/block divide it by the reads, and
+// allocs/block must be 0.
+func BenchmarkFileRead(b *testing.B) {
+	const (
+		bb     = 4080
+		blocks = 1 << 12
+		reads  = 1 << 16
+	)
+	v := MustVolume(Config{BlockBytes: bb, MemBlocks: 8, Disks: 4, Dir: b.TempDir()})
+	defer v.Close()
+	base := v.Alloc(blocks)
+	buf := make([]byte, bb)
+	for i := int64(0); i < blocks; i++ {
+		for j := range buf {
+			buf[j] = byte(i)
+		}
+		if err := v.WriteBlock(base+i, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	addrs := make([]int64, reads)
+	rng := rand.New(rand.NewSource(1))
+	for i := range addrs {
+		addrs[i] = base + rng.Int63n(blocks)
+	}
+	for _, a := range addrs[:blocks] {
+		if err := v.ReadBlock(a, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Logf("%v", diskPaths(v))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range addrs {
+			if err := v.ReadBlock(a, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	total := float64(b.N) * reads
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/block")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/block")
 }

@@ -62,7 +62,11 @@
 // in-memory simulation; setting Config.Dir selects the file-backed store,
 // which maps each of the D disks to its own file (O_DIRECT on Linux where
 // the block size and filesystem allow, buffered I/O otherwise) so the same
-// algorithms exercise real hardware. Counters are charged before the
+// algorithms exercise real hardware. Writes are pwrite, and O_DIRECT disks
+// read with pread; a buffered disk's reads copy the block out of a
+// read-only shared mapping of its file, with no syscall per read, and a
+// fault on a mapped page is returned as an error. Mapped pages are page
+// cache, not frames charged to a Pool's M. Counters are charged before the
 // backend is invoked, so Stats are identical across backends for the same
 // workload — the sim==file invariant the backend tests pin down.
 //
@@ -332,8 +336,8 @@ func MustVolume(cfg Config) *Volume {
 }
 
 // Close closes the storage backend (a no-op for the in-memory simulation;
-// the file backend closes its per-disk files and returns the first close
-// error). It is idempotent — repeated calls return the first call's result.
+// the file backend unmaps and closes its per-disk files and returns the
+// first error). It is idempotent — repeated calls return the first call's result.
 // Close waits for transfers already moving bytes to finish, then cuts short
 // every reservation wait: a Wait on an outstanding Batch*Async deadline
 // returns at once (the bytes moved at dispatch) instead of running out the
