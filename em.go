@@ -131,15 +131,25 @@
 // nothing to amortise; when the front crosses a configurable threshold
 // (StoreConfig.FrontOps) it is sealed and a background drain merge-applies
 // its resolved operations — delete tombstones included, last writer wins
-// by sequence number — into a scan of the current B-tree generation,
-// streaming the result through the write-behind bulk loader into a fresh
-// generation at Θ(n/B) I/Os. Readers swap over atomically: generations are
+// by sequence number — into a scan of a B-tree generation, streaming the
+// result through the write-behind bulk loader into a fresh generation.
+// The generations follow the survey's logarithmic method: an old tree of n
+// records and at most one young tree, which holds the live records of the
+// last few fronts beside an exact in-memory directory of the keys they
+// touched, one delete bit each. A threshold drain rewrites only the young
+// tree, until it has absorbed k−1 fronts of F operations, k = ⌊√(2n/F)⌋;
+// the k-th merges everything into the old tree, so a front costs
+// Θ((kF/2 + n/k)/B) writes instead of the Θ(n/B) of rebuilding the old
+// tree every time. An explicit Drain or StartDrain always compacts into
+// one generation. Readers swap over atomically: generations are
 // reference-counted, so in-flight StoreScanners and StoreSessions keep
 // their generation (and its blocks) until they close, and a superseded
 // generation is reclaimed when its last reader departs. The drain runs on
 // a budget reserved at Open at half-width striping, and reads probe the
-// two fronts in memory, so read throughput holds while the rebuild runs —
-// experiment F13 gates the write amortisation and the in-drain read QPS.
+// two fronts and the young directory in memory — a key the directory does
+// not hold costs only the old tree's reads — so read throughput holds
+// while the rebuild runs; experiment F13 gates the write amortisation and
+// the in-drain read QPS.
 // Buffered updates are not durable: until a drain writes them into a
 // generation they exist only in memory, and OpenStore always starts
 // empty. See examples/kvstore.
@@ -800,10 +810,13 @@ func NewBufferTree(vol *Volume, pool *Pool, cfg BufferTreeConfig) (*BufferTree, 
 }
 
 // Store is the online updatable key-value index: an in-memory write front
-// over reference-counted B-tree generations, drained in the background.
-// Inserts and deletes cost no I/O until the drain, which pays Θ(n/B) for
-// a whole front; reads see every operation accepted before them, through
-// drains included. Buffered operations are not durable.
+// over reference-counted B-tree generations — an old one and at most one
+// young one, by the logarithmic method — drained in the background.
+// Inserts and deletes cost no I/O until the drain, which rewrites the
+// young generation for most fronts and the whole old one every k-th
+// (Drain and StartDrain always compact into one generation); reads see
+// every operation accepted before them, through drains included. Buffered
+// operations are not durable.
 type Store = store.Store
 
 // StoreConfig tunes the store's seal threshold, cache and striping widths,
@@ -821,9 +834,14 @@ type StoreSession = store.Session
 var ErrStoreClosed = store.ErrClosed
 
 // OpenStore creates a store on vol; the background drain's budget is
-// reserved from pool up front, like SortIndex's loader budget. It is what a
-// drain opens at its half-width striping w = max(1, Width/2): one read
-// session and one bulk loader, CacheFrames + 2·w frames each.
+// reserved from pool up front, like SortIndex's loader budget. It is the
+// most a drain opens at its half-width striping w = max(1, Width/2): a
+// read session over the old generation and one bulk loader, CacheFrames +
+// 2·w frames each, and a session that scans the young generation, 3 + 2·w
+// frames. Beyond it the pool must hold three generation caches of
+// CacheFrames (old, young, and the one a handover warms before it swaps
+// in) plus what readers pin; a handover that finds them short fails the
+// drain with ErrNoFrames, after which the store refuses writes.
 func OpenStore(vol *Volume, pool *Pool, cfg StoreConfig) (*Store, error) {
 	return store.Open(vol, pool, cfg)
 }

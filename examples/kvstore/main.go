@@ -2,9 +2,10 @@
 // store — the LSM-shaped composition of the module's two optimal halves.
 // Writes are absorbed by an in-memory front at no I/O; when the front
 // crosses its threshold it is sealed and a background drain merges it
-// (tombstones applied, last writer wins) with the current B-tree
-// generation through the write-behind bulk loader into the next
-// generation at Θ(n/B) I/Os, while reads keep being served:
+// (tombstones applied, last writer wins) through the write-behind bulk
+// loader into the young B-tree generation, or every k-th front with the
+// old generation into the next one (the logarithmic method), while reads
+// keep being served:
 //
 //  1. load phase        n inserts through the front vs per-key B-tree cost
 //  2. mixed phase       inserts, deletes, overwrites with drains in flight
@@ -52,8 +53,8 @@ func main() {
 	}
 
 	// Load: n random-order inserts. The front holds them in memory and the
-	// background drains rebuild generations at Θ(n/B), so total I/O stays
-	// far below n·log_B n per-key inserts.
+	// background drains rebuild generations a whole block at a time, so
+	// total I/O stays far below n·log_B n per-key inserts.
 	rng := rand.New(rand.NewSource(1))
 	vol.Stats().Reset()
 	start := time.Now()

@@ -19,13 +19,15 @@ import (
 //     (including the background drains they trigger and a final Drain to
 //     quiescence) against the same n keys driven one at a time into a
 //     B-tree via Tree.Insert — the front costs no I/O and each drain
-//     rebuilds a generation at Θ(n/B), so both wall clock and counted I/Os
-//     drop far below the per-key inserts' O(log_B n) each;
+//     rebuilds a generation at Θ(n/B) (with fronts of n/2 ops k ≤ 1, so
+//     every drain of the load is a full merge), so both wall clock and
+//     counted I/Os drop far below the per-key inserts' O(log_B n) each;
 //   - serving during handover: point-read throughput while a sealed front
-//     is being merge-drained into the next generation, against the same
-//     reads on the quiesced store — the drain runs on a private reserved
-//     budget and readers keep the old generation until the swap, so QPS
-//     must stay within 2x of quiesced.
+//     is being merge-drained into the next generation (a full rebuild of
+//     all n records: StartDrain, not the threshold, seals it), against
+//     the same reads on the quiesced store — the drain runs on a
+//     private reserved budget and readers keep the old generation until
+//     the swap, so QPS must stay within 2x of quiesced.
 //
 // Like F12, F13 enforces its acceptance gates itself at the D=4 points —
 // buffered writes >= 2x faster than per-key B-tree inserts at strictly
@@ -155,8 +157,12 @@ func storePoint(n, d int, latency time.Duration, backend string) (*Row, error) {
 
 	// The same reads with a generation handover in flight: buffer a fresh
 	// batch of updates, seal it, and serve while the background drain
-	// merges it into the next generation.
-	for i := 0; i < n/2; i++ {
+	// merges it into the next generation. The batch stops one op short of
+	// the threshold so that StartDrain seals it: an explicit drain always
+	// compacts, so the reads run beside a rebuild of all n records, where
+	// a threshold seal over n records (k = 2) would rewrite only a young
+	// generation of the batch.
+	for i := 0; i < n/2-1; i++ {
 		if err := st.Insert(uint64(rng.Intn(n)+1), uint64(i)); err != nil {
 			return nil, err
 		}

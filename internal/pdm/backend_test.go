@@ -205,7 +205,7 @@ func TestFileBackendDirectIO(t *testing.T) {
 	defer v.Close()
 	fb := v.backend.(*fileBackend)
 	t.Logf("direct I/O engaged per disk: %v", fb.direct)
-	base := v.Alloc(8)
+	base := v.Alloc(9) // the ninth block is never written
 	src := make([]byte, blockBytes)
 	got := make([]byte, blockBytes)
 	for i := int64(0); i < 8; i++ {
@@ -222,9 +222,16 @@ func TestFileBackendDirectIO(t *testing.T) {
 			t.Fatalf("block %d round trip mismatch", i)
 		}
 	}
-	// Past-EOF read on a block-aligned file: still a zero block.
-	if err := v.ReadBlock(base+7, got); err != nil {
+	// The unwritten block lies past the end of its disk's block-aligned
+	// file: it reads as a zero block.
+	for j := range got {
+		got[j] = 0xff
+	}
+	if err := v.ReadBlock(base+8, got); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, blockBytes)) {
+		t.Fatal("an unwritten block past EOF did not read as zeros")
 	}
 }
 

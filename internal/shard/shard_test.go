@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"em/internal/btree"
 	"em/internal/index"
@@ -282,121 +283,182 @@ func TestShardedTreeQuickMatchesReference(t *testing.T) {
 
 // TestShardedStoreQuickMatchesReference drives the identical random
 // interleaving of inserts, deletes, and forced drains through a sharded
-// store and a single-volume store, on both backends, checking point reads,
-// batches, sessions, and the final scans agree record for record.
+// store and a single-volume store, on both backends, checking point reads
+// (through the stores and through Sessions opened at the start, which
+// live through every handover), batches, and the final scans agree record
+// for record. At fronts of 100 ops the stores mostly merge fully, with
+// drains in flight beside the reads; at 16, each threshold drain is waited
+// out, so young generations build and grow in the shards and the
+// reference alike. That an explicit Drain leaves a store one generation
+// is asserted per store, in internal/store's TestStoreQuickMatchesMap.
 func TestShardedStoreQuickMatchesReference(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, file bool) {
-		rng := rand.New(rand.NewSource(43))
-		for trial := 0; trial < 3; trial++ {
-			s := rng.Intn(5) + 1
-			const maxKey = 2048
-			splits := []uint64{}
-			if s > 1 {
-				splits = randomSplits(rng, s, maxKey)
-			}
-			vols, pools := shardVolumes(t, s, file)
-			sharded, err := OpenStore(vols, pools, &StoreOptions{Splits: splits, Store: storeConfig()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sharded.Close()
-			refVols, refPools := shardVolumes(t, 1, file)
-			reference, err := store.Open(refVols[0], refPools[0], storeConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer reference.Close()
-
-			for op := 0; op < 900; op++ {
-				k := uint64(rng.Intn(maxKey)) + 1
-				if rng.Intn(4) == 0 {
-					if err := sharded.Delete(k); err != nil {
-						t.Fatal(err)
-					}
-					if err := reference.Delete(k); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					if err := sharded.Insert(k, uint64(op)); err != nil {
-						t.Fatal(err)
-					}
-					if err := reference.Insert(k, uint64(op)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if op%300 == 299 {
-					if err := sharded.Drain(); err != nil {
-						t.Fatal(err)
-					}
-					if err := reference.Drain(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if op%37 == 0 {
-					v, ok, err := sharded.Get(k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rv, rok, rerr := reference.Get(k)
-					if rerr != nil {
-						t.Fatal(rerr)
-					}
-					if v != rv || ok != rok {
-						t.Fatalf("Get(%d) disagrees: (%d,%v) vs (%d,%v)", k, v, ok, rv, rok)
-					}
-				}
-			}
-
-			keys := make([]uint64, 300)
-			for i := range keys {
-				keys[i] = uint64(rng.Intn(maxKey+64)) + 1
-			}
-			vals, found, err := sharded.GetBatch(keys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refVals, refFound, err := reference.GetBatch(keys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range keys {
-				if vals[i] != refVals[i] || found[i] != refFound[i] {
-					t.Fatalf("GetBatch disagrees on key %d", keys[i])
-				}
-			}
-
-			sess, err := sharded.NewSession(0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sv, sf, err := sess.GetBatch(keys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range keys {
-				if sv[i] != refVals[i] || sf[i] != refFound[i] {
-					t.Fatalf("session GetBatch disagrees on key %d", keys[i])
-				}
-			}
-			if err := sess.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			shardedScan, err := sharded.Scan(0, ^uint64(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := drainScanner(t, shardedScan)
-			refScan, err := reference.Scan(0, ^uint64(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := drainScanner(t, refScan)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("full scan disagrees: %d vs %d records", len(got), len(want))
-			}
+		for _, frontOps := range []int64{100, 16} {
+			cfg := storeConfig()
+			cfg.FrontOps = frontOps
+			shardedStoreQuick(t, file, cfg, frontOps < 100)
 		}
 	})
+}
+
+func shardedStoreQuick(t *testing.T, file bool, cfg store.Config, waitDrains bool) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 3; trial++ {
+		s := rng.Intn(5) + 1
+		const maxKey = 2048
+		splits := []uint64{}
+		if s > 1 {
+			splits = randomSplits(rng, s, maxKey)
+		}
+		vols, pools := shardVolumes(t, s, file)
+		sharded, err := OpenStore(vols, pools, &StoreOptions{Splits: splits, Store: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sharded.Close()
+		refVols, refPools := shardVolumes(t, 1, file)
+		reference, err := store.Open(refVols[0], refPools[0], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reference.Close()
+		liveSess, err := sharded.NewSession(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refSess, err := reference.NewSession(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for op := 0; op < 900; op++ {
+			k := uint64(rng.Intn(maxKey)) + 1
+			if rng.Intn(4) == 0 {
+				if err := sharded.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+				if err := reference.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if err := sharded.Insert(k, uint64(op)); err != nil {
+					t.Fatal(err)
+				}
+				if err := reference.Insert(k, uint64(op)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if waitDrains {
+				// Each threshold drain lands before the next op, so young
+				// generations build whatever the scheduling.
+				for sharded.Draining() || reference.Draining() {
+					time.Sleep(10 * time.Microsecond)
+				}
+			}
+			if op%300 == 299 {
+				if err := sharded.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				if err := reference.Drain(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if op%37 == 0 {
+				v, ok, err := sharded.Get(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rv, rok, rerr := reference.Get(k)
+				if rerr != nil {
+					t.Fatal(rerr)
+				}
+				if v != rv || ok != rok {
+					t.Fatalf("Get(%d) disagrees: (%d,%v) vs (%d,%v)", k, v, ok, rv, rok)
+				}
+				sv, sok, err := liveSess.Get(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rsv, rsok, err := refSess.Get(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sv != rv || sok != rok || rsv != rv || rsok != rok {
+					t.Fatalf("session Get(%d) disagrees: sharded (%d,%v), reference (%d,%v), want (%d,%v)", k, sv, sok, rsv, rsok, rv, rok)
+				}
+			}
+			if op%61 == 0 {
+				// A range across the fronts, young generations and old.
+				sc, err := sharded.Scan(k, k+200)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := drainScanner(t, sc)
+				rsc, err := reference.Scan(k, k+200)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := drainScanner(t, rsc); !reflect.DeepEqual(got, want) {
+					t.Fatalf("scan [%d,%d] disagrees: %d vs %d records", k, k+200, len(got), len(want))
+				}
+			}
+		}
+		if err := liveSess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := refSess.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		keys := make([]uint64, 300)
+		for i := range keys {
+			keys[i] = uint64(rng.Intn(maxKey+64)) + 1
+		}
+		vals, found, err := sharded.GetBatch(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refVals, refFound, err := reference.GetBatch(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range keys {
+			if vals[i] != refVals[i] || found[i] != refFound[i] {
+				t.Fatalf("GetBatch disagrees on key %d", keys[i])
+			}
+		}
+
+		sess, err := sharded.NewSession(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv, sf, err := sess.GetBatch(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range keys {
+			if sv[i] != refVals[i] || sf[i] != refFound[i] {
+				t.Fatalf("session GetBatch disagrees on key %d", keys[i])
+			}
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		shardedScan, err := sharded.Scan(0, ^uint64(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainScanner(t, shardedScan)
+		refScan, err := reference.Scan(0, ^uint64(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := drainScanner(t, refScan)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("full scan disagrees: %d vs %d records", len(got), len(want))
+		}
+	}
 }
 
 // TestShardedStoreStatsBackendIdentity pins the aggregated-counter

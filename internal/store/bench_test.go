@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"em/internal/btree"
 	"em/internal/pdm"
 )
 
@@ -20,9 +21,14 @@ import (
 // decide what is buffered — and returns it with what closes it and its
 // volume.
 func openBench(b *testing.B) (*Store, func()) {
+	return openBenchFront(b, 1<<40)
+}
+
+// openBenchFront is openBench with fronts sealed at frontOps.
+func openBenchFront(b *testing.B, frontOps int64) (*Store, func()) {
 	b.Helper()
 	vol := pdm.MustVolume(pdm.Config{BlockBytes: 4096, MemBlocks: 512, Disks: 2})
-	s, err := Open(vol, pdm.PoolFor(vol), Config{FrontOps: 1 << 40, CacheFrames: 32})
+	s, err := Open(vol, pdm.PoolFor(vol), Config{FrontOps: frontOps, CacheFrames: 32})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,54 +107,86 @@ func BenchmarkStoreScan(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreDrain times one drain of a 32 768-op front over a
-// generation of 2^18 keys (one store-file shard) and reports it per
-// buffered operation: writes/op counts the drain's block writes and ns/op
-// (in place of the framework's per-iteration column) its wall clock. The
-// front updates random preloaded keys, so the generation keeps its size
-// from one iteration to the next.
+// BenchmarkStoreDrain times drains of 32 768-op fronts over a generation
+// of 2^18 keys (one store-file shard) and reports them per buffered
+// operation: writes/op counts the drains' block writes and ns/op (in place
+// of the framework's per-iteration column) their wall clock. The fronts
+// update random preloaded keys, so the old tree keeps its size. In
+// explicit, every front is flushed by Drain, which rewrites the whole
+// tree. In threshold, every front is sealed by the threshold: with
+// k = ⌊√(2·2^18/32 768)⌋ = 4, the first three go into the young
+// generation and every fourth merges everything into the old tree, so
+// at -benchtime 3x every drain is a young one.
 func BenchmarkStoreDrain(b *testing.B) {
 	const (
 		n     = 1 << 18 // preloaded keys 2, 4, .., 2n
 		front = 32768
 	)
-	s, done := openBench(b)
-	defer done()
-	rng := rand.New(rand.NewSource(7))
-	for _, j := range rng.Perm(n) {
-		if err := s.Insert(2*uint64(j+1), uint64(j)); err != nil {
-			b.Fatal(err)
+	for _, threshold := range []bool{false, true} {
+		name := "explicit"
+		if threshold {
+			name = "threshold"
 		}
-	}
-	if err := s.Drain(); err != nil {
-		b.Fatal(err)
-	}
-	var writes uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for j := 0; j < front; j++ {
-			if err := s.Insert(2*uint64(rng.Intn(n)+1), uint64(i)); err != nil {
-				b.Fatal(err)
+		b.Run(name, func(b *testing.B) {
+			var s *Store
+			var done func()
+			if threshold {
+				s, done = openBenchFront(b, front)
+			} else {
+				s, done = openBench(b)
 			}
-		}
-		w0 := s.Stats().Writes
-		b.StartTimer()
-		if err := s.Drain(); err != nil {
-			b.Fatal(err)
-		}
-		writes += s.Stats().Writes - w0
+			defer done()
+			rng := rand.New(rand.NewSource(7))
+			// Preload in rounds below the threshold, as store-file does.
+			for i, j := range rng.Perm(n) {
+				if err := s.Insert(2*uint64(j+1), uint64(j)); err != nil {
+					b.Fatal(err)
+				}
+				if (i+1)%(front/2) == 0 || i+1 == n {
+					if err := s.Drain(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			var writes uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < front-1; j++ {
+					if err := s.Insert(2*uint64(rng.Intn(n)+1), uint64(i)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				w0 := s.Stats().Writes
+				b.StartTimer()
+				var err error
+				if threshold {
+					// The front's last op seals it; the drain runs in the
+					// background until waitDrain returns.
+					if err = s.Insert(2*uint64(rng.Intn(n)+1), uint64(i)); err == nil {
+						err = waitDrain(s)
+					}
+				} else if err = s.Insert(2*uint64(rng.Intn(n)+1), uint64(i)); err == nil {
+					err = s.Drain()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				writes += s.Stats().Writes - w0
+			}
+			ops := float64(b.N) * front
+			b.ReportMetric(float64(writes)/ops, "writes/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ops, "ns/op")
+		})
 	}
-	ops := float64(b.N) * front
-	b.ReportMetric(float64(writes)/ops, "writes/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/ops, "ns/op")
 }
 
 // BenchmarkStoreFrontOps times the two point costs of the in-memory
 // overlays with a full front (32 768 ops) over a full sealed overlay, as
 // in the middle of a drain: Insert of a fresh key, which pays the
 // overlay's put, and Get of a key no buffered op mentions, which pays a
-// miss in both overlays before it reaches the (here one-leaf) generation.
+// miss in both overlays — and, in get-absent-young, in the young
+// directory — before it reaches the (here one-leaf) old generation.
 func BenchmarkStoreFrontOps(b *testing.B) {
 	const (
 		front = 32768
@@ -188,21 +226,44 @@ func BenchmarkStoreFrontOps(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/insert")
 	})
-	b.Run("get-absent", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(3))
-		s, done := fullFronts(b, rng)
-		defer done()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < batch; j++ {
-				v, ok, err := s.Get(rng.Uint64())
-				if err != nil || ok {
-					b.Fatalf("Get of an absent key: (%d, %v, %v)", v, ok, err)
+	// get-absent-young adds a full young directory of 3·front keys — what
+	// store-file's shards hold before the pass-closing compaction — over
+	// an empty young tree: a get that misses the directory never reads it.
+	for _, young := range []bool{false, true} {
+		name := "get-absent"
+		if young {
+			name = "get-absent-young"
+		}
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			s, done := fullFronts(b, rng)
+			defer done()
+			if young {
+				ops := &overlay{}
+				for i := 0; i < 3*front; i++ {
+					ops.put(Op{Key: rng.Uint64(), Seq: uint64(i)<<1 | uint64(i&1)})
+				}
+				tree, err := btree.New(s.vol, s.pool, &btree.Options{CacheFrames: 3})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.mu.Lock()
+				s.young = newGeneration(tree, (*keyDir)(nil).merge(ops))
+				s.mu.Unlock()
+			}
+			runtime.GC() // the set-up's garbage is not the probes' cost
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < batch; j++ {
+					v, ok, err := s.Get(rng.Uint64())
+					if err != nil || ok {
+						b.Fatalf("Get of an absent key: (%d, %v, %v)", v, ok, err)
+					}
 				}
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/get")
-	})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/get")
+		})
+	}
 }
 
 // BenchmarkOverlay times the overlay alone at a full front — put of a fresh

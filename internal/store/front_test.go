@@ -89,116 +89,382 @@ func TestStoreWritePathDoesNoIO(t *testing.T) {
 	}
 }
 
-// TestStoreDrainCrashLeaksNothing crashes the volume in the middle of a
-// drain's bulk load over a non-empty generation, on both backends. The
-// failed drain must hand back every frame it drew and free every block of
-// the partial tree — the old generation's blocks are all that stays
-// allocated — and the buffered operations keep serving from memory. Close
-// then returns everything.
-func TestStoreDrainCrashLeaksNothing(t *testing.T) {
-	const n = 2000
-	// load builds generation 2 from keys [0, n) and buffers an update of
-	// every third key and a delete of every seventh.
-	load := func(t *testing.T, vol *pdm.Volume) *Store {
-		t.Helper()
-		cfg := storeConfig()
-		cfg.FrontOps = 1 << 20
-		s, err := Open(vol, pdm.PoolFor(vol), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := uint64(0); k < n; k++ {
-			if err := s.Insert(k, k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		for k := uint64(0); k < n; k += 3 {
-			if err := s.Insert(k, k+n); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for k := uint64(0); k < n; k += 7 {
-			if err := s.Delete(k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s
-	}
-
-	// Fault-free twin: transfers up to the second drain, then through it.
-	// Scan reads and leaf writes interleave through the whole bulk load;
-	// what comes after it (the loader's flush at Rehome, Warm's reads)
-	// touches only the new tree's few internal nodes, so the middle
-	// transfer of the drain is one of the bulk load's.
-	dry := pdm.MustVolume(testConfig())
-	s := load(t, dry)
-	pre := dry.Stats().Snapshot()
-	if err := s.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	post := dry.Stats().Snapshot()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dry.Close()
-	preOps := int64(pre.Reads + pre.Writes)
-	drainOps := int64(post.Reads+post.Writes) - preOps
-
-	for _, backend := range []string{"mem", "file"} {
+// TestStoreDrainWriteCost pins the drains' block writes per drained
+// operation on a fixed single-client script, on both backends: a preload
+// of 8 000 keys drained explicitly in rounds, then three fronts of
+// F = 500 ops (overwrites and deletes of preloaded keys, fresh inserts),
+// each sealed by the threshold and drained before the next begins, then
+// 100 ops more and the explicit Drain. With 8 000 records in the old tree
+// k = ⌊√(2·8 000/500)⌋ = 5, so the three threshold drains rewrite only the
+// young generation, and the Drain compacts old ⊕ young ⊕ front into one
+// generation: one rewrite of the old tree per pass instead of four. The
+// counters are identical on mem and file.
+func TestStoreDrainWriteCost(t *testing.T) {
+	const (
+		n, f, tail = 8000, 500, 100
+		// The script's drain transfers, exact on both backends: 0.2338
+		// writes per op. Rebuilding the whole tree on every drain wrote
+		// 1 155 blocks and read 1 191 here, 0.7219 writes per op.
+		wantWrites, wantReads = 374, 375
+	)
+	var stats [2]pdm.Stats
+	for b, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) {
 			vc := testConfig()
 			if backend == "file" {
 				vc.Dir = t.TempDir()
 			}
-			vc.Fault = &pdm.FaultPlan{Seed: 25, FailAfter: preOps + drainOps/2}
-			vol, err := pdm.NewVolume(vc)
+			vol := pdm.MustVolume(vc)
+			defer vol.Close()
+			cfg := storeConfig()
+			cfg.FrontOps = f
+			s, err := Open(vol, pdm.PoolFor(vol), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer vol.Close()
-			pool := pdm.PoolFor(vol)
-			s := load(t, vol)
-			free, live := pool.Free(), vol.Allocated()-vol.FreeBlocks()
-			if err := s.Drain(); !errors.Is(err, pdm.ErrFaulted) {
-				t.Fatalf("Drain through a mid-load crash = %v, want ErrFaulted", err)
-			}
-			if got := pool.Free(); got != free {
-				t.Errorf("failed drain kept frames: %d free, %d before", got, free)
-			}
-			if got := vol.Allocated() - vol.FreeBlocks(); got != live {
-				t.Errorf("failed drain leaked blocks: %d live, %d before", got, live)
-			}
-			// Buffered operations answer from memory; the dead volume is
-			// never asked.
-			for _, k := range []uint64{3, 7, 21} {
-				v, ok, err := s.Get(k)
-				if err != nil || ok != (k%7 != 0) || (ok && v != k+n) {
-					t.Errorf("Get(%d) after the failed drain = (%d, %v, %v)", k, v, ok, err)
+			defer s.Close()
+			ref := map[uint64]uint64{}
+			for k := uint64(0); k < n; k++ {
+				put(t, s, ref, 2*k, k)
+				if (k+1)%(f/2) == 0 {
+					if err := s.Drain(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			s.Close() // the volume is dead: the error may be anything
-			if got := pool.Free(); got != pool.Capacity() {
-				t.Errorf("close kept frames: %d of %d free", got, pool.Capacity())
+			start := s.Stats()
+			rng := rand.New(rand.NewSource(44))
+			op := func(i int) {
+				switch k := uint64(rng.Intn(n)); rng.Intn(4) {
+				case 0:
+					del(t, s, ref, 2*k)
+				case 1:
+					put(t, s, ref, 2*k, uint64(i))
+				default:
+					put(t, s, ref, 2*k+1, uint64(i))
+				}
 			}
-			if free, alloc := vol.FreeBlocks(), vol.Allocated(); free != alloc {
-				t.Errorf("close leaked blocks: %d of %d free", free, alloc)
+			for front := 1; front <= 3; front++ {
+				for i := 0; i < f; i++ {
+					op(i)
+				}
+				if err := waitDrain(s); err != nil {
+					t.Fatal(err)
+				}
+				if generations(s) != 2 || s.youngFronts != int64(front) {
+					t.Fatalf("threshold drain %d: %d generations, young holds %d fronts", front, generations(s), s.youngFronts)
+				}
 			}
-			if !vol.Fault().Crashed() {
-				t.Error("the fault plan never reached its crash point")
+			for i := 0; i < tail; i++ {
+				op(i)
+			}
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if generations(s) != 1 {
+				t.Fatal("the explicit Drain left a young generation")
+			}
+			end := s.Stats()
+			stats[b] = pdm.Stats{Reads: end.Reads - start.Reads, Writes: end.Writes - start.Writes, Steps: end.Steps - start.Steps}
+			st := stats[b]
+			t.Logf("drains wrote %d blocks for %d ops (%.4f per op), read %d", st.Writes, 3*f+tail,
+				float64(st.Writes)/(3*f+tail), st.Reads)
+			if st.Writes != wantWrites || st.Reads != wantReads {
+				t.Errorf("drains wrote %d blocks and read %d, want %d and %d", st.Writes, st.Reads, wantWrites, wantReads)
+			}
+			if got := scanAll(t, s); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("after the drains the store holds %d keys, want %d", len(got), len(ref))
+			}
+		})
+	}
+	if !reflect.DeepEqual(stats[0], stats[1]) {
+		t.Fatalf("drain counters differ: mem %v, file %v", &stats[0], &stats[1])
+	}
+}
+
+// TestStoreDrainCrashLeaksNothing crashes the volume at every transfer of
+// three drains, on both backends: a full merge over a non-empty
+// generation, a young drain over a young generation, and a compaction
+// that merges one — the crash lands in the scans, the bulk load, the
+// rehome's flush and Warm's reads. The failed drain must hand back every
+// frame it drew and free every block of the partial tree, leave the view
+// as it was (front ⊕ sealed front ⊕ young ⊕ old, the same generations),
+// and keep answering from memory every key a buffered operation or a young
+// tombstone decides. Close then returns every frame, block and generation
+// reference.
+func TestStoreDrainCrashLeaksNothing(t *testing.T) {
+	var scripts []crashScript
+	{
+		const n = 2000
+		// Generation 2 holds keys [0, n); the front buffers an update of
+		// every third key and a delete of every seventh.
+		scripts = append(scripts, crashScript{
+			name:     "full merge",
+			frontOps: 1 << 20,
+			prep: func(t *testing.T, s *Store, ref map[uint64]uint64) {
+				preload(t, s, ref, n, n)
+				for k := uint64(0); k < n; k += 3 {
+					put(t, s, ref, k, k+n)
+				}
+				for k := uint64(0); k < n; k += 7 {
+					del(t, s, ref, k)
+				}
+			},
+			run: (*Store).Drain,
+		})
+	}
+	// The sweeps hold an old tree of 600 keys and fronts of F = 100 ops:
+	// k = ⌊√(2·600/100)⌋ = 3, so the young generation takes two fronts.
+	const n, f = 600, 100
+	// young builds the young generation from one front: f ops that
+	// overwrite old keys, delete old keys, and insert fresh ones.
+	young := func(t *testing.T, s *Store, ref map[uint64]uint64) {
+		preload(t, s, ref, n, f/2)
+		for i := uint64(0); i < f; i++ {
+			switch i % 3 {
+			case 0:
+				put(t, s, ref, 3*i, i)
+			case 1:
+				del(t, s, ref, 3*i)
+			default:
+				put(t, s, ref, n+i, i)
+			}
+		}
+		if err := waitDrain(s); err != nil {
+			t.Fatal(err)
+		}
+		if generations(s) != 2 {
+			t.Fatal("the first threshold drain built no young generation")
+		}
+	}
+	// second buffers f−1 ops of a second front: deletes of young and old
+	// keys, overwrites of young keys, and deletes re-inserted.
+	second := func(t *testing.T, s *Store, ref map[uint64]uint64) {
+		young(t, s, ref)
+		for i := uint64(0); i < f-1; i++ {
+			switch i % 4 {
+			case 0:
+				del(t, s, ref, n+i)
+			case 1:
+				put(t, s, ref, 3*i, 7*i)
+			case 2:
+				del(t, s, ref, 5*i)
+			default:
+				put(t, s, ref, n+f+i, i)
+			}
+		}
+	}
+	scripts = append(scripts, crashScript{
+		name:     "young drain",
+		frontOps: f,
+		prep:     second,
+		// The front's f-th op seals it into a young drain.
+		run: func(s *Store) error {
+			if err := s.Insert(1, 1); err != nil {
+				return err
+			}
+			return waitDrain(s)
+		},
+	}, crashScript{name: "compaction", frontOps: f, prep: second, run: (*Store).Drain})
+
+	// A fault-free twin of each script counts the transfers up to its
+	// drain and through it.
+	pre := make([]int64, len(scripts))
+	ops := make([]int64, len(scripts))
+	for i, cs := range scripts {
+		pre[i], ops[i] = dryRun(t, cs)
+		t.Logf("%s: a %d-transfer drain", cs.name, ops[i])
+	}
+	for _, backend := range []string{"mem", "file"} {
+		t.Run(backend, func(t *testing.T) {
+			for i, cs := range scripts {
+				for at := int64(0); at < ops[i]; at++ {
+					vc := testConfig()
+					if backend == "file" {
+						vc.Dir = t.TempDir()
+					}
+					vc.Fault = &pdm.FaultPlan{Seed: 25, FailAfter: pre[i] + at}
+					crashAt(t, vc, cs, at)
+				}
 			}
 		})
 	}
 }
 
+// crashScript is one crash sweep: prep builds the store deterministically
+// up to the drain under test, recording what it holds in ref, and run
+// starts that drain and waits for it. Every transfer of the drain is a
+// crash point.
+type crashScript struct {
+	name     string
+	frontOps int64
+	prep     func(t *testing.T, s *Store, ref map[uint64]uint64)
+	run      func(s *Store) error
+}
+
+// dryRun runs cs without faults and returns the transfers before its
+// drain and the drain's own.
+func dryRun(t *testing.T, cs crashScript) (pre, drain int64) {
+	t.Helper()
+	vol := pdm.MustVolume(testConfig())
+	defer vol.Close()
+	s, err := Open(vol, pdm.PoolFor(vol), cs.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.prep(t, s, map[uint64]uint64{})
+	before := vol.Stats().Snapshot()
+	if err := cs.run(s); err != nil {
+		t.Fatal(err)
+	}
+	after := vol.Stats().Snapshot()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pre = int64(before.Reads + before.Writes)
+	return pre, int64(after.Reads+after.Writes) - pre
+}
+
+func (cs crashScript) config() Config {
+	cfg := storeConfig()
+	cfg.FrontOps = cs.frontOps
+	return cfg
+}
+
+// crashAt runs one crash point of a sweep: the at-th transfer of cs's
+// drain is the first to fail.
+func crashAt(t *testing.T, vc pdm.Config, cs crashScript, at int64) {
+	t.Helper()
+	cfg := cs.config()
+	vol, err := pdm.NewVolume(vc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vol.Close()
+	pool := pdm.PoolFor(vol)
+	s, err := Open(vol, pool, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[uint64]uint64{}
+	cs.prep(t, s, ref)
+	free, live := pool.Free(), vol.Allocated()-vol.FreeBlocks()
+	s.mu.RLock()
+	gen, young := s.gen, s.young
+	s.mu.RUnlock()
+	if err := cs.run(s); !errors.Is(err, pdm.ErrFaulted) {
+		t.Fatalf("%s, transfer %d: drain through the crash = %v, want ErrFaulted", cs.name, at, err)
+	}
+	if got := pool.Free(); got != free {
+		t.Errorf("%s, transfer %d: failed drain kept frames: %d free, %d before", cs.name, at, got, free)
+	}
+	if got := vol.Allocated() - vol.FreeBlocks(); got != live {
+		t.Errorf("%s, transfer %d: failed drain leaked blocks: %d live, %d before", cs.name, at, got, live)
+	}
+	s.mu.RLock()
+	intact := s.gen == gen && s.young == young && s.sealedMem != nil
+	s.mu.RUnlock()
+	if !intact {
+		t.Errorf("%s, transfer %d: the failed drain changed the view", cs.name, at)
+	}
+	// Every key memory decides answers right; the dead volume is never
+	// asked.
+	answered := 0
+	for k := uint64(0); k < 4096; k++ {
+		s.mu.RLock()
+		_, inMemory, _ := s.probeLocked(k)
+		s.mu.RUnlock()
+		if !inMemory {
+			continue
+		}
+		answered++
+		v, ok, err := s.Get(k)
+		want, wok := ref[k]
+		if err != nil || ok != wok || v != want {
+			t.Fatalf("%s, transfer %d: Get(%d) after the failed drain = (%d, %v, %v), want (%d, %v)", cs.name, at, k, v, ok, err, want, wok)
+		}
+	}
+	if answered == 0 {
+		t.Fatalf("%s, transfer %d: memory answers no key", cs.name, at)
+	}
+	s.Close() // the volume is dead: the error may be anything
+	if got := pool.Free(); got != pool.Capacity() {
+		t.Errorf("%s, transfer %d: close kept frames: %d of %d free", cs.name, at, got, pool.Capacity())
+	}
+	if free, alloc := vol.FreeBlocks(), vol.Allocated(); free != alloc {
+		t.Errorf("%s, transfer %d: close leaked blocks: %d of %d free", cs.name, at, free, alloc)
+	}
+	for _, g := range []*generation{gen, young} {
+		if g != nil && g.refs.Load() != 0 {
+			t.Errorf("%s, transfer %d: a generation keeps %d references after close", cs.name, at, g.refs.Load())
+		}
+	}
+	if !vol.Fault().Crashed() {
+		t.Errorf("%s, transfer %d: the fault plan never reached its crash point", cs.name, at)
+	}
+}
+
+// preload inserts keys [0, n) with value k, draining explicitly after
+// every round of keys, and waits out the last drain.
+func preload(t *testing.T, s *Store, ref map[uint64]uint64, n, round uint64) {
+	t.Helper()
+	for k := uint64(0); k < n; k++ {
+		put(t, s, ref, k, k)
+		if (k+1)%round == 0 || k+1 == n {
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func put(t *testing.T, s *Store, ref map[uint64]uint64, k, v uint64) {
+	t.Helper()
+	if err := s.Insert(k, v); err != nil {
+		t.Fatal(err)
+	}
+	ref[k] = v
+}
+
+func del(t *testing.T, s *Store, ref map[uint64]uint64, k uint64) {
+	t.Helper()
+	if err := s.Delete(k); err != nil {
+		t.Fatal(err)
+	}
+	delete(ref, k)
+}
+
+// waitDrain waits out the drain in flight, if any, without starting one,
+// and returns the store's sticky drain error.
+// generations reports how many B-tree generations s's view serves from:
+// 1, or 2 while a young generation exists.
+func generations(s *Store) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.young != nil {
+		return 2
+	}
+	return 1
+}
+
+func waitDrain(s *Store) error {
+	s.mu.RLock()
+	done, draining := s.drainDone, s.draining
+	s.mu.RUnlock()
+	if draining {
+		<-done
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.drainErr
+}
+
 // TestStoreDrainFitsReservation drains a full front at the repo
 // benchmark's store-file geometry — 4 KiB blocks, two disks, a 32-frame
 // cache, fronts of 32 768 ops — on the drain reservation Open makes, which
-// must then be exactly one session and one loader at drain width 1,
-// 2·32 + 4·1 frames. A reservation too small for the drain's session, scan
-// and loader fails the drain with ErrNoFrames.
+// must then be exactly two sessions and one loader at drain width 1,
+// 2·32 + 6·1 + 3 frames. A reservation too small for the drain's
+// sessions, scans and loader fails the drain with ErrNoFrames.
 func TestStoreDrainFitsReservation(t *testing.T) {
 	forEachBackend(t, pdm.Config{BlockBytes: 4096, MemBlocks: 512, Disks: 2}, func(t *testing.T, vol *pdm.Volume, pool *pdm.Pool) {
 		const front = 32768
@@ -207,7 +473,7 @@ func TestStoreDrainFitsReservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if got, want := s.drainPool.Capacity(), 2*32+4*1; got != want {
+		if got, want := s.drainPool.Capacity(), 2*32+6*1+3; got != want {
 			t.Fatalf("drain reservation %d frames, want %d", got, want)
 		}
 		rng := rand.New(rand.NewSource(25))
@@ -228,25 +494,61 @@ func TestStoreDrainFitsReservation(t *testing.T) {
 }
 
 // TestStoreDrainReservationIsExact opens stores at W = D ∈ {1, 2, 4, 8} on
-// pools sized around the drain reservation, btree.SessionFrames plus
-// btree.LoaderFrames at the drain width w, 2·CacheFrames + 4·w frames:
-//   - one frame short of it, Open fails with ErrNoFrames and leaks nothing;
-//   - at it plus the foreground's two generation caches (the retiring one
-//     and its successor), Open succeeds, and so do a drain that builds a
-//     tree with more internal nodes than a cache holds and a second drain
-//     that scans that tree, and the drain pool's peak is its capacity:
-//     no reserved frame goes unused.
+// pools sized around the drain reservation: at the drain width w, a
+// session over the old generation and one that scans the young generation
+// (btree.SessionFrames at CacheFrames and at youngScanFrames) plus one
+// loader (btree.LoaderFrames), 2·CacheFrames + 6·w + 3 frames. The script
+// feeds keys through threshold drains of fronts of keys/20 ops, then an
+// explicit drain that builds a tree with more internal nodes than a cache
+// holds; one more front, whose threshold drain goes into the young
+// generation; and the explicit drain that compacts old ⊕ young, which
+// opens all three budgets.
+//   - One frame short of the reservation, Open fails with ErrNoFrames and
+//     leaks nothing.
+//   - At it plus two generation caches, the script fails with
+//     ErrNoFrames: a handover with a young generation in the view warms
+//     a third cache beside the old and young ones. Close returns the
+//     error and every frame and block.
+//   - At it plus three caches, the script runs, each explicit drain leaves
+//     one generation, and the drain pool's peak is its capacity: no
+//     reserved frame goes unused.
 func TestStoreDrainReservationIsExact(t *testing.T) {
 	const cacheFrames, keys = 4, 20000
+	script := func(s *Store, seed int64) error {
+		rng := rand.New(rand.NewSource(seed))
+		for round, n := range []int{keys, keys / 20} {
+			for i := 0; i < n; i++ {
+				if err := s.Insert(rng.Uint64(), uint64(i)); err != nil {
+					return err
+				}
+			}
+			if round == 1 {
+				if err := waitDrain(s); err != nil {
+					return err
+				}
+				if generations(s) != 2 {
+					return errors.New("the last front's threshold drain built no young generation")
+				}
+			}
+			if err := s.Drain(); err != nil {
+				return fmt.Errorf("drain %d: %w", round+1, err)
+			}
+			if generations(s) != 1 {
+				return fmt.Errorf("drain %d left a young generation", round+1)
+			}
+		}
+		return nil
+	}
 	for _, width := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("W=%d", width), func(t *testing.T) {
 			cfg := pdm.Config{BlockBytes: 256, MemBlocks: 8, Disks: width}
 			forEachBackend(t, cfg, func(t *testing.T, vol *pdm.Volume, _ *pdm.Pool) {
-				sc := Config{FrontOps: 1 << 40, CacheFrames: cacheFrames, Width: width}
+				sc := Config{FrontOps: keys / 20, CacheFrames: cacheFrames, Width: width}
 				w := sc.drainWidth()
-				reservation := btree.SessionFrames(cacheFrames, w) + btree.LoaderFrames(cacheFrames, w)
-				if reservation != 2*cacheFrames+4*w {
-					t.Fatalf("drain reservation %d frames, want 2·%d + 4·%d", reservation, cacheFrames, w)
+				reservation := btree.SessionFrames(cacheFrames, w) + btree.SessionFrames(youngScanFrames, w) +
+					btree.LoaderFrames(cacheFrames, w)
+				if reservation != 2*cacheFrames+6*w+3 {
+					t.Fatalf("drain reservation %d frames, want 2·%d + 6·%d + 3", reservation, cacheFrames, w)
 				}
 				short := pdm.NewPool(cfg.BlockBytes, reservation-1)
 				live := vol.Allocated() - vol.FreeBlocks()
@@ -257,33 +559,35 @@ func TestStoreDrainReservationIsExact(t *testing.T) {
 					t.Fatalf("failed Open kept %d frames and %d blocks", short.InUse(), vol.Allocated()-vol.FreeBlocks()-live)
 				}
 
-				pool := pdm.NewPool(cfg.BlockBytes, reservation+2*cacheFrames)
-				s, err := Open(vol, pool, sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(int64(width)))
-				for round, n := range []int{keys, keys / 20} {
-					for i := 0; i < n; i++ {
-						if err := s.Insert(rng.Uint64(), uint64(i)); err != nil {
+				for _, caches := range []int{2, 3} {
+					pool := pdm.NewPool(cfg.BlockBytes, reservation+caches*cacheFrames)
+					s, err := Open(vol, pool, sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					err = script(s, int64(width))
+					closeErr := s.Close()
+					if caches == 2 {
+						if !errors.Is(err, pdm.ErrNoFrames) || !errors.Is(closeErr, pdm.ErrNoFrames) {
+							t.Errorf("two generation caches: script %v, Close %v; want ErrNoFrames", err, closeErr)
+						}
+					} else {
+						if err != nil {
 							t.Fatal(err)
 						}
+						if closeErr != nil {
+							t.Fatal(closeErr)
+						}
+						if got, want := s.drainPool.Peak(), s.drainPool.Capacity(); got != want {
+							t.Errorf("drain pool peak %d of %d reserved frames", got, want)
+						}
 					}
-					if err := s.Drain(); err != nil {
-						t.Fatalf("drain %d: %v", round+1, err)
+					if pool.InUse() != 0 {
+						t.Errorf("%d caches: close kept %d frames", caches, pool.InUse())
 					}
-				}
-				if got, want := s.drainPool.Peak(), s.drainPool.Capacity(); got != want {
-					t.Errorf("drain pool peak %d of %d reserved frames", got, want)
-				}
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if pool.InUse() != 0 {
-					t.Errorf("close kept %d frames", pool.InUse())
-				}
-				if got := vol.Allocated() - vol.FreeBlocks(); got != live {
-					t.Errorf("close leaked %d blocks", got-live)
+					if got := vol.Allocated() - vol.FreeBlocks(); got != live {
+						t.Errorf("%d caches: close leaked %d blocks", caches, got-live)
+					}
 				}
 			})
 		})

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -265,4 +266,59 @@ func TestFingerBelowFirst(t *testing.T) {
 	last := uint64(1000 + 3*chunkOps - 1)
 	checkFinger(t, o, []uint64{5, 1000, 7, last, 999, 1000 + chunkOps, 8, 8, 1001, last + 1, 0}, "below-first")
 	checkFinger(t, o, []uint64{0, 999, 1000, 1000, 1001 + chunkOps, last, last + 1}, "sorted from below")
+}
+
+// TestKeyDirMatchesMap merges random fronts into a young directory one
+// after another and checks it against a reference map after each: every
+// key any front touched is found, with the delete bit of its newest
+// operation, in key order; find's position is the lower bound for absent
+// keys too; the filter never rules out a held key and passes few absent
+// ones.
+func TestKeyDirMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	ref := map[uint64]bool{} // key -> deleted
+	var d *keyDir
+	seq := uint64(0)
+	for front := 0; front < 6; front++ {
+		o := &overlay{}
+		for i := 0; i < 3000; i++ {
+			k := uint64(rng.Intn(20000)) * 3
+			seq++
+			op := Op{Key: k, Val: seq, Seq: seq << 1}
+			if rng.Intn(3) == 0 {
+				op.Seq |= 1
+			}
+			o.put(op)
+			ref[k] = op.Deleted()
+		}
+		d = d.merge(o)
+		if len(d.keys) != len(ref) {
+			t.Fatalf("front %d: directory holds %d keys, want %d", front, len(d.keys), len(ref))
+		}
+		for i, k := range d.keys {
+			if i > 0 && d.keys[i-1] >= k {
+				t.Fatalf("front %d: keys out of order at %d", front, i)
+			}
+			if dead, ok := ref[k]; !ok || dead != d.isDead(i) {
+				t.Fatalf("front %d: key %d dead=%v, want present=%v dead=%v", front, k, d.isDead(i), ok, dead)
+			}
+			if !d.mayHold(k) {
+				t.Fatalf("front %d: the filter rules out held key %d", front, k)
+			}
+		}
+		passed := 0
+		for probe := uint64(0); probe < 60000; probe++ {
+			i, ok := d.find(probe)
+			_, want := ref[probe]
+			if ok != want || i != sort.Search(len(d.keys), func(j int) bool { return d.keys[j] >= probe }) {
+				t.Fatalf("front %d: find(%d) = (%d, %v)", front, probe, i, ok)
+			}
+			if !want && d.mayHold(probe) {
+				passed++
+			}
+		}
+		if absent := 60000 - len(ref); passed > absent/50 {
+			t.Errorf("front %d: the filter passed %d of %d absent keys", front, passed, absent)
+		}
+	}
 }

@@ -64,11 +64,11 @@ func (d *opSource) Next() (Op, bool, error) {
 
 func (d *opSource) Close() {}
 
-// patchOps lays resolved ops, read as opSource reads them, over base: each
-// op replaces or deletes base's record on its key. It is what a Scan
-// serves and what a drain bulk-loads.
-func patchOps(base stream.Source[record.Record], runs ...[]Op) *stream.Patch[Op] {
-	return stream.NewPatch[Op](base, &opSource{runs: runs},
+// patchOps lays resolved ops, in key order, over base: each op replaces or
+// deletes base's record on its key. It is what a Scan serves and what a
+// drain bulk-loads.
+func patchOps(base stream.Source[record.Record], ops stream.Source[Op]) *stream.Patch[Op] {
+	return stream.NewPatch[Op](base, ops,
 		func(o Op) uint64 { return o.Key },
 		func(o Op) (record.Record, bool) {
 			return record.Record{Key: o.Key, Val: o.Val}, !o.Deleted()
@@ -77,8 +77,9 @@ func patchOps(base stream.Source[record.Record], runs ...[]Op) *stream.Patch[Op]
 
 // Scanner streams the records with keys in [lo, hi] in key order, as of
 // the moment Scan was called: a consistent snapshot — the buffered
-// overlays were collected under the view lock and the generation is
-// pinned — that concurrent writes and drains cannot disturb. It implements
+// overlays were collected under the view lock, the young generation's
+// range at open, and the old generation is pinned — that concurrent
+// writes and drains cannot disturb. It implements
 // stream.Source[record.Record].
 type Scanner struct {
 	s      *Store
@@ -88,9 +89,10 @@ type Scanner struct {
 	closed bool
 }
 
-// Scan opens a snapshot range scan over [lo, hi]. The underlying B-tree
-// scan runs through a private read session (prefetched leaf reads, its own
-// cache budget), overlaid with the buffered operations in range.
+// Scan opens a snapshot range scan over [lo, hi]. The old B-tree's scan
+// runs through a private read session (prefetched leaf reads, its own
+// cache budget), overlaid with the buffered operations in range and the
+// young generation's, which are read at open through its shared cache.
 func (s *Store) Scan(lo, hi uint64) (index.Scanner, error) {
 	var out index.Scanner
 	err := s.gate.Do(func() error {
@@ -122,10 +124,25 @@ func (s *Store) scan(lo, hi uint64) (index.Scanner, error) {
 	if s.sealedMem != nil {
 		older = s.sealedMem.appendRange(nil, lo, hi)
 	}
-	gen := s.gen
+	gen, young := s.gen, s.young
 	gen.refs.Add(1)
+	if young != nil {
+		young.refs.Add(1)
+	}
 	s.mu.RUnlock()
 	mem = mergeResolved(mem, older)
+	if young != nil {
+		// The young generation's operations in range join the buffered
+		// ones, older than all of them, so the one patch over the old tree
+		// serves every layer.
+		ops, err := young.appendRange(nil, lo, hi)
+		s.releaseGen(young)
+		if err != nil {
+			s.releaseGen(gen)
+			return nil, err
+		}
+		mem = mergeResolved(mem, ops)
+	}
 
 	gen.mu <- struct{}{}
 	sess, err := gen.tree.NewSessionOn(s.pool, s.cfg.CacheFrames, s.cfg.Width)
@@ -140,7 +157,7 @@ func (s *Store) scan(lo, hi uint64) (index.Scanner, error) {
 		s.releaseGen(gen)
 		return nil, err
 	}
-	return &Scanner{s: s, patch: patchOps(base, mem), sess: sess, gen: gen}, nil
+	return &Scanner{s: s, patch: patchOps(base, &opSource{runs: [][]Op{mem}}), sess: sess, gen: gen}, nil
 }
 
 // Next returns the next record in the range; after Close it reports

@@ -11,15 +11,16 @@ var (
 	_ index.Session = (*Session)(nil)
 )
 
-// Session is a point-read handle with a private cache budget: its B-tree
-// reads go through a btree.Session, so many Sessions serve lookups
-// concurrently without touching the shared generation cache. Reads stay
-// read-your-writes — the buffered layers are consulted first on every
-// call.
+// Session is a point-read handle with a private cache budget: its reads of
+// the old B-tree go through a btree.Session, so many Sessions serve
+// lookups concurrently without touching the old generation's shared
+// cache. Reads stay read-your-writes — the buffered layers and the young
+// directory are consulted first on every call, and a key whose record is
+// in the young tree is read through that tree's shared cache.
 //
-// A Session pins its generation: the generation's blocks outlive any
-// handover until the Session closes. When a drain installs a newer
-// generation the Session re-pins lazily on its next read, so it never
+// A Session pins its old generation: the generation's blocks outlive any
+// handover until the Session closes. When a full merge installs a newer
+// old generation the Session re-pins lazily on its next read, so it never
 // serves a key that has already moved below its horizon from the wrong
 // layer. Each Session is for one goroutine; distinct Sessions are safe
 // concurrently.
@@ -115,8 +116,10 @@ type batchOut struct {
 	found []bool
 }
 
-// read serves both Get (keys == nil) and GetBatch under one overlay +
-// re-pin sequence.
+// read serves both Get (keys == nil) and GetBatch under one probe +
+// re-pin sequence. Keys whose record is in the young tree are read through
+// that tree's shared cache, under its lock, before the session reads the
+// old tree's share.
 func (ss *Session) read(key uint64, keys []uint64) (uint64, bool, *batchOut, error) {
 	if ss.closed {
 		return 0, false, nil, ErrClosed
@@ -131,17 +134,31 @@ func (ss *Session) read(key uint64, keys []uint64) (uint64, bool, *batchOut, err
 		return 0, false, nil, ErrClosed
 	}
 	var (
-		out  *batchOut
-		rest []int
+		out           *batchOut
+		inYoung, rest []int
+		young         *generation
 	)
 	if keys == nil {
-		if o, ok := s.probeLocked(key); ok {
+		o, ok, y := s.probeLocked(key)
+		if ok {
 			s.mu.RUnlock()
 			return o.Val, !o.Deleted(), nil, nil
 		}
+		if y {
+			young = s.young
+			young.refs.Add(1)
+			s.mu.RUnlock()
+			v, f, err := young.get(key)
+			s.releaseGen(young)
+			return v, f, nil, err
+		}
 	} else {
 		out = &batchOut{vals: make([]uint64, len(keys)), found: make([]bool, len(keys))}
-		rest = s.probeBatchLocked(keys, out.vals, out.found)
+		inYoung, rest = s.probeBatchLocked(keys, out.vals, out.found)
+		if len(inYoung) > 0 {
+			young = s.young
+			young.refs.Add(1)
+		}
 	}
 	cur := s.gen
 	moved := cur != ss.gen
@@ -149,6 +166,16 @@ func (ss *Session) read(key uint64, keys []uint64) (uint64, bool, *batchOut, err
 		cur.refs.Add(1)
 	}
 	s.mu.RUnlock()
+	if young != nil {
+		err := young.getBatch(keys, inYoung, out.vals, out.found)
+		s.releaseGen(young)
+		if err != nil {
+			if moved {
+				s.releaseGen(cur)
+			}
+			return 0, false, nil, err
+		}
+	}
 	if moved {
 		if err := ss.repin(cur); err != nil {
 			return 0, false, nil, err

@@ -6,17 +6,30 @@
 // operation per key in key order (sorted chunks under a directory of
 // first keys), bounded by the seal threshold. When the front crosses that
 // threshold it is sealed and drained in the background: its resolved,
-// tombstone-carrying operations merge with a scan of the current B-tree
-// generation (stream.Patch) through the write-behind bulk loader into a
-// fresh generation at Θ(n/B) I/Os, and readers swap over atomically.
+// tombstone-carrying operations merge with a scan of a B-tree generation
+// (stream.Patch) through the write-behind bulk loader into a fresh
+// generation, and readers swap over atomically.
+//
+// The B-tree half follows the survey's logarithmic method: the view holds
+// an old generation and at most one young one, a B-tree of the live
+// records the recent fronts wrote plus an exact in-memory directory of
+// every key they touched, with a delete bit each. A threshold drain
+// rewrites only the young tree (front ⊕ young), until young has absorbed
+// k−1 fronts; the k-th merges everything into the old tree. k is
+// ⌊√(2·n/F)⌋ for an old tree of n records and fronts of F operations, the
+// k that minimises a front's share of the rewrites, kF/2 + n/k, against
+// Θ(n/B) I/Os per front for rebuilding the old tree on every drain; k ≤ 1
+// makes every drain a full merge. An explicit Drain or StartDrain always
+// compacts old ⊕ young ⊕ front into one generation.
 //
 // Reads stay consistent throughout: Get, GetBatch, and Scan consult the
-// unsealed front, the sealed front awaiting handover, and the current
-// generation, newest layer first — each key's newest operation wins, so a
-// drain is observationally a no-op. A probe of the buffered layers costs
-// no I/O and O(log F) comparisons, a range collection O(log F + k) for its
-// k operations whatever the front's size F, and read throughput holds
-// through a drain.
+// unsealed front, the sealed front awaiting handover, the young
+// directory, and the generations, newest layer first — each key's newest
+// operation wins, so a drain is observationally a no-op. A probe of the
+// in-memory layers costs no I/O and O(log F) comparisons, and a key the
+// young directory does not hold costs exactly the old tree's reads; a
+// range collection costs O(log F + k) for its k buffered operations
+// whatever the front's size F, and read throughput holds through a drain.
 //
 // Buffered operations are not durable: they exist only in memory until a
 // drain writes them into a generation, and Open always starts empty.
@@ -35,6 +48,8 @@ import (
 	"em/internal/btree"
 	"em/internal/index"
 	"em/internal/pdm"
+	"em/internal/record"
+	"em/internal/stream"
 )
 
 // ErrClosed reports an operation on a closed store.
@@ -47,11 +62,16 @@ type Config struct {
 	// memory — an overlay whose chunks run between half and completely
 	// full, so at most 48 bytes per buffered operation — so FrontOps bounds
 	// the memory the store holds beyond its pool (two fronts' worth while a
-	// drain is in flight) and the operations no block on the volume holds
-	// yet.
+	// drain is in flight, plus the young generation's key directory: at
+	// most (k−1)·FrontOps keys, for the k of the package comment, of 8
+	// bytes, a delete bit and 12 filter bits each) and the operations no
+	// block on the volume holds yet.
 	FrontOps int64
 	// CacheFrames sizes each generation's buffer manager and the drain's
-	// loader cache. Zero means 8; minimum 3.
+	// loader cache. Zero means 8; minimum 3. Beyond the drain reservation
+	// (see Open) the pool must hold three generation caches: the old
+	// one's, the young one's, and the one a handover warms before it
+	// swaps in.
 	CacheFrames int
 	// Width is the striping width of reader scans and batched lookups;
 	// zero picks the volume's disk count. The background drain's streams
@@ -75,21 +95,30 @@ type Config struct {
 // minimum 1.
 func (c *Config) drainWidth() int { return max(1, c.Width/2) }
 
-// generation is one immutable B-tree the store serves reads from. Point
-// reads through the tree's own buffer manager are serialized by mu (the
-// cache is not thread-safe); Sessions bypass it with private caches. refs
-// counts the store's view plus every in-flight Scanner, Session, and
-// drain; the tree's blocks are reclaimed when it hits zero.
+// generation is one immutable B-tree the store serves reads from: the old
+// generation, or the young one, which alone has a key directory. Point
+// reads and Scan's young collection through the tree's own buffer manager
+// are serialized by mu (the cache is not thread-safe); Sessions read the
+// old tree with private caches. A reader never holds two generations'
+// locks at once. refs counts the store's view plus every in-flight
+// Scanner, Session, read, and drain; the tree's blocks are reclaimed when
+// it hits zero.
 //
 // mu is a one-slot channel, not a sync.Mutex: a send locks and a receive
 // unlocks. Its holder sleeps out disk latency, and a goroutine blocked on a
 // channel is durably blocked where one blocked on a mutex is not, so a
 // testing/synctest bubble can advance its clock past a reader queued here.
 type generation struct {
-	tree  *btree.Tree
-	epoch uint64
-	mu    chan struct{}
-	refs  atomic.Int64
+	tree *btree.Tree
+	dir  *keyDir // the young generation's directory; nil on the old one
+	mu   chan struct{}
+	refs atomic.Int64
+}
+
+func newGeneration(tree *btree.Tree, dir *keyDir) *generation {
+	g := &generation{tree: tree, dir: dir, mu: make(chan struct{}, 1)}
+	g.refs.Store(1)
+	return g
 }
 
 // Store is an online read-write key-value store. All methods are safe for
@@ -111,23 +140,26 @@ type Store struct {
 	reserve   []*pdm.Frame
 
 	// mu guards the layered read view below. Readers hold RLock across
-	// their overlay probes; writes and all view swaps (seal, generation
+	// their in-memory probes; writes and all view swaps (seal, generation
 	// handover) happen under Lock, so a reader always sees one consistent
 	// layering. frontMem and sealedMem are the two fronts — newest op per
 	// key, in key order — so overlay probes and range collections cost no
 	// I/O and a range costs only its own length. sealedMem is non-nil
 	// exactly while a sealed front awaits handover, and nothing writes it.
-	mu        sync.RWMutex
-	seq       uint64 // last sequence number issued; continues across seals
-	frontOps  int64  // operations accepted into frontMem, repeated keys included
-	frontMem  *overlay
-	sealedMem *overlay
-	gen       *generation // current B-tree generation
-	draining  bool
-	drainDone chan struct{} // closed when the in-flight drain finishes
-	drainErr  error         // sticky: writes fail after a failed drain
-	drains    int64
-	closed    bool
+	mu          sync.RWMutex
+	seq         uint64 // last sequence number issued; continues across seals
+	frontOps    int64  // operations accepted into frontMem, repeated keys included
+	frontMem    *overlay
+	sealedMem   *overlay
+	gen         *generation // the old B-tree generation
+	young       *generation // the young generation; nil when the view holds one
+	youngFronts int64       // fronts merged into young since the last full merge
+	epoch       uint64      // handovers since Open, plus one
+	draining    bool
+	drainDone   chan struct{} // closed when the in-flight drain finishes
+	drainErr    error         // sticky: writes fail after a failed drain
+	drains      int64
+	closed      bool
 
 	wg sync.WaitGroup // in-flight drain goroutines
 
@@ -135,14 +167,23 @@ type Store struct {
 	bgErr error // background release errors, surfaced by Close
 }
 
+// youngScanFrames is the cache of a drain's session over the young
+// generation: the session only scans, and a scan pins one node at a time.
+const youngScanFrames = 3
+
 // Open creates an empty store on vol whose steady-state frames are drawn
 // from pool. The drain budget is reserved from pool immediately and held
-// until Close. It is the sum of what a drain opens, at the drain width w:
-// one session over the current generation, whose scanner the front is
-// merged into (btree.SessionFrames), and one bulk loader for the next
-// generation (btree.LoaderFrames) — 2·CacheFrames + 4·w frames. The pool
-// additionally serves each generation's cache and per-reader frames, so
-// size it with headroom beyond the reservation.
+// until Close. It is the most a drain opens at once, at the drain width w:
+// a full merge's session over the old generation, whose scanner the young
+// generation and the front are merged into (btree.SessionFrames at
+// CacheFrames), a session that scans the young generation
+// (btree.SessionFrames at three frames), and one bulk loader for the next
+// generation (btree.LoaderFrames) — 2·CacheFrames + 6·w + 3 frames. A
+// young drain opens only the last two. Beyond the reservation the pool
+// must hold 3·CacheFrames for the generation caches (old, young and the
+// one a handover warms before it swaps in; a handover that finds them
+// short fails the drain with pdm.ErrNoFrames, and the store then refuses
+// writes), plus per-reader frames, so size it with headroom.
 func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 	if cfg.CacheFrames == 0 {
 		cfg.CacheFrames = 8
@@ -158,7 +199,8 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 		sealOps = 8192
 	}
 	w := cfg.drainWidth()
-	drainFrames := btree.SessionFrames(cfg.CacheFrames, w) + btree.LoaderFrames(cfg.CacheFrames, w)
+	drainFrames := btree.SessionFrames(cfg.CacheFrames, w) + btree.SessionFrames(youngScanFrames, w) +
+		btree.LoaderFrames(cfg.CacheFrames, w)
 	reserve, err := pool.AllocN(drainFrames)
 	if err != nil {
 		return nil, err
@@ -171,14 +213,14 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 		sealOps:   sealOps,
 		drainPool: pdm.NewPool(vol.BlockBytes(), drainFrames),
 		reserve:   reserve,
+		epoch:     1,
 	}
 	tree, err := btree.New(vol, pool, &btree.Options{CacheFrames: cfg.CacheFrames})
 	if err != nil {
 		pdm.ReleaseAll(reserve)
 		return nil, err
 	}
-	s.gen = &generation{tree: tree, epoch: 1, mu: make(chan struct{}, 1)}
-	s.gen.refs.Store(1)
+	s.gen = newGeneration(tree, nil)
 	s.frontMem = &overlay{}
 	return s, nil
 }
@@ -222,97 +264,183 @@ func (s *Store) maybeSealLocked() {
 	if s.draining || s.sealedMem != nil || !s.overLocked() {
 		return
 	}
-	s.sealLocked()
+	s.sealLocked(false)
+}
+
+// youngDrainLocked reports whether a threshold drain merges the front into
+// the young generation alone: while young has absorbed fewer than k−1
+// fronts, k = ⌊√(2·n/F)⌋ for the old tree's n records and the seal
+// threshold F. j < k−1 is (j+2)² ≤ 2n/F, which integer division decides
+// exactly.
+func (s *Store) youngDrainLocked() bool {
+	j := s.youngFronts
+	return (j+2)*(j+2) <= 2*s.gen.tree.Len()/s.sealOps
 }
 
 // sealLocked seals the current front, swaps in an empty one, and starts
-// the background drain. Caller holds mu exclusively.
-func (s *Store) sealLocked() {
+// the background drain: a full merge of old ⊕ young ⊕ front when compact
+// is set or the young generation is due, else a young drain. Caller holds
+// mu exclusively.
+func (s *Store) sealLocked(compact bool) {
 	sealed := s.frontMem
 	s.sealedMem, s.frontMem, s.frontOps = sealed, &overlay{}, 0
 	s.draining = true
 	done := make(chan struct{})
 	s.drainDone = done
-	gen := s.gen
-	gen.refs.Add(1)
+	full := compact || !s.youngDrainLocked()
+	gen, young := s.gen, s.young
+	if full {
+		gen.refs.Add(1)
+	} else {
+		gen = nil
+	}
+	if young != nil {
+		young.refs.Add(1)
+	}
 	s.wg.Add(1)
-	go s.drain(sealed, gen, done)
+	go s.drain(sealed, gen, young, done)
 }
 
 // drain runs one background drain to completion, then retriggers if the
-// new front already crossed the threshold while the drain ran.
-func (s *Store) drain(sealed *overlay, gen *generation, done chan struct{}) {
+// new front already crossed the threshold while the drain ran. gen is the
+// old generation on a full merge and nil on a young drain; young is the
+// young generation, if there is one. The drain holds a reference on each
+// and drops it before it retriggers, so a generation the handover retired
+// gives its cache frames back before the next drain installs a tree.
+func (s *Store) drain(sealed *overlay, gen, young *generation, done chan struct{}) {
 	defer s.wg.Done()
-	err := s.drainOnce(sealed, gen)
+	err := s.drainOnce(sealed, gen, young)
+	s.releaseGens(gen, young)
 	s.mu.Lock()
 	s.draining = false
 	if err != nil && s.drainErr == nil {
 		s.drainErr = err
 	}
 	if err == nil && s.drainErr == nil && !s.closed && s.overLocked() {
-		s.sealLocked()
+		s.sealLocked(false)
 	}
 	s.mu.Unlock()
-	s.releaseGen(gen)
 	close(done)
 }
 
-// drainOnce is one front handover: rebuild the next generation from the
-// sealed front ⊕ current generation on the private drain budget, and swap
-// readers over, retiring the sealed front in the same swap.
-func (s *Store) drainOnce(sealed *overlay, gen *generation) error {
-	tree, err := s.buildGen(gen, sealed)
+// drainOnce is one front handover, built on the private drain budget. A
+// full merge (gen non-nil) rebuilds the old generation from old ⊕ young ⊕
+// sealed front and retires young; a young drain rebuilds the young
+// generation from young ⊕ sealed front, with the next directory. Readers
+// swap over in one step, which also retires the sealed front.
+func (s *Store) drainOnce(sealed *overlay, gen, young *generation) error {
+	full := gen != nil
+	base, merged := young, (*generation)(nil)
+	if full {
+		base, merged = gen, young
+	}
+	tree, err := s.buildGen(sealed, base, merged)
 	if err != nil {
-		// Reads remain correct (frontMem ⊕ sealedMem ⊕ generation) even
+		// Reads remain correct (frontMem ⊕ sealedMem ⊕ young ⊕ old) even
 		// though the store no longer accepts writes.
 		return err
 	}
-	next := &generation{tree: tree, epoch: gen.epoch + 1, mu: make(chan struct{}, 1)}
-	next.refs.Store(1)
+	var dir *keyDir
+	if !full {
+		if young != nil {
+			dir = young.dir
+		}
+		dir = dir.merge(sealed)
+	}
+	next := newGeneration(tree, dir)
 	s.mu.Lock()
-	oldGen := s.gen
-	s.gen = next
+	retired := []*generation{s.young}
+	if full {
+		retired = append(retired, s.gen)
+		s.gen, s.young, s.youngFronts = next, nil, 0
+	} else {
+		s.young = next
+		s.youngFronts++
+	}
 	s.sealedMem = nil
 	s.drains++
+	s.epoch++
 	s.mu.Unlock()
-	s.releaseGen(oldGen)
+	s.releaseGens(retired...)
 	return nil
 }
 
-// buildGen merges the sealed front into a scan of the current generation
-// and bulk-loads the result into a fresh tree, entirely on the drain
-// budget and at the drain width so foreground lookups keep disk headroom;
-// the finished tree is rehomed onto the store's pool and warmed so descents
-// after the swap are memory hits.
-func (s *Store) buildGen(gen *generation, sealed *overlay) (*btree.Tree, error) {
-	w := s.cfg.drainWidth()
-	gen.mu <- struct{}{}
-	sess, err := gen.tree.NewSessionOn(s.drainPool, s.cfg.CacheFrames, w)
-	<-gen.mu
+// drainScan opens a session on the drain budget over g's tree, with a
+// cache of cacheFrames, and a scan of the whole tree through it.
+func (s *Store) drainScan(g *generation, cacheFrames int) (*btree.Session, *btree.Scanner, error) {
+	g.mu <- struct{}{}
+	sess, err := g.tree.NewSessionOn(s.drainPool, cacheFrames, s.cfg.drainWidth())
+	<-g.mu
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer sess.Close()
-	base, err := sess.NewScanner(0, ^uint64(0), nil)
+	sc, err := sess.NewScanner(0, ^uint64(0), nil)
 	if err != nil {
-		return nil, err
+		sess.Close()
+		return nil, nil, err
+	}
+	return sess, sc, nil
+}
+
+// buildGen merges the sealed front into a scan of base — the old
+// generation, or the young one, or nothing for a young drain with no young
+// generation yet — with young's operations between the two when it is
+// given, and bulk-loads the result into a fresh tree, entirely on the
+// drain budget and at the drain width so foreground lookups keep disk
+// headroom; the finished tree is rehomed onto the store's pool and warmed
+// so descents after the swap are memory hits.
+func (s *Store) buildGen(sealed *overlay, base, young *generation) (*btree.Tree, error) {
+	var src stream.Source[record.Record] = noRecords{}
+	if base != nil {
+		cacheFrames := s.cfg.CacheFrames
+		if base.dir != nil {
+			cacheFrames = youngScanFrames
+		}
+		sess, sc, err := s.drainScan(base, cacheFrames)
+		if err != nil {
+			return nil, err
+		}
+		defer sess.Close()
+		src = sc
+	}
+	if young != nil {
+		sess, sc, err := s.drainScan(young, youngScanFrames)
+		if err != nil {
+			src.Close()
+			return nil, err
+		}
+		defer sess.Close()
+		src = patchOps(src, &youngOps{dir: young.dir, recs: sc})
 	}
 	// The sealed front is read here without mu. That is safe because it is
 	// immutable: sealLocked was its last write, and the handover drops it
 	// from the view by swapping the pointer, not by changing the overlay.
-	patch := patchOps(base, sealed.chunks...)
-	tree, err := btree.BulkLoadFrom(s.vol, s.drainPool, s.cfg.CacheFrames, patch,
-		&btree.BulkLoadOptions{Width: w})
-	patch.Close()
+	patch := patchOps(src, &opSource{runs: sealed.chunks})
+	l, err := btree.NewLoader(s.vol, s.drainPool, s.cfg.CacheFrames,
+		&btree.BulkLoadOptions{Width: s.cfg.drainWidth()})
 	if err != nil {
+		patch.Close()
 		return nil, err
 	}
+	err = stream.Drain[record.Record](patch, l.Append)
+	patch.Close()
+	if err != nil {
+		l.Abort()
+		return nil, err
+	}
+	if err := l.Close(); err != nil {
+		return nil, err
+	}
+	// Until the handover the loader can take back every node it wrote
+	// without reading one, so a failure of the rehome's flush or of Warm's
+	// reads frees the whole tree even on a dead volume.
+	tree := l.Tree()
 	if err := tree.Rehome(s.pool, s.cfg.CacheFrames); err != nil {
-		tree.Release()
+		l.Abort()
 		return nil, err
 	}
 	if err := tree.Warm(); err != nil {
-		tree.Release()
+		l.Abort()
 		return nil, err
 	}
 	return tree, nil
@@ -327,6 +455,15 @@ func (s *Store) releaseGen(g *generation) {
 	}
 }
 
+// releaseGens is releaseGen for each generation given that is not nil.
+func (s *Store) releaseGens(gs ...*generation) {
+	for _, g := range gs {
+		if g != nil {
+			s.releaseGen(g)
+		}
+	}
+}
+
 func (s *Store) noteErr(err error) {
 	s.errMu.Lock()
 	if s.bgErr == nil {
@@ -336,15 +473,17 @@ func (s *Store) noteErr(err error) {
 }
 
 // StartDrain seals the current front and starts a background drain if one
-// is not already in flight; it reports whether a drain is now running.
+// is not already in flight; it reports whether a drain is now running. The
+// drain it starts compacts: it merges the young generation, if any, and
+// the front into the old one, leaving the view one generation.
 func (s *Store) StartDrain() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.drainErr != nil {
 		return false
 	}
-	if !s.draining && s.sealedMem == nil && s.frontOps > 0 {
-		s.sealLocked()
+	if !s.draining && s.sealedMem == nil && (s.frontOps > 0 || s.young != nil) {
+		s.sealLocked(true)
 	}
 	return s.draining
 }
@@ -357,7 +496,8 @@ func (s *Store) Draining() bool {
 }
 
 // Drain flushes everything buffered at the time of the call into the
-// current generation and waits for quiescence.
+// current generation and waits for quiescence. Its drains compact, so
+// unless writes race it, the view it leaves holds one generation.
 func (s *Store) Drain() error {
 	for {
 		s.mu.Lock()
@@ -371,11 +511,11 @@ func (s *Store) Drain() error {
 			return err
 		}
 		if !s.draining && s.sealedMem == nil {
-			if s.frontOps == 0 {
+			if s.frontOps == 0 && s.young == nil {
 				s.mu.Unlock()
 				return nil
 			}
-			s.sealLocked()
+			s.sealLocked(true)
 		}
 		done := s.drainDone
 		draining := s.draining
@@ -389,11 +529,12 @@ func (s *Store) Drain() error {
 // Stats returns a snapshot of the underlying volume's I/O counters.
 func (s *Store) Stats() pdm.Stats { return s.vol.Stats().Snapshot() }
 
-// Epoch returns the current generation's number, starting at 1.
+// Epoch returns the view's number, starting at 1; every drain's handover
+// advances it.
 func (s *Store) Epoch() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.gen.epoch
+	return s.epoch
 }
 
 // Drains returns the number of completed front drains.
@@ -427,12 +568,12 @@ func (s *Store) Close() error {
 
 	s.mu.Lock()
 	s.frontMem, s.sealedMem = nil, nil
-	gen := s.gen
-	s.gen = nil
+	gen, young := s.gen, s.young
+	s.gen, s.young = nil, nil
 	err := s.drainErr
 	s.mu.Unlock()
 
-	s.releaseGen(gen)
+	s.releaseGens(gen, young)
 	pdm.ReleaseAll(s.reserve)
 	s.reserve = nil
 	if err != nil {

@@ -101,17 +101,26 @@ func checkScan(t *testing.T, s *Store, ref map[uint64]uint64, lo, hi uint64) {
 }
 
 // TestStoreQuickMatchesMap drives a random interleaving of inserts,
-// deletes, drains and narrow range scans — some opened right after a seal,
-// while the sealed front still awaits its handover — against an in-memory
-// reference map, checking point reads along the way and the full scan at
-// the end, on both backends. The small shape drains every hundred ops over
-// 120 keys; the large one holds fronts of 4 096 ops over 20 000 keys, so
-// the in-memory overlays run to dozens of chunks and scans cut across
-// them. Close comes with a drain just started, and must still hand back
-// every pool frame and volume block.
+// deletes, drains, narrow range scans — some opened right after a seal,
+// while the sealed front still awaits its handover — and Session reads
+// against an in-memory reference map, checking point reads along the way
+// and the full scan at the end, on both backends. The small shape drains
+// every hundred ops over 120 keys, so k ≤ 1 and every drain is a full
+// merge; the large one holds fronts of 4 096 ops over 20 000 keys, so the
+// in-memory overlays run to dozens of chunks and scans cut across them;
+// the young one seals fronts of 64 ops over 2 000 keys with explicit
+// drains rare and waits out each threshold drain, so they build and grow
+// a young generation (k up to 6) under overwrites and deletes of keys the
+// old tree holds,
+// and scans, batches and a long-lived Session cross fronts, young and old
+// through young handovers and compactions. Every explicit Drain leaves one
+// generation. Close comes with a drain just started, and must still hand
+// back every pool frame and volume block.
 func TestStoreQuickMatchesMap(t *testing.T) {
 	large := storeConfig()
 	large.FrontOps = 4096
+	young := storeConfig()
+	young.FrontOps = 64
 	for _, tc := range []struct {
 		name       string
 		vol        pdm.Config
@@ -119,19 +128,21 @@ func TestStoreQuickMatchesMap(t *testing.T) {
 		keySpace   int
 		ops        int
 		drainEvery int
+		young      bool // the script must grow a young generation
 	}{
-		{"small", testConfig(), storeConfig(), 120, 2500, 200},
-		{"large", pdm.Config{BlockBytes: 2048, MemBlocks: 96, Disks: 2}, large, 20000, 30000, 7000},
+		{"small", testConfig(), storeConfig(), 120, 2500, 200, false},
+		{"large", pdm.Config{BlockBytes: 2048, MemBlocks: 96, Disks: 2}, large, 20000, 30000, 7000, false},
+		{"young", testConfig(), young, 2000, 12000, 3000, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			forEachBackend(t, tc.vol, func(t *testing.T, vol *pdm.Volume, pool *pdm.Pool) {
-				quickMatchesMap(t, vol, pool, tc.store, tc.keySpace, tc.ops, tc.drainEvery)
+				quickMatchesMap(t, vol, pool, tc.store, tc.keySpace, tc.ops, tc.drainEvery, tc.young)
 			})
 		})
 	}
 }
 
-func quickMatchesMap(t *testing.T, vol *pdm.Volume, pool *pdm.Pool, cfg Config, keySpace, ops, drainEvery int) {
+func quickMatchesMap(t *testing.T, vol *pdm.Volume, pool *pdm.Pool, cfg Config, keySpace, ops, drainEvery int, wantYoung bool) {
 	free0 := pool.Free()
 	s, err := Open(vol, pool, cfg)
 	if err != nil {
@@ -139,7 +150,21 @@ func quickMatchesMap(t *testing.T, vol *pdm.Volume, pool *pdm.Pool, cfg Config, 
 	}
 	rng := rand.New(rand.NewSource(42))
 	ref := map[uint64]uint64{}
-	sealedScans := 0
+	sess, err := s.NewSession(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := func() {
+		t.Helper()
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if g := generations(s); g != 1 {
+			t.Fatalf("an explicit Drain left %d generations", g)
+		}
+	}
+	sealedScans, youngScans := 0, 0
+	var youngFronts int64
 	for i := 0; i < ops; i++ {
 		k := uint64(rng.Intn(keySpace))
 		switch rng.Intn(4) {
@@ -156,19 +181,41 @@ func quickMatchesMap(t *testing.T, vol *pdm.Volume, pool *pdm.Pool, cfg Config, 
 			ref[k] = v
 		}
 		if rng.Intn(drainEvery) == 0 {
-			if err := s.Drain(); err != nil {
+			drain()
+		}
+		if wantYoung {
+			// Each threshold drain lands before the next op, so the young
+			// generation grows front by front whatever the scheduling.
+			if err := waitDrain(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%997 == 996 {
+			// A fresh session now and then; the old one has lived through
+			// whatever handovers came since it opened.
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if sess, err = s.NewSession(0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if rng.Intn(10) == 0 {
 			q := uint64(rng.Intn(keySpace))
+			want, wok := ref[q]
 			v, ok, err := s.Get(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wok := ref[q]
 			if ok != wok || (ok && v != want) {
 				t.Fatalf("op %d: Get(%d) = (%d,%v), want (%d,%v)", i, q, v, ok, want, wok)
+			}
+			v, ok, err = sess.Get(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != wok || (ok && v != want) {
+				t.Fatalf("op %d: session Get(%d) = (%d,%v), want (%d,%v)", i, q, v, ok, want, wok)
 			}
 		}
 		if rng.Intn(40) == 0 {
@@ -186,11 +233,37 @@ func quickMatchesMap(t *testing.T, vol *pdm.Volume, pool *pdm.Pool, cfg Config, 
 				}
 				s.mu.RUnlock()
 			}
+			s.mu.RLock()
+			if s.young != nil {
+				youngScans++
+				youngFronts = max(youngFronts, s.youngFronts)
+			}
+			s.mu.RUnlock()
 			checkScan(t, s, ref, lo, hi)
+			// The same range's first keys through the session's batch.
+			keys := make([]uint64, 0, 64)
+			for k := lo; k <= hi && len(keys) < cap(keys); k++ {
+				keys = append(keys, k)
+			}
+			vals, found, err := sess.GetBatch(keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, k := range keys {
+				want, wok := ref[k]
+				if found[j] != wok || (wok && vals[j] != want) {
+					t.Fatalf("op %d: session GetBatch(%d) = (%d,%v), want (%d,%v)", i, k, vals[j], found[j], want, wok)
+				}
+			}
 		}
 	}
 	if sealedScans == 0 {
 		t.Fatal("no scan ever ran against a sealed overlay")
+	}
+	t.Logf("%d drains; %d of the scans ran over a sealed front, %d over a young generation of up to %d fronts",
+		s.Drains(), sealedScans, youngScans, youngFronts)
+	if wantYoung && (youngScans == 0 || youngFronts < 2) {
+		t.Fatalf("%d scans ran over a young generation, which took at most %d fronts; want it to grow", youngScans, youngFronts)
 	}
 	// Batched lookups over the whole key space.
 	keys := make([]uint64, keySpace)
@@ -219,13 +292,14 @@ func quickMatchesMap(t *testing.T, vol *pdm.Volume, pool *pdm.Pool, cfg Config, 
 			}
 		}
 		if pass == 0 {
-			if err := s.Drain(); err != nil {
-				t.Fatal(err)
-			}
+			drain()
 		}
 	}
 	if s.Drains() == 0 {
 		t.Fatal("no drain ever ran; thresholds too loose for the test to mean anything")
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
 	}
 	// Close with a drain in flight: it waits for the drain, which retires
 	// the old generation, then releases the one the drain installed.
