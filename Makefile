@@ -95,7 +95,10 @@ cover:
 # contributes the engine, async, ablation and query-serving benchmarks (the
 # survey's tables are cmd/embench's job). Then come extsort's in-memory
 # sort kernel (BenchmarkMemSort), the store's write-front overlay (BenchmarkStoreScan,
-# BenchmarkStoreFrontOps, BenchmarkOverlay) and its drain
+# BenchmarkStoreFrontOps: ns/insert, and ns/get of misses through the
+# Store, past a young directory, and through a store Session, which
+# reads the old generation with its own cache: get-absent,
+# get-absent-young, get-absent-session; BenchmarkOverlay) and its drain
 # (BenchmarkStoreDrain: writes/op and ns/op per buffered op), the buffer manager
 # (BenchmarkCacheGet), the B-tree's batched fetch
 # (BenchmarkGetBatchGroups: reads/key, steps/key and allocs/key at a roomy

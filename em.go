@@ -827,7 +827,12 @@ type StoreConfig = store.Config
 type StoreScanner = store.Scanner
 
 // StoreSession is a point-read handle with a private cache budget that
-// re-pins itself across generation handovers.
+// re-pins itself across generation handovers. Its reads take the Store's
+// own route — front, sealed front and young directory in memory, then the
+// young tree through its shared cache — and differ only in reading the
+// old tree through the session's cache. Its budget, cacheFrames + 2·width
+// at NewSession's arguments (CacheFrames and Width by default), is
+// reserved from the store's pool until Close.
 type StoreSession = store.Session
 
 // ErrStoreClosed reports an operation on a closed Store.
@@ -835,13 +840,15 @@ var ErrStoreClosed = store.ErrClosed
 
 // OpenStore creates a store on vol; the background drain's budget is
 // reserved from pool up front, like SortIndex's loader budget. It is the
-// most a drain opens at its half-width striping w = max(1, Width/2): a
-// read session over the old generation and one bulk loader, CacheFrames +
-// 2·w frames each, and a session that scans the young generation, 3 + 2·w
-// frames. Beyond it the pool must hold three generation caches of
-// CacheFrames (old, young, and the one a handover warms before it swaps
-// in) plus what readers pin; a handover that finds them short fails the
-// drain with ErrNoFrames, after which the store refuses writes.
+// most a drain opens at its half-width striping w = max(1, Width/2): two
+// sessions that scan the old and the young generation, 3 + 2·w frames
+// each (a scanner's cache holds only its descent path), and one bulk
+// loader, CacheFrames + 2·w frames — CacheFrames + 6·w + 6 in all. Beyond
+// it the pool must hold three generation caches of CacheFrames (old,
+// young, and the one a handover warms before it swaps in) plus what
+// readers pin, 3 + 2·Width frames per open StoreScanner among them; a
+// handover that finds them short fails the drain with ErrNoFrames, after
+// which the store refuses writes.
 func OpenStore(vol *Volume, pool *Pool, cfg StoreConfig) (*Store, error) {
 	return store.Open(vol, pool, cfg)
 }

@@ -186,7 +186,9 @@ func BenchmarkStoreDrain(b *testing.B) {
 // in the middle of a drain: Insert of a fresh key, which pays the
 // overlay's put, and Get of a key no buffered op mentions, which pays a
 // miss in both overlays — and, in get-absent-young, in the young
-// directory — before it reaches the (here one-leaf) old generation.
+// directory — before it reaches the (here one-leaf) old generation;
+// get-absent-session makes the same misses through a store Session, which
+// reads the old generation through its private cache.
 func BenchmarkStoreFrontOps(b *testing.B) {
 	const (
 		front = 32768
@@ -229,16 +231,24 @@ func BenchmarkStoreFrontOps(b *testing.B) {
 	// get-absent-young adds a full young directory of 3·front keys — what
 	// store-file's shards hold before the pass-closing compaction — over
 	// an empty young tree: a get that misses the directory never reads it.
-	for _, young := range []bool{false, true} {
-		name := "get-absent"
-		if young {
-			name = "get-absent-young"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, tc := range []struct {
+		name           string
+		young, session bool
+	}{{"get-absent", false, false}, {"get-absent-young", true, false}, {"get-absent-session", false, true}} {
+		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
 			s, done := fullFronts(b, rng)
 			defer done()
-			if young {
+			var get func(uint64) (uint64, bool, error) = s.Get
+			if tc.session {
+				sess, err := s.NewSession(0, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer sess.Close()
+				get = sess.Get
+			}
+			if tc.young {
 				ops := &overlay{}
 				for i := 0; i < 3*front; i++ {
 					ops.put(Op{Key: rng.Uint64(), Seq: uint64(i)<<1 | uint64(i&1)})
@@ -255,7 +265,7 @@ func BenchmarkStoreFrontOps(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < batch; j++ {
-					v, ok, err := s.Get(rng.Uint64())
+					v, ok, err := get(rng.Uint64())
 					if err != nil || ok {
 						b.Fatalf("Get of an absent key: (%d, %v, %v)", v, ok, err)
 					}
@@ -267,8 +277,8 @@ func BenchmarkStoreFrontOps(b *testing.B) {
 }
 
 // BenchmarkOverlay times the overlay alone at a full front — put of a fresh
-// random key, get of an absent key, and the same get through a finger over
-// sorted 32-key batches (one shard's half of a 64-key GetBatch): the
+// random key, get of an absent key through a fresh finger, and the same
+// get through one finger over sorted 32-key batches (one shard's half of a 64-key GetBatch): the
 // numbers chunkOps and the search loops were picked on.
 func BenchmarkOverlay(b *testing.B) {
 	const front = 32768
@@ -292,7 +302,8 @@ func BenchmarkOverlay(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < front; j++ {
-				if op, ok := o.get(rng.Uint64()); ok {
+				f := finger{o: o} // a one-key probe, as Get makes
+				if op, ok := f.get(rng.Uint64()); ok {
 					benchSink += op.Val
 				}
 			}

@@ -89,53 +89,98 @@ func TestStoreWritePathDoesNoIO(t *testing.T) {
 	}
 }
 
-// TestStoreDrainWriteCost pins the drains' block writes per drained
+// TestStoreDrainWriteCost pins the drains' block transfers per drained
 // operation on a fixed single-client script, on both backends: a preload
-// of 8 000 keys drained explicitly in rounds, then three fronts of
-// F = 500 ops (overwrites and deletes of preloaded keys, fresh inserts),
-// each sealed by the threshold and drained before the next begins, then
-// 100 ops more and the explicit Drain. With 8 000 records in the old tree
+// of n keys drained explicitly in rounds, then three fronts of F ops
+// (overwrites and deletes of preloaded keys, fresh inserts), each sealed by
+// the threshold and drained before the next begins, then a tail of ops
+// and the explicit Drain. With 8 000 records in the old tree and F = 500,
 // k = ⌊√(2·8 000/500)⌋ = 5, so the three threshold drains rewrite only the
 // young generation, and the Drain compacts old ⊕ young ⊕ front into one
-// generation: one rewrite of the old tree per pass instead of four. The
-// counters are identical on mem and file.
+// generation: one rewrite of the old tree per pass instead of four. It
+// also pins the reads and steps of a fixed set of Scans, run once beside
+// the young generation and once after the Drain. The counters are
+// identical on mem and file.
+//
+// The top-level case runs at a 4-frame cache. cache=32 repeats the script
+// at a 32-frame cache over 40 000 records in a tree of height 4 (fronts of
+// 2 000 ops, k = 6), where a scan session's 3-frame cache is far below the
+// generation cache: a scanner's private cache holds only its descent path,
+// so a session of CacheFrames frames counts the same transfers.
 func TestStoreDrainWriteCost(t *testing.T) {
-	const (
-		n, f, tail = 8000, 500, 100
-		// The script's drain transfers, exact on both backends: 0.2338
-		// writes per op. Rebuilding the whole tree on every drain wrote
-		// 1 155 blocks and read 1 191 here, 0.7219 writes per op.
-		wantWrites, wantReads = 374, 375
-	)
-	var stats [2]pdm.Stats
+	// At the 4-frame cache the drains write 0.2338 blocks per op.
+	// Rebuilding the whole tree on every drain wrote 1 155 blocks and read
+	// 1 191 here, 0.7219 writes per op.
+	drainWriteCost(t, drainCostCase{
+		vol: testConfig(), cacheFrames: 4, n: 8000, f: 500, tail: 100,
+		writes: 374, reads: 375, scanReads: 697, scanSteps: 501,
+	})
+	t.Run("cache=32", func(t *testing.T) {
+		drainWriteCost(t, drainCostCase{
+			vol: pdm.Config{BlockBytes: 512, MemBlocks: 256, Disks: 2}, cacheFrames: 32, n: 40000, f: 2000, tail: 400,
+			height: 4, writes: 1749, reads: 1753, scanReads: 2909, scanSteps: 2675,
+		})
+	})
+}
+
+// drainCostCase is one geometry of TestStoreDrainWriteCost and its pinned
+// counters: the drains' writes and reads, and the scans' reads and steps.
+type drainCostCase struct {
+	vol                  pdm.Config
+	cacheFrames          int
+	n, f, tail           int
+	height               int // the old tree's height after the preload, when pinned
+	writes, reads        uint64
+	scanReads, scanSteps uint64
+}
+
+func drainWriteCost(t *testing.T, c drainCostCase) {
+	var stats, scans [2]pdm.Stats
 	for b, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) {
-			vc := testConfig()
+			vc := c.vol
 			if backend == "file" {
 				vc.Dir = t.TempDir()
 			}
 			vol := pdm.MustVolume(vc)
 			defer vol.Close()
 			cfg := storeConfig()
-			cfg.FrontOps = f
+			cfg.FrontOps, cfg.CacheFrames = int64(c.f), c.cacheFrames
 			s, err := Open(vol, pdm.PoolFor(vol), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
 			ref := map[uint64]uint64{}
+			n := uint64(c.n)
 			for k := uint64(0); k < n; k++ {
 				put(t, s, ref, 2*k, k)
-				if (k+1)%(f/2) == 0 {
+				if (k+1)%uint64(c.f/2) == 0 {
 					if err := s.Drain(); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
+			if c.height != 0 && s.gen.tree.Height() != c.height {
+				t.Fatalf("preloaded tree of height %d, want %d", s.gen.tree.Height(), c.height)
+			}
+			// scan runs the fixed set of Scans, checks them against ref,
+			// and adds their transfers to scans[b].
+			scanRng := rand.New(rand.NewSource(45))
+			scan := func() {
+				before := s.Stats()
+				for i := 0; i < 16; i++ {
+					lo := uint64(scanRng.Intn(2 * c.n))
+					checkScan(t, s, ref, lo, lo+uint64(c.n/8))
+				}
+				after := s.Stats()
+				scans[b].Reads += after.Reads - before.Reads
+				scans[b].Steps += after.Steps - before.Steps
+			}
 			start := s.Stats()
 			rng := rand.New(rand.NewSource(44))
 			op := func(i int) {
-				switch k := uint64(rng.Intn(n)); rng.Intn(4) {
+				switch k := uint64(rng.Intn(c.n)); rng.Intn(4) {
 				case 0:
 					del(t, s, ref, 2*k)
 				case 1:
@@ -145,7 +190,7 @@ func TestStoreDrainWriteCost(t *testing.T) {
 				}
 			}
 			for front := 1; front <= 3; front++ {
-				for i := 0; i < f; i++ {
+				for i := 0; i < c.f; i++ {
 					op(i)
 				}
 				if err := waitDrain(s); err != nil {
@@ -155,7 +200,8 @@ func TestStoreDrainWriteCost(t *testing.T) {
 					t.Fatalf("threshold drain %d: %d generations, young holds %d fronts", front, generations(s), s.youngFronts)
 				}
 			}
-			for i := 0; i < tail; i++ {
+			scan()
+			for i := 0; i < c.tail; i++ {
 				op(i)
 			}
 			if err := s.Drain(); err != nil {
@@ -164,21 +210,27 @@ func TestStoreDrainWriteCost(t *testing.T) {
 			if generations(s) != 1 {
 				t.Fatal("the explicit Drain left a young generation")
 			}
+			scan()
 			end := s.Stats()
-			stats[b] = pdm.Stats{Reads: end.Reads - start.Reads, Writes: end.Writes - start.Writes, Steps: end.Steps - start.Steps}
-			st := stats[b]
-			t.Logf("drains wrote %d blocks for %d ops (%.4f per op), read %d", st.Writes, 3*f+tail,
-				float64(st.Writes)/(3*f+tail), st.Reads)
-			if st.Writes != wantWrites || st.Reads != wantReads {
-				t.Errorf("drains wrote %d blocks and read %d, want %d and %d", st.Writes, st.Reads, wantWrites, wantReads)
+			st := pdm.Stats{Reads: end.Reads - start.Reads - scans[b].Reads, Writes: end.Writes - start.Writes,
+				Steps: end.Steps - start.Steps - scans[b].Steps}
+			stats[b] = st
+			ops := 3*c.f + c.tail
+			t.Logf("drains wrote %d blocks for %d ops (%.4f per op), read %d; scans read %d in %d steps",
+				st.Writes, ops, float64(st.Writes)/float64(ops), st.Reads, scans[b].Reads, scans[b].Steps)
+			if st.Writes != c.writes || st.Reads != c.reads {
+				t.Errorf("drains wrote %d blocks and read %d, want %d and %d", st.Writes, st.Reads, c.writes, c.reads)
+			}
+			if got := scans[b]; got.Reads != c.scanReads || got.Steps != c.scanSteps {
+				t.Errorf("scans read %d blocks in %d steps, want %d in %d", got.Reads, got.Steps, c.scanReads, c.scanSteps)
 			}
 			if got := scanAll(t, s); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("after the drains the store holds %d keys, want %d", len(got), len(ref))
 			}
 		})
 	}
-	if !reflect.DeepEqual(stats[0], stats[1]) {
-		t.Fatalf("drain counters differ: mem %v, file %v", &stats[0], &stats[1])
+	if !reflect.DeepEqual(stats[0], stats[1]) || !reflect.DeepEqual(scans[0], scans[1]) {
+		t.Fatalf("counters differ: mem drains %v scans %v, file drains %v scans %v", &stats[0], &scans[0], &stats[1], &scans[1])
 	}
 }
 
@@ -372,7 +424,7 @@ func crashAt(t *testing.T, vc pdm.Config, cs crashScript, at int64) {
 	answered := 0
 	for k := uint64(0); k < 4096; k++ {
 		s.mu.RLock()
-		_, inMemory, _ := s.probeLocked(k)
+		_, inMemory, _ := s.probeLocked(&finger{o: s.frontMem}, &finger{o: s.sealedMem}, k)
 		s.mu.RUnlock()
 		if !inMemory {
 			continue
@@ -462,9 +514,10 @@ func waitDrain(s *Store) error {
 // TestStoreDrainFitsReservation drains a full front at the repo
 // benchmark's store-file geometry — 4 KiB blocks, two disks, a 32-frame
 // cache, fronts of 32 768 ops — on the drain reservation Open makes, which
-// must then be exactly two sessions and one loader at drain width 1,
-// 2·32 + 6·1 + 3 frames. A reservation too small for the drain's
-// sessions, scans and loader fails the drain with ErrNoFrames.
+// must then be exactly two scan sessions of scanFrames and one loader of
+// the 32-frame cache at drain width 1, 2·(3 + 2·1) + 32 + 2·1 = 44 frames.
+// A reservation too small for the drain's sessions, scans and loader fails
+// the drain with ErrNoFrames.
 func TestStoreDrainFitsReservation(t *testing.T) {
 	forEachBackend(t, pdm.Config{BlockBytes: 4096, MemBlocks: 512, Disks: 2}, func(t *testing.T, vol *pdm.Volume, pool *pdm.Pool) {
 		const front = 32768
@@ -473,7 +526,7 @@ func TestStoreDrainFitsReservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if got, want := s.drainPool.Capacity(), 2*32+6*1+3; got != want {
+		if got, want := s.drainPool.Capacity(), 2*(3+2*1)+32+2*1; got != want {
 			t.Fatalf("drain reservation %d frames, want %d", got, want)
 		}
 		rng := rand.New(rand.NewSource(25))
@@ -495,9 +548,9 @@ func TestStoreDrainFitsReservation(t *testing.T) {
 
 // TestStoreDrainReservationIsExact opens stores at W = D ∈ {1, 2, 4, 8} on
 // pools sized around the drain reservation: at the drain width w, a
-// session over the old generation and one that scans the young generation
-// (btree.SessionFrames at CacheFrames and at youngScanFrames) plus one
-// loader (btree.LoaderFrames), 2·CacheFrames + 6·w + 3 frames. The script
+// session that scans the old generation and one that scans the young
+// generation (btree.SessionFrames at scanFrames each) plus one loader
+// (btree.LoaderFrames at CacheFrames), CacheFrames + 6·w + 6 frames. The script
 // feeds keys through threshold drains of fronts of keys/20 ops, then an
 // explicit drain that builds a tree with more internal nodes than a cache
 // holds; one more front, whose threshold drain goes into the young
@@ -545,10 +598,9 @@ func TestStoreDrainReservationIsExact(t *testing.T) {
 			forEachBackend(t, cfg, func(t *testing.T, vol *pdm.Volume, _ *pdm.Pool) {
 				sc := Config{FrontOps: keys / 20, CacheFrames: cacheFrames, Width: width}
 				w := sc.drainWidth()
-				reservation := btree.SessionFrames(cacheFrames, w) + btree.SessionFrames(youngScanFrames, w) +
-					btree.LoaderFrames(cacheFrames, w)
-				if reservation != 2*cacheFrames+6*w+3 {
-					t.Fatalf("drain reservation %d frames, want 2·%d + 6·%d + 3", reservation, cacheFrames, w)
+				reservation := 2*btree.SessionFrames(scanFrames, w) + btree.LoaderFrames(cacheFrames, w)
+				if reservation != cacheFrames+6*w+6 {
+					t.Fatalf("drain reservation %d frames, want %d + 6·%d + 6", reservation, cacheFrames, w)
 				}
 				short := pdm.NewPool(cfg.BlockBytes, reservation-1)
 				live := vol.Allocated() - vol.FreeBlocks()

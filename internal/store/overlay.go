@@ -30,8 +30,8 @@ const chunkOps = 64
 // of at most chunkOps ops, and a directory of their first keys kept in
 // one contiguous slice so the top-level search touches one small array.
 // A full chunk splits in half, so chunks run between half and completely
-// full (24 to 48 bytes per op). put and get cost O(log F) for a front of
-// F ops, appendRange O(log F + k) for k results.
+// full (24 to 48 bytes per op). put and a finger's probe cost O(log F) for a
+// front of F ops, appendRange O(log F + k) for k results.
 //
 // An overlay is not safe for concurrent use; the store guards it with mu
 // until it is sealed, and never writes it after that.
@@ -113,18 +113,6 @@ func (o *overlay) put(op Op) {
 	}
 }
 
-// get returns the newest operation on key, if the overlay holds one.
-func (o *overlay) get(key uint64) (Op, bool) {
-	if len(o.first) == 0 || key < o.first[0] {
-		return Op{}, false
-	}
-	ch := o.chunks[chunkOf(o.first, key)]
-	if i := lowerBound(ch, key); i < len(ch) && ch[i].Key == key {
-		return ch[i], true
-	}
-	return Op{}, false
-}
-
 // appendRange appends the operations with keys in [lo, hi] to dst in key
 // order.
 func (o *overlay) appendRange(dst []Op, lo, hi uint64) []Op {
@@ -149,7 +137,9 @@ func (o *overlay) appendRange(dst []Op, lo, hi uint64) []Op {
 // descend — the sorted sub-batches shard.fanOutBatch hands the store — each
 // probe continues from where the last one ended, galloping forward over
 // the chunk directory, so a batch costs O(log distance) per key rather
-// than O(log F); a key below its predecessor searches from the start.
+// than O(log F). A probe from the first chunk — a fresh finger's, or a key
+// below its predecessor's — searches the whole directory instead: a gallop
+// from the start would cost it twice the comparisons.
 //
 // The zero position (chunk 0, index 0, last key 0) is the start, so a new
 // finger needs only its overlay.
@@ -159,17 +149,17 @@ type finger struct {
 	last uint64 // the key it was for
 }
 
-// get is overlay.get from the finger's position.
+// get returns the newest operation on key, if the overlay holds one,
+// searching from the finger's position.
 func (f *finger) get(key uint64) (Op, bool) {
 	first := f.o.first
 	if len(first) == 0 || key < first[0] {
 		return Op{}, false // the position stands: it is still that of last
 	}
-	c, i := 0, 0
-	if key >= f.last {
-		c, i = f.c, f.i
-	}
-	if c+1 < len(first) && first[c+1] <= key {
+	c, i := f.c, f.i
+	if c == 0 || key < f.last {
+		c, i = chunkOf(first, key), 0
+	} else if c+1 < len(first) && first[c+1] <= key {
 		// The key lies in a later chunk: double the stride until the
 		// directory overshoots it, then search the last stride.
 		lo, step := c+1, 1

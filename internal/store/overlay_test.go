@@ -10,6 +10,19 @@ import (
 	"testing"
 )
 
+// get is the overlay's plain lookup, the reference a finger's probes are
+// checked against: the newest operation on key, if the overlay holds one.
+func (o *overlay) get(key uint64) (Op, bool) {
+	if len(o.first) == 0 || key < o.first[0] {
+		return Op{}, false
+	}
+	ch := o.chunks[chunkOf(o.first, key)]
+	if i := lowerBound(ch, key); i < len(ch) && ch[i].Key == key {
+		return ch[i], true
+	}
+	return Op{}, false
+}
+
 // refOverlay is the overlay's obvious reference: a hash map, sorted on
 // demand.
 type refOverlay map[uint64]Op

@@ -90,9 +90,11 @@ type Scanner struct {
 }
 
 // Scan opens a snapshot range scan over [lo, hi]. The old B-tree's scan
-// runs through a private read session (prefetched leaf reads, its own
-// cache budget), overlaid with the buffered operations in range and the
-// young generation's, which are read at open through its shared cache.
+// runs through a private read session — prefetched leaf reads, Width in
+// flight, and a cache of scanFrames, 3 + 2·Width frames of the store's
+// pool until Close — overlaid with the buffered operations in range and
+// the young generation's, which are read at open through its shared
+// cache.
 func (s *Store) Scan(lo, hi uint64) (index.Scanner, error) {
 	var out index.Scanner
 	err := s.gate.Do(func() error {
@@ -144,16 +146,8 @@ func (s *Store) scan(lo, hi uint64) (index.Scanner, error) {
 		mem = mergeResolved(mem, ops)
 	}
 
-	gen.mu <- struct{}{}
-	sess, err := gen.tree.NewSessionOn(s.pool, s.cfg.CacheFrames, s.cfg.Width)
-	<-gen.mu
+	sess, base, err := gen.scan(s.pool, s.cfg.Width, lo, hi)
 	if err != nil {
-		s.releaseGen(gen)
-		return nil, err
-	}
-	base, err := sess.NewScanner(lo, hi, nil)
-	if err != nil {
-		sess.Close()
 		s.releaseGen(gen)
 		return nil, err
 	}

@@ -67,11 +67,12 @@ type Config struct {
 	// bytes, a delete bit and 12 filter bits each) and the operations no
 	// block on the volume holds yet.
 	FrontOps int64
-	// CacheFrames sizes each generation's buffer manager and the drain's
-	// loader cache. Zero means 8; minimum 3. Beyond the drain reservation
-	// (see Open) the pool must hold three generation caches: the old
-	// one's, the young one's, and the one a handover warms before it
-	// swaps in.
+	// CacheFrames sizes each generation's buffer manager, the drain's
+	// loader cache, and a Session's cache unless NewSession picks one.
+	// Zero means 8; minimum 3. Beyond the drain reservation (see Open) the
+	// pool must hold three generation caches: the old one's, the young
+	// one's, and the one a handover warms before it swaps in. Scan
+	// sessions, the drain's and Scan's, take scanFrames whatever it is.
 	CacheFrames int
 	// Width is the striping width of reader scans and batched lookups;
 	// zero picks the volume's disk count. The background drain's streams
@@ -99,10 +100,10 @@ func (c *Config) drainWidth() int { return max(1, c.Width/2) }
 // generation, or the young one, which alone has a key directory. Point
 // reads and Scan's young collection through the tree's own buffer manager
 // are serialized by mu (the cache is not thread-safe); Sessions read the
-// old tree with private caches. A reader never holds two generations'
-// locks at once. refs counts the store's view plus every in-flight
-// Scanner, Session, read, and drain; the tree's blocks are reclaimed when
-// it hits zero.
+// old tree, and scans every tree, through btree sessions with private
+// caches. A reader never holds two generations' locks at once. refs counts
+// the store's view plus every in-flight Scanner, Session, read, and drain;
+// the tree's blocks are reclaimed when it hits zero.
 //
 // mu is a one-slot channel, not a sync.Mutex: a send locks and a receive
 // unlocks. Its holder sleeps out disk latency, and a goroutine blocked on a
@@ -154,7 +155,6 @@ type Store struct {
 	gen         *generation // the old B-tree generation
 	young       *generation // the young generation; nil when the view holds one
 	youngFronts int64       // fronts merged into young since the last full merge
-	epoch       uint64      // handovers since Open, plus one
 	draining    bool
 	drainDone   chan struct{} // closed when the in-flight drain finishes
 	drainErr    error         // sticky: writes fail after a failed drain
@@ -167,23 +167,26 @@ type Store struct {
 	bgErr error // background release errors, surfaced by Close
 }
 
-// youngScanFrames is the cache of a drain's session over the young
-// generation: the session only scans, and a scan pins one node at a time.
-const youngScanFrames = 3
+// scanFrames is the cache of every scan session the store opens: the
+// drain's over the old and the young generation, and Scan's. A scanner
+// reads leaves into frames of its own and pins one node of its descent at
+// a time, and a fresh session's cache holds nothing else, so a larger one
+// buys it no hit.
+const scanFrames = 3
 
 // Open creates an empty store on vol whose steady-state frames are drawn
 // from pool. The drain budget is reserved from pool immediately and held
 // until Close. It is the most a drain opens at once, at the drain width w:
-// a full merge's session over the old generation, whose scanner the young
-// generation and the front are merged into (btree.SessionFrames at
-// CacheFrames), a session that scans the young generation
-// (btree.SessionFrames at three frames), and one bulk loader for the next
-// generation (btree.LoaderFrames) — 2·CacheFrames + 6·w + 3 frames. A
-// young drain opens only the last two. Beyond the reservation the pool
-// must hold 3·CacheFrames for the generation caches (old, young and the
-// one a handover warms before it swaps in; a handover that finds them
-// short fails the drain with pdm.ErrNoFrames, and the store then refuses
-// writes), plus per-reader frames, so size it with headroom.
+// a full merge's two scan sessions, over the old generation and the young
+// one (btree.SessionFrames at scanFrames each), and one bulk loader for
+// the next generation (btree.LoaderFrames at CacheFrames) — CacheFrames +
+// 6·w + 6 frames. A young drain opens only the young scan and the loader.
+// Beyond the reservation the pool must hold 3·CacheFrames for the
+// generation caches (old, young and the one a handover warms before it
+// swaps in; a handover that finds them short fails the drain with
+// pdm.ErrNoFrames, and the store then refuses writes), plus per-reader
+// frames — a Session's budget, 3 + 2·Width per open Scanner — so size it
+// with headroom.
 func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 	if cfg.CacheFrames == 0 {
 		cfg.CacheFrames = 8
@@ -199,8 +202,7 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 		sealOps = 8192
 	}
 	w := cfg.drainWidth()
-	drainFrames := btree.SessionFrames(cfg.CacheFrames, w) + btree.SessionFrames(youngScanFrames, w) +
-		btree.LoaderFrames(cfg.CacheFrames, w)
+	drainFrames := 2*btree.SessionFrames(scanFrames, w) + btree.LoaderFrames(cfg.CacheFrames, w)
 	reserve, err := pool.AllocN(drainFrames)
 	if err != nil {
 		return nil, err
@@ -213,7 +215,6 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 		sealOps:   sealOps,
 		drainPool: pdm.NewPool(vol.BlockBytes(), drainFrames),
 		reserve:   reserve,
-		epoch:     1,
 	}
 	tree, err := btree.New(vol, pool, &btree.Options{CacheFrames: cfg.CacheFrames})
 	if err != nil {
@@ -359,22 +360,27 @@ func (s *Store) drainOnce(sealed *overlay, gen, young *generation) error {
 	}
 	s.sealedMem = nil
 	s.drains++
-	s.epoch++
 	s.mu.Unlock()
 	s.releaseGens(retired...)
 	return nil
 }
 
-// drainScan opens a session on the drain budget over g's tree, with a
-// cache of cacheFrames, and a scan of the whole tree through it.
-func (s *Store) drainScan(g *generation, cacheFrames int) (*btree.Session, *btree.Scanner, error) {
+// session opens a read session over g's tree on pool, under g's lock:
+// opening one flushes the tree's own cache.
+func (g *generation) session(pool *pdm.Pool, cacheFrames, width int) (*btree.Session, error) {
 	g.mu <- struct{}{}
-	sess, err := g.tree.NewSessionOn(s.drainPool, cacheFrames, s.cfg.drainWidth())
-	<-g.mu
+	defer func() { <-g.mu }()
+	return g.tree.NewSessionOn(pool, cacheFrames, width)
+}
+
+// scan opens a scan of [lo, hi] over g's tree through a session of its own
+// on pool: scanFrames of cache and width leaf reads in flight.
+func (g *generation) scan(pool *pdm.Pool, width int, lo, hi uint64) (*btree.Session, *btree.Scanner, error) {
+	sess, err := g.session(pool, scanFrames, width)
 	if err != nil {
 		return nil, nil, err
 	}
-	sc, err := sess.NewScanner(0, ^uint64(0), nil)
+	sc, err := sess.NewScanner(lo, hi, nil)
 	if err != nil {
 		sess.Close()
 		return nil, nil, err
@@ -391,12 +397,9 @@ func (s *Store) drainScan(g *generation, cacheFrames int) (*btree.Session, *btre
 // so descents after the swap are memory hits.
 func (s *Store) buildGen(sealed *overlay, base, young *generation) (*btree.Tree, error) {
 	var src stream.Source[record.Record] = noRecords{}
+	w := s.cfg.drainWidth()
 	if base != nil {
-		cacheFrames := s.cfg.CacheFrames
-		if base.dir != nil {
-			cacheFrames = youngScanFrames
-		}
-		sess, sc, err := s.drainScan(base, cacheFrames)
+		sess, sc, err := base.scan(s.drainPool, w, 0, ^uint64(0))
 		if err != nil {
 			return nil, err
 		}
@@ -404,7 +407,7 @@ func (s *Store) buildGen(sealed *overlay, base, young *generation) (*btree.Tree,
 		src = sc
 	}
 	if young != nil {
-		sess, sc, err := s.drainScan(young, youngScanFrames)
+		sess, sc, err := young.scan(s.drainPool, w, 0, ^uint64(0))
 		if err != nil {
 			src.Close()
 			return nil, err
@@ -416,8 +419,7 @@ func (s *Store) buildGen(sealed *overlay, base, young *generation) (*btree.Tree,
 	// immutable: sealLocked was its last write, and the handover drops it
 	// from the view by swapping the pointer, not by changing the overlay.
 	patch := patchOps(src, &opSource{runs: sealed.chunks})
-	l, err := btree.NewLoader(s.vol, s.drainPool, s.cfg.CacheFrames,
-		&btree.BulkLoadOptions{Width: s.cfg.drainWidth()})
+	l, err := btree.NewLoader(s.vol, s.drainPool, s.cfg.CacheFrames, &btree.BulkLoadOptions{Width: w})
 	if err != nil {
 		patch.Close()
 		return nil, err
@@ -534,7 +536,7 @@ func (s *Store) Stats() pdm.Stats { return s.vol.Stats().Snapshot() }
 func (s *Store) Epoch() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.epoch
+	return uint64(s.drains) + 1
 }
 
 // Drains returns the number of completed front drains.

@@ -630,3 +630,98 @@ func TestStoreReadsDuringDrain(t *testing.T) {
 func errMismatch(k, v uint64, ok bool) error {
 	return fmt.Errorf("inconsistent read during drain: key %d -> (%d, %v)", k, v, ok)
 }
+
+// TestStorePointReadsAllocateNothing pins the route's allocations. Store.Get
+// and Session.Get make none for a key decided at each layer: the front,
+// the sealed front, a young tombstone, the young tree and the old tree.
+// GetBatch's per-call allocations, over a batch that reaches every layer,
+// are capped at 26 for both callers.
+func TestStorePointReadsAllocateNothing(t *testing.T) {
+	const n, f = 4000, 200
+	vol := pdm.MustVolume(pdm.Config{BlockBytes: 512, MemBlocks: 256, Disks: 2})
+	defer vol.Close()
+	s, err := Open(vol, pdm.PoolFor(vol), Config{FrontOps: f, CacheFrames: 16, Width: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ref := map[uint64]uint64{}
+	for k := uint64(0); k < n; k++ {
+		put(t, s, ref, 2*k, k)
+		if (k+1)%(f/2) == 0 {
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// One threshold drain builds the young generation: key 1 live in its
+	// tree, key 2 dead in its directory.
+	put(t, s, ref, 1, 11)
+	del(t, s, ref, 2)
+	for k := uint64(1); k < f-1; k++ {
+		put(t, s, ref, 2*n+2*k, k)
+	}
+	if err := waitDrain(s); err != nil {
+		t.Fatal(err)
+	}
+	if generations(s) != 2 {
+		t.Fatal("the threshold drain built no young generation")
+	}
+	// A sealed front, installed by hand as a drain that never finishes,
+	// holds key 3, and the front key 5.
+	put(t, s, ref, 3, 33)
+	s.mu.Lock()
+	s.sealedMem, s.frontMem, s.frontOps = s.frontMem, &overlay{}, 0
+	s.mu.Unlock()
+	put(t, s, ref, 5, 55)
+
+	sess, err := s.NewSession(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := sess.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	for _, c := range []struct {
+		layer string
+		key   uint64
+	}{{"front", 5}, {"sealed front", 3}, {"young tombstone", 2}, {"young tree", 1}, {"old tree", 4}} {
+		want, wantOK := ref[c.key]
+		for _, r := range []struct {
+			name string
+			get  func(uint64) (uint64, bool, error)
+		}{{"Store", s.Get}, {"Session", sess.Get}} {
+			var v uint64
+			var ok bool
+			allocs := testing.AllocsPerRun(100, func() { v, ok, err = r.get(c.key) })
+			if err != nil || v != want || ok != wantOK {
+				t.Fatalf("%s.Get of the %s's key %d = (%d, %v, %v), want (%d, %v)", r.name, c.layer, c.key, v, ok, err, want, wantOK)
+			}
+			if allocs != 0 {
+				t.Errorf("%s.Get of the %s's key: %v allocations, want 0", r.name, c.layer, allocs)
+			}
+		}
+	}
+	batch := []uint64{1, 2, 3, 4, 5, 6, 2*n + 2, 2*n + 3}
+	for _, r := range []struct {
+		name     string
+		getBatch func([]uint64) ([]uint64, []bool, error)
+	}{{"Store", s.GetBatch}, {"Session", sess.GetBatch}} {
+		var vals []uint64
+		var found []bool
+		allocs := testing.AllocsPerRun(100, func() { vals, found, err = r.getBatch(batch) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range batch {
+			if want, ok := ref[k]; vals[i] != want || found[i] != ok {
+				t.Fatalf("%s.GetBatch: key %d = (%d, %v), want (%d, %v)", r.name, k, vals[i], found[i], want, ok)
+			}
+		}
+		if allocs > 26 {
+			t.Errorf("%s.GetBatch: %v allocations, want at most 26", r.name, allocs)
+		}
+	}
+}
