@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build vet lint emlint staticcheck govulncheck tools test race modeltime cover bench bench-smoke ci
+.PHONY: all build vet lint emlint staticcheck govulncheck tools test race modeltime fuzz cover bench bench-smoke ci
 
 all: ci
 
@@ -85,6 +85,14 @@ race:
 modeltime:
 	GOEXPERIMENT=synctest $(GO) test -race ./internal/pdm ./internal/btree ./internal/extsort ./internal/stream
 	GOEXPERIMENT=synctest $(GO) test -race -run ModelTime ./internal/experiments
+
+# Coverage-guided search over the store's operation schedules
+# (FuzzStoreSchedule in internal/store) for FUZZTIME, 60 s by default. A
+# failing input is written under internal/store/testdata/fuzz, where `go
+# test` replays it from then on beside the committed seed corpus.
+FUZZTIME ?= 60s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreSchedule$$' -fuzztime $(FUZZTIME) ./internal/store
 
 # Coverage profile across every package, with a per-function summary.
 cover:
