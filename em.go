@@ -823,7 +823,10 @@ type Store = store.Store
 // and admission control.
 type StoreConfig = store.Config
 
-// StoreScanner is a consistent snapshot range scan over a Store.
+// StoreScanner is a consistent snapshot range scan over a Store. It reads
+// each generation through a scan session of its own: 3 + 2·Width frames of
+// the store's pool until Close, twice that when the young generation holds
+// a live key in its range.
 type StoreScanner = store.Scanner
 
 // StoreSession is a point-read handle with a private cache budget that
@@ -846,7 +849,8 @@ var ErrStoreClosed = store.ErrClosed
 // loader, CacheFrames + 2·w frames — CacheFrames + 6·w + 6 in all. Beyond
 // it the pool must hold three generation caches of CacheFrames (old,
 // young, and the one a handover warms before it swaps in) plus what
-// readers pin, 3 + 2·Width frames per open StoreScanner among them; a
+// readers pin, 3 + 2·Width frames per open StoreScanner among them (twice
+// that for one whose range holds a live young key); a
 // handover that finds them short fails the drain with ErrNoFrames, after
 // which the store refuses writes.
 func OpenStore(vol *Volume, pool *Pool, cfg StoreConfig) (*Store, error) {

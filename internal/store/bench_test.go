@@ -47,7 +47,11 @@ var benchSink uint64
 // 32 768 buffered ops spread over the key space. The number to look at is
 // ns/scan at 32 768 over ns/scan at 1 024: a scan that costs its range
 // keeps it near 1 (the larger front adds only its 31 more ops in range), a
-// scan that walks the front makes it the ratio of the fronts.
+// scan that walks the front makes it the ratio of the fronts. In young the
+// view holds, beside the same old generation and an empty front, a young
+// generation of k − 1 = 3 fronts of 32 768 ops (k = ⌊√(2·2^18/32 768)⌋ =
+// 4), about 96 of whose keys fall in each range: the price of its layer
+// and its scan session.
 func BenchmarkStoreScan(b *testing.B) {
 	const (
 		n        = 1 << 18 // preloaded keys 2, 4, .., 2n
@@ -57,9 +61,14 @@ func BenchmarkStoreScan(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
 		front int
-	}{{"front=1024", 1024}, {"front=8192", 8192}, {"front=32768", 32768}} {
+		young bool
+	}{{"front=1024", 1024, false}, {"front=8192", 8192, false}, {"front=32768", 32768, false}, {"young", 0, true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			s, done := openBench(b)
+			frontOps := int64(1 << 40)
+			if tc.young {
+				frontOps = 32768
+			}
+			s, done := openBenchFront(b, frontOps)
 			defer done()
 			rng := rand.New(rand.NewSource(1))
 			for _, j := range rng.Perm(n) {
@@ -69,6 +78,22 @@ func BenchmarkStoreScan(b *testing.B) {
 			}
 			if err := s.Drain(); err != nil {
 				b.Fatal(err)
+			}
+			for f := 0; tc.young && f < 3; f++ {
+				for i := 0; i < 32768; i++ {
+					if err := s.Insert(2*uint64(rng.Intn(n))+1, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := waitDrain(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s.mu.RLock()
+			youngFronts := s.youngFronts
+			s.mu.RUnlock()
+			if tc.young && youngFronts != 3 {
+				b.Fatalf("a young generation of %d fronts, want 3", youngFronts)
 			}
 			for s.FrontOps() < int64(tc.front) {
 				if err := s.Insert(2*uint64(rng.Intn(n))+1, 1); err != nil {

@@ -114,9 +114,9 @@ func (o *overlay) put(op Op) {
 }
 
 // appendRange appends the operations with keys in [lo, hi] to dst in key
-// order.
+// order. A nil overlay holds none.
 func (o *overlay) appendRange(dst []Op, lo, hi uint64) []Op {
-	if len(o.first) == 0 || lo > hi {
+	if o == nil || len(o.first) == 0 || lo > hi {
 		return dst
 	}
 	c := chunkOf(o.first, lo)

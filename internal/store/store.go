@@ -72,7 +72,9 @@ type Config struct {
 	// Zero means 8; minimum 3. Beyond the drain reservation (see Open) the
 	// pool must hold three generation caches: the old one's, the young
 	// one's, and the one a handover warms before it swaps in. Scan
-	// sessions, the drain's and Scan's, take scanFrames whatever it is.
+	// sessions, the drain's and Scan's, take scanFrames whatever it is: a
+	// Scan takes 3 + 2·Width frames, twice that when the young generation
+	// holds a live key in its range.
 	CacheFrames int
 	// Width is the striping width of reader scans and batched lookups;
 	// zero picks the volume's disk count. The background drain's streams
@@ -98,12 +100,13 @@ func (c *Config) drainWidth() int { return max(1, c.Width/2) }
 
 // generation is one immutable B-tree the store serves reads from: the old
 // generation, or the young one, which alone has a key directory. Point
-// reads and Scan's young collection through the tree's own buffer manager
-// are serialized by mu (the cache is not thread-safe); Sessions read the
-// old tree, and scans every tree, through btree sessions with private
-// caches. A reader never holds two generations' locks at once. refs counts
-// the store's view plus every in-flight Scanner, Session, read, and drain;
-// the tree's blocks are reclaimed when it hits zero.
+// reads through the tree's own buffer manager, and the opening of a
+// session (which flushes it), are serialized by mu (the cache is not
+// thread-safe); Sessions read the old tree, and scans every tree, through
+// btree sessions with private caches, so no scan takes mu past its
+// session's open. A reader never holds two generations' locks at once.
+// refs counts the store's view plus every in-flight Scanner, Session,
+// read, and drain; the tree's blocks are reclaimed when it hits zero.
 //
 // mu is a one-slot channel, not a sync.Mutex: a send locks and a receive
 // unlocks. Its holder sleeps out disk latency, and a goroutine blocked on a
@@ -185,8 +188,9 @@ const scanFrames = 3
 // generation caches (old, young and the one a handover warms before it
 // swaps in; a handover that finds them short fails the drain with
 // pdm.ErrNoFrames, and the store then refuses writes), plus per-reader
-// frames — a Session's budget, 3 + 2·Width per open Scanner — so size it
-// with headroom.
+// frames — a Session's budget, 3 + 2·Width per open Scanner and twice
+// that for one whose range holds a live young key — so size it with
+// headroom.
 func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 	if cfg.CacheFrames == 0 {
 		cfg.CacheFrames = 8
@@ -373,60 +377,59 @@ func (g *generation) session(pool *pdm.Pool, cacheFrames, width int) (*btree.Ses
 	return g.tree.NewSessionOn(pool, cacheFrames, width)
 }
 
-// scan opens a scan of [lo, hi] over g's tree through a session of its own
-// on pool: scanFrames of cache and width leaf reads in flight.
-func (g *generation) scan(pool *pdm.Pool, width int, lo, hi uint64) (*btree.Session, *btree.Scanner, error) {
+// treeScan is a scan of one generation's tree through a read session of
+// its own, which closing the scan closes too.
+type treeScan struct {
+	*btree.Scanner
+	s    *Store
+	sess *btree.Session
+}
+
+func (t *treeScan) Close() {
+	t.Scanner.Close()
+	if err := t.sess.Close(); err != nil {
+		t.s.noteErr(err)
+	}
+}
+
+// openScan opens a scan of [lo, hi] over g's tree through a session of its
+// own on pool: scanFrames of cache and width leaf reads in flight.
+func (s *Store) openScan(g *generation, pool *pdm.Pool, width int, lo, hi uint64) (*treeScan, error) {
 	sess, err := g.session(pool, scanFrames, width)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sc, err := sess.NewScanner(lo, hi, nil)
 	if err != nil {
 		sess.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return sess, sc, nil
+	return &treeScan{Scanner: sc, s: s, sess: sess}, nil
 }
 
-// buildGen merges the sealed front into a scan of base — the old
+// buildGen stacks the sealed front over a scan of base — the old
 // generation, or the young one, or nothing for a young drain with no young
 // generation yet — with young's operations between the two when it is
-// given, and bulk-loads the result into a fresh tree, entirely on the
+// given, as a Scan stacks its layers (see layers), and bulk-loads the
+// result into a fresh tree, entirely on the
 // drain budget and at the drain width so foreground lookups keep disk
 // headroom; the finished tree is rehomed onto the store's pool and warmed
 // so descents after the swap are memory hits.
 func (s *Store) buildGen(sealed *overlay, base, young *generation) (*btree.Tree, error) {
-	var src stream.Source[record.Record] = noRecords{}
 	w := s.cfg.drainWidth()
-	if base != nil {
-		sess, sc, err := base.scan(s.drainPool, w, 0, ^uint64(0))
-		if err != nil {
-			return nil, err
-		}
-		defer sess.Close()
-		src = sc
-	}
-	if young != nil {
-		sess, sc, err := young.scan(s.drainPool, w, 0, ^uint64(0))
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		defer sess.Close()
-		src = patchOps(src, &youngOps{dir: young.dir, recs: sc})
-	}
 	// The sealed front is read here without mu. That is safe because it is
 	// immutable: sealLocked was its last write, and the handover drops it
 	// from the view by swapping the pointer, not by changing the overlay.
-	patch := patchOps(src, &opSource{runs: sealed.chunks})
-	l, err := btree.NewLoader(s.vol, s.drainPool, s.cfg.CacheFrames, &btree.BulkLoadOptions{Width: w})
+	patch, err := s.layers(s.drainPool, w, 0, ^uint64(0), base, young, sealed.chunks)
 	if err != nil {
-		patch.Close()
 		return nil, err
 	}
-	err = stream.Drain[record.Record](patch, l.Append)
-	patch.Close()
+	defer patch.Close()
+	l, err := btree.NewLoader(s.vol, s.drainPool, s.cfg.CacheFrames, &btree.BulkLoadOptions{Width: w})
 	if err != nil {
+		return nil, err
+	}
+	if err := stream.Drain[record.Record](patch, l.Append); err != nil {
 		l.Abort()
 		return nil, err
 	}

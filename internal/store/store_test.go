@@ -1,12 +1,15 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 
+	"em/internal/btree"
 	"em/internal/pdm"
 )
 
@@ -452,6 +455,66 @@ func TestStoreScannerSnapshot(t *testing.T) {
 		}
 		if live := vol.Allocated() - vol.FreeBlocks(); live != 0 {
 			t.Fatalf("block leak: %d live blocks after close", live)
+		}
+	})
+}
+
+// TestStoreScanUnwindsYoungSession gives a Scan whose range holds live
+// young keys a pool with room for the old tree's scan session but one
+// frame short of the young tree's beside it. The Scan must fail with
+// pdm.ErrNoFrames — what the admission gate waits on and retries — after
+// closing the session it did open: every frame back in the pool and both
+// generations' references as they were. One frame more, two whole
+// sessions, and it opens; with every frame back it serves the view.
+func TestStoreScanUnwindsYoungSession(t *testing.T) {
+	forEachBackend(t, testConfig(), func(t *testing.T, vol *pdm.Volume, pool *pdm.Pool) {
+		cfg := storeConfig()
+		s, err := Open(vol, pool, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		// An old tree of 600 keys and fronts of 100: k = 3, so the next
+		// front's threshold drain builds a young generation.
+		ref := map[uint64]uint64{}
+		preload(t, s, ref, 600, 50)
+		for k := uint64(0); k < uint64(cfg.FrontOps); k++ {
+			put(t, s, ref, 6*k+1, k)
+		}
+		if err := waitDrain(s); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.RLock()
+		gen, young := s.gen, s.young
+		s.mu.RUnlock()
+		if young == nil {
+			t.Fatal("the threshold drain built no young generation")
+		}
+		session := btree.SessionFrames(scanFrames, cfg.Width)
+		held, err := pool.AllocN(pool.Free() - (2*session - 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		free, refs, youngRefs := pool.Free(), gen.refs.Load(), young.refs.Load()
+		if _, err := s.Scan(0, ^uint64(0)); !errors.Is(err, pdm.ErrNoFrames) {
+			t.Fatalf("Scan without room for the young session = %v, want ErrNoFrames", err)
+		}
+		if got := pool.Free(); got != free {
+			t.Errorf("the failed Scan kept %d frames", free-got)
+		}
+		if gen.refs.Load() != refs || young.refs.Load() != youngRefs {
+			t.Errorf("the failed Scan left references old %d, young %d; want %d, %d",
+				gen.refs.Load(), young.refs.Load(), refs, youngRefs)
+		}
+		pdm.ReleaseAll(held[:1])
+		sc, err := s.Scan(0, ^uint64(0))
+		if err != nil {
+			t.Fatalf("Scan with room for both sessions: %v", err)
+		}
+		sc.Close()
+		pdm.ReleaseAll(held[1:])
+		if got := scanAll(t, s); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("the Scan with its frames back holds %d keys, want %d", len(got), len(ref))
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 
+	"em/internal/pdm"
 	"em/internal/record"
 	"em/internal/stream"
 )
@@ -18,8 +19,10 @@ var errYoungDir = errors.New("store: young tree disagrees with its key directory
 // key's newest operation is a delete, which hides whatever the old tree
 // holds for it. The young tree holds exactly the live keys, so a probe
 // that misses the directory goes to the old tree and one that hits a dead
-// key answers from memory: neither reads the young tree. The directory is
-// immutable once built; each young drain builds the next one.
+// key answers from memory: neither reads the young tree. A range is read
+// as youngOps: the directory's keys in range, each live one's value from a
+// scan of the young tree, which a range with no live key never opens. The
+// directory is immutable once built; each young drain builds the next one.
 //
 // Most probes miss — every get of a key no recent front touched — so a
 // Bloom filter answers them before the directory is searched.
@@ -120,71 +123,50 @@ func (d *keyDir) merge(front *overlay) *keyDir {
 	return out
 }
 
-// appendRange appends the young generation's operations on keys in
-// [lo, hi] to dst in key order: a live key with its value from the young
-// tree, a dead key as a tombstone, both with a Seq older than every front
-// operation's. The tree is read through its own cache, under its lock, and
-// only over the span of the live keys in range, so a range that holds none
-// costs no I/O.
-func (g *generation) appendRange(dst []Op, lo, hi uint64) ([]Op, error) {
-	d := g.dir
+// youngOps streams the young generation's operations on the keys of a
+// range as resolved operations: the directory's keys in range, keys[i:j],
+// in key order, a dead key as a tombstone and a live one with its value
+// from recs, a scan of the young tree over the live keys in range. Every
+// Seq is older than any front operation's, so a front patched over it
+// wins.
+type youngOps struct {
+	dir  *keyDir
+	i, j int
+	recs stream.Source[record.Record]
+}
+
+// openYoung opens young's operations on the keys in [lo, hi]. The young
+// tree holds exactly the directory's live keys, so its scan, a session of
+// its own on pool at width, spans only the first to the last live key in
+// range, and a range that holds none opens no session and reads no block.
+func (s *Store) openYoung(young *generation, pool *pdm.Pool, width int, lo, hi uint64) (*youngOps, error) {
+	d := young.dir
 	i, _ := d.find(lo)
-	j := i
-	for j < len(d.keys) && d.keys[j] <= hi {
+	j, in := d.find(hi)
+	if in {
 		j++
 	}
-	first, last := -1, -1
-	for x := i; x < j; x++ {
-		if !d.isDead(x) {
-			if first < 0 {
-				first = x
-			}
-			last = x
-		}
+	first, last := i, j-1
+	for first < j && d.isDead(first) {
+		first++
 	}
-	if first >= 0 {
-		g.mu <- struct{}{}
-		err := g.tree.Range(d.keys[first], d.keys[last], func(k, v uint64) error {
-			for ; i < j && d.keys[i] < k; i++ {
-				if !d.isDead(i) {
-					return errYoungDir
-				}
-				dst = append(dst, Op{Key: d.keys[i], Seq: 1})
-			}
-			if i == j || d.keys[i] != k || d.isDead(i) {
-				return errYoungDir
-			}
-			dst = append(dst, Op{Key: k, Val: v})
-			i++
-			return nil
-		})
-		<-g.mu
+	for last > first && d.isDead(last) {
+		last--
+	}
+	y := &youngOps{dir: d, i: i, j: j, recs: noRecords{}}
+	if first < j {
+		sc, err := s.openScan(young, pool, width, d.keys[first], d.keys[last])
 		if err != nil {
 			return nil, err
 		}
+		y.recs = sc
 	}
-	for ; i < j; i++ {
-		if !d.isDead(i) {
-			return nil, errYoungDir
-		}
-		dst = append(dst, Op{Key: d.keys[i], Seq: 1})
-	}
-	return dst, nil
-}
-
-// youngOps streams the young generation as resolved operations for a full
-// merge: its directory in key order, a dead key as a tombstone and a live
-// one with its value from recs, a scan of the young tree. Every Seq is
-// older than any front operation's, so the front patched over it wins.
-type youngOps struct {
-	dir  *keyDir
-	i    int
-	recs stream.Source[record.Record]
+	return y, nil
 }
 
 func (y *youngOps) Next() (Op, bool, error) {
 	d := y.dir
-	if y.i == len(d.keys) {
+	if y.i >= y.j {
 		return Op{}, false, nil
 	}
 	i := y.i
