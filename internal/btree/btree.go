@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"em/internal/cache"
@@ -77,6 +78,8 @@ type Tree struct {
 	gate       *index.Gate
 	admitQueue int
 	admitWait  time.Duration
+
+	spare sync.Pool // closed sessions' private pools, for the next session (NewSessionOn)
 }
 
 // Options normalizes tree construction onto the option-struct convention

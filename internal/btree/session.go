@@ -88,7 +88,14 @@ func (t *Tree) NewSessionOn(pool *pdm.Pool, cacheFrames, width int) (*Session, e
 	if err != nil {
 		return nil, err
 	}
-	priv := pdm.NewPool(t.vol.BlockBytes(), budget)
+	// The private pool allocates the buffers the session reads into. A
+	// closed session's pool, every frame back in it, serves the tree's next
+	// session of the same budget, so a session opened on a tree that has
+	// served one allocates no buffer: a Scan opens one per generation.
+	priv, _ := t.spare.Get().(*pdm.Pool)
+	if priv == nil || priv.Capacity() != budget {
+		priv = pdm.NewPool(t.vol.BlockBytes(), budget)
+	}
 	c, err := cache.New(t.vol, priv, cacheFrames)
 	if err != nil {
 		pdm.ReleaseAll(reserve)
@@ -135,5 +142,8 @@ func (s *Session) Close() error {
 	err := s.cache.Close()
 	pdm.ReleaseAll(s.reserve)
 	s.reserve = nil
+	if s.pool.InUse() == 0 {
+		s.t.spare.Put(s.pool)
+	}
 	return err
 }
