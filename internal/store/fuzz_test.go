@@ -45,7 +45,7 @@ const (
 	schedSessOpen          // NewSession, while fewer than two are open
 	schedSessGet           // which, key: Get through an open Session
 	schedSessClose         // which: close an open Session
-	schedStartDrain        // StartDrain
+	schedStartDrain        // wait: StartDrain; if wait is odd, wait the drain out
 	schedDrain             // Drain
 	schedWait              // wait out the drain in flight
 	schedOps
@@ -219,10 +219,23 @@ func runSchedule(t *testing.T, backend string, vc pdm.Config, b []byte) {
 				sessions = append(sessions[:i], sessions[i+1:]...)
 			}
 		case schedStartDrain:
-			s.StartDrain()
+			idle, wait := !s.Draining(), in.next()&1 == 1
+			if s.StartDrain() && wait {
+				if err := waitDrain(s); err != nil {
+					fail(step, "drain: %v", err)
+				}
+				// A drain StartDrain starts compacts, and nothing sealed a
+				// front behind it.
+				if idle && generations(s) != 1 {
+					fail(step, "StartDrain's drain left %d generations", generations(s))
+				}
+			}
 		case schedDrain:
 			if err := s.Drain(); err != nil {
 				fail(step, "Drain: %v", err)
+			}
+			if g := generations(s); g != 1 {
+				fail(step, "Drain left %d generations", g)
 			}
 		case schedWait:
 			if err := waitDrain(s); err != nil {
