@@ -50,7 +50,7 @@ var benchSink uint64
 // scan that walks the front makes it the ratio of the fronts. In young the
 // view holds, beside the same old generation and an empty front, a young
 // generation of k − 1 = 3 fronts of 32 768 ops (k = ⌊√(2·2^18/32 768)⌋ =
-// 4), about 96 of whose keys fall in each range: the price of its layer
+// 4), about 80 of whose keys fall in each range: the price of its layer
 // and its scan session.
 func BenchmarkStoreScan(b *testing.B) {
 	const (
