@@ -120,11 +120,14 @@ cover:
 # random records in 512 frames), and last the file backend's buffered read
 # (BenchmarkFileRead in internal/pdm: ns/block and allocs/block for random
 # single-block reads of a warmed file volume at 4080-byte blocks, copied out
-# of the disk files' mappings; allocs/block is 0). In those one iteration is
-# a fixed batch, the per-item cost its own column; -benchtime 3x keeps each
-# at three iterations.
+# of the disk files' mappings; allocs/block is 0), and the sharded scan
+# (BenchmarkShardedScan in internal/shard: ns/record and allocs/scan for a
+# full scan of 4 shards × 2^16 records, stitched a leaf at a time, stitched
+# a record at a time, and each shard's own scan in turn). In those one
+# iteration is a fixed batch, the per-item cost its own column; -benchtime
+# 3x keeps each at three iterations.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache ./internal/btree ./internal/stream ./internal/pdm
+	$(GO) test -run xxx -bench . -benchtime 3x . ./internal/extsort ./internal/store ./internal/cache ./internal/btree ./internal/stream ./internal/pdm ./internal/shard
 
 # The repo benchmark (BENCHMARK.json, bench/) is a module of its own that
 # `go build ./...` does not reach; its smoke test runs every workload at

@@ -172,7 +172,11 @@
 // never a per-key pass) and fans the per-shard sub-batches out
 // concurrently, each shard deduping and striping its piece over its own
 // disks; Scan stitches per-shard scanners in shard order — which range
-// partitioning makes key order — behind one Scanner; NewSession composes
+// partitioning makes key order — behind one Scanner, pulling a tree
+// shard's records a leaf at a time (BTreeScanner.NextBatch) into one
+// buffer, so a stitched scan holds one leaf of decoded records, at most
+// one block of bytes, on the heap beside its 2×Width pool frames (a reversed
+// range, lo > hi, opens no shard and takes no frame); NewSession composes
 // per-shard sessions, each with its reserved budget on its shard's pool;
 // ShardedStore routes Insert/Delete to the owning shard's write front,
 // and the shards seal and drain independently, so one shard's
@@ -747,7 +751,11 @@ type ScanOptions = btree.ScanOptions
 
 // BTreeScanner streams a key range in order with its leaf reads batched
 // and kept in flight. It implements the stream Source shape over Record,
-// so a scan can feed anything a file reader can.
+// so a scan can feed anything a file reader can. NextBatch hands out the
+// rest of the current leaf's records at once, never crossing a leaf, so a
+// caller draining it that way holds one leaf of decoded records, at most
+// one block of bytes, on the heap beside the scan's 2×Width pool frames;
+// Next and NextBatch may interleave and read the same blocks.
 type BTreeScanner = btree.Scanner
 
 // BTreeSession is a read-only query handle over a shared BTree: a private
@@ -882,7 +890,12 @@ type ShardedStore = shard.Store
 type ShardedStoreOptions = shard.StoreOptions
 
 // ShardedScanner stitches per-shard scanners into one key-ordered stream —
-// range partitioning makes concatenation in shard order the merge.
+// range partitioning makes concatenation in shard order the merge. A tree
+// shard is drained a leaf at a time through BTreeScanner.NextBatch into
+// one buffer reused across shards, so the stitched scan holds one leaf of
+// decoded records, at most one block of bytes, on the heap beside the open
+// shard scanner's 2×Width pool frames; a store shard is read a record at a
+// time.
 type ShardedScanner = shard.Scanner
 
 // ShardedSession composes per-shard read sessions, each with its own

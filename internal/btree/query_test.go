@@ -1,7 +1,9 @@
 package btree
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -211,10 +213,80 @@ func scanAll(t testing.TB, sc *Scanner) (ks, vs []uint64) {
 	return ks, vs
 }
 
+// leafOfKey maps every key in the tree to the address of the leaf holding
+// it, walking the leaf chain through the tree's cache.
+func leafOfKey(t testing.TB, tr *Tree) map[uint64]int64 {
+	t.Helper()
+	addr := tr.root
+	for level := tr.height; level > 1; level-- {
+		p, err := tr.cache.Pin(addr, internal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr = tr.child(p, 0)
+		tr.cache.Unpin(p)
+	}
+	leaf := map[uint64]int64{}
+	for addr >= 0 {
+		p, err := tr.cache.Pin(addr, !internal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < count(p); i++ {
+			leaf[bufLeafKey(p.Buf, i)] = addr
+		}
+		next := nextLeaf(p)
+		tr.cache.Unpin(p)
+		addr = next
+	}
+	return leaf
+}
+
+// scanMixed drains sc through a seeded mix of Next and NextBatch, reusing
+// one batch buffer, and returns the records and the batches NextBatch
+// handed out. After the last record both methods must report the end with
+// no error.
+func scanMixed(t testing.TB, sc *Scanner, rng *rand.Rand) (recs []record.Record, batches [][]record.Record) {
+	t.Helper()
+	var buf []record.Record
+	for {
+		if rng.Intn(2) == 0 {
+			r, ok, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			recs = append(recs, r)
+			continue
+		}
+		var err error
+		buf, err = sc.NextBatch(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) == 0 {
+			break
+		}
+		recs = append(recs, buf...)
+		batches = append(batches, slices.Clone(buf))
+	}
+	if b, err := sc.NextBatch(buf); len(b) != 0 || err != nil {
+		t.Fatalf("NextBatch after the end: %d records, err %v", len(b), err)
+	}
+	if _, ok, err := sc.Next(); ok || err != nil {
+		t.Fatalf("Next after the end: ok=%v err=%v", ok, err)
+	}
+	return recs, batches
+}
+
 // TestQuickScannerMatchesRange: from the same cache state, a prefetched
 // scan must return exactly Range's records in order while counting no more
 // reads, across random trees (inserted and bulk-loaded, with deletions),
-// bounds, and widths.
+// bounds, and widths. The scan drains through a seeded mix of Next and
+// NextBatch: no batch crosses a leaf, and after Close both methods report
+// stream.ErrClosed.
 func TestQuickScannerMatchesRange(t *testing.T) {
 	prop := func(seedRaw uint32, nRaw uint16, widthRaw, disksRaw uint8, inserted bool) bool {
 		rng := rand.New(rand.NewSource(int64(seedRaw)))
@@ -276,17 +348,24 @@ func TestQuickScannerMatchesRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sKeys, sVals := scanAll(t, sc)
+		recs, batches := scanMixed(t, sc, rng)
 		scanReads := vol.Stats().Snapshot().Reads
+		sc.Close()
+		if _, ok, err := sc.Next(); ok || !errors.Is(err, stream.ErrClosed) {
+			t.Fatalf("Next after Close: ok=%v err=%v", ok, err)
+		}
+		if b, err := sc.NextBatch(nil); len(b) != 0 || !errors.Is(err, stream.ErrClosed) {
+			t.Fatalf("NextBatch after Close: %d records, err %v", len(b), err)
+		}
 
-		if len(sKeys) != len(rKeys) {
+		if len(recs) != len(rKeys) {
 			t.Logf("n=%d lo=%d hi=%d w=%d: scanner %d records, range %d",
-				n, lo, hi, width, len(sKeys), len(rKeys))
+				n, lo, hi, width, len(recs), len(rKeys))
 			return false
 		}
 		for i := range rKeys {
-			if sKeys[i] != rKeys[i] || sVals[i] != rVals[i] {
-				t.Logf("record %d: scanner (%d,%d) range (%d,%d)", i, sKeys[i], sVals[i], rKeys[i], rVals[i])
+			if recs[i].Key != rKeys[i] || recs[i].Val != rVals[i] {
+				t.Logf("record %d: scanner (%d,%d) range (%d,%d)", i, recs[i].Key, recs[i].Val, rKeys[i], rVals[i])
 				return false
 			}
 		}
@@ -294,6 +373,16 @@ func TestQuickScannerMatchesRange(t *testing.T) {
 			t.Logf("n=%d lo=%d hi=%d w=%d inserted=%v: scan %d reads > range %d",
 				n, lo, hi, width, inserted, scanReads, rangeReads)
 			return false
+		}
+		leaf := leafOfKey(t, tr)
+		for _, b := range batches {
+			for _, r := range b {
+				if leaf[r.Key] != leaf[b[0].Key] {
+					t.Logf("one batch holds key %d of leaf %d and key %d of leaf %d",
+						b[0].Key, leaf[b[0].Key], r.Key, leaf[r.Key])
+					return false
+				}
+			}
 		}
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
@@ -305,6 +394,79 @@ func TestQuickScannerMatchesRange(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScannerFaultSticks fails a leaf read in the middle of a scan with a
+// FaultPlan crash point: the error reaches the caller through whichever
+// method asked, then sticks on both Next and NextBatch, and Close returns
+// every frame the scan took.
+func TestScannerFaultSticks(t *testing.T) {
+	const n = 1500
+	env := func(fault *pdm.FaultPlan) (*pdm.Volume, *pdm.Pool, *Tree) {
+		vol := pdm.MustVolume(pdm.Config{BlockBytes: 256, MemBlocks: 96, Disks: 2, Fault: fault})
+		pool := pdm.PoolFor(vol)
+		return vol, pool, bulkTree(t, vol, pool, n, &BulkLoadOptions{Width: 2})
+	}
+	// A fault-free twin counts the transfers of the build and of the scan.
+	vol, pool, tr := env(nil)
+	st := vol.Stats().Snapshot()
+	pre := int64(st.Reads + st.Writes)
+	sc, err := tr.NewScanner(pool, 0, ^uint64(0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, _ := scanMixed(t, sc, rand.New(rand.NewSource(1))); len(recs) != n {
+		t.Fatalf("clean scan returned %d records, want %d", len(recs), n)
+	}
+	sc.Close()
+	scan := int64(vol.Stats().Snapshot().Reads) - int64(st.Reads)
+	if scan < 8 {
+		t.Fatalf("the scan read %d blocks; the test needs leaves to fail", scan)
+	}
+
+	for _, batched := range []bool{false, true} {
+		vol, pool, tr := env(&pdm.FaultPlan{FailAfter: pre + scan/2})
+		free := pool.Free()
+		sc, err := tr.NewScanner(pool, 0, ^uint64(0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got int
+		var buf []record.Record
+		for err == nil {
+			if batched {
+				buf, err = sc.NextBatch(buf)
+				got += len(buf)
+				if err == nil && len(buf) == 0 {
+					t.Fatal("the scan ended on a dead disk")
+				}
+				continue
+			}
+			var ok bool
+			if _, ok, err = sc.Next(); ok {
+				got++
+			} else if err == nil {
+				t.Fatal("the scan ended on a dead disk")
+			}
+		}
+		if !errors.Is(err, pdm.ErrFaulted) {
+			t.Fatalf("batched=%v: scan failed with %v, want ErrFaulted", batched, err)
+		}
+		if got == 0 || got >= n {
+			t.Fatalf("batched=%v: the fault fired after %d of %d records", batched, got, n)
+		}
+		if _, ok, err := sc.Next(); ok || !errors.Is(err, pdm.ErrFaulted) {
+			t.Fatalf("batched=%v: Next after the fault: ok=%v err=%v", batched, ok, err)
+		}
+		if b, err := sc.NextBatch(buf); len(b) != 0 || !errors.Is(err, pdm.ErrFaulted) {
+			t.Fatalf("batched=%v: NextBatch after the fault: %d records, err %v", batched, len(b), err)
+		}
+		sc.Close()
+		if pool.Free() != free {
+			t.Fatalf("batched=%v: %d frames free after Close, %d before the scan", batched, pool.Free(), free)
+		}
+		vol.Close()
 	}
 }
 

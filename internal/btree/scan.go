@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"encoding/binary"
+	"slices"
 	"time"
 
 	"em/internal/cache"
@@ -75,6 +77,9 @@ type leafGroup struct {
 // bulk load of a second tree. The scanner holds 2×Width frames from the
 // pool it was created with and pins cache pages only transiently (plus any
 // resident leaves of the two live groups); Close releases everything.
+// NextBatch hands out a leaf's records at a time: a caller draining it so
+// (the sharded scanner does) holds one leaf of decoded records, at most
+// one block of bytes, on the heap beside the 2×Width pool frames.
 //
 // A Scanner must not overlap tree mutations, like Range.
 type Scanner struct {
@@ -421,6 +426,55 @@ func (s *Scanner) Next() (record.Record, bool, error) {
 		return record.Record{Key: k, Val: v}, true, nil
 	}
 	return zero, false, nil
+}
+
+// NextBatch appends the rest of the current leaf's records in [lo, hi] to
+// dst[:0] and returns it, opening the next leaf first when the current one
+// is used up. It never crosses a leaf, so a batch holds at most one leaf's
+// records — one block of bytes, decoded — and it grows dst at most once per
+// call, to the leaf's record count, so a caller that hands the same buffer
+// back allocates it once per scan. An empty batch with a nil error means
+// the scan is done. Leaves open through the same path as Next's, so reads,
+// forecasting and booking do not depend on which method drains the scan,
+// and the two may interleave; an error, and stream.ErrClosed after Close,
+// sticks on both.
+func (s *Scanner) NextBatch(dst []record.Record) ([]record.Record, error) {
+	dst = dst[:0]
+	if s.closed {
+		return dst, stream.ErrClosed
+	}
+	if s.err != nil {
+		return dst, s.err
+	}
+	for !s.done {
+		if s.buf == nil {
+			if err := s.openLeaf(); err != nil {
+				s.err = err
+				return dst, err
+			}
+			continue
+		}
+		if s.pos >= s.cnt {
+			s.buf = nil
+			continue
+		}
+		end := s.cnt
+		if bufLeafKey(s.buf, end-1) > s.hi {
+			// The scan ends in this leaf; hi is below a key, so hi+1
+			// does not wrap, and a range with lo > hi ends at its start.
+			end = max(s.pos, bufSearchLeafSlot(s.buf, s.hi+1))
+			s.done = true
+		}
+		dst = slices.Grow(dst, s.cnt)
+		// The records in bufLeafKey's and bufLeafVal's layout, walked
+		// without a bound check per record.
+		for d := s.buf[offData+16*s.pos : offData+16*end]; len(d) >= 16; d = d[16:] {
+			dst = append(dst, record.Record{Key: binary.LittleEndian.Uint64(d), Val: binary.LittleEndian.Uint64(d[8:])})
+		}
+		s.pos = end
+		return dst, nil
+	}
+	return dst, nil
 }
 
 // Close releases every frame and pin. In-flight reads need no wait: their

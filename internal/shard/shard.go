@@ -13,7 +13,8 @@
 // never a per-key routing pass — and the per-shard sub-batches fan out
 // concurrently, each shard answering on its own disks. Cross-shard scans
 // concatenate per-shard scanners in shard order, which is key order,
-// behind one stream.Source. Sessions compose per-shard sessions, each with
+// behind one stream.Source, pulling a tree shard's records a leaf at a
+// time. Sessions compose per-shard sessions, each with
 // its reserved budget on its own shard's pool. Writes (shard.Store) route
 // to the owning shard's write front, and background drains proceed per
 // shard.

@@ -179,6 +179,9 @@ func TestValidateSplits(t *testing.T) {
 // are record-identical, and the sharded layout's aggregated reads stay
 // within S times the reference's (each of the S trees is at most as tall
 // as the reference, so no descent pays more than the single-volume one).
+// Every sharded scan is drained twice from the same cold caches, a leaf at
+// a time and with NextBatch hidden, and both drains return the same
+// records at the same reads and steps.
 func TestShardedTreeQuickMatchesReference(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, file bool) {
 		rng := rand.New(rand.NewSource(42))
@@ -263,11 +266,8 @@ func TestShardedTreeQuickMatchesReference(t *testing.T) {
 				if r == 0 {
 					lo, hi = 0, ^uint64(0)
 				}
-				shardedScan, err := sharded.Scan(lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := drainScanner(t, shardedScan)
+				got, gotIO := coldScan(t, sharded, pools, lo, hi, false)
+				next, nextIO := coldScan(t, sharded, pools, lo, hi, true)
 				refScan, err := reference.Scan(lo, hi)
 				if err != nil {
 					t.Fatal(err)
@@ -275,6 +275,12 @@ func TestShardedTreeQuickMatchesReference(t *testing.T) {
 				want := drainScanner(t, refScan)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("scan [%d,%d] disagrees: %d vs %d records", lo, hi, len(got), len(want))
+				}
+				if !reflect.DeepEqual(next, want) {
+					t.Fatalf("per-record scan [%d,%d] disagrees: %d vs %d records", lo, hi, len(next), len(want))
+				}
+				if gotIO != nextIO {
+					t.Fatalf("scan [%d,%d]: %+v (reads, steps) a leaf at a time, %+v a record at a time", lo, hi, gotIO, nextIO)
 				}
 			}
 		}

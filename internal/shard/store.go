@@ -81,8 +81,12 @@ func (s *Store) Delete(key uint64) error {
 // shards. Every shard's snapshot scanner is opened here, before the first
 // Next, so the cut each shard sees is taken at Scan time — lazy opening
 // would let a late shard's snapshot include writes made after the scan
-// began.
+// began. A range with lo > hi holds no key: its scanner opens no shard
+// scanner and pins no snapshot.
 func (s *Store) Scan(lo, hi uint64) (index.Scanner, error) {
+	if lo > hi {
+		return &Scanner{}, nil
+	}
 	first, last := ownerOf(s.splits, lo), ownerOf(s.splits, hi)
 	segs := make([]scanSeg, 0, last-first+1)
 	for i := first; i <= last; i++ {

@@ -59,7 +59,11 @@ func (t *Tree) Warm() error {
 
 // Scan streams the records with keys in [lo, hi] in key order across
 // shards: per-shard scanners opened lazily, concatenated in shard order.
+// A range with lo > hi holds no key: its scanner opens no shard scanner.
 func (t *Tree) Scan(lo, hi uint64) (index.Scanner, error) {
+	if lo > hi {
+		return &Scanner{}, nil
+	}
 	first, last := ownerOf(t.splits, lo), ownerOf(t.splits, hi)
 	segs := make([]scanSeg, 0, last-first+1)
 	for i := first; i <= last; i++ {
