@@ -221,13 +221,16 @@ func BenchmarkStoreFrontOps(b *testing.B) {
 	)
 	// fullFronts opens a store holding front ops in each overlay. The
 	// sealed one is installed by hand and stays — a drain that never
-	// finishes — so no background work runs beside the measurement.
+	// finishes — so no background work runs beside the measurement. The
+	// fronts seal at front + batch ops, so their filters are sized as the
+	// store sizes them for that threshold and insert-fresh's batch fills
+	// the front to it, never past.
 	fullFronts := func(b *testing.B, rng *rand.Rand) (*Store, func()) {
-		s, done := openBench(b)
+		s, done := openBenchFront(b, front+batch)
 		for i := 0; i < 2*front; i++ {
 			if i == front {
 				s.mu.Lock()
-				s.sealedMem, s.frontMem = s.frontMem, &overlay{}
+				s.sealedMem, s.frontMem, s.frontOps = s.frontMem, s.newFront(), 0
 				s.mu.Unlock()
 			}
 			if err := s.Insert(rng.Uint64(), 1); err != nil {
@@ -274,7 +277,7 @@ func BenchmarkStoreFrontOps(b *testing.B) {
 				get = sess.Get
 			}
 			if tc.young {
-				ops := &overlay{}
+				ops := newOverlay(3 * front)
 				for i := 0; i < 3*front; i++ {
 					ops.put(Op{Key: rng.Uint64(), Seq: uint64(i)<<1 | uint64(i&1)})
 				}
@@ -301,14 +304,16 @@ func BenchmarkStoreFrontOps(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlay times the overlay alone at a full front — put of a fresh
-// random key, get of an absent key through a fresh finger, and the same
-// get through one finger over sorted 32-key batches (one shard's half of a 64-key GetBatch): the
-// numbers chunkOps and the search loops were picked on.
+// BenchmarkOverlay times the overlay alone at a full front, its filter
+// sized as the store sizes one for a threshold of front ops — put of a
+// fresh random key, get of an absent key through a fresh finger, and the
+// same get through one finger over sorted 32-key batches (one shard's half
+// of a 64-key GetBatch): the numbers chunkOps and the search loops were
+// picked on.
 func BenchmarkOverlay(b *testing.B) {
 	const front = 32768
 	fill := func(rng *rand.Rand) *overlay {
-		o := &overlay{}
+		o := newOverlay(frontRoom(front))
 		for i := 0; i < front; i++ {
 			o.put(Op{Key: rng.Uint64(), Val: 1, Seq: uint64(i) << 1})
 		}

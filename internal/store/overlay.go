@@ -33,11 +33,30 @@ const chunkOps = 64
 // full (24 to 48 bytes per op). put and a finger's probe cost O(log F) for a
 // front of F ops, appendRange O(log F + k) for k results.
 //
+// Most probes of a front miss — every get of a key no recent write
+// touched — so each overlay keeps a filter of its keys, and a probe it
+// rules out costs one word instead of the two searches. The filter has
+// room for a number of keys fixed at newOverlay, 12 bits each; a put that
+// takes the overlay past its room doubles the room and rebuilds the filter
+// from the chunks. The store sizes a front's room from its seal threshold
+// (Store.newFront), so only a front that outgrows the threshold while a
+// drain runs ever rebuilds.
+//
 // An overlay is not safe for concurrent use; the store guards it with mu
 // until it is sealed, and never writes it after that.
 type overlay struct {
 	first  []uint64 // first[c] == chunks[c][0].Key
 	chunks [][]Op   // each key-sorted and non-empty
+	keys   int      // keys held
+	room   int      // keys the filter is sized for
+	filter filter   // every key held
+}
+
+// newOverlay returns an empty overlay whose filter has room for room keys,
+// one at least.
+func newOverlay(room int) *overlay {
+	room = max(room, 1)
+	return &overlay{room: room, filter: newFilter(room)}
 }
 
 // The two binary searches below take each comparison as a number — the
@@ -76,13 +95,17 @@ func lowerBound(ch []Op, key uint64) int {
 	return base
 }
 
-// put records op as the newest operation on its key.
+// put records op as the newest operation on its key. It sets the key's
+// filter bits first, which an overwrite leaves as they were, so that
+// memory access overlaps the directory search.
 func (o *overlay) put(op Op) {
+	o.filter.add(op.Key)
 	if len(o.chunks) == 0 {
 		ch := make([]Op, 1, chunkOps)
 		ch[0] = op
 		o.first = append(o.first, op.Key)
 		o.chunks = append(o.chunks, ch)
+		o.keys = 1
 		return
 	}
 	c := chunkOf(o.first, op.Key)
@@ -110,6 +133,21 @@ func (o *overlay) put(op Op) {
 	o.chunks[c] = ch
 	if i == 0 {
 		o.first[c] = op.Key
+	}
+	if o.keys++; o.keys > o.room {
+		o.grow()
+	}
+}
+
+// grow doubles the overlay's room and rebuilds its filter from the chunks,
+// which already hold the key whose put called it.
+func (o *overlay) grow() {
+	o.room *= 2
+	o.filter = newFilter(o.room)
+	for _, ch := range o.chunks {
+		for _, op := range ch {
+			o.filter.add(op.Key)
+		}
 	}
 }
 
@@ -150,10 +188,11 @@ type finger struct {
 }
 
 // get returns the newest operation on key, if the overlay holds one,
-// searching from the finger's position.
+// searching from the finger's position. A key the overlay's filter rules
+// out is absent without a search.
 func (f *finger) get(key uint64) (Op, bool) {
 	first := f.o.first
-	if len(first) == 0 || key < first[0] {
+	if !f.o.filter.mayHold(key) || key < first[0] {
 		return Op{}, false // the position stands: it is still that of last
 	}
 	c, i := f.c, f.i

@@ -95,6 +95,7 @@ func checkAgainst(t *testing.T, o *overlay, ref refOverlay, rng *rand.Rand, prob
 	for i, op := range all {
 		keys[i] = op.Key
 	}
+	checkFilter(t, o, keys)
 	pick := func() uint64 {
 		if len(keys) == 0 || rng.Intn(3) == 0 {
 			return rng.Uint64() // absent, almost surely
@@ -166,6 +167,23 @@ func checkAgainst(t *testing.T, o *overlay, ref refOverlay, rng *rand.Rand, prob
 	}
 }
 
+// checkFilter checks that the overlay counts keys, its room covers them,
+// and its filter reports every one.
+func checkFilter(t *testing.T, o *overlay, keys []uint64) {
+	t.Helper()
+	if o.keys != len(keys) || o.room < o.keys {
+		t.Fatalf("overlay counts %d keys in room for %d, holds %d", o.keys, o.room, len(keys))
+	}
+	if want := len(newFilter(o.room)); len(o.filter) != want {
+		t.Fatalf("filter of %d words for room %d, want %d", len(o.filter), o.room, want)
+	}
+	for _, k := range keys {
+		if !o.filter.mayHold(k) {
+			t.Fatalf("the filter rules out held key %d (%d keys, room %d)", k, len(keys), o.room)
+		}
+	}
+}
+
 // checkFinger compares a finger-driven batch with per-key get.
 func checkFinger(t *testing.T, o *overlay, batch []uint64, what string) {
 	t.Helper()
@@ -181,15 +199,19 @@ func checkFinger(t *testing.T, o *overlay, batch []uint64, what string) {
 
 // TestOverlayMatchesMap drives random puts — fresh keys, overwrites,
 // tombstones — into the overlay and a hash map, in ascending, descending
-// and random key order, and compares them after every few operations and
-// at every size that straddles a chunk split.
+// and random key order, and compares them after every few operations, at
+// every size that straddles a chunk split and after every growth of the
+// filter's room: the overlay starts with room for a third of its final
+// size, so all but the smallest sizes grow it. Each check includes the
+// filter reporting every held key; so does the directory a drain builds
+// from the overlay once it is sealed.
 func TestOverlayMatchesMap(t *testing.T) {
 	sizes := []int{chunkOps - 1, chunkOps, chunkOps + 1, 2*chunkOps + 1, 32768}
 	for _, order := range []string{"ascending", "descending", "random"} {
 		for _, size := range sizes {
 			t.Run(fmt.Sprintf("%s/%d", order, size), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(size)*31 + int64(len(order))))
-				o := &overlay{}
+				o := newOverlay(size / 3)
 				ref := refOverlay{}
 				// Edge keys go in on every order, early or late.
 				fresh := make([]uint64, size)
@@ -206,14 +228,17 @@ func TestOverlayMatchesMap(t *testing.T) {
 				}
 				every := max(size/24, 1)
 				var seq uint64
+				grown := false
 				put := func(k uint64) {
 					seq++
 					op := Op{Key: k, Val: rng.Uint64(), Seq: seq << 1}
 					if rng.Intn(4) == 0 {
 						op.Val, op.Seq = 0, op.Seq|1
 					}
+					room := o.room
 					o.put(op)
 					ref[k] = op
+					grown = grown || o.room != room
 				}
 				for i, k := range fresh {
 					put(k)
@@ -224,11 +249,22 @@ func TestOverlayMatchesMap(t *testing.T) {
 					for _, s := range sizes {
 						near = near || (len(ref) >= s-1 && len(ref) <= s+1)
 					}
-					if near || i%every == 0 {
+					if near || grown || i%every == 0 {
 						checkAgainst(t, o, ref, rng, 8)
+						grown = false
 					}
 				}
 				checkAgainst(t, o, ref, rng, 64)
+				if o.room == size/3 {
+					t.Fatalf("%d keys never grew the room of %d", size, o.room)
+				}
+				// Sealed: a drain builds the young directory from it.
+				d := (*keyDir)(nil).merge(o)
+				for k := range ref {
+					if !o.filter.mayHold(k) || !d.filter.mayHold(k) {
+						t.Fatalf("after the seal a filter rules out held key %d: front %v, directory %v", k, o.filter.mayHold(k), d.filter.mayHold(k))
+					}
+				}
 
 				// The finger: present keys, their absent neighbours and
 				// random keys, as a sorted batch, the same with every key
@@ -255,7 +291,7 @@ func TestOverlayMatchesMap(t *testing.T) {
 
 // TestOverlayEmpty pins the zero overlay: nothing found, nothing in range.
 func TestOverlayEmpty(t *testing.T) {
-	o := &overlay{}
+	o := newOverlay(0)
 	if _, ok := o.get(7); ok {
 		t.Fatal("get on an empty overlay found something")
 	}
@@ -272,7 +308,7 @@ func TestOverlayEmpty(t *testing.T) {
 // keys inside it: a miss below the first chunk must leave the finger
 // usable for whatever comes next, larger or smaller.
 func TestFingerBelowFirst(t *testing.T) {
-	o := &overlay{}
+	o := newOverlay(0)
 	for k := uint64(1000); k < 1000+3*chunkOps; k++ {
 		o.put(Op{Key: k, Val: k, Seq: k << 1})
 	}
@@ -293,7 +329,7 @@ func TestKeyDirMatchesMap(t *testing.T) {
 	var d *keyDir
 	seq := uint64(0)
 	for front := 0; front < 6; front++ {
-		o := &overlay{}
+		o := newOverlay(3000)
 		for i := 0; i < 3000; i++ {
 			k := uint64(rng.Intn(20000)) * 3
 			seq++
@@ -315,7 +351,7 @@ func TestKeyDirMatchesMap(t *testing.T) {
 			if dead, ok := ref[k]; !ok || dead != d.isDead(i) {
 				t.Fatalf("front %d: key %d dead=%v, want present=%v dead=%v", front, k, d.isDead(i), ok, dead)
 			}
-			if !d.mayHold(k) {
+			if !d.filter.mayHold(k) {
 				t.Fatalf("front %d: the filter rules out held key %d", front, k)
 			}
 		}
@@ -326,12 +362,87 @@ func TestKeyDirMatchesMap(t *testing.T) {
 			if ok != want || i != sort.Search(len(d.keys), func(j int) bool { return d.keys[j] >= probe }) {
 				t.Fatalf("front %d: find(%d) = (%d, %v)", front, probe, i, ok)
 			}
-			if !want && d.mayHold(probe) {
+			if !want && d.filter.mayHold(probe) {
 				passed++
 			}
 		}
 		if absent := 60000 - len(ref); passed > absent/50 {
 			t.Errorf("front %d: the filter passed %d of %d absent keys", front, passed, absent)
+		}
+	}
+}
+
+// TestOverlayGrowthKeepsInsertingKey grows an overlay from room for one key
+// to 2^16 keys and checks, after every put that grew it, that the rebuilt
+// filter reports the key that put inserted: a rebuild from the chunks
+// before that key is in them would lose it.
+func TestOverlayGrowthKeepsInsertingKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	o := newOverlay(0)
+	growths := 0
+	for o.keys < 1<<16 {
+		k, room := rng.Uint64(), o.room
+		o.put(Op{Key: k, Seq: uint64(o.keys) << 1})
+		if o.room == room {
+			continue
+		}
+		growths++
+		if o.room != 2*room || o.keys != room+1 {
+			t.Fatalf("at %d keys the room went %d -> %d", o.keys, room, o.room)
+		}
+		if !o.filter.mayHold(k) {
+			t.Fatalf("growth to room %d dropped the inserting key %d", o.room, k)
+		}
+	}
+	if growths != 16 {
+		t.Fatalf("%d growths from one key to 2^16, want 16", growths)
+	}
+}
+
+// TestFilterFalsePositives fills store-file's front (a 32 768-op seal
+// threshold) to the full room of its filter and the young directory a
+// store-file shard holds before its compaction (three such fronts), and
+// counts how many of 2^16 absent keys each filter passes: at most 2 %.
+func TestFilterFalsePositives(t *testing.T) {
+	const front, probes = 32768, 1 << 16
+	rng := rand.New(rand.NewSource(49))
+	o := newOverlay(frontRoom(front))
+	held := map[uint64]bool{}
+	for o.keys < o.room {
+		k := rng.Uint64()
+		o.put(Op{Key: k, Seq: uint64(o.keys) << 1})
+		held[k] = true
+	}
+	var d *keyDir
+	for f := 0; f < 3; f++ {
+		ops := newOverlay(front)
+		for ops.keys < front {
+			k := rng.Uint64()
+			ops.put(Op{Key: k, Seq: uint64(ops.keys) << 1})
+			held[k] = true
+		}
+		d = d.merge(ops)
+	}
+	for _, c := range []struct {
+		name string
+		keys int
+		f    filter
+	}{{"front", o.keys, o.filter}, {"young directory", len(d.keys), d.filter}} {
+		passed, absent := 0, 0
+		for absent < probes {
+			k := rng.Uint64()
+			if held[k] {
+				continue
+			}
+			absent++
+			if c.f.mayHold(k) {
+				passed++
+			}
+		}
+		rate := float64(passed) / probes
+		t.Logf("%s: %d keys in %d words, %d of %d absent keys passed (%.2f %%)", c.name, c.keys, len(c.f), passed, probes, 100*rate)
+		if rate > 0.02 {
+			t.Errorf("%s: the filter passed %.2f %% of absent keys, want at most 2 %%", c.name, 100*rate)
 		}
 	}
 }

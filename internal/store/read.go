@@ -51,7 +51,7 @@ func (s *Store) probeLocked(front, sealed *finger, key uint64) (op Op, ok, young
 			return op, true, false
 		}
 	}
-	if s.young != nil && s.young.dir.mayHold(key) {
+	if s.young != nil && s.young.dir.filter.mayHold(key) {
 		if i, ok := s.young.dir.find(key); ok {
 			if s.young.dir.isDead(i) {
 				return Op{Key: key, Seq: 1}, true, false

@@ -226,9 +226,26 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s.gen = newGeneration(tree, nil)
-	s.frontMem = &overlay{}
+	s.frontMem = s.newFront()
 	return s, nil
 }
+
+// maxFrontRoom caps the seal threshold frontRoom sizes a front's filter
+// for, so a store whose fronts seal late starts each one at under 2 MiB of
+// filter and grows it only as far as the front does.
+const maxFrontRoom = 1 << 20
+
+// frontRoom is the filter room of a front sealed at sealOps operations: the
+// threshold's keys and an eighth more. A front never holds more keys than
+// it has taken operations, so one sealed at the threshold never rebuilds
+// its filter, nor does one that takes a few more while a drain runs.
+func frontRoom(sealOps int64) int {
+	room := min(sealOps, maxFrontRoom)
+	return int(room + room/8)
+}
+
+// newFront returns an empty write front.
+func (s *Store) newFront() *overlay { return newOverlay(frontRoom(s.sealOps)) }
 
 // Insert buffers an insertion of (key, val); later operations on the same
 // key win. Crossing the front threshold triggers a background drain.
@@ -288,7 +305,7 @@ func (s *Store) youngDrainLocked() bool {
 // mu exclusively.
 func (s *Store) sealLocked(compact bool) {
 	sealed := s.frontMem
-	s.sealedMem, s.frontMem, s.frontOps = sealed, &overlay{}, 0
+	s.sealedMem, s.frontMem, s.frontOps = sealed, s.newFront(), 0
 	s.draining = true
 	done := make(chan struct{})
 	s.drainDone = done

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -734,7 +735,7 @@ func TestStorePointReadsAllocateNothing(t *testing.T) {
 	// holds key 3, and the front key 5.
 	put(t, s, ref, 3, 33)
 	s.mu.Lock()
-	s.sealedMem, s.frontMem, s.frontOps = s.frontMem, &overlay{}, 0
+	s.sealedMem, s.frontMem, s.frontOps = s.frontMem, s.newFront(), 0
 	s.mu.Unlock()
 	put(t, s, ref, 5, 55)
 
@@ -787,4 +788,70 @@ func TestStorePointReadsAllocateNothing(t *testing.T) {
 			t.Errorf("%s.GetBatch: %v allocations, want at most 26", r.name, allocs)
 		}
 	}
+}
+
+// TestStoreReadsTrustFrontFilters checks that every point-read route —
+// Store and Session, Get and GetBatch — asks each front's filter before it
+// searches the front: once both fronts' filters are emptied, a key only a
+// front holds anew reads through to its record in the old tree.
+func TestStoreReadsTrustFrontFilters(t *testing.T) {
+	vol := pdm.MustVolume(pdm.Config{BlockBytes: 512, MemBlocks: 256, Disks: 2})
+	defer vol.Close()
+	s, err := Open(vol, pdm.PoolFor(vol), Config{FrontOps: 100, CacheFrames: 16, Width: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ref := map[uint64]uint64{}
+	for k := uint64(1); k <= 4; k++ {
+		put(t, s, ref, k, 10*k)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	old := maps.Clone(ref)
+	// Key 1 in a sealed front, installed by hand as a drain that never
+	// finishes, and key 2 in the front.
+	put(t, s, ref, 1, 11)
+	s.mu.Lock()
+	s.sealedMem, s.frontMem, s.frontOps = s.frontMem, s.newFront(), 0
+	s.mu.Unlock()
+	put(t, s, ref, 2, 21)
+	sess, err := s.NewSession(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := sess.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	keys := []uint64{1, 2, 3, 4}
+	check := func(what string, want map[uint64]uint64) {
+		t.Helper()
+		for _, r := range []struct {
+			name string
+			rd   treeReader
+		}{{"Store", s}, {"Session", sess}} {
+			vals, found, err := r.rd.GetBatch(keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range keys {
+				v, ok, err := r.rd.Get(k)
+				if err != nil || !ok || v != want[k] {
+					t.Fatalf("%s: %s.Get(%d) = (%d, %v, %v), want %d", what, r.name, k, v, ok, err, want[k])
+				}
+				if !found[i] || vals[i] != want[k] {
+					t.Fatalf("%s: %s.GetBatch key %d = (%d, %v), want %d", what, r.name, k, vals[i], found[i], want[k])
+				}
+			}
+		}
+	}
+	check("filters intact", ref)
+	s.mu.Lock()
+	clear(s.frontMem.filter)
+	clear(s.sealedMem.filter)
+	s.mu.Unlock()
+	check("filters emptied", old)
 }

@@ -25,51 +25,12 @@ var errYoungDir = errors.New("store: young tree disagrees with its key directory
 // directory is immutable once built; each young drain builds the next one.
 //
 // Most probes miss — every get of a key no recent front touched — so a
-// Bloom filter answers them before the directory is searched.
+// filter of its keys (the fronts' design) answers them before the
+// directory is searched.
 type keyDir struct {
-	keys  []uint64
-	dead  []uint64 // bit i set: keys[i]'s newest operation is a delete
-	bloom []uint64 // a split-block Bloom filter of keys; see mayHold
-}
-
-// bloomBlock is the filter's block, 512 bits in eight words: a key sets one
-// bit in each word of the one block its hash picks, so a probe reads one
-// cache line. At 12 bits per key the filter answers "absent" for all but
-// about 0.5 % of the keys the directory does not hold.
-const bloomBlock = 8
-
-// bloomSalt spreads a key's hash over the eight words of its block (odd
-// constants, as in Parquet's split-block filter).
-var bloomSalt = [bloomBlock]uint32{
-	0x47b6137b, 0x44974d91, 0x8824ad5b, 0xa2b7289d,
-	0x705495c7, 0x2df1424b, 0x9efc4947, 0x5c6bfb31,
-}
-
-// bloomHash mixes key into 64 well-spread bits (murmur3's finaliser).
-func bloomHash(key uint64) uint64 {
-	key ^= key >> 33
-	key *= 0xff51afd7ed558ccd
-	key ^= key >> 33
-	key *= 0xc4ceb9fe1a85ec53
-	return key ^ key>>33
-}
-
-// block returns the filter block key's hash h picks.
-func (d *keyDir) block(h uint64) []uint64 {
-	at := int((h>>32)*uint64(len(d.bloom)/bloomBlock)>>32) * bloomBlock
-	return d.bloom[at : at+bloomBlock]
-}
-
-// mayHold reports whether the directory may hold key; false is certain.
-func (d *keyDir) mayHold(key uint64) bool {
-	h := bloomHash(key)
-	b := d.block(h)
-	for i, salt := range bloomSalt {
-		if b[i]>>(uint32(h)*salt>>26)&1 == 0 {
-			return false
-		}
-	}
-	return true
+	keys   []uint64
+	dead   []uint64 // bit i set: keys[i]'s newest operation is a delete
+	filter filter   // every key
 }
 
 // find returns the position of the first key at least key, and whether it
@@ -112,13 +73,9 @@ func (d *keyDir) merge(front *overlay) *keyDir {
 	for ; i < len(old.keys); i++ {
 		add(old.keys[i], old.isDead(i))
 	}
-	out.bloom = make([]uint64, max(1, (12*len(out.keys)+511)/512)*bloomBlock)
+	out.filter = newFilter(len(out.keys))
 	for _, k := range out.keys {
-		h := bloomHash(k)
-		b := out.block(h)
-		for i, salt := range bloomSalt {
-			b[i] |= 1 << (uint32(h) * salt >> 26)
-		}
+		out.filter.add(k)
 	}
 	return out
 }
