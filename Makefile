@@ -2,7 +2,7 @@
 # pass: build, vet, and the full test suite under the race detector with
 # shuffled test order. The GitHub workflow (.github/workflows/ci.yml) runs
 # lint, ci plus bench-smoke, modeltime, and cover on every push and pull
-# request.
+# request, and a non-gating fuzz job (make fuzz FUZZTIME=60s).
 
 GO ?= go
 

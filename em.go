@@ -839,9 +839,10 @@ type StoreScanner = store.Scanner
 
 // StoreSession is a point-read handle with a private cache budget that
 // re-pins itself across generation handovers. Its reads take the Store's
-// own route — front, sealed front and young directory in memory, then the
-// young tree through its shared cache — and differ only in reading the
-// old tree through the session's cache. Its budget, cacheFrames + 2·width
+// own route — front, sealed front and young directory in memory, each
+// behind a Bloom filter of its keys that rules out most misses at one
+// cache line, then the young tree through its shared cache — and differ
+// only in reading the old tree through the session's cache. Its budget, cacheFrames + 2·width
 // at NewSession's arguments (CacheFrames and Width by default), is
 // reserved from the store's pool until Close.
 type StoreSession = store.Session

@@ -192,6 +192,7 @@ type finger struct {
 // out is absent without a search.
 func (f *finger) get(key uint64) (Op, bool) {
 	first := f.o.first
+	// An empty overlay's filter passes no key, so first[0] exists here.
 	if !f.o.filter.mayHold(key) || key < first[0] {
 		return Op{}, false // the position stands: it is still that of last
 	}

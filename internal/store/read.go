@@ -36,12 +36,14 @@ func (s *Store) reader(g *generation) (treeReader, error) { return g, nil }
 // operation or young tombstone decides the key — op is the newest one —
 // and no tree need be read; young means the young tree holds the key's
 // record; neither means the old tree decides it. The probe is pure memory:
-// two searches per overlay (chunk directory, then chunk), and the young
-// directory's filter, which rules out almost every key it does not hold at
-// one cache line, before its search. A batch probes through one finger per
-// overlay, so on the sorted sub-batches the sharded store hands down each
-// probe continues from the last; a single key's fresh fingers search as a
-// plain lookup does.
+// each layer's filter first, which rules out almost every key the layer
+// does not hold at one cache line, then for a key it passes the layer's
+// search — two per overlay (chunk directory, then chunk), one of the young
+// directory. A key no layer holds, the common case, costs three filter
+// words and no search. A batch probes through one finger per overlay, so
+// on the sorted sub-batches the sharded store hands down each probe
+// continues from the last; a single key's fresh fingers search as a plain
+// lookup does.
 func (s *Store) probeLocked(front, sealed *finger, key uint64) (op Op, ok, young bool) {
 	if op, ok := front.get(key); ok {
 		return op, true, false

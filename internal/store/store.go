@@ -26,8 +26,10 @@
 // unsealed front, the sealed front awaiting handover, the young
 // directory, and the generations, newest layer first — each key's newest
 // operation wins, so a drain is observationally a no-op. A probe of the
-// in-memory layers costs no I/O and O(log F) comparisons, and a key the
-// young directory does not hold costs exactly the old tree's reads; a
+// in-memory layers costs no I/O and O(log F) comparisons, and each layer
+// keeps a Bloom filter of its keys, so a probe of a key it does not hold
+// almost always costs one word; a key the young directory does not hold
+// costs exactly the old tree's reads; a
 // range collection costs O(log F + k) for its k buffered operations
 // whatever the front's size F, and read throughput holds through a drain.
 //
@@ -60,12 +62,15 @@ type Config struct {
 	// FrontOps seals the write front after this many accepted operations,
 	// repeated keys included. Zero means 8192. The front lives only in
 	// memory — an overlay whose chunks run between half and completely
-	// full, so at most 48 bytes per buffered operation — so FrontOps bounds
-	// the memory the store holds beyond its pool (two fronts' worth while a
-	// drain is in flight, plus the young generation's key directory: at
-	// most (k−1)·FrontOps keys, for the k of the package comment, of 8
-	// bytes, a delete bit and 12 filter bits each) and the operations no
-	// block on the volume holds yet.
+	// full, so at most 48 bytes per buffered operation, and a filter of 12
+	// bits per key of room for FrontOps and an eighth more keys (≈ 1.7
+	// bytes per buffered operation at the threshold; it doubles when
+	// writers outrun a drain and the front outgrows that) — so FrontOps
+	// bounds the memory the store holds beyond its pool (two fronts' worth
+	// while a drain is in flight, plus the young generation's key
+	// directory: at most (k−1)·FrontOps keys, for the k of the package
+	// comment, of 8 bytes, a delete bit and 12 filter bits each) and the
+	// operations no block on the volume holds yet.
 	FrontOps int64
 	// CacheFrames sizes each generation's buffer manager, the drain's
 	// loader cache, and a Session's cache unless NewSession picks one.
