@@ -29,9 +29,9 @@
 // in-memory layers costs no I/O and O(log F) comparisons, and each layer
 // keeps a Bloom filter of its keys, so a probe of a key it does not hold
 // almost always costs one word; a key the young directory does not hold
-// costs exactly the old tree's reads; a
-// range collection costs O(log F + k) for its k buffered operations
-// whatever the front's size F, and read throughput holds through a drain.
+// costs exactly the old tree's reads; a range collection costs
+// O(log F + k) for its k buffered operations whatever the front's size F,
+// and read throughput holds through a drain.
 //
 // Buffered operations are not durable: they exist only in memory until a
 // drain writes them into a generation, and Open always starts empty.
