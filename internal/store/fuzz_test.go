@@ -16,8 +16,9 @@ import (
 // arrives: point reads, batches, Session reads, and scans, some of which
 // stay open across later writes and drains and must still deliver the
 // snapshot they opened on. Before every step each front's filter must
-// report every key the front holds. At the end Close must succeed and return every
-// pool frame and every volume block the store allocated.
+// report every key the front holds, also once writes during a drain have
+// taken the front past its filter's room. At the end Close must succeed
+// and return every pool frame and every volume block the store allocated.
 //
 // `go test` replays the committed corpus under testdata/fuzz; `make fuzz`
 // searches for new inputs.
@@ -119,12 +120,10 @@ func runSchedule(t *testing.T, backend string, vc pdm.Config, b []byte) {
 		}
 	}
 	var youngFronts int64 // the most fronts a young generation held
-	grew := false         // some front outgrew its filter's first room
 	step := 0
 	for ; len(in) > 0; step++ {
 		s.mu.RLock()
 		youngFronts = max(youngFronts, s.youngFronts)
-		grew = grew || s.frontMem.room > frontRoom(s.sealOps)
 		for _, o := range []*overlay{s.frontMem, s.sealedMem} {
 			for _, op := range o.appendRange(nil, 0, math.MaxUint64) {
 				if !o.filter.mayHold(op.Key) {
@@ -271,7 +270,7 @@ func runSchedule(t *testing.T, backend string, vc pdm.Config, b []byte) {
 			fail(-1, "the final scan has key %d = (%d, %v), want %d", k, w, ok, v)
 		}
 	}
-	t.Logf("%s: %d steps, %d drains, young up to %d fronts, front filter grown: %v", backend, step, s.Drains(), youngFronts, grew)
+	t.Logf("%s: %d steps, %d drains, young up to %d fronts", backend, step, s.Drains(), youngFronts)
 	if err := s.Close(); err != nil {
 		fail(-1, "Close: %v", err)
 	}

@@ -35,29 +35,24 @@ const chunkOps = 64
 //
 // Most probes of a front miss — every get of a key no recent write
 // touched — so each overlay keeps a filter of its keys, and a probe it
-// rules out costs one word instead of the two searches. The filter has
-// room for a number of keys fixed at newOverlay, 12 bits each; a put that
-// takes the overlay past its room doubles the room and rebuilds the filter
-// from the chunks. The store sizes a front's room from its seal threshold
-// (Store.newFront), so only a front that outgrows the threshold while a
-// drain runs ever rebuilds.
+// rules out costs one word instead of the two searches. The filter's room
+// is fixed at newOverlay, and the store sizes it from the seal threshold
+// (Store.newFront). An overlay that takes more keys than its room keeps
+// them all in its filter, which then passes more absent keys, up to every
+// one when it saturates: a probe costs the searches again, never a wrong
+// answer.
 //
-// An overlay is not safe for concurrent use; the store guards it with mu
-// until it is sealed, and never writes it after that.
+// The zero overlay has no filter and is not usable: overlays come from
+// newOverlay. An overlay is not safe for concurrent use; the store guards
+// it with mu until it is sealed, and never writes it after that.
 type overlay struct {
 	first  []uint64 // first[c] == chunks[c][0].Key
 	chunks [][]Op   // each key-sorted and non-empty
-	keys   int      // keys held
-	room   int      // keys the filter is sized for
 	filter filter   // every key held
 }
 
-// newOverlay returns an empty overlay whose filter has room for room keys,
-// one at least.
-func newOverlay(room int) *overlay {
-	room = max(room, 1)
-	return &overlay{room: room, filter: newFilter(room)}
-}
+// newOverlay returns an empty overlay whose filter has room for room keys.
+func newOverlay(room int) *overlay { return &overlay{filter: newFilter(room)} }
 
 // The two binary searches below take each comparison as a number — the
 // borrow of a 64-bit subtract — and step by arithmetic on it. Written as
@@ -105,7 +100,6 @@ func (o *overlay) put(op Op) {
 		ch[0] = op
 		o.first = append(o.first, op.Key)
 		o.chunks = append(o.chunks, ch)
-		o.keys = 1
 		return
 	}
 	c := chunkOf(o.first, op.Key)
@@ -133,21 +127,6 @@ func (o *overlay) put(op Op) {
 	o.chunks[c] = ch
 	if i == 0 {
 		o.first[c] = op.Key
-	}
-	if o.keys++; o.keys > o.room {
-		o.grow()
-	}
-}
-
-// grow doubles the overlay's room and rebuilds its filter from the chunks,
-// which already hold the key whose put called it.
-func (o *overlay) grow() {
-	o.room *= 2
-	o.filter = newFilter(o.room)
-	for _, ch := range o.chunks {
-		for _, op := range ch {
-			o.filter.add(op.Key)
-		}
 	}
 }
 
@@ -192,7 +171,7 @@ type finger struct {
 // out is absent without a search.
 func (f *finger) get(key uint64) (Op, bool) {
 	first := f.o.first
-	// An empty overlay's filter passes no key, so first[0] exists here.
+	// newOverlay's empty filter passes no key, so first[0] exists here.
 	if !f.o.filter.mayHold(key) || key < first[0] {
 		return Op{}, false // the position stands: it is still that of last
 	}

@@ -167,19 +167,12 @@ func checkAgainst(t *testing.T, o *overlay, ref refOverlay, rng *rand.Rand, prob
 	}
 }
 
-// checkFilter checks that the overlay counts keys, its room covers them,
-// and its filter reports every one.
+// checkFilter checks that the overlay's filter reports every key it holds.
 func checkFilter(t *testing.T, o *overlay, keys []uint64) {
 	t.Helper()
-	if o.keys != len(keys) || o.room < o.keys {
-		t.Fatalf("overlay counts %d keys in room for %d, holds %d", o.keys, o.room, len(keys))
-	}
-	if want := len(newFilter(o.room)); len(o.filter) != want {
-		t.Fatalf("filter of %d words for room %d, want %d", len(o.filter), o.room, want)
-	}
 	for _, k := range keys {
 		if !o.filter.mayHold(k) {
-			t.Fatalf("the filter rules out held key %d (%d keys, room %d)", k, len(keys), o.room)
+			t.Fatalf("the filter rules out held key %d (%d keys, %d words)", k, len(keys), len(o.filter))
 		}
 	}
 }
@@ -199,12 +192,11 @@ func checkFinger(t *testing.T, o *overlay, batch []uint64, what string) {
 
 // TestOverlayMatchesMap drives random puts — fresh keys, overwrites,
 // tombstones — into the overlay and a hash map, in ascending, descending
-// and random key order, and compares them after every few operations, at
-// every size that straddles a chunk split and after every growth of the
-// filter's room: the overlay starts with room for a third of its final
-// size, so all but the smallest sizes grow it. Each check includes the
-// filter reporting every held key; so does the directory a drain builds
-// from the overlay once it is sealed.
+// and random key order, and compares them after every few operations and
+// at every size that straddles a chunk split. The overlay's filter has room
+// for a third of its final size, so the later checks run it overfull. Each
+// check includes the filter reporting every held key; so does the
+// directory a drain builds from the overlay once it is sealed.
 func TestOverlayMatchesMap(t *testing.T) {
 	sizes := []int{chunkOps - 1, chunkOps, chunkOps + 1, 2*chunkOps + 1, 32768}
 	for _, order := range []string{"ascending", "descending", "random"} {
@@ -228,17 +220,14 @@ func TestOverlayMatchesMap(t *testing.T) {
 				}
 				every := max(size/24, 1)
 				var seq uint64
-				grown := false
 				put := func(k uint64) {
 					seq++
 					op := Op{Key: k, Val: rng.Uint64(), Seq: seq << 1}
 					if rng.Intn(4) == 0 {
 						op.Val, op.Seq = 0, op.Seq|1
 					}
-					room := o.room
 					o.put(op)
 					ref[k] = op
-					grown = grown || o.room != room
 				}
 				for i, k := range fresh {
 					put(k)
@@ -249,15 +238,11 @@ func TestOverlayMatchesMap(t *testing.T) {
 					for _, s := range sizes {
 						near = near || (len(ref) >= s-1 && len(ref) <= s+1)
 					}
-					if near || grown || i%every == 0 {
+					if near || i%every == 0 {
 						checkAgainst(t, o, ref, rng, 8)
-						grown = false
 					}
 				}
 				checkAgainst(t, o, ref, rng, 64)
-				if o.room == size/3 {
-					t.Fatalf("%d keys never grew the room of %d", size, o.room)
-				}
 				// Sealed: a drain builds the young directory from it.
 				d := (*keyDir)(nil).merge(o)
 				for k := range ref {
@@ -289,7 +274,8 @@ func TestOverlayMatchesMap(t *testing.T) {
 	}
 }
 
-// TestOverlayEmpty pins the zero overlay: nothing found, nothing in range.
+// TestOverlayEmpty pins an empty overlay from newOverlay: nothing found,
+// nothing in range.
 func TestOverlayEmpty(t *testing.T) {
 	o := newOverlay(0)
 	if _, ok := o.get(7); ok {
@@ -372,33 +358,6 @@ func TestKeyDirMatchesMap(t *testing.T) {
 	}
 }
 
-// TestOverlayGrowthKeepsInsertingKey grows an overlay from room for one key
-// to 2^16 keys and checks, after every put that grew it, that the rebuilt
-// filter reports the key that put inserted: a rebuild from the chunks
-// before that key is in them would lose it.
-func TestOverlayGrowthKeepsInsertingKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	o := newOverlay(0)
-	growths := 0
-	for o.keys < 1<<16 {
-		k, room := rng.Uint64(), o.room
-		o.put(Op{Key: k, Seq: uint64(o.keys) << 1})
-		if o.room == room {
-			continue
-		}
-		growths++
-		if o.room != 2*room || o.keys != room+1 {
-			t.Fatalf("at %d keys the room went %d -> %d", o.keys, room, o.room)
-		}
-		if !o.filter.mayHold(k) {
-			t.Fatalf("growth to room %d dropped the inserting key %d", o.room, k)
-		}
-	}
-	if growths != 16 {
-		t.Fatalf("%d growths from one key to 2^16, want 16", growths)
-	}
-}
-
 // TestFilterFalsePositives fills store-file's front (a 32 768-op seal
 // threshold) to the full room of its filter and the young directory a
 // store-file shard holds before its compaction (three such fronts), and
@@ -408,17 +367,17 @@ func TestFilterFalsePositives(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	o := newOverlay(frontRoom(front))
 	held := map[uint64]bool{}
-	for o.keys < o.room {
+	for len(held) < frontRoom(front) {
 		k := rng.Uint64()
-		o.put(Op{Key: k, Seq: uint64(o.keys) << 1})
+		o.put(Op{Key: k, Seq: uint64(len(held)) << 1})
 		held[k] = true
 	}
 	var d *keyDir
 	for f := 0; f < 3; f++ {
 		ops := newOverlay(front)
-		for ops.keys < front {
+		for i := 0; i < front; i++ {
 			k := rng.Uint64()
-			ops.put(Op{Key: k, Seq: uint64(ops.keys) << 1})
+			ops.put(Op{Key: k, Seq: uint64(i) << 1})
 			held[k] = true
 		}
 		d = d.merge(ops)
@@ -427,7 +386,7 @@ func TestFilterFalsePositives(t *testing.T) {
 		name string
 		keys int
 		f    filter
-	}{{"front", o.keys, o.filter}, {"young directory", len(d.keys), d.filter}} {
+	}{{"front", frontRoom(front), o.filter}, {"young directory", len(d.keys), d.filter}} {
 		passed, absent := 0, 0
 		for absent < probes {
 			k := rng.Uint64()

@@ -64,8 +64,8 @@ type Config struct {
 	// memory — an overlay whose chunks run between half and completely
 	// full, so at most 48 bytes per buffered operation, and a filter of 12
 	// bits per key of room for FrontOps and an eighth more keys (≈ 1.7
-	// bytes per buffered operation at the threshold; it doubles when
-	// writers outrun a drain and the front outgrows that) — so FrontOps
+	// bytes per buffered operation at the threshold; fixed in size, so a
+	// front that outgrows it only filters worse) — so FrontOps
 	// bounds the memory the store holds beyond its pool (two fronts' worth
 	// while a drain is in flight, plus the young generation's key
 	// directory: at most (k−1)·FrontOps keys, for the k of the package
@@ -236,14 +236,15 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 }
 
 // maxFrontRoom caps the seal threshold frontRoom sizes a front's filter
-// for, so a store whose fronts seal late starts each one at under 2 MiB of
-// filter and grows it only as far as the front does.
+// for, so a store whose fronts seal late allocates under 2 MiB of filter
+// per front, and its fronts' filters pass more absent keys once they
+// outgrow that.
 const maxFrontRoom = 1 << 20
 
 // frontRoom is the filter room of a front sealed at sealOps operations: the
 // threshold's keys and an eighth more. A front never holds more keys than
-// it has taken operations, so one sealed at the threshold never rebuilds
-// its filter, nor does one that takes a few more while a drain runs.
+// it has taken operations, so one sealed at the threshold fits its room,
+// as does one that takes a few more while a drain runs.
 func frontRoom(sealOps int64) int {
 	room := min(sealOps, maxFrontRoom)
 	return int(room + room/8)
