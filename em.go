@@ -74,9 +74,10 @@
 // What it sets is the parallel step count: a width-D load writes D leaves
 // per step where a one-leaf-at-a-time writer would leave D-1 disks idle,
 // and experiment F11 measures that across D. It costs 2×Width pool frames
-// (its double buffer) beside the cache. SortIndex reserves the loader's
-// whole budget (CacheFrames + 2×Width) up front, so the sort's splitting
-// decisions are fixed before the first record reaches the loader.
+// (its double buffer) beside the cache. SortIndex carves the loader's
+// whole budget (CacheFrames + 2×Width) from the pool up front, so the
+// sort's splitting decisions are fixed before the first record reaches the
+// loader.
 //
 // # Serving queries
 //
@@ -110,9 +111,10 @@
 // Min for the key-space edges.
 //
 // Concurrent read sessions. BTree.NewSessionOn opens a read-only query
-// handle with a private buffer manager and scanner budget, reserved from
-// the caller's pool up front exactly like SortIndex's loader budget, so G
-// goroutines serve a mixed point/range workload against one tree — the
+// handle with a private buffer manager and scanner budget carved from the
+// caller's pool up front, exactly like SortIndex's loader budget: the
+// session reads into the frames it carved, which the caller's pool counts,
+// and makes none of its own. So G goroutines serve a mixed point/range workload against one tree — the
 // per-disk engine overlaps their transfers and QPS scales toward D — while
 // the memory bound M still holds. (The interface form, BTree.NewSession,
 // draws the budget from the tree's own pool.) Sessions never dirty a page
@@ -145,7 +147,7 @@
 // reference-counted, so in-flight StoreScanners and StoreSessions keep
 // their generation (and its blocks) until they close, and a superseded
 // generation is reclaimed when its last reader departs. The drain runs on
-// a budget reserved at Open at half-width striping, and reads probe the
+// a budget carved from the pool at Open at half-width striping, and reads probe the
 // two fronts and the young directory in memory — a key the directory does
 // not hold costs only the old tree's reads — so read throughput holds
 // while the rebuild runs; experiment F13 gates the write amortisation and
@@ -844,14 +846,14 @@ type StoreScanner = store.Scanner
 // cache line, then the young tree through its shared cache — and differ
 // only in reading the old tree through the session's cache. Its budget, cacheFrames + 2·width
 // at NewSession's arguments (CacheFrames and Width by default), is
-// reserved from the store's pool until Close.
+// carved from the store's pool until Close.
 type StoreSession = store.Session
 
 // ErrStoreClosed reports an operation on a closed Store.
 var ErrStoreClosed = store.ErrClosed
 
 // OpenStore creates a store on vol; the background drain's budget is
-// reserved from pool up front, like SortIndex's loader budget. It is the
+// carved from pool up front, like SortIndex's loader budget. It is the
 // most a drain opens at its half-width striping w = max(1, Width/2): two
 // sessions that scan the old and the young generation, 3 + 2·w frames
 // each (a scanner's cache holds only its descent path), and one bulk

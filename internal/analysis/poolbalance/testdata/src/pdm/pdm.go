@@ -25,6 +25,10 @@ func (p *Pool) Alloc() (*Frame, error)         { return &Frame{}, nil }
 func (p *Pool) MustAlloc() *Frame              { return &Frame{} }
 func (p *Pool) AllocN(n int) ([]*Frame, error) { return nil, nil }
 
+// Carve takes n frames from p as a pool of their own; Close gives them back.
+func (p *Pool) Carve(n int) (*Pool, error) { return &Pool{}, nil }
+func (p *Pool) Close()                     {}
+
 // ReleaseAll releases every frame in frames.
 func ReleaseAll(frames []*Frame) {}
 

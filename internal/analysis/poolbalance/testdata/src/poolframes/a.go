@@ -264,3 +264,63 @@ func okGoroutineHandoff(p *pdm.Pool) error {
 	}()
 	return nil
 }
+
+// leakCarveOnErrorUnwind holds a carved pool across a step that fails, and
+// the error return forgets it: the carved frames stay out of p for good.
+func leakCarveOnErrorUnwind(p *pdm.Pool, buf []byte) error {
+	sub, err := p.Carve(4) // want `pool frame "sub" \(from Carve\) is not released`
+	if err != nil {
+		return err
+	}
+	if err := pdm.Process(buf); err != nil {
+		return err // leak: sub is never closed
+	}
+	sub.Close()
+	return nil
+}
+
+// okCarveStoredInStruct parks a carved pool in a struct that closes it
+// later (the store's drain budget).
+type budget struct {
+	pool *pdm.Pool
+}
+
+func okCarveStoredInStruct(p *pdm.Pool, b *budget) error {
+	sub, err := p.Carve(4)
+	if err != nil {
+		return err
+	}
+	b.pool = sub
+	return nil
+}
+
+// okCarveDeferredClose closes a carve by defer, and frames drawn from it
+// are released on every path as any pool's are.
+func okCarveDeferredClose(p *pdm.Pool) error {
+	sub, err := p.Carve(4)
+	if err != nil {
+		return err
+	}
+	defer sub.Close()
+	f, err := sub.Alloc()
+	if err != nil {
+		return err
+	}
+	defer f.Release()
+	return pdm.Process(f.Buf)
+}
+
+// okCarveClosedOnUnwind closes the carve on the error return and at the
+// end: Close is the carve's release.
+func okCarveClosedOnUnwind(p *pdm.Pool, buf []byte) error {
+	sub, err := p.Carve(4)
+	if err != nil {
+		return err
+	}
+	if err := pdm.Process(buf); err != nil {
+		sub.Close()
+		return err
+	}
+	sub.Close()
+	return nil
+}

@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"em/internal/cache"
@@ -78,8 +77,6 @@ type Tree struct {
 	gate       *index.Gate
 	admitQueue int
 	admitWait  time.Duration
-
-	spare sync.Pool // closed sessions' private pools, for the next session (NewSessionOn)
 }
 
 // Options normalizes tree construction onto the option-struct convention
@@ -159,7 +156,7 @@ func (t *Tree) Close() error { return t.cache.Close() }
 
 // Rehome flushes the tree's buffer manager and replaces it with a fresh one
 // drawing cacheFrames frames from pool. em.SortIndex builds trees against a
-// reserved construction budget and rehomes them onto the caller's pool
+// carved construction budget and rehomes them onto the caller's pool
 // before returning, so a tree's steady-state frames are always charged
 // where its future I/O is. The cache must have no pinned pages.
 func (t *Tree) Rehome(pool *pdm.Pool, cacheFrames int) error {

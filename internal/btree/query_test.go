@@ -3,6 +3,7 @@ package btree
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -679,4 +680,80 @@ func TestSessionBudgetReserved(t *testing.T) {
 		t.Fatalf("failed open leaked %d frames", tight.InUse())
 	}
 	tr.Close()
+}
+
+// TestSessionReadsIntoCarvedFrames checks that a session's budget is the
+// memory it uses: on a warm pool, a hundred sessions that each read
+// through their cache and a scanner allocate less than one block per
+// session, because every read lands in a frame carved from the caller's
+// pool. A session closed while its scanner is still open hands that
+// scanner's frames back when the scanner closes.
+func TestSessionReadsIntoCarvedFrames(t *testing.T) {
+	const bb = 4080
+	vol := pdm.MustVolume(pdm.Config{BlockBytes: bb, MemBlocks: 64, Disks: 2})
+	defer vol.Close()
+	pool := pdm.PoolFor(vol)
+	tr := bulkTree(t, vol, pool, 20000, nil)
+	defer tr.Close()
+	cycle := func() {
+		s, err := tr.NewSessionOn(pool, 8, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := s.Get(2468); err != nil || !ok {
+			t.Fatalf("get: %v %v", ok, err)
+		}
+		sc, err := s.NewScanner(1000, 1200, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			_, ok, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+		sc.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm: the pool makes the buffers the sessions will read into
+	const cycles = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range cycles {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= bb {
+		t.Fatalf("a session cycle allocated %d bytes, want less than one %d-byte block", per, bb)
+	}
+
+	free := pool.Free()
+	s, err := tr.NewSessionOn(pool, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := s.NewScanner(0, 40000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sc.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pool.Free() == free {
+		t.Fatal("closing the session took back the open scanner's frames")
+	}
+	sc.Close()
+	if pool.Free() != free {
+		t.Fatalf("scanner closed after its session: pool free %d, want %d", pool.Free(), free)
+	}
 }

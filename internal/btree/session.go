@@ -15,29 +15,29 @@ var (
 )
 
 // Session is a read-only query handle over a shared tree. Each session owns
-// a private buffer manager and a private frame budget, reserved from the
-// caller's pool up front the way em.SortIndex reserves its loader's budget,
-// so G sessions on G goroutines serve a mixed point/range workload against
-// one tree — the volume's per-disk engine overlaps their transfers — while
-// the memory bound M still holds and no session can starve another
-// mid-query. Sessions never dirty a page and never touch the tree's own
-// cache, so they cannot evict a writer's pinned working set. Two
-// constraints: sessions must not overlap tree mutations (Insert, Delete,
-// BulkLoad — the usual reader rule), and NewSession itself is a Tree
-// method like any other — it flushes the tree's own cache — so open
+// a private buffer manager and a private frame budget, carved from the
+// caller's pool up front (pdm.Pool.Carve) the way em.SortIndex carves its
+// loader's budget: the session reads into the very frames the caller's
+// pool counts. So G sessions on G goroutines serve a mixed point/range
+// workload against one tree — the volume's per-disk engine overlaps their
+// transfers — while the memory bound M still holds and no session can
+// starve another mid-query. Sessions never dirty a page and never touch
+// the tree's own cache, so they cannot evict a writer's pinned working
+// set. Two constraints: sessions must not overlap tree mutations (Insert,
+// Delete, BulkLoad — the usual reader rule), and NewSession itself is a
+// Tree method like any other — it flushes the tree's own cache — so open
 // sessions from the tree owner's goroutine and hand them out; only the
 // Session methods are safe to run concurrently, each session from its own
 // goroutine.
 type Session struct {
-	t       *Tree
-	cache   *cache.Cache
-	pool    *pdm.Pool    // private pool serving the cache and scanners
-	reserve []*pdm.Frame // frames held from the caller's pool
-	width   int
+	t     *Tree
+	cache *cache.Cache
+	pool  *pdm.Pool // carved from the caller's pool; serves the cache and scanners
+	width int
 }
 
 // NewSession opens a read session at the index.Index signature: the budget
-// is reserved from the pool the tree was created on (or last rehomed to),
+// is carved from the pool the tree was created on (or last rehomed to),
 // out-of-range arguments select the tree's own defaults — cacheFrames < 3
 // means the tree's cache capacity, width < 1 its configured striping — so
 // NewSession(0, 0) is always valid. NewSessionOn keeps the explicit-pool
@@ -61,15 +61,17 @@ func (t *Tree) NewSession(cacheFrames, width int) (index.Session, error) {
 }
 
 // SessionFrames is a read session's budget, the frames NewSessionOn
-// reserves: cacheFrames for its buffer manager plus 2×width for its
+// carves: cacheFrames for its buffer manager plus 2×width for its
 // scanner's double buffer.
 func SessionFrames(cacheFrames, width int) int { return cacheFrames + 2*width }
 
 // NewSessionOn opens a read session whose buffer manager holds cacheFrames
 // pages and whose scanners may keep up to width leaf reads in flight
 // (width < 1 selects the volume's disk count). The session's whole budget,
-// SessionFrames, is reserved from pool immediately and returned by Close,
-// so admission failures surface at open, not mid-query.
+// SessionFrames, is carved from pool immediately and returned by Close,
+// so admission failures surface at open, not mid-query. The session reads
+// into those frames and makes no buffer of its own, so opening and
+// closing sessions on a warm pool allocates no block.
 func (t *Tree) NewSessionOn(pool *pdm.Pool, cacheFrames, width int) (*Session, error) {
 	if cacheFrames < 3 {
 		return nil, fmt.Errorf("btree: session cache needs >= 3 frames, got %d", cacheFrames)
@@ -83,25 +85,16 @@ func (t *Tree) NewSessionOn(pool *pdm.Pool, cacheFrames, width int) (*Session, e
 	if err := t.cache.Flush(); err != nil {
 		return nil, err
 	}
-	budget := SessionFrames(cacheFrames, width)
-	reserve, err := pool.AllocN(budget)
+	priv, err := pool.Carve(SessionFrames(cacheFrames, width))
 	if err != nil {
 		return nil, err
-	}
-	// The private pool allocates the buffers the session reads into. A
-	// closed session's pool, every frame back in it, serves the tree's next
-	// session of the same budget, so a session opened on a tree that has
-	// served one allocates no buffer: a Scan opens one per generation.
-	priv, _ := t.spare.Get().(*pdm.Pool)
-	if priv == nil || priv.Capacity() != budget {
-		priv = pdm.NewPool(t.vol.BlockBytes(), budget)
 	}
 	c, err := cache.New(t.vol, priv, cacheFrames)
 	if err != nil {
-		pdm.ReleaseAll(reserve)
+		priv.Close()
 		return nil, err
 	}
-	return &Session{t: t, cache: c, pool: priv, reserve: reserve, width: width}, nil
+	return &Session{t: t, cache: c, pool: priv, width: width}, nil
 }
 
 // Tree returns the tree the session reads.
@@ -135,15 +128,12 @@ func (s *Session) NewScanner(lo, hi uint64, opts *ScanOptions) (*Scanner, error)
 // Warm is Tree.Warm into the session's private cache.
 func (s *Session) Warm() error { return s.t.warmWith(s.cache) }
 
-// Close releases the session's cache and returns its reserved frames to
-// the pool it was opened on. The cache holds only clean pages, so nothing
-// is written back.
+// Close releases the session's cache and returns its carved frames to the
+// pool it was opened on; a frame a still-open scanner holds goes back when
+// that scanner closes. The cache holds only clean pages, so nothing is
+// written back.
 func (s *Session) Close() error {
 	err := s.cache.Close()
-	pdm.ReleaseAll(s.reserve)
-	s.reserve = nil
-	if s.pool.InUse() == 0 {
-		s.t.spare.Put(s.pool)
-	}
+	s.pool.Close()
 	return err
 }

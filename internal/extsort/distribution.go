@@ -76,24 +76,21 @@ func DistributionSortTo[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b
 // straight into leaves. Every in-memory sort is record.Sort, whose output
 // bytes are the stable sort's since Record.Less is total. opts.Width also
 // stripes the loader's leaf batches.
-// The loader's budget, btree.LoaderFrames, is held back from pool for the
-// whole call, so the sort's buckets and resident bucket share what pool
-// has left, and its levels take their depth from what is left. The
+// The loader's budget, btree.LoaderFrames, is carved from pool for the
+// whole call (pdm.Pool.Carve: the loader packs its leaves into those very
+// frames), so the sort's buckets and resident bucket share what pool has
+// left, and its levels take their depth from what is left. The
 // returned tree's buffer manager draws cacheFrames frames from pool. On
 // any error pool is restored exactly and no blocks are leaked. See
 // em.SortIndex for the contract.
 func SortIndex(f *stream.File[record.Record], pool *pdm.Pool, cacheFrames int, opts *Options) (*btree.Tree, error) {
 	vol := f.Vol()
-	// Reserve the loader's budget and run the loader on a private pool of
-	// exactly that size.
-	loaderFrames := btree.LoaderFrames(cacheFrames, opts.width())
-	reserve, err := pool.AllocN(loaderFrames)
+	lp, err := pool.Carve(btree.LoaderFrames(cacheFrames, opts.width()))
 	if err != nil {
 		return nil, err
 	}
-	defer pdm.ReleaseAll(reserve)
-	ld, err := btree.NewLoader(vol, pdm.NewPool(vol.BlockBytes(), loaderFrames), cacheFrames,
-		&btree.BulkLoadOptions{Width: opts.width()})
+	defer lp.Close()
+	ld, err := btree.NewLoader(vol, lp, cacheFrames, &btree.BulkLoadOptions{Width: opts.width()})
 	if err != nil {
 		return nil, err
 	}

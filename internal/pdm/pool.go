@@ -16,14 +16,18 @@ import (
 // buffers are charged to the same budget M as everything else.
 //
 // Frames are recycled through a free list, so steady-state allocation does
-// not touch the garbage collector.
+// not touch the garbage collector. A sub-budget — a session's, a drain's, a
+// loader's — is a pool carved from this one (Carve), which hands out the
+// frames it took and makes none of its own.
 type Pool struct {
 	blockBytes int
 	capacity   int
+	parent     *Pool // the pool Carve took this one's frames from; nil if none
 
 	mu      sync.Mutex
 	inUse   int
 	peak    int
+	closed  bool // a carved pool after Close: released frames go to parent
 	free    []*Frame
 	waiters []chan struct{} // FIFO of WaitRelease parkers; head signalled per Release
 }
@@ -76,7 +80,7 @@ func (p *Pool) Peak() int {
 // bound.
 func (p *Pool) Alloc() (*Frame, error) {
 	p.mu.Lock()
-	if p.inUse >= p.capacity {
+	if p.closed || p.inUse >= p.capacity {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: capacity %d", ErrNoFrames, p.capacity)
 	}
@@ -119,6 +123,51 @@ func (p *Pool) AllocN(n int) ([]*Frame, error) {
 		frames = append(frames, f)
 	}
 	return frames, nil
+}
+
+// Carve takes n frames from p, all or none, and returns a pool of capacity
+// n that hands out exactly those frames: it never makes a buffer of its
+// own, so the memory a carved budget holds is the memory p counts, once.
+// A carve larger than p has free fails with ErrNoFrames and leaves p as it
+// was. A carved pool may itself be carved. Close returns its frames to p.
+func (p *Pool) Carve(n int) (*Pool, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || p.inUse+n > p.capacity {
+		return nil, fmt.Errorf("%w: carve %d of capacity %d, %d in use", ErrNoFrames, n, p.capacity, p.inUse)
+	}
+	c := &Pool{blockBytes: p.blockBytes, capacity: n, parent: p, free: make([]*Frame, n)}
+	k := min(n, len(p.free)) // all n on a carved p, whose free list holds its every unlent frame
+	copy(c.free, p.free[len(p.free)-k:])
+	p.free = p.free[:len(p.free)-k]
+	for i := k; i < n; i++ {
+		c.free[i] = &Frame{Buf: make([]byte, p.blockBytes)}
+	}
+	p.inUse += n
+	if p.inUse > p.peak {
+		p.peak = p.inUse
+	}
+	return c, nil
+}
+
+// Close returns a carved pool's frames to the pool it was carved from: the
+// frames it holds at once, and each frame still on loan when that frame is
+// released, so a session closed before its scanner loses nothing. A closed
+// pool allocates nothing. Close does nothing on a pool that was not carved
+// or is already closed.
+func (p *Pool) Close() {
+	p.mu.Lock()
+	if p.parent == nil || p.closed {
+		p.mu.Unlock()
+		return
+	}
+	p.closed = true
+	free := p.free
+	p.free = nil
+	p.mu.Unlock()
+	for _, f := range free {
+		p.parent.put(f)
+	}
 }
 
 // WaitRelease parks the caller in the pool's FIFO until some frame is
@@ -171,8 +220,21 @@ func (f *Frame) Release() {
 	}
 	p := f.pool
 	f.pool = nil
-	p.mu.Lock()
-	p.inUse--
+	p.put(f)
+}
+
+// put takes back a frame on loan from p. A closed carved pool passes it on
+// to the pool it was carved from, and so on up.
+func (p *Pool) put(f *Frame) {
+	for {
+		p.mu.Lock()
+		p.inUse--
+		if !p.closed {
+			break
+		}
+		p.mu.Unlock()
+		p = p.parent
+	}
 	p.free = append(p.free, f)
 	p.signalLocked()
 	p.mu.Unlock()

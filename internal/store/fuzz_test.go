@@ -21,13 +21,17 @@ import (
 // and return every pool frame and every volume block the store allocated.
 //
 // `go test` replays the committed corpus under testdata/fuzz; `make fuzz`
-// searches for new inputs.
+// searches for new inputs. Inputs run one at a time in a process, so every
+// file run opens its volume in one directory: the volume truncates its disk
+// files at open and closes them before the next input, and making and
+// removing a directory per input was a quarter of an input's time.
 func FuzzStoreSchedule(f *testing.F) {
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, script []byte) {
 		for _, backend := range []string{"mem", "file"} {
 			vc := testConfig()
 			if backend == "file" {
-				vc.Dir = t.TempDir()
+				vc.Dir = dir
 			}
 			runSchedule(t, backend, vc, script)
 		}

@@ -37,7 +37,7 @@ type Session struct {
 
 // NewSession opens a read session. cacheFrames sizes its private buffer
 // manager (zero picks the store's CacheFrames) and width its scan/batch
-// striping (zero picks the store's Width); the whole budget is reserved
+// striping (zero picks the store's Width); the whole budget is carved
 // from the store's pool until Close.
 func (s *Store) NewSession(cacheFrames, width int) (index.Session, error) {
 	if cacheFrames < 3 {

@@ -141,12 +141,12 @@ type Store struct {
 
 	sealOps int64 // effective front threshold in ops
 
-	// The drain's construction budget, reserved once at Open (the
-	// extsort.SortIndex pattern): the background rebuild draws from its
-	// own pool, so foreground readers never lose frames to it and a
-	// too-small pool fails at Open, not mid-drain.
+	// The drain's construction budget, carved from pool once at Open (the
+	// extsort.SortIndex pattern): the background rebuild draws only those
+	// frames — its sessions carve theirs from it in turn — so foreground
+	// readers never lose frames to it and a too-small pool fails at Open,
+	// not mid-drain.
 	drainPool *pdm.Pool
-	reserve   []*pdm.Frame
 
 	// mu guards the layered read view below. Readers hold RLock across
 	// their in-memory probes; writes and all view swaps (seal, generation
@@ -183,13 +183,14 @@ type Store struct {
 const scanFrames = 3
 
 // Open creates an empty store on vol whose steady-state frames are drawn
-// from pool. The drain budget is reserved from pool immediately and held
+// from pool. The drain budget is carved from pool immediately (a
+// pdm.Pool.Carve: the drain works in those frames and makes none) and held
 // until Close. It is the most a drain opens at once, at the drain width w:
 // a full merge's two scan sessions, over the old generation and the young
 // one (btree.SessionFrames at scanFrames each), and one bulk loader for
 // the next generation (btree.LoaderFrames at CacheFrames) — CacheFrames +
 // 6·w + 6 frames. A young drain opens only the young scan and the loader.
-// Beyond the reservation the pool must hold 3·CacheFrames for the
+// Beyond the carve the pool must hold 3·CacheFrames for the
 // generation caches (old, young and the one a handover warms before it
 // swaps in; a handover that finds them short fails the drain with
 // pdm.ErrNoFrames, and the store then refuses writes), plus per-reader
@@ -212,7 +213,7 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 	}
 	w := cfg.drainWidth()
 	drainFrames := 2*btree.SessionFrames(scanFrames, w) + btree.LoaderFrames(cfg.CacheFrames, w)
-	reserve, err := pool.AllocN(drainFrames)
+	drainPool, err := pool.Carve(drainFrames)
 	if err != nil {
 		return nil, err
 	}
@@ -222,12 +223,11 @@ func Open(vol *pdm.Volume, pool *pdm.Pool, cfg Config) (*Store, error) {
 		cfg:       cfg,
 		gate:      index.NewGate(pool, cfg.AdmitQueue, cfg.AdmitWait),
 		sealOps:   sealOps,
-		drainPool: pdm.NewPool(vol.BlockBytes(), drainFrames),
-		reserve:   reserve,
+		drainPool: drainPool,
 	}
 	tree, err := btree.New(vol, pool, &btree.Options{CacheFrames: cfg.CacheFrames})
 	if err != nil {
-		pdm.ReleaseAll(reserve)
+		drainPool.Close()
 		return nil, err
 	}
 	s.gen = newGeneration(tree, nil)
@@ -602,8 +602,7 @@ func (s *Store) Close() error {
 	s.mu.Unlock()
 
 	s.releaseGens(gen, young)
-	pdm.ReleaseAll(s.reserve)
-	s.reserve = nil
+	s.drainPool.Close()
 	if err != nil {
 		return err
 	}
