@@ -90,9 +90,13 @@ modeltime:
 # (FuzzStoreSchedule in internal/store) for FUZZTIME, 60 s by default. A
 # failing input is written under internal/store/testdata/fuzz, where `go
 # test` replays it from then on beside the committed seed corpus.
+# Minimisation of each new or failing input is capped at 2 s: at Go's
+# default of 60 s a one-minute run spent most of its time minimising its
+# first new inputs instead of executing schedules. A failing input is still
+# written, only less minimised.
 FUZZTIME ?= 60s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzStoreSchedule$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreSchedule$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/store
 
 # Coverage profile across every package, with a per-function summary.
 cover:

@@ -13,8 +13,8 @@
 // The sorts read ahead and write behind wherever their plan has the frames
 // for it, with the same counted I/Os as on demand. -dir stores the
 // model's disks as real files, one per disk, under the given directory —
-// same algorithms, same counted I/Os, real hardware underneath (O_DIRECT
-// where the platform and filesystem allow). With -v the tool prints run
+// same algorithms, same counted I/Os, real files underneath, written with
+// pwrite and read through the page cache. With -v the tool prints run
 // counts, merge passes, and the I/O ledger.
 package main
 

@@ -280,19 +280,15 @@
 // Counters are charged before the backend is invoked, so Stats snapshots
 // are identical between the memory and file backends for the same workload
 // (a property the test suite pins down with quick-checks over the sorts and
-// the bulk loader); only the wall clock changes meaning. On Linux, backing
-// files are opened with O_DIRECT when BlockBytes is a multiple of 4 KiB and
-// the filesystem accepts the flag (tmpfs, for one, does not), so transfers
-// bypass the page cache and the measured times are the medium's; everywhere
-// else the backend transparently falls back to ordinary buffered I/O, which
-// preserves semantics but lets the OS cache absorb re-reads. Writes are
-// always pwrite, and O_DIRECT disks read with pread. A buffered disk's reads
-// are copies out of a read-only shared mapping of its file, with no syscall
-// per read; a page fault on such a read (the file truncated or failing
-// under a live volume) comes back as an error, not a crash. Mapped pages are
-// page cache, not frames charged to the pool's M. File-backed
-// volumes should always be Closed; the per-disk files are left on disk for
-// inspection and are the caller's to delete.
+// the bulk loader); only the wall clock changes meaning. Backing files are
+// ordinary buffered files at every block size, so the OS page cache absorbs
+// re-reads. Writes are pwrite, and reads are copies out of a read-only
+// shared mapping of each disk's file, with no syscall per read; a page
+// fault on such a read (the file truncated or failing under a live volume)
+// comes back as an error, not a crash. Mapped pages are page cache, not
+// frames charged to the pool's M. File-backed volumes should always be
+// Closed; the per-disk files are left on disk for inspection and are the
+// caller's to delete.
 //
 // The subsystems exposed here are:
 //

@@ -245,8 +245,7 @@ func bufSearchLeafSlot(b []byte, k uint64) int {
 	return lo
 }
 
-func isLeaf(p *cache.Page) bool { return binary.LittleEndian.Uint16(p.Buf[offFlags:])&flagLeaf != 0 }
-func count(p *cache.Page) int   { return bufCount(p.Buf) }
+func count(p *cache.Page) int { return bufCount(p.Buf) }
 func setCount(p *cache.Page, n int) {
 	bufSetCount(p.Buf, n)
 	p.MarkDirty()

@@ -312,7 +312,7 @@ func joinSuccDown(vol *pdm.Volume, pool *pdm.Pool, pe, fc *stream.File[record.Pa
 				return err
 			}
 		}
-		succ := 2*edge + 1 // leaf child: bounce straight back up
+		succ := 2*edge + 1 // leaf child: turn straight back up
 		if fOK && f.A == child {
 			succ = 2 * f.B // descend into the child's first child edge
 		}

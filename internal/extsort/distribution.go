@@ -190,10 +190,12 @@ func (d *distSorter[T]) sortInto(f *stream.File[T], ow stream.Sink[T], owned boo
 
 // level runs one partition pass over f, whose memory-sized base cases
 // hold memRecs records. It samples the splitters, plans the level, keeps
-// the lowest key range in memory for the pass — charged to the pool,
-// sorted and emitted into ow before any spilled bucket is read — and
-// returns the spilled buckets, lowest key range first. Where the resident
-// bucket outgrew its frames it was spilled and is the first of them.
+// the lowest key range in memory for the pass — sorted and emitted into ow
+// before any spilled bucket is read — and returns the spilled buckets,
+// lowest key range first. Where the resident bucket outgrew its frames it
+// was spilled and is the first of them. The resident records live in the
+// partition's Go slice; the frames level reserves for them from the pool
+// are counted but never touched.
 func (d *distSorter[T]) level(f *stream.File[T], ow stream.Sink[T], memRecs int) ([]*stream.File[T], error) {
 	fo := fanOut(d.pool.Free(), d.sf(), d.opts)
 	if fo < 2 {
@@ -275,10 +277,12 @@ func releaseFiles[T any](fs []*stream.File[T]) {
 	}
 }
 
-// baseCase load-sorts a memory-sized file into ow. The record buffer is
-// charged to the pool for its block equivalent — as formRuns charges its
-// run buffer — so the memory bound M stays enforced, not just computed;
-// sortEmit sorts inside that buffer and needs no other.
+// baseCase load-sorts a memory-sized file into ow. It reserves the record
+// buffer's block equivalent from the pool — as formRuns does for its run
+// buffer — so the pool's count enforces the memory bound M, but it leaves
+// those frames untouched and reads the records into a Go slice of the same
+// size made beside them; sortEmit sorts inside that slice and needs no
+// other.
 func (d *distSorter[T]) baseCase(f *stream.File[T], ow stream.Sink[T]) error {
 	bufFrames := int((f.Len() + int64(f.PerBlock()) - 1) / int64(f.PerBlock()))
 	reserve, err := d.pool.AllocN(bufFrames)
@@ -346,9 +350,9 @@ func (d *distSorter[T]) sample(f *stream.File[T], fo int) ([]T, error) {
 // the bucket on that splitter's right. When resident > 0, bucket 0 is kept
 // in memory, up to resident records, and returned as a slice, its file
 // left empty; a bucket 0 that outgrows them is spilled into its file,
-// which then holds all of it, and the slice is nil. The caller charges the
-// resident records to the pool, and must leave one writer's frames free
-// for the spill.
+// which then holds all of it, and the slice is nil. The caller reserves
+// the resident records' block equivalent from the pool (frames the slice
+// does not use), and must leave one writer's frames free for the spill.
 func (d *distSorter[T]) partition(f *stream.File[T], splitters []T, resident, depth int) ([]T, []*stream.File[T], error) {
 	nb := len(splitters) + 1
 	buckets := make([]*stream.File[T], nb)

@@ -11,12 +11,16 @@
 //
 // The internal sort both paradigms bottom out in (a run of load-sort run
 // formation, a memory-sized bucket of the distribution sort) is one
-// function, sortEmit in memsort.go. Its memory is the caller's record
-// buffer alone, charged to the pool as that buffer's block equivalent
-// (bufFrames): the buffer is sorted in place, one chunk per CPU, and the
-// chunks are merged while their records are appended to the sink, so there
-// is no scratch buffer to charge. Its output does not depend on the CPU
-// count; neither do the reads and appends around it.
+// function, sortEmit in memsort.go. It sorts the caller's record buffer in
+// place, one chunk per CPU, and merges the chunks while their records are
+// appended to the sink, so it needs no scratch buffer. That record buffer
+// is a Go slice, not pool frames. Each caller — formRuns, the resident
+// bucket of a distribution level, baseCase — reserves the buffer's block
+// equivalent from the pool with AllocN, so the pool's count enforces M,
+// but never touches those frames and makes the slice beside them: the
+// buffer's memory is held twice, once as idle reserved frames and once as
+// an uncounted slice of the same size. Its output does not depend on the
+// CPU count; neither do the reads and appends around it.
 //
 // Each chunk is sorted in place by a kernel the sorter fixes when it is
 // built. The generic entry points (MergeSort, FormRuns, DistributionSort,
@@ -177,7 +181,9 @@ func FormRuns[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, 
 // formRuns is FormRuns with kern sorting each load-sort run in memory.
 // Either technique holds memRecords records: every frame the input reader
 // and the run writer leave free, both at depth 1, reserved from the pool
-// for the whole pass.
+// for the whole pass. The records themselves live in a Go slice (the
+// load-sort buffer, the replacement-selection heap) made beside those
+// frames, which stay untouched.
 func formRuns[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, kern kernel[T], opts *Options) ([]*stream.File[T], error) {
 	bufFrames := pool.Free() - 2*opts.width()
 	if bufFrames < 1 {
@@ -209,7 +215,8 @@ func formRuns[T any](f *stream.File[T], pool *pdm.Pool, less func(a, b T) bool, 
 
 // formRunsLoadSort fills memory from r, sorts, writes, repeats. Each run
 // holds exactly memRecords records except the last; sortEmit sorts a run
-// inside the reserved buffer with kern and needs no other.
+// inside buf with kern and needs no other. buf is a Go slice: the frames
+// formRuns reserved for it are counted but never used.
 func formRunsLoadSort[T any](f *stream.File[T], r stream.Source[T], pool *pdm.Pool, less func(a, b T) bool, kern kernel[T], opts *Options, memRecords int) ([]*stream.File[T], error) {
 	var runs []*stream.File[T]
 	// fail releases every run already written (a concurrent pool consumer

@@ -6,36 +6,28 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"unsafe"
 )
 
 // fileBackend maps each simulated disk to its own file under a
 // caller-supplied directory: disk d's slot s occupies bytes
-// [s·BlockBytes, (s+1)·BlockBytes) of dir/diskDDD.dat. Where the platform
-// and filesystem allow — Linux, block size a multiple of 4 KiB, and a
-// filesystem that accepts the flag — files are opened with O_DIRECT so
-// transfers bypass the page cache and reach the medium; everywhere else the
-// backend transparently falls back to ordinary buffered I/O, which keeps
-// the counters and semantics identical and only changes what the wall clock
-// measures. O_DIRECT requires aligned user buffers, so each disk under
-// direct I/O stages transfers through one 4 KiB-aligned bounce buffer —
-// safe because the Volume serialises Service calls per disk.
+// [s·BlockBytes, (s+1)·BlockBytes) of dir/diskDDD.dat. The files are
+// ordinary buffered files at every block size, so the counters and
+// semantics match the in-memory simulation and only the wall clock
+// changes meaning.
 //
 // Every write is one pwrite (WriteAt), so a full disk or a failing medium
-// is an error value and the file grows as slots are written. A read from a
-// buffered disk is a copy out of a read-only shared mapping of its file,
-// with no syscall per read; the unified page cache keeps that mapping
-// coherent with the writes. Reads from an O_DIRECT disk stay pread, since
-// a mapping goes through the page cache that O_DIRECT bypasses. Mapped
-// pages are page cache, not frames charged to a Pool's M. The backend
-// records each disk's high-water mark, the bytes written so far: a block
-// at or past it is a zero block without touching the mapping, so nothing
-// is read past the end of the file, and a read past the end of the mapping
-// remaps it at no less than double its size. A page that cannot be read —
-// the file was truncated or is failing under a live volume — makes the
-// read return an error naming the disk and slot instead of crashing the
-// process. Where mapping is unavailable or fails, that disk reads with
-// pread.
+// is an error value and the file grows as slots are written. A read is a
+// copy out of a read-only shared mapping of the disk's file, with no
+// syscall per read; the unified page cache keeps that mapping coherent
+// with the writes. Mapped pages are page cache, not frames charged to a
+// Pool's M. The backend records each disk's high-water mark, the bytes
+// written so far: a block at or past it is a zero block without touching
+// the mapping, so nothing is read past the end of the file, and a read
+// past the end of the mapping remaps it at no less than double its size.
+// A page that cannot be read — the file was truncated or is failing under
+// a live volume — makes the read return an error naming the disk and slot
+// instead of crashing the process. Where mapping is unavailable or fails,
+// that disk reads with pread.
 //
 // Backing files are created — truncated if a previous run left them behind,
 // since a fresh volume's never-written slots must read as zeros — at volume
@@ -48,16 +40,10 @@ import (
 type fileBackend struct {
 	blockBytes int
 	files      []*os.File
-	direct     []bool
-	bounce     [][]byte // per-disk aligned staging buffer; nil unless direct
-	readAt     []bool   // per-disk: reads use ReadAt (direct, or no mapping)
+	readAt     []bool   // per-disk: reads use ReadAt (no mapping)
 	maps       [][]byte // per-disk read-only shared mapping; nil until first needed
 	written    []int64  // per-disk high-water mark in bytes
 }
-
-// directAlign is the alignment direct-I/O transfers are staged at: 4 KiB
-// satisfies the logical block size of every mainstream filesystem.
-const directAlign = 4096
 
 func newFileBackend(dir string, disks, blockBytes int) (*fileBackend, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
@@ -66,44 +52,33 @@ func newFileBackend(dir string, disks, blockBytes int) (*fileBackend, error) {
 	fb := &fileBackend{
 		blockBytes: blockBytes,
 		files:      make([]*os.File, disks),
-		direct:     make([]bool, disks),
-		bounce:     make([][]byte, disks),
 		readAt:     make([]bool, disks),
 		maps:       make([][]byte, disks),
 		written:    make([]int64, disks),
 	}
 	for d := range fb.files {
 		path := filepath.Join(dir, fmt.Sprintf("disk%03d.dat", d))
-		f, direct, err := openDiskFile(path, blockBytes)
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o666)
 		if err != nil {
 			fb.Close()
 			return nil, fmt.Errorf("pdm: file backend: %w", err)
 		}
 		fb.files[d] = f
-		fb.direct[d] = direct
-		fb.readAt[d] = direct
-		if direct {
-			fb.bounce[d] = alignedBlock(blockBytes)
-		}
 	}
 	return fb, nil
-}
-
-// alignedBlock returns a blockBytes-long slice whose base address is
-// directAlign-aligned, carved out of a slightly larger allocation.
-func alignedBlock(blockBytes int) []byte {
-	raw := make([]byte, blockBytes+directAlign)
-	off := 0
-	if rem := int(uintptr(unsafe.Pointer(&raw[0])) % directAlign); rem != 0 {
-		off = directAlign - rem
-	}
-	return raw[off : off+blockBytes : off+blockBytes]
 }
 
 func (fb *fileBackend) Service(disk int, slot int64, buf []byte, write bool) error {
 	f := fb.files[disk]
 	off := slot * int64(fb.blockBytes)
-	if !write && !fb.readAt[disk] {
+	if write {
+		if _, err := f.WriteAt(buf, off); err != nil {
+			return fmt.Errorf("pdm: disk %d write slot %d: %w", disk, slot, err)
+		}
+		fb.written[disk] = max(fb.written[disk], off+int64(len(buf)))
+		return nil
+	}
+	if !fb.readAt[disk] {
 		// Whole blocks are written, so a block that ends past the mark
 		// starts at or past it: never written, a zero block.
 		end := off + int64(len(buf))
@@ -119,31 +94,14 @@ func (fb *fileBackend) Service(disk int, slot int64, buf []byte, write bool) err
 			return nil
 		}
 	}
-	tr := buf
-	if fb.direct[disk] {
-		tr = fb.bounce[disk]
-	}
-	if write {
-		if fb.direct[disk] {
-			copy(tr, buf)
-		}
-		if _, err := f.WriteAt(tr, off); err != nil {
-			return fmt.Errorf("pdm: disk %d write slot %d: %w", disk, slot, err)
-		}
-		fb.written[disk] = max(fb.written[disk], off+int64(len(tr)))
-		return nil
-	}
-	n, err := f.ReadAt(tr, off)
+	n, err := f.ReadAt(buf, off)
 	if err != nil && err != io.EOF {
 		return fmt.Errorf("pdm: disk %d read slot %d: %w", disk, slot, err)
 	}
 	// A slot past the bytes written so far reads as a zero block, mirroring
 	// the simulation's freshly formatted regions. Whole blocks are always
 	// written, so a short read can only mean end of file.
-	clear(tr[n:])
-	if fb.direct[disk] {
-		copy(buf, tr)
-	}
+	clear(buf[n:])
 	return nil
 }
 

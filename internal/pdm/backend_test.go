@@ -12,7 +12,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-	"unsafe"
 )
 
 // forEachBackend runs fn once against the in-memory simulation and once
@@ -195,16 +194,14 @@ func TestFileBackendServiceError(t *testing.T) {
 }
 
 // TestFileBackendDirectIO runs a round trip at a 4 KiB-multiple block size,
-// the shape that qualifies for O_DIRECT on Linux. Whether direct I/O
-// actually engages depends on the filesystem under TMPDIR (tmpfs refuses
-// the flag and falls back to buffered I/O), so the test asserts only
-// correctness and reports which path served it.
+// the shape that once opened its disk files for direct I/O. The file
+// backend has one regime at every block size: it writes with pwrite and,
+// where the platform maps, every disk reads through its mapping. A
+// never-written block past the end of its disk's file reads as zeros.
 func TestFileBackendDirectIO(t *testing.T) {
 	const blockBytes = 4096
 	v := MustVolume(Config{BlockBytes: blockBytes, MemBlocks: 4, Disks: 2, Dir: t.TempDir()})
 	defer v.Close()
-	fb := v.backend.(*fileBackend)
-	t.Logf("direct I/O engaged per disk: %v", fb.direct)
 	base := v.Alloc(9) // the ninth block is never written
 	src := make([]byte, blockBytes)
 	got := make([]byte, blockBytes)
@@ -233,18 +230,13 @@ func TestFileBackendDirectIO(t *testing.T) {
 	if !bytes.Equal(got, make([]byte, blockBytes)) {
 		t.Fatal("an unwritten block past EOF did not read as zeros")
 	}
-}
-
-// TestAlignedBlock checks the O_DIRECT staging buffer really is aligned and
-// exactly one block long.
-func TestAlignedBlock(t *testing.T) {
-	for _, n := range []int{512, 4096, 8192} {
-		b := alignedBlock(n)
-		if len(b) != n || cap(b) != n {
-			t.Fatalf("alignedBlock(%d): len %d cap %d", n, len(b), cap(b))
-		}
-		if rem := uintptr(unsafe.Pointer(&b[0])) % directAlign; rem != 0 {
-			t.Fatalf("alignedBlock(%d): misaligned by %d", n, rem)
+	paths := diskPaths(v)
+	t.Logf("read path per disk: %v", paths)
+	if runtime.GOOS == "linux" {
+		for d, path := range paths {
+			if !strings.HasPrefix(path, "mapped") {
+				t.Errorf("disk %d does not read through a mapping: %s", d, path)
+			}
 		}
 	}
 }
@@ -353,12 +345,9 @@ func diskPaths(v *Volume) []string {
 	fb := v.backend.(*fileBackend)
 	paths := make([]string, len(fb.files))
 	for d := range paths {
-		switch {
-		case fb.direct[d]:
-			paths[d] = "O_DIRECT pread"
-		case fb.readAt[d]:
+		if fb.readAt[d] {
 			paths[d] = "pread (no mapping)"
-		default:
+		} else {
 			paths[d] = fmt.Sprintf("mapped (%d bytes mapped, %d written)", len(fb.maps[d]), fb.written[d])
 		}
 	}
@@ -369,10 +358,12 @@ func diskPaths(v *Volume) []string {
 // seeded workload on a memory-backed and a file-backed volume must produce
 // byte-identical Stats snapshots (reads, writes, steps, per-disk shards)
 // and byte-identical read contents. The mixed workload runs at a small
-// block; the growth workload runs at 4080 bytes, which is never O_DIRECT
-// and so always mapped where the platform maps, and at 4096, which is
-// O_DIRECT where the filesystem takes the flag and mapped where it does
-// not (tmpfs).
+// block; the growth workload runs at 4080 bytes, the benchmark's file
+// block, and at 4096 and 8192, page multiples. Every growth round writes a
+// block and reads it straight back, and reads a never-written block past
+// the end of its disk's file, which must come back as zeros. Where the
+// platform maps, every disk of the file volume must read through its
+// mapping, grown to cover all it wrote, at every block size.
 func TestQuickBackendsAgree(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -384,6 +375,7 @@ func TestQuickBackendsAgree(t *testing.T) {
 		{"mixed", 48, backendWorkload, 12, false},
 		{"growth-4080", 4080, growthWorkload, 4, true},
 		{"growth-4096", 4096, growthWorkload, 4, true},
+		{"growth-8192", 8192, growthWorkload, 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prop := func(seedRaw uint32, disksRaw uint8, latencyOn bool) bool {
@@ -405,10 +397,10 @@ func TestQuickBackendsAgree(t *testing.T) {
 				fileStats, fileDigest := tc.work(t, fv, seed)
 				t.Logf("D=%d: %v", disks, diskPaths(fv))
 				if fb := fv.backend.(*fileBackend); tc.endsOnRead && runtime.GOOS == "linux" {
-					// Each disk that maps followed its file's growth.
-					for d := range fb.files {
-						if !fb.direct[d] && (fb.readAt[d] || int64(len(fb.maps[d])) < fb.written[d]) {
-							t.Logf("disk %d: mapping did not follow growth: %s", d, diskPaths(fv)[d])
+					// Every disk maps and followed its file's growth.
+					for d, path := range diskPaths(fv) {
+						if !strings.HasPrefix(path, "mapped") || int64(len(fb.maps[d])) < fb.written[d] {
+							t.Logf("disk %d does not read its whole file through a mapping: %s", d, path)
 							return false
 						}
 					}
@@ -493,7 +485,7 @@ func TestFileBackendTruncatedUnderMapping(t *testing.T) {
 }
 
 // BenchmarkFileRead times random single-block ReadBlock calls on a warmed
-// file volume at BlockBytes 4080, a size never opened O_DIRECT, so every
+// file volume at BlockBytes 4080, the benchmark's file block, so every
 // read comes from the page cache: out of the disk file's mapping where the
 // platform maps, else by pread. One iteration is 2^16 reads over 4096
 // blocks on 4 disks; ns/block and allocs/block divide it by the reads, and

@@ -60,15 +60,14 @@
 // Volume owns addressing, counters, per-disk locking and reservations, and
 // delegates only the final one-block transfer. The default backend is the
 // in-memory simulation; setting Config.Dir selects the file-backed store,
-// which maps each of the D disks to its own file (O_DIRECT on Linux where
-// the block size and filesystem allow, buffered I/O otherwise) so the same
-// algorithms exercise real hardware. Writes are pwrite, and O_DIRECT disks
-// read with pread; a buffered disk's reads copy the block out of a
-// read-only shared mapping of its file, with no syscall per read, and a
-// fault on a mapped page is returned as an error. Mapped pages are page
-// cache, not frames charged to a Pool's M. Counters are charged before the
-// backend is invoked, so Stats are identical across backends for the same
-// workload — the sim==file invariant the backend tests pin down.
+// which maps each of the D disks to its own file so the same algorithms
+// exercise real hardware. Writes are pwrite; reads copy the block out of a
+// read-only shared mapping of the disk's file, with no syscall per read,
+// and a fault on a mapped page is returned as an error. Mapped pages are
+// page cache, not frames charged to a Pool's M. Counters are charged
+// before the backend is invoked, so Stats are identical across backends
+// for the same workload — the sim==file invariant the backend tests pin
+// down.
 //
 // Memory is modelled by Pool, which hands out at most M/B block-sized frames
 // and refuses further allocation, so an algorithm that exceeds its stated
